@@ -18,6 +18,7 @@
 #include "partition/cache_aware.h"
 #include "partition/nonuniform.h"
 #include "partition/uniform.h"
+#include "trace/dataset.h"
 #include "trace/generator.h"
 #include "trace/profiler.h"
 #include "updlrm/engine.h"
@@ -96,15 +97,69 @@ void BM_NonUniformPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_NonUniformPartition);
 
+// The repo benchmark's GoodReads mining window (bench/suite
+// read-ca-poisson): the first 1,600 samples of one "read" table, mined
+// on one thread with the default 16,384-item hot set.
+struct MineWindow {
+  trace::TableTrace table;
+  std::uint64_t num_items = 0;
+  std::uint64_t pairs = 0;  // hot pairs one Mine call counts
+};
+
+const MineWindow& GoodReadsMineWindow() {
+  static const MineWindow window = [] {
+    auto spec = trace::FindDataset("read");
+    UPDLRM_CHECK(spec.ok());
+    trace::TraceGeneratorOptions options;
+    options.num_samples = 1'600;
+    options.num_tables = 1;
+    auto t = trace::TraceGenerator(*spec).Generate(options);
+    UPDLRM_CHECK(t.ok());
+    MineWindow w;
+    w.table = std::move(t->tables[0]);
+    w.num_items = spec->num_items;
+    // Every sample counts the pairs of its first min(h, cap) hot items.
+    const trace::TableProfile profile =
+        trace::ProfileTable(w.table, w.num_items);
+    std::vector<bool> hot(w.num_items, false);
+    std::size_t num_hot = 0;
+    for (std::uint32_t id : profile.by_freq) {
+      if (num_hot >= cache::GraceOptions{}.num_hot_items ||
+          profile.freq[id] == 0) {
+        break;
+      }
+      hot[id] = true;
+      ++num_hot;
+    }
+    for (std::size_t s = 0; s < w.table.num_samples(); ++s) {
+      std::uint64_t h = 0;
+      for (std::uint32_t id : w.table.Sample(s)) h += hot[id];
+      h = std::min<std::uint64_t>(h, cache::kMaxHotPerSample);
+      if (h >= 2) w.pairs += h * (h - 1) / 2;
+    }
+    return w;
+  }();
+  return window;
+}
+
+cache::GraceOptions MineWindowOptions() {
+  cache::GraceOptions options;
+  options.num_threads = 1;
+  return options;
+}
+
 void BM_GraceMining(benchmark::State& state) {
-  const auto& trace = SharedTrace();
-  const cache::GraceMiner miner;
+  const MineWindow& w = GoodReadsMineWindow();
+  const cache::GraceMiner miner(MineWindowOptions());
   for (auto _ : state) {
-    auto res = miner.Mine(trace.tables[0], trace.num_items);
+    auto res = miner.Mine(w.table, w.num_items);
     benchmark::DoNotOptimize(res.ok());
   }
+  state.counters["pairs_per_s"] = benchmark::Counter(
+      static_cast<double>(w.pairs) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GraceMining);
+BENCHMARK(BM_GraceMining)->Unit(benchmark::kMillisecond);
 
 void BM_CacheAwarePartition(benchmark::State& state) {
   const auto& trace = SharedTrace();
@@ -228,12 +283,11 @@ void BM_CrossRankReduceAddI64(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossRankReduceAddI64)->Arg(0)->Arg(1);
 
-// Timed outside google-benchmark so the result lands in
-// BENCH_host.json next to the fig* host timings: GB/s of each kernel
-// on the scalar and dispatched paths.
-double MeasureGbps(void (*run)(), std::uint64_t bytes_per_run) {
+// Timed outside google-benchmark so the results land in
+// BENCH_host.json next to the fig* host timings. Runs of `run` per
+// second: warm once, then time enough repetitions for ~50 ms.
+double MeasureRunsPerSecond(void (*run)()) {
   using clock = std::chrono::steady_clock;
-  // Warm, then time enough repetitions for ~50 ms.
   run();
   std::size_t reps = 1;
   for (;;) {
@@ -241,12 +295,15 @@ double MeasureGbps(void (*run)(), std::uint64_t bytes_per_run) {
     for (std::size_t i = 0; i < reps; ++i) run();
     const double s = std::chrono::duration<double>(clock::now() - start)
                          .count();
-    if (s >= 0.05) {
-      return static_cast<double>(bytes_per_run) *
-             static_cast<double>(reps) / s / 1e9;
-    }
+    if (s >= 0.05) return static_cast<double>(reps) / s;
     reps *= 4;
   }
+}
+
+// GB/s of one kernel run moving `bytes_per_run`.
+double MeasureGbps(void (*run)(), std::uint64_t bytes_per_run) {
+  return static_cast<double>(bytes_per_run) * MeasureRunsPerSecond(run) /
+         1e9;
 }
 
 std::vector<std::int32_t>& SimdSrc() {
@@ -302,6 +359,13 @@ void RunRankMerge() {
   benchmark::DoNotOptimize(acc.data());
 }
 
+void RunGoodReadsMine() {
+  const MineWindow& w = GoodReadsMineWindow();
+  auto res =
+      cache::GraceMiner(MineWindowOptions()).Mine(w.table, w.num_items);
+  UPDLRM_CHECK_MSG(res.ok(), res.status().ToString());
+}
+
 }  // namespace
 
 void WriteSimdThroughputRows() {
@@ -338,6 +402,22 @@ void WriteSimdThroughputRows() {
               simd::UsingAvx2() ? "avx2" : "scalar");
 }
 
+void WriteGraceMiningRow() {
+  const MineWindow& w = GoodReadsMineWindow();
+  const double mines_per_s = MeasureRunsPerSecond(RunGoodReadsMine);
+  const double pairs_per_s = static_cast<double>(w.pairs) * mines_per_s;
+  std::ostringstream payload;
+  payload << "{\"samples\": " << w.table.num_samples()
+          << ", \"hot_items\": " << cache::GraceOptions{}.num_hot_items
+          << ", \"pairs_per_mine\": " << w.pairs
+          << ", \"mine_s\": " << 1.0 / mines_per_s
+          << ", \"pairs_per_s\": " << pairs_per_s << "}";
+  bench::WriteBenchHostEntry("micro_grace_mining", payload.str());
+  std::printf("# grace mining (GoodReads, %zu samples): %.3f s per table, "
+              "%.1f M pairs/s -> BENCH_host.json\n",
+              w.table.num_samples(), 1.0 / mines_per_s, pairs_per_s / 1e6);
+}
+
 }  // namespace updlrm
 
 int main(int argc, char** argv) {
@@ -346,5 +426,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   updlrm::WriteSimdThroughputRows();
+  updlrm::WriteGraceMiningRow();
   return 0;
 }

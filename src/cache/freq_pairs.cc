@@ -29,12 +29,13 @@ Result<CacheRes> FreqPairMiner::Mine(const trace::TableTrace& table,
   if (num_items == 0) {
     return Status::InvalidArgument("num_items must be > 0");
   }
-  const auto freq = trace::ItemFrequencies(table, num_items);
-  const auto by_freq = trace::ItemsByFrequency(freq);
+  auto profile = trace::CheckedProfileTable(table, num_items);
+  if (!profile.ok()) return profile.status();
+  const std::vector<std::uint64_t>& freq = profile->freq;
 
   CacheRes res;
   std::vector<std::uint32_t> group;
-  for (std::uint32_t id : by_freq) {
+  for (std::uint32_t id : profile->by_freq) {
     if (res.lists.size() * options_.list_size + group.size() >=
             options_.num_hot_items ||
         freq[id] == 0) {

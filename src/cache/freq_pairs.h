@@ -38,7 +38,8 @@ class FreqPairMiner {
 
   /// Groups the hottest items rank-adjacently, scores each group by
   /// replaying the trace, drops zero-benefit groups, and returns the
-  /// collection sorted by descending benefit.
+  /// collection sorted by descending benefit. InvalidArgument when the
+  /// trace holds an id >= num_items.
   Result<CacheRes> Mine(const trace::TableTrace& table,
                         std::uint64_t num_items) const;
 

@@ -1,28 +1,27 @@
 #include "cache/grace.h"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 #include <mutex>
-#include <unordered_map>
+#include <numeric>
 
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "telemetry/tracer.h"
 #include "trace/profiler.h"
 
 namespace updlrm::cache {
 
 namespace {
 
-// Pairs counted per sample are capped (a sample with h hot items
-// contributes O(h^2) edges). The cap keeps a *random* subset — sampling
-// by frequency would count the same head items every time and starve
-// mid-popularity cliques; random subsampling scales every pair's
-// support by the same expected factor, preserving the ranking.
-constexpr std::size_t kMaxHotPerSample = 96;
+// rank_of entry of an item outside the hot set.
+constexpr std::uint32_t kNotHot = std::numeric_limits<std::uint32_t>::max();
 
-std::uint64_t PairKey(std::uint32_t a, std::uint32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
+// Hot sets up to this size pack a rank pair into a u32 key (16 bits per
+// rank); larger ones use u64 keys (32 bits per rank).
+constexpr std::size_t kMaxHotForU32Keys = std::size_t{1} << 16;
 
 // Samples are counted in parallel shards; a per-sample seed keeps the
 // (rare) hot-item subsampling independent of both shard boundaries and
@@ -32,73 +31,129 @@ std::uint64_t SubsampleSeed(std::size_t sample) {
   return SplitMix64(state);
 }
 
-// Shard grain for the counting / scoring replays: big enough that the
-// per-shard hash maps amortize, small enough to load-balance.
+// Shard grain for the counting / scoring replays: big enough to
+// amortize the per-shard scratch, small enough to load-balance.
 std::size_t ReplayGrain(std::size_t num_samples) {
   return std::max<std::size_t>(64, num_samples / 256);
 }
 
-// Open-addressed pair-key -> count map (linear probing, power-of-2
-// capacity, keys stored +1 so 0 marks an empty slot). The counting
-// loop below increments one entry per hot pair per sample — with
-// std::unordered_map that is a node allocation + rehash treadmill
-// (hundreds of millions of `new`s at full trace scale); a flat table
-// makes the increment a hash + probe + add with zero per-entry
-// allocation. Counts merge by addition, so determinism is unaffected.
-class PairCounts {
- public:
-  PairCounts() { slots_.resize(kInitialSlots); }
+// Pairs a sample with `hot` hot items contributes: every 2-subset of
+// its hot items after the cap.
+std::uint64_t PairsOf(std::size_t hot) {
+  const std::uint64_t h = std::min(hot, kMaxHotPerSample);
+  return h < 2 ? 0 : h * (h - 1) / 2;
+}
 
-  void Add(std::uint64_t key, std::uint64_t count) {
-    if ((size_ + 1) * 10 >= slots_.size() * 7) Grow();
-    Slot& slot = FindSlot(slots_, key);
-    if (slot.key_plus_1 == 0) {
-      slot.key_plus_1 = key + 1;
-      ++size_;
-    }
-    slot.count += count;
+// Hot ranks of sample `s` in sample order, subsampled to the cap.
+void HotRanks(std::span<const std::uint32_t> sample, std::size_t s,
+              std::span<const std::uint32_t> rank_of,
+              std::vector<std::uint32_t>& hot) {
+  hot.clear();
+  for (std::uint32_t idx : sample) {
+    const std::uint32_t r = rank_of[idx];
+    if (r != kNotHot) hot.push_back(r);
   }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key_plus_1 != 0) fn(slot.key_plus_1 - 1, slot.count);
-    }
+  if (hot.size() > kMaxHotPerSample) {
+    Rng subsample_rng(SubsampleSeed(s));
+    subsample_rng.Shuffle(hot);
+    hot.resize(kMaxHotPerSample);
   }
+}
 
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr std::size_t kInitialSlots = 1 << 14;
-
-  struct Slot {
-    std::uint64_t key_plus_1 = 0;  // 0 = empty
-    std::uint64_t count = 0;
-  };
-
-  static Slot& FindSlot(std::vector<Slot>& slots, std::uint64_t key) {
-    const std::size_t mask = slots.size() - 1;
-    std::uint64_t h = key;
-    std::size_t i = SplitMix64(h) & mask;
-    while (slots[i].key_plus_1 != 0 && slots[i].key_plus_1 != key + 1) {
-      i = (i + 1) & mask;
-    }
-    return slots[i];
-  }
-
-  void Grow() {
-    std::vector<Slot> bigger(slots_.size() * 2);
-    for (const Slot& slot : slots_) {
-      if (slot.key_plus_1 == 0) continue;
-      Slot& dst = FindSlot(bigger, slot.key_plus_1 - 1);
-      dst = slot;
-    }
-    slots_ = std::move(bigger);
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+// One co-occurrence edge between hot ranks a <= b.
+struct Edge {
+  std::uint64_t count;
+  std::uint32_t a, b;
 };
+
+// Counts every hot pair of every sample exactly. A rank pass sizes
+// each sample's run of pair keys (rank a in the high half of the key, b
+// in the low) and prefix-sums the runs into fixed offsets of one
+// buffer; the fill pass writes each run in place, so the buffer's bytes
+// do not depend on the thread count. The buffer is radix-sorted and
+// equal keys are run-length counted. Returns the edges with count >=
+// min_pair_count in ascending (a, b) order, or InvalidArgument when the
+// trace holds an id >= rank_of.size(), the item count (the rank pass
+// checks every id before anything indexes by it).
+template <typename Key>
+Result<std::vector<Edge>> CountEdges(const trace::TableTrace& table,
+                                     std::span<const std::uint32_t> rank_of,
+                                     std::uint64_t min_pair_count,
+                                     std::uint32_t num_threads) {
+  constexpr int kRankBits = sizeof(Key) * 4;
+  const std::size_t num_samples = table.num_samples();
+  std::vector<Key> keys;
+  {
+    telemetry::TraceSpan span("grace.count", "cache");
+    std::vector<std::uint64_t> run_offset(num_samples + 1, 0);
+    std::atomic<bool> id_out_of_range{false};
+    ParallelFor(
+        num_samples,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t s = begin; s < end; ++s) {
+            std::size_t hot = 0;
+            for (std::uint32_t idx : table.Sample(s)) {
+              if (idx >= rank_of.size()) {
+                id_out_of_range = true;
+                return;
+              }
+              hot += rank_of[idx] != kNotHot;
+            }
+            run_offset[s + 1] = PairsOf(hot);
+          }
+        },
+        num_threads, ReplayGrain(num_samples));
+    if (id_out_of_range) {
+      return Status::InvalidArgument(
+          "trace holds an item id >= num_items (" +
+          std::to_string(rank_of.size()) + ")");
+    }
+    std::partial_sum(run_offset.begin(), run_offset.end(),
+                     run_offset.begin());
+
+    keys.resize(run_offset.back());
+    ParallelFor(
+        num_samples,
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t> hot;
+          for (std::size_t s = begin; s < end; ++s) {
+            HotRanks(table.Sample(s), s, rank_of, hot);
+            Key* out = keys.data() + run_offset[s];
+            for (std::size_t i = 0; i < hot.size(); ++i) {
+              for (std::size_t j = i + 1; j < hot.size(); ++j) {
+                const Key lo = std::min(hot[i], hot[j]);
+                const Key hi = std::max(hot[i], hot[j]);
+                *out++ = static_cast<Key>(lo << kRankBits) | hi;
+              }
+            }
+          }
+        },
+        num_threads, ReplayGrain(num_samples));
+  }
+
+  telemetry::TraceSpan span("grace.sort", "cache");
+  {
+    std::vector<Key> scratch;
+    if constexpr (sizeof(Key) == sizeof(std::uint32_t)) {
+      RadixSortU32(std::span<Key>(keys), scratch);
+    } else {
+      RadixSortU64(std::span<Key>(keys), scratch);
+    }
+  }
+  constexpr Key kRankMask = (Key{1} << kRankBits) - 1;
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i + 1;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    if (j - i >= min_pair_count) {
+      edges.push_back({j - i,
+                       static_cast<std::uint32_t>(keys[i] >> kRankBits),
+                       static_cast<std::uint32_t>(keys[i] & kRankMask)});
+    }
+    i = j;
+  }
+  return edges;
+}
 
 }  // namespace
 
@@ -133,106 +188,87 @@ Result<CacheRes> GraceMiner::Mine(const trace::TableTrace& table,
 
   trace::TableProfile own_profile;
   if (profile == nullptr) {
-    own_profile = trace::ProfileTable(table, num_items);
+    auto profiled = trace::CheckedProfileTable(table, num_items);
+    if (!profiled.ok()) return profiled.status();
+    own_profile = std::move(profiled).value();
     profile = &own_profile;
   }
   const std::span<const std::uint64_t> freq(profile->freq);
 
-  // Hot set: the most frequent items with nonzero counts.
-  const std::span<const std::uint32_t> by_freq(profile->by_freq);
-  std::vector<bool> is_hot(num_items, false);
-  std::size_t hot_count = 0;
-  for (std::uint32_t id : by_freq) {
-    if (hot_count >= options_.num_hot_items || freq[id] == 0) break;
-    is_hot[id] = true;
-    ++hot_count;
+  // Hot set: the most frequent items with nonzero counts, ranked in
+  // ascending id order so rank order is id order.
+  std::vector<std::uint32_t> hot_ids;
+  for (std::uint32_t id : profile->by_freq) {
+    if (hot_ids.size() >= options_.num_hot_items || freq[id] == 0) break;
+    hot_ids.push_back(id);
   }
+  std::sort(hot_ids.begin(), hot_ids.end());
+  std::vector<std::uint32_t> rank_of(num_items, kNotHot);
+  for (std::uint32_t r = 0; r < hot_ids.size(); ++r) rank_of[hot_ids[r]] = r;
 
-  // Pairwise co-occurrence graph over hot items, counted in parallel
-  // sample shards. Each shard fills a private map; shard maps merge
-  // into the global one by summing counts — integer addition is
-  // commutative, so the merged counts (and everything derived from
-  // them) do not depend on shard boundaries or merge order.
-  PairCounts pair_counts;
-  std::mutex merge_mu;
-  ParallelFor(
-      table.num_samples(),
-      [&](std::size_t begin, std::size_t end) {
-        PairCounts local;
-        std::vector<std::uint32_t> hot_in_sample;
-        for (std::size_t s = begin; s < end; ++s) {
-          hot_in_sample.clear();
-          for (std::uint32_t idx : table.Sample(s)) {
-            if (is_hot[idx]) hot_in_sample.push_back(idx);
-          }
-          if (hot_in_sample.size() > kMaxHotPerSample) {
-            Rng subsample_rng(SubsampleSeed(s));
-            subsample_rng.Shuffle(hot_in_sample);
-            hot_in_sample.resize(kMaxHotPerSample);
-          }
-          for (std::size_t i = 0; i < hot_in_sample.size(); ++i) {
-            for (std::size_t j = i + 1; j < hot_in_sample.size(); ++j) {
-              local.Add(PairKey(hot_in_sample[i], hot_in_sample[j]), 1);
-            }
-          }
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        local.ForEach([&](std::uint64_t key, std::uint64_t count) {
-          pair_counts.Add(key, count);
-        });
-      },
-      options_.num_threads, ReplayGrain(table.num_samples()));
+  auto edges_or =
+      hot_ids.size() <= kMaxHotForU32Keys
+          ? CountEdges<std::uint32_t>(table, rank_of,
+                                      options_.min_pair_count,
+                                      options_.num_threads)
+          : CountEdges<std::uint64_t>(table, rank_of,
+                                      options_.min_pair_count,
+                                      options_.num_threads);
+  if (!edges_or.ok()) return edges_or.status();
+  const std::vector<Edge>& edges = *edges_or;
 
-  // Heaviest edges first.
-  struct Edge {
-    std::uint64_t count;
-    std::uint32_t a, b;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(pair_counts.size());
-  pair_counts.ForEach([&](std::uint64_t key, std::uint64_t count) {
-    if (count < options_.min_pair_count) return;
-    edges.push_back({count, static_cast<std::uint32_t>(key >> 32),
-                     static_cast<std::uint32_t>(key & 0xffffffffU)});
-  });
-  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
-    if (x.count != y.count) return x.count > y.count;
-    if (x.a != y.a) return x.a < y.a;
-    return x.b < y.b;
-  });
-
-  // Greedy group growth from heavy edges.
-  std::unordered_map<std::uint32_t, std::int32_t> group_of;
   std::vector<std::vector<std::uint32_t>> groups;
-  for (const Edge& e : edges) {
-    const auto ita = group_of.find(e.a);
-    const auto itb = group_of.find(e.b);
-    const std::int32_t ga = ita == group_of.end() ? -1 : ita->second;
-    const std::int32_t gb = itb == group_of.end() ? -1 : itb->second;
-    if (ga == -1 && gb == -1) {
-      group_of[e.a] = static_cast<std::int32_t>(groups.size());
-      group_of[e.b] = static_cast<std::int32_t>(groups.size());
-      groups.push_back({e.a, e.b});
-    } else if (ga >= 0 && gb == -1 &&
-               groups[ga].size() < options_.max_list_size) {
-      group_of[e.b] = ga;
-      groups[ga].push_back(e.b);
-    } else if (gb >= 0 && ga == -1 &&
-               groups[gb].size() < options_.max_list_size) {
-      group_of[e.a] = gb;
-      groups[gb].push_back(e.a);
+  {
+    telemetry::TraceSpan span("grace.group", "cache");
+    // Heaviest edges first: a stable sort by descending count keeps the
+    // (a, b) order within each count — the (count desc, a asc, b asc)
+    // order, exactly.
+    std::vector<std::uint32_t> order(edges.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::vector<std::uint64_t> count_keys(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      count_keys[e] = AscendingKeyFromDescendingU64(edges[e].count);
     }
-    // Both already grouped: keep groups disjoint (no merges; subset
-    // storage is exponential in list size).
+    StableRadixSortIdsByKey(std::span<std::uint32_t>(order),
+                            std::span<std::uint64_t>(count_keys));
+
+    // Greedy group growth from heavy edges.
+    std::vector<std::int32_t> group_of(hot_ids.size(), -1);
+    for (std::uint32_t e : order) {
+      const std::uint32_t a = edges[e].a;
+      const std::uint32_t b = edges[e].b;
+      const std::int32_t ga = group_of[a];
+      const std::int32_t gb = group_of[b];
+      if (ga == -1 && gb == -1) {
+        group_of[a] = static_cast<std::int32_t>(groups.size());
+        group_of[b] = static_cast<std::int32_t>(groups.size());
+        groups.push_back({a, b});
+      } else if (ga >= 0 && gb == -1 &&
+                 groups[ga].size() < options_.max_list_size) {
+        group_of[b] = ga;
+        groups[ga].push_back(b);
+      } else if (gb >= 0 && ga == -1 &&
+                 groups[gb].size() < options_.max_list_size) {
+        group_of[a] = gb;
+        groups[gb].push_back(a);
+      }
+      // Both already grouped: keep groups disjoint (no merges; subset
+      // storage is exponential in list size).
+    }
   }
 
   CacheRes res;
   for (auto& group : groups) {
+    // Ranks ascend with ids, so sorting ranks sorts the items.
     std::sort(group.begin(), group.end());
+    for (std::uint32_t& item : group) item = hot_ids[item];
     res.lists.push_back(CacheList{std::move(group), 0.0});
   }
 
-  res = ScoreCacheLists(table, num_items, res, options_.num_threads);
+  {
+    telemetry::TraceSpan span("grace.score", "cache");
+    res = ScoreCacheLists(table, num_items, res, options_.num_threads);
+  }
   if (res.lists.size() > options_.max_lists) {
     res.lists.resize(options_.max_lists);
   }

@@ -21,6 +21,14 @@
 
 namespace updlrm::cache {
 
+// Pairs counted per sample are capped (a sample with h hot items
+// contributes O(h^2) edges): a sample with more hot items counts the
+// pairs of a seeded random subset of this many. Sampling by frequency
+// would count the same head items every time and starve
+// mid-popularity cliques; random subsampling scales every pair's
+// support by the same expected factor, preserving the ranking.
+inline constexpr std::size_t kMaxHotPerSample = 96;
+
 struct GraceOptions {
   // Only the `num_hot_items` most frequent items enter the graph
   // (co-occurrence counting over all items is quadratic in sample size).
@@ -31,10 +39,10 @@ struct GraceOptions {
   std::size_t max_lists = 8192;
   // Maximum items per list; capped at kMaxCacheListSize.
   std::size_t max_list_size = kMaxCacheListSize;
-  // Host threads for the per-shard pair counting and the scoring
-  // replay (0 = default pool, 1 = serial). Mined results are
-  // thread-count invariant: shards merge by commutative integer sums
-  // and ties break on item ids.
+  // Host threads for the pair-key fill and the scoring replay (0 =
+  // default pool, 1 = serial). Mined results are thread-count
+  // invariant: every sample writes its pair keys at a fixed offset,
+  // counts are exact integers, and ties break on item ids.
   std::uint32_t num_threads = 0;
 
   Status Validate() const;
@@ -50,6 +58,7 @@ class GraceMiner {
   /// table's precomputed freq/by_freq (trace::ProfileTable) so callers
   /// that already profiled the trace skip the miner's own pass; null =
   /// profile internally. Results are identical either way.
+  /// InvalidArgument when the trace holds an id >= num_items.
   Result<CacheRes> Mine(const trace::TableTrace& table,
                         std::uint64_t num_items,
                         const trace::TableProfile* profile = nullptr) const;

@@ -9,13 +9,30 @@
 
 namespace updlrm::trace {
 
+namespace {
+
+// Adds `table`'s accesses into `freq` (sized num_items); false at the
+// first id >= num_items.
+bool CountItems(const TableTrace& table, std::vector<std::uint64_t>& freq) {
+  for (std::uint32_t idx : table.indices()) {
+    if (idx >= freq.size()) return false;
+    ++freq[idx];
+  }
+  return true;
+}
+
+Status OutOfRangeIds(std::uint64_t num_items) {
+  return Status::InvalidArgument("trace holds an item id >= num_items (" +
+                                 std::to_string(num_items) + ")");
+}
+
+}  // namespace
+
 std::vector<std::uint64_t> ItemFrequencies(const TableTrace& table,
                                            std::uint64_t num_items) {
   std::vector<std::uint64_t> freq(num_items, 0);
-  for (std::uint32_t idx : table.indices()) {
-    UPDLRM_CHECK(idx < num_items);
-    ++freq[idx];
-  }
+  UPDLRM_CHECK_MSG(CountItems(table, freq),
+                   OutOfRangeIds(num_items).ToString());
   return freq;
 }
 
@@ -82,8 +99,16 @@ std::vector<std::uint32_t> ItemsByFrequency(
 
 TableProfile ProfileTable(const TableTrace& table,
                           std::uint64_t num_items) {
+  auto profile = CheckedProfileTable(table, num_items);
+  UPDLRM_CHECK_MSG(profile.ok(), profile.status().ToString());
+  return std::move(profile).value();
+}
+
+Result<TableProfile> CheckedProfileTable(const TableTrace& table,
+                                         std::uint64_t num_items) {
   TableProfile profile;
-  profile.freq = ItemFrequencies(table, num_items);
+  profile.freq.assign(num_items, 0);
+  if (!CountItems(table, profile.freq)) return OutOfRangeIds(num_items);
   profile.by_freq = ItemsByFrequency(profile.freq);
   return profile;
 }

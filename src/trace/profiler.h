@@ -9,11 +9,13 @@
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "trace/trace.h"
 
 namespace updlrm::trace {
 
-/// Per-item access counts for one table (size == num_items).
+/// Per-item access counts for one table (size == num_items). Aborts on
+/// an id >= num_items.
 std::vector<std::uint64_t> ItemFrequencies(const TableTrace& table,
                                            std::uint64_t num_items);
 
@@ -54,8 +56,14 @@ struct TableProfile {
   std::vector<std::uint32_t> by_freq;  // ItemsByFrequency(freq)
 };
 
-/// Profiles one table: histogram + descending-frequency order.
+/// Profiles one table: histogram + descending-frequency order. Aborts
+/// on an id >= num_items.
 TableProfile ProfileTable(const TableTrace& table,
                           std::uint64_t num_items);
+
+/// ProfileTable for untrusted traces: InvalidArgument on an id >=
+/// num_items instead of aborting.
+Result<TableProfile> CheckedProfileTable(const TableTrace& table,
+                                         std::uint64_t num_items);
 
 }  // namespace updlrm::trace

@@ -419,6 +419,9 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
         }
         mined_res = &(*options_.premined_cache)[table];
       } else {
+        // Own span, so a traced ShardedEngine::Create attributes the
+        // per-shard mining separately from partitioning and placement.
+        telemetry::TraceSpan span("engine.setup.mine", "engine");
         cache::GraceMiner miner(options_.grace);
         auto mined = miner.Mine(trace_.tables[table],
                                 config_.RowsInTable(table), &profile);

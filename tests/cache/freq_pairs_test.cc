@@ -81,5 +81,14 @@ TEST(FreqPairsTest, RejectsZeroItems) {
   EXPECT_FALSE(FreqPairMiner().Mine(table, 0).ok());
 }
 
+TEST(FreqPairsTest, RejectsOutOfRangeIds) {
+  trace::TableTrace table;
+  table.AppendSample(std::vector<std::uint32_t>{1, 2});
+  table.AppendSample(std::vector<std::uint32_t>{2, 7});
+  auto res = FreqPairMiner().Mine(table, 5);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace updlrm::cache

@@ -258,5 +258,23 @@ TEST(RadixSortTest, FullWidthRandomKeys) {
   EXPECT_EQ(keys, ref);
 }
 
+TEST(RadixSortTest, U32MatchesSortBothDigitWidths) {
+  // Full-width keys and narrow keys (constant high digits skip passes),
+  // on both sides of the 8/16-bit digit switch.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{100}, std::size_t{70'000}}) {
+    for (const std::uint32_t mask : {0xffffffffu, 0x3ffu}) {
+      Rng rng(7);
+      std::vector<std::uint32_t> keys(n);
+      for (auto& k : keys) k = static_cast<std::uint32_t>(rng.NextU64()) & mask;
+      std::vector<std::uint32_t> ref = keys;
+      std::sort(ref.begin(), ref.end());
+      std::vector<std::uint32_t> scratch;
+      RadixSortU32(std::span<std::uint32_t>(keys), scratch);
+      ASSERT_EQ(keys, ref) << "n=" << n << " mask=" << mask;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace updlrm

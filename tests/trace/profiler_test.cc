@@ -25,6 +25,22 @@ TEST(ProfilerTest, ItemFrequencies) {
   EXPECT_EQ(freq[3], 0u);
 }
 
+TEST(ProfilerTest, CheckedProfileTableMatchesAndRejectsBadIds) {
+  TableTrace table;
+  table.AppendSample(std::vector<std::uint32_t>{0, 3});
+  table.AppendSample(std::vector<std::uint32_t>{3});
+  auto checked = CheckedProfileTable(table, 4);
+  ASSERT_TRUE(checked.ok());
+  const TableProfile profile = ProfileTable(table, 4);
+  EXPECT_EQ(checked->freq, profile.freq);
+  EXPECT_EQ(checked->by_freq, profile.by_freq);
+
+  table.AppendSample(std::vector<std::uint32_t>{4});
+  auto bad = CheckedProfileTable(table, 4);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ProfilerTest, RowBlockCountsEvenSplit) {
   const std::vector<std::uint64_t> freq = {1, 2, 3, 4, 5, 6, 7, 8};
   const auto blocks = RowBlockCounts(freq, 4);

@@ -56,7 +56,7 @@ const std::map<std::string, std::set<std::string>>& DirectDeps() {
       {"telemetry", {"common"}},
       {"trace", {"common"}},
       {"host", {"common"}},
-      {"cache", {"common", "trace"}},
+      {"cache", {"common", "telemetry", "trace"}},
       {"dlrm", {"common", "trace"}},
       {"pim", {"common", "telemetry"}},
       {"partition", {"common", "trace", "cache", "dlrm", "pim"}},
