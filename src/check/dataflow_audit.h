@@ -66,7 +66,7 @@ struct DataFlowCapacity {
 void AuditDataFlowCapacity(const DataFlowCapacity& cap, CheckReport* report);
 
 /// Executed stage instants of one batch, sim nanos
-/// (pipeline::ExecutedFlowBatch).
+/// (serve::ExecutedFlowBatch).
 struct StageInstants {
   double cut_ns = 0;
   double bpre_start_ns = 0, bpre_end_ns = 0;  // overlapped bottom-MLP part

@@ -22,34 +22,18 @@
 #include "dlrm/model.h"
 #include "host/cpu_model.h"
 #include "host/gpu_model.h"
+#include "serve/executor.h"
 #include "updlrm/report.h"
 
 namespace updlrm::pipeline {
 
-/// Where a dense stage executes.
-enum class Backend : std::uint8_t { kCpu, kGpu };
+// The plan and cost types live with the executor (serve/executor.h);
+// this module enumerates, prices and ranks them.
+using serve::Backend;
+using serve::BatchTaskCosts;
+using serve::DataFlowPlan;
 
 std::string_view BackendName(Backend b);  // "cpu" / "gpu"
-
-/// One candidate data flow: stage placement + overlap structure.
-struct DataFlowPlan {
-  /// In-flight batches (MRAM index/output buffer pairs); 1 = serial
-  /// admission, 2 = classic double buffering.
-  std::uint32_t depth = 2;
-  /// Bottom-MLP layers run as the low-priority overlap filler task
-  /// (BPRE) while the batch's embedding stages own the DPUs; the
-  /// remaining layers run as the higher-priority BPOST task. The split
-  /// tunes non-preemptive host scheduling granularity: a long
-  /// monolithic bottom task can delay the next batch's stage-1 push,
-  /// a fully split one yields between the halves. CPU backend only
-  /// (the GPU runs the whole stack as one offload).
-  std::uint32_t bottom_split = 0;
-  Backend bottom = Backend::kCpu;
-  /// Backend of interaction + top MLP.
-  Backend top = Backend::kCpu;
-
-  bool operator==(const DataFlowPlan&) const = default;
-};
 
 /// Stable display name, e.g. "d2.split1.cpu-cpu".
 std::string Name(const DataFlowPlan& plan);
@@ -70,24 +54,6 @@ struct DataFlowSpace {
 /// then bottom split ascending, then backend mix (cpu-cpu, cpu-gpu,
 /// gpu-cpu, gpu-gpu). GPU-bottom plans carry split 0.
 std::vector<DataFlowPlan> EnumerateDataFlows(const DataFlowSpace& space);
-
-/// Simulated durations of one batch's tasks under a plan. Embedding
-/// stage times come from the engine (BatchResult); dense-stage times
-/// are re-derived from the same CpuTimingModel the engine charges plus
-/// the GPU model for offloaded placements. The interact / top_mlp
-/// split exists so trace spans can partition the TOP task honestly.
-struct BatchTaskCosts {
-  core::StageBreakdown emb;
-  Nanos bottom_pre = 0.0;   // host: overlapped bottom-MLP prefix
-  Nanos bottom_post = 0.0;  // host: remaining bottom-MLP layers
-  Nanos bottom_gpu = 0.0;   // gpu: whole bottom stack + PCIe + sync
-  Nanos interact = 0.0;     // host: feature interaction stream pass
-  Nanos top_mlp = 0.0;      // host: top-MLP GEMVs
-  Nanos top_gpu = 0.0;      // gpu: interaction + top stack + PCIe + sync
-
-  Nanos top_host() const { return interact + top_mlp; }
-  Nanos bottom_host() const { return bottom_pre + bottom_post; }
-};
 
 /// Prices one batch of `batch_size` samples under `plan`. `batch`
 /// supplies the executed embedding stage times.

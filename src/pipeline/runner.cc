@@ -5,30 +5,10 @@
 
 #include "check/dataflow_audit.h"
 #include "dlrm/batched.h"
+#include "serve/loop.h"
 #include "telemetry/tracer.h"
-#include "updlrm/timeline.h"
 
 namespace updlrm::pipeline {
-
-serve::SloReport DataFlowServeResult::MakeSloReport(double offered_qps,
-                                                    Nanos slo_ns) const {
-  serve::SloReport report;
-  report.offered_qps = offered_qps;
-  report.completed = completed;
-  report.shed = shed;
-  report.achieved_qps =
-      makespan_ns <= 0.0 ? 0.0
-                         : static_cast<double>(completed) /
-                               (makespan_ns / kNanosPerSecond);
-  report.p50_ns = latency.PercentileNs(50.0);
-  report.p95_ns = latency.PercentileNs(95.0);
-  report.p99_ns = latency.PercentileNs(99.0);
-  report.mean_ns = latency.MeanNs();
-  report.max_ns = latency.max_ns();
-  report.slo_ns = slo_ns;
-  report.slo_met = shed == 0 && report.p99_ns <= slo_ns;
-  return report;
-}
 
 namespace {
 
@@ -49,190 +29,159 @@ check::StageInstants FlattenInstants(const ExecutedFlowBatch& b) {
   return t;
 }
 
+// The full DLRM request path for serve::RunServeLoop: prices every
+// batch's dense tasks under the plan, runs the batched CTR forward in
+// functional mode, and completes a batch at its top-MLP end.
+class DenseFlowPath {
+ public:
+  DenseFlowPath(const core::UpDlrmEngine& engine,
+                const dlrm::DenseInputs* dense,
+                const DataFlowServeOptions& options, std::size_t requests,
+                std::vector<float>& ctr)
+      : engine_(engine), dense_(dense), options_(options), ctr_(ctr) {
+    if (dense != nullptr && engine.functional()) {
+      batched_ = std::make_unique<dlrm::BatchedDlrm>(*engine.model());
+      dense_rows_.reserve(options.batcher.max_batch_size *
+                          engine.config().dense_features);
+      ctr_.reserve(requests);
+    }
+  }
+
+  Result<BatchTaskCosts> OnBatch(std::span<const std::size_t> samples,
+                                 const core::BatchResult& batch) {
+    max_index_bytes_ = std::max(max_index_bytes_, batch.max_index_bytes);
+    max_output_bytes_ = std::max(max_output_bytes_, batch.max_output_bytes);
+    const dlrm::DlrmConfig& config = engine_.config();
+    if (batched_ != nullptr) {
+      if (samples.size() * config.dense_features > dense_rows_.capacity()) {
+        dense_rows_.reserve(samples.size() * config.dense_features);
+      }
+      dense_rows_.clear();
+      for (const std::size_t s : samples) {
+        if (s >= dense_->num_samples()) {
+          return Status::InvalidArgument(
+              "request sample outside the dense inputs");
+        }
+        const std::span<const float> row = dense_->Sample(s);
+        dense_rows_.insert(dense_rows_.end(), row.begin(), row.end());
+      }
+      const std::size_t base = ctr_.size();
+      ctr_.resize(base + samples.size());
+      batched_->Forward(dense_rows_, batch.pooled, samples.size(),
+                        std::span<float>(ctr_.data() + base, samples.size()),
+                        options_.num_threads);
+    }
+    return ComputeBatchTaskCosts(config, engine_.cpu_model(), gpu_, batch,
+                                 samples.size(), options_.plan);
+  }
+
+  static Nanos Done(const ExecutedFlowBatch& b) { return b.done_ns; }
+
+  void NameTracks() const {
+    telemetry::Tracer& tracer = telemetry::Tracer::Get();
+    tracer.SetThreadName(telemetry::kPipelinePid, telemetry::kMlpTrack,
+                         "host dense (MLP / interaction)");
+    const DataFlowPlan& plan = options_.plan;
+    if (plan.bottom == Backend::kGpu || plan.top == Backend::kGpu) {
+      tracer.SetThreadName(telemetry::kPipelinePid, telemetry::kGpuTrack,
+                           "GPU backend");
+    }
+  }
+
+  void TraceBatch(const ExecutedFlowBatch& sched, std::size_t b) const {
+    using telemetry::Clock;
+    using telemetry::kGpuTrack;
+    using telemetry::kMlpTrack;
+    using telemetry::kPipelinePid;
+    telemetry::Tracer& tracer = telemetry::Tracer::Get();
+    const double batch_id = static_cast<double>(b);
+    if (options_.plan.bottom == Backend::kGpu) {
+      tracer.Complete(kPipelinePid, kGpuTrack, Clock::kSim, "mlp_bottom",
+                      sched.bpre_start_ns,
+                      sched.bpre_end_ns - sched.bpre_start_ns, "batch",
+                      batch_id);
+    } else {
+      // The bottom stack runs as up to two host slices (the overlapped
+      // prefix and the remainder); emit each non-empty one under the
+      // same span name.
+      if (sched.bpre_end_ns > sched.bpre_start_ns) {
+        tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_bottom",
+                        sched.bpre_start_ns,
+                        sched.bpre_end_ns - sched.bpre_start_ns, "batch",
+                        batch_id);
+      }
+      if (sched.bpost_end_ns > sched.bpost_start_ns) {
+        tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_bottom",
+                        sched.bpost_start_ns,
+                        sched.bpost_end_ns - sched.bpost_start_ns, "batch",
+                        batch_id);
+      }
+    }
+    if (options_.plan.top == Backend::kGpu) {
+      // One offload covers interaction + top stack; the host-time
+      // interact/top split does not apply on the device.
+      tracer.Complete(kPipelinePid, kGpuTrack, Clock::kSim, "mlp_top",
+                      sched.top_start_ns,
+                      sched.top_end_ns - sched.top_start_ns, "batch",
+                      batch_id);
+    } else {
+      tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "interact",
+                      sched.top_start_ns, sched.costs.interact, "batch",
+                      batch_id);
+      tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_top",
+                      sched.top_start_ns + sched.costs.interact,
+                      sched.top_end_ns -
+                          (sched.top_start_ns + sched.costs.interact));
+    }
+  }
+
+  // Worst in-flight buffer pair across the run (capacity audit input).
+  std::uint64_t max_index_bytes() const { return max_index_bytes_; }
+  std::uint64_t max_output_bytes() const { return max_output_bytes_; }
+
+ private:
+  const core::UpDlrmEngine& engine_;
+  const dlrm::DenseInputs* dense_;
+  const DataFlowServeOptions& options_;
+  const host::GpuTimingModel gpu_{options_.gpu};
+  std::vector<float>& ctr_;
+  std::unique_ptr<dlrm::BatchedDlrm> batched_;  // null: no CTR
+  std::vector<float> dense_rows_;  // gathered batch dense inputs
+  std::uint64_t max_index_bytes_ = 0;
+  std::uint64_t max_output_bytes_ = 0;
+};
+
 }  // namespace
 
 Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options) {
-  const dlrm::DlrmConfig& config = engine.config();
-  const host::GpuTimingModel gpu(options.gpu);
   const DataFlowPlan& plan = options.plan;
-
   if (options.audit != nullptr) {
     check::DataFlowShape shape;
     shape.depth = plan.depth;
     shape.bottom_overlap_layers =
         plan.bottom == Backend::kGpu ? 0 : plan.bottom_split;
     shape.bottom_layers =
-        static_cast<std::uint32_t>(config.bottom_hidden.size()) + 1;
+        static_cast<std::uint32_t>(engine.config().bottom_hidden.size()) + 1;
     shape.bottom_on_gpu = plan.bottom == Backend::kGpu;
     shape.top_on_gpu = plan.top == Backend::kGpu;
     shape.gpu_available = options.gpu_available;
     check::AuditDataFlowShape(shape, options.audit);
   }
 
-  serve::DynamicBatcher batcher(options.batcher);
-  DataFlowExecutor executor(plan);
   DataFlowServeResult result;
-  result.offered = requests.size();
-
-  const bool compute_ctr = dense != nullptr && engine.functional();
-  std::unique_ptr<dlrm::BatchedDlrm> batched;
-  if (compute_ctr) {
-    batched = std::make_unique<dlrm::BatchedDlrm>(*engine.model());
-  }
-
-  // Tracing: the serve loop runs on one thread, so all emission below
-  // is single-threaded, post-drain, and pure observation (mirrors
-  // serve/server.cc).
-  const bool tracing = telemetry::TraceEnabled();
-  telemetry::Tracer& tracer = telemetry::Tracer::Get();
-  const std::uint64_t sample_every =
-      tracing ? tracer.options().sample_every : 1;
-  using telemetry::Clock;
-  using telemetry::kDpuTrack;
-  using telemetry::kGpuTrack;
-  using telemetry::kHostBusTrack;
-  using telemetry::kMlpTrack;
-  using telemetry::kPipelinePid;
-  using telemetry::kRequestPid;
-
-  // Fleet-health monitor (observation only; mirrors serve/server.cc).
-  // The pre-loop sample anchors the cumulative per-DPU counters so
-  // window 0's deltas cover the first batch.
-  telemetry::FleetMonitor* const monitor =
-      telemetry::MonitorEnabled(options.monitor) ? options.monitor
-                                                 : nullptr;
-  std::vector<std::uint64_t> unit_work;
-  auto sample_units = [&](Nanos t) {
-    unit_work.clear();
-    const pim::DpuSystem& system = engine.dpu_system();
-    for (std::uint32_t i = 0; i < system.num_dpus(); ++i) {
-      const pim::DpuStats& stats = system.dpu(i).stats();
-      unit_work.push_back(stats.kernel_cycles + stats.index_bytes_pushed);
-    }
-    monitor->OnUnitSample(t, unit_work);
-  };
-  if (monitor != nullptr) sample_units(0.0);
-
-  const std::size_t expected_batches =
-      options.batcher.max_batch_size > 0
-          ? requests.size() / options.batcher.max_batch_size + 2
-          : requests.size() + 2;
-  std::vector<serve::QueuedRequest> request_log;
-  request_log.reserve(requests.size());
-  std::vector<std::size_t> batch_start;
-  batch_start.reserve(expected_batches + 1);
-  std::vector<std::size_t> samples;
-  samples.reserve(options.batcher.max_batch_size);
-  std::vector<float> dense_rows;  // gathered batch dense inputs
-  if (compute_ctr) {
-    dense_rows.reserve(options.batcher.max_batch_size *
-                       config.dense_features);
-  }
-  std::vector<std::shared_ptr<const core::BatchDpuTrace>> batch_traces;
-  executor.Reserve(expected_batches);
-  result.request_latency_ns.reserve(requests.size());
-  if (compute_ctr) result.ctr.reserve(requests.size());
-  std::vector<serve::QueueDepthSample> queue_depth;
-  queue_depth.reserve(expected_batches);
-
-  // Worst in-flight buffer pair across the run (capacity audit input).
-  std::uint64_t max_index_bytes = 0;
-  std::uint64_t max_output_bytes = 0;
-
-  auto offer = [&](const serve::Request& r, Nanos now) {
-    if (batcher.Offer(r, now) == serve::Admission::kShed && tracing) {
-      tracer.InstantAt(kRequestPid, 0, Clock::kSim, "shed", now, "request",
-                       static_cast<double>(r.id));
-    }
-  };
-
-  // The same discrete-event scan as serve/server.cc: arrivals, batcher
-  // deadlines, and executor buffer frees are the only state-change
-  // instants, all non-decreasing; arrivals at a tie are offered before
-  // the cut is taken.
-  std::size_t next = 0;
-  while (next < requests.size() || !batcher.Idle()) {
-    Nanos t = executor.NextAdmitTime();
-    while (next < requests.size() && requests[next].arrival_ns <= t) {
-      offer(requests[next], requests[next].arrival_ns);
-      ++next;
-    }
-    while (!batcher.ReadyToCut(t)) {
-      const Nanos next_arrival = next < requests.size()
-                                     ? requests[next].arrival_ns
-                                     : serve::DynamicBatcher::kNever;
-      const Nanos deadline = batcher.NextDeadline();
-      const Nanos event = std::min(next_arrival, deadline);
-      if (event == serve::DynamicBatcher::kNever) break;  // drained
-      t = std::max(t, event);
-      while (next < requests.size() && requests[next].arrival_ns <= t) {
-        offer(requests[next], requests[next].arrival_ns);
-        ++next;
-      }
-    }
-    if (!batcher.ReadyToCut(t)) break;  // nothing left to serve
-
-    batch_start.push_back(request_log.size());
-    batcher.CutInto(t, request_log);
-    samples.clear();
-    for (std::size_t i = batch_start.back(); i < request_log.size(); ++i) {
-      samples.push_back(request_log[i].request.sample);
-    }
-    auto batch = engine.RunSamples(samples, nullptr);
-    if (!batch.ok()) return batch.status();
-    max_index_bytes = std::max(max_index_bytes, batch->max_index_bytes);
-    max_output_bytes = std::max(max_output_bytes, batch->max_output_bytes);
-
-    const BatchTaskCosts costs = ComputeBatchTaskCosts(
-        config, engine.cpu_model(), gpu, *batch, samples.size(), plan);
-    executor.Submit(costs, t);
-    if (tracing) batch_traces.push_back(batch->dpu_trace);
-    queue_depth.push_back(
-        serve::QueueDepthSample{t, batcher.queue_depth()});
-    if (monitor != nullptr) sample_units(t);
-
-    if (compute_ctr) {
-      if (samples.size() * config.dense_features > dense_rows.capacity()) {
-        dense_rows.reserve(samples.size() * config.dense_features);
-      }
-      dense_rows.clear();
-      for (const std::size_t s : samples) {
-        if (s >= dense->num_samples()) {
-          return Status::InvalidArgument(
-              "request sample outside the dense inputs");
-        }
-        const std::span<const float> row = dense->Sample(s);
-        dense_rows.insert(dense_rows.end(), row.begin(), row.end());
-      }
-      const std::size_t base = result.ctr.size();
-      result.ctr.resize(base + samples.size());
-      batched->Forward(dense_rows, batch->pooled, samples.size(),
-                       std::span<float>(result.ctr.data() + base,
-                                        samples.size()),
-                       options.num_threads);
-    }
-  }
-  batch_start.push_back(request_log.size());  // closing sentinel
-
-  executor.Drain();
-  result.makespan_ns = executor.MakespanNs();
-  result.schedule = executor.batches();
-  result.num_batches = batch_start.size() - 1;
-  result.shed = batcher.shed_count();
-  result.max_queue_depth = batcher.max_queue_depth();
-  result.utilization.host_busy_ns = executor.host_busy_ns();
-  result.utilization.dpu_busy_ns = executor.dpu_busy_ns();
-  result.utilization.host_mlp_busy_ns = executor.host_mlp_busy_ns();
-  result.utilization.gpu_busy_ns = executor.gpu_busy_ns();
-  result.utilization.makespan_ns = result.makespan_ns;
+  DenseFlowPath path(engine, dense, options, requests.size(), result.ctr);
+  auto executor = serve::RunServeLoop(engine, requests, options.batcher, plan,
+                                      options.monitor, path, result);
+  if (!executor.ok()) return executor.status();
+  result.schedule = executor->batches();
 
   if (options.audit != nullptr) {
     check::DataFlowCapacity cap;
     cap.depth = plan.depth;
-    cap.max_index_bytes = max_index_bytes;
-    cap.max_output_bytes = max_output_bytes;
+    cap.max_index_bytes = path.max_index_bytes();
+    cap.max_output_bytes = path.max_output_bytes();
     cap.index_region_bytes = ~0ULL;
     cap.output_region_bytes = ~0ULL;
     for (const core::TableGroup& g : engine.groups()) {
@@ -247,140 +196,6 @@ Result<DataFlowServeResult> RunDataFlowSimulation(
                                 options.audit);
     }
   }
-
-  const bool uses_gpu =
-      plan.bottom == Backend::kGpu || plan.top == Backend::kGpu;
-  if (tracing) {
-    tracer.SetThreadName(kPipelinePid, kHostBusTrack,
-                         "host buses (stage 1/3)");
-    tracer.SetThreadName(kPipelinePid, kDpuTrack, "DPU array (stage 2)");
-    tracer.SetThreadName(kPipelinePid, kMlpTrack,
-                         "host dense (MLP / interaction)");
-    if (uses_gpu) {
-      tracer.SetThreadName(kPipelinePid, kGpuTrack, "GPU backend");
-    }
-    for (const serve::QueueDepthSample& s : queue_depth) {
-      tracer.Counter(kPipelinePid, Clock::kSim, "queue_depth", s.t_ns,
-                     static_cast<double>(s.depth));
-    }
-  }
-
-  std::uint64_t served = 0;
-  for (std::size_t b = 0; b + 1 < batch_start.size(); ++b) {
-    const ExecutedFlowBatch& sched = result.schedule[b];
-    const Nanos done = sched.done_ns;
-    if (tracing) {
-      if (b % sample_every == 0) {
-        const double batch_id = static_cast<double>(b);
-        tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim,
-                        "stage1.push", sched.s1_start_ns,
-                        sched.s1_end_ns - sched.s1_start_ns, "batch",
-                        batch_id);
-        tracer.Complete(kPipelinePid, kDpuTrack, Clock::kSim,
-                        "stage2.kernel", sched.s2_start_ns,
-                        sched.s2_end_ns - sched.s2_start_ns);
-        tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim,
-                        "stage3.pull", sched.s3_start_ns,
-                        sched.s3_end_ns - sched.s3_start_ns);
-        if (plan.bottom == Backend::kGpu) {
-          tracer.Complete(kPipelinePid, kGpuTrack, Clock::kSim,
-                          "mlp_bottom", sched.bpre_start_ns,
-                          sched.bpre_end_ns - sched.bpre_start_ns, "batch",
-                          batch_id);
-        } else {
-          // The bottom stack runs as up to two host slices (the
-          // overlapped prefix and the remainder); emit each non-empty
-          // one under the same span name.
-          if (sched.bpre_end_ns > sched.bpre_start_ns) {
-            tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim,
-                            "mlp_bottom", sched.bpre_start_ns,
-                            sched.bpre_end_ns - sched.bpre_start_ns,
-                            "batch", batch_id);
-          }
-          if (sched.bpost_end_ns > sched.bpost_start_ns) {
-            tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim,
-                            "mlp_bottom", sched.bpost_start_ns,
-                            sched.bpost_end_ns - sched.bpost_start_ns,
-                            "batch", batch_id);
-          }
-        }
-        if (plan.top == Backend::kGpu) {
-          // One offload covers interaction + top stack; the host-time
-          // interact/top split does not apply on the device.
-          tracer.Complete(kPipelinePid, kGpuTrack, Clock::kSim, "mlp_top",
-                          sched.top_start_ns,
-                          sched.top_end_ns - sched.top_start_ns, "batch",
-                          batch_id);
-        } else {
-          tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "interact",
-                          sched.top_start_ns, sched.costs.interact, "batch",
-                          batch_id);
-          tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_top",
-                          sched.top_start_ns + sched.costs.interact,
-                          sched.top_end_ns -
-                              (sched.top_start_ns + sched.costs.interact));
-        }
-        if (batch_traces[b] != nullptr) {
-          core::EmitBatchDpuTimeline(engine.dpu_system(), *batch_traces[b],
-                                     b, sched.s2_start_ns,
-                                     /*tasklet_detail=*/true);
-        }
-      } else {
-        tracer.CountSampledOut();
-      }
-    }
-    const std::span<const serve::QueuedRequest> batch_requests(
-        request_log.data() + batch_start[b],
-        batch_start[b + 1] - batch_start[b]);
-    if (monitor != nullptr) {
-      // Drift accesses at the batch's cut instant; SLO completions at
-      // its full-path done instant (both non-decreasing over b).
-      const trace::Trace& workload = engine.trace();
-      for (const serve::QueuedRequest& q : batch_requests) {
-        for (std::uint32_t t = 0; t < workload.num_tables(); ++t) {
-          monitor->OnAccess(t, sched.cut_ns,
-                            workload.tables[t].Sample(q.request.sample));
-        }
-        monitor->OnRequest(done, done - q.request.arrival_ns);
-      }
-    }
-    for (const serve::QueuedRequest& q : batch_requests) {
-      const Nanos latency = done - q.request.arrival_ns;
-      result.latency.Add(latency);
-      result.request_latency_ns.push_back(latency);
-      ++served;
-      if (!tracing) continue;
-      if (q.request.id % sample_every != 0) {
-        ++result.requests_sampled_out;
-        tracer.CountSampledOut();
-        continue;
-      }
-      ++result.requests_traced;
-      // Nested async spans sharing the request's id:
-      //   lifetime [arrival, top end)
-      //     queued  [admission, batch cut)
-      //     execute [batch cut, top end)
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim, "request",
-                        "request", q.request.arrival_ns);
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim, "queued",
-                        "request", q.admit_ns);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "queued",
-                      "request", sched.cut_ns);
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim, "execute",
-                        "request", sched.cut_ns);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "execute",
-                      "request", done);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "request",
-                      "request", done);
-    }
-  }
-  result.completed = served;
-  if (result.num_batches > 0) {
-    result.avg_batch_size = static_cast<double>(served) /
-                            static_cast<double>(result.num_batches);
-  }
-  UPDLRM_CHECK_MSG(result.completed + result.shed == result.offered,
-                   "serving accounting mismatch");
   return result;
 }
 

@@ -1,13 +1,14 @@
 // End-to-end DLRM serving simulation under one DataFlowPlan.
 //
-// Drives the same open-loop request stream as serve::RunServeSimulation
-// through the full request path: dynamic batcher -> per-batch engine
-// embedding run (the PIM pipeline) -> DataFlowExecutor scheduling the
-// bottom MLP, interaction, and top MLP around the embedding stages per
-// the plan. In functional mode (engine built with a model) each batch
-// additionally computes real CTR outputs through the batched dense path
-// (dlrm::BatchedDlrm), so the result carries per-request predictions —
-// bit-exact across host thread counts and tracing on/off.
+// Runs the shared serve loop (serve/loop.h) that serve::
+// RunServeSimulation uses, over the full request path: dynamic batcher
+// -> per-batch engine embedding run (the PIM pipeline) ->
+// DataFlowExecutor scheduling the bottom MLP, interaction, and top MLP
+// around the embedding stages per the plan. In functional mode (engine
+// built with a model) each batch additionally computes real CTR outputs
+// through the batched dense path (dlrm::BatchedDlrm), so the result
+// carries per-request predictions — bit-exact across host thread counts
+// and tracing on/off.
 //
 // A request's latency is its batch's *top-MLP completion* minus its
 // arrival — the full path, not just the embedding pull.
@@ -20,7 +21,7 @@
 #include "check/report.h"
 #include "common/status.h"
 #include "host/gpu_model.h"
-#include "pipeline/executor.h"
+#include "pipeline/dataflow.h"
 #include "serve/batcher.h"
 #include "serve/metrics.h"
 #include "serve/workload.h"
@@ -49,36 +50,24 @@ struct DataFlowServeOptions {
   telemetry::FleetMonitor* monitor = nullptr;
 };
 
-struct DataFlowServeResult {
-  serve::LatencyHistogram latency;
-  /// Completion latency per completed request, in batch-cut order.
-  std::vector<Nanos> request_latency_ns;
+using serve::ExecutedFlowBatch;
+
+struct DataFlowServeResult : serve::ServeScorecard {
   /// CTR per completed request, same order as request_latency_ns.
   /// Empty when the engine is timing-only or no dense inputs were
   /// supplied.
   std::vector<float> ctr;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  Nanos makespan_ns = 0.0;
-  serve::StageUtilization utilization;
-  std::size_t max_queue_depth = 0;
-  std::size_t num_batches = 0;
-  double avg_batch_size = 0.0;
   /// The executed per-batch schedule under the plan.
   std::vector<ExecutedFlowBatch> schedule;
-  /// Request-span sampling accounting (0 unless tracing was enabled).
-  std::uint64_t requests_traced = 0;
-  std::uint64_t requests_sampled_out = 0;
-
-  serve::SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
 };
 
 /// Simulates full-path serving of `requests` (time-ordered) on `engine`
 /// under `options.plan`. `dense` supplies the continuous features for
 /// CTR computation (sample ids index it like the trace); pass nullptr
-/// to skip CTR even on a functional engine. Fails if a request
-/// references a sample outside the engine's trace.
+/// to skip CTR even on a functional engine. Fails with InvalidArgument
+/// on a zero plan.depth or max_batch_size, a negative
+/// max_queue_delay_ns, or a request that references a sample outside
+/// the engine's trace or the dense inputs.
 Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options);

@@ -7,82 +7,173 @@
 
 namespace updlrm::serve {
 
-PipelinedExecutor::PipelinedExecutor(std::uint32_t depth) : depth_(depth) {
-  UPDLRM_CHECK_MSG(depth >= 1, "executor needs at least one buffer pair");
+DataFlowExecutor::DataFlowExecutor(const DataFlowPlan& plan) : plan_(plan) {
+  UPDLRM_CHECK_MSG(plan.depth >= 1,
+                   "executor needs at least one buffer pair");
 }
 
-void PipelinedExecutor::Reserve(std::size_t expected_batches) {
+void DataFlowExecutor::Reserve(std::size_t expected_batches) {
   batches_.reserve(expected_batches);
 }
 
-Nanos PipelinedExecutor::NextAdmitTime() const {
-  if (batches_.size() < depth_) return last_cut_;
-  // The next batch reuses the buffer pair of batch (n - depth), which
-  // is free once that batch's stage 2 consumed the indices.
-  return std::max(last_cut_, batches_[batches_.size() - depth_].s2_end_ns);
+Nanos DataFlowExecutor::NextAdmitTime() const {
+  if (batches_.size() < plan_.depth) return last_cut_;
+  // The next batch reuses the buffer pair of batch (n - depth), free
+  // once that batch's stage 2 consumed the indices.
+  return std::max(last_cut_,
+                  batches_[batches_.size() - plan_.depth].s2_end_ns);
 }
 
-void PipelinedExecutor::AdvanceHost(Nanos until) {
-  while (next_s3_ < batches_.size()) {
-    ExecutedBatch& b = batches_[next_s3_];
-    const Nanos start = std::max(host_free_, b.s2_end_ns);
-    if (start >= until) break;
-    const Nanos dur = b.stages.dpu_to_cpu + b.stages.cpu_aggregate;
-    b.s3_start_ns = start;
-    b.s3_end_ns = start + dur;
-    host_free_ = b.s3_end_ns;
-    host_busy_ += dur;
-    ++next_s3_;
+Nanos DataFlowExecutor::ReadyTime(std::size_t cls, std::size_t b) const {
+  const ExecutedFlowBatch& eb = batches_[b];
+  switch (cls) {
+    case kS3:
+      return eb.s2_end_ns;
+    case kTop: {
+      // Needs the embedding pull AND the bottom stack.
+      if (b >= head_[kS3]) return -1.0;
+      const bool bottom_resolved =
+          plan_.bottom == Backend::kGpu || b < head_[kBpost];
+      if (!bottom_resolved) return -1.0;
+      return std::max(eb.s3_end_ns, eb.bottom_done_ns);
+    }
+    case kBpost:
+      if (b >= head_[kBpre]) return -1.0;
+      return eb.bpre_end_ns;
+    case kBpre:
+      return eb.cut_ns;
+  }
+  return -1.0;
+}
+
+void DataFlowExecutor::ScheduleGpuTops() {
+  while (next_gpu_top_ < batches_.size()) {
+    const Nanos ready = ReadyTime(kTop, next_gpu_top_);
+    if (ready < 0.0) break;  // pull or bottom not yet resolved
+    ExecutedFlowBatch& eb = batches_[next_gpu_top_];
+    eb.top_start_ns = std::max(gpu_free_, ready);
+    eb.top_end_ns = eb.top_start_ns + eb.costs.top_gpu;
+    eb.done_ns = eb.top_end_ns;
+    gpu_free_ = eb.top_end_ns;
+    gpu_busy_ += eb.costs.top_gpu;
+    ++next_gpu_top_;
   }
 }
 
-std::size_t PipelinedExecutor::Submit(const core::StageBreakdown& stages,
-                                      Nanos cut_ns) {
+void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
+                                Nanos dur) {
+  ExecutedFlowBatch& eb = batches_[b];
+  switch (cls) {
+    case kS3:
+      eb.s3_start_ns = start;
+      eb.s3_end_ns = start + dur;
+      break;
+    case kTop:
+      eb.top_start_ns = start;
+      eb.top_end_ns = start + dur;
+      eb.done_ns = eb.top_end_ns;
+      break;
+    case kBpost:
+      eb.bpost_start_ns = start;
+      eb.bpost_end_ns = start + dur;
+      eb.bottom_done_ns = eb.bpost_end_ns;
+      break;
+    case kBpre:
+      eb.bpre_start_ns = start;
+      eb.bpre_end_ns = start + dur;
+      break;
+  }
+  if (plan_.top == Backend::kGpu && (cls == kS3 || cls == kBpost)) {
+    ScheduleGpuTops();
+  }
+}
+
+void DataFlowExecutor::AdvanceHost(Nanos until) {
+  const bool bottom_host = plan_.bottom == Backend::kCpu;
+  const bool top_host = plan_.top == Backend::kCpu;
+  while (true) {
+    std::size_t best_cls = kNumClasses;
+    Nanos best_start = std::numeric_limits<double>::infinity();
+    // Priority-ordered scan with a strict < keeps the earliest start
+    // and breaks ties toward the higher-priority class.
+    for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
+      if (!top_host && cls == kTop) continue;
+      if (!bottom_host && (cls == kBpre || cls == kBpost)) continue;
+      const std::size_t b = head_[cls];
+      if (b >= batches_.size()) continue;
+      const Nanos ready = ReadyTime(cls, b);
+      if (ready < 0.0) continue;  // dependencies unresolved
+      const Nanos start = std::max(host_free_, ready);
+      if (start < best_start) {
+        best_start = start;
+        best_cls = cls;
+      }
+    }
+    if (best_cls == kNumClasses || best_start >= until) break;
+    const std::size_t b = head_[best_cls]++;
+    const BatchTaskCosts& c = batches_[b].costs;
+    Nanos dur = 0.0;
+    switch (best_cls) {
+      case kS3:
+        dur = c.emb.dpu_to_cpu + c.emb.cpu_aggregate;
+        break;
+      case kTop:
+        dur = c.top_host();
+        break;
+      case kBpost:
+        dur = c.bottom_post;
+        break;
+      case kBpre:
+        dur = c.bottom_pre;
+        break;
+    }
+    Complete(best_cls, b, best_start, dur);
+    host_free_ = best_start + dur;
+    host_busy_ += dur;
+    if (best_cls != kS3) host_mlp_busy_ += dur;
+  }
+}
+
+std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
+                                     Nanos cut_ns) {
   UPDLRM_CHECK_MSG(!drained_, "Submit after Drain");
   UPDLRM_CHECK_MSG(cut_ns >= NextAdmitTime() - 1e-9,
                    "batch cut before its buffer pair was free");
-  // Let the host work up to the cut instant; stage-3 tasks that would
-  // begin at or after it yield to the new stage-1 push (stage-1
-  // priority on ties keeps the DPUs fed).
+  // Let the host work up to the cut; tasks that would begin at or
+  // after it yield to the new stage-1 push (stage-1 priority on ties
+  // keeps the DPUs fed).
   AdvanceHost(cut_ns);
 
-  ExecutedBatch b;
-  b.stages = stages;
-  b.submit_ns = cut_ns;
+  ExecutedFlowBatch b;
+  b.costs = costs;
+  b.cut_ns = cut_ns;
   b.s1_start_ns = std::max(cut_ns, host_free_);
-  b.s1_end_ns = b.s1_start_ns + stages.cpu_to_dpu;
+  b.s1_end_ns = b.s1_start_ns + costs.emb.cpu_to_dpu;
   host_free_ = b.s1_end_ns;
-  host_busy_ += stages.cpu_to_dpu;
+  host_busy_ += costs.emb.cpu_to_dpu;
   b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
-  b.s2_end_ns = b.s2_start_ns + stages.dpu_lookup;
+  b.s2_end_ns = b.s2_start_ns + costs.emb.dpu_lookup;
   dpu_free_ = b.s2_end_ns;
-  dpu_busy_ += stages.dpu_lookup;
+  dpu_busy_ += costs.emb.dpu_lookup;
+  if (plan_.bottom == Backend::kGpu) {
+    // One eager offload per batch; the GPU is FIFO in schedule order.
+    b.bpre_start_ns = std::max(gpu_free_, cut_ns);
+    b.bpre_end_ns = b.bpre_start_ns + costs.bottom_gpu;
+    b.bpost_start_ns = b.bpre_end_ns;
+    b.bpost_end_ns = b.bpre_end_ns;
+    b.bottom_done_ns = b.bpre_end_ns;
+    gpu_free_ = b.bpre_end_ns;
+    gpu_busy_ += costs.bottom_gpu;
+  }
   last_cut_ = cut_ns;
   batches_.push_back(b);
   return batches_.size() - 1;
 }
 
-void PipelinedExecutor::Drain() {
+void DataFlowExecutor::Drain() {
   AdvanceHost(std::numeric_limits<double>::infinity());
+  if (plan_.top == Backend::kGpu) ScheduleGpuTops();
   drained_ = true;
-}
-
-Nanos PipelinedExecutor::MakespanNs() const {
-  UPDLRM_CHECK_MSG(drained_, "MakespanNs before Drain");
-  // Stage-3 tasks run in batch order on the serial host, so the last
-  // batch completes last.
-  return batches_.empty() ? 0.0 : batches_.back().s3_end_ns;
-}
-
-PipelinedExecutor ExecutePipelined(
-    std::span<const core::StageBreakdown> batches, std::uint32_t depth) {
-  PipelinedExecutor executor(depth);
-  executor.Reserve(batches.size());
-  for (const core::StageBreakdown& b : batches) {
-    executor.Submit(b, executor.NextAdmitTime());
-  }
-  executor.Drain();
-  return executor;
 }
 
 }  // namespace updlrm::serve

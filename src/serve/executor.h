@@ -1,37 +1,43 @@
-// Double-buffered pipelined execution of engine batches in simulated
-// time.
+// Discrete-event executor of batches under one DataFlowPlan, in
+// simulated time.
 //
 // The embedding pipeline uses two disjoint resources (Fig. 4): the host
 // + DIMM buses for stage 1 (index push), stage 3 (partial-sum pull) and
 // the CPU aggregation; the DPUs for stage 2 (lookup/reduce). With
-// double-buffered index/output regions in MRAM, batch k+1's stage-1
-// push can proceed while batch k occupies the DPUs. This module turns
-// that contract into an *executed schedule*: a discrete-event,
-// simulated-time loop over the engine's per-batch StageBreakdown
-// timings, replacing the optimistic two-resource bound of
-// `updlrm/pipelining.h` (which is validated against this executor in
-// tests/serve/executor_test.cc).
+// `depth` double-buffered index/output regions in MRAM, batch k+1's
+// stage-1 push can proceed while batch k occupies the DPUs. The full
+// DLRM request path adds the dense stages around it, so the executor
+// models three simulated resources:
+//   * host — single resource running stage-1 pushes, stage-3 pulls +
+//     aggregation, and every CPU-placed dense task;
+//   * DPU array — stage-2 lookups, FIFO;
+//   * GPU — offloaded dense stages, FIFO (absent cost when unused).
 //
-// Scheduling contract (deterministic, work-conserving):
-//   * Batches are submitted in cut order; stage 2 executes FIFO on the
-//     single DPU resource.
-//   * `depth` MRAM buffer pairs bound the in-flight window: batch k may
-//     only be *cut* (submitted) once batch k-depth's stage 2 finished
-//     and freed its index buffer — NextAdmitTime() exposes this to the
-//     batcher, which is how DPU backpressure propagates all the way to
-//     the request queue.
-//   * The host is a single resource running stage-1 and stage-3 tasks.
-//     It is work-conserving (never idles while a task is ready) and
-//     gives stage-1 priority on ties: pushing the next batch keeps the
-//     DPUs fed, which is the point of double buffering. A stage-3 task
-//     already running is never preempted.
+// Embedding-only serving is the plan with no dense stages: every dense
+// cost is zero. Zero-cost dense tasks move no stage-1/2/3 instant, busy
+// total, admission instant or makespan (tests/serve/executor_test.cc
+// pins this against a reference two-resource schedule), but they may
+// queue behind later stage-3 work, so an embedding-only batch completes
+// at its s3_end_ns, not its done_ns.
 //
-// Everything is simulated time derived from StageBreakdown values, so
-// the schedule is bit-exact at any host thread count.
+// Host scheduling contract (deterministic, work-conserving,
+// non-preemptive): whenever the host frees, it runs the ready task
+// with the earliest possible start; ties break by priority class
+//   stage-1 > stage-3 > top > bottom-post > bottom-pre
+// then FIFO by batch. Stage-1 keeps the DPUs fed (scheduled directly
+// at Submit); stage-3 completes the embedding path and unblocks tops;
+// the bottom-MLP tasks are overlap filler that soaks host idle while
+// the DPUs own the batch. Within a class, ready times are monotone in
+// batch order, so each class is a FIFO queue and the schedule is
+// independent of host thread count (simulated time only).
+//
+// Admission: batch k may only be cut once batch k-depth's stage 2
+// finished and freed its index buffer. NextAdmitTime() exposes this to
+// the batcher, which is how DPU backpressure propagates all the way to
+// the request queue.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -39,72 +45,129 @@
 
 namespace updlrm::serve {
 
-/// The executed schedule of one batch.
-struct ExecutedBatch {
-  core::StageBreakdown stages;
-  Nanos submit_ns = 0.0;    // cut instant (stage 1 may start here)
-  Nanos s1_start_ns = 0.0;  // CPU->DPU index push
-  Nanos s1_end_ns = 0.0;
-  Nanos s2_start_ns = 0.0;  // DPU lookup/reduce
-  Nanos s2_end_ns = 0.0;
-  Nanos s3_start_ns = 0.0;  // DPU->CPU pull + CPU aggregation
-  Nanos s3_end_ns = 0.0;    // batch completion
+/// Where a dense stage executes.
+enum class Backend : std::uint8_t { kCpu, kGpu };
+
+/// One candidate data flow: stage placement + overlap structure.
+struct DataFlowPlan {
+  /// In-flight batches (MRAM index/output buffer pairs); 1 = serial
+  /// admission, 2 = classic double buffering.
+  std::uint32_t depth = 2;
+  /// Bottom-MLP layers run as the low-priority overlap filler task
+  /// (BPRE) while the batch's embedding stages own the DPUs; the
+  /// remaining layers run as the higher-priority BPOST task. The split
+  /// tunes non-preemptive host scheduling granularity: a long
+  /// monolithic bottom task can delay the next batch's stage-1 push,
+  /// a fully split one yields between the halves. CPU backend only
+  /// (the GPU runs the whole stack as one offload).
+  std::uint32_t bottom_split = 0;
+  Backend bottom = Backend::kCpu;
+  /// Backend of interaction + top MLP.
+  Backend top = Backend::kCpu;
+
+  bool operator==(const DataFlowPlan&) const = default;
 };
 
-class PipelinedExecutor {
- public:
-  /// `depth` = number of MRAM index/output buffer pairs; 2 = the
-  /// double-buffered serving loop, 1 degenerates to serial admission.
-  explicit PipelinedExecutor(std::uint32_t depth = 2);
+/// Simulated durations of one batch's tasks under a plan. Embedding
+/// stage times come from the engine (BatchResult); dense-stage times
+/// are re-derived from the same CpuTimingModel the engine charges plus
+/// the GPU model for offloaded placements. The interact / top_mlp
+/// split exists so trace spans can partition the TOP task honestly.
+struct BatchTaskCosts {
+  core::StageBreakdown emb;
+  Nanos bottom_pre = 0.0;   // host: overlapped bottom-MLP prefix
+  Nanos bottom_post = 0.0;  // host: remaining bottom-MLP layers
+  Nanos bottom_gpu = 0.0;   // gpu: whole bottom stack + PCIe + sync
+  Nanos interact = 0.0;     // host: feature interaction stream pass
+  Nanos top_mlp = 0.0;      // host: top-MLP GEMVs
+  Nanos top_gpu = 0.0;      // gpu: interaction + top stack + PCIe + sync
 
-  /// Earliest simulated instant the next batch may be cut: the buffer
-  /// window has a free slot from this time on. Monotone across Submits.
+  Nanos top_host() const { return interact + top_mlp; }
+  Nanos bottom_host() const { return bottom_pre + bottom_post; }
+};
+
+/// The executed schedule of one batch under a data-flow plan. The
+/// bottom stack runs as [bpre, bpost] on the host, or as one GPU task
+/// recorded in the bpre fields (bpost collapses to zero length at its
+/// end).
+struct ExecutedFlowBatch {
+  BatchTaskCosts costs;
+  Nanos cut_ns = 0.0;                        // stage 1 may start here
+  Nanos s1_start_ns = 0.0, s1_end_ns = 0.0;  // CPU->DPU index push
+  Nanos s2_start_ns = 0.0, s2_end_ns = 0.0;  // DPU lookup/reduce
+  Nanos s3_start_ns = 0.0, s3_end_ns = 0.0;  // pull + CPU aggregation
+  Nanos bpre_start_ns = 0.0, bpre_end_ns = 0.0;
+  Nanos bpost_start_ns = 0.0, bpost_end_ns = 0.0;
+  Nanos bottom_done_ns = 0.0;
+  /// Interaction + top MLP (host or GPU per the plan). The interact
+  /// part occupies [top_start, top_start + costs.interact).
+  Nanos top_start_ns = 0.0, top_end_ns = 0.0;
+  /// Batch completion == top_end_ns.
+  Nanos done_ns = 0.0;
+};
+
+class DataFlowExecutor {
+ public:
+  explicit DataFlowExecutor(const DataFlowPlan& plan);
+
+  /// Earliest simulated instant the next batch may be cut (the
+  /// depth-bounded buffer window has a free slot). Monotone.
   Nanos NextAdmitTime() const;
 
   /// Pre-sizes the executed-schedule vector for `expected_batches`
-  /// Submits (the serving loop's requests/max_batch_size hint), so
-  /// steady-state Submit never reallocates the StageBreakdown records.
+  /// Submits, so steady-state Submit never reallocates.
   void Reserve(std::size_t expected_batches);
 
-  /// Submits the next batch at its cut instant (`cut_ns` must be >= the
-  /// previous cut and >= NextAdmitTime()). Finalizes the batch's
-  /// stage-1 and stage-2 schedule; stage 3 is scheduled lazily as host
-  /// time advances. Returns the batch's index.
-  std::size_t Submit(const core::StageBreakdown& stages, Nanos cut_ns);
+  /// Submits the next batch at its cut instant (>= previous cut, >=
+  /// NextAdmitTime()). Stage 1/2 (and a GPU bottom) are scheduled
+  /// eagerly; host dense tasks and stage 3 run as host time advances.
+  /// Returns the batch index.
+  std::size_t Submit(const BatchTaskCosts& costs, Nanos cut_ns);
 
-  /// Runs the host to completion (fill + drain of the tail). Call once
-  /// after the last Submit; batches() then has every stage finalized.
+  /// Runs every resource to completion. Call once after the last
+  /// Submit; batches() then has every stage finalized.
   void Drain();
 
-  /// Completion time of the last batch (0 if none). Valid after Drain.
-  Nanos MakespanNs() const;
-
-  const std::vector<ExecutedBatch>& batches() const { return batches_; }
+  const std::vector<ExecutedFlowBatch>& batches() const { return batches_; }
   Nanos host_busy_ns() const { return host_busy_; }
   Nanos dpu_busy_ns() const { return dpu_busy_; }
-  std::uint32_t depth() const { return depth_; }
+  Nanos gpu_busy_ns() const { return gpu_busy_; }
+  /// Host time spent in dense (MLP/interaction) tasks — a subset of
+  /// host_busy_ns.
+  Nanos host_mlp_busy_ns() const { return host_mlp_busy_; }
 
  private:
-  // Starts every pending stage-3 task whose begin instant falls
-  // strictly before `until` (work-conserving host; a task may overrun
-  // `until` once started).
-  void AdvanceHost(Nanos until);
+  // Host task classes in priority order (lower = higher priority;
+  // stage 1 is scheduled at Submit and never queues).
+  enum HostClass : std::size_t { kS3 = 0, kTop, kBpost, kBpre, kNumClasses };
 
-  std::uint32_t depth_;
-  std::vector<ExecutedBatch> batches_;
-  std::size_t next_s3_ = 0;  // first batch whose stage 3 is unscheduled
+  // Starts pending host tasks whose begin instant falls strictly
+  // before `until` (a started task may overrun it).
+  void AdvanceHost(Nanos until);
+  // Ready time of the head task of `cls` for batch index `b`; negative
+  // when its dependencies are not yet resolved.
+  Nanos ReadyTime(std::size_t cls, std::size_t b) const;
+  // Applies completion of (cls, b): writes the schedule, resolves
+  // successors, schedules newly-unblocked GPU tops.
+  void Complete(std::size_t cls, std::size_t b, Nanos start, Nanos dur);
+  // Schedules GPU top tasks whose dependencies resolved, in batch
+  // order.
+  void ScheduleGpuTops();
+
+  DataFlowPlan plan_;
+  std::vector<ExecutedFlowBatch> batches_;
+  // Head index per host class (tasks are FIFO within a class).
+  std::size_t head_[kNumClasses] = {0, 0, 0, 0};
+  std::size_t next_gpu_top_ = 0;
   Nanos host_free_ = 0.0;
   Nanos dpu_free_ = 0.0;
+  Nanos gpu_free_ = 0.0;
   Nanos last_cut_ = 0.0;
   Nanos host_busy_ = 0.0;
   Nanos dpu_busy_ = 0.0;
+  Nanos gpu_busy_ = 0.0;
+  Nanos host_mlp_busy_ = 0.0;
   bool drained_ = false;
 };
-
-/// Convenience: executes a fixed batch sequence with every batch
-/// available at t = 0 (the offline-trace analogue of the serving loop,
-/// used by bench/abl_pipelining). Returns the drained executor.
-PipelinedExecutor ExecutePipelined(
-    std::span<const core::StageBreakdown> batches, std::uint32_t depth = 2);
 
 }  // namespace updlrm::serve

@@ -110,4 +110,24 @@ double MaxSustainableQps(std::span<const RatePoint> points, Nanos slo_ns) {
   return best;
 }
 
+SloReport ServeScorecard::MakeSloReport(double offered_qps,
+                                        Nanos slo_ns) const {
+  SloReport report;
+  report.offered_qps = offered_qps;
+  report.completed = completed;
+  report.shed = shed;
+  report.achieved_qps =
+      makespan_ns <= 0.0 ? 0.0
+                         : static_cast<double>(completed) /
+                               (makespan_ns / kNanosPerSecond);
+  report.p50_ns = latency.PercentileNs(50.0);
+  report.p95_ns = latency.PercentileNs(95.0);
+  report.p99_ns = latency.PercentileNs(99.0);
+  report.mean_ns = latency.MeanNs();
+  report.max_ns = latency.max_ns();
+  report.slo_ns = slo_ns;
+  report.slo_met = shed == 0 && report.p99_ns <= slo_ns;
+  return report;
+}
+
 }  // namespace updlrm::serve

@@ -61,9 +61,9 @@ class LatencyHistogram {
 };
 
 /// Busy fractions of the pipeline resources over the run. The
-/// embedding-only pipeline fills the first two; the full-path data-flow
-/// executor (src/pipeline) additionally splits out the host's dense-
-/// compute time and the optional GPU backend.
+/// embedding-only plan fills the first two; full-path plans
+/// (src/pipeline) additionally split out the host's dense-compute time
+/// and the optional GPU backend.
 struct StageUtilization {
   Nanos host_busy_ns = 0.0;  // stage 1 + stage 3 + CPU aggregation
   Nanos dpu_busy_ns = 0.0;   // stage 2
@@ -111,6 +111,30 @@ struct SloReport {
 
   /// One JSON object (no trailing newline), stable key order.
   std::string ToJson() const;
+};
+
+/// What one serve run scored, shared by the embedding-only and the
+/// full-path simulations (both fill it in serve/loop.h).
+struct ServeScorecard {
+  LatencyHistogram latency;
+  /// Completion latency per completed request, in batch-cut order.
+  std::vector<Nanos> request_latency_ns;
+  std::uint64_t offered = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t shed = 0;
+  Nanos makespan_ns = 0.0;  // last batch completion (sim starts at 0)
+  StageUtilization utilization;
+  std::vector<QueueDepthSample> queue_depth;  // post-cut depths
+  std::size_t max_queue_depth = 0;
+  std::size_t num_batches = 0;
+  double avg_batch_size = 0.0;
+  /// Request-span tracing accounting (0 unless tracing was enabled):
+  /// spans emitted vs skipped by the 1-in-N sampler — the drop is
+  /// always visible, never silent.
+  std::uint64_t requests_traced = 0;
+  std::uint64_t requests_sampled_out = 0;
+
+  SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
 };
 
 /// A swept load point for capacity planning.

@@ -1,33 +1,11 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <span>
 
-#include "telemetry/tracer.h"
+#include "serve/loop.h"
 #include "updlrm/scaleout.h"
-#include "updlrm/timeline.h"
 
 namespace updlrm::serve {
-
-SloReport ServeResult::MakeSloReport(double offered_qps,
-                                     Nanos slo_ns) const {
-  SloReport report;
-  report.offered_qps = offered_qps;
-  report.completed = completed;
-  report.shed = shed;
-  report.achieved_qps =
-      makespan_ns <= 0.0 ? 0.0
-                         : static_cast<double>(completed) /
-                               (makespan_ns / kNanosPerSecond);
-  report.p50_ns = latency.PercentileNs(50.0);
-  report.p95_ns = latency.PercentileNs(95.0);
-  report.p99_ns = latency.PercentileNs(99.0);
-  report.mean_ns = latency.MeanNs();
-  report.max_ns = latency.max_ns();
-  report.slo_ns = slo_ns;
-  report.slo_met = shed == 0 && report.p99_ns <= slo_ns;
-  return report;
-}
 
 void ServeResult::ExportTo(telemetry::MetricsRegistry& registry,
                            const std::string& prefix) const {
@@ -56,256 +34,39 @@ void ServeResult::ExportTo(telemetry::MetricsRegistry& registry,
 
 namespace {
 
-// Per-unit cumulative work proxy for the straggler scorer: kernel
-// cycles plus index wire bytes (a stand-in for per-DPU transfer cycles
-// — z-scores are scale-free, so the mix only needs to be consistent).
-void AppendUnitWork(const pim::DpuSystem& system,
-                    std::vector<std::uint64_t>& out) {
-  for (std::uint32_t i = 0; i < system.num_dpus(); ++i) {
-    const pim::DpuStats& stats = system.dpu(i).stats();
-    out.push_back(stats.kernel_cycles + stats.index_bytes_pushed);
+// Embedding-only serving is the plan with no dense stages: every dense
+// cost stays zero and a batch completes at its stage-3 end (the
+// zero-cost dense tasks may queue behind later pulls, so done_ns is
+// not the completion instant here).
+struct EmbeddingPath {
+  static Result<BatchTaskCosts> OnBatch(std::span<const std::size_t>,
+                                        const core::BatchResult& batch) {
+    BatchTaskCosts costs;
+    costs.emb = batch.stages;
+    return costs;
   }
-}
+  static Nanos Done(const ExecutedFlowBatch& b) { return b.s3_end_ns; }
+  static void NameTracks() {}
+  static void TraceBatch(const ExecutedFlowBatch&, std::size_t) {}
+};
 
-// Flat engine: units are its DPUs.
-void SampleUnitWork(const core::UpDlrmEngine& engine,
-                    std::vector<std::uint64_t>& out) {
-  out.clear();
-  AppendUnitWork(engine.dpu_system(), out);
-}
-
-// Sharded fleet: units are every shard's DPUs, concatenated in shard
-// order (global unit id = shard * shard_dpus + local dpu).
-void SampleUnitWork(const core::ShardedEngine& engine,
-                    std::vector<std::uint64_t>& out) {
-  out.clear();
-  for (std::uint32_t s = 0; s < engine.num_shards(); ++s) {
-    AppendUnitWork(engine.shard(s).dpu_system(), out);
-  }
-}
-
-// The loop body is engine-shape agnostic: it only needs RunSamples()
-// and dpu_system() (telemetry anchor), which both the flat engine and
-// the sharded scale-out engine provide.
 template <typename EngineT>
-Result<ServeResult> RunServeLoop(EngineT& engine,
-                                 std::span<const Request> requests,
-                                 const ServeOptions& options) {
-  DynamicBatcher batcher(options.batcher);
-  PipelinedExecutor executor(options.pipeline_depth);
+Result<ServeResult> Serve(EngineT& engine, std::span<const Request> requests,
+                          const ServeOptions& options) {
+  DataFlowPlan plan;
+  plan.depth = options.pipeline_depth;
+  EmbeddingPath path;
   ServeResult result;
-  result.offered = requests.size();
-
-  // Tracing: the serve loop runs on one thread, so all emission below
-  // is single-threaded. Request spans and per-batch timelines are
-  // emitted post-drain (only then are stage-3 completions known);
-  // everything is simulated-clock and pure observation.
-  const bool tracing = telemetry::TraceEnabled();
-  telemetry::Tracer& tracer = telemetry::Tracer::Get();
-  const std::uint64_t sample_every =
-      tracing ? tracer.options().sample_every : 1;
-  using telemetry::Clock;
-  using telemetry::kDpuTrack;
-  using telemetry::kHostBusTrack;
-  using telemetry::kPipelinePid;
-  using telemetry::kRequestPid;
-
-  // Fleet-health monitor: observation only, fed at the single-threaded
-  // loop boundaries. The pre-loop sample anchors the cumulative unit
-  // counters so window 0's deltas cover the first batch even when the
-  // engine served earlier runs.
-  telemetry::FleetMonitor* const monitor =
-      telemetry::MonitorEnabled(options.monitor) ? options.monitor
-                                                 : nullptr;
-  std::vector<std::uint64_t> unit_work;
-  if (monitor != nullptr) {
-    SampleUnitWork(engine, unit_work);
-    monitor->OnUnitSample(0.0, unit_work);
+  auto executor = RunServeLoop(engine, requests, options.batcher, plan,
+                               options.monitor, path, result);
+  if (!executor.ok()) return executor.status();
+  result.schedule.reserve(executor->batches().size());
+  for (const ExecutedFlowBatch& b : executor->batches()) {
+    result.schedule.push_back(ExecutedBatch{b.costs.emb, b.cut_ns,
+                                            b.s1_start_ns, b.s1_end_ns,
+                                            b.s2_start_ns, b.s2_end_ns,
+                                            b.s3_start_ns, b.s3_end_ns});
   }
-
-  // Flat request log: every cut appends its requests here (for latency
-  // attribution) and records its start offset in batch_start — one
-  // up-front reservation instead of a vector<vector> that allocates per
-  // batch. batch_start gets a closing sentinel after the serve loop.
-  const std::size_t expected_batches =
-      options.batcher.max_batch_size > 0
-          ? requests.size() / options.batcher.max_batch_size + 2
-          : requests.size() + 2;
-  std::vector<QueuedRequest> request_log;
-  request_log.reserve(requests.size());
-  std::vector<std::size_t> batch_start;
-  batch_start.reserve(expected_batches + 1);
-  std::vector<std::size_t> samples;  // sample-id scratch per cut
-  samples.reserve(options.batcher.max_batch_size);
-  // Per cut batch: the engine's stage-2 launch records (tracing only).
-  std::vector<std::shared_ptr<const core::BatchDpuTrace>> batch_traces;
-  executor.Reserve(expected_batches);
-  result.batch_stages.reserve(expected_batches);
-  result.queue_depth.reserve(expected_batches);
-  result.request_latency_ns.reserve(requests.size());
-
-  auto offer = [&](const Request& r, Nanos now) {
-    if (batcher.Offer(r, now) == Admission::kShed && tracing) {
-      tracer.InstantAt(kRequestPid, 0, Clock::kSim, "shed", now, "request",
-                       static_cast<double>(r.id));
-    }
-  };
-
-  // The discrete-event scan. State changes happen at three kinds of
-  // instants — arrivals, batcher deadlines, and executor buffer frees —
-  // and all three sequences are non-decreasing, so one forward pass
-  // over time suffices. Tie order at equal timestamps: arrivals are
-  // offered before a deadline cut is taken (a request arriving exactly
-  // at max_queue_delay joins the closing batch), and a cut happens as
-  // soon as both the batcher is due and the executor admits.
-  std::size_t next = 0;  // next unprocessed arrival
-  while (next < requests.size() || !batcher.Idle()) {
-    // Earliest instant the executor could accept a cut.
-    Nanos t = executor.NextAdmitTime();
-    // Offer everything that has already arrived by then.
-    while (next < requests.size() && requests[next].arrival_ns <= t) {
-      offer(requests[next], requests[next].arrival_ns);
-      ++next;
-    }
-    // Walk forward until the batcher is due.
-    while (!batcher.ReadyToCut(t)) {
-      const Nanos next_arrival = next < requests.size()
-                                     ? requests[next].arrival_ns
-                                     : DynamicBatcher::kNever;
-      const Nanos deadline = batcher.NextDeadline();
-      const Nanos event = std::min(next_arrival, deadline);
-      if (event == DynamicBatcher::kNever) break;  // drained
-      t = std::max(t, event);
-      while (next < requests.size() && requests[next].arrival_ns <= t) {
-        offer(requests[next], requests[next].arrival_ns);
-        ++next;
-      }
-    }
-    if (!batcher.ReadyToCut(t)) break;  // nothing left to serve
-
-    batch_start.push_back(request_log.size());
-    batcher.CutInto(t, request_log);
-    samples.clear();
-    for (std::size_t i = batch_start.back(); i < request_log.size(); ++i) {
-      samples.push_back(request_log[i].request.sample);
-    }
-    auto batch = engine.RunSamples(samples, nullptr);
-    if (!batch.ok()) return batch.status();
-
-    executor.Submit(batch->stages, t);
-    result.batch_stages.push_back(batch->stages);
-    if (tracing) batch_traces.push_back(batch->dpu_trace);
-    result.queue_depth.push_back(QueueDepthSample{t, batcher.queue_depth()});
-    if (monitor != nullptr) {
-      // Cumulative unit counters only exist mid-run, so the straggler
-      // stream samples at cut times; cut times are non-decreasing.
-      SampleUnitWork(engine, unit_work);
-      monitor->OnUnitSample(t, unit_work);
-    }
-  }
-  batch_start.push_back(request_log.size());  // closing sentinel
-
-  executor.Drain();
-  result.makespan_ns = executor.MakespanNs();
-  result.schedule = executor.batches();
-  result.num_batches = batch_start.size() - 1;
-  result.shed = batcher.shed_count();
-  result.max_queue_depth = batcher.max_queue_depth();
-  result.utilization.host_busy_ns = executor.host_busy_ns();
-  result.utilization.dpu_busy_ns = executor.dpu_busy_ns();
-  result.utilization.makespan_ns = result.makespan_ns;
-
-  if (tracing) {
-    tracer.SetThreadName(kPipelinePid, kHostBusTrack,
-                         "host buses (stage 1/3)");
-    tracer.SetThreadName(kPipelinePid, kDpuTrack, "DPU array (stage 2)");
-    for (const QueueDepthSample& s : result.queue_depth) {
-      tracer.Counter(kPipelinePid, Clock::kSim, "queue_depth", s.t_ns,
-                     static_cast<double>(s.depth));
-    }
-  }
-
-  std::uint64_t served = 0;
-  for (std::size_t b = 0; b + 1 < batch_start.size(); ++b) {
-    const ExecutedBatch& sched = result.schedule[b];
-    const Nanos done = sched.s3_end_ns;
-    if (tracing) {
-      if (b % sample_every == 0) {
-        tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage1.push",
-                        sched.s1_start_ns,
-                        sched.s1_end_ns - sched.s1_start_ns, "batch",
-                        static_cast<double>(b));
-        tracer.Complete(kPipelinePid, kDpuTrack, Clock::kSim, "stage2.kernel",
-                        sched.s2_start_ns,
-                        sched.s2_end_ns - sched.s2_start_ns);
-        tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage3.pull",
-                        sched.s3_start_ns,
-                        sched.s3_end_ns - sched.s3_start_ns);
-        if (batch_traces[b] != nullptr) {
-          core::EmitBatchDpuTimeline(engine.dpu_system(), *batch_traces[b],
-                                     b, sched.s2_start_ns,
-                                     /*tasklet_detail=*/true);
-        }
-      } else {
-        tracer.CountSampledOut();
-      }
-    }
-    const std::span<const QueuedRequest> batch_requests(
-        request_log.data() + batch_start[b],
-        batch_start[b + 1] - batch_start[b]);
-    if (monitor != nullptr) {
-      // Drift stream: every request's table accesses at its batch's cut
-      // instant (submit times are non-decreasing over b); SLO stream:
-      // completions at the batch's stage-3 end (also non-decreasing —
-      // stage 3 drains FIFO).
-      const trace::Trace& workload = engine.trace();
-      for (const QueuedRequest& q : batch_requests) {
-        for (std::uint32_t t = 0; t < workload.num_tables(); ++t) {
-          monitor->OnAccess(t, sched.submit_ns,
-                            workload.tables[t].Sample(q.request.sample));
-        }
-        monitor->OnRequest(done, done - q.request.arrival_ns);
-      }
-    }
-    for (const QueuedRequest& q : batch_requests) {
-      const Nanos latency = done - q.request.arrival_ns;
-      result.latency.Add(latency);
-      result.request_latency_ns.push_back(latency);
-      ++served;
-      if (!tracing) continue;
-      // 1-in-N request spans, keyed on the stable request id so the
-      // same requests are traced at any thread count.
-      if (q.request.id % sample_every != 0) {
-        ++result.requests_sampled_out;
-        tracer.CountSampledOut();
-        continue;
-      }
-      ++result.requests_traced;
-      // Nested async spans sharing the request's id:
-      //   lifetime [arrival, s3 end)
-      //     queued  [admission, batch cut)
-      //     execute [batch cut, s3 end)
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim,
-                        "request", "request", q.request.arrival_ns);
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim, "queued",
-                        "request", q.admit_ns);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "queued",
-                      "request", sched.submit_ns);
-      tracer.AsyncBegin(kRequestPid, q.request.id, Clock::kSim, "execute",
-                        "request", sched.submit_ns);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "execute",
-                      "request", done);
-      tracer.AsyncEnd(kRequestPid, q.request.id, Clock::kSim, "request",
-                      "request", done);
-    }
-  }
-  result.completed = served;
-  if (result.num_batches > 0) {
-    result.avg_batch_size = static_cast<double>(served) /
-                            static_cast<double>(result.num_batches);
-  }
-  UPDLRM_CHECK_MSG(result.completed + result.shed == result.offered,
-                   "serving accounting mismatch");
   return result;
 }
 
@@ -314,13 +75,13 @@ Result<ServeResult> RunServeLoop(EngineT& engine,
 Result<ServeResult> RunServeSimulation(core::UpDlrmEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options) {
-  return RunServeLoop(engine, requests, options);
+  return Serve(engine, requests, options);
 }
 
 Result<ServeResult> RunServeSimulation(core::ShardedEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options) {
-  return RunServeLoop(engine, requests, options);
+  return Serve(engine, requests, options);
 }
 
 }  // namespace updlrm::serve

@@ -1,31 +1,21 @@
 // The online serving simulator: request queue -> dynamic batcher ->
-// double-buffered pipelined executor -> tail-latency metrics.
+// double-buffered embedding pipeline -> tail-latency metrics.
 //
-// Drives one engine through an open-loop request stream in simulated
-// time. Arrivals enter the bounded request queue (shed-or-block
-// admission control); the dynamic batcher cuts a batch whenever the
-// executor has a free buffer pair AND the batch is due (full, or the
-// oldest request hit max_queue_delay); the executor overlaps batch
-// k+1's stage-1 push with batch k's DPU occupancy. A request's latency
-// is its batch's stage-3 completion minus its arrival.
-//
-// The whole loop runs in *simulated* time — a single logical
-// discrete-event scan over (arrival, deadline, buffer-free) instants.
-// Host threads only accelerate the engine's per-batch computation of
-// StageBreakdown values, which are thread-count invariant, so every
-// ServeResult field is bit-exact across --threads (the determinism
-// suite pins this).
+// Embedding-only serving runs the shared serve loop (serve/loop.h)
+// under a DataFlowPlan with no dense stages: the executor overlaps
+// batch k+1's stage-1 push with batch k's DPU occupancy, and a
+// request's latency is its batch's stage-3 completion minus its
+// arrival. Every ServeResult field is bit-exact across --threads (the
+// determinism suite pins this).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "serve/batcher.h"
-#include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/workload.h"
 #include "telemetry/monitor.h"
@@ -40,7 +30,7 @@ namespace updlrm::serve {
 
 struct ServeOptions {
   BatcherOptions batcher;
-  /// MRAM buffer pairs for the pipelined executor (2 = double-buffered).
+  /// MRAM buffer pairs for the executor (2 = double-buffered).
   std::uint32_t pipeline_depth = 2;
   /// Optional fleet-health monitor (telemetry/monitor.h). Observation
   /// only: the loop feeds it batch-cut accesses, per-unit work samples
@@ -49,42 +39,35 @@ struct ServeOptions {
   telemetry::FleetMonitor* monitor = nullptr;
 };
 
-struct ServeResult {
-  LatencyHistogram latency;
-  /// Completion latency per completed request, in completion order.
-  std::vector<Nanos> request_latency_ns;
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  Nanos makespan_ns = 0.0;  // last batch completion (sim starts at 0)
-  StageUtilization utilization;
-  std::vector<QueueDepthSample> queue_depth;  // post-cut depths
-  std::size_t max_queue_depth = 0;
-  std::size_t num_batches = 0;
-  double avg_batch_size = 0.0;
-  /// The executed per-batch schedule (for pipelining analysis).
-  std::vector<ExecutedBatch> schedule;
-  /// Per-batch stage timings, in cut order (feed to
+/// The embedding-stage view of one executed batch.
+struct ExecutedBatch {
+  core::StageBreakdown stages;
+  Nanos submit_ns = 0.0;    // cut instant (stage 1 may start here)
+  Nanos s1_start_ns = 0.0;  // CPU->DPU index push
+  Nanos s1_end_ns = 0.0;
+  Nanos s2_start_ns = 0.0;  // DPU lookup/reduce
+  Nanos s2_end_ns = 0.0;
+  Nanos s3_start_ns = 0.0;  // DPU->CPU pull + CPU aggregation
+  Nanos s3_end_ns = 0.0;    // batch completion
+};
+
+struct ServeResult : ServeScorecard {
+  /// The executed per-batch schedule, in cut order (feed the stages to
   /// core::EstimatePipelinedEmbedding to compare bound vs executed).
-  std::vector<core::StageBreakdown> batch_stages;
-  /// Request-span tracing accounting (0 unless tracing was enabled):
-  /// spans emitted vs skipped by the 1-in-N sampler — the drop is
-  /// always visible, never silent.
-  std::uint64_t requests_traced = 0;
-  std::uint64_t requests_sampled_out = 0;
+  std::vector<ExecutedBatch> schedule;
 
   /// Exports the scorecard into `registry` under "<prefix>." keys
   /// (counters for totals, gauges for rates/latencies).
   void ExportTo(telemetry::MetricsRegistry& registry,
                 const std::string& prefix) const;
-
-  SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
 };
 
 /// Simulates serving `requests` (time-ordered, as produced by
 /// GenerateRequests) on `engine`. The engine's batch_size option is
-/// ignored; the batcher's max_batch_size governs. Fails if a request
-/// references a sample outside the engine's trace.
+/// ignored; the batcher's max_batch_size governs. Fails with
+/// InvalidArgument on a zero pipeline_depth or max_batch_size, a
+/// negative max_queue_delay_ns, or a request that references a sample
+/// outside the engine's trace.
 Result<ServeResult> RunServeSimulation(core::UpDlrmEngine& engine,
                                        std::span<const Request> requests,
                                        const ServeOptions& options);

@@ -218,6 +218,38 @@ TEST(RunnerTest, GpuPlanAccountsGpuBusyTime) {
   EXPECT_DOUBLE_EQ(result->utilization.host_mlp_busy_ns, 0.0);
 }
 
+// Options the batcher or the buffer window cannot run are rejected
+// before the loop starts, not by a process abort.
+TEST(RunnerTest, RejectsZeroPlanDepth) {
+  Fixture f = MakeFixture(/*functional=*/false, 16);
+  DataFlowServeOptions options = BaseOptions();
+  options.plan.depth = 0;
+  auto result = RunDataFlowSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), nullptr, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RunnerTest, RejectsZeroMaxBatchSize) {
+  Fixture f = MakeFixture(/*functional=*/false, 16);
+  DataFlowServeOptions options = BaseOptions();
+  options.batcher.max_batch_size = 0;
+  auto result = RunDataFlowSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), nullptr, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RunnerTest, RejectsNegativeMaxQueueDelay) {
+  Fixture f = MakeFixture(/*functional=*/false, 16);
+  DataFlowServeOptions options = BaseOptions();
+  options.batcher.max_queue_delay_ns = -1.0;
+  auto result = RunDataFlowSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), nullptr, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunnerTest, RejectsRequestsOutsideTheTrace) {
   Fixture f = MakeFixture(/*functional=*/false);
   const std::vector<serve::Request> requests = {

@@ -103,7 +103,7 @@ TEST(ServerTest, LowLoadServesSingletonBatchesAtTheDeadline) {
     // Latency = batching delay + the batch's own serial embedding time
     // (the executor is idle between such widely spaced batches).
     EXPECT_NEAR(result->request_latency_ns[b],
-                1.0e6 + result->batch_stages[b].EmbeddingTotal(), 1.0)
+                1.0e6 + result->schedule[b].stages.EmbeddingTotal(), 1.0)
         << b;
   }
   // At 1% duty cycle the DPUs are mostly idle.
@@ -128,19 +128,20 @@ TEST(ServerTest, HighLoadFillsBatchesAndPipelines) {
   // Back-to-back batches: the executed makespan respects the true
   // lower bounds of any schedule for this batch sequence...
   Nanos host = 0.0, dpu = 0.0;
-  for (const auto& s : result->batch_stages) {
-    host += s.cpu_to_dpu + s.dpu_to_cpu + s.cpu_aggregate;
-    dpu += s.dpu_lookup;
+  for (const auto& b : result->schedule) {
+    host += b.stages.cpu_to_dpu + b.stages.dpu_to_cpu +
+            b.stages.cpu_aggregate;
+    dpu += b.stages.dpu_lookup;
   }
-  const Nanos fill = result->batch_stages.front().cpu_to_dpu;
-  const Nanos drain = result->batch_stages.back().dpu_to_cpu +
-                      result->batch_stages.back().cpu_aggregate;
+  const Nanos fill = result->schedule.front().stages.cpu_to_dpu;
+  const Nanos drain = result->schedule.back().stages.dpu_to_cpu +
+                      result->schedule.back().stages.cpu_aggregate;
   EXPECT_GE(result->makespan_ns, host);
   EXPECT_GE(result->makespan_ns, fill + dpu + drain);
   // ...and with full batches always ready, some resource is busy from
   // the last arrival on: makespan <= arrival span + serial work.
   Nanos serial = 0.0;
-  for (const auto& s : result->batch_stages) serial += s.EmbeddingTotal();
+  for (const auto& b : result->schedule) serial += b.stages.EmbeddingTotal();
   EXPECT_LE(result->makespan_ns,
             requests.back().arrival_ns + serial + 1.0);
   // The latency histogram agrees with the raw per-request record.
@@ -167,8 +168,8 @@ TEST(ServerTest, BoundedQueueShedsUnderOverload) {
   // Admission control bounds the tail: nothing waits longer than the
   // queue delay plus the in-flight pipeline window.
   Nanos worst_batch = 0.0;
-  for (const auto& s : result->batch_stages) {
-    worst_batch = std::max(worst_batch, s.EmbeddingTotal());
+  for (const auto& b : result->schedule) {
+    worst_batch = std::max(worst_batch, b.stages.EmbeddingTotal());
   }
   EXPECT_LE(result->latency.max_ns(),
             options.batcher.max_queue_delay_ns + 3.0 * worst_batch);
@@ -201,7 +202,6 @@ TEST(ServerTest, RecordsQueueDepthTimeSeries) {
               result->queue_depth[i - 1].t_ns);
   }
   EXPECT_EQ(result->schedule.size(), result->num_batches);
-  EXPECT_EQ(result->batch_stages.size(), result->num_batches);
 }
 
 TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
@@ -219,6 +219,38 @@ TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
   EXPECT_TRUE(loose.slo_met);
   EXPECT_GT(loose.achieved_qps, 0.0);
   EXPECT_EQ(loose.completed, result->completed);
+}
+
+// Options the batcher or the buffer window cannot run are rejected
+// before the loop starts, not by a process abort.
+TEST(ServerTest, RejectsZeroPipelineDepth) {
+  Fixture f = MakeFixture(16);
+  ServeOptions options;
+  options.pipeline_depth = 0;
+  auto result = RunServeSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ServerTest, RejectsZeroMaxBatchSize) {
+  Fixture f = MakeFixture(16);
+  ServeOptions options;
+  options.batcher.max_batch_size = 0;
+  auto result = RunServeSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ServerTest, RejectsNegativeMaxQueueDelay) {
+  Fixture f = MakeFixture(16);
+  ServeOptions options;
+  options.batcher.max_queue_delay_ns = -1.0;
+  auto result = RunServeSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServerTest, RejectsRequestsOutsideTheTrace) {
