@@ -15,14 +15,13 @@
 // audits (plan shape, MRAM capacity-vs-depth, stage ordering) ride
 // along on every calibration run and any violation aborts the bench.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.h"
 #include "common/table.h"
 #include "pipeline/runner.h"
 #include "pipeline/tuner.h"
+#include "telemetry/json.h"
 
 int main(int argc, char** argv) {
   using namespace updlrm;
@@ -37,8 +36,11 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"workload", "plan", "predicted (us)", "p99 (us)",
                     "vs tuned", "verdict"});
-  std::ostringstream entries;
-  bool first_entry = true;
+  using Layout = telemetry::JsonWriter::Layout;
+  telemetry::JsonWriter json;
+  json.BeginObject(Layout::kLines).Field("batch_size", scale.batch_size);
+  json.Field("arrival", scale.arrival).Key("workloads");
+  json.BeginObject(Layout::kLines);
 
   // Two qualitatively different datasets: "clo" is nearly balanced
   // with mild skew, "home" is hotter with heavier reduction — enough
@@ -117,7 +119,11 @@ int main(int argc, char** argv) {
 
     // The headline gate: no static plan beats the tuned pick.
     std::size_t beaten_by = 0;
-    std::ostringstream candidates;
+    json.Key(spec.name).BeginObject();
+    json.Field("tuned", pipeline::Name(tuned->best));
+    json.Field("p99_us", NanosToMicros(tuned->best_p99_ns));
+    json.Field("offered_qps", capacity_qps);
+    json.Key("candidates").BeginArray(Layout::kLines);
     for (const auto& c : tuned->candidates) {
       UPDLRM_CHECK_MSG(c.calibrated,
                        "full calibration left a candidate unmeasured");
@@ -130,13 +136,11 @@ int main(int argc, char** argv) {
            TablePrinter::FmtSpeedup(c.measured_p99_ns /
                                     tuned->best_p99_ns),
            is_best ? "tuned" : ""});
-      if (candidates.tellp() > 0) candidates << ",\n";
-      candidates << "      {\"plan\": \"" << pipeline::Name(c.plan)
-                 << "\", \"predicted_us\": "
-                 << NanosToMicros(c.predicted_ns)
-                 << ", \"p99_us\": "
-                 << NanosToMicros(c.measured_p99_ns) << "}";
+      json.BeginObject().Field("plan", pipeline::Name(c.plan));
+      json.Field("predicted_us", NanosToMicros(c.predicted_ns));
+      json.Field("p99_us", NanosToMicros(c.measured_p99_ns)).EndObject();
     }
+    json.EndArray().EndObject();
     UPDLRM_CHECK_MSG(beaten_by == 0,
                      "a static data flow beat the tuned plan on " +
                          spec.name);
@@ -144,23 +148,13 @@ int main(int argc, char** argv) {
                 "%.0f qps\n",
                 spec.name.c_str(), pipeline::Name(tuned->best).c_str(),
                 tuned->candidates.size(), capacity_qps);
-
-    if (!first_entry) entries << ",\n";
-    first_entry = false;
-    entries << "    \"" << spec.name << "\": {\"tuned\": \""
-            << pipeline::Name(tuned->best)
-            << "\", \"p99_us\": " << NanosToMicros(tuned->best_p99_ns)
-            << ", \"offered_qps\": " << capacity_qps
-            << ",\n     \"candidates\": [\n"
-            << candidates.str() << "\n    ]}";
   }
   out.Print(std::cout);
 
-  std::ofstream json("BENCH_dataflow.json", std::ios::trunc);
-  json << "{\n  \"batch_size\": " << scale.batch_size
-       << ",\n  \"arrival\": \"" << scale.arrival
-       << "\",\n  \"workloads\": {\n"
-       << entries.str() << "\n  }\n}\n";
+  json.EndObject().EndObject().Newline();
+  const Status written =
+      telemetry::WriteTextFile("BENCH_dataflow.json", json.str());
+  UPDLRM_CHECK_MSG(written.ok(), written.ToString());
   std::printf(
       "\nevery enumerated data flow was calibrated with a real "
       "simulated serving run at 1.0x embedding capacity; 'vs tuned' = "

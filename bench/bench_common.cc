@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "common/simd.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "pim/stats_summary.h"
+#include "telemetry/json.h"
 #include "telemetry/trace_export.h"
 #include "telemetry/tracer.h"
 #include "updlrm/scaleout.h"
@@ -269,9 +268,9 @@ void WriteHealthArtifacts(telemetry::FleetMonitor* monitor,
   // buffer — callers sequence this before the session destructor runs.
   monitor->EmitTraceCounters();
 
-  const Status written = monitor->WriteJsonl(scale.health_out);
-  UPDLRM_CHECK_MSG(written.ok(), written.ToString());
   const std::string jsonl = monitor->ToJsonl();
+  const Status written = telemetry::WriteTextFile(scale.health_out, jsonl);
+  UPDLRM_CHECK_MSG(written.ok(), written.ToString());
   const Status valid = telemetry::ValidateHealthJsonl(jsonl, 1);
   UPDLRM_CHECK_MSG(valid.ok(), valid.ToString());
 
@@ -295,42 +294,11 @@ void WriteHealthArtifacts(telemetry::FleetMonitor* monitor,
       summary.max_unit_z);
 }
 
-namespace {
-
-// Merge one "<name>": <payload> entry into a one-entry-per-line JSON
-// object file: keep every line that belongs to another bench, replace
-// (or append) our own. The files are our own output format, so a line
-// parser is sufficient.
-void MergeJsonEntry(const char* path, const std::string& name,
-                    const std::string& payload) {
-  std::vector<std::string> entries;
-  {
-    std::ifstream in(path);
-    std::string line;
-    const std::string me = "\"" + name + "\":";
-    while (std::getline(in, line)) {
-      const auto key = line.find('"');
-      if (key == std::string::npos) continue;  // braces / blank lines
-      if (line.compare(key, me.size(), me) == 0) continue;  // replaced
-      if (!line.empty() && line.back() == ',') line.pop_back();
-      entries.push_back(line);
-    }
-  }
-  entries.push_back("  \"" + name + "\": " + payload);
-
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    out << entries[i] << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-}
-
-}  // namespace
-
 void WriteBenchHostEntry(const std::string& name,
                          const std::string& payload) {
-  MergeJsonEntry("BENCH_host.json", name, payload);
+  const Status merged =
+      telemetry::MergeJsonEntry("BENCH_host.json", name, payload);
+  UPDLRM_CHECK_MSG(merged.ok(), merged.ToString());
 }
 
 HostTimer::HostTimer(std::string name, const BenchScale& scale)
@@ -372,19 +340,16 @@ HostTimer::~HostTimer() {
       threads_ > 0 ? threads_
                    : std::max(1u, std::thread::hardware_concurrency());
 
-  std::ostringstream mine;
-  mine << "{\"wall_seconds\": " << seconds << ", \"threads\": "
-       << effective;
+  telemetry::JsonWriter mine;
+  mine.BeginObject().Field("wall_seconds", seconds);
+  mine.Field("threads", effective);
   if (!phases_.empty()) {
-    mine << ", \"phases\": {";
-    for (std::size_t i = 0; i < phases_.size(); ++i) {
-      mine << (i > 0 ? ", " : "") << "\"" << phases_[i].first
-           << "\": " << phases_[i].second;
-    }
-    mine << "}";
+    mine.Key("phases").BeginObject();
+    for (const auto& [phase, total] : phases_) mine.Field(phase, total);
+    mine.EndObject();
   }
-  mine << "}";
-  MergeJsonEntry("BENCH_host.json", name_, mine.str());
+  mine.EndObject();
+  WriteBenchHostEntry(name_, mine.str());
 
   // Mirror into the unified registry, then snapshot everything the
   // bench exported (serve scorecards, DPU stats, trace accounting,
@@ -395,7 +360,9 @@ HostTimer::~HostTimer() {
   for (const auto& [phase, total] : phases_) {
     registry.SetGauge("host.phase." + phase + "_seconds", total);
   }
-  MergeJsonEntry("BENCH_metrics.json", name_, registry.ToJson());
+  const Status merged = telemetry::MergeJsonEntry("BENCH_metrics.json",
+                                                  name_, registry.ToJson());
+  UPDLRM_CHECK_MSG(merged.ok(), merged.ToString());
 
   std::printf("\n# host wall clock: %.3f s at %u thread(s)", seconds,
               effective);

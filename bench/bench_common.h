@@ -170,7 +170,8 @@ void WriteHealthArtifacts(telemetry::FleetMonitor* monitor,
 /// Merges "<name>": <payload> (payload = a JSON value) into
 /// BENCH_host.json — the same file HostTimer writes — for benches that
 /// produce structured measurements outside the RAII timer (e.g. the
-/// micro_benchmarks SIMD throughput rows).
+/// micro_benchmarks SIMD throughput rows). A malformed file or payload
+/// aborts the bench.
 void WriteBenchHostEntry(const std::string& name,
                          const std::string& payload);
 

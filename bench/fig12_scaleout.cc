@@ -25,15 +25,14 @@
 // smoke runs a small fleet); --check gates every engine on the
 // hardware-contract + fleet auditors.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/table.h"
 #include "serve/server.h"
+#include "telemetry/json.h"
 #include "updlrm/scaleout.h"
 
 namespace {
@@ -172,8 +171,12 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"workload", "method", "dpus", "max qps", "p99 (us)",
                     "vs 1x"});
-  std::ostringstream json_workloads;
-  bool first_workload = true;
+  using Layout = telemetry::JsonWriter::Layout;
+  telemetry::JsonWriter json;
+  json.BeginObject(Layout::kLines).Field("batch_size", scale.batch_size);
+  json.Field("slice_dpus", base.num_dpus).Key("fleet_dpus").BeginArray();
+  for (const std::uint32_t r : kReplicaCounts) json.Number(r * base.num_dpus);
+  json.EndArray().Key("workloads").BeginObject(Layout::kLines);
 
   for (const std::size_t wi : {std::size_t{0}, std::size_t{4}}) {
     const trace::DatasetSpec& spec = trace::Table1Workloads()[wi];
@@ -276,12 +279,12 @@ int main(int argc, char** argv) {
     }
 
     // Table rows + JSON.
-    std::ostringstream json_fleets;
+    json.Key(spec.name).BeginObject().Field("slo_us", NanosToMicros(slo_ns));
+    json.Key("fleets").BeginArray(Layout::kLines);
     for (std::size_t fi = 0; fi < std::size(kReplicaCounts); ++fi) {
       const std::uint32_t dpus = kReplicaCounts[fi] * base.num_dpus;
-      json_fleets << (fi > 0 ? ",\n" : "") << "      {\"dpus\": " << dpus
-                  << ", \"replicas\": " << kReplicaCounts[fi]
-                  << ", \"methods\": {";
+      json.BeginObject().Field("dpus", dpus);
+      json.Field("replicas", kReplicaCounts[fi]).Key("methods").BeginObject();
       for (std::size_t mi = 0; mi < methods.size(); ++mi) {
         const auto& [name, fleets] = methods[mi];
         const FleetResult& r = fleets[fi];
@@ -295,28 +298,20 @@ int main(int argc, char** argv) {
                             ? r.max_sustainable_qps / base_qps
                             : 0.0,
                         2) + "x"});
-        json_fleets << (mi > 0 ? ", " : "") << "\"" << name
-                    << "\": {\"max_sustainable_qps\": "
-                    << r.max_sustainable_qps << ", \"p99_us\": "
-                    << NanosToMicros(r.p99_at_capacity_ns) << "}";
+        json.Key(name).BeginObject();
+        json.Field("max_sustainable_qps", r.max_sustainable_qps);
+        json.Field("p99_us", NanosToMicros(r.p99_at_capacity_ns)).EndObject();
       }
-      json_fleets << "}}";
+      json.EndObject().EndObject();
     }
-    json_workloads << (first_workload ? "" : ",\n") << "    \""
-                   << spec.name << "\": {\"slo_us\": "
-                   << NanosToMicros(slo_ns) << ", \"fleets\": [\n"
-                   << json_fleets.str() << "\n    ]}";
-    first_workload = false;
+    json.EndArray().EndObject();
   }
   out.Print(std::cout);
 
-  std::ofstream json("BENCH_scaleout.json", std::ios::trunc);
-  json << "{\n  \"batch_size\": " << scale.batch_size
-       << ",\n  \"slice_dpus\": " << base.num_dpus
-       << ",\n  \"fleet_dpus\": [" << base.num_dpus << ", "
-       << 4 * base.num_dpus << ", " << 16 * base.num_dpus
-       << "],\n  \"workloads\": {\n"
-       << json_workloads.str() << "\n  }\n}\n";
+  json.EndObject().EndObject().Newline();
+  const Status written =
+      telemetry::WriteTextFile("BENCH_scaleout.json", json.str());
+  UPDLRM_CHECK_MSG(written.ok(), written.ToString());
   std::printf(
       "\nmax sustainable QPS = highest swept load with p99 <= 3x the "
       "uniform local replica's batch time and nothing shed; replicate "

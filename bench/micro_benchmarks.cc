@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -384,15 +383,18 @@ void WriteSimdThroughputRows() {
   const double gather_simd = MeasureGbps(RunUniqueCounts, kKeyBytes);
   const double merge_simd = MeasureGbps(RunRankMerge, kMergeBytes);
 
-  std::ostringstream payload;
-  payload << "{\"dispatch\": \""
-          << (simd::UsingAvx2() ? "avx2" : "scalar")
-          << "\", \"pooled_sum_gbps\": {\"scalar\": " << pooled_scalar
-          << ", \"simd\": " << pooled_simd
-          << "}, \"gather_map_gbps\": {\"scalar\": " << gather_scalar
-          << ", \"simd\": " << gather_simd
-          << "}, \"cross_rank_reduce_gbps\": {\"scalar\": " << merge_scalar
-          << ", \"simd\": " << merge_simd << "}}";
+  telemetry::JsonWriter payload;
+  payload.BeginObject().Field("dispatch",
+                              simd::UsingAvx2() ? "avx2" : "scalar");
+  const auto kernel = [&payload](const char* name, double scalar_gbps,
+                                 double simd_gbps) {
+    payload.Key(name).BeginObject().Field("scalar", scalar_gbps);
+    payload.Field("simd", simd_gbps).EndObject();
+  };
+  kernel("pooled_sum_gbps", pooled_scalar, pooled_simd);
+  kernel("gather_map_gbps", gather_scalar, gather_simd);
+  kernel("cross_rank_reduce_gbps", merge_scalar, merge_simd);
+  payload.EndObject();
   bench::WriteBenchHostEntry("micro_simd_kernels", payload.str());
   std::printf("# simd kernels: pooled-sum %.2f -> %.2f GB/s, "
               "gather-map %.2f -> %.2f GB/s, cross-rank reduce "
@@ -406,12 +408,11 @@ void WriteGraceMiningRow() {
   const MineWindow& w = GoodReadsMineWindow();
   const double mines_per_s = MeasureRunsPerSecond(RunGoodReadsMine);
   const double pairs_per_s = static_cast<double>(w.pairs) * mines_per_s;
-  std::ostringstream payload;
-  payload << "{\"samples\": " << w.table.num_samples()
-          << ", \"hot_items\": " << cache::GraceOptions{}.num_hot_items
-          << ", \"pairs_per_mine\": " << w.pairs
-          << ", \"mine_s\": " << 1.0 / mines_per_s
-          << ", \"pairs_per_s\": " << pairs_per_s << "}";
+  telemetry::JsonWriter payload;
+  payload.BeginObject().Field("samples", w.table.num_samples());
+  payload.Field("hot_items", cache::GraceOptions{}.num_hot_items);
+  payload.Field("pairs_per_mine", w.pairs).Field("mine_s", 1.0 / mines_per_s);
+  payload.Field("pairs_per_s", pairs_per_s).EndObject();
   bench::WriteBenchHostEntry("micro_grace_mining", payload.str());
   std::printf("# grace mining (GoodReads, %zu samples): %.3f s per table, "
               "%.1f M pairs/s -> BENCH_host.json\n",

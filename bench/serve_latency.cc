@@ -23,10 +23,10 @@
 // Flags: --arrival=poisson|uniform|bursty, --seed=N (trace seed
 // override), plus the usual --samples/--batch/--threads.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -34,6 +34,7 @@
 #include "pipeline/runner.h"
 #include "pipeline/tuner.h"
 #include "serve/server.h"
+#include "telemetry/json.h"
 
 int main(int argc, char** argv) {
   using namespace updlrm;
@@ -53,9 +54,14 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"method", "load", "offered qps", "p50 (us)",
                     "p99 (us)", "shed", "slo met"});
-  std::ostringstream rows;
-  std::ostringstream sustainable;
-  bool first_row = true;
+  // BENCH_serve.json, written as the sweep runs: slo_us and the
+  // sustainable QPS follow the rows because the sweep decides them.
+  using Layout = telemetry::JsonWriter::Layout;
+  telemetry::JsonWriter json;
+  json.BeginObject(Layout::kLines).Field("workload", spec.name);
+  json.Field("arrival", scale.arrival).Field("batch_size", scale.batch_size);
+  json.Key("rows").BeginArray(Layout::kLines);
+  std::vector<std::pair<std::string, double>> sustainable;
   // One workload-level p99 SLO for every method, so sustainable-QPS
   // numbers are comparable: 3x the uniform baseline's average serial
   // batch embedding time (uniform runs first below).
@@ -140,20 +146,16 @@ int main(int argc, char** argv) {
                     TablePrinter::Fmt(NanosToMicros(report.p99_ns), 1),
                     std::to_string(report.shed),
                     report.slo_met ? "yes" : "NO"});
-        if (!first_row) rows << ",\n";
-        first_row = false;
-        const std::string json = report.ToJson();
-        rows << "    {\"method\": \""
-             << partition::MethodShortName(method)
-             << "\", \"load\": " << load << ", " << json.substr(1);
+        json.BeginObject().Field("method", method_name).Field("load", load);
+        report.WriteFields(json);
+        json.EndObject();
       }
       // The serve executor drove every load sweep through this engine's
       // RunSamples, so one gate covers the whole method.
       bench::AssertChecksClean(
           **engine, std::string(partition::MethodShortName(method)));
-      if (sustainable.tellp() > 0) sustainable << ", ";
-      sustainable << "\"" << partition::MethodShortName(method)
-                  << "\": " << serve::MaxSustainableQps(points, slo_ns);
+      sustainable.emplace_back(partition::MethodShortName(method),
+                               serve::MaxSustainableQps(points, slo_ns));
     }
   }
 
@@ -273,12 +275,10 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(NanosToMicros(report.p99_ns), 1),
                   std::to_string(report.shed),
                   report.slo_met ? "yes" : "NO"});
-      if (!first_row) rows << ",\n";
-      first_row = false;
-      const std::string json = report.ToJson();
-      rows << "    {\"method\": \"CA\", \"path\": \"e2e\", \"plan\": \""
-           << pipeline::Name(tuned->best) << "\", \"load\": " << load
-           << ", " << json.substr(1);
+      json.BeginObject().Field("method", "CA").Field("path", "e2e");
+      json.Field("plan", pipeline::Name(tuned->best)).Field("load", load);
+      report.WriteFields(json);
+      json.EndObject();
     }
     if (scale.check) {
       if (audit.clean()) {
@@ -291,20 +291,18 @@ int main(int argc, char** argv) {
       }
     }
     bench::AssertChecksClean(**engine, "e2e");
-    if (sustainable.tellp() > 0) sustainable << ", ";
-    sustainable << "\"e2e\": "
-                << serve::MaxSustainableQps(points, e2e_slo_ns);
+    sustainable.emplace_back("e2e",
+                             serve::MaxSustainableQps(points, e2e_slo_ns));
   }
   out.Print(std::cout);
 
-  std::ofstream json("BENCH_serve.json", std::ios::trunc);
-  json << "{\n  \"workload\": \"" << spec.name
-       << "\",\n  \"arrival\": \"" << scale.arrival
-       << "\",\n  \"batch_size\": " << scale.batch_size
-       << ",\n  \"slo_us\": " << NanosToMicros(slo_ns)
-       << ",\n  \"rows\": [\n"
-       << rows.str() << "\n  ],\n  \"max_sustainable_qps\": {"
-       << sustainable.str() << "}\n}\n";
+  json.EndArray().Field("slo_us", NanosToMicros(slo_ns));
+  json.Key("max_sustainable_qps").BeginObject();
+  for (const auto& [name, qps] : sustainable) json.Field(name, qps);
+  json.EndObject().EndObject().Newline();
+  const Status written =
+      telemetry::WriteTextFile("BENCH_serve.json", json.str());
+  UPDLRM_CHECK_MSG(written.ok(), written.ToString());
   std::printf(
       "\nSLO = 3x the uniform baseline's average serial batch "
       "embedding time (one SLO for all methods; the e2e rows add 3x "

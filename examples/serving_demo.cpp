@@ -22,6 +22,7 @@
 #include "pipeline/runner.h"
 #include "pipeline/tuner.h"
 #include "serve/server.h"
+#include "telemetry/json.h"
 #include "trace/generator.h"
 
 using namespace updlrm;
@@ -144,8 +145,11 @@ int main(int argc, char** argv) {
   // The scorecard a load balancer would consume, as JSON.
   const serve::SloReport report = result->MakeSloReport(
       qps, /*slo_ns=*/3.0 * result->latency.PercentileNs(50.0));
-  std::printf("\nslo report (p99 vs 3x p50): %s\n",
-              report.ToJson().c_str());
+  telemetry::JsonWriter json;
+  json.BeginObject();
+  report.WriteFields(json);
+  json.EndObject();
+  std::printf("\nslo report (p99 vs 3x p50): %s\n", json.str().c_str());
 
   // --- End-to-end pipeline: tuned data flow, real CTR outputs. ---
   // A functional engine this time: materialized embedding tables, a

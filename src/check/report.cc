@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "telemetry/json.h"
+
 namespace updlrm::check {
 
 std::string_view RuleName(Rule rule) {
@@ -88,24 +90,17 @@ std::string CheckReport::ToString() const {
 }
 
 std::string CheckReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\"total\": " << total() << ", \"rules\": {";
-  bool first_rule = true;
+  telemetry::JsonWriter w;
+  w.BeginObject().Field("total", total()).Key("rules").BeginObject();
   for (std::size_t i = 0; i < kNumCheckRules; ++i) {
     const auto rule = static_cast<Rule>(i);
     const std::uint64_t n = count(rule);
     if (n == 0) continue;
-    if (!first_rule) out << ", ";
-    first_rule = false;
-    std::string offender = first_offender(rule);
-    for (char& c : offender) {
-      if (c == '"') c = '\'';
-    }
-    out << "\"" << RuleName(rule) << "\": {\"count\": " << n
-        << ", \"first\": \"" << offender << "\"}";
+    w.Key(RuleName(rule)).BeginObject().Field("count", n);
+    w.Field("first", first_offender(rule)).EndObject();
   }
-  out << "}}";
-  return out.str();
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 void CheckReport::Reset() {

@@ -75,7 +75,7 @@ class CheckReport {
   /// Per-rule table of nonzero counts with first-offender context;
   /// "all checks passed" when clean.
   std::string ToString() const;
-  /// {"total": N, "rules": {"<name>": {"count": N, "first": "..."}}}
+  /// {"total":N,"rules":{"<name>":{"count":N,"first":"..."}}}
   std::string ToJson() const;
 
   void Reset();

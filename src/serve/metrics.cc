@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace updlrm::serve {
 
@@ -77,27 +76,15 @@ Nanos LatencyHistogram::PercentileNs(double p) const {
   return max_;
 }
 
-namespace {
-std::string FmtDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-}  // namespace
-
-std::string SloReport::ToJson() const {
-  std::ostringstream os;
-  os << "{\"offered_qps\": " << FmtDouble(offered_qps)
-     << ", \"achieved_qps\": " << FmtDouble(achieved_qps)
-     << ", \"completed\": " << completed << ", \"shed\": " << shed
-     << ", \"p50_us\": " << FmtDouble(NanosToMicros(p50_ns))
-     << ", \"p95_us\": " << FmtDouble(NanosToMicros(p95_ns))
-     << ", \"p99_us\": " << FmtDouble(NanosToMicros(p99_ns))
-     << ", \"mean_us\": " << FmtDouble(NanosToMicros(mean_ns))
-     << ", \"max_us\": " << FmtDouble(NanosToMicros(max_ns))
-     << ", \"slo_us\": " << FmtDouble(NanosToMicros(slo_ns))
-     << ", \"slo_met\": " << (slo_met ? "true" : "false") << "}";
-  return os.str();
+void SloReport::WriteFields(telemetry::JsonWriter& w) const {
+  w.Field("offered_qps", offered_qps).Field("achieved_qps", achieved_qps);
+  w.Field("completed", completed).Field("shed", shed);
+  w.Field("p50_us", NanosToMicros(p50_ns));
+  w.Field("p95_us", NanosToMicros(p95_ns));
+  w.Field("p99_us", NanosToMicros(p99_ns));
+  w.Field("mean_us", NanosToMicros(mean_ns));
+  w.Field("max_us", NanosToMicros(max_ns));
+  w.Field("slo_us", NanosToMicros(slo_ns)).Field("slo_met", slo_met);
 }
 
 double MaxSustainableQps(std::span<const RatePoint> points, Nanos slo_ns) {

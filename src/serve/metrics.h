@@ -13,10 +13,10 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "telemetry/json.h"
 
 namespace updlrm::serve {
 
@@ -109,8 +109,9 @@ struct SloReport {
   Nanos slo_ns = 0.0;  // the p99 SLO this point was judged against
   bool slo_met = false;  // p99 <= slo and nothing shed
 
-  /// One JSON object (no trailing newline), stable key order.
-  std::string ToJson() const;
+  /// Writes the scorecard's members, in a stable key order, into the
+  /// caller's open JSON object.
+  void WriteFields(telemetry::JsonWriter& w) const;
 };
 
 /// What one serve run scored, shared by the embedding-only and the

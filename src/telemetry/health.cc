@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "telemetry/json.h"
 
 namespace updlrm::telemetry {
 
 namespace {
-
-void AppendNumber(std::ostringstream& os, double v) {
-  os.precision(15);
-  os << v;
-}
-
-void AppendBool(std::ostringstream& os, bool v) {
-  os << (v ? "true" : "false");
-}
 
 /// Rank bucket of the r-th most frequent item (r is 0-based):
 /// log-spaced so the hot head gets fine buckets and the cold tail
@@ -316,79 +306,47 @@ StragglerScorer::WindowVerdict StragglerScorer::ScoreWindow(
 
 // --- snapshot schema --------------------------------------------------
 
-std::string FleetHealthWindow::ToJson() const {
-  std::ostringstream os;
-  os << "{\"window\":" << index << ",\"start_ns\":";
-  AppendNumber(os, start_ns);
-  os << ",\"end_ns\":";
-  AppendNumber(os, end_ns);
-  os << ",\"drift\":[";
-  for (std::size_t i = 0; i < drift.size(); ++i) {
-    if (i > 0) os << ",";
-    const DriftWindow& d = drift[i];
-    os << "{\"table\":" << d.table << ",\"accesses\":"
-       << d.verdict.accesses << ",\"judged\":";
-    AppendBool(os, d.verdict.judged);
-    os << ",\"tv\":";
-    AppendNumber(os, d.verdict.tv_distance);
-    os << ",\"jaccard\":";
-    AppendNumber(os, d.verdict.topk_jaccard);
-    os << ",\"bad\":";
-    AppendBool(os, d.verdict.bad);
-    os << ",\"alert\":";
-    AppendBool(os, d.verdict.alerting);
-    os << "}";
+void FleetHealthWindow::WriteJson(JsonWriter& w) const {
+  w.BeginObject().Field("window", index).Field("start_ns", start_ns);
+  w.Field("end_ns", end_ns).Key("drift").BeginArray();
+  for (const DriftWindow& d : drift) {
+    const DriftDetector::WindowVerdict& v = d.verdict;
+    w.BeginObject().Field("table", d.table).Field("accesses", v.accesses);
+    w.Field("judged", v.judged).Field("tv", v.tv_distance);
+    w.Field("jaccard", v.topk_jaccard).Field("bad", v.bad);
+    w.Field("alert", v.alerting).EndObject();
   }
-  os << "]";
+  w.EndArray();
   if (has_slo) {
-    os << ",\"slo\":{\"completed\":" << slo.completed
-       << ",\"over_slo\":" << slo.over_slo << ",\"fast_burn\":";
-    AppendNumber(os, slo.fast_burn);
-    os << ",\"slow_burn\":";
-    AppendNumber(os, slo.slow_burn);
-    os << ",\"p99_ns\":";
-    AppendNumber(os, latency.Percentile(99.0));
-    os << ",\"alert\":";
-    AppendBool(os, slo.alerting);
-    os << "}";
+    w.Key("slo").BeginObject().Field("completed", slo.completed);
+    w.Field("over_slo", slo.over_slo).Field("fast_burn", slo.fast_burn);
+    w.Field("slow_burn", slo.slow_burn);
+    w.Field("p99_ns", latency.Percentile(99.0));
+    w.Field("alert", slo.alerting).EndObject();
   }
   if (has_health) {
-    os << ",\"health\":{\"judged\":";
-    AppendBool(os, health.judged);
-    os << ",\"active_units\":" << health.active_units << ",\"mean\":";
-    AppendNumber(os, health.mean_delta);
-    os << ",\"stddev\":";
-    AppendNumber(os, health.stddev_delta);
-    os << ",\"worst_unit\":" << health.worst_unit << ",\"max_z\":";
-    AppendNumber(os, health.max_z);
-    os << ",\"stragglers\":" << health.stragglers << ",\"alert\":";
-    AppendBool(os, health.alerting);
-    os << "}";
+    const StragglerScorer::WindowVerdict& h = health;
+    w.Key("health").BeginObject().Field("judged", h.judged);
+    w.Field("active_units", h.active_units).Field("mean", h.mean_delta);
+    w.Field("stddev", h.stddev_delta).Field("worst_unit", h.worst_unit);
+    w.Field("max_z", h.max_z).Field("stragglers", h.stragglers);
+    w.Field("alert", h.alerting).EndObject();
   }
-  os << "}";
-  return os.str();
+  w.EndObject();
 }
 
-std::string HealthSummary::ToJson() const {
-  std::ostringstream os;
-  os << "{\"summary\":{\"windows\":" << windows
-     << ",\"drift_bad_table_windows\":" << drift_bad_table_windows
-     << ",\"drift_tables_alerting\":" << drift_tables_alerting
-     << ",\"first_drift_alert_window\":" << first_drift_alert_window
-     << ",\"slo_alert_windows\":" << slo_alert_windows
-     << ",\"slo_alerting\":";
-  AppendBool(os, slo_alerting);
-  os << ",\"max_fast_burn\":";
-  AppendNumber(os, max_fast_burn);
-  os << ",\"max_slow_burn\":";
-  AppendNumber(os, max_slow_burn);
-  os << ",\"straggler_windows\":" << straggler_windows
-     << ",\"max_unit_z\":";
-  AppendNumber(os, max_unit_z);
-  os << ",\"completed\":" << latency.count() << ",\"p99_ns\":";
-  AppendNumber(os, latency.Percentile(99.0));
-  os << "}}";
-  return os.str();
+void HealthSummary::WriteJson(JsonWriter& w) const {
+  w.BeginObject().Key("summary").BeginObject().Field("windows", windows);
+  w.Field("drift_bad_table_windows", drift_bad_table_windows);
+  w.Field("drift_tables_alerting", drift_tables_alerting);
+  w.Field("first_drift_alert_window", first_drift_alert_window);
+  w.Field("slo_alert_windows", slo_alert_windows);
+  w.Field("slo_alerting", slo_alerting);
+  w.Field("max_fast_burn", max_fast_burn);
+  w.Field("max_slow_burn", max_slow_burn);
+  w.Field("straggler_windows", straggler_windows);
+  w.Field("max_unit_z", max_unit_z).Field("completed", latency.count());
+  w.Field("p99_ns", latency.Percentile(99.0)).EndObject().EndObject();
 }
 
 void HealthSummary::ExportTo(MetricsRegistry& registry,

@@ -39,6 +39,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "telemetry/json.h"
 #include "telemetry/registry.h"
 
 namespace updlrm::telemetry {
@@ -272,7 +273,7 @@ struct FleetHealthWindow {
   StragglerScorer::WindowVerdict health;
 
   /// One JSON object, single line (one JSONL record).
-  std::string ToJson() const;
+  void WriteJson(JsonWriter& w) const;
 };
 
 /// Final detector states, folded into BENCH_metrics.json at run end.
@@ -293,7 +294,8 @@ struct HealthSummary {
   /// Merge of every window's latency histogram (ValueHistogram::Merge).
   ValueHistogram latency;
 
-  std::string ToJson() const;
+  /// {"summary":{...}}: the JSONL stream's trailing record.
+  void WriteJson(JsonWriter& w) const;
   void ExportTo(MetricsRegistry& registry, const std::string& prefix) const;
 };
 

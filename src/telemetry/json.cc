@@ -1,8 +1,13 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <utility>
 
 namespace updlrm::telemetry {
 
@@ -118,42 +123,26 @@ class Parser {
     return value;
   }
 
-  Result<JsonValue> ParseNumber() {
+  /// Consumes a run of digits; false when there is none.
+  bool ConsumeDigits() {
     const std::size_t start = pos_;
-    if (Consume('-')) {
-    }
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Error("invalid number");
-    }
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("digits required after decimal point");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+    return pos_ > start;
+  }
+
+  Result<JsonValue> ParseNumber() {
+    const std::size_t start = pos_;
+    Consume('-');
+    if (!ConsumeDigits()) return Error("invalid number");
+    if (Consume('.') && !ConsumeDigits()) {
+      return Error("digits required after decimal point");
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() &&
-          (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("digits required in exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!ConsumeDigits()) return Error("digits required in exponent");
     }
     const std::string token(text_.substr(start, pos_ - start));
     const double value = std::strtod(token.c_str(), nullptr);
@@ -271,6 +260,164 @@ class Parser {
 
 Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
+}
+
+// --- writer -------------------------------------------------------------
+
+namespace {
+
+void AppendEscaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+}  // namespace
+
+/// Appends one value token after the comma its container needs (none
+/// for a container's first element or a key's value).
+JsonWriter& JsonWriter::Raw(std::string_view token) {
+  const bool first =
+      stack_.empty() || std::exchange(stack_.back().empty, false);
+  if (!std::exchange(after_key_, false) && !first) {
+    out_ += stack_.back().lines ? ",\n" : ",";
+  }
+  out_ += token;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Open(char open, char close, Layout layout) {
+  Raw(std::string_view(&open, 1));
+  const bool lines = layout == Layout::kLines;
+  if (lines) out_ += '\n';
+  stack_.push_back(Frame{close, lines, true});
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char close) {
+  UPDLRM_CHECK_MSG(
+      !stack_.empty() && stack_.back().close == close && !after_key_,
+      "JsonWriter: unbalanced close or dangling key");
+  if (stack_.back().lines) out_ += '\n';
+  out_ += close;
+  stack_.pop_back();
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  UPDLRM_CHECK_MSG(
+      !stack_.empty() && stack_.back().close == '}' && !after_key_,
+      "JsonWriter: key outside an object");
+  String(key);
+  out_ += ':';
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Raw("\"");
+  AppendEscaped(out_, value);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double value) {
+  if (!std::isfinite(value)) return Null();
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.15g", value);
+  return Raw({buf, static_cast<std::size_t>(n)});
+}
+
+JsonWriter& JsonWriter::Bool(bool value) {
+  return Raw(value ? "true" : "false");
+}
+
+JsonWriter& JsonWriter::Null() { return Raw("null"); }
+
+JsonWriter& JsonWriter::Value(const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      return Null();
+    case JsonValue::Type::kBool:
+      return Bool(value.AsBool());
+    case JsonValue::Type::kNumber: {
+      const double v = value.AsNumber();
+      // -0.0 stays a double so its sign survives.
+      const bool exact = std::fabs(v) <= 0x1p53 && v == std::trunc(v) &&
+                         !(v == 0.0 && std::signbit(v));
+      return exact ? Number(static_cast<std::int64_t>(v)) : Number(v);
+    }
+    case JsonValue::Type::kString:
+      return String(value.AsString());
+    case JsonValue::Type::kArray:
+      BeginArray();
+      for (const JsonValue& item : value.AsArray()) Value(item);
+      return EndArray();
+    case JsonValue::Type::kObject:
+      BeginObject();
+      for (const auto& [key, item] : value.AsObject()) Key(key).Value(item);
+      return EndObject();
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::Newline() {
+  UPDLRM_CHECK_MSG(stack_.empty() && !after_key_,
+                   "JsonWriter: newline inside an open document");
+  out_ += '\n';
+  return *this;
+}
+
+Status WriteTextFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  if (!out) return Status::InvalidArgument("cannot open " + path);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.flush();
+  if (!out) return Status::InvalidArgument("failed writing " + path);
+  return Status::Ok();
+}
+
+Status MergeJsonEntry(const std::string& path, const std::string& name,
+                      std::string_view payload) {
+  JsonObject entries;
+  if (std::ifstream in(path, std::ios::binary); in) {
+    std::ostringstream existing;
+    existing << in.rdbuf();
+    auto parsed = ParseJson(existing.str());
+    if (!parsed.ok() || !parsed->is_object()) {
+      return Status::InvalidArgument(
+          path + ": " +
+          (parsed.ok() ? "not a JSON object" : parsed.status().message()));
+    }
+    entries = parsed->AsObject();
+  }
+  auto entry = ParseJson(payload);
+  if (!entry.ok()) {
+    return Status::InvalidArgument(path + " entry \"" + name +
+                                   "\": " + entry.status().message());
+  }
+  entries[name] = std::move(entry).value();
+
+  JsonWriter writer;
+  writer.BeginObject(JsonWriter::Layout::kLines);
+  for (const auto& [key, value] : entries) writer.Key(key).Value(value);
+  writer.EndObject().Newline();
+  return WriteTextFile(path, writer.str());
 }
 
 }  // namespace updlrm::telemetry

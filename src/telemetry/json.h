@@ -1,20 +1,19 @@
-// Minimal JSON reader for validating the files this repo emits.
+// The repo's one JSON reader and one JSON writer.
 //
-// The exporters write JSON with ostream formatting; without a reader,
-// "the trace loads in Perfetto" would be an unchecked claim. This is a
-// strict recursive-descent parser over the JSON grammar (objects,
-// arrays, strings with escapes, numbers, true/false/null) — enough to
-// round-trip-check BENCH_*.json and the Chrome trace exporter
-// (trace_export.h), not a general-purpose JSON library. Duplicate keys
-// are rejected (our writers never produce them; catching one means a
-// merge bug).
+// ParseJson is a strict recursive-descent parser over the JSON grammar
+// — enough to round-trip-check every file JsonWriter emits, not a
+// general-purpose JSON library. Duplicate keys are rejected (our
+// writers never produce them; catching one means a merge bug).
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -71,5 +70,85 @@ class JsonValue {
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected). Errors carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
+
+/// Streaming JSON writer: the one place JSON is formatted. Escapes
+/// '"', '\\', '\n', '\r', '\t' with short escapes and other bytes below
+/// 0x20 as \u00XX (UTF-8 passes through); prints doubles as %.15g
+/// (non-finite ones, which JSON cannot spell, as null) and integers
+/// exactly; keeps the commas and nesting. Output is compact ("k":v); a
+/// container opened with Layout::kLines puts one element per line
+/// ("[\n" a ",\n" b "\n]"). It appends to one string instead of
+/// building a JsonValue tree, so key order is the caller's.
+class JsonWriter {
+ public:
+  enum class Layout { kCompact, kLines };
+
+  JsonWriter& BeginObject(Layout layout = Layout::kCompact) {
+    return Open('{', '}', layout);
+  }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray(Layout layout = Layout::kCompact) {
+    return Open('[', ']', layout);
+  }
+  JsonWriter& EndArray() { return Close(']'); }
+  /// Object member key; the next value written is its value.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Number(double value);
+  template <std::integral T>
+  JsonWriter& Number(T value) {
+    char buf[24];
+    return Raw({buf, std::to_chars(buf, buf + sizeof(buf), value).ptr});
+  }
+  JsonWriter& Bool(bool value);
+  JsonWriter& Null();
+  /// Re-emits a parsed document; numbers that are integers within
+  /// +-2^53 print exactly.
+  JsonWriter& Value(const JsonValue& value);
+
+  /// Key(key) plus the value, dispatched on its C++ type.
+  template <typename T>
+  JsonWriter& Field(std::string_view key, const T& value) {
+    Key(key);
+    if constexpr (std::is_same_v<T, bool>) {
+      return Bool(value);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      return Number(value);
+    } else {
+      return String(value);
+    }
+  }
+
+  /// Ends a top-level document with '\n' (a JSONL record, or a file).
+  JsonWriter& Newline();
+
+  const std::string& str() const { return out_; }
+
+ private:
+  struct Frame {
+    char close = '}';
+    bool lines = false;
+    bool empty = true;
+  };
+  JsonWriter& Raw(std::string_view token);
+  JsonWriter& Open(char open, char close, Layout layout);
+  JsonWriter& Close(char close);
+
+  std::string out_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
+};
+
+/// Writes `text` to `path`, replacing the file. Any open or write
+/// failure is InvalidArgument.
+Status WriteTextFile(const std::string& path, std::string_view text);
+
+/// Sets entry `name` of the JSON object file at `path` (created when
+/// missing; one entry per line, in name order) to the JSON `payload`.
+/// A file that is not a JSON object, or a payload that does not parse,
+/// fails and leaves the file untouched.
+Status MergeJsonEntry(const std::string& path, const std::string& name,
+                      std::string_view payload);
 
 }  // namespace updlrm::telemetry

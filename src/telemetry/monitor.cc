@@ -1,9 +1,8 @@
 #include "telemetry/monitor.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
+#include "telemetry/json.h"
 #include "telemetry/tracer.h"
 
 namespace updlrm::telemetry {
@@ -221,26 +220,18 @@ void FleetMonitor::Finalize() {
 
 std::string FleetMonitor::ToJsonl() const {
   UPDLRM_CHECK(finalized_);
-  std::ostringstream os;
-  os.precision(15);
-  os << "{\"schema\":\"updlrm.health.v1\",\"window_ns\":"
-     << options_.window_ns << ",\"tables\":" << drift_.size()
-     << ",\"units\":"
-     << (scorer_ == nullptr ? 0 : scorer_->num_units()) << "}\n";
+  JsonWriter w;
+  w.BeginObject().Field("schema", "updlrm.health.v1");
+  w.Field("window_ns", options_.window_ns).Field("tables", drift_.size());
+  w.Field("units", scorer_ == nullptr ? 0 : scorer_->num_units());
+  w.EndObject().Newline();
   for (const FleetHealthWindow& window : windows_) {
-    os << window.ToJson() << "\n";
+    window.WriteJson(w);
+    w.Newline();
   }
-  os << summary_.ToJson() << "\n";
-  return os.str();
-}
-
-Status FleetMonitor::WriteJsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::NotFound("cannot open " + path);
-  out << ToJsonl();
-  out.flush();
-  if (!out) return Status::InvalidArgument("write failed: " + path);
-  return Status::Ok();
+  summary_.WriteJson(w);
+  w.Newline();
+  return w.str();
 }
 
 void FleetMonitor::ExportTo(MetricsRegistry& registry,

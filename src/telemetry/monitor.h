@@ -90,7 +90,6 @@ class FleetMonitor {
   /// The --health-out stream: schema header line, one line per window,
   /// trailing summary line (ValidateHealthJsonl checks the shape).
   std::string ToJsonl() const;
-  Status WriteJsonl(const std::string& path) const;
   /// Folds the summary into `registry` under "<prefix>." keys.
   void ExportTo(MetricsRegistry& registry, const std::string& prefix) const;
   /// Emits per-window counter ("C") events on the simulated clock when

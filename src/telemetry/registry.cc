@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/status.h"
+#include "telemetry/json.h"
 
 namespace updlrm::telemetry {
 
@@ -34,11 +34,6 @@ double BucketUpper(int i) {
     return BucketLower(ValueHistogram::kNumBuckets - 1) * 10.0;
   }
   return BucketLower(i + 1);
-}
-
-void AppendNumber(std::ostringstream& os, double v) {
-  os.precision(15);
-  os << v;
 }
 
 }  // namespace
@@ -150,45 +145,20 @@ bool MetricsRegistry::Has(const std::string& name) const {
 
 std::string MetricsRegistry::ToJson() const {
   MutexLock lock(mu_);
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":";
-    AppendNumber(os, value);
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":";
-    AppendNumber(os, value);
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  JsonWriter w;
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, value] : counters_) w.Field(name, value);
+  w.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, value] : gauges_) w.Field(name, value);
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h.count();
-    os << ",\"mean\":";
-    AppendNumber(os, h.Mean());
-    os << ",\"p50\":";
-    AppendNumber(os, h.Percentile(50.0));
-    os << ",\"p95\":";
-    AppendNumber(os, h.Percentile(95.0));
-    os << ",\"p99\":";
-    AppendNumber(os, h.Percentile(99.0));
-    os << ",\"min\":";
-    AppendNumber(os, h.min());
-    os << ",\"max\":";
-    AppendNumber(os, h.max());
-    os << "}";
+    w.Key(name).BeginObject().Field("count", h.count());
+    w.Field("mean", h.Mean()).Field("p50", h.Percentile(50.0));
+    w.Field("p95", h.Percentile(95.0)).Field("p99", h.Percentile(99.0));
+    w.Field("min", h.min()).Field("max", h.max()).EndObject();
   }
-  os << "}}";
-  return os.str();
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 void MetricsRegistry::Reset() {

@@ -1,5 +1,6 @@
 #include "telemetry/trace_export.h"
 
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -10,160 +11,76 @@ namespace updlrm::telemetry {
 
 namespace {
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+/// Phase letter and the "cat" written when the event names none
+/// (nullptr: the phase carries no "cat").
+struct Phase {
+  const char* ph;
+  const char* default_category;
+};
 
-std::string FmtNumber(double v) {
-  std::ostringstream os;
-  os.precision(15);
-  os << v;
-  return os.str();
-}
-
-/// ts is exported in microseconds per the trace-event format.
-void AppendCommonFields(std::string& out, const TraceEvent& e) {
-  out += "\"ts\":";
-  out += FmtNumber(e.ts_ns / 1.0e3);
-  out += ",\"pid\":";
-  out += std::to_string(e.pid);
-  out += ",\"tid\":";
-  out += std::to_string(e.tid);
-}
-
-void AppendName(std::string& out, const char* name) {
-  out += "\"name\":\"";
-  AppendEscaped(out, name != nullptr ? name : "(unnamed)");
-  out += "\"";
-}
-
-void AppendCategory(std::string& out, const char* category,
-                    const char* fallback) {
-  out += ",\"cat\":\"";
-  AppendEscaped(out, category != nullptr ? category : fallback);
-  out += "\"";
-}
-
-void AppendArgs(std::string& out, const TraceEvent& e) {
-  if (e.arg_name[0] == nullptr && e.arg_name[1] == nullptr) return;
-  out += ",\"args\":{";
-  bool first = true;
-  for (int i = 0; i < 2; ++i) {
-    if (e.arg_name[i] == nullptr) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    AppendEscaped(out, e.arg_name[i]);
-    out += "\":";
-    out += FmtNumber(e.arg_value[i]);
-  }
-  out += "}";
-}
-
-void AppendEvent(std::string& out, const TraceEvent& e) {
-  out += "{";
+Phase PhaseOf(const TraceEvent& e) {
+  const char* clock = e.clock == Clock::kSim ? "sim" : "host";
   switch (e.kind) {
-    case EventKind::kBegin:
-      AppendName(out, e.name);
-      AppendCategory(out, e.category, "host");
-      out += ",\"ph\":\"B\",";
-      AppendCommonFields(out, e);
-      AppendArgs(out, e);
-      break;
-    case EventKind::kEnd:
-      // "E" closes the innermost open "B" on the same (pid, tid);
-      // name/cat are optional and omitted.
-      out += "\"ph\":\"E\",";
-      AppendCommonFields(out, e);
-      break;
-    case EventKind::kComplete:
-      AppendName(out, e.name);
-      AppendCategory(out, e.category,
-                     e.clock == Clock::kSim ? "sim" : "host");
-      out += ",\"ph\":\"X\",";
-      AppendCommonFields(out, e);
-      out += ",\"dur\":";
-      out += FmtNumber(e.dur_ns / 1.0e3);
-      AppendArgs(out, e);
-      break;
-    case EventKind::kInstant:
-      AppendName(out, e.name);
-      AppendCategory(out, e.category,
-                     e.clock == Clock::kSim ? "sim" : "host");
-      out += ",\"ph\":\"i\",\"s\":\"t\",";
-      AppendCommonFields(out, e);
-      AppendArgs(out, e);
-      break;
-    case EventKind::kCounter:
-      AppendName(out, e.name);
-      out += ",\"ph\":\"C\",";
-      AppendCommonFields(out, e);
-      out += ",\"args\":{\"value\":";
-      out += FmtNumber(e.value);
-      out += "}";
-      break;
-    case EventKind::kAsyncBegin:
-    case EventKind::kAsyncEnd:
-      AppendName(out, e.name);
-      AppendCategory(out, e.category, "async");
-      out += ",\"ph\":\"";
-      out += e.kind == EventKind::kAsyncBegin ? "b" : "e";
-      out += "\",\"id\":\"0x";
-      {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llx",
-                      static_cast<unsigned long long>(e.async_id));
-        out += buf;
-      }
-      out += "\",";
-      AppendCommonFields(out, e);
-      AppendArgs(out, e);
-      break;
+    case EventKind::kBegin: return {"B", "host"};
+    // "E" closes the innermost open "B" on the same (pid, tid);
+    // name/cat are optional and omitted.
+    case EventKind::kEnd: return {"E", nullptr};
+    case EventKind::kComplete: return {"X", clock};
+    case EventKind::kInstant: return {"i", clock};
+    case EventKind::kCounter: return {"C", nullptr};
+    case EventKind::kAsyncBegin: return {"b", "async"};
+    case EventKind::kAsyncEnd: return {"e", "async"};
   }
-  out += "}";
+  return {"i", clock};
 }
 
-void AppendMetadata(std::string& out, std::int32_t pid, std::int64_t tid,
-                    const char* which, const std::string& name,
-                    bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  out += "{\"name\":\"";
-  out += which;
-  out += "\",\"ph\":\"M\",\"pid\":";
-  out += std::to_string(pid);
-  out += ",\"tid\":";
-  out += std::to_string(tid);
-  out += ",\"args\":{\"name\":\"";
-  AppendEscaped(out, name);
-  out += "\"}}";
+/// ts and dur are exported in microseconds per the trace-event format.
+void WriteEvent(JsonWriter& w, const TraceEvent& e) {
+  const Phase phase = PhaseOf(e);
+  w.BeginObject();
+  if (e.kind != EventKind::kEnd) {
+    w.Field("name", e.name != nullptr ? e.name : "(unnamed)");
+  }
+  if (phase.default_category != nullptr) {
+    w.Field("cat",
+            e.category != nullptr ? e.category : phase.default_category);
+  }
+  w.Field("ph", phase.ph);
+  if (e.kind == EventKind::kInstant) w.Field("s", "t");
+  if (e.kind == EventKind::kAsyncBegin || e.kind == EventKind::kAsyncEnd) {
+    char id[32];
+    std::snprintf(id, sizeof(id), "0x%llx",
+                  static_cast<unsigned long long>(e.async_id));
+    w.Field("id", id);
+  }
+  w.Field("ts", e.ts_ns / 1.0e3).Field("pid", e.pid).Field("tid", e.tid);
+  if (e.kind == EventKind::kComplete) w.Field("dur", e.dur_ns / 1.0e3);
+  if (e.kind == EventKind::kCounter) {
+    w.Key("args").BeginObject().Field("value", e.value).EndObject();
+  } else if (e.kind != EventKind::kEnd &&
+             (e.arg_name[0] != nullptr || e.arg_name[1] != nullptr)) {
+    w.Key("args").BeginObject();
+    for (int i = 0; i < 2; ++i) {
+      if (e.arg_name[i] != nullptr) w.Field(e.arg_name[i], e.arg_value[i]);
+    }
+    w.EndObject();
+  }
+  w.EndObject();
+}
+
+void WriteMetadata(JsonWriter& w, std::int32_t pid, std::int64_t tid,
+                   const char* which, const std::string& name) {
+  w.BeginObject().Field("name", which).Field("ph", "M").Field("pid", pid);
+  w.Field("tid", tid).Key("args").BeginObject().Field("name", name);
+  w.EndObject().EndObject();
 }
 
 }  // namespace
 
 std::string ToChromeTraceJson(const Tracer& tracer,
                               const std::vector<TraceEvent>& events) {
-  std::string out;
-  out.reserve(events.size() * 96 + 1024);
-  out += "{\"traceEvents\":[\n";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray(JsonWriter::Layout::kLines);
 
   // Metadata: default process names for the well-known pids, overlaid
   // with whatever the emitters registered.
@@ -182,26 +99,22 @@ std::string ToChromeTraceJson(const Tracer& tracer,
   }
   for (const auto& [pid, name] : processes) {
     if (used_pids.count(pid) == 0) continue;
-    AppendMetadata(out, pid, 0, "process_name", name, first);
+    WriteMetadata(w, pid, 0, "process_name", name);
   }
   for (const auto& [key, name] : tracer.thread_names()) {
-    AppendMetadata(out, key.first, key.second, "thread_name", name, first);
+    WriteMetadata(w, key.first, key.second, "thread_name", name);
   }
 
-  for (const TraceEvent& e : events) {
-    if (!first) out += ",\n";
-    first = false;
-    AppendEvent(out, e);
-  }
-  out += "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{";
-  out += "\"clockDomains\":\"pid 1 = host wall clock; other pids = "
-         "simulated nanoseconds\"";
-  out += ",\"recordedEvents\":" + std::to_string(events.size());
-  out += ",\"droppedEvents\":" + std::to_string(tracer.dropped_events());
-  out += ",\"sampledOutSpans\":" +
-         std::to_string(tracer.sampled_out_events());
-  out += "}}\n";
-  return out;
+  for (const TraceEvent& e : events) WriteEvent(w, e);
+  w.EndArray().Field("displayTimeUnit", "ns");
+  w.Key("otherData").BeginObject().Field(
+      "clockDomains",
+      "pid 1 = host wall clock; other pids = simulated nanoseconds");
+  w.Field("recordedEvents", events.size());
+  w.Field("droppedEvents", tracer.dropped_events());
+  w.Field("sampledOutSpans", tracer.sampled_out_events());
+  w.EndObject().EndObject().Newline();
+  return w.str();
 }
 
 std::string ToChromeTraceJson(const Tracer& tracer) {
@@ -214,14 +127,7 @@ Status WriteChromeTrace(const Tracer& tracer, const std::string& path) {
     return Status::FailedPrecondition(
         "trace is empty: no events were recorded (is tracing enabled?)");
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument("cannot open trace file " + path);
-  }
-  out << ToChromeTraceJson(tracer, events);
-  out.flush();
-  if (!out) return Status::InvalidArgument("failed writing " + path);
-  return Status::Ok();
+  return WriteTextFile(path, ToChromeTraceJson(tracer, events));
 }
 
 namespace {

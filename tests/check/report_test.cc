@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/json.h"
+
 namespace updlrm::check {
 namespace {
 
@@ -42,12 +44,21 @@ TEST(CheckReportTest, ToStringAndJsonListNonzeroRules) {
   const std::string text = report.ToString();
   EXPECT_NE(text.find("bank-bounds"), std::string::npos);
   EXPECT_NE(text.find("offset 1 << 40"), std::string::npos);
-  const std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"total\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"bank-bounds\""), std::string::npos);
-  // JSON context is quote-sanitized.
-  report.AddViolation(Rule::kDmaSize, "a \"quoted\" context");
-  EXPECT_EQ(report.ToJson().find("\"quoted\""), std::string::npos);
+  auto json = telemetry::ParseJson(report.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("total")->AsNumber(), 1.0);
+  EXPECT_NE(json->Find("rules")->Find("bank-bounds"), nullptr);
+  // The offender context round-trips byte for byte: quotes, a
+  // backslash and control characters are escaped, not rewritten.
+  const std::string offender = std::string("a \"quoted\" \\ ctx") + "\n\x01";
+  report.AddViolation(Rule::kDmaSize, offender);
+  auto quoted = telemetry::ParseJson(report.ToJson());
+  ASSERT_TRUE(quoted.ok()) << quoted.status().ToString();
+  EXPECT_EQ(quoted->Find("total")->AsNumber(), 2.0);
+  const telemetry::JsonValue* first =
+      quoted->Find("rules")->Find("dma-size")->Find("first");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->AsString(), offender);
 }
 
 TEST(CheckReportTest, ResetClearsCountsAndOffenders) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "telemetry/json.h"
 
 namespace updlrm::serve {
 namespace {
@@ -108,7 +109,7 @@ TEST(StageUtilizationTest, ComputesBusyFractions) {
   EXPECT_DOUBLE_EQ(u.HostUtilization(), 0.0);
 }
 
-TEST(SloReportTest, ToJsonHasStableKeysAndUnits) {
+TEST(SloReportTest, WritesStableKeysAndUnitsIntoAnOpenObject) {
   SloReport report;
   report.offered_qps = 10000.0;
   report.achieved_qps = 9800.5;
@@ -121,12 +122,18 @@ TEST(SloReportTest, ToJsonHasStableKeysAndUnits) {
   report.max_ns = 500'000.0;
   report.slo_ns = 400'000.0;
   report.slo_met = false;
-  const std::string json = report.ToJson();
-  EXPECT_EQ(json,
-            "{\"offered_qps\": 10000, \"achieved_qps\": 9800.5, "
-            "\"completed\": 640, \"shed\": 3, \"p50_us\": 120, "
-            "\"p95_us\": 300, \"p99_us\": 450, \"mean_us\": 140, "
-            "\"max_us\": 500, \"slo_us\": 400, \"slo_met\": false}");
+  // The caller owns the object: its own members come first, the
+  // report's follow in a fixed order with the comma bookkeeping done.
+  telemetry::JsonWriter w;
+  w.BeginObject().Field("method", "U");
+  report.WriteFields(w);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"method\":\"U\",\"offered_qps\":10000,"
+            "\"achieved_qps\":9800.5,\"completed\":640,\"shed\":3,"
+            "\"p50_us\":120,\"p95_us\":300,\"p99_us\":450,"
+            "\"mean_us\":140,\"max_us\":500,\"slo_us\":400,"
+            "\"slo_met\":false}");
 }
 
 TEST(MaxSustainableQpsTest, PicksHighestQualifyingRate) {

@@ -214,5 +214,104 @@ TEST_F(ExportTest, ContainsEventFindsNonMetadataNames) {
   EXPECT_FALSE(*has_meta);
 }
 
+// Fixed synthetic trace: every phase, both clocks, fallbacks for null
+// names/categories, arg formatting and names that need escaping.
+std::vector<TraceEvent> GoldenEvents() {
+  std::vector<TraceEvent> events;
+  events.reserve(16);
+  auto add = [&events](EventKind kind, std::int32_t pid, std::int64_t tid,
+                       Clock clock, const char* name, const char* category,
+                       double ts_ns) -> TraceEvent& {
+    TraceEvent e;
+    e.kind = kind;
+    e.pid = pid;
+    e.tid = tid;
+    e.clock = clock;
+    e.name = name;
+    e.category = category;
+    e.ts_ns = ts_ns;
+    events.push_back(e);
+    return events.back();
+  };
+  TraceEvent& begin = add(EventKind::kBegin, kHostPid, 0, Clock::kHost,
+                          "setup \"phase\"", nullptr, 1234.5678);
+  begin.arg_name[0] = "rows";
+  begin.arg_value[0] = 4096.0;
+  add(EventKind::kEnd, kHostPid, 0, Clock::kHost, "setup", "engine",
+      98765.4321);
+  TraceEvent& kernel = add(EventKind::kComplete, kDpuPid, 255, Clock::kSim,
+                           "kernel", nullptr, 2.0e9 + 0.125);
+  kernel.dur_ns = 1.0 / 3.0;
+  kernel.arg_name[0] = "cycles";
+  kernel.arg_value[0] = 175.0;
+  kernel.arg_name[1] = "path\\dir";
+  kernel.arg_value[1] = -2.5e-7;
+  TraceEvent& host_slice = add(EventKind::kComplete, kHostPid, 3,
+                               Clock::kHost, nullptr, "engine", 0.0);
+  host_slice.dur_ns = 1.0e15;
+  host_slice.arg_name[1] = "only_second";
+  host_slice.arg_value[1] = 12345678901234567.0;
+  add(EventKind::kInstant, kPipelinePid, 1, Clock::kSim, "drop\tmark",
+      nullptr, 10.0);
+  TraceEvent& mark = add(EventKind::kInstant, kHostPid, 2, Clock::kHost,
+                         "host_mark", "serve", 7.0);
+  mark.arg_name[0] = "depth";
+  mark.arg_value[0] = 3.0;
+  TraceEvent& counter = add(EventKind::kCounter, kPipelinePid, 0,
+                            Clock::kSim, "queue_depth", "ignored", 1e3);
+  counter.value = 0.1;
+  counter.arg_name[0] = "ignored_arg";
+  add(EventKind::kAsyncBegin, kRequestPid, 0, Clock::kSim, "request",
+      nullptr, 100.0)
+      .async_id = 0xdeadbeefULL;
+  add(EventKind::kAsyncEnd, kRequestPid, 0, Clock::kSim, "request",
+      "request", 3100.0)
+      .async_id = 0xdeadbeefULL;
+  TraceEvent& ctl = add(EventKind::kComplete, kRankPid, 1, Clock::kSim,
+                        "ctl\x01\x1f\r\n", "cat\"q", 5.0);
+  ctl.dur_ns = 0.0;
+  return events;
+}
+
+void NameGoldenTracks(Tracer& tracer) {
+  tracer.SetProcessName(kDpuPid, "DPU \"array\"\n(sim)");
+  tracer.SetProcessName(42, "unused pid");  // no event: no metadata
+  tracer.SetThreadName(kDpuPid, 255, "dpu\\255\t");
+  tracer.SetThreadName(kHostPid, 0, "main");
+  tracer.CountSampledOut(3);
+}
+
+// The exporter's exact output bytes: a change to the trace format
+// shows here, not only in whether it parses.
+constexpr char kGoldenTrace[] = R"golden({"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"host threads (wall clock)"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"pipeline (simulated time)"}},
+{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"requests (simulated time)"}},
+{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"DPU \"array\"\n(sim)"}},
+{"name":"process_name","ph":"M","pid":6,"tid":0,"args":{"name":"rank rollup (simulated time)"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"main"}},
+{"name":"thread_name","ph":"M","pid":4,"tid":255,"args":{"name":"dpu\\255\t"}},
+{"name":"setup \"phase\"","cat":"host","ph":"B","ts":1.2345678,"pid":1,"tid":0,"args":{"rows":4096}},
+{"ph":"E","ts":98.7654321,"pid":1,"tid":0},
+{"name":"kernel","cat":"sim","ph":"X","ts":2000000.000125,"pid":4,"tid":255,"dur":0.000333333333333333,"args":{"cycles":175,"path\\dir":-2.5e-07}},
+{"name":"(unnamed)","cat":"engine","ph":"X","ts":0,"pid":1,"tid":3,"dur":1000000000000,"args":{"only_second":1.23456789012346e+16}},
+{"name":"drop\tmark","cat":"sim","ph":"i","s":"t","ts":0.01,"pid":2,"tid":1},
+{"name":"host_mark","cat":"serve","ph":"i","s":"t","ts":0.007,"pid":1,"tid":2,"args":{"depth":3}},
+{"name":"queue_depth","ph":"C","ts":1,"pid":2,"tid":0,"args":{"value":0.1}},
+{"name":"request","cat":"async","ph":"b","id":"0xdeadbeef","ts":0.1,"pid":3,"tid":0},
+{"name":"request","cat":"request","ph":"e","id":"0xdeadbeef","ts":3.1,"pid":3,"tid":0},
+{"name":"ctl\u0001\u001f\r\n","cat":"cat\"q","ph":"X","ts":0.005,"pid":6,"tid":1,"dur":0}
+],"displayTimeUnit":"ns","otherData":{"clockDomains":"pid 1 = host wall clock; other pids = simulated nanoseconds","recordedEvents":10,"droppedEvents":0,"sampledOutSpans":3}}
+)golden";
+
+TEST_F(ExportTest, GoldenTraceBytesArePinned) {
+  Tracer& tracer = Tracer::Get();
+  tracer.Enable();
+  NameGoldenTracks(tracer);
+  tracer.Disable();
+  EXPECT_EQ(ToChromeTraceJson(tracer, GoldenEvents()), kGoldenTrace);
+  EXPECT_TRUE(ValidateChromeTraceJson(kGoldenTrace).ok());
+}
+
 }  // namespace
 }  // namespace updlrm::telemetry
