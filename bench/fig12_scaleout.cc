@@ -11,22 +11,25 @@
 //     near-linear rather than free.
 //   shard (CA only) — one ShardedEngine spreads every table's rows
 //     across the same rank groups via the statistical tiering plan
-//     (partition/tiering.h, RecShard-style CDF split with a host-DRAM
-//     cold tier) and merges partials through the priced reduction
-//     tree. Sharding shrinks per-shard capacity pressure, not pull
-//     bytes, so its throughput curve is the contrast to the replicate
-//     rows.
+//     (partition/tiering.h, RecShard-style CDF split; accessed rows
+//     spill to host DRAM only when a shard is full) and merges
+//     partials through the priced reduction tree. Sharding shrinks
+//     per-shard capacity pressure, not pull bytes, so its throughput
+//     curve is the contrast to the replicate rows.
 //
 // Per fleet size the bench calibrates pipeline capacity offline, sweeps
 // offered load, and reports the highest load whose p99 holds a
 // 3x-batch-time SLO with nothing shed. Emits BENCH_scaleout.json with
 // one entry per fleet size per method (max_sustainable_qps + p99 at
-// capacity). --dpus/--ranks resize one replica/shard slice (the CI
-// smoke runs a small fleet); --check gates every engine on the
-// hardware-contract + fleet auditors.
+// capacity; CA-shard rows add the mean per-batch host aggregate and
+// its parts: shard reduce, DRAM gather, merge tree). --dpus/--ranks
+// resize one replica/shard slice (the CI smoke runs a small fleet);
+// --check gates every engine on the hardware-contract + fleet
+// auditors.
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
@@ -45,6 +48,10 @@ constexpr double kLoadFactors[] = {0.6, 0.8, 1.0, 1.2};
 struct Calibration {
   double capacity_qps = 0.0;
   Nanos batch_total = 0.0;
+  // Mean per-batch host aggregate and its parts (nonzero parts on
+  // sharded engines only).
+  Nanos aggregate = 0.0;
+  core::AggregateParts aggregate_parts;
 };
 
 // One offline pass: steady-state capacity = batch_size / time of the
@@ -61,6 +68,10 @@ Calibration Calibrate(EngineT& engine, std::size_t batch_size) {
   const Nanos dpu_per_batch = profile->stages.dpu_lookup / nb;
   Calibration cal;
   cal.batch_total = profile->stages.EmbeddingTotal() / nb;
+  cal.aggregate = profile->stages.cpu_aggregate / nb;
+  const core::AggregateParts& parts = profile->aggregate_parts;
+  cal.aggregate_parts = {parts.shard_reduce / nb, parts.dram_gather / nb,
+                         parts.merge_tree / nb};
   cal.capacity_qps = static_cast<double>(batch_size) /
                      (std::max(host_per_batch, dpu_per_batch) /
                       kNanosPerSecond);
@@ -106,6 +117,9 @@ std::vector<LoadPoint> Sweep(EngineT& engine, const bench::Workload& w,
 struct FleetResult {
   double max_sustainable_qps = 0.0;
   Nanos p99_at_capacity_ns = 0.0;
+  // CA-shard rows only: the offline calibration, whose mean per-batch
+  // host aggregate and its three parts go into BENCH_scaleout.json.
+  std::optional<Calibration> shard_calibration;
 };
 
 // Combines one local + (replicas - 1) remote replicas: aggregate
@@ -238,7 +252,8 @@ int main(int argc, char** argv) {
     }
 
     // Sharded contrast: one model spread across the same rank groups
-    // (shard 0 local, the rest remote), cold tail in host DRAM.
+    // (shard 0 local, the rest remote); only zero-frequency rows sit
+    // in host DRAM.
     {
       timer.BeginPhase("shard");
       std::vector<FleetResult> fleets;
@@ -246,7 +261,6 @@ int main(int argc, char** argv) {
         core::ShardedEngineConfig fleet;
         fleet.shard_system = base;
         fleet.tiering.num_shards = shards;
-        fleet.tiering.dram_epsilon = 0.02;
         fleet.fleet_topology.ranks_per_host = base_ranks;
         auto sharded = core::ShardedEngine::Create(
             nullptr, w.config, w.trace, fleet,
@@ -274,6 +288,7 @@ int main(int argc, char** argv) {
         bench::WriteHealthArtifacts(monitor.get(), scale);
         fleets.push_back(
             SingleEngineResult(points, cal.capacity_qps, slo_ns));
+        fleets.back().shard_calibration = cal;
       }
       methods.emplace_back("CA-shard", std::move(fleets));
     }
@@ -300,7 +315,18 @@ int main(int argc, char** argv) {
                         2) + "x"});
         json.Key(name).BeginObject();
         json.Field("max_sustainable_qps", r.max_sustainable_qps);
-        json.Field("p99_us", NanosToMicros(r.p99_at_capacity_ns)).EndObject();
+        json.Field("p99_us", NanosToMicros(r.p99_at_capacity_ns));
+        if (r.shard_calibration.has_value()) {
+          const Calibration& cal = *r.shard_calibration;
+          json.Field("aggregate_us", NanosToMicros(cal.aggregate));
+          json.Field("shard_reduce_us",
+                     NanosToMicros(cal.aggregate_parts.shard_reduce));
+          json.Field("dram_gather_us",
+                     NanosToMicros(cal.aggregate_parts.dram_gather));
+          json.Field("merge_tree_us",
+                     NanosToMicros(cal.aggregate_parts.merge_tree));
+        }
+        json.EndObject();
       }
       json.EndObject().EndObject();
     }

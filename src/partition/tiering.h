@@ -9,7 +9,10 @@
 //   * host-DRAM tier — the coldest tail of the access CDF (at most
 //     `dram_epsilon` of the table's total access mass, always including
 //     never-accessed rows) stays host-side; the serving layer answers
-//     those lookups from the reference table at CPU gather cost;
+//     those lookups from the reference table at CPU gather cost. The
+//     sharded engine hands this planner a zero epsilon (a DRAM gather
+//     costs the host more than a PIM lookup), so there accessed rows
+//     stay on PIM unless a shard is full;
 //   * PIM tier — every remaining row is assigned to exactly one shard
 //     by greedy least-loaded placement in descending-frequency order,
 //     so each shard receives an equal slice of the access mass (not

@@ -37,8 +37,27 @@ struct StageBreakdown {
   }
 };
 
+/// The sharded fleet's host aggregate split into its three parts. Per
+/// batch, stages.cpu_aggregate == max(shard_reduce, dram_gather) +
+/// merge_tree exactly: the DRAM-tier gather overlaps the shards'
+/// concurrent reduces, and the cross-shard merge tree follows both.
+/// All zero on the flat engine.
+struct AggregateParts {
+  Nanos shard_reduce = 0.0;  // slowest shard's own partial-sum reduce
+  Nanos dram_gather = 0.0;   // host-DRAM tier's cold-row gather
+  Nanos merge_tree = 0.0;    // cross-shard merge tree
+
+  AggregateParts& operator+=(const AggregateParts& other) {
+    shard_reduce += other.shard_reduce;
+    dram_gather += other.dram_gather;
+    merge_tree += other.merge_tree;
+    return *this;
+  }
+};
+
 struct BatchResult {
   StageBreakdown stages;
+  AggregateParts aggregate_parts;
   Nanos bottom_mlp = 0.0;
   Nanos interaction_top = 0.0;  // interaction + top MLP
   /// End-to-end batch latency; the bottom MLP overlaps the embedding
@@ -77,6 +96,7 @@ struct BatchResult {
 
 struct InferenceReport {
   StageBreakdown stages;  // summed over batches
+  AggregateParts aggregate_parts;  // summed over batches
   Nanos bottom_mlp = 0.0;
   Nanos interaction_top = 0.0;
   Nanos total = 0.0;
@@ -95,6 +115,7 @@ struct InferenceReport {
 
   void Accumulate(const BatchResult& batch) {
     stages += batch.stages;
+    aggregate_parts += batch.aggregate_parts;
     bottom_mlp += batch.bottom_mlp;
     interaction_top += batch.interaction_top;
     total += batch.total;

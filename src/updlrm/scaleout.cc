@@ -93,6 +93,7 @@ Status ShardedEngine::BuildShardInputs() {
   sub_traces_.resize(shards);
   dram_traces_.assign(tables, trace::TableTrace());
   std::vector<std::uint32_t> remapped;
+  std::vector<bool> dram_touched;
   for (std::uint32_t s = 0; s < shards; ++s) {
     sub_traces_[s].items_per_table.assign(
         sub_configs_[s].table_rows.begin(),
@@ -101,6 +102,10 @@ Status ShardedEngine::BuildShardInputs() {
   }
   for (std::uint32_t t = 0; t < tables; ++t) {
     const partition::TableTierPlan& tiers = plan_.tables[t];
+    // The gather's working set is the DRAM rows lookups actually touch;
+    // zero-frequency rows sit in the tier but never reach the cache.
+    dram_touched.assign(tiers.num_rows(), false);
+    std::uint64_t touched_rows = 0;
     for (std::size_t i = 0; i < samples; ++i) {
       const auto idx = trace_.tables[t].Sample(i);
       for (std::uint32_t s = 0; s < shards; ++s) {
@@ -114,11 +119,15 @@ Status ShardedEngine::BuildShardInputs() {
       for (const std::uint32_t r : idx) {
         if (tiers.owner[r] == partition::kHostDramShard) {
           remapped.push_back(r);  // global ids: served by the reference
+          if (!dram_touched[r]) {
+            dram_touched[r] = true;
+            ++touched_rows;
+          }
         }
       }
       dram_traces_[t].AppendSample(remapped);
     }
-    dram_working_set_bytes_ += tiers.dram_rows * dim * 4ULL;
+    dram_working_set_bytes_ += touched_rows * dim * 4ULL;
   }
 
   // Sub-models: extract each shard's owned rows (ascending global id ==
@@ -175,15 +184,20 @@ Status ShardedEngine::Setup() {
     }
     profiles = local_profiles;
   }
-  auto plan = partition::BuildTierShardingPlan(profiles, fleet_.tiering);
+  // Accessed rows stay on PIM: a random host-DRAM gather of a row costs
+  // the host many times more than pushing its 4-byte index in stage 1.
+  // The planner gets a zero spill budget, so only zero-frequency
+  // rows and rows past pim_capacity_rows_per_shard land in DRAM.
+  partition::TieringOptions tiering = fleet_.tiering;
+  tiering.dram_epsilon = 0.0;
+  auto plan = partition::BuildTierShardingPlan(profiles, tiering);
   if (!plan.ok()) return plan.status();
   plan_ = std::move(plan).value();
 
   if (options_.check_mode) {
     for (std::uint32_t t = 0; t < tables; ++t) {
       check::AuditShardCoverage(t, plan_.tables[t], shards, &report_);
-      check::AuditTierCapacity(t, plan_.tables[t], fleet_.tiering,
-                               &report_);
+      check::AuditTierCapacity(t, plan_.tables[t], plan_.options, &report_);
     }
   }
 
@@ -305,17 +319,18 @@ Result<BatchResult> ShardedEngine::RunSamples(
   if (options_.check_mode) {
     check::AuditReductionPlan(out.reduction, shards, &report_);
   }
-  Nanos tree_ns = 0.0;
+  AggregateParts& parts = out.aggregate_parts;
   for (std::uint32_t l = 0; l < out.reduction.levels; ++l) {
-    tree_ns +=
+    parts.merge_tree +=
         shard_topo.HopTime(pim::MergeLevelHop(shard_topo, l), pooled_bytes);
   }
-  const Nanos dram_gather =
+  parts.shard_reduce = out.stages.cpu_aggregate;
+  parts.dram_gather =
       dram_lookups == 0
           ? 0.0
           : cpu_.GatherTime(dram_lookups, dim * 4, dram_working_set_bytes_);
   out.stages.cpu_aggregate =
-      std::max(out.stages.cpu_aggregate, dram_gather) + tree_ns;
+      std::max(parts.shard_reduce, parts.dram_gather) + parts.merge_tree;
 
   out.total = std::max(out.bottom_mlp, out.stages.EmbeddingTotal()) +
               out.interaction_top;

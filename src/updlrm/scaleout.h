@@ -12,11 +12,18 @@
 //   2. merge on pull — shards return raw Q15.16 int64 pooled
 //      accumulators (EngineOptions::emit_fixed_pooled); the host sums
 //      them per lane, folds in the host-DRAM tier's contributions
-//      (cold rows gathered from the reference tables at CPU cost), and
+//      (rows gathered from the reference tables at CPU cost), and
 //      converts to float once. Integer lane addition is exactly
 //      associative, so the merged pooled output is bit-identical to a
 //      flat engine over the whole model — and on the degenerate 1-shard
 //      plan with no DRAM spill, the whole path IS the flat path.
+//
+// The host-DRAM tier holds only rows PIM cannot: zero-frequency rows
+// and rows past tiering.pim_capacity_rows_per_shard. Serving a lookup
+// from PIM costs the host its 4-byte index in the stage-1 push; a
+// random DRAM gather of the row costs many times more. So Setup
+// hands the planner a zero spill budget and tiering.dram_epsilon is
+// not applied; tier_plan().options records the budget used.
 //
 // Timing composes as: per-stage max across shards (shards execute
 // concurrently on disjoint rank groups; remote shards price their
@@ -24,6 +31,8 @@
 // FleetTopologyConfig::host_offset), then a cross-shard merge tree
 // priced with pim::PlanReduction over per-shard partial bytes, with the
 // DRAM-tier gather overlapping the reduce on the front-end host.
+// BatchResult::aggregate_parts carries the three parts of the host
+// aggregate: max(shard reduce, DRAM gather) + merge tree.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +54,7 @@ namespace updlrm::core {
 
 struct ShardedEngineConfig {
   /// Tiering/sharding knobs; tiering.num_shards is the shard count.
+  /// tiering.dram_epsilon is not applied (accessed rows stay on PIM).
   partition::TieringOptions tiering;
   /// Template for each shard's DPU slice (num_dpus, dpus_per_rank,
   /// timing params, functional flag). Each shard's topology is derived
@@ -125,8 +135,9 @@ class ShardedEngine {
   std::vector<trace::Trace> sub_traces_;
   std::vector<dlrm::DlrmConfig> sub_configs_;
   std::vector<dlrm::DlrmModel> sub_models_;
-  // Host-DRAM tier: per-table CSR of each sample's cold indices
-  // (global row ids into the reference tables).
+  // Host-DRAM tier: per-table CSR of each sample's DRAM-tier indices
+  // (global row ids into the reference tables), and the bytes of the
+  // DRAM rows those lookups touch (the gather's working set).
   std::vector<trace::TableTrace> dram_traces_;
   std::uint64_t dram_working_set_bytes_ = 0;
 

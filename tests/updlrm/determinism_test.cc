@@ -127,6 +127,9 @@ void ExpectSameReport(const InferenceReport& a, const InferenceReport& b) {
   EXPECT_EQ(a.stages.dpu_lookup, b.stages.dpu_lookup);
   EXPECT_EQ(a.stages.dpu_to_cpu, b.stages.dpu_to_cpu);
   EXPECT_EQ(a.stages.cpu_aggregate, b.stages.cpu_aggregate);
+  EXPECT_EQ(a.aggregate_parts.shard_reduce, b.aggregate_parts.shard_reduce);
+  EXPECT_EQ(a.aggregate_parts.dram_gather, b.aggregate_parts.dram_gather);
+  EXPECT_EQ(a.aggregate_parts.merge_tree, b.aggregate_parts.merge_tree);
   EXPECT_EQ(a.bottom_mlp, b.bottom_mlp);
   EXPECT_EQ(a.interaction_top, b.interaction_top);
   EXPECT_EQ(a.total, b.total);
@@ -220,13 +223,17 @@ TEST(DeterminismTest, ShardedServingBitExactAcrossThreadCounts) {
     ShardedEngineConfig fleet;
     fleet.shard_system = f.system->config();
     fleet.tiering.num_shards = 2;
-    fleet.tiering.dram_epsilon = 0.05;
+    // Full shards force accessed rows into host DRAM, so the DRAM fold
+    // path is exercised.
+    fleet.tiering.pim_capacity_rows_per_shard = 100;
     auto engine = ShardedEngine::Create(f.model.get(), f.config, f.trace,
                                         fleet, options);
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
     EngineRun result;
     auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
     UPDLRM_CHECK(batch.ok());
+    // Not vacuous: the batch gathered accessed rows from host DRAM.
+    EXPECT_GT(batch->aggregate_parts.dram_gather, 0.0);
     result.pooled = std::move(batch->pooled);
     result.ctr = std::move(batch->ctr);
     auto report = (*engine)->RunAll(&f.dense);

@@ -1,15 +1,19 @@
 // ShardedEngine tests: the degenerate 1-shard fleet is the flat engine
 // bit for bit, sharded + tiered serving stays bit-exact vs the flat
-// reference, shard routing audits clean, and remote shards price their
-// cross-host ingress.
+// reference, shard routing audits clean, accessed rows leave PIM only
+// when a shard is full, the aggregate splits exactly into its parts, and
+// remote shards price their cross-host ingress.
 #include "updlrm/scaleout.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "partition/tiering.h"
 #include "trace/generator.h"
+#include "trace/profiler.h"
 #include "updlrm/engine.h"
 
 namespace updlrm::core {
@@ -63,6 +67,19 @@ pim::DpuSystemConfig ShardSystem(bool functional) {
   sys.dpu.mram_bytes = 1 * kMiB;
   sys.functional = functional;
   return sys;
+}
+
+// Per-shard PIM row capacity well below the fixture's accessed rows, so
+// the planner must spill accessed rows to host DRAM.
+constexpr std::uint64_t kForcedSpillCapacity = 100;
+
+std::vector<trace::TableProfile> Profiles(const trace::Trace& trace) {
+  std::vector<trace::TableProfile> profiles;
+  for (std::uint32_t t = 0; t < trace.num_tables(); ++t) {
+    profiles.push_back(
+        trace::ProfileTable(trace.tables[t], trace.ItemsInTable(t)));
+  }
+  return profiles;
 }
 
 EngineOptions SmallOptions() {
@@ -120,7 +137,9 @@ TEST(ScaleoutTest, ShardedTieredStaysBitExactVsFlat) {
   ShardedEngineConfig fleet;
   fleet.shard_system = ShardSystem(true);
   fleet.tiering.num_shards = 2;
-  fleet.tiering.dram_epsilon = 0.05;  // cold tail served from host DRAM
+  // Full shards force accessed rows into host DRAM, so the DRAM fold
+  // path below really runs.
+  fleet.tiering.pim_capacity_rows_per_shard = kForcedSpillCapacity;
   EngineOptions options = SmallOptions();
   options.check_mode = true;
   auto sharded =
@@ -136,6 +155,9 @@ TEST(ScaleoutTest, ShardedTieredStaysBitExactVsFlat) {
   auto got = (*sharded)->RunBatch({0, 96}, &f.dense);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok()) << got.status().ToString();
+  // Zero-frequency rows alone fill the DRAM tier; the batch must also
+  // have gathered accessed rows from it.
+  EXPECT_GT(got->aggregate_parts.dram_gather, 0.0);
   // Cross-shard + DRAM-tier merge happens in int64 lanes: pooled and
   // CTR outputs are bit-identical to the flat engine over the whole
   // model, even though rows moved tiers and shards.
@@ -143,6 +165,138 @@ TEST(ScaleoutTest, ShardedTieredStaysBitExactVsFlat) {
   EXPECT_EQ(want->ctr, got->ctr);
   EXPECT_EQ((*sharded)->check_violations(), 0u)
       << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, AggregatePartsComposeExactly) {
+  Fixture f = MakeFixture();
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(true);
+  fleet.tiering.num_shards = 2;
+  fleet.tiering.pim_capacity_rows_per_shard = kForcedSpillCapacity;
+  auto sharded = ShardedEngine::Create(f.model.get(), f.config, f.trace,
+                                       fleet, SmallOptions());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  AggregateParts summed;
+  for (const trace::BatchRange& range :
+       trace::MakeBatches(f.trace.num_samples(), 16)) {
+    auto batch = (*sharded)->RunBatch(range, nullptr);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const AggregateParts& p = batch->aggregate_parts;
+    EXPECT_GT(p.shard_reduce, 0.0);
+    EXPECT_GT(p.dram_gather, 0.0);
+    EXPECT_GT(p.merge_tree, 0.0);
+    EXPECT_EQ(std::max(p.shard_reduce, p.dram_gather) + p.merge_tree,
+              batch->stages.cpu_aggregate);
+    summed += p;
+  }
+  auto report = (*sharded)->RunAll(nullptr);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->aggregate_parts.shard_reduce, summed.shard_reduce);
+  EXPECT_EQ(report->aggregate_parts.dram_gather, summed.dram_gather);
+  EXPECT_EQ(report->aggregate_parts.merge_tree, summed.merge_tree);
+}
+
+TEST(ScaleoutTest, UnboundedShardsKeepAccessedRowsOnPim) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(false);
+  fleet.tiering.num_shards = 2;
+  fleet.tiering.dram_epsilon = 0.05;  // not applied by the sharded engine
+  EngineOptions options = SmallOptions();
+  options.check_mode = true;
+  auto sharded =
+      ShardedEngine::Create(nullptr, f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const partition::TierShardingPlan& plan = (*sharded)->tier_plan();
+  EXPECT_EQ(plan.options.dram_epsilon, 0.0);  // the budget used
+  for (const partition::TableTierPlan& t : plan.tables) {
+    EXPECT_EQ(t.dram_accesses, 0u);
+    EXPECT_GT(t.dram_rows, 0u);  // zero-frequency rows still spill
+  }
+  auto batch = (*sharded)->RunBatch({0, 16}, nullptr);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->aggregate_parts.dram_gather, 0.0);
+  EXPECT_EQ((*sharded)->check_violations(), 0u)
+      << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, CapacityForcedSpillExceedsEpsilonAndAuditsClean) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(false);
+  fleet.tiering.num_shards = 2;
+  fleet.tiering.dram_epsilon = 0.02;
+  fleet.tiering.pim_capacity_rows_per_shard = kForcedSpillCapacity;
+  EngineOptions options = SmallOptions();
+  options.check_mode = true;
+  auto sharded =
+      ShardedEngine::Create(nullptr, f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  for (const partition::TableTierPlan& t : (*sharded)->tier_plan().tables) {
+    EXPECT_GT(static_cast<double>(t.dram_accesses),
+              fleet.tiering.dram_epsilon *
+                  static_cast<double>(t.total_accesses));
+    for (const std::uint64_t rows : t.shard_rows) {
+      EXPECT_LE(rows, kForcedSpillCapacity);
+    }
+  }
+  auto batch = (*sharded)->RunBatch({0, 16}, nullptr);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GT(batch->aggregate_parts.dram_gather, 0.0);
+  EXPECT_EQ((*sharded)->check_violations(), 0u)
+      << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, DramGatherWorkingSetCountsTouchedRowsOnly) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(false);
+  fleet.tiering.num_shards = 2;
+  fleet.tiering.pim_capacity_rows_per_shard = kForcedSpillCapacity;
+  auto probe = ShardedEngine::Create(nullptr, f.config, f.trace, fleet,
+                                     SmallOptions());
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const partition::TierShardingPlan& plan = (*probe)->tier_plan();
+  const std::vector<trace::TableProfile> profiles = Profiles(f.trace);
+  const std::uint32_t row_bytes = f.config.embedding_dim * 4;
+  std::uint64_t dram_rows = 0;
+  std::uint64_t touched_rows = 0;
+  for (std::size_t t = 0; t < plan.tables.size(); ++t) {
+    dram_rows += plan.tables[t].dram_rows;
+    for (std::size_t r = 0; r < profiles[t].freq.size(); ++r) {
+      if (plan.tables[t].owner[r] == partition::kHostDramShard &&
+          profiles[t].freq[r] > 0) {
+        ++touched_rows;
+      }
+    }
+  }
+  ASSERT_GT(touched_rows, 0u);
+  ASSERT_LT(touched_rows, dram_rows);  // zero-frequency rows spilled too
+
+  // An LLC that holds exactly the touched DRAM rows, not the whole tier:
+  // the gather must run at LLC speed.
+  EngineOptions options = SmallOptions();
+  options.cpu.llc_bytes = touched_rows * row_bytes;
+  auto sharded =
+      ShardedEngine::Create(nullptr, f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  auto batch = (*sharded)->RunBatch({0, 16}, nullptr);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  std::uint64_t lookups = 0;
+  for (std::size_t t = 0; t < plan.tables.size(); ++t) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      for (const std::uint32_t r : f.trace.tables[t].Sample(i)) {
+        if (plan.tables[t].owner[r] == partition::kHostDramShard) ++lookups;
+      }
+    }
+  }
+  ASSERT_GT(lookups, 0u);
+  const host::CpuTimingModel cpu(options.cpu);
+  EXPECT_EQ(batch->aggregate_parts.dram_gather,
+            cpu.GatherTime(lookups, row_bytes, options.cpu.llc_bytes));
 }
 
 TEST(ScaleoutTest, RunAllMatchesBatchedFlatFunctional) {
