@@ -9,13 +9,14 @@
 //     other replica's ranks live on a remote host and pay cross-host
 //     ingress on pushes and pulls (pim/topology.h), so scaling is
 //     near-linear rather than free.
-//   shard (CA only) — one ShardedEngine spreads every table's rows
-//     across the same rank groups via the statistical tiering plan
-//     (partition/tiering.h, RecShard-style CDF split; accessed rows
-//     spill to host DRAM only when a shard is full) and merges
-//     partials through the priced reduction tree. Sharding shrinks
-//     per-shard capacity pressure, not pull bytes, so its throughput
-//     curve is the contrast to the replicate rows.
+//   shard (CA only) — one ShardedEngine places the 8 tables on the
+//     same rank groups in table groups (partition/tiering.h): at 4
+//     shards each serves 2 whole tables, at 16 each table's rows split
+//     over 2 shards by the RecShard-style CDF plan (accessed rows
+//     spill to host DRAM only when a shard is full). Shards pull and
+//     merge only their tables' slices through the priced reduction
+//     tree, but the tree and every shard's fixed costs remain, so its
+//     throughput curve is the contrast to the replicate rows.
 //
 // Per fleet size the bench calibrates pipeline capacity offline, sweeps
 // offered load, and reports the highest load whose p99 holds a
@@ -251,9 +252,9 @@ int main(int argc, char** argv) {
       methods.emplace_back(name, std::move(fleets));
     }
 
-    // Sharded contrast: one model spread across the same rank groups
-    // (shard 0 local, the rest remote); only zero-frequency rows sit
-    // in host DRAM.
+    // Sharded contrast: one model placed across the same rank groups
+    // in table groups (shard 0 local, the rest remote); only
+    // zero-frequency rows sit in host DRAM.
     {
       timer.BeginPhase("shard");
       std::vector<FleetResult> fleets;

@@ -15,7 +15,10 @@ std::string TablePrefix(std::uint32_t table) {
 
 void AuditShardCoverage(std::uint32_t table,
                         const partition::TableTierPlan& plan,
-                        std::uint32_t num_shards, CheckReport* report) {
+                        const partition::ShardGroups& groups,
+                        CheckReport* report) {
+  const std::uint32_t num_shards = groups.num_shards;
+  const partition::IdRange group = groups.ShardsOfTable(table);
   const std::size_t rows = plan.owner.size();
   if (plan.local.size() != rows) {
     report->AddViolation(Rule::kShardCoverage,
@@ -44,6 +47,15 @@ void AuditShardCoverage(std::uint32_t table,
                            TablePrefix(table) + "row " + std::to_string(r) +
                                " owned by nonexistent shard " +
                                std::to_string(o));
+      return;
+    }
+    if (!dram && !group.contains(o)) {
+      report->AddViolation(Rule::kShardCoverage,
+                           TablePrefix(table) + "row " + std::to_string(r) +
+                               " owned by shard " + std::to_string(o) +
+                               " outside the table's group [" +
+                               std::to_string(group.begin) + ", " +
+                               std::to_string(group.end) + ")");
       return;
     }
     std::uint64_t& counter = next[dram ? num_shards : o];

@@ -16,13 +16,14 @@
 namespace updlrm::check {
 
 /// Audits one table's tier/shard assignment: every row owned exactly
-/// once by a legal owner (a shard below `num_shards` or the DRAM
-/// sentinel), local ids dense and ascending per owner, and the per-
-/// shard row/access rollups consistent with the owner map. Fires
+/// once by a legal owner (a shard of the table's group in `groups` or
+/// the DRAM sentinel), local ids dense and ascending per owner, and the
+/// per-shard row/access rollups consistent with the owner map. Fires
 /// kShardCoverage.
 void AuditShardCoverage(std::uint32_t table,
                         const partition::TableTierPlan& plan,
-                        std::uint32_t num_shards, CheckReport* report);
+                        const partition::ShardGroups& groups,
+                        CheckReport* report);
 
 /// Audits the plan's per-tier capacity clamps: no shard exceeds the
 /// PIM row capacity, and the DRAM tier's access mass stays within the

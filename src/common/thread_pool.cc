@@ -270,6 +270,13 @@ void ThreadPool::ParallelFor(
     Submit([state, ticket] { HelperRun(state, ticket); });
   }
   RunChunks(*state);
+  // While other threads finish this region's last chunks, run queued
+  // tasks instead of idling: they are helpers of regions other threads
+  // opened (nested inside this one, or beside it), which would
+  // otherwise wait for a worker to come free.
+  while (state->done.load(std::memory_order_acquire) < n &&
+         TryRunOneTask(0)) {
+  }
   if (state->done.load(std::memory_order_acquire) < n) {
     MutexLock lock(state->done_mu);
     while (state->done.load(std::memory_order_acquire) < n) {

@@ -15,7 +15,11 @@
 // range over the pool via an atomic cursor; the calling thread always
 // participates, so nested parallel regions (an engine fanning out from
 // inside a comparison task) cannot deadlock — a caller that finds no
-// idle worker simply executes every chunk itself.
+// idle worker simply executes every chunk itself. A caller whose chunks
+// are done runs queued tasks until the region's last chunk finishes
+// elsewhere, so helpers of regions nested in long chunks (a shard
+// engine's per-table setup inside the sharded engine's per-shard
+// fan-out) need not wait for a free worker.
 //
 // Steady-state ParallelFor is allocation-free: the body is passed by
 // FunctionRef (no std::function ownership copy), region descriptors

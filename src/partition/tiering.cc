@@ -1,6 +1,7 @@
 #include "partition/tiering.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace updlrm::partition {
 
@@ -17,18 +18,36 @@ Status TieringOptions::Validate() const {
   return Status::Ok();
 }
 
+std::uint32_t ShardGroups::num_groups() const {
+  return std::gcd(num_tables, num_shards);
+}
+
+IdRange ShardGroups::TablesOfShard(std::uint32_t shard) const {
+  const std::uint32_t tables = num_tables / num_groups();
+  const std::uint32_t g = shard / (num_shards / num_groups());
+  return {g * tables, (g + 1) * tables};
+}
+
+IdRange ShardGroups::ShardsOfTable(std::uint32_t table) const {
+  const std::uint32_t shards = num_shards / num_groups();
+  const std::uint32_t g = table / (num_tables / num_groups());
+  return {g * shards, (g + 1) * shards};
+}
+
 double TierShardingPlan::MaxShardImbalance() const {
   double worst = 1.0;
-  for (const TableTierPlan& t : tables) {
+  for (std::uint32_t t = 0; t < tables.size(); ++t) {
+    const IdRange shards = groups.ShardsOfTable(t);
     std::uint64_t pim_mass = 0;
     std::uint64_t max_mass = 0;
-    for (const std::uint64_t m : t.shard_accesses) {
+    for (std::uint32_t s = shards.begin; s < shards.end; ++s) {
+      const std::uint64_t m = tables[t].shard_accesses[s];
       pim_mass += m;
       max_mass = std::max(max_mass, m);
     }
     if (pim_mass == 0) continue;
-    const double mean = static_cast<double>(pim_mass) /
-                        static_cast<double>(t.shard_accesses.size());
+    const double mean =
+        static_cast<double>(pim_mass) / static_cast<double>(shards.size());
     worst = std::max(worst, static_cast<double>(max_mass) / mean);
   }
   return worst;
@@ -37,7 +56,7 @@ double TierShardingPlan::MaxShardImbalance() const {
 namespace {
 
 TableTierPlan PlanTable(const trace::TableProfile& profile,
-                        const TieringOptions& options) {
+                        const TieringOptions& options, IdRange group) {
   const std::size_t rows = profile.freq.size();
   const std::uint32_t shards = options.num_shards;
   TableTierPlan plan;
@@ -68,15 +87,16 @@ TableTierPlan PlanTable(const trace::TableProfile& profile,
     spilled[r] = true;
   }
 
-  // Shard the PIM tier: hottest rows first, each onto the least-loaded
-  // shard (by access mass, then row count, then shard id), so shards
-  // receive near-equal slices of the access mass. A full shard (row
-  // capacity) drops out; when every shard is full the row spills to
-  // DRAM — capacity is physical, epsilon is a quality target.
+  // Shard the PIM tier over the table's group: hottest rows first, each
+  // onto the least-loaded shard (by access mass, then row count, then
+  // shard id), so the group's shards receive near-equal slices of the
+  // access mass. A full shard (row capacity) drops out; when every
+  // shard of the group is full the row spills to DRAM — capacity is
+  // physical, epsilon is a quality target.
   for (const std::uint32_t r : profile.by_freq) {
     if (spilled[r]) continue;
     std::uint32_t best = kHostDramShard;
-    for (std::uint32_t s = 0; s < shards; ++s) {
+    for (std::uint32_t s = group.begin; s < group.end; ++s) {
       if (options.pim_capacity_rows_per_shard > 0 &&
           plan.shard_rows[s] >= options.pim_capacity_rows_per_shard) {
         continue;
@@ -123,13 +143,17 @@ Result<TierShardingPlan> BuildTierShardingPlan(
   }
   TierShardingPlan plan;
   plan.options = options;
+  plan.groups = {static_cast<std::uint32_t>(profiles.size()),
+                 options.num_shards};
   plan.tables.reserve(profiles.size());
-  for (const trace::TableProfile& p : profiles) {
+  for (std::uint32_t t = 0; t < profiles.size(); ++t) {
+    const trace::TableProfile& p = profiles[t];
     if (p.freq.size() != p.by_freq.size()) {
       return Status::InvalidArgument(
           "profile freq / by_freq size mismatch");
     }
-    plan.tables.push_back(PlanTable(p, options));
+    plan.tables.push_back(
+        PlanTable(p, options, plan.groups.ShardsOfTable(t)));
   }
   return plan;
 }

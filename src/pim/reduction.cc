@@ -1,6 +1,9 @@
 #include "pim/reduction.h"
 
 #include <algorithm>
+#include <array>
+
+#include "common/status.h"
 
 namespace updlrm::pim {
 
@@ -26,7 +29,8 @@ TransferHop MergeLevelHop(const FleetTopology& topo, std::uint32_t level) {
 ReductionPlan PlanReduction(
     const FleetTopology& topo,
     std::span<const std::uint64_t> rank_partial_bytes,
-    std::uint64_t pooled_bytes, double stream_bytes_per_sec) {
+    std::span<const std::uint64_t> level_bytes,
+    double stream_bytes_per_sec) {
   ReductionPlan plan;
   std::uint64_t total_bytes = 0;
   std::uint64_t max_rank_bytes = 0;
@@ -37,14 +41,17 @@ ReductionPlan PlanReduction(
   }
   plan.flat_ns = TransferNanos(total_bytes, stream_bytes_per_sec);
   plan.levels = Log2Levels(plan.active_ranks);
+  UPDLRM_CHECK(level_bytes.size() >= plan.levels);
 
   // Level 1: concurrent per-rank reduce streams — the slowest rank
-  // bounds it. Level 2: the merge tree; every level moves one pooled
-  // buffer per surviving pair, and pairs within a level merge
-  // concurrently, so a level costs one hop of its class.
+  // bounds it. Level 2: the merge tree; every level moves one buffer
+  // per surviving pair, and pairs within a level merge concurrently,
+  // so a level costs one hop of its class.
   plan.hier_ns = TransferNanos(max_rank_bytes, stream_bytes_per_sec);
   for (std::uint32_t l = 0; l < plan.levels; ++l) {
-    plan.hier_ns += topo.HopTime(MergeLevelHop(topo, l), pooled_bytes);
+    const Nanos hop = topo.HopTime(MergeLevelHop(topo, l), level_bytes[l]);
+    plan.hier_ns += hop;
+    plan.tree_ns += hop;
   }
 
   // Ties stay flat: strict improvement required, so the degenerate
@@ -54,6 +61,17 @@ ReductionPlan PlanReduction(
       plan.active_ranks > 1 && plan.hier_ns < plan.flat_ns;
   plan.time_ns = plan.hierarchical ? plan.hier_ns : plan.flat_ns;
   return plan;
+}
+
+ReductionPlan PlanReduction(
+    const FleetTopology& topo,
+    std::span<const std::uint64_t> rank_partial_bytes,
+    std::uint64_t pooled_bytes, double stream_bytes_per_sec) {
+  // A rank count fits 32 bits, so the tree is at most 32 levels deep.
+  std::array<std::uint64_t, 32> level_bytes;
+  level_bytes.fill(pooled_bytes);
+  return PlanReduction(topo, rank_partial_bytes, level_bytes,
+                       stream_bytes_per_sec);
 }
 
 }  // namespace updlrm::pim

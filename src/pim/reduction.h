@@ -10,9 +10,11 @@
 //      the *max* per-rank stream, not the sum;
 //   2. cross-rank merge tree: the per-rank pooled buffers (batch x
 //      tables x dim int64 accumulators) merge pairwise, ceil(log2(R))
-//      levels deep; each level moves one pooled buffer over the hop
-//      class the pairing distance implies (cross-rank inside a host,
-//      cross-host above).
+//      levels deep; each level moves one buffer over the hop class the
+//      pairing distance implies (cross-rank inside a host, cross-host
+//      above). A level's buffer is the full pooled buffer inside one
+//      engine; across table-group shards it is the slice of tables the
+//      sending subtree holds (updlrm/scaleout.h).
 //
 // PlanReduction prices both and picks the cheaper (ties stay flat), so
 // the hierarchical option can never lose — the kReductionShape audit
@@ -42,6 +44,8 @@ struct ReductionPlan {
   std::uint32_t levels = 0;
   Nanos flat_ns = 0.0;
   Nanos hier_ns = 0.0;
+  /// The merge tree's part of hier_ns: one hop per level.
+  Nanos tree_ns = 0.0;
   /// min(flat_ns, hier_ns) — what the engine charges as cpu_aggregate
   /// (before the per-table bag overhead, identical in both schedules).
   Nanos time_ns = 0.0;
@@ -49,10 +53,17 @@ struct ReductionPlan {
 
 /// Prices the flat stream vs the per-rank + merge-tree schedule for one
 /// batch. `rank_partial_bytes[r]` is the total pulled partial-sum bytes
-/// of rank r; `pooled_bytes` is the size of one merged pooled buffer
-/// (batch x tables x dim x 8, the int64 accumulators that travel the
-/// tree); `stream_bytes_per_sec` is the host's sequential reduce
+/// of rank r; `level_bytes[l]` is the size of the int64 accumulator
+/// buffer merge level l moves (at least ceil(log2(active ranks))
+/// entries); `stream_bytes_per_sec` is the host's sequential reduce
 /// bandwidth (the same constant the flat path uses).
+ReductionPlan PlanReduction(const FleetTopology& topo,
+                            std::span<const std::uint64_t> rank_partial_bytes,
+                            std::span<const std::uint64_t> level_bytes,
+                            double stream_bytes_per_sec);
+
+/// Every level moves one merged pooled buffer of `pooled_bytes` (batch
+/// x tables x dim x 8): the tree inside one engine.
 ReductionPlan PlanReduction(const FleetTopology& topo,
                             std::span<const std::uint64_t> rank_partial_bytes,
                             std::uint64_t pooled_bytes,

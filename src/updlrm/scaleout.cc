@@ -7,8 +7,10 @@
 #include "check/scaleout_audit.h"
 #include "common/fixed_point.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "pim/reduction.h"
+#include "telemetry/tracer.h"
 #include "trace/profiler.h"
 
 namespace updlrm::core {
@@ -73,61 +75,80 @@ Status ShardedEngine::BuildShardInputs() {
   const std::uint32_t tables = config_.num_tables;
   const std::uint32_t dim = config_.embedding_dim;
   const std::size_t samples = trace_.num_samples();
+  const partition::ShardGroups& groups = plan_.groups;
 
+  // Shard s serves only its group's tables: its local table j is global
+  // table groups.TablesOfShard(s).begin + j in the sub-config, the
+  // sub-trace and the sub-model alike.
   sub_configs_.assign(shards, config_);
+  sub_traces_.assign(shards, trace::Trace());
   for (std::uint32_t s = 0; s < shards; ++s) {
-    sub_configs_[s].table_rows.assign(tables, 1);
+    const partition::IdRange owned = groups.TablesOfShard(s);
+    dlrm::DlrmConfig& sub = sub_configs_[s];
+    sub.num_tables = owned.size();
     // Extracted shard tables never share a backing store — every shard
     // slice of every table is distinct row content.
-    sub_configs_[s].share_table_content = false;
-    for (std::uint32_t t = 0; t < tables; ++t) {
-      sub_configs_[s].table_rows[t] =
-          std::max<std::uint64_t>(1, plan_.tables[t].shard_rows[s]);
+    sub.share_table_content = false;
+    sub.table_rows.clear();
+    for (std::uint32_t t = owned.begin; t < owned.end; ++t) {
+      // A table whose every row spilled keeps one zero row: an engine
+      // table cannot be empty, and no lookup reaches it.
+      sub.table_rows.push_back(
+          std::max<std::uint64_t>(1, plan_.tables[t].shard_rows[s]));
     }
+    sub_traces_[s].items_per_table = sub.table_rows;
+    sub_traces_[s].tables.resize(owned.size());
   }
 
   // Sub-traces: each sample keeps only the shard's rows, remapped to
   // dense local ids. Locals ascend with global row order per owner, so
   // the remap is strictly monotone and AppendSample's sorted-unique
-  // contract is preserved.
-  sub_traces_.resize(shards);
+  // contract is preserved. Tables run in parallel: table t writes only
+  // its own sub-trace slots and DRAM trace, and the working-set sum is
+  // taken in table order afterwards.
   dram_traces_.assign(tables, trace::TableTrace());
-  std::vector<std::uint32_t> remapped;
-  std::vector<bool> dram_touched;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    sub_traces_[s].items_per_table.assign(
-        sub_configs_[s].table_rows.begin(),
-        sub_configs_[s].table_rows.end());
-    sub_traces_[s].tables.resize(tables);
-  }
-  for (std::uint32_t t = 0; t < tables; ++t) {
-    const partition::TableTierPlan& tiers = plan_.tables[t];
-    // The gather's working set is the DRAM rows lookups actually touch;
-    // zero-frequency rows sit in the tier but never reach the cache.
-    dram_touched.assign(tiers.num_rows(), false);
-    std::uint64_t touched_rows = 0;
-    for (std::size_t i = 0; i < samples; ++i) {
-      const auto idx = trace_.tables[t].Sample(i);
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        remapped.clear();
-        for (const std::uint32_t r : idx) {
-          if (tiers.owner[r] == s) remapped.push_back(tiers.local[r]);
-        }
-        sub_traces_[s].tables[t].AppendSample(remapped);
-      }
-      remapped.clear();
-      for (const std::uint32_t r : idx) {
-        if (tiers.owner[r] == partition::kHostDramShard) {
-          remapped.push_back(r);  // global ids: served by the reference
-          if (!dram_touched[r]) {
-            dram_touched[r] = true;
-            ++touched_rows;
+  std::vector<std::uint64_t> touched_rows(tables, 0);
+  ParallelFor(
+      tables,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint32_t> remapped;
+        std::vector<bool> dram_touched;
+        for (std::size_t t = begin; t < end; ++t) {
+          const partition::TableTierPlan& tiers = plan_.tables[t];
+          const partition::IdRange owners =
+              groups.ShardsOfTable(static_cast<std::uint32_t>(t));
+          // The gather's working set is the DRAM rows lookups actually
+          // touch; zero-frequency rows sit in the tier but never reach
+          // the cache.
+          dram_touched.assign(tiers.num_rows(), false);
+          for (std::size_t i = 0; i < samples; ++i) {
+            const auto idx = trace_.tables[t].Sample(i);
+            for (std::uint32_t s = owners.begin; s < owners.end; ++s) {
+              remapped.clear();
+              for (const std::uint32_t r : idx) {
+                if (tiers.owner[r] == s) remapped.push_back(tiers.local[r]);
+              }
+              sub_traces_[s]
+                  .tables[t - groups.TablesOfShard(s).begin]
+                  .AppendSample(remapped);
+            }
+            remapped.clear();
+            for (const std::uint32_t r : idx) {
+              if (tiers.owner[r] == partition::kHostDramShard) {
+                remapped.push_back(r);  // global ids: served by the reference
+                if (!dram_touched[r]) {
+                  dram_touched[r] = true;
+                  ++touched_rows[t];
+                }
+              }
+            }
+            dram_traces_[t].AppendSample(remapped);
           }
         }
-      }
-      dram_traces_[t].AppendSample(remapped);
-    }
-    dram_working_set_bytes_ += touched_rows * dim * 4ULL;
+      },
+      options_.num_threads);
+  for (const std::uint64_t rows : touched_rows) {
+    dram_working_set_bytes_ += rows * dim * 4ULL;
   }
 
   // Sub-models: extract each shard's owned rows (ascending global id ==
@@ -135,12 +156,14 @@ Status ShardedEngine::BuildShardInputs() {
   if (model_ != nullptr) {
     sub_models_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s) {
+      const partition::IdRange owned = groups.TablesOfShard(s);
       std::vector<std::shared_ptr<const dlrm::EmbeddingTable>> sub_tables;
-      sub_tables.reserve(tables);
-      for (std::uint32_t t = 0; t < tables; ++t) {
+      sub_tables.reserve(owned.size());
+      for (std::uint32_t t = owned.begin; t < owned.end; ++t) {
         const partition::TableTierPlan& tiers = plan_.tables[t];
         const dlrm::EmbeddingTable& ref = model_->table(t);
-        const std::uint64_t rows = sub_configs_[s].table_rows[t];
+        const std::uint64_t rows =
+            sub_configs_[s].table_rows[t - owned.begin];
         std::vector<float> data;
         data.reserve(rows * dim);
         for (std::uint64_t r = 0; r < tiers.owner.size(); ++r) {
@@ -148,7 +171,7 @@ Status ShardedEngine::BuildShardInputs() {
           const auto row = ref.Row(r);
           data.insert(data.end(), row.begin(), row.end());
         }
-        if (data.empty()) data.assign(dim, 0.0f);  // 1-row placeholder
+        if (data.empty()) data.assign(dim, 0.0f);  // the one zero row
         auto table = dlrm::EmbeddingTable::FromData(rows, dim,
                                                     std::move(data));
         if (!table.ok()) return table.status();
@@ -168,56 +191,81 @@ Status ShardedEngine::Setup() {
   const std::uint32_t shards = fleet_.tiering.num_shards;
   const std::uint32_t tables = config_.num_tables;
 
-  // Tiering plan from the access profiles (shared ones when provided —
-  // they describe the unsharded trace, which is exactly what the
-  // tiering planner consumes).
-  std::vector<trace::TableProfile> local_profiles;
-  std::span<const trace::TableProfile> profiles;
-  if (options_.preprofiled != nullptr &&
-      options_.preprofiled->size() == tables) {
-    profiles = *options_.preprofiled;
-  } else {
-    local_profiles.reserve(tables);
-    for (std::uint32_t t = 0; t < tables; ++t) {
-      local_profiles.push_back(trace::ProfileTable(
-          trace_.tables[t], trace_.ItemsInTable(t)));
+  {
+    telemetry::TraceSpan span("scaleout.plan", "scaleout");
+    // Tiering plan from the access profiles (shared ones when provided
+    // — they describe the unsharded trace, which is exactly what the
+    // tiering planner consumes).
+    std::vector<trace::TableProfile> local_profiles;
+    std::span<const trace::TableProfile> profiles;
+    if (options_.preprofiled != nullptr &&
+        options_.preprofiled->size() == tables) {
+      profiles = *options_.preprofiled;
+    } else {
+      local_profiles.reserve(tables);
+      for (std::uint32_t t = 0; t < tables; ++t) {
+        local_profiles.push_back(trace::ProfileTable(
+            trace_.tables[t], trace_.ItemsInTable(t)));
+      }
+      profiles = local_profiles;
     }
-    profiles = local_profiles;
+    // Accessed rows stay on PIM: a random host-DRAM gather of a row
+    // costs the host many times more than pushing its 4-byte index in
+    // stage 1. The planner gets a zero spill budget, so only
+    // zero-frequency rows and rows past pim_capacity_rows_per_shard
+    // land in DRAM.
+    partition::TieringOptions tiering = fleet_.tiering;
+    tiering.dram_epsilon = 0.0;
+    auto plan = partition::BuildTierShardingPlan(profiles, tiering);
+    if (!plan.ok()) return plan.status();
+    plan_ = std::move(plan).value();
   }
-  // Accessed rows stay on PIM: a random host-DRAM gather of a row costs
-  // the host many times more than pushing its 4-byte index in stage 1.
-  // The planner gets a zero spill budget, so only zero-frequency
-  // rows and rows past pim_capacity_rows_per_shard land in DRAM.
-  partition::TieringOptions tiering = fleet_.tiering;
-  tiering.dram_epsilon = 0.0;
-  auto plan = partition::BuildTierShardingPlan(profiles, tiering);
-  if (!plan.ok()) return plan.status();
-  plan_ = std::move(plan).value();
 
   if (options_.check_mode) {
+    const partition::ShardGroups groups{tables, shards};
     for (std::uint32_t t = 0; t < tables; ++t) {
-      check::AuditShardCoverage(t, plan_.tables[t], shards, &report_);
+      check::AuditShardCoverage(t, plan_.tables[t], groups, &report_);
       check::AuditTierCapacity(t, plan_.tables[t], plan_.options, &report_);
     }
   }
 
-  UPDLRM_RETURN_IF_ERROR(BuildShardInputs());
+  {
+    telemetry::TraceSpan span("scaleout.inputs", "scaleout");
+    UPDLRM_RETURN_IF_ERROR(BuildShardInputs());
+  }
 
-  // Per-shard systems and engines. Shard s owns fleet ranks
-  // [s * R, (s + 1) * R); its transfer model prices cross-host ingress
-  // itself via the host offset of its first rank.
+  // Merge level l pairs shards 2^l apart: each sending subtree of 2^l
+  // shards moves the slices of the tables it holds, and a level costs
+  // its largest sender's hop.
+  merge_level_tables_.assign(pim::Log2Levels(shards), 0);
+  for (std::uint32_t l = 0; l < merge_level_tables_.size(); ++l) {
+    const std::uint32_t width = 1u << l;
+    for (std::uint32_t lo = width; lo < shards; lo += 2 * width) {
+      const std::uint32_t hi = std::min(lo + width, shards) - 1;
+      merge_level_tables_[l] =
+          std::max(merge_level_tables_[l],
+                   plan_.groups.TablesOfShard(hi).end -
+                       plan_.groups.TablesOfShard(lo).begin);
+    }
+  }
+
+  // Per-shard systems and engines, built concurrently (each shard's
+  // engine owns disjoint inputs); errors report in shard order. Shard s
+  // owns fleet ranks [s * R, (s + 1) * R); its transfer model prices
+  // cross-host ingress itself via the host offset of its first rank.
   const std::uint32_t ranks = RanksPerShard(fleet_.shard_system);
   const std::uint32_t rph = fleet_.fleet_topology.ranks_per_host;
-  systems_.reserve(shards);
-  shards_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
+  systems_.resize(shards);
+  shards_.resize(shards);
+  std::vector<Status> built(shards);
+  auto build_shard = [&](std::uint32_t s) -> Status {
     pim::DpuSystemConfig sc = fleet_.shard_system;
     sc.topology = fleet_.fleet_topology;
     sc.topology.host_offset =
         rph == 0 ? 0 : (static_cast<std::uint64_t>(s) * ranks) / rph;
     auto system = pim::DpuSystem::Create(sc);
     if (!system.ok()) return system.status();
-    systems_.push_back(std::move(system).value());
+    systems_[s] = std::move(system).value();
 
     EngineOptions sub = options_;
     sub.emit_fixed_pooled = true;  // shards return int64 accumulators
@@ -228,10 +276,20 @@ Status ShardedEngine::Setup() {
     }
     auto engine = UpDlrmEngine::Create(
         model_ != nullptr ? &sub_models_[s] : nullptr, sub_configs_[s],
-        sub_traces_[s], systems_.back().get(), std::move(sub));
+        sub_traces_[s], systems_[s].get(), std::move(sub));
     if (!engine.ok()) return engine.status();
-    shards_.push_back(std::move(engine).value());
-  }
+    shards_[s] = std::move(engine).value();
+    return Status::Ok();
+  };
+  ParallelFor(
+      shards,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
+          built[s] = build_shard(static_cast<std::uint32_t>(s));
+        }
+      },
+      options_.num_threads);
+  for (const Status& status : built) UPDLRM_RETURN_IF_ERROR(status);
   return Status::Ok();
 }
 
@@ -276,9 +334,18 @@ Result<BatchResult> ShardedEngine::RunSamples(
     out.partial_bytes += r->partial_bytes;
     if (s == 0) out.dpu_trace = r->dpu_trace;
     if (fn) {
-      UPDLRM_CHECK(r->pooled_fixed.size() == pooled_size);
-      simd::AddI64ToI64(r->pooled_fixed.data(), merged_acc_.data(),
-                        pooled_size);
+      // The shard's batch x k x dim accumulators land in the global
+      // slots of its k contiguous tables.
+      const partition::IdRange owned = plan_.groups.TablesOfShard(s);
+      const std::size_t width = static_cast<std::size_t>(owned.size()) * dim;
+      UPDLRM_CHECK(r->pooled_fixed.size() == batch * width);
+      for (std::size_t i = 0; i < batch; ++i) {
+        simd::AddI64ToI64(
+            r->pooled_fixed.data() + i * width,
+            merged_acc_.data() +
+                (i * tables + owned.begin) * static_cast<std::size_t>(dim),
+            width);
+      }
     }
   }
 
@@ -302,28 +369,30 @@ Result<BatchResult> ShardedEngine::RunSamples(
 
   // Cross-shard merge price: PlanReduction over per-shard partial
   // bytes, with each shard acting as one "rank" of a shard-granular
-  // topology (hosts rescaled to shard units). The shard-internal
-  // aggregate is already inside the per-stage max; the fleet charge
-  // adds the merge tree on top, with the DRAM gather overlapping the
-  // concurrent shard reduces.
+  // topology (hosts rescaled to shard units) and each merge level moving
+  // its senders' table slices. The shard-internal aggregate is already
+  // inside the per-stage max; the fleet charge adds the merge tree on
+  // top, with the DRAM gather overlapping the concurrent shard reduces.
   pim::FleetTopologyConfig shard_topo_config = fleet_.fleet_topology;
   const std::uint32_t ranks = RanksPerShard(fleet_.shard_system);
   const std::uint32_t rph = fleet_.fleet_topology.ranks_per_host;
   shard_topo_config.ranks_per_host =
       rph == 0 ? 0 : std::max<std::uint32_t>(1, rph / ranks);
   const pim::FleetTopology shard_topo(shard_topo_config, shards);
-  const std::uint64_t pooled_bytes = pooled_size * sizeof(std::int64_t);
+  merge_level_bytes_.resize(merge_level_tables_.size());
+  for (std::size_t l = 0; l < merge_level_tables_.size(); ++l) {
+    merge_level_bytes_[l] = static_cast<std::uint64_t>(batch) *
+                            merge_level_tables_[l] * dim *
+                            sizeof(std::int64_t);
+  }
   out.reduction =
-      pim::PlanReduction(shard_topo, shard_partial_bytes_, pooled_bytes,
+      pim::PlanReduction(shard_topo, shard_partial_bytes_, merge_level_bytes_,
                          cpu_.params().stream_bytes_per_sec);
   if (options_.check_mode) {
     check::AuditReductionPlan(out.reduction, shards, &report_);
   }
   AggregateParts& parts = out.aggregate_parts;
-  for (std::uint32_t l = 0; l < out.reduction.levels; ++l) {
-    parts.merge_tree +=
-        shard_topo.HopTime(pim::MergeLevelHop(shard_topo, l), pooled_bytes);
-  }
+  parts.merge_tree = out.reduction.tree_ns;
   parts.shard_reduce = out.stages.cpu_aggregate;
   parts.dram_gather =
       dram_lookups == 0

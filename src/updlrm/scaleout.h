@@ -1,22 +1,28 @@
-// Fleet-scale sharded serving: one engine per PIM shard, statistical
-// tiering, and a cross-shard merge that preserves bit-exactness.
+// Fleet-scale sharded serving: one engine per PIM shard, table-group
+// placement, statistical tiering, and a cross-shard merge that
+// preserves bit-exactness.
 //
 // A shard is a group of ranks running a complete UpDlrmEngine over the
-// slice of every table the tiering plan (partition/tiering.h) assigned
-// to it. Per batch:
+// tables and rows the tiering plan (partition/tiering.h) assigned to
+// it. Tables are placed in groups: with G = gcd(tables, shards), a
+// shard serves only its group's T/G tables, and each of those tables'
+// PIM rows are dealt over the group's S/G shards. So 4 shards over 8
+// tables serve 2 whole tables each; 16 shards over 8 tables split each
+// table over 2 shards; coprime counts deal every table over every shard
+// (the row-wise layout). Per batch:
 //
 //   1. fan-out — each shard runs the batch against its sub-trace (the
-//      original samples with only shard-owned indices, remapped to
-//      dense local row ids); a request's lookups thus route only to
-//      the shards owning them;
+//      original samples of its tables with only shard-owned indices,
+//      remapped to dense local row ids);
 //   2. merge on pull — shards return raw Q15.16 int64 pooled
-//      accumulators (EngineOptions::emit_fixed_pooled); the host sums
-//      them per lane, folds in the host-DRAM tier's contributions
-//      (rows gathered from the reference tables at CPU cost), and
-//      converts to float once. Integer lane addition is exactly
-//      associative, so the merged pooled output is bit-identical to a
-//      flat engine over the whole model — and on the degenerate 1-shard
-//      plan with no DRAM spill, the whole path IS the flat path.
+//      accumulators for their tables (EngineOptions::emit_fixed_pooled);
+//      the host adds each into its tables' global slots, folds in the
+//      host-DRAM tier's contributions (rows gathered from the reference
+//      tables at CPU cost), and converts to float once. Integer lane
+//      addition is exactly associative, so the merged pooled output is
+//      bit-identical to a flat engine over the whole model — and on the
+//      degenerate 1-shard plan with no DRAM spill, the whole path IS
+//      the flat path.
 //
 // The host-DRAM tier holds only rows PIM cannot: zero-frequency rows
 // and rows past tiering.pim_capacity_rows_per_shard. Serving a lookup
@@ -30,9 +36,12 @@
 // cross-host ingress inside their own transfer model via
 // FleetTopologyConfig::host_offset), then a cross-shard merge tree
 // priced with pim::PlanReduction over per-shard partial bytes, with the
-// DRAM-tier gather overlapping the reduce on the front-end host.
-// BatchResult::aggregate_parts carries the three parts of the host
-// aggregate: max(shard reduce, DRAM gather) + merge tree.
+// DRAM-tier gather overlapping the reduce on the front-end host. Merge
+// level l moves, per sending subtree of 2^l shards, the int64 slices of
+// the tables that subtree holds (batch x |its tables| x dim x 8 B); when
+// every shard holds every table that is the full pooled buffer at every
+// level. BatchResult::aggregate_parts carries the three parts of the
+// host aggregate: max(shard reduce, DRAM gather) + merge tree.
 #pragma once
 
 #include <cstdint>
@@ -128,10 +137,13 @@ class ShardedEngine {
   EngineOptions options_;
   host::CpuTimingModel cpu_;
 
+  // plan_.groups.TablesOfShard(s) is the one list of the global tables
+  // shard s serves, in local table order.
   partition::TierShardingPlan plan_;
-  // Per-shard sub-workloads: sub-trace (local row ids), sub-config
-  // (shard table shapes), sub-model (extracted rows; empty when
-  // timing-only). Kept alive for the shard engines' lifetime.
+  // Per-shard sub-workloads over the shard's tables: sub-trace (local
+  // row ids), sub-config (shard table shapes), sub-model (extracted
+  // rows; empty when timing-only). Kept alive for the shard engines'
+  // lifetime.
   std::vector<trace::Trace> sub_traces_;
   std::vector<dlrm::DlrmConfig> sub_configs_;
   std::vector<dlrm::DlrmModel> sub_models_;
@@ -140,6 +152,8 @@ class ShardedEngine {
   // DRAM rows those lookups touch (the gather's working set).
   std::vector<trace::TableTrace> dram_traces_;
   std::uint64_t dram_working_set_bytes_ = 0;
+  // Per merge level: the most tables any sending subtree holds.
+  std::vector<std::uint32_t> merge_level_tables_;
 
   std::vector<std::unique_ptr<pim::DpuSystem>> systems_;
   std::vector<std::unique_ptr<UpDlrmEngine>> shards_;
@@ -148,6 +162,7 @@ class ShardedEngine {
   std::vector<std::int64_t> merged_acc_;
   std::vector<std::int64_t> dram_bag_;
   std::vector<std::uint64_t> shard_partial_bytes_;
+  std::vector<std::uint64_t> merge_level_bytes_;
   std::vector<std::size_t> range_samples_;
 
   check::CheckReport report_;

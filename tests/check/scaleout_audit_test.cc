@@ -33,7 +33,7 @@ TEST(ScaleoutAuditTest, CleanShardPlanPasses) {
   partition::TieringOptions options;
   const auto plan = CleanPlan(3, &options);
   CheckReport report;
-  AuditShardCoverage(0, plan.tables[0], 3, &report);
+  AuditShardCoverage(0, plan.tables[0], plan.groups, &report);
   AuditTierCapacity(0, plan.tables[0], options, &report);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
@@ -42,7 +42,36 @@ TEST(ScaleoutAuditTest, IllegalOwnerFiresShardCoverage) {
   auto plan = CleanPlan(3, nullptr);
   plan.tables[0].owner[2] = 7;  // nonexistent shard
   CheckReport report;
-  AuditShardCoverage(0, plan.tables[0], 3, &report);
+  AuditShardCoverage(0, plan.tables[0], plan.groups, &report);
+  EXPECT_EQ(report.count(Rule::kShardCoverage), 1u);
+}
+
+TEST(ScaleoutAuditTest, OwnerOutsideTableGroupFiresShardCoverage) {
+  // Two tables over two shards: table 0 belongs to shard 0 alone.
+  trace::TableProfile profile;
+  profile.freq = {9, 1, 8, 2};
+  profile.by_freq = trace::ItemsByFrequency(profile.freq);
+  partition::TieringOptions options;
+  options.num_shards = 2;
+  options.keep_zero_freq_on_pim = true;
+  auto plan = partition::BuildTierShardingPlan(
+      std::vector<trace::TableProfile>{profile, profile}, options);
+  ASSERT_TRUE(plan.ok());
+  CheckReport clean;
+  AuditShardCoverage(0, plan->tables[0], plan->groups, &clean);
+  AuditShardCoverage(1, plan->tables[1], plan->groups, &clean);
+  EXPECT_TRUE(clean.clean()) << clean.ToString();
+
+  // Move table 0's last row to shard 1 with consistent locals and
+  // rollups: only the group rule can catch it.
+  partition::TableTierPlan& t = plan->tables[0];
+  ASSERT_EQ(t.owner[3], 0u);
+  t.owner[3] = 1;
+  t.local[3] = 0;
+  --t.shard_rows[0];
+  ++t.shard_rows[1];
+  CheckReport report;
+  AuditShardCoverage(0, t, plan->groups, &report);
   EXPECT_EQ(report.count(Rule::kShardCoverage), 1u);
 }
 
@@ -50,7 +79,7 @@ TEST(ScaleoutAuditTest, NonDenseLocalIdFiresShardCoverage) {
   auto plan = CleanPlan(2, nullptr);
   plan.tables[0].local[5] += 1;  // skip a local slot
   CheckReport report;
-  AuditShardCoverage(0, plan.tables[0], 2, &report);
+  AuditShardCoverage(0, plan.tables[0], plan.groups, &report);
   EXPECT_EQ(report.count(Rule::kShardCoverage), 1u);
 }
 
@@ -58,7 +87,7 @@ TEST(ScaleoutAuditTest, RollupMismatchFiresShardCoverage) {
   auto plan = CleanPlan(2, nullptr);
   plan.tables[0].shard_rows[0] += 1;  // rollup disagrees with owner map
   CheckReport report;
-  AuditShardCoverage(0, plan.tables[0], 2, &report);
+  AuditShardCoverage(0, plan.tables[0], plan.groups, &report);
   EXPECT_EQ(report.count(Rule::kShardCoverage), 1u);
 }
 

@@ -1,6 +1,7 @@
 // Statistical tiering / sharding planner tests: exact coverage,
-// epsilon mass budget, capacity clamps, the 1-shard identity, and
-// plan determinism.
+// epsilon mass budget, capacity clamps, the 1-shard identity, plan
+// determinism, and the table-group rule (whole tables, split tables,
+// and the coprime row-wise case).
 #include "partition/tiering.h"
 
 #include <gtest/gtest.h>
@@ -144,8 +145,99 @@ TEST(TieringTest, PlanIsDeterministic) {
     EXPECT_EQ(a->tables[t].shard_rows, b->tables[t].shard_rows);
     EXPECT_EQ(a->tables[t].shard_accesses, b->tables[t].shard_accesses);
   }
-  // Identical profiles produce identical per-table plans.
-  EXPECT_EQ(a->tables[0].owner, a->tables[1].owner);
+  // Identical profiles produce identical per-table plans up to the
+  // group: 2 tables over 4 shards put table 1 on shards 2-3, the shards
+  // table 0 uses on 0-1 shifted by 2.
+  EXPECT_EQ(a->tables[0].local, a->tables[1].local);
+  for (std::size_t r = 0; r < freq.size(); ++r) {
+    const std::uint32_t o = a->tables[0].owner[r];
+    EXPECT_EQ(a->tables[1].owner[r], o == kHostDramShard ? o : o + 2);
+  }
+}
+
+TEST(TieringTest, ShardGroupsFollowGcd) {
+  const ShardGroups whole{8, 4};  // S | T: 2 whole tables per shard
+  EXPECT_EQ(whole.num_groups(), 4u);
+  EXPECT_EQ(whole.TablesOfShard(1).begin, 2u);
+  EXPECT_EQ(whole.TablesOfShard(1).end, 4u);
+  EXPECT_EQ(whole.ShardsOfTable(3).begin, 1u);
+  EXPECT_EQ(whole.ShardsOfTable(3).end, 2u);
+  const ShardGroups split{8, 16};  // T | S: each table over 2 shards
+  EXPECT_EQ(split.ShardsOfTable(5).begin, 10u);
+  EXPECT_EQ(split.ShardsOfTable(5).end, 12u);
+  EXPECT_EQ(split.TablesOfShard(11).begin, 5u);
+  EXPECT_EQ(split.TablesOfShard(11).end, 6u);
+  const ShardGroups rowwise{2, 3};  // gcd 1: every table on every shard
+  EXPECT_EQ(rowwise.num_groups(), 1u);
+  EXPECT_EQ(rowwise.TablesOfShard(2).size(), 2u);
+  EXPECT_EQ(rowwise.ShardsOfTable(1).size(), 3u);
+}
+
+TEST(TieringTest, ShardsDividingTablesServeWholeTables) {
+  const std::vector<trace::TableProfile> profiles = {
+      MakeProfile({5, 3, 1}), MakeProfile({4, 4, 0}),
+      MakeProfile({2, 9, 6}), MakeProfile({7, 0, 1})};
+  TieringOptions options;
+  options.num_shards = 2;
+  options.keep_zero_freq_on_pim = true;
+  auto plan = BuildTierShardingPlan(profiles, options);
+  ASSERT_TRUE(plan.ok());
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    const TableTierPlan& p = plan->tables[t];
+    const std::uint32_t shard = t / 2;  // tables 0-1 on 0, 2-3 on 1
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(p.owner[r], shard) << "table " << t;
+      EXPECT_EQ(p.local[r], r) << "table " << t;  // the whole table
+    }
+    EXPECT_EQ(p.shard_rows[shard], 3u);
+    EXPECT_EQ(p.shard_rows[1 - shard], 0u);
+    EXPECT_EQ(p.shard_accesses[1 - shard], 0u);
+  }
+}
+
+TEST(TieringTest, TablesDividingShardsSpanTheirGroup) {
+  // 2 tables over 4 shards: table 0 on shards 0-1, table 1 on 2-3,
+  // each dealt evenly by access mass within its group.
+  const std::vector<trace::TableProfile> profiles = {
+      MakeProfile({25, 25, 25, 25}), MakeProfile({40, 10, 30, 20})};
+  TieringOptions options;
+  options.num_shards = 4;
+  auto plan = BuildTierShardingPlan(profiles, options);
+  ASSERT_TRUE(plan.ok());
+  const TableTierPlan& a = plan->tables[0];
+  const TableTierPlan& b = plan->tables[1];
+  EXPECT_EQ(a.shard_rows, (std::vector<std::uint64_t>{2, 2, 0, 0}));
+  EXPECT_EQ(a.shard_accesses, (std::vector<std::uint64_t>{50, 50, 0, 0}));
+  EXPECT_EQ(b.shard_rows, (std::vector<std::uint64_t>{0, 0, 2, 2}));
+  EXPECT_EQ(b.shard_accesses, (std::vector<std::uint64_t>{0, 0, 50, 50}));
+  // 40 -> 2, 30 -> 3, 20 -> 3, 10 -> 2.
+  EXPECT_EQ(b.owner, (std::vector<std::uint32_t>{2, 2, 3, 3}));
+  EXPECT_EQ(b.local, (std::vector<std::uint32_t>{0, 1, 0, 1}));
+  EXPECT_DOUBLE_EQ(plan->MaxShardImbalance(), 1.0);
+}
+
+TEST(TieringTest, CoprimeCountsKeepTheRowWisePlan) {
+  // gcd(2 tables, 3 shards) == 1: both tables deal over all 3 shards,
+  // exactly as each table planned alone (the row-wise layout).
+  const std::vector<trace::TableProfile> profiles = {
+      MakeProfile({9, 1, 8, 2, 7, 3}), MakeProfile({1, 4, 0, 6, 2, 5})};
+  TieringOptions options;
+  options.num_shards = 3;
+  auto plan = BuildTierShardingPlan(profiles, options);
+  ASSERT_TRUE(plan.ok());
+  // Greedy by mass: 9 -> 0, 8 -> 1, 7 -> 2, 3 -> 2, 2 -> 1, 1 -> 0.
+  EXPECT_EQ(plan->tables[0].owner,
+            (std::vector<std::uint32_t>{0, 0, 1, 1, 2, 2}));
+  EXPECT_EQ(plan->tables[0].local,
+            (std::vector<std::uint32_t>{0, 1, 0, 1, 0, 1}));
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    auto alone = BuildTierShardingPlan(
+        std::vector<trace::TableProfile>{profiles[t]}, options);
+    ASSERT_TRUE(alone.ok());
+    EXPECT_EQ(plan->tables[t].owner, alone->tables[0].owner);
+    EXPECT_EQ(plan->tables[t].local, alone->tables[0].local);
+    EXPECT_EQ(plan->tables[t].shard_rows, alone->tables[0].shard_rows);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ShardedEngine tests: the degenerate 1-shard fleet is the flat engine
 // bit for bit, sharded + tiered serving stays bit-exact vs the flat
-// reference, shard routing audits clean, accessed rows leave PIM only
+// reference for every table-group shape, shard routing audits clean, accessed rows leave PIM only
 // when a shard is full, the aggregate splits exactly into its parts, and
 // remote shards price their cross-host ingress.
 #include "updlrm/scaleout.h"
@@ -9,9 +9,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "partition/tiering.h"
+#include "pim/reduction.h"
+#include "pim/topology.h"
 #include "trace/generator.h"
 #include "trace/profiler.h"
 #include "updlrm/engine.h"
@@ -26,9 +29,10 @@ struct Fixture {
   dlrm::DenseInputs dense = dlrm::DenseInputs::Generate(0, 1, 0);
 };
 
-Fixture MakeFixture(bool functional = true, std::uint64_t seed = 47) {
+Fixture MakeFixture(bool functional = true, std::uint64_t seed = 47,
+                    std::uint32_t num_tables = 2) {
   Fixture f;
-  f.config.num_tables = 2;
+  f.config.num_tables = num_tables;
   f.config.rows_per_table = 600;
   f.config.embedding_dim = 8;
   f.config.dense_features = 5;
@@ -52,7 +56,7 @@ Fixture MakeFixture(bool functional = true, std::uint64_t seed = 47) {
   spec.seed = seed;
   trace::TraceGeneratorOptions options;
   options.num_samples = 96;
-  options.num_tables = 2;
+  options.num_tables = num_tables;
   auto t = trace::TraceGenerator(spec).Generate(options);
   UPDLRM_CHECK(t.ok());
   f.trace = std::move(t).value();
@@ -167,16 +171,74 @@ TEST(ScaleoutTest, ShardedTieredStaysBitExactVsFlat) {
       << (*sharded)->fleet_check_report().ToString();
 }
 
-TEST(ScaleoutTest, AggregatePartsComposeExactly) {
-  Fixture f = MakeFixture();
+// Table-group shapes: shards dividing tables (whole tables per shard),
+// tables dividing shards (each table split over a shard pair), and
+// coprime counts (every table over every shard, the row-wise layout).
+struct GroupShape {
+  std::uint32_t tables;
+  std::uint32_t shards;
+};
+
+class ScaleoutShapeTest : public ::testing::TestWithParam<GroupShape> {};
+
+TEST_P(ScaleoutShapeTest, PooledAndCtrBitExactVsFlat) {
+  const GroupShape shape = GetParam();
+  Fixture f = MakeFixture(/*functional=*/true, 47, shape.tables);
+  auto system = pim::DpuSystem::Create(ShardSystem(true));
+  ASSERT_TRUE(system.ok());
+  auto flat = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                   system->get(), SmallOptions());
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+
   ShardedEngineConfig fleet;
   fleet.shard_system = ShardSystem(true);
-  fleet.tiering.num_shards = 2;
+  fleet.tiering.num_shards = shape.shards;
+  EngineOptions options = SmallOptions();
+  options.check_mode = true;
+  auto sharded =
+      ShardedEngine::Create(f.model.get(), f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const partition::ShardGroups& groups = (*sharded)->tier_plan().groups;
+  for (std::uint32_t s = 0; s < shape.shards; ++s) {
+    EXPECT_EQ((*sharded)->shard(s).config().num_tables,
+              groups.TablesOfShard(s).size());
+  }
+
+  for (const trace::BatchRange& range :
+       trace::MakeBatches(f.trace.num_samples(), 32)) {
+    auto want = (*flat)->RunBatch(range, &f.dense);
+    auto got = (*sharded)->RunBatch(range, &f.dense);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(want->pooled, got->pooled);
+    EXPECT_EQ(want->ctr, got->ctr);
+  }
+  EXPECT_EQ((*sharded)->check_violations(), 0u)
+      << (*sharded)->fleet_check_report().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Groups, ScaleoutShapeTest,
+    ::testing::Values(GroupShape{4, 2}, GroupShape{2, 4}, GroupShape{2, 3}),
+    [](const ::testing::TestParamInfo<GroupShape>& info) {
+      return std::to_string(info.param.tables) + "Tables" +
+             std::to_string(info.param.shards) + "Shards";
+    });
+
+TEST(ScaleoutTest, AggregatePartsComposeExactly) {
+  // 4 tables over 4 shards: one table per shard, so merge level 0
+  // moves one table's slice and level 1 a shard pair's two.
+  Fixture f = MakeFixture(/*functional=*/true, 47, /*num_tables=*/4);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(true);
+  fleet.tiering.num_shards = 4;
   fleet.tiering.pim_capacity_rows_per_shard = kForcedSpillCapacity;
   auto sharded = ShardedEngine::Create(f.model.get(), f.config, f.trace,
                                        fleet, SmallOptions());
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
+  const pim::FleetTopology shard_topo(fleet.fleet_topology, 4);
+  const std::uint64_t level_tables[] = {1, 2};
   AggregateParts summed;
   for (const trace::BatchRange& range :
        trace::MakeBatches(f.trace.num_samples(), 16)) {
@@ -188,6 +250,15 @@ TEST(ScaleoutTest, AggregatePartsComposeExactly) {
     EXPECT_GT(p.merge_tree, 0.0);
     EXPECT_EQ(std::max(p.shard_reduce, p.dram_gather) + p.merge_tree,
               batch->stages.cpu_aggregate);
+    ASSERT_EQ(batch->reduction.levels, 2u);
+    Nanos tree = 0.0;
+    for (std::uint32_t l = 0; l < 2; ++l) {
+      tree += shard_topo.HopTime(
+          pim::MergeLevelHop(shard_topo, l),
+          range.size() * level_tables[l] * f.config.embedding_dim *
+              sizeof(std::int64_t));
+    }
+    EXPECT_EQ(p.merge_tree, tree);
     summed += p;
   }
   auto report = (*sharded)->RunAll(nullptr);
