@@ -7,16 +7,18 @@
 //     replica holding a full model copy and serving a thinned slice of
 //     the request stream. Replica 0 shares the front-end host; every
 //     other replica's ranks live on a remote host and pay cross-host
-//     ingress on pushes and pulls (pim/topology.h), so scaling is
-//     near-linear rather than free.
+//     ingress on their pushes (pim/topology.h; pulls land on the
+//     replica's own host), so scaling is near-linear rather than free.
 //   shard (CA only) — one ShardedEngine places the 8 tables on the
 //     same rank groups in table groups (partition/tiering.h): at 4
 //     shards each serves 2 whole tables, at 16 each table's rows split
 //     over 2 shards by the RecShard-style CDF plan (accessed rows
-//     spill to host DRAM only when a shard is full). Shards pull and
-//     merge only their tables' slices through the priced reduction
-//     tree, but the tree and every shard's fixed costs remain, so its
-//     throughput curve is the contrast to the replicate rows.
+//     spill to host DRAM only when a shard is full). Each shard pulls
+//     and reduces its partials on its own host; a table's shards sum
+//     its slices in a priced tree, and each table group's merged slice
+//     crosses to the front end once. The merge and every shard's fixed
+//     costs remain, so its throughput curve is the contrast to the
+//     replicate rows.
 //
 // Per fleet size the bench calibrates pipeline capacity offline, sweeps
 // offered load, and reports the highest load whose p99 holds a
@@ -219,7 +221,7 @@ int main(int argc, char** argv) {
       if (slo_ns == 0.0) slo_ns = 3.0 * cal_local.batch_total;
 
       // Remote replica: same slice, ranks owned by another host — every
-      // push/pull additionally pays the cross-host hop.
+      // push additionally pays the cross-host hop.
       pim::DpuSystemConfig remote_cfg = base;
       remote_cfg.topology.ranks_per_host = base_ranks;
       remote_cfg.topology.host_offset = 1;

@@ -119,7 +119,8 @@ void AuditTierCapacity(std::uint32_t table,
 }
 
 void AuditReductionPlan(const pim::ReductionPlan& plan,
-                        std::uint32_t num_ranks, CheckReport* report) {
+                        std::uint32_t num_ranks, std::uint32_t groups,
+                        CheckReport* report) {
   if (plan.active_ranks > num_ranks) {
     report->AddViolation(Rule::kReductionShape,
                          "plan claims " + std::to_string(plan.active_ranks) +
@@ -127,11 +128,34 @@ void AuditReductionPlan(const pim::ReductionPlan& plan,
                              std::to_string(num_ranks) + "-rank fleet");
     return;
   }
-  if (plan.levels != pim::Log2Levels(plan.active_ranks)) {
+  if (plan.groups != groups || groups == 0 || num_ranks % groups != 0) {
+    report->AddViolation(Rule::kReductionShape,
+                         "plan spans " + std::to_string(plan.groups) +
+                             " table groups; the " +
+                             std::to_string(num_ranks) + "-rank fleet has " +
+                             std::to_string(groups));
+    return;
+  }
+  // Each group's tree spans at most its own ranks, and the groups
+  // together hold every active rank.
+  if (plan.group_ranks > num_ranks / groups ||
+      static_cast<std::uint64_t>(plan.group_ranks) * groups <
+          plan.active_ranks) {
     report->AddViolation(
         Rule::kReductionShape,
-        "merge-tree depth " + std::to_string(plan.levels) +
-            " != ceil(log2(" + std::to_string(plan.active_ranks) + "))");
+        "in-group tree width " + std::to_string(plan.group_ranks) +
+            " does not fit " + std::to_string(plan.active_ranks) +
+            " active ranks in " + std::to_string(groups) + " groups of " +
+            std::to_string(num_ranks / groups));
+    return;
+  }
+  const std::uint32_t gather = groups > 1 ? 1 : 0;
+  if (plan.levels != pim::Log2Levels(plan.group_ranks) + gather) {
+    report->AddViolation(
+        Rule::kReductionShape,
+        "merge depth " + std::to_string(plan.levels) + " != ceil(log2(" +
+            std::to_string(plan.group_ranks) + ")) + " +
+            std::to_string(gather) + " gather level(s)");
     return;
   }
   if (plan.hierarchical && plan.active_ranks <= 1) {

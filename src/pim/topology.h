@@ -8,8 +8,10 @@
 //                 host buffer; merging them is a local DRAM stream;
 //   cross rank  — merging two ranks' buffers hops the host memory
 //                 system (NUMA interconnect / another channel);
-//   cross host  — index lists and merge traffic for ranks owned by a
-//                 remote host additionally traverse the network fabric.
+//   cross host  — index lists pushed to ranks owned by a remote host,
+//                 merged slices sent back from it, and partials a flat
+//                 stream on another host reduces, additionally traverse
+//                 the network fabric.
 //
 // FleetTopology classifies the hop between any two ranks and prices a
 // byte movement over each hop class. The configuration is validated to
@@ -39,9 +41,10 @@ struct FleetTopologyConfig {
 
   /// Host id of this fleet slice's first rank. The sharded scale-out
   /// engine carves one fleet into per-shard systems; a shard whose
-  /// ranks live on host > 0 pays cross-host ingress on all its traffic
-  /// (IngressExtra triggers on any rank whose host != 0). 0 for a
-  /// whole-fleet or front-end-local topology.
+  /// ranks live on host > 0 pays cross-host ingress on its stage-1
+  /// pushes (IngressExtra triggers on any rank whose host != 0), while
+  /// its stage-3 pulls land on, and are reduced by, its own host. 0 for
+  /// a whole-fleet or front-end-local topology.
   std::uint32_t host_offset = 0;
 
   /// Same-rank merge stream: the host core that pulled a rank's
@@ -100,7 +103,7 @@ class FleetTopology {
 
   /// Extra ingress cost the front-end host pays to reach rank `rank`
   /// with `bytes`: zero for ranks of host 0, one cross-host hop
-  /// otherwise. This is what makes transfer.cc price pushes/pulls to
+  /// otherwise. This is what makes transfer.cc price pushes to
   /// remote-host ranks differently from local ones.
   Nanos IngressExtra(std::uint32_t rank, std::uint64_t bytes) const;
 

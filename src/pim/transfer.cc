@@ -40,9 +40,19 @@ HostTransferModel::HostTransferModel(HostTransferParams params,
   UPDLRM_CHECK_MSG(params_.Validate().ok(), "invalid HostTransferParams");
 }
 
+double HostTransferModel::RankBandwidth(Direction dir) const {
+  return dir == Direction::kPush ? params_.push_bytes_per_sec_per_rank
+                                 : params_.pull_bytes_per_sec_per_rank;
+}
+
+Nanos HostTransferModel::RankIngress(Direction dir, std::uint32_t rank,
+                                     std::uint64_t bytes) const {
+  return dir == Direction::kPush ? topology_.IngressExtra(rank, bytes) : 0.0;
+}
+
 Nanos HostTransferModel::TransferTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max,
-    double rank_bw) const {
+    Direction dir) const {
   if (bytes_per_dpu.empty()) return 0.0;
   UPDLRM_CHECK_MSG(bytes_per_dpu.size() == num_dpus_,
                    "bytes_per_dpu must cover every DPU");
@@ -59,9 +69,10 @@ Nanos HostTransferModel::TransferTime(
   if (all_equal || pad_to_max) {
     // Parallel path: every rank streams its (padded) buffer matrix
     // concurrently; the slowest rank bounds the call. Padding makes
-    // each rank's matrix dpus_per_rank * max_bytes; ranks owned by a
-    // remote host additionally pay the cross-host ingress hop, so the
-    // bound is per-rank, not a single worst-bytes division.
+    // each rank's matrix dpus_per_rank * max_bytes; a push to a rank
+    // owned by a remote host additionally pays the cross-host ingress
+    // hop, so the bound is per-rank, not a single worst-bytes division.
+    const double rank_bw = RankBandwidth(dir);
     Nanos bound = 0.0;
     for (std::uint32_t r = 0; r < num_ranks_; ++r) {
       const std::uint32_t lo = r * dpus_per_rank_;
@@ -70,7 +81,7 @@ Nanos HostTransferModel::TransferTime(
       const std::uint64_t rank_bytes =
           static_cast<std::uint64_t>(hi - lo) * max_bytes;
       bound = std::max(bound, TransferNanos(rank_bytes, rank_bw) +
-                                  topology_.IngressExtra(r, rank_bytes));
+                                  RankIngress(dir, r, rank_bytes));
     }
     return params_.transfer_launch_ns + bound;
   }
@@ -80,12 +91,12 @@ Nanos HostTransferModel::TransferTime(
       simd::SumU64(bytes_per_dpu.data(), bytes_per_dpu.size());
   return params_.transfer_launch_ns +
          TransferNanos(total, params_.serial_bytes_per_sec) +
-         SequentialIngress(bytes_per_dpu);
+         SequentialIngress(bytes_per_dpu, dir);
 }
 
 Nanos HostTransferModel::SequentialIngress(
-    std::span<const std::uint64_t> bytes_per_dpu) const {
-  if (topology_.single_host()) return 0.0;
+    std::span<const std::uint64_t> bytes_per_dpu, Direction dir) const {
+  if (dir == Direction::kPull || topology_.single_host()) return 0.0;
   Nanos extra = 0.0;
   for (std::uint32_t r = 0; r < num_ranks_; ++r) {
     const std::uint32_t lo = r * dpus_per_rank_;
@@ -102,13 +113,14 @@ Nanos HostTransferModel::SequentialIngress(
 
 std::pair<Nanos, std::uint64_t> HostTransferModel::PaddedStream(
     std::span<const std::uint64_t> bytes_per_dpu, std::uint32_t lo,
-    std::uint32_t hi, double rank_bw) const {
+    std::uint32_t hi, Direction dir) const {
   const std::uint64_t call_max =
       simd::MaxU64(bytes_per_dpu.data() + lo, hi - lo);
   if (call_max == 0) return {0.0, 0};
   // Each rank streams its participating (nonzero) buffers, padded to the
   // call-wide max, concurrently with the other ranks; the fullest rank
-  // (including any cross-host ingress hop) bounds the call.
+  // (including a push's cross-host ingress hop) bounds the call.
+  const double rank_bw = RankBandwidth(dir);
   Nanos bound = 0.0;
   std::uint64_t streamed = 0;
   const std::uint32_t first_rank = lo / dpus_per_rank_;
@@ -120,7 +132,7 @@ std::pair<Nanos, std::uint64_t> HostTransferModel::PaddedStream(
         simd::CountNonZeroU64(bytes_per_dpu.data() + rlo, rhi - rlo);
     const std::uint64_t rank_bytes = pop * call_max;
     bound = std::max(bound, TransferNanos(rank_bytes, rank_bw) +
-                                topology_.IngressExtra(r, rank_bytes));
+                                RankIngress(dir, r, rank_bytes));
     streamed += rank_bytes;
   }
   return {bound, streamed};
@@ -128,7 +140,7 @@ std::pair<Nanos, std::uint64_t> HostTransferModel::PaddedStream(
 
 TransferPlan HostTransferModel::PlanTransfer(
     std::span<const std::uint64_t> bytes_per_dpu,
-    std::span<const std::uint32_t> group_start, double rank_bw) const {
+    std::span<const std::uint32_t> group_start, Direction dir) const {
   TransferPlan plan;
   if (bytes_per_dpu.empty()) return plan;
   UPDLRM_CHECK_MSG(bytes_per_dpu.size() == num_dpus_,
@@ -144,7 +156,7 @@ TransferPlan HostTransferModel::PlanTransfer(
 
   // Candidate 1: one coalesced call padded to the call-wide nonzero max.
   const auto [coal_stream, coal_bytes] =
-      PaddedStream(bytes_per_dpu, 0, num_dpus_, rank_bw);
+      PaddedStream(bytes_per_dpu, 0, num_dpus_, dir);
   const Nanos coal_time = params_.transfer_launch_ns + coal_stream;
 
   // Candidate 2: one call per nonzero group, each padded only to its own
@@ -154,7 +166,7 @@ TransferPlan HostTransferModel::PlanTransfer(
   std::uint32_t group_launches = 0;
   for (std::size_t g = 0; g + 1 < group_start.size(); ++g) {
     const auto [t, b] = PaddedStream(bytes_per_dpu, group_start[g],
-                                     group_start[g + 1], rank_bw);
+                                     group_start[g + 1], dir);
     if (b == 0) continue;
     group_time += params_.transfer_launch_ns + t;
     group_bytes += b;
@@ -164,7 +176,7 @@ TransferPlan HostTransferModel::PlanTransfer(
   // Candidate 3: one ragged call, buffers copied serially (no padding).
   const Nanos seq_time = params_.transfer_launch_ns +
                          TransferNanos(total, params_.serial_bytes_per_sec) +
-                         SequentialIngress(bytes_per_dpu);
+                         SequentialIngress(bytes_per_dpu, dir);
 
   // Deterministic choice: strict improvement required to leave the
   // coalesced path, so ties resolve coalesced > per-group > sequential.
@@ -190,27 +202,23 @@ TransferPlan HostTransferModel::PlanTransfer(
 TransferPlan HostTransferModel::PlanPush(
     std::span<const std::uint64_t> bytes_per_dpu,
     std::span<const std::uint32_t> group_start) const {
-  return PlanTransfer(bytes_per_dpu, group_start,
-                      params_.push_bytes_per_sec_per_rank);
+  return PlanTransfer(bytes_per_dpu, group_start, Direction::kPush);
 }
 
 TransferPlan HostTransferModel::PlanPull(
     std::span<const std::uint64_t> bytes_per_dpu,
     std::span<const std::uint32_t> group_start) const {
-  return PlanTransfer(bytes_per_dpu, group_start,
-                      params_.pull_bytes_per_sec_per_rank);
+  return PlanTransfer(bytes_per_dpu, group_start, Direction::kPull);
 }
 
 Nanos HostTransferModel::PushTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max) const {
-  return TransferTime(bytes_per_dpu, pad_to_max,
-                      params_.push_bytes_per_sec_per_rank);
+  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPush);
 }
 
 Nanos HostTransferModel::PullTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max) const {
-  return TransferTime(bytes_per_dpu, pad_to_max,
-                      params_.pull_bytes_per_sec_per_rank);
+  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPull);
 }
 
 Nanos HostTransferModel::BroadcastTime(std::uint64_t bytes) const {

@@ -75,10 +75,11 @@ struct TransferPlan {
 
 class HostTransferModel {
  public:
-  /// `topology` places the fleet's ranks onto hosts; ranks owned by a
-  /// host other than the front-end host 0 pay a cross-host ingress hop
-  /// on every push/pull that touches them. The default (single-host)
-  /// topology prices everything exactly as the historical flat model.
+  /// `topology` places the fleet's ranks onto hosts; a push to a rank
+  /// owned by a host other than the front-end host 0 pays a cross-host
+  /// ingress hop. Pulls pay none: the partials land on, and are reduced
+  /// by, the host that owns the rank. The default (single-host) topology
+  /// prices everything exactly as the historical flat model.
   HostTransferModel(HostTransferParams params, std::uint32_t num_dpus,
                     std::uint32_t dpus_per_rank,
                     FleetTopologyConfig topology = {});
@@ -121,22 +122,31 @@ class HostTransferModel {
   const FleetTopology& topology() const { return topology_; }
 
  private:
+  // Pushes carry the front end's index lists to a rank, so a push to a
+  // rank of a remote host pays the cross-host ingress hop. A pull lands
+  // on the host that owns the rank, which reduces it there: no ingress.
+  enum class Direction { kPush, kPull };
+
+  double RankBandwidth(Direction dir) const;
+  // Cross-host ingress of `bytes` to rank `rank`: pushes only.
+  Nanos RankIngress(Direction dir, std::uint32_t rank,
+                    std::uint64_t bytes) const;
   Nanos TransferTime(std::span<const std::uint64_t> bytes_per_dpu,
-                     bool pad_to_max, double rank_bw) const;
+                     bool pad_to_max, Direction dir) const;
   TransferPlan PlanTransfer(std::span<const std::uint64_t> bytes_per_dpu,
                             std::span<const std::uint32_t> group_start,
-                            double rank_bw) const;
+                            Direction dir) const;
   // Padded stream time of one call covering [lo, hi): every nonzero
   // buffer is padded to the call max; ranks stream concurrently.
   // Returns {bound_ns (no launch), streamed_bytes}.
   std::pair<Nanos, std::uint64_t> PaddedStream(
       std::span<const std::uint64_t> bytes_per_dpu, std::uint32_t lo,
-      std::uint32_t hi, double rank_bw) const;
+      std::uint32_t hi, Direction dir) const;
 
-  // Total cross-host ingress cost of a sequential (ragged) call: each
-  // remote rank's raw bytes traverse the fabric once.
-  Nanos SequentialIngress(
-      std::span<const std::uint64_t> bytes_per_dpu) const;
+  // Total cross-host ingress cost of a sequential (ragged) push: each
+  // remote rank's raw bytes traverse the fabric once. Zero for pulls.
+  Nanos SequentialIngress(std::span<const std::uint64_t> bytes_per_dpu,
+                          Direction dir) const;
 
   HostTransferParams params_;
   std::uint32_t num_dpus_;

@@ -17,6 +17,19 @@
 
 namespace updlrm::core {
 
+void PriceDenseStages(const host::CpuTimingModel& cpu,
+                      const dlrm::DlrmConfig& config, std::size_t batch,
+                      BatchResult* out) {
+  out->bottom_mlp = cpu.MlpTime(batch * config.BottomFlopsPerSample());
+  out->interaction_top =
+      cpu.MlpTime(batch * config.TopFlopsPerSample()) +
+      cpu.StreamTime(batch *
+                     static_cast<std::uint64_t>(config.num_tables + 1) *
+                     config.embedding_dim * 4);
+  out->total = std::max(out->bottom_mlp, out->stages.EmbeddingTotal()) +
+               out->interaction_top;
+}
+
 void UpDlrmEngine::BinRoute::Clear() {
   emt_slots.clear();
   cache_slots.clear();
@@ -1043,17 +1056,17 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   out.max_index_bytes = simd::MaxU64(push_bytes.data(), push_bytes.size());
   out.max_output_bytes = simd::MaxU64(pull_bytes.data(), pull_bytes.size());
   out.partial_bytes = simd::SumU64(pull_bytes.data(), pull_bytes.size());
+  const std::uint32_t dpr = system_->config().dpus_per_rank;
+  rank_bytes_.assign(system_->num_ranks(), 0);
+  for (std::size_t i = 0; i < pull_bytes.size(); ++i) {
+    rank_bytes_[i / dpr] += pull_bytes[i];
+  }
   if (options_.hierarchical_reduction) {
     // Fleet-aware aggregation price: per-rank local reduction streams
     // concurrently, then the cross-rank merge tree pays per-hop
     // topology costs — whichever beats the flat host stream
     // (pim/reduction.h). Single-rank fleets always plan flat, keeping
     // the historical price bit for bit.
-    const std::uint32_t dpr = system_->config().dpus_per_rank;
-    rank_bytes_.assign(system_->num_ranks(), 0);
-    for (std::size_t i = 0; i < pull_bytes.size(); ++i) {
-      rank_bytes_[i / dpr] += pull_bytes[i];
-    }
     const std::uint64_t pooled_bytes = static_cast<std::uint64_t>(batch) *
                                        tables * dim * sizeof(std::int64_t);
     out.reduction =
@@ -1063,20 +1076,18 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
         out.reduction.time_ns + cpu_.BagOverhead(tables);
     if (checker_ != nullptr) {
       check::AuditReductionPlan(out.reduction, system_->num_ranks(),
-                                &checker_->report());
+                                /*groups=*/1, &checker_->report());
     }
   } else {
+    // One stream on the engine's own host; partials pulled on another
+    // host first cross to it (zero on a single-host topology).
     out.stages.cpu_aggregate =
-        cpu_.StreamTime(out.partial_bytes) + cpu_.BagOverhead(tables);
+        cpu_.StreamTime(out.partial_bytes) +
+        pim::FlatIngressTime(system_->topology(), rank_bytes_) +
+        cpu_.BagOverhead(tables);
   }
 
-  out.bottom_mlp = cpu_.MlpTime(batch * config_.BottomFlopsPerSample());
-  out.interaction_top =
-      cpu_.MlpTime(batch * config_.TopFlopsPerSample()) +
-      cpu_.StreamTime(batch * static_cast<std::uint64_t>(tables + 1) * dim *
-                      4);
-  out.total = std::max(out.bottom_mlp, out.stages.EmbeddingTotal()) +
-              out.interaction_top;
+  PriceDenseStages(cpu_, config_, batch, &out);
   // UPDLRM_NOALLOC_END (the functional-mode output copy below is the
   // documented per-batch allocation: results leave by value).
 

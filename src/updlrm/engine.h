@@ -127,6 +127,16 @@ struct EngineOptions {
   check::ModelAuditTolerance check_tolerance;
 };
 
+/// Prices one batch's dense stages for the whole model on `cpu`: the
+/// bottom MLP, and the interaction + top MLP with its feature stream.
+/// Sets out->bottom_mlp and out->interaction_top, then out->total from
+/// them and out->stages. The flat and sharded engines share it, so a
+/// fleet prices the full model's dense work once, not each shard's
+/// sub-model.
+void PriceDenseStages(const host::CpuTimingModel& cpu,
+                      const dlrm::DlrmConfig& config, std::size_t batch,
+                      BatchResult* out);
+
 class UpDlrmEngine {
  public:
   /// `model` == nullptr selects timing-only mode (config supplies the
@@ -278,10 +288,9 @@ class UpDlrmEngine {
   std::vector<Status> bin_status_;
   std::vector<std::int64_t> pooled_acc_;
   std::vector<std::int32_t> wires_;
-  // Hierarchical-reduction scratch: per-rank stage-3 byte totals (the
-  // reduction planner's input) and per-rank pooled accumulators (the
-  // executed merge tree's working set). Empty unless
-  // options_.hierarchical_reduction.
+  // Per-rank stage-3 byte totals (the aggregation price's input) and,
+  // under options_.hierarchical_reduction, per-rank pooled accumulators
+  // (the executed merge tree's working set).
   std::vector<std::uint64_t> rank_bytes_;
   std::vector<std::int64_t> rank_pooled_;
   std::vector<Status> fn_status_;

@@ -40,12 +40,14 @@ struct StageBreakdown {
 /// The sharded fleet's host aggregate split into its three parts. Per
 /// batch, stages.cpu_aggregate == max(shard_reduce, dram_gather) +
 /// merge_tree exactly: the DRAM-tier gather overlaps the shards'
-/// concurrent reduces, and the cross-shard merge tree follows both.
+/// concurrent reduces, and the cross-shard merge follows both.
 /// All zero on the flat engine.
 struct AggregateParts {
   Nanos shard_reduce = 0.0;  // slowest shard's own partial-sum reduce
   Nanos dram_gather = 0.0;   // host-DRAM tier's cold-row gather
-  Nanos merge_tree = 0.0;    // cross-shard merge tree
+  // Cross-shard merge: in-group tree levels plus the gather of table
+  // group slices (ReductionPlan::tree_ns).
+  Nanos merge_tree = 0.0;
 
   AggregateParts& operator+=(const AggregateParts& other) {
     shard_reduce += other.shard_reduce;

@@ -234,25 +234,11 @@ Status ShardedEngine::Setup() {
     UPDLRM_RETURN_IF_ERROR(BuildShardInputs());
   }
 
-  // Merge level l pairs shards 2^l apart: each sending subtree of 2^l
-  // shards moves the slices of the tables it holds, and a level costs
-  // its largest sender's hop.
-  merge_level_tables_.assign(pim::Log2Levels(shards), 0);
-  for (std::uint32_t l = 0; l < merge_level_tables_.size(); ++l) {
-    const std::uint32_t width = 1u << l;
-    for (std::uint32_t lo = width; lo < shards; lo += 2 * width) {
-      const std::uint32_t hi = std::min(lo + width, shards) - 1;
-      merge_level_tables_[l] =
-          std::max(merge_level_tables_[l],
-                   plan_.groups.TablesOfShard(hi).end -
-                       plan_.groups.TablesOfShard(lo).begin);
-    }
-  }
-
   // Per-shard systems and engines, built concurrently (each shard's
   // engine owns disjoint inputs); errors report in shard order. Shard s
   // owns fleet ranks [s * R, (s + 1) * R); its transfer model prices
-  // cross-host ingress itself via the host offset of its first rank.
+  // its pushes' cross-host ingress itself via the host offset of its
+  // first rank.
   const std::uint32_t ranks = RanksPerShard(fleet_.shard_system);
   const std::uint32_t rph = fleet_.fleet_topology.ranks_per_host;
   systems_.resize(shards);
@@ -325,8 +311,6 @@ Result<BatchResult> ShardedEngine::RunSamples(
         std::max(out.stages.dpu_to_cpu, r->stages.dpu_to_cpu);
     out.stages.cpu_aggregate =
         std::max(out.stages.cpu_aggregate, r->stages.cpu_aggregate);
-    out.bottom_mlp = std::max(out.bottom_mlp, r->bottom_mlp);
-    out.interaction_top = std::max(out.interaction_top, r->interaction_top);
     out.max_index_bytes = std::max(out.max_index_bytes, r->max_index_bytes);
     out.max_output_bytes =
         std::max(out.max_output_bytes, r->max_output_bytes);
@@ -369,27 +353,27 @@ Result<BatchResult> ShardedEngine::RunSamples(
 
   // Cross-shard merge price: PlanReduction over per-shard partial
   // bytes, with each shard acting as one "rank" of a shard-granular
-  // topology (hosts rescaled to shard units) and each merge level moving
-  // its senders' table slices. The shard-internal aggregate is already
-  // inside the per-stage max; the fleet charge adds the merge tree on
-  // top, with the DRAM gather overlapping the concurrent shard reduces.
+  // topology (hosts rescaled to shard units) and the table groups as
+  // its groups: each group's shards sum its slice in a tree, then every
+  // other group's slice is gathered to the front end once. Each shard
+  // pulled and reduced its own partials on its own host, inside the
+  // per-stage max; the fleet charge adds the merge on top, with the
+  // DRAM gather overlapping the concurrent shard reduces.
   pim::FleetTopologyConfig shard_topo_config = fleet_.fleet_topology;
   const std::uint32_t ranks = RanksPerShard(fleet_.shard_system);
   const std::uint32_t rph = fleet_.fleet_topology.ranks_per_host;
   shard_topo_config.ranks_per_host =
       rph == 0 ? 0 : std::max<std::uint32_t>(1, rph / ranks);
   const pim::FleetTopology shard_topo(shard_topo_config, shards);
-  merge_level_bytes_.resize(merge_level_tables_.size());
-  for (std::size_t l = 0; l < merge_level_tables_.size(); ++l) {
-    merge_level_bytes_[l] = static_cast<std::uint64_t>(batch) *
-                            merge_level_tables_[l] * dim *
-                            sizeof(std::int64_t);
-  }
+  const std::uint32_t groups = plan_.groups.num_groups();
+  const std::uint64_t slice_bytes = static_cast<std::uint64_t>(batch) *
+                                    (tables / groups) * dim *
+                                    sizeof(std::int64_t);
   out.reduction =
-      pim::PlanReduction(shard_topo, shard_partial_bytes_, merge_level_bytes_,
-                         cpu_.params().stream_bytes_per_sec);
+      pim::PlanReduction(shard_topo, shard_partial_bytes_, slice_bytes,
+                         cpu_.params().stream_bytes_per_sec, groups);
   if (options_.check_mode) {
-    check::AuditReductionPlan(out.reduction, shards, &report_);
+    check::AuditReductionPlan(out.reduction, shards, groups, &report_);
   }
   AggregateParts& parts = out.aggregate_parts;
   parts.merge_tree = out.reduction.tree_ns;
@@ -401,8 +385,8 @@ Result<BatchResult> ShardedEngine::RunSamples(
   out.stages.cpu_aggregate =
       std::max(parts.shard_reduce, parts.dram_gather) + parts.merge_tree;
 
-  out.total = std::max(out.bottom_mlp, out.stages.EmbeddingTotal()) +
-              out.interaction_top;
+  // Dense stages run once on the front end over all tables.
+  PriceDenseStages(cpu_, config_, batch, &out);
 
   if (fn) {
     out.pooled.resize(pooled_size);

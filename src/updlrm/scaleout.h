@@ -32,16 +32,21 @@
 // not applied; tier_plan().options records the budget used.
 //
 // Timing composes as: per-stage max across shards (shards execute
-// concurrently on disjoint rank groups; remote shards price their
-// cross-host ingress inside their own transfer model via
-// FleetTopologyConfig::host_offset), then a cross-shard merge tree
-// priced with pim::PlanReduction over per-shard partial bytes, with the
-// DRAM-tier gather overlapping the reduce on the front-end host. Merge
-// level l moves, per sending subtree of 2^l shards, the int64 slices of
-// the tables that subtree holds (batch x |its tables| x dim x 8 B); when
-// every shard holds every table that is the full pooled buffer at every
-// level. BatchResult::aggregate_parts carries the three parts of the
-// host aggregate: max(shard reduce, DRAM gather) + merge tree.
+// concurrently on disjoint rank groups; a remote shard's stage-1 push
+// pays cross-host ingress inside its own transfer model via
+// FleetTopologyConfig::host_offset, while its stage-3 pull and reduce
+// run on its own host), then the cross-shard merge priced with
+// pim::PlanReduction, with the DRAM-tier gather overlapping the reduce
+// on the front-end host. The merge sums only where it must: a table
+// group's S/G shards sum their row slices of its tables in a tree of
+// ceil(log2(S/G)) levels (all groups concurrently, each level moving
+// one group slice of batch x T/G x dim x 8 B), then every other
+// group's merged slice crosses to the front end once in a single
+// gather. G = 1 is the all-shard tree at the full pooled buffer, and
+// G = S a gather of S - 1 slices. BatchResult::aggregate_parts carries
+// the three parts of the host aggregate: max(shard reduce, DRAM
+// gather) + merge. The dense stages are priced once, for all tables,
+// on the front end.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +76,7 @@ struct ShardedEngineConfig {
   pim::DpuSystemConfig shard_system;
   /// Whole-fleet rank/host layout: the ranks of shard s are fleet ranks
   /// [s * R, (s + 1) * R) where R = shard_system ranks. Prices the
-  /// cross-shard merge tree and each remote shard's ingress.
+  /// cross-shard merge and each remote shard's push ingress.
   pim::FleetTopologyConfig fleet_topology;
 
   Status Validate() const;
@@ -152,8 +157,6 @@ class ShardedEngine {
   // DRAM rows those lookups touch (the gather's working set).
   std::vector<trace::TableTrace> dram_traces_;
   std::uint64_t dram_working_set_bytes_ = 0;
-  // Per merge level: the most tables any sending subtree holds.
-  std::vector<std::uint32_t> merge_level_tables_;
 
   std::vector<std::unique_ptr<pim::DpuSystem>> systems_;
   std::vector<std::unique_ptr<UpDlrmEngine>> shards_;
@@ -162,7 +165,6 @@ class ShardedEngine {
   std::vector<std::int64_t> merged_acc_;
   std::vector<std::int64_t> dram_bag_;
   std::vector<std::uint64_t> shard_partial_bytes_;
-  std::vector<std::uint64_t> merge_level_bytes_;
   std::vector<std::size_t> range_samples_;
 
   check::CheckReport report_;

@@ -119,7 +119,7 @@ pim::ReductionPlan CleanReduction() {
 
 TEST(ScaleoutAuditTest, CleanReductionPlanPasses) {
   CheckReport report;
-  AuditReductionPlan(CleanReduction(), 8, &report);
+  AuditReductionPlan(CleanReduction(), 8, /*groups=*/1, &report);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 
@@ -127,14 +127,57 @@ TEST(ScaleoutAuditTest, WrongTreeDepthFiresReductionShape) {
   auto plan = CleanReduction();
   plan.levels += 1;
   CheckReport report;
-  AuditReductionPlan(plan, 8, &report);
+  AuditReductionPlan(plan, 8, /*groups=*/1, &report);
+  EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
+}
+
+// 16 shards in 8 table groups (fig12's 16 shards over 8 tables): one
+// in-group level plus the gather.
+pim::ReductionPlan CleanGroupedReduction() {
+  const pim::FleetTopology topo(pim::FleetTopologyConfig{}, 16);
+  const std::vector<std::uint64_t> bytes(16, 8ull << 20);
+  return pim::PlanReduction(topo, bytes, 1 << 12, 60.0e9, /*groups=*/8);
+}
+
+TEST(ScaleoutAuditTest, CleanGroupedReductionPlanPasses) {
+  const pim::ReductionPlan plan = CleanGroupedReduction();
+  ASSERT_EQ(plan.levels, 2u);
+  CheckReport report;
+  AuditReductionPlan(plan, 16, /*groups=*/8, &report);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+TEST(ScaleoutAuditTest, GroupedWrongDepthFiresReductionShape) {
+  // The all-shard tree's depth, and the in-group tree without its
+  // gather level, are both wrong for a grouped merge.
+  for (const std::uint32_t levels : {4u, 1u}) {
+    auto plan = CleanGroupedReduction();
+    plan.levels = levels;
+    CheckReport report;
+    AuditReductionPlan(plan, 16, /*groups=*/8, &report);
+    EXPECT_EQ(report.count(Rule::kReductionShape), 1u) << levels;
+  }
+}
+
+TEST(ScaleoutAuditTest, WrongGroupCountFiresReductionShape) {
+  CheckReport report;
+  AuditReductionPlan(CleanGroupedReduction(), 16, /*groups=*/4, &report);
+  EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
+}
+
+TEST(ScaleoutAuditTest, GroupTreeWiderThanGroupFiresReductionShape) {
+  auto plan = CleanGroupedReduction();
+  plan.group_ranks = 4;  // a group holds only 2 of the 16 shards
+  plan.levels = pim::Log2Levels(4) + 1;
+  CheckReport report;
+  AuditReductionPlan(plan, 16, /*groups=*/8, &report);
   EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
 }
 
 TEST(ScaleoutAuditTest, TooManyActiveRanksFiresReductionShape) {
   auto plan = CleanReduction();
   CheckReport report;
-  AuditReductionPlan(plan, plan.active_ranks - 1, &report);
+  AuditReductionPlan(plan, plan.active_ranks - 1, /*groups=*/1, &report);
   EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
 }
 
@@ -143,7 +186,7 @@ TEST(ScaleoutAuditTest, NonStrictHierarchicalFiresReductionShape) {
   ASSERT_TRUE(plan.hierarchical);
   plan.flat_ns = plan.hier_ns;  // no longer a strict win
   CheckReport report;
-  AuditReductionPlan(plan, 8, &report);
+  AuditReductionPlan(plan, 8, /*groups=*/1, &report);
   EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
 }
 
@@ -151,7 +194,7 @@ TEST(ScaleoutAuditTest, WrongChosenTimeFiresReductionShape) {
   auto plan = CleanReduction();
   plan.time_ns += 1.0;
   CheckReport report;
-  AuditReductionPlan(plan, 8, &report);
+  AuditReductionPlan(plan, 8, /*groups=*/1, &report);
   EXPECT_EQ(report.count(Rule::kReductionShape), 1u);
 }
 

@@ -1,9 +1,11 @@
 // Reduction-planner tests: plan shape, the degenerate single-rank
-// identity, and the "hierarchical only when strictly cheaper" contract.
+// identity, the table-group merge (in-group tree, then one gather), and
+// the "hierarchical only when strictly cheaper" contract.
 #include "pim/reduction.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -73,15 +75,132 @@ TEST(ReductionTest, MergeLevelHopEscalatesAtHostBoundary) {
   FleetTopologyConfig config;
   config.ranks_per_host = 4;
   const FleetTopology topo(config, 16);
-  EXPECT_EQ(MergeLevelHop(topo, 0), TransferHop::kCrossRank);  // dist 1
-  EXPECT_EQ(MergeLevelHop(topo, 1), TransferHop::kCrossRank);  // dist 2
-  EXPECT_EQ(MergeLevelHop(topo, 2), TransferHop::kCrossHost);  // dist 4
-  EXPECT_EQ(MergeLevelHop(topo, 3), TransferHop::kCrossHost);  // dist 8
+  EXPECT_EQ(MergeLevelHop(topo, 16, 0), TransferHop::kCrossRank);  // 1
+  EXPECT_EQ(MergeLevelHop(topo, 16, 1), TransferHop::kCrossRank);  // 2
+  EXPECT_EQ(MergeLevelHop(topo, 16, 2), TransferHop::kCrossHost);  // 4
+  EXPECT_EQ(MergeLevelHop(topo, 16, 3), TransferHop::kCrossHost);  // 8
 
   const FleetTopology flat(FleetTopologyConfig{}, 16);
   for (std::uint32_t l = 0; l < 4; ++l) {
-    EXPECT_EQ(MergeLevelHop(flat, l), TransferHop::kCrossRank);
+    EXPECT_EQ(MergeLevelHop(flat, 16, l), TransferHop::kCrossRank);
   }
+}
+
+TEST(ReductionTest, MergeLevelHopSeesGroupsThatStraddleHosts) {
+  // 12 ranks in groups of 3, 4 ranks per host: groups start at 0, 3, 6
+  // and 9, so the level-0 pair (3, 4) and the level-1 pair (6, 8) cross
+  // a host boundary although both distances are below 4.
+  FleetTopologyConfig config;
+  config.ranks_per_host = 4;
+  const FleetTopology topo(config, 12);
+  EXPECT_EQ(MergeLevelHop(topo, 3, 0), TransferHop::kCrossHost);
+  EXPECT_EQ(MergeLevelHop(topo, 3, 1), TransferHop::kCrossHost);
+  // Host-aligned groups of 4 stay inside their host.
+  EXPECT_EQ(MergeLevelHop(topo, 4, 0), TransferHop::kCrossRank);
+  EXPECT_EQ(MergeLevelHop(topo, 4, 1), TransferHop::kCrossRank);
+}
+
+TEST(ReductionTest, UnalignedGroupTreePaysTheCrossHostHop) {
+  // The 12-rank, width-3 fleet above: both tree levels cost a
+  // cross-host hop; then group 1 (host 0) gathers cross-rank and groups
+  // 2 and 3 (hosts 1 and 2) share the cross-host link.
+  FleetTopologyConfig config;
+  config.ranks_per_host = 4;
+  const FleetTopology topo(config, 12);
+  const std::vector<std::uint64_t> bytes(12, 1 << 20);
+  const std::uint64_t slice = 1 << 14;
+  const ReductionPlan plan =
+      PlanReduction(topo, bytes, slice, kStreamBw, /*groups=*/4);
+  EXPECT_EQ(plan.group_ranks, 3u);
+  EXPECT_EQ(plan.levels, 3u);
+  const Nanos tree = topo.HopTime(TransferHop::kCrossHost, slice) +
+                     topo.HopTime(TransferHop::kCrossHost, slice);
+  const Nanos gather =
+      std::max(topo.HopTime(TransferHop::kCrossRank, slice),
+               topo.HopTime(TransferHop::kCrossHost, 2 * slice));
+  EXPECT_EQ(plan.tree_ns, tree + gather);
+}
+
+TEST(ReductionTest, FlatStreamPaysIngressForOtherHostsPartials) {
+  // 4 ranks on 2 hosts: the flat stream runs on rank 0's host, so ranks
+  // 2 and 3 first send their partials over its cross-host link.
+  FleetTopologyConfig config;
+  config.ranks_per_host = 2;
+  const FleetTopology topo(config, 4);
+  const std::vector<std::uint64_t> bytes = {1 << 20, 2 << 20, 3 << 20,
+                                            4 << 20};
+  const Nanos ingress = topo.HopTime(TransferHop::kCrossHost, 7 << 20);
+  EXPECT_EQ(FlatIngressTime(topo, bytes), ingress);
+  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16, kStreamBw);
+  EXPECT_EQ(plan.flat_ns, TransferNanos(10 << 20, kStreamBw) + ingress);
+
+  // Ranks that all live on one host — the front end's or a remote one —
+  // reduce where they land: no ingress.
+  config.ranks_per_host = 4;
+  config.host_offset = 1;
+  const FleetTopology remote(config, 4);
+  EXPECT_EQ(FlatIngressTime(remote, bytes), 0.0);
+  EXPECT_EQ(PlanReduction(remote, bytes, 1 << 16, kStreamBw).flat_ns,
+            TransferNanos(10 << 20, kStreamBw));
+  const FleetTopology local(FleetTopologyConfig{}, 4);
+  EXPECT_EQ(FlatIngressTime(local, bytes), 0.0);
+  // Idle remote ranks send nothing.
+  const std::vector<std::uint64_t> home_only = {1 << 20, 2 << 20, 0, 0};
+  EXPECT_EQ(FlatIngressTime(topo, home_only), 0.0);
+}
+
+TEST(ReductionTest, TableGroupsSumInGroupThenGatherOnce) {
+  // 16 shards in 8 groups of 2, 4 shards per host: groups 0 and 1 share
+  // the front end's host, groups 2..7 are remote. One in-group level
+  // (partners 1 apart, same host), then one gather in which the local
+  // and the remote senders each share their own link.
+  FleetTopologyConfig config;
+  config.ranks_per_host = 4;
+  const FleetTopology topo(config, 16);
+  const std::vector<std::uint64_t> bytes(16, 1 << 20);
+  const std::uint64_t slice = 1 << 14;
+  const ReductionPlan plan =
+      PlanReduction(topo, bytes, slice, kStreamBw, /*groups=*/8);
+  EXPECT_EQ(plan.groups, 8u);
+  EXPECT_EQ(plan.active_ranks, 16u);
+  EXPECT_EQ(plan.group_ranks, 2u);
+  EXPECT_EQ(plan.levels, 2u);
+  const Nanos tree = topo.HopTime(TransferHop::kCrossRank, slice);
+  const Nanos gather =
+      std::max(topo.HopTime(TransferHop::kCrossRank, slice),
+               topo.HopTime(TransferHop::kCrossHost, 6 * slice));
+  EXPECT_EQ(plan.tree_ns, tree + gather);
+  EXPECT_EQ(plan.hier_ns,
+            TransferNanos(1 << 20, kStreamBw) + tree + gather);
+}
+
+TEST(ReductionTest, OneGroupPerRankIsOneGather) {
+  // Whole tables per shard, one shard per host: no sums, the 3 remote
+  // slices share the front end's link in one hop.
+  FleetTopologyConfig config;
+  config.ranks_per_host = 1;
+  const FleetTopology topo(config, 4);
+  const std::vector<std::uint64_t> bytes(4, 1 << 20);
+  const ReductionPlan plan =
+      PlanReduction(topo, bytes, 32 << 10, kStreamBw, /*groups=*/4);
+  EXPECT_EQ(plan.group_ranks, 1u);
+  EXPECT_EQ(plan.levels, 1u);
+  EXPECT_EQ(plan.tree_ns, topo.HopTime(TransferHop::kCrossHost, 96 << 10));
+}
+
+TEST(ReductionTest, OneGroupIsTheAllRankTree) {
+  FleetTopologyConfig config;
+  config.ranks_per_host = 2;
+  const FleetTopology topo(config, 8);
+  const std::vector<std::uint64_t> bytes(8, 1 << 20);
+  const ReductionPlan plan =
+      PlanReduction(topo, bytes, 1 << 16, kStreamBw, /*groups=*/1);
+  EXPECT_EQ(plan.levels, 3u);
+  Nanos tree = 0.0;
+  for (std::uint32_t l = 0; l < 3; ++l) {
+    tree += topo.HopTime(MergeLevelHop(topo, 8, l), 1 << 16);
+  }
+  EXPECT_EQ(plan.tree_ns, tree);
 }
 
 // Property: time_ns is always min(flat, hier), hierarchical implies a
@@ -101,12 +220,27 @@ TEST(ReductionTest, PlanInvariantsProperty) {
       b = rng.NextBernoulli(0.2) ? 0 : rng.NextBounded(16ull << 20);
     }
     const std::uint64_t pooled = rng.NextBounded(8ull << 20);
-    const ReductionPlan plan = PlanReduction(topo, bytes, pooled, kStreamBw);
+    std::uint32_t groups = 1 + static_cast<std::uint32_t>(
+                                   rng.NextBounded(ranks));
+    while (ranks % groups != 0) --groups;
+    const ReductionPlan plan =
+        PlanReduction(topo, bytes, pooled, kStreamBw, groups);
 
     std::uint32_t active = 0;
-    for (const auto b : bytes) active += b > 0 ? 1 : 0;
+    std::uint32_t group_ranks = 0;
+    const std::uint32_t width = ranks / groups;
+    for (std::uint32_t lo = 0; lo < ranks; lo += width) {
+      std::uint32_t in_group = 0;
+      for (std::uint32_t r = lo; r < lo + width; ++r) {
+        in_group += bytes[r] > 0 ? 1 : 0;
+      }
+      active += in_group;
+      group_ranks = std::max(group_ranks, in_group);
+    }
     EXPECT_EQ(plan.active_ranks, active);
-    EXPECT_EQ(plan.levels, Log2Levels(active));
+    EXPECT_EQ(plan.group_ranks, group_ranks);
+    EXPECT_EQ(plan.levels,
+              Log2Levels(group_ranks) + (groups > 1 ? 1u : 0u));
     EXPECT_EQ(plan.time_ns, std::min(plan.flat_ns, plan.hier_ns));
     if (plan.hierarchical) {
       EXPECT_GT(plan.active_ranks, 1u);

@@ -194,6 +194,53 @@ TEST(TransferPlanTest, NeverWorseThanClassicPaths) {
   EXPECT_LE(pull.time, model.PullTime(bytes, false) + 1e-9);
 }
 
+// Two ranks; rank 1 lives on host 1, off the front end.
+HostTransferModel RemoteRankModel() {
+  FleetTopologyConfig topo;
+  topo.ranks_per_host = 1;
+  return HostTransferModel(FastParams(), 128, 64, topo);
+}
+
+TEST(TransferTest, PullFromRemoteHostRankCostsTheLocalPull) {
+  // A pull lands on the host that owns the rank: no cross-host hop, on
+  // the padded, sequential and planned paths alike.
+  const HostTransferModel local(FastParams(), 128, 64);
+  const HostTransferModel remote = RemoteRankModel();
+  ASSERT_EQ(remote.topology().HostOfRank(1), 1u);
+  const std::vector<std::uint32_t> one_group = {0, 128};
+  std::vector<std::uint64_t> bytes(128, 900);
+  bytes[70] = 1000;  // ragged, and inside the remote rank
+  EXPECT_EQ(remote.PullTime(bytes, true), local.PullTime(bytes, true));
+  EXPECT_EQ(remote.PullTime(bytes, false), local.PullTime(bytes, false));
+  EXPECT_EQ(remote.PlanPull(bytes, one_group).time,
+            local.PlanPull(bytes, one_group).time);
+}
+
+TEST(TransferTest, PushToRemoteHostRankPaysIngress) {
+  // The indices come from the front end: the remote rank's push still
+  // crosses the fabric.
+  const HostTransferModel local(FastParams(), 128, 64);
+  const HostTransferModel remote = RemoteRankModel();
+  const HostTransferParams params = FastParams();
+  // Equal buffers, parallel path: the remote rank bounds the call.
+  const std::vector<std::uint64_t> equal(128, 1000);
+  const std::uint64_t rank_bytes = 64 * 1000;
+  EXPECT_EQ(remote.PushTime(equal, true),
+            params.transfer_launch_ns +
+                (TransferNanos(rank_bytes,
+                               params.push_bytes_per_sec_per_rank) +
+                 remote.topology().IngressExtra(1, rank_bytes)));
+  // Ragged, sequential path: the remote rank's raw bytes cross once.
+  std::vector<std::uint64_t> ragged(128, 900);
+  ragged[70] = 1000;
+  const std::uint64_t remote_bytes = 63 * 900 + 1000;
+  EXPECT_EQ(remote.PushTime(ragged, false),
+            local.PushTime(ragged, false) +
+                remote.topology().IngressExtra(1, remote_bytes));
+  EXPECT_GT(remote.PlanPush(ragged, std::vector<std::uint32_t>{0, 128}).time,
+            local.PlanPush(ragged, std::vector<std::uint32_t>{0, 128}).time);
+}
+
 TEST(TransferDeathTest, WrongVectorSizeAborts) {
   const HostTransferModel model(FastParams(), 64, 64);
   const std::vector<std::uint64_t> bytes(63, 100);

@@ -1,8 +1,10 @@
 // ShardedEngine tests: the degenerate 1-shard fleet is the flat engine
 // bit for bit, sharded + tiered serving stays bit-exact vs the flat
-// reference for every table-group shape, shard routing audits clean, accessed rows leave PIM only
-// when a shard is full, the aggregate splits exactly into its parts, and
-// remote shards price their cross-host ingress.
+// reference for every table-group shape, shard routing audits clean,
+// accessed rows leave PIM only when a shard is full, the aggregate
+// splits exactly into its parts with the merge priced per table-group
+// shape, the dense stages are priced for the whole model, and remote
+// shards pay cross-host ingress on pushes only.
 #include "updlrm/scaleout.h"
 
 #include <gtest/gtest.h>
@@ -184,7 +186,11 @@ class ScaleoutShapeTest : public ::testing::TestWithParam<GroupShape> {};
 TEST_P(ScaleoutShapeTest, PooledAndCtrBitExactVsFlat) {
   const GroupShape shape = GetParam();
   Fixture f = MakeFixture(/*functional=*/true, 47, shape.tables);
-  auto system = pim::DpuSystem::Create(ShardSystem(true));
+  // The flat reference needs a bin per table and column shard: 8 DPUs
+  // hold 4 tables at nc = 4.
+  pim::DpuSystemConfig flat_system = ShardSystem(true);
+  flat_system.num_dpus *= std::max(1u, shape.tables / 4);
+  auto system = pim::DpuSystem::Create(flat_system);
   ASSERT_TRUE(system.ok());
   auto flat = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
                                    system->get(), SmallOptions());
@@ -219,15 +225,48 @@ TEST_P(ScaleoutShapeTest, PooledAndCtrBitExactVsFlat) {
 
 INSTANTIATE_TEST_SUITE_P(
     Groups, ScaleoutShapeTest,
-    ::testing::Values(GroupShape{4, 2}, GroupShape{2, 4}, GroupShape{2, 3}),
+    ::testing::Values(GroupShape{4, 2}, GroupShape{2, 4}, GroupShape{2, 3},
+                      GroupShape{8, 16}),
     [](const ::testing::TestParamInfo<GroupShape>& info) {
       return std::to_string(info.param.tables) + "Tables" +
              std::to_string(info.param.shards) + "Shards";
     });
 
+// Runs every batch of 16 and checks that the host aggregate splits
+// exactly into its parts, that the merge has `levels` levels and costs
+// `merge(batch)`, that every batch prices a DRAM-tier gather when
+// `expect_dram`, and that RunAll sums the per-batch parts.
+template <typename MergeFn>
+void ExpectAggregatePartsCompose(ShardedEngine& sharded,
+                                 const trace::Trace& trace,
+                                 std::uint32_t levels, bool expect_dram,
+                                 MergeFn merge) {
+  AggregateParts summed;
+  for (const trace::BatchRange& range :
+       trace::MakeBatches(trace.num_samples(), 16)) {
+    auto batch = sharded.RunBatch(range, nullptr);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const AggregateParts& p = batch->aggregate_parts;
+    EXPECT_GT(p.shard_reduce, 0.0);
+    EXPECT_GT(p.merge_tree, 0.0);
+    if (expect_dram) EXPECT_GT(p.dram_gather, 0.0);
+    EXPECT_EQ(std::max(p.shard_reduce, p.dram_gather) + p.merge_tree,
+              batch->stages.cpu_aggregate);
+    ASSERT_EQ(batch->reduction.levels, levels);
+    EXPECT_EQ(p.merge_tree, merge(range.size()));
+    summed += p;
+  }
+  auto report = sharded.RunAll(nullptr);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->aggregate_parts.shard_reduce, summed.shard_reduce);
+  EXPECT_EQ(report->aggregate_parts.dram_gather, summed.dram_gather);
+  EXPECT_EQ(report->aggregate_parts.merge_tree, summed.merge_tree);
+}
+
 TEST(ScaleoutTest, AggregatePartsComposeExactly) {
-  // 4 tables over 4 shards: one table per shard, so merge level 0
-  // moves one table's slice and level 1 a shard pair's two.
+  // 4 tables over 4 shards (G = S): one table per shard, so nothing
+  // sums across shards. The merge is one gather level in which shards
+  // 1..3 send their one-table slices over the shared cross-rank link.
   Fixture f = MakeFixture(/*functional=*/true, 47, /*num_tables=*/4);
   ShardedEngineConfig fleet;
   fleet.shard_system = ShardSystem(true);
@@ -238,34 +277,102 @@ TEST(ScaleoutTest, AggregatePartsComposeExactly) {
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
   const pim::FleetTopology shard_topo(fleet.fleet_topology, 4);
-  const std::uint64_t level_tables[] = {1, 2};
-  AggregateParts summed;
-  for (const trace::BatchRange& range :
-       trace::MakeBatches(f.trace.num_samples(), 16)) {
-    auto batch = (*sharded)->RunBatch(range, nullptr);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    const AggregateParts& p = batch->aggregate_parts;
-    EXPECT_GT(p.shard_reduce, 0.0);
-    EXPECT_GT(p.dram_gather, 0.0);
-    EXPECT_GT(p.merge_tree, 0.0);
-    EXPECT_EQ(std::max(p.shard_reduce, p.dram_gather) + p.merge_tree,
-              batch->stages.cpu_aggregate);
-    ASSERT_EQ(batch->reduction.levels, 2u);
+  const std::uint64_t dim = f.config.embedding_dim;
+  ExpectAggregatePartsCompose(**sharded, f.trace, 1, /*expect_dram=*/true,
+                              [&](std::size_t b) {
+    return shard_topo.HopTime(pim::TransferHop::kCrossRank,
+                              3 * b * dim * sizeof(std::int64_t));
+  });
+}
+
+TEST(ScaleoutTest, TableGroupMergeSumsInGroupThenGathers) {
+  // 8 tables over 16 shards (G = 8), 4 shards per host: each table
+  // splits over a shard pair, which sums its slice in one cross-rank
+  // level; then group 1 (on the front-end host) and groups 2..7
+  // (remote) send one-table slices, each class over its own link.
+  Fixture f = MakeFixture(/*functional=*/false, 47, /*num_tables=*/8);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(false);
+  fleet.tiering.num_shards = 16;
+  fleet.fleet_topology.ranks_per_host = 4;
+  EngineOptions options = SmallOptions();
+  options.check_mode = true;
+  auto sharded =
+      ShardedEngine::Create(nullptr, f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ((*sharded)->tier_plan().groups.num_groups(), 8u);
+
+  const pim::FleetTopology shard_topo(fleet.fleet_topology, 16);
+  const std::uint64_t dim = f.config.embedding_dim;
+  ExpectAggregatePartsCompose(**sharded, f.trace, 2, /*expect_dram=*/false,
+                              [&](std::size_t b) {
+    const std::uint64_t slice = b * dim * sizeof(std::int64_t);
+    return shard_topo.HopTime(pim::TransferHop::kCrossRank, slice) +
+           std::max(shard_topo.HopTime(pim::TransferHop::kCrossRank, slice),
+                    shard_topo.HopTime(pim::TransferHop::kCrossHost,
+                                       6 * slice));
+  });
+  EXPECT_EQ((*sharded)->check_violations(), 0u)
+      << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, RowWisePlanKeepsTheAllShardTree) {
+  // 2 tables over 3 shards (G = 1): every shard holds every table, so
+  // the merge is the all-shard tree, ceil(log2(3)) = 2 levels, each
+  // moving the full pooled buffer over its pairing distance's hop.
+  Fixture f = MakeFixture(/*functional=*/false);
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(false);
+  fleet.tiering.num_shards = 3;
+  fleet.fleet_topology.ranks_per_host = 2;
+  EngineOptions options = SmallOptions();
+  options.check_mode = true;
+  auto sharded =
+      ShardedEngine::Create(nullptr, f.config, f.trace, fleet, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const pim::FleetTopology shard_topo(fleet.fleet_topology, 3);
+  const std::uint64_t pooled_per_sample =
+      f.config.num_tables * f.config.embedding_dim * sizeof(std::int64_t);
+  ExpectAggregatePartsCompose(**sharded, f.trace, 2, /*expect_dram=*/false,
+                              [&](std::size_t b) {
     Nanos tree = 0.0;
     for (std::uint32_t l = 0; l < 2; ++l) {
-      tree += shard_topo.HopTime(
-          pim::MergeLevelHop(shard_topo, l),
-          range.size() * level_tables[l] * f.config.embedding_dim *
-              sizeof(std::int64_t));
+      tree += shard_topo.HopTime(pim::MergeLevelHop(shard_topo, 3, l),
+                                 b * pooled_per_sample);
     }
-    EXPECT_EQ(p.merge_tree, tree);
-    summed += p;
-  }
-  auto report = (*sharded)->RunAll(nullptr);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->aggregate_parts.shard_reduce, summed.shard_reduce);
-  EXPECT_EQ(report->aggregate_parts.dram_gather, summed.dram_gather);
-  EXPECT_EQ(report->aggregate_parts.merge_tree, summed.merge_tree);
+    return tree;
+  });
+  EXPECT_EQ((*sharded)->check_violations(), 0u)
+      << (*sharded)->fleet_check_report().ToString();
+}
+
+TEST(ScaleoutTest, DenseStagesPricedForTheWholeModel) {
+  // Each shard engine serves 1 of the 4 tables; the fleet's interaction
+  // and MLPs still run once over all 4, exactly as the flat engine's.
+  Fixture f = MakeFixture(/*functional=*/true, 47, /*num_tables=*/4);
+  auto system = pim::DpuSystem::Create(ShardSystem(true));
+  ASSERT_TRUE(system.ok());
+  auto flat = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                   system->get(), SmallOptions());
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ShardedEngineConfig fleet;
+  fleet.shard_system = ShardSystem(true);
+  fleet.tiering.num_shards = 4;
+  auto sharded = ShardedEngine::Create(f.model.get(), f.config, f.trace,
+                                       fleet, SmallOptions());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ((*sharded)->shard(0).config().num_tables, 1u);
+
+  auto want = (*flat)->RunBatch({0, 32}, &f.dense);
+  auto got = (*sharded)->RunBatch({0, 32}, &f.dense);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->interaction_top, want->interaction_top);
+  EXPECT_EQ(got->bottom_mlp, want->bottom_mlp);
+  EXPECT_EQ(got->total,
+            std::max(got->bottom_mlp, got->stages.EmbeddingTotal()) +
+                got->interaction_top);
 }
 
 TEST(ScaleoutTest, UnboundedShardsKeepAccessedRowsOnPim) {
@@ -420,10 +527,54 @@ TEST(ScaleoutTest, RemoteShardsPayCrossHostIngress) {
   auto batch_b = (*b)->RunBatch({0, 16}, nullptr);
   ASSERT_TRUE(batch_a.ok());
   ASSERT_TRUE(batch_b.ok());
-  // The remote shard's stage-1 push and stage-3 pull traverse the
-  // network fabric; the per-stage max across shards must go up.
+  // The remote shard's stage-1 push carries the front end's indices
+  // over the network fabric, so the per-stage max goes up; its stage-3
+  // pull lands on its own host and costs what a local pull does.
   EXPECT_GT(batch_b->stages.cpu_to_dpu, batch_a->stages.cpu_to_dpu);
-  EXPECT_GT(batch_b->stages.dpu_to_cpu, batch_a->stages.dpu_to_cpu);
+  EXPECT_EQ(batch_b->stages.dpu_to_cpu, batch_a->stages.dpu_to_cpu);
+}
+
+TEST(ScaleoutTest, TwoHostFlatEngineChargesRemotePartialsIngress) {
+  // A flat engine whose 2 ranks sit on 2 hosts reduces on rank 0's
+  // host, so rank 1's partials first cross the fabric: one cross-host
+  // hop of fewer than all partial bytes, in the flat stream's price
+  // whether or not the hierarchical option is enabled. An engine whose
+  // ranks share one (remote) host reduces where they land.
+  Fixture f = MakeFixture(/*functional=*/false);
+  auto run = [&](std::uint32_t ranks_per_host, std::uint32_t host_offset,
+                 bool hierarchical) {
+    pim::DpuSystemConfig sys = ShardSystem(false);
+    sys.num_dpus = 16;  // 2 ranks of 8
+    sys.topology.ranks_per_host = ranks_per_host;
+    sys.topology.host_offset = host_offset;
+    auto system = pim::DpuSystem::Create(sys);
+    UPDLRM_CHECK(system.ok());
+    EngineOptions options = SmallOptions();
+    options.hierarchical_reduction = hierarchical;
+    auto engine = UpDlrmEngine::Create(nullptr, f.config, f.trace,
+                                       system->get(), options);
+    UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
+    auto batch = (*engine)->RunBatch({0, 16}, nullptr);
+    UPDLRM_CHECK(batch.ok());
+    return std::move(batch).value();
+  };
+  const BatchResult local = run(0, 0, false);
+  const BatchResult split = run(1, 0, false);
+  const BatchResult remote = run(2, 1, false);
+  EXPECT_EQ(split.stages.dpu_to_cpu, local.stages.dpu_to_cpu);
+  EXPECT_EQ(remote.stages.cpu_aggregate, local.stages.cpu_aggregate);
+
+  const pim::FleetTopology topo(pim::FleetTopologyConfig{}, 2);
+  const Nanos ingress =
+      split.stages.cpu_aggregate - local.stages.cpu_aggregate;
+  EXPECT_GT(ingress, topo.config().cross_host_latency_ns);
+  EXPECT_LT(ingress, topo.HopTime(pim::TransferHop::kCrossHost,
+                                  local.partial_bytes));
+
+  const BatchResult hier_local = run(0, 0, true);
+  const BatchResult hier_split = run(1, 0, true);
+  EXPECT_NEAR(hier_split.reduction.flat_ns - hier_local.reduction.flat_ns,
+              ingress, 1e-6);
 }
 
 TEST(ScaleoutTest, MisalignedShardHostBoundaryRejected) {
