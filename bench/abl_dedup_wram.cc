@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       "== Ablation: dedup / WRAM hot rows / coalesced transfers "
       "(Table 1 workloads, Nc=8) ==\n\n");
   const bench::BenchScale scale = bench::ParseScale(argc, argv);
-  const std::uint32_t wram_rows = scale.wram > 0 ? scale.wram : 512;
+  const std::uint32_t pinned_rows = scale.wram > 0 ? scale.wram : 512;
 
   const partition::Method methods[] = {partition::Method::kUniform,
                                        partition::Method::kNonUniform,
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         options.premined_cache = &caches;
         options.preprofiled = &profiles;
         options.dedup = cfg.dedup;
-        options.wram_cache_rows = cfg.wram ? wram_rows : 0;
+        options.wram_cache_rows = cfg.wram ? pinned_rows : 0;
         options.coalesce_transfers = cfg.coalesce;
         auto engine = core::UpDlrmEngine::Create(nullptr, w.config,
                                                  w.trace, system.get(),
@@ -111,6 +111,6 @@ int main(int argc, char** argv) {
       "\nall levers on improve embedding latency for >=2 of {U, NU, CA} "
       "on %d/%d datasets (%u WRAM rows pinned per DPU; each lever off "
       "is bit-identical to the baseline engine)\n",
-      datasets_meeting_bar, num_datasets, wram_rows);
+      datasets_meeting_bar, num_datasets, pinned_rows);
   return datasets_meeting_bar == num_datasets ? 0 : 1;
 }

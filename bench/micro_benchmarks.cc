@@ -340,9 +340,9 @@ void RunUniqueCounts() {
   benchmark::DoNotOptimize(counts);
 }
 
-// Cross-rank/cross-shard merge kernel: the int64 lane addition the
-// hierarchical reduction tree and the ShardedEngine merge both stream
-// through (simd::AddI64ToI64).
+// Cross-shard merge kernel: the int64 lane addition the ShardedEngine
+// folds every shard's pooled accumulators and DRAM-tier bags through
+// (simd::AddI64ToI64).
 std::vector<std::int64_t>& SimdRankSrc() {
   static std::vector<std::int64_t> src = [] {
     std::vector<std::int64_t> v(kSimdN);

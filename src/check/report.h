@@ -42,7 +42,7 @@ enum class Rule : std::uint32_t {
   kStageOrdering,       // executed batch stages out of order / overlap
   kShardCoverage,       // cross-shard row ownership not exact
   kTierCapacity,        // tier plan exceeds a per-tier capacity clamp
-  kReductionShape,      // reduction plan tree malformed / prices worse
+  kReductionShape,      // reduction plan tree malformed
   kAtomicProtocol,      // lock-free protocol breaks a happens-before edge
   kNumRules,
 };

@@ -156,24 +156,6 @@ void AuditReductionPlan(const pim::ReductionPlan& plan,
         "merge depth " + std::to_string(plan.levels) + " != ceil(log2(" +
             std::to_string(plan.group_ranks) + ")) + " +
             std::to_string(gather) + " gather level(s)");
-    return;
-  }
-  if (plan.hierarchical && plan.active_ranks <= 1) {
-    report->AddViolation(Rule::kReductionShape,
-                         "hierarchical schedule on <= 1 active rank");
-    return;
-  }
-  if (plan.hierarchical && plan.hier_ns >= plan.flat_ns) {
-    report->AddViolation(
-        Rule::kReductionShape,
-        "hierarchical schedule chosen without strict improvement");
-    return;
-  }
-  const Nanos expect =
-      plan.hierarchical ? plan.hier_ns : plan.flat_ns;
-  if (plan.time_ns != expect) {
-    report->AddViolation(Rule::kReductionShape,
-                         "planned time is not the chosen schedule's time");
   }
 }
 

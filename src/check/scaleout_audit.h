@@ -34,12 +34,10 @@ void AuditTierCapacity(std::uint32_t table,
                        const partition::TieringOptions& options,
                        CheckReport* report);
 
-/// Audits one batch's reduction plan over `num_ranks` ranks in
-/// `groups` table groups (1 inside one engine): the plan spans the
-/// fleet's groups, active ranks fit the fleet and the in-group tree
-/// fits a group, the depth is ceil(log2(group_ranks)) plus one gather
-/// level when groups > 1, the chosen time is the minimum of the two
-/// schedules, and the hierarchical choice is a strict improvement.
+/// Audits one batch's cross-shard merge plan over `num_ranks` shards
+/// in `groups` table groups: the plan spans the fleet's groups, active
+/// shards fit the fleet and the in-group tree fits a group, the depth
+/// is ceil(log2(group_ranks)) plus one gather level when groups > 1.
 /// Fires kReductionShape.
 void AuditReductionPlan(const pim::ReductionPlan& plan,
                         std::uint32_t num_ranks, std::uint32_t groups,

@@ -47,9 +47,9 @@ void ForceScalar(bool force);
 void AddI32ToI64(const std::int32_t* src, std::int64_t* acc,
                  std::size_t n);
 
-/// acc[i] += src[i] for i in [0, n), int64 into int64 — the cross-rank
-/// (and cross-shard) merge step of the hierarchical reduction: two
-/// pooled accumulator buffers fold into one. Exact at any lane order.
+/// acc[i] += src[i] for i in [0, n), int64 into int64 — the
+/// cross-shard merge step: two pooled accumulator buffers fold into
+/// one. Exact at any lane order.
 void AddI64ToI64(const std::int64_t* src, std::int64_t* acc,
                  std::size_t n);
 

@@ -14,9 +14,6 @@ Result<PartitionPlan> NonUniformPartition(
     return Status::InvalidArgument(
         "freq must have one entry per table row");
   }
-  if (options.assignment_batch == 0) {
-    return Status::InvalidArgument("assignment_batch must be >= 1");
-  }
   if (!options.order.empty() && options.order.size() != freq.size()) {
     return Status::InvalidArgument(
         "order hint must have one entry per table row");
@@ -45,7 +42,7 @@ Result<PartitionPlan> NonUniformPartition(
 
   std::vector<std::uint64_t> bin_load(geom.row_shards, 0);
   std::vector<std::uint64_t> bin_rows(geom.row_shards, 0);
-  for (std::size_t i = 0; i < order.size();) {
+  for (const std::uint32_t row : order) {
     // Lowest aggregate frequency wins; ties break toward fewer rows so
     // the zero-frequency tail still spreads evenly.
     std::int64_t best = -1;
@@ -58,20 +55,9 @@ Result<PartitionPlan> NonUniformPartition(
       }
     }
     UPDLRM_CHECK_MSG(best >= 0, "capacity pre-check guarantees a free bin");
-    // Assign up to `assignment_batch` consecutive items, but never past
-    // the bin's capacity (the next batch re-runs the argmin). The
-    // dominant head is always assigned per-item.
-    const bool in_head =
-        i < options.head_items_per_bin * geom.row_shards;
-    const std::uint64_t take = std::min<std::uint64_t>(
-        in_head ? 1 : options.assignment_batch,
-        capacity - bin_rows[best]);
-    for (std::uint64_t k = 0; k < take && i < order.size(); ++k, ++i) {
-      const std::uint32_t row = order[i];
-      plan.row_bin[row] = static_cast<std::uint32_t>(best);
-      bin_load[best] += freq[row];
-      ++bin_rows[best];
-    }
+    plan.row_bin[row] = static_cast<std::uint32_t>(best);
+    bin_load[best] += freq[row];
+    ++bin_rows[best];
   }
   return plan;
 }

@@ -22,19 +22,6 @@ struct NonUniformOptions {
   /// row_bytes). 0 means unlimited.
   std::uint64_t max_rows_per_bin = 0;
 
-  /// §3.2: "One could batch items when doing the assignment to reduce
-  /// algorithm complexity." Consecutive items (in descending-frequency
-  /// order) are assigned `assignment_batch` at a time to the current
-  /// least-loaded bin — one argmin scan per batch instead of per item.
-  /// 1 (default) is the paper's per-item greedy.
-  ///
-  /// The power-law *head* is always assigned per-item regardless
-  /// (the first `head_items_per_bin * bins` items): lumping the few
-  /// dominant items into one bin would wreck the balance the method
-  /// exists to provide, while batching the near-uniform tail is free.
-  std::uint64_t assignment_batch = 1;
-  std::uint64_t head_items_per_bin = 32;
-
   /// Precomputed descending-frequency order (ItemsByFrequency(freq),
   /// e.g. trace::TableProfile::by_freq). The permutation depends only
   /// on `freq`, so callers building several plans from one profile can

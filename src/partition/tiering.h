@@ -24,10 +24,7 @@
 //     of its table's group by greedy least-loaded placement in
 //     descending-frequency order, so each of those shards receives an
 //     equal slice of the table's access mass (not just an equal row
-//     count);
-//   * WRAM hint — the plan forwards a per-shard pinned-row budget to
-//     the engine's existing WRAM tier (EngineOptions::wram_cache_rows),
-//     which clamps it against the kernel's real WRAM headroom.
+//     count).
 //
 // The plan is pure metadata: owners + dense local row ids. The sharded
 // engine (updlrm/scaleout.h) extracts each shard's tables and rows into
@@ -93,9 +90,6 @@ struct TieringOptions {
   /// host DRAM regardless of dram_epsilon — capacity is a physical
   /// limit, epsilon a quality target. Audited by check::kTierCapacity.
   std::uint64_t pim_capacity_rows_per_shard = 0;
-  /// Per-shard WRAM pinned-row budget forwarded to the engine (engine
-  /// clamps against real WRAM headroom). 0 disables.
-  std::uint32_t wram_rows = 0;
 
   Status Validate() const;
 };

@@ -53,46 +53,34 @@ Nanos FlatIngressTime(const FleetTopology& topo,
 ReductionPlan PlanReduction(
     const FleetTopology& topo,
     std::span<const std::uint64_t> rank_partial_bytes,
-    std::uint64_t slice_bytes, double stream_bytes_per_sec,
-    std::uint32_t groups) {
+    std::uint64_t slice_bytes, std::uint32_t groups) {
   const std::size_t ranks = rank_partial_bytes.size();
   UPDLRM_CHECK(ranks == topo.num_ranks());
   UPDLRM_CHECK(groups > 0 && ranks % groups == 0);
   const std::size_t group_width = ranks / groups;
   ReductionPlan plan;
   plan.groups = groups;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t max_rank_bytes = 0;
   for (std::size_t lo = 0; lo < ranks; lo += group_width) {
     std::uint32_t active = 0;
     for (std::size_t r = lo; r < lo + group_width; ++r) {
-      const std::uint64_t b = rank_partial_bytes[r];
-      total_bytes += b;
-      max_rank_bytes = std::max(max_rank_bytes, b);
-      if (b > 0) ++active;
+      if (rank_partial_bytes[r] > 0) ++active;
     }
     plan.active_ranks += active;
     plan.group_ranks = std::max(plan.group_ranks, active);
   }
-  plan.flat_ns = TransferNanos(total_bytes, stream_bytes_per_sec) +
-                 FlatIngressTime(topo, rank_partial_bytes);
   const std::uint32_t tree_levels = Log2Levels(plan.group_ranks);
   plan.levels = tree_levels + (groups > 1 ? 1 : 0);
 
-  // Level 1: concurrent per-rank reduce streams — the slowest rank
-  // bounds it. Level 2: the in-group tree; every level moves one slice
-  // per surviving pair, and pairs (and groups) within a level merge
-  // concurrently, so a level costs one hop of its farthest pair's class.
-  plan.hier_ns = TransferNanos(max_rank_bytes, stream_bytes_per_sec);
+  // The in-group tree: every level moves one slice per surviving pair,
+  // and pairs (and groups) within a level merge concurrently, so a
+  // level costs one hop of its farthest pair's class.
   for (std::uint32_t l = 0; l < tree_levels; ++l) {
-    const Nanos hop = topo.HopTime(
+    plan.tree_ns += topo.HopTime(
         MergeLevelHop(topo, static_cast<std::uint32_t>(group_width), l),
         slice_bytes);
-    plan.hier_ns += hop;
-    plan.tree_ns += hop;
   }
-  // Level 3: the gather. Group g's slice sits at its first rank; each
-  // hop class is one shared link, and the links run concurrently.
+  // The gather. Group g's slice sits at its first rank; each hop class
+  // is one shared link, and the links run concurrently.
   if (groups > 1) {
     std::array<std::uint64_t, 3> class_bytes{};
     for (std::size_t lo = group_width; lo < ranks; lo += group_width) {
@@ -106,16 +94,8 @@ ReductionPlan PlanReduction(
       gather = std::max(gather, topo.HopTime(static_cast<TransferHop>(c),
                                              class_bytes[c]));
     }
-    plan.hier_ns += gather;
     plan.tree_ns += gather;
   }
-
-  // Ties stay flat: strict improvement required, so the degenerate
-  // single-rank fleet (hier == flat == one stream) keeps the exact
-  // historical pricing.
-  plan.hierarchical =
-      plan.active_ranks > 1 && plan.hier_ns < plan.flat_ns;
-  plan.time_ns = plan.hierarchical ? plan.hier_ns : plan.flat_ns;
   return plan;
 }
 

@@ -62,10 +62,11 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
   auto probe_batch = engine.RunSamples(probe, nullptr);
   if (!probe_batch.ok()) return probe_batch.status();
 
-  DataFlowSpace space = options_.space;
+  DataFlowSpace space;
+  space.max_depth = options_.max_depth;
   space.bottom_layers =
       static_cast<std::uint32_t>(config.bottom_hidden.size()) + 1;
-  space.allow_gpu = space.allow_gpu && options_.gpu_available;
+  space.allow_gpu = options_.gpu_available;
 
   const host::GpuTimingModel gpu(options_.gpu);
   TunedDataFlow tuned;

@@ -29,9 +29,10 @@
 namespace updlrm::pipeline {
 
 struct TunerOptions {
-  /// Enumeration bounds. `bottom_layers` is filled in from the engine's
-  /// model config; `allow_gpu` is additionally gated on gpu_available.
-  DataFlowSpace space;
+  /// Largest pipeline depth to enumerate (DataFlowSpace::max_depth);
+  /// the split bound comes from the engine's model config and GPU
+  /// placements from gpu_available.
+  std::uint32_t max_depth = 4;
   /// Candidates (by predicted rank) to calibrate with real simulated
   /// runs; 0 calibrates *every* candidate (the ablation mode — makes
   /// the tuner's pick dominate all static plans by construction).

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
-#include "check/scaleout_audit.h"
 #include "common/arena.h"
 #include "common/fixed_point.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "partition/replication.h"
+#include "pim/reduction.h"
 #include "telemetry/tracer.h"
 #include "trace/profiler.h"
 #include "updlrm/dedup.h"
@@ -946,74 +946,24 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
     for (std::size_t task = 0; task < num_fn_tasks; ++task) {
       UPDLRM_RETURN_IF_ERROR(fn_status[task]);
     }
-    if (options_.hierarchical_reduction && system_->num_ranks() > 1) {
-      // Hierarchical merge, the shape the reduction planner prices:
-      // every task folds into its *rank's* int64 accumulator (fixed
-      // task order within each rank), then ranks pairwise-merge in a
-      // fixed binary tree. int64 lanes are exactly associative, so the
-      // result is bit-identical to the flat fixed-order merge below.
-      const std::uint32_t dpr = system_->config().dpus_per_rank;
-      const std::uint32_t ranks = system_->num_ranks();
-      const std::size_t pooled_size = pooled_acc.size();
-      rank_pooled_.assign(
-          static_cast<std::size_t>(ranks) * pooled_size, 0);
-      std::size_t g = 0;
-      for (std::size_t task = 0; task < num_fn_tasks; ++task) {
-        while (task >= fn_task_start_[g + 1]) ++g;
-        const TableGroup& group = groups_[g];
-        const auto& geom = group.plan.geom;
-        const std::size_t local = task - fn_task_start_[g];
-        const auto bin =
-            static_cast<std::uint32_t>(local / geom.col_shards);
-        const auto c =
-            static_cast<std::uint32_t>(local % geom.col_shards);
-        const std::uint32_t rank = group.GlobalDpu(bin, c) / dpr;
-        std::int64_t* base =
-            rank_pooled_.data() +
-            static_cast<std::size_t>(rank) * pooled_size;
-        const std::int32_t* task_wires =
-            wires.data() + task * wires_per_task;
-        for (std::size_t s = 0; s < batch; ++s) {
-          std::int64_t* dst = base +
-                              (s * tables + group.table_index) * dim +
-                              static_cast<std::size_t>(c) * geom.nc;
-          simd::AddI32ToI64(task_wires + s * nc_, dst, geom.nc);
-        }
-      }
-      // Merge tree: rank r absorbs rank r + step, doubling step — the
-      // same ceil(log2(ranks)) levels PlanReduction prices.
-      for (std::uint32_t step = 1; step < ranks; step <<= 1) {
-        for (std::uint32_t r = 0; r + step < ranks; r += 2 * step) {
-          simd::AddI64ToI64(
-              rank_pooled_.data() +
-                  static_cast<std::size_t>(r + step) * pooled_size,
-              rank_pooled_.data() +
-                  static_cast<std::size_t>(r) * pooled_size,
-              pooled_size);
-        }
-      }
-      simd::AddI64ToI64(rank_pooled_.data(), pooled_acc.data(),
-                        pooled_size);
-    } else {
-      // Fixed-order merge: task (g, bin, col) ascending, samples
-      // ascending within each task.
-      std::size_t g = 0;
-      for (std::size_t task = 0; task < num_fn_tasks; ++task) {
-        while (task >= fn_task_start_[g + 1]) ++g;
-        const TableGroup& group = groups_[g];
-        const auto& geom = group.plan.geom;
-        const auto c = static_cast<std::uint32_t>(
-            (task - fn_task_start_[g]) % geom.col_shards);
-        const std::int32_t* task_wires =
-            wires.data() + task * wires_per_task;
-        for (std::size_t s = 0; s < batch; ++s) {
-          std::int64_t* dst = pooled_acc.data() +
-                              (s * tables + group.table_index) * dim +
-                              static_cast<std::size_t>(c) * geom.nc;
-          // Integer lanes: the vectorized add is exactly the
-          // fixed-order merge (int64 addition is commutative per lane).
-          simd::AddI32ToI64(task_wires + s * nc_, dst, geom.nc);
-        }
+    // Fixed-order merge: task (g, bin, col) ascending, samples
+    // ascending within each task.
+    std::size_t g = 0;
+    for (std::size_t task = 0; task < num_fn_tasks; ++task) {
+      while (task >= fn_task_start_[g + 1]) ++g;
+      const TableGroup& group = groups_[g];
+      const auto& geom = group.plan.geom;
+      const auto c = static_cast<std::uint32_t>(
+          (task - fn_task_start_[g]) % geom.col_shards);
+      const std::int32_t* task_wires =
+          wires.data() + task * wires_per_task;
+      for (std::size_t s = 0; s < batch; ++s) {
+        std::int64_t* dst = pooled_acc.data() +
+                            (s * tables + group.table_index) * dim +
+                            static_cast<std::size_t>(c) * geom.nc;
+        // Integer lanes: the vectorized add is exactly the
+        // fixed-order merge (int64 addition is commutative per lane).
+        simd::AddI32ToI64(task_wires + s * nc_, dst, geom.nc);
       }
     }
   }
@@ -1061,31 +1011,12 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   for (std::size_t i = 0; i < pull_bytes.size(); ++i) {
     rank_bytes_[i / dpr] += pull_bytes[i];
   }
-  if (options_.hierarchical_reduction) {
-    // Fleet-aware aggregation price: per-rank local reduction streams
-    // concurrently, then the cross-rank merge tree pays per-hop
-    // topology costs — whichever beats the flat host stream
-    // (pim/reduction.h). Single-rank fleets always plan flat, keeping
-    // the historical price bit for bit.
-    const std::uint64_t pooled_bytes = static_cast<std::uint64_t>(batch) *
-                                       tables * dim * sizeof(std::int64_t);
-    out.reduction =
-        pim::PlanReduction(system_->topology(), rank_bytes_, pooled_bytes,
-                           cpu_.params().stream_bytes_per_sec);
-    out.stages.cpu_aggregate =
-        out.reduction.time_ns + cpu_.BagOverhead(tables);
-    if (checker_ != nullptr) {
-      check::AuditReductionPlan(out.reduction, system_->num_ranks(),
-                                /*groups=*/1, &checker_->report());
-    }
-  } else {
-    // One stream on the engine's own host; partials pulled on another
-    // host first cross to it (zero on a single-host topology).
-    out.stages.cpu_aggregate =
-        cpu_.StreamTime(out.partial_bytes) +
-        pim::FlatIngressTime(system_->topology(), rank_bytes_) +
-        cpu_.BagOverhead(tables);
-  }
+  // One stream on the engine's own host; partials pulled on another
+  // host first cross to it (zero on a single-host topology).
+  out.stages.cpu_aggregate =
+      cpu_.StreamTime(out.partial_bytes) +
+      pim::FlatIngressTime(system_->topology(), rank_bytes_) +
+      cpu_.BagOverhead(tables);
 
   PriceDenseStages(cpu_, config_, batch, &out);
   // UPDLRM_NOALLOC_END (the functional-mode output copy below is the

@@ -79,16 +79,6 @@ struct EngineOptions {
   /// of {one coalesced padded call, one padded call per table,
   /// sequential ragged} from the actual (deduped) buffer sizes.
   bool coalesce_transfers = false;
-  /// Price the stage-3 partial-sum aggregation with the fleet-topology
-  /// reduction planner (pim/reduction.h): per-rank local reduction
-  /// first, then a cross-rank merge tree, whenever that beats the flat
-  /// host stream. In functional mode the merge is also *executed* in
-  /// that shape (per-rank int64 accumulators folded pairwise); integer
-  /// lanes are exactly associative, so pooled outputs stay
-  /// bit-identical to the flat fixed-order merge. On the degenerate
-  /// single-rank topology the plan always stays flat and both the
-  /// price and the merge are unchanged.
-  bool hierarchical_reduction = false;
   /// Also emit the pooled embeddings as raw Q15.16 int64 accumulators
   /// (BatchResult::pooled_fixed) — the sharded scale-out engine merges
   /// shards in integer space before the single float conversion.
@@ -288,11 +278,8 @@ class UpDlrmEngine {
   std::vector<Status> bin_status_;
   std::vector<std::int64_t> pooled_acc_;
   std::vector<std::int32_t> wires_;
-  // Per-rank stage-3 byte totals (the aggregation price's input) and,
-  // under options_.hierarchical_reduction, per-rank pooled accumulators
-  // (the executed merge tree's working set).
+  // Per-rank stage-3 byte totals (the aggregation price's input).
   std::vector<std::uint64_t> rank_bytes_;
-  std::vector<std::int64_t> rank_pooled_;
   std::vector<Status> fn_status_;
   // Flattened fan-out offsets: task id ranges for the per-(group, bin)
   // stage-2 tasks and the per-(group, bin, col) functional tasks.

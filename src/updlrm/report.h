@@ -85,9 +85,8 @@ struct BatchResult {
   /// output bit-identical to a flat engine's.
   std::vector<std::int64_t> pooled_fixed;
 
-  /// The stage-3 aggregation plan this batch was priced with (flat
-  /// stream vs per-rank + merge tree); default-initialized flat plan
-  /// unless EngineOptions::hierarchical_reduction.
+  /// The sharded engine's cross-shard merge plan (updlrm/scaleout.h);
+  /// default-initialized on a flat engine.
   pim::ReductionPlan reduction;
 
   /// Per-(table, bin) stage-2 launch records for the telemetry

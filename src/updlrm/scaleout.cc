@@ -257,9 +257,6 @@ Status ShardedEngine::Setup() {
     sub.emit_fixed_pooled = true;  // shards return int64 accumulators
     sub.preprofiled = nullptr;     // profiles describe the full trace
     sub.premined_cache = nullptr;
-    if (fleet_.tiering.wram_rows > 0) {
-      sub.wram_cache_rows = fleet_.tiering.wram_rows;
-    }
     auto engine = UpDlrmEngine::Create(
         model_ != nullptr ? &sub_models_[s] : nullptr, sub_configs_[s],
         sub_traces_[s], systems_[s].get(), std::move(sub));
@@ -370,8 +367,7 @@ Result<BatchResult> ShardedEngine::RunSamples(
                                     (tables / groups) * dim *
                                     sizeof(std::int64_t);
   out.reduction =
-      pim::PlanReduction(shard_topo, shard_partial_bytes_, slice_bytes,
-                         cpu_.params().stream_bytes_per_sec, groups);
+      pim::PlanReduction(shard_topo, shard_partial_bytes_, slice_bytes, groups);
   if (options_.check_mode) {
     check::AuditReductionPlan(out.reduction, shards, groups, &report_);
   }

@@ -115,59 +115,6 @@ TEST(NonUniformTest, HottestRowsLandInDistinctBins) {
   }
 }
 
-TEST(NonUniformTest, BatchedAssignmentRejectsZero) {
-  const std::vector<std::uint64_t> freq(100, 1);
-  NonUniformOptions options;
-  options.assignment_batch = 0;
-  EXPECT_FALSE(NonUniformPartition(Geom(100, 4), freq, options).ok());
-}
-
-TEST(NonUniformTest, BatchedAssignmentStillCoversAllRows) {
-  std::vector<std::uint64_t> freq(1'000);
-  Rng rng(9);
-  for (auto& f : freq) f = rng.NextBounded(1'000);
-  NonUniformOptions options;
-  options.assignment_batch = 64;
-  auto plan = NonUniformPartition(Geom(1'000, 8), freq, options);
-  ASSERT_TRUE(plan.ok());
-  const auto rows = plan->EmtRowsPerBin();
-  EXPECT_EQ(std::accumulate(rows.begin(), rows.end(), 0ull), 1'000ull);
-}
-
-TEST(NonUniformTest, BatchedAssignmentRespectsCapacity) {
-  const std::vector<std::uint64_t> freq(100, 1);
-  NonUniformOptions options;
-  options.assignment_batch = 64;  // larger than per-bin capacity
-  options.max_rows_per_bin = 25;
-  auto plan = NonUniformPartition(Geom(100, 4), freq, options);
-  ASSERT_TRUE(plan.ok());
-  for (std::uint64_t rows : plan->EmtRowsPerBin()) {
-    EXPECT_LE(rows, 25u);
-  }
-}
-
-TEST(NonUniformTest, BatchedBalanceDegradesGracefully) {
-  // §3.2's complexity-reduction note: batching trades a little balance
-  // for fewer argmin scans. The degradation should stay modest for
-  // moderate batch sizes on heavy-tailed loads.
-  const std::uint64_t rows = 4'000;
-  std::vector<std::uint64_t> freq(rows);
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    freq[r] = static_cast<std::uint64_t>(
-        100'000.0 / std::pow(static_cast<double>(r + 1), 1.05));
-  }
-  const GroupGeometry geom = Geom(rows, 8);
-  auto per_item = NonUniformPartition(geom, freq);
-  NonUniformOptions batched_options;
-  batched_options.assignment_batch = 32;
-  auto batched = NonUniformPartition(geom, freq, batched_options);
-  ASSERT_TRUE(per_item.ok() && batched.ok());
-  const double imb_item = ImbalanceRatio(BinLoads(*per_item, freq));
-  const double imb_batched = ImbalanceRatio(BinLoads(*batched, freq));
-  EXPECT_GE(imb_batched, imb_item - 1e-9);
-  EXPECT_LT(imb_batched, imb_item * 2.0);
-}
-
 class NonUniformPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 

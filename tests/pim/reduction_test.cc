@@ -1,6 +1,6 @@
-// Reduction-planner tests: plan shape, the degenerate single-rank
-// identity, the table-group merge (in-group tree, then one gather), and
-// the "hierarchical only when strictly cheaper" contract.
+// Reduction-pricing tests: plan shape, the degenerate single-rank
+// plan, the flat stream's cross-host ingress, and the table-group
+// merge (in-group tree, then one gather).
 #include "pim/reduction.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 
 namespace updlrm::pim {
 namespace {
-
-constexpr double kStreamBw = 60.0e9;
 
 TEST(ReductionTest, Log2Levels) {
   EXPECT_EQ(Log2Levels(0), 0u);
@@ -30,45 +28,18 @@ TEST(ReductionTest, Log2Levels) {
 TEST(ReductionTest, SingleRankStaysFlat) {
   const FleetTopology topo(FleetTopologyConfig{}, 1);
   const std::vector<std::uint64_t> bytes = {1 << 20};
-  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16, kStreamBw);
-  EXPECT_FALSE(plan.hierarchical);
+  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16);
   EXPECT_EQ(plan.active_ranks, 1u);
   EXPECT_EQ(plan.levels, 0u);
-  // The degenerate plan prices exactly the historical flat stream.
-  EXPECT_EQ(plan.time_ns, TransferNanos(1 << 20, kStreamBw));
-  EXPECT_EQ(plan.flat_ns, plan.hier_ns);
+  EXPECT_EQ(plan.tree_ns, 0.0);
 }
 
 TEST(ReductionTest, EmptyRanksAreInactive) {
   const FleetTopology topo(FleetTopologyConfig{}, 4);
   const std::vector<std::uint64_t> bytes = {1 << 20, 0, 0, 0};
-  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16, kStreamBw);
+  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16);
   EXPECT_EQ(plan.active_ranks, 1u);
-  EXPECT_FALSE(plan.hierarchical);
-}
-
-TEST(ReductionTest, LargeFleetGoesHierarchical) {
-  // 16 ranks, big per-rank pulls, tiny pooled buffer: the flat stream
-  // pays 16x the bytes, the tree pays one rank plus a few cheap hops.
-  const FleetTopology topo(FleetTopologyConfig{}, 16);
-  const std::vector<std::uint64_t> bytes(16, 8ull << 20);
-  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 12, kStreamBw);
-  EXPECT_TRUE(plan.hierarchical);
-  EXPECT_EQ(plan.active_ranks, 16u);
-  EXPECT_EQ(plan.levels, 4u);
-  EXPECT_LT(plan.hier_ns, plan.flat_ns);
-  EXPECT_EQ(plan.time_ns, plan.hier_ns);
-}
-
-TEST(ReductionTest, HugePooledBufferStaysFlat) {
-  // When the pooled buffer dwarfs the partials, tree hops dominate and
-  // the flat stream wins.
-  const FleetTopology topo(FleetTopologyConfig{}, 16);
-  const std::vector<std::uint64_t> bytes(16, 4096);
-  const ReductionPlan plan =
-      PlanReduction(topo, bytes, 256ull << 20, kStreamBw);
-  EXPECT_FALSE(plan.hierarchical);
-  EXPECT_EQ(plan.time_ns, plan.flat_ns);
+  EXPECT_EQ(plan.levels, 0u);
 }
 
 TEST(ReductionTest, MergeLevelHopEscalatesAtHostBoundary) {
@@ -109,8 +80,7 @@ TEST(ReductionTest, UnalignedGroupTreePaysTheCrossHostHop) {
   const FleetTopology topo(config, 12);
   const std::vector<std::uint64_t> bytes(12, 1 << 20);
   const std::uint64_t slice = 1 << 14;
-  const ReductionPlan plan =
-      PlanReduction(topo, bytes, slice, kStreamBw, /*groups=*/4);
+  const ReductionPlan plan = PlanReduction(topo, bytes, slice, /*groups=*/4);
   EXPECT_EQ(plan.group_ranks, 3u);
   EXPECT_EQ(plan.levels, 3u);
   const Nanos tree = topo.HopTime(TransferHop::kCrossHost, slice) +
@@ -131,8 +101,6 @@ TEST(ReductionTest, FlatStreamPaysIngressForOtherHostsPartials) {
                                             4 << 20};
   const Nanos ingress = topo.HopTime(TransferHop::kCrossHost, 7 << 20);
   EXPECT_EQ(FlatIngressTime(topo, bytes), ingress);
-  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16, kStreamBw);
-  EXPECT_EQ(plan.flat_ns, TransferNanos(10 << 20, kStreamBw) + ingress);
 
   // Ranks that all live on one host — the front end's or a remote one —
   // reduce where they land: no ingress.
@@ -140,8 +108,6 @@ TEST(ReductionTest, FlatStreamPaysIngressForOtherHostsPartials) {
   config.host_offset = 1;
   const FleetTopology remote(config, 4);
   EXPECT_EQ(FlatIngressTime(remote, bytes), 0.0);
-  EXPECT_EQ(PlanReduction(remote, bytes, 1 << 16, kStreamBw).flat_ns,
-            TransferNanos(10 << 20, kStreamBw));
   const FleetTopology local(FleetTopologyConfig{}, 4);
   EXPECT_EQ(FlatIngressTime(local, bytes), 0.0);
   // Idle remote ranks send nothing.
@@ -159,8 +125,7 @@ TEST(ReductionTest, TableGroupsSumInGroupThenGatherOnce) {
   const FleetTopology topo(config, 16);
   const std::vector<std::uint64_t> bytes(16, 1 << 20);
   const std::uint64_t slice = 1 << 14;
-  const ReductionPlan plan =
-      PlanReduction(topo, bytes, slice, kStreamBw, /*groups=*/8);
+  const ReductionPlan plan = PlanReduction(topo, bytes, slice, /*groups=*/8);
   EXPECT_EQ(plan.groups, 8u);
   EXPECT_EQ(plan.active_ranks, 16u);
   EXPECT_EQ(plan.group_ranks, 2u);
@@ -170,8 +135,6 @@ TEST(ReductionTest, TableGroupsSumInGroupThenGatherOnce) {
       std::max(topo.HopTime(TransferHop::kCrossRank, slice),
                topo.HopTime(TransferHop::kCrossHost, 6 * slice));
   EXPECT_EQ(plan.tree_ns, tree + gather);
-  EXPECT_EQ(plan.hier_ns,
-            TransferNanos(1 << 20, kStreamBw) + tree + gather);
 }
 
 TEST(ReductionTest, OneGroupPerRankIsOneGather) {
@@ -181,8 +144,7 @@ TEST(ReductionTest, OneGroupPerRankIsOneGather) {
   config.ranks_per_host = 1;
   const FleetTopology topo(config, 4);
   const std::vector<std::uint64_t> bytes(4, 1 << 20);
-  const ReductionPlan plan =
-      PlanReduction(topo, bytes, 32 << 10, kStreamBw, /*groups=*/4);
+  const ReductionPlan plan = PlanReduction(topo, bytes, 32 << 10, /*groups=*/4);
   EXPECT_EQ(plan.group_ranks, 1u);
   EXPECT_EQ(plan.levels, 1u);
   EXPECT_EQ(plan.tree_ns, topo.HopTime(TransferHop::kCrossHost, 96 << 10));
@@ -193,8 +155,7 @@ TEST(ReductionTest, OneGroupIsTheAllRankTree) {
   config.ranks_per_host = 2;
   const FleetTopology topo(config, 8);
   const std::vector<std::uint64_t> bytes(8, 1 << 20);
-  const ReductionPlan plan =
-      PlanReduction(topo, bytes, 1 << 16, kStreamBw, /*groups=*/1);
+  const ReductionPlan plan = PlanReduction(topo, bytes, 1 << 16, /*groups=*/1);
   EXPECT_EQ(plan.levels, 3u);
   Nanos tree = 0.0;
   for (std::uint32_t l = 0; l < 3; ++l) {
@@ -203,9 +164,8 @@ TEST(ReductionTest, OneGroupIsTheAllRankTree) {
   EXPECT_EQ(plan.tree_ns, tree);
 }
 
-// Property: time_ns is always min(flat, hier), hierarchical implies a
-// strict win, and the shape invariants hold for random fleets — the
-// same invariants check::AuditReductionPlan re-derives.
+// Property: the shape invariants hold for random fleets — the same
+// invariants check::AuditReductionPlan re-derives.
 TEST(ReductionTest, PlanInvariantsProperty) {
   Rng rng(7);
   for (int trial = 0; trial < 300; ++trial) {
@@ -223,8 +183,7 @@ TEST(ReductionTest, PlanInvariantsProperty) {
     std::uint32_t groups = 1 + static_cast<std::uint32_t>(
                                    rng.NextBounded(ranks));
     while (ranks % groups != 0) --groups;
-    const ReductionPlan plan =
-        PlanReduction(topo, bytes, pooled, kStreamBw, groups);
+    const ReductionPlan plan = PlanReduction(topo, bytes, pooled, groups);
 
     std::uint32_t active = 0;
     std::uint32_t group_ranks = 0;
@@ -241,13 +200,6 @@ TEST(ReductionTest, PlanInvariantsProperty) {
     EXPECT_EQ(plan.group_ranks, group_ranks);
     EXPECT_EQ(plan.levels,
               Log2Levels(group_ranks) + (groups > 1 ? 1u : 0u));
-    EXPECT_EQ(plan.time_ns, std::min(plan.flat_ns, plan.hier_ns));
-    if (plan.hierarchical) {
-      EXPECT_GT(plan.active_ranks, 1u);
-      EXPECT_LT(plan.hier_ns, plan.flat_ns);
-    } else {
-      EXPECT_EQ(plan.time_ns, plan.flat_ns);
-    }
   }
 }
 

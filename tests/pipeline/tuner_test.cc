@@ -89,7 +89,7 @@ serve::BatcherOptions Batcher() {
 
 TunerOptions SmallSearch() {
   TunerOptions options;
-  options.space.max_depth = 3;
+  options.max_depth = 3;
   options.calibrate_top_n = 3;
   return options;
 }

@@ -170,42 +170,6 @@ TEST(DeterminismTest, HotPathLeversBitExactAcrossThreadCounts) {
   }
 }
 
-TEST(DeterminismTest, HierarchicalReductionBitExactVsFlatMerge) {
-  // The reduction planner may reassociate the stage-3 merge into
-  // per-rank accumulators + a pairwise tree; int64 lanes are exactly
-  // associative, so a multi-rank hierarchical engine must reproduce the
-  // flat fixed-order merge bit for bit — at any thread count.
-  auto run = [](bool hierarchical, std::uint32_t threads) {
-    Fixture f = MakeFixture(/*functional=*/true);
-    // Re-house the 8 DPUs as 4 ranks of 2 so the merge tree is real.
-    pim::DpuSystemConfig sys = f.system->config();
-    sys.dpus_per_rank = 2;
-    auto system = pim::DpuSystem::Create(sys);
-    UPDLRM_CHECK(system.ok());
-    EngineOptions options;
-    options.method = partition::Method::kCacheAware;
-    options.nc = 4;
-    options.batch_size = 16;
-    options.reserved_io_bytes = 128 * kKiB;
-    options.grace.num_hot_items = 96;
-    options.num_threads = threads;
-    options.hierarchical_reduction = hierarchical;
-    auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
-                                       system->get(), options);
-    UPDLRM_CHECK(engine.ok());
-    auto batch = (*engine)->RunBatch({0, 32}, &f.dense);
-    UPDLRM_CHECK(batch.ok());
-    return std::make_pair(std::move(batch->pooled), std::move(batch->ctr));
-  };
-  const auto flat = run(false, 1);
-  ASSERT_FALSE(flat.first.empty());
-  for (std::uint32_t threads : {1u, 2u, 4u}) {
-    const auto hier = run(true, threads);
-    ASSERT_EQ(hier.first, flat.first) << threads << " threads";
-    ASSERT_EQ(hier.second, flat.second) << threads << " threads";
-  }
-}
-
 TEST(DeterminismTest, ShardedServingBitExactAcrossThreadCounts) {
   // End-to-end sharded case: statistical tiering (2 shards + DRAM
   // spill), per-shard engines, integer cross-shard merge. Functional

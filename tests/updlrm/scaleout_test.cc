@@ -537,30 +537,35 @@ TEST(ScaleoutTest, RemoteShardsPayCrossHostIngress) {
 TEST(ScaleoutTest, TwoHostFlatEngineChargesRemotePartialsIngress) {
   // A flat engine whose 2 ranks sit on 2 hosts reduces on rank 0's
   // host, so rank 1's partials first cross the fabric: one cross-host
-  // hop of fewer than all partial bytes, in the flat stream's price
-  // whether or not the hierarchical option is enabled. An engine whose
-  // ranks share one (remote) host reduces where they land.
+  // hop of exactly rank 1's partial bytes in the flat stream's price.
+  // An engine whose ranks share one (remote) host reduces where they
+  // land.
   Fixture f = MakeFixture(/*functional=*/false);
-  auto run = [&](std::uint32_t ranks_per_host, std::uint32_t host_offset,
-                 bool hierarchical) {
+  // Rank 1's (DPUs 8-15) pulled partial bytes of the last run's batch.
+  std::uint64_t rank1_bytes = 0;
+  auto run = [&](std::uint32_t ranks_per_host, std::uint32_t host_offset) {
     pim::DpuSystemConfig sys = ShardSystem(false);
     sys.num_dpus = 16;  // 2 ranks of 8
     sys.topology.ranks_per_host = ranks_per_host;
     sys.topology.host_offset = host_offset;
     auto system = pim::DpuSystem::Create(sys);
     UPDLRM_CHECK(system.ok());
-    EngineOptions options = SmallOptions();
-    options.hierarchical_reduction = hierarchical;
+    const EngineOptions options = SmallOptions();
     auto engine = UpDlrmEngine::Create(nullptr, f.config, f.trace,
                                        system->get(), options);
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
     auto batch = (*engine)->RunBatch({0, 16}, nullptr);
     UPDLRM_CHECK(batch.ok());
+    rank1_bytes = 0;
+    for (std::uint32_t d = 8; d < 16; ++d) {
+      rank1_bytes += (*system)->dpu(d).stats().samples * options.nc *
+                     sizeof(std::int32_t);
+    }
     return std::move(batch).value();
   };
-  const BatchResult local = run(0, 0, false);
-  const BatchResult split = run(1, 0, false);
-  const BatchResult remote = run(2, 1, false);
+  const BatchResult local = run(0, 0);
+  const BatchResult remote = run(2, 1);
+  const BatchResult split = run(1, 0);
   EXPECT_EQ(split.stages.dpu_to_cpu, local.stages.dpu_to_cpu);
   EXPECT_EQ(remote.stages.cpu_aggregate, local.stages.cpu_aggregate);
 
@@ -570,11 +575,9 @@ TEST(ScaleoutTest, TwoHostFlatEngineChargesRemotePartialsIngress) {
   EXPECT_GT(ingress, topo.config().cross_host_latency_ns);
   EXPECT_LT(ingress, topo.HopTime(pim::TransferHop::kCrossHost,
                                   local.partial_bytes));
-
-  const BatchResult hier_local = run(0, 0, true);
-  const BatchResult hier_split = run(1, 0, true);
-  EXPECT_NEAR(hier_split.reduction.flat_ns - hier_local.reduction.flat_ns,
-              ingress, 1e-6);
+  EXPECT_NEAR(ingress,
+              topo.HopTime(pim::TransferHop::kCrossHost, rank1_bytes),
+              1e-6);
 }
 
 TEST(ScaleoutTest, MisalignedShardHostBoundaryRejected) {
