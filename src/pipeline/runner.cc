@@ -156,6 +156,7 @@ class DenseFlowPath {
 Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options) {
+  UPDLRM_RETURN_IF_ERROR(options.gpu.Validate());
   const DataFlowPlan& plan = options.plan;
   if (options.audit != nullptr) {
     check::DataFlowShape shape;

@@ -65,9 +65,9 @@ struct DataFlowServeResult : serve::ServeScorecard {
 /// under `options.plan`. `dense` supplies the continuous features for
 /// CTR computation (sample ids index it like the trace); pass nullptr
 /// to skip CTR even on a functional engine. Fails with InvalidArgument
-/// on a zero plan.depth or max_batch_size, a negative
-/// max_queue_delay_ns, or a request that references a sample outside
-/// the engine's trace or the dense inputs.
+/// on invalid options.gpu, a zero plan.depth or max_batch_size, a
+/// negative max_queue_delay_ns, or a request that references a sample
+/// outside the engine's trace or the dense inputs.
 Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options);

@@ -38,6 +38,7 @@ std::string CacheKey(const dlrm::DlrmConfig& config,
 Result<TunedDataFlow> DataFlowTuner::Tune(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const serve::BatcherOptions& batcher) {
+  UPDLRM_RETURN_IF_ERROR(options_.gpu.Validate());
   const dlrm::DlrmConfig& config = engine.config();
   const std::string key = CacheKey(config, batcher, options_.gpu_available);
   if (const auto it = memo_.find(key); it != memo_.end()) {

@@ -72,7 +72,8 @@ class DataFlowTuner {
 
   /// Picks the data flow for serving `requests` on `engine` under
   /// `batcher`. Winner: lowest calibrated p99, ties broken by lower
-  /// predicted score, then enumeration order — deterministic.
+  /// predicted score, then enumeration order — deterministic. Fails
+  /// with InvalidArgument on invalid options().gpu.
   Result<TunedDataFlow> Tune(core::UpDlrmEngine& engine,
                              std::span<const serve::Request> requests,
                              const serve::BatcherOptions& batcher);

@@ -94,8 +94,7 @@ Status UpDlrmEngine::Setup() {
         "functional engine requires a functional DpuSystem");
   }
   if (options_.check_mode) {
-    checker_ = std::make_unique<check::Checker>(system_->config(),
-                                                options_.check_tolerance);
+    checker_ = std::make_unique<check::Checker>(system_->config());
     // Attach before placement so PlaceTable's writes seed the
     // written-byte shadow state the uninit-read rule checks against.
     checker_->Attach(*system_);
@@ -447,9 +446,12 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
 
       const std::uint64_t total_cache =
           trimmed.TotalStorageBytes(geom.row_bytes());
+      // Per-bin cache regions are provisioned at headroom * (total need
+      // / bins) — the greedy placement is not perfectly even.
+      constexpr double kCacheHeadroom = 1.3;
       std::uint64_t cache_budget = AlignUp(
           static_cast<std::uint64_t>(
-              std::ceil(options_.cache_headroom *
+              std::ceil(kCacheHeadroom *
                         static_cast<double>(total_cache) /
                         static_cast<double>(geom.row_shards))),
           8);

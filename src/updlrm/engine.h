@@ -51,9 +51,6 @@ struct EngineOptions {
   std::size_t batch_size = 64;
   /// MRAM reserved per DPU for the stage-1/stage-3 I/O buffers.
   std::uint64_t reserved_io_bytes = 8 * kMiB;
-  /// Per-bin cache regions are provisioned at headroom * (total need /
-  /// bins) — the greedy placement is not perfectly even.
-  double cache_headroom = 1.3;
   /// Pad ragged stage-1/3 buffers to the max size so transfers take the
   /// parallel path (§2.2); disabling falls back to sequential transfers.
   bool pad_transfers = true;
@@ -112,9 +109,6 @@ struct EngineOptions {
   /// accumulate in check_report(); simulated results are unchanged.
   /// Off (the default) compiles to no-ops on the hot path.
   bool check_mode = false;
-  /// Accepted executed/claimed cycle band for the model/sim
-  /// cross-audit (check_mode only).
-  check::ModelAuditTolerance check_tolerance;
 };
 
 /// Prices one batch's dense stages for the whole model on `cpu`: the

@@ -132,6 +132,36 @@ TEST(ComputeBatchTaskCostsTest, GpuOffloadCarriesTheSyncTax) {
   EXPECT_GT(c.top_gpu, c.top_host());
 }
 
+// Completion of ProbeBatch() scheduled alone under `plan` (depth 1,
+// split 0, both dense stages on `backend`).
+Nanos SingleBatchLatency(const dlrm::DlrmConfig& config, Backend backend) {
+  const host::CpuTimingModel cpu;
+  const host::GpuTimingModel gpu;
+  DataFlowPlan plan;
+  plan.depth = 1;
+  plan.bottom = backend;
+  plan.top = backend;
+  serve::DataFlowExecutor executor(plan);
+  executor.Submit(
+      ComputeBatchTaskCosts(config, cpu, gpu, ProbeBatch(), 64, plan), 0.0);
+  executor.Drain();
+  return executor.batches()[0].done_ns;
+}
+
+TEST(ComputeBatchTaskCostsTest, GpuOffloadPaysOffOnlyForWideStacks) {
+  // The UpDLRM-G crossover (§6 future work): with small MLPs the PCIe +
+  // sync overheads make the offload slower than host-side MLPs; with
+  // wide stacks the GPU wins despite them.
+  const auto small = SmallConfig();
+  EXPECT_LT(SingleBatchLatency(small, Backend::kCpu),
+            SingleBatchLatency(small, Backend::kGpu));
+  auto wide = SmallConfig();
+  wide.bottom_hidden = {4096, 4096, 4096};
+  wide.top_hidden = {4096, 4096, 4096};
+  EXPECT_GT(SingleBatchLatency(wide, Backend::kCpu),
+            SingleBatchLatency(wide, Backend::kGpu));
+}
+
 TEST(PredictFlowTest, BoundsAndDepthMonotonicity) {
   const auto config = SmallConfig();
   const host::CpuTimingModel cpu;

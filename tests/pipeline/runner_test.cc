@@ -250,6 +250,16 @@ TEST(RunnerTest, RejectsNegativeMaxQueueDelay) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RunnerTest, RejectsInvalidGpuParams) {
+  Fixture f = MakeFixture(/*functional=*/false, 16);
+  DataFlowServeOptions options = BaseOptions();
+  options.gpu.mlp_efficiency = 0.0;
+  auto result = RunDataFlowSimulation(
+      *f.engine, Arrivals(f.trace, 1.0e6), nullptr, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunnerTest, RejectsRequestsOutsideTheTrace) {
   Fixture f = MakeFixture(/*functional=*/false);
   const std::vector<serve::Request> requests = {

@@ -184,5 +184,15 @@ TEST(TunerTest, RejectsAnEmptyStream) {
   EXPECT_FALSE(tuned.ok());
 }
 
+TEST(TunerTest, RejectsInvalidGpuParams) {
+  Fixture f = MakeFixture();
+  TunerOptions options = SmallSearch();
+  options.gpu.mlp_efficiency = 0.0;
+  DataFlowTuner tuner(options);
+  auto tuned = tuner.Tune(*f.engine, Arrivals(f.trace, 1.0e6), Batcher());
+  ASSERT_FALSE(tuned.ok());
+  EXPECT_EQ(tuned.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace updlrm::pipeline
