@@ -1,12 +1,15 @@
 // Ablation: inter-batch pipelining of the embedding layer.
 //
 // The paper's execution is serial per batch (stage 1 -> 2 -> 3). Since
-// stages 1/3 run on the host and stage 2 on the DPUs, a double-buffered
+// stages 1/3 move data over the host's buses, stage 2 runs on the DPUs
+// and the stage-3 aggregation on the host's cores, a double-buffered
 // serving loop can overlap them across consecutive batches. This bench
 // estimates the steady-state gain per workload and reports which
-// resource (host transfers vs DPU lookups) bounds the pipeline.
+// resource (host transfers, DPU lookups or host cores) bounds the
+// pipeline.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_common.h"
 #include "common/table.h"
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
         core::EstimatePipelinedEmbedding(batches);
     // The executed double-buffered schedule (serve/executor.h) under
     // the embedding-only plan (no dense costs), every batch available
-    // up front — the realized counterpart of the two-resource
+    // up front — the realized counterpart of the three-resource
     // estimate. An embedding-only batch completes at its stage-3 end.
     serve::DataFlowExecutor executor(serve::DataFlowPlan{});
     for (const core::StageBreakdown& stages : batches) {
@@ -57,13 +60,13 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(estimate.pipelined_ns / 1e6, 2),
                 TablePrinter::Fmt(executed / 1e6, 2),
                 TablePrinter::FmtSpeedup(estimate.serial_ns / executed),
-                estimate.HostBound() ? "host transfers" : "DPU lookups"});
+                std::string(core::ResourceName(estimate.Binding()))});
   }
   out.Print(std::cout);
   std::printf(
-      "\na double-buffered serving loop overlaps stage-1/3 transfers "
-      "with stage-2 kernels of adjacent batches; 'bound' is the "
-      "two-resource steady-state estimate (updlrm/pipelining.h), "
+      "\na double-buffered serving loop overlaps stage-1/3 transfers, "
+      "stage-2 kernels and stage-3 aggregation of adjacent batches; "
+      "'bound' is the three-resource lower bound (updlrm/pipelining.h), "
       "'executed' the schedule realized by the serving executor "
       "(serve/executor.h), and speedup = serial / executed\n");
   return 0;

@@ -129,8 +129,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result->completed),
               static_cast<unsigned long long>(result->shed));
   std::printf("makespan       %.2f ms\n", result->makespan_ns / 1e6);
-  std::printf("utilization    host %.0f%%   dpu %.0f%%\n",
+  std::printf("utilization    host-bus %.0f%%   host-core %.0f%%   "
+              "dpu %.0f%%\n",
               100.0 * result->utilization.HostUtilization(),
+              100.0 * result->utilization.HostCoreUtilization(),
               100.0 * result->utilization.DpuUtilization());
   std::printf("queue depth    max %zu\n\n", result->max_queue_depth);
   std::printf("latency  p50   %8.1f us\n",
@@ -204,11 +206,12 @@ int main(int argc, char** argv) {
   std::printf("completed      %llu requests, %zu batches\n",
               static_cast<unsigned long long>(e2e->completed),
               e2e->num_batches);
-  std::printf("utilization    host-bus %.0f%%   dpu %.0f%%   "
-              "host-mlp %.0f%%\n",
+  std::printf("utilization    host-bus %.0f%%   host-core %.0f%%   "
+              "(mlp %.0f%%)   dpu %.0f%%\n",
               100.0 * e2e->utilization.HostUtilization(),
-              100.0 * e2e->utilization.DpuUtilization(),
-              100.0 * e2e->utilization.HostMlpUtilization());
+              100.0 * e2e->utilization.HostCoreUtilization(),
+              100.0 * e2e->utilization.HostMlpUtilization(),
+              100.0 * e2e->utilization.DpuUtilization());
   std::printf("full-path latency  p50 %8.1f us   p99 %8.1f us\n",
               NanosToMicros(e2e->latency.PercentileNs(50.0)),
               NanosToMicros(e2e->latency.PercentileNs(99.0)));

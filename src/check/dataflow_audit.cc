@@ -78,8 +78,10 @@ void AuditStageOrdering(std::size_t batch, const StageInstants& t,
             slack, report);
   CheckEdge(batch, "s2 ends before it starts", t.s2_start_ns, t.s2_end_ns,
             slack, report);
-  CheckEdge(batch, "s3 ends before it starts", t.s3_start_ns, t.s3_end_ns,
-            slack, report);
+  CheckEdge(batch, "s3 pull ends before it starts", t.s3_start_ns,
+            t.pull_end_ns, slack, report);
+  CheckEdge(batch, "s3 ends before its pull ends", t.pull_end_ns,
+            t.s3_end_ns, slack, report);
   CheckEdge(batch, "bottom prefix ends before it starts", t.bpre_start_ns,
             t.bpre_end_ns, slack, report);
   CheckEdge(batch, "top ends before it starts", t.top_start_ns,

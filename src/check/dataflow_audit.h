@@ -73,17 +73,19 @@ struct StageInstants {
   double s1_start_ns = 0, s1_end_ns = 0;
   double s2_start_ns = 0, s2_end_ns = 0;
   double s3_start_ns = 0, s3_end_ns = 0;
+  double pull_end_ns = 0;  // stage-3 pull done; aggregation follows
   double bottom_done_ns = 0;  // all bottom-MLP layers finished
   double top_start_ns = 0, top_end_ns = 0;  // interaction + top MLP
 };
 
 /// Ordering invariants of one executed batch: stages run in dependency
 /// order (S1 -> S2 -> S3, each starting no earlier than its
-/// predecessor ends), nothing starts before the batch cut, the
-/// bottom-MLP prefix finishes before the bottom stack is declared
-/// done, and the top task waits for both the embedding pull and the
-/// bottom MLP. `slack` absorbs float rounding. Fires kStageOrdering;
-/// `batch` tags the offender context.
+/// predecessor ends, and S3's pull ending within [s3 start, s3 end]),
+/// nothing starts before the batch cut, the bottom-MLP prefix finishes
+/// before the bottom stack is declared done, and the top task waits
+/// for both the aggregated embeddings and the bottom MLP. `slack`
+/// absorbs float rounding. Fires kStageOrdering; `batch` tags the
+/// offender context.
 void AuditStageOrdering(std::size_t batch, const StageInstants& t,
                         CheckReport* report, double slack = 1e-6);
 

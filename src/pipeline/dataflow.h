@@ -65,7 +65,8 @@ BatchTaskCosts ComputeBatchTaskCosts(const dlrm::DlrmConfig& config,
                                      const DataFlowPlan& plan);
 
 /// Analytic steady-state score of `plan` (lower is better): the larger
-/// of the per-resource periods (throughput bound at saturation) and
+/// of the per-resource periods over the executor's resources (transfer
+/// lane, core lane, DPUs, GPU; the throughput bound at saturation) and
 /// the single-batch critical path (latency floor at low load). A rank
 /// heuristic, not a latency promise — the tuner calibrates the
 /// finalists with real simulated runs.

@@ -22,6 +22,7 @@ check::StageInstants FlattenInstants(const ExecutedFlowBatch& b) {
   t.s2_start_ns = b.s2_start_ns;
   t.s2_end_ns = b.s2_end_ns;
   t.s3_start_ns = b.s3_start_ns;
+  t.pull_end_ns = b.pull_end_ns;
   t.s3_end_ns = b.s3_end_ns;
   t.bottom_done_ns = b.bottom_done_ns;
   t.top_start_ns = b.top_start_ns;
@@ -78,20 +79,17 @@ class DenseFlowPath {
   static Nanos Done(const ExecutedFlowBatch& b) { return b.done_ns; }
 
   void NameTracks() const {
-    telemetry::Tracer& tracer = telemetry::Tracer::Get();
-    tracer.SetThreadName(telemetry::kPipelinePid, telemetry::kMlpTrack,
-                         "host dense (MLP / interaction)");
     const DataFlowPlan& plan = options_.plan;
     if (plan.bottom == Backend::kGpu || plan.top == Backend::kGpu) {
-      tracer.SetThreadName(telemetry::kPipelinePid, telemetry::kGpuTrack,
-                           "GPU backend");
+      telemetry::Tracer::Get().SetThreadName(
+          telemetry::kPipelinePid, telemetry::kGpuTrack, "GPU backend");
     }
   }
 
   void TraceBatch(const ExecutedFlowBatch& sched, std::size_t b) const {
     using telemetry::Clock;
     using telemetry::kGpuTrack;
-    using telemetry::kMlpTrack;
+    using telemetry::kHostCoreTrack;
     using telemetry::kPipelinePid;
     telemetry::Tracer& tracer = telemetry::Tracer::Get();
     const double batch_id = static_cast<double>(b);
@@ -101,18 +99,18 @@ class DenseFlowPath {
                       sched.bpre_end_ns - sched.bpre_start_ns, "batch",
                       batch_id);
     } else {
-      // The bottom stack runs as up to two host slices (the overlapped
+      // The bottom stack runs as up to two core slices (the overlapped
       // prefix and the remainder); emit each non-empty one under the
       // same span name.
       if (sched.bpre_end_ns > sched.bpre_start_ns) {
-        tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_bottom",
-                        sched.bpre_start_ns,
+        tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
+                        "mlp_bottom", sched.bpre_start_ns,
                         sched.bpre_end_ns - sched.bpre_start_ns, "batch",
                         batch_id);
       }
       if (sched.bpost_end_ns > sched.bpost_start_ns) {
-        tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_bottom",
-                        sched.bpost_start_ns,
+        tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
+                        "mlp_bottom", sched.bpost_start_ns,
                         sched.bpost_end_ns - sched.bpost_start_ns, "batch",
                         batch_id);
       }
@@ -125,11 +123,11 @@ class DenseFlowPath {
                       sched.top_end_ns - sched.top_start_ns, "batch",
                       batch_id);
     } else {
-      tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "interact",
-                      sched.top_start_ns, sched.costs.interact, "batch",
-                      batch_id);
-      tracer.Complete(kPipelinePid, kMlpTrack, Clock::kSim, "mlp_top",
-                      sched.top_start_ns + sched.costs.interact,
+      tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
+                      "interact", sched.top_start_ns, sched.costs.interact,
+                      "batch", batch_id);
+      tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
+                      "mlp_top", sched.top_start_ns + sched.costs.interact,
                       sched.top_end_ns -
                           (sched.top_start_ns + sched.costs.interact));
     }

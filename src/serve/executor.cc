@@ -27,11 +27,14 @@ Nanos DataFlowExecutor::NextAdmitTime() const {
 Nanos DataFlowExecutor::ReadyTime(std::size_t cls, std::size_t b) const {
   const ExecutedFlowBatch& eb = batches_[b];
   switch (cls) {
-    case kS3:
+    case kPull:
       return eb.s2_end_ns;
+    case kAgg:
+      if (b >= head_[kPull]) return -1.0;
+      return eb.pull_end_ns;
     case kTop: {
-      // Needs the embedding pull AND the bottom stack.
-      if (b >= head_[kS3]) return -1.0;
+      // Needs the aggregated embeddings AND the bottom stack.
+      if (b >= head_[kAgg]) return -1.0;
       const bool bottom_resolved =
           plan_.bottom == Backend::kGpu || b < head_[kBpost];
       if (!bottom_resolved) return -1.0;
@@ -49,7 +52,7 @@ Nanos DataFlowExecutor::ReadyTime(std::size_t cls, std::size_t b) const {
 void DataFlowExecutor::ScheduleGpuTops() {
   while (next_gpu_top_ < batches_.size()) {
     const Nanos ready = ReadyTime(kTop, next_gpu_top_);
-    if (ready < 0.0) break;  // pull or bottom not yet resolved
+    if (ready < 0.0) break;  // aggregate or bottom not yet resolved
     ExecutedFlowBatch& eb = batches_[next_gpu_top_];
     eb.top_start_ns = std::max(gpu_free_, ready);
     eb.top_end_ns = eb.top_start_ns + eb.costs.top_gpu;
@@ -64,8 +67,11 @@ void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
                                 Nanos dur) {
   ExecutedFlowBatch& eb = batches_[b];
   switch (cls) {
-    case kS3:
+    case kPull:
       eb.s3_start_ns = start;
+      eb.pull_end_ns = start + dur;
+      break;
+    case kAgg:
       eb.s3_end_ns = start + dur;
       break;
     case kTop:
@@ -83,7 +89,7 @@ void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
       eb.bpre_end_ns = start + dur;
       break;
   }
-  if (plan_.top == Backend::kGpu && (cls == kS3 || cls == kBpost)) {
+  if (plan_.top == Backend::kGpu && (cls == kAgg || cls == kBpost)) {
     ScheduleGpuTops();
   }
 }
@@ -94,8 +100,10 @@ void DataFlowExecutor::AdvanceHost(Nanos until) {
   while (true) {
     std::size_t best_cls = kNumClasses;
     Nanos best_start = std::numeric_limits<double>::infinity();
-    // Priority-ordered scan with a strict < keeps the earliest start
-    // and breaks ties toward the higher-priority class.
+    // One scan over both lanes' heads, in class order, with a strict <:
+    // the earliest start runs first, and ties break toward the pull
+    // (so its aggregation is resolved before the core lane moves on)
+    // and then toward the higher-priority core class.
     for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
       if (!top_host && cls == kTop) continue;
       if (!bottom_host && (cls == kBpre || cls == kBpost)) continue;
@@ -103,7 +111,8 @@ void DataFlowExecutor::AdvanceHost(Nanos until) {
       if (b >= batches_.size()) continue;
       const Nanos ready = ReadyTime(cls, b);
       if (ready < 0.0) continue;  // dependencies unresolved
-      const Nanos start = std::max(host_free_, ready);
+      const Nanos start =
+          std::max(cls == kPull ? xfer_free_ : core_free_, ready);
       if (start < best_start) {
         best_start = start;
         best_cls = cls;
@@ -114,8 +123,11 @@ void DataFlowExecutor::AdvanceHost(Nanos until) {
     const BatchTaskCosts& c = batches_[b].costs;
     Nanos dur = 0.0;
     switch (best_cls) {
-      case kS3:
-        dur = c.emb.dpu_to_cpu + c.emb.cpu_aggregate;
+      case kPull:
+        dur = c.emb.dpu_to_cpu;
+        break;
+      case kAgg:
+        dur = c.emb.cpu_aggregate;
         break;
       case kTop:
         dur = c.top_host();
@@ -128,9 +140,14 @@ void DataFlowExecutor::AdvanceHost(Nanos until) {
         break;
     }
     Complete(best_cls, b, best_start, dur);
-    host_free_ = best_start + dur;
-    host_busy_ += dur;
-    if (best_cls != kS3) host_mlp_busy_ += dur;
+    if (best_cls == kPull) {
+      xfer_free_ = best_start + dur;
+      xfer_busy_ += dur;
+    } else {
+      core_free_ = best_start + dur;
+      core_busy_ += dur;
+      if (best_cls != kAgg) host_mlp_busy_ += dur;
+    }
   }
 }
 
@@ -139,7 +156,7 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
   UPDLRM_CHECK_MSG(!drained_, "Submit after Drain");
   UPDLRM_CHECK_MSG(cut_ns >= NextAdmitTime() - 1e-9,
                    "batch cut before its buffer pair was free");
-  // Let the host work up to the cut; tasks that would begin at or
+  // Let both lanes work up to the cut; pulls that would begin at or
   // after it yield to the new stage-1 push (stage-1 priority on ties
   // keeps the DPUs fed).
   AdvanceHost(cut_ns);
@@ -147,10 +164,10 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
   ExecutedFlowBatch b;
   b.costs = costs;
   b.cut_ns = cut_ns;
-  b.s1_start_ns = std::max(cut_ns, host_free_);
+  b.s1_start_ns = std::max(cut_ns, xfer_free_);
   b.s1_end_ns = b.s1_start_ns + costs.emb.cpu_to_dpu;
-  host_free_ = b.s1_end_ns;
-  host_busy_ += costs.emb.cpu_to_dpu;
+  xfer_free_ = b.s1_end_ns;
+  xfer_busy_ += costs.emb.cpu_to_dpu;
   b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
   b.s2_end_ns = b.s2_start_ns + costs.emb.dpu_lookup;
   dpu_free_ = b.s2_end_ns;

@@ -1,35 +1,45 @@
 // Discrete-event executor of batches under one DataFlowPlan, in
 // simulated time.
 //
-// The embedding pipeline uses two disjoint resources (Fig. 4): the host
-// + DIMM buses for stage 1 (index push), stage 3 (partial-sum pull) and
-// the CPU aggregation; the DPUs for stage 2 (lookup/reduce). With
-// `depth` double-buffered index/output regions in MRAM, batch k+1's
-// stage-1 push can proceed while batch k occupies the DPUs. The full
-// DLRM request path adds the dense stages around it, so the executor
-// models three simulated resources:
-//   * host — single resource running stage-1 pushes, stage-3 pulls +
-//     aggregation, and every CPU-placed dense task;
+// The embedding pipeline (Fig. 4) moves data over the host's DIMM buses
+// in stages 1 (index push) and 3 (partial-sum pull), computes on the
+// DPUs in stage 2 (lookup/reduce), and reduces the pulled partial sums
+// on the host CPU cores (aggregation). With `depth` double-buffered
+// index/output regions in MRAM, batch k+1's stage-1 push can proceed
+// while batch k occupies the DPUs. The full DLRM request path adds the
+// dense stages around it, so the executor models four simulated
+// resources:
+//   * transfer lane — the host's bus transfers: stage-1 pushes and
+//     stage-3 pulls;
+//   * core lane — the host's CPU work: stage-3 aggregation and every
+//     CPU-placed dense task;
 //   * DPU array — stage-2 lookups, FIFO;
 //   * GPU — offloaded dense stages, FIFO (absent cost when unused).
+// Stage 3 spans both host lanes: [s3_start, pull_end) on the transfer
+// lane, then the aggregation, which ends at s3_end, on the core lane.
 //
 // Embedding-only serving is the plan with no dense stages: every dense
 // cost is zero. Zero-cost dense tasks move no stage-1/2/3 instant, busy
 // total, admission instant or makespan (tests/serve/executor_test.cc
-// pins this against a reference two-resource schedule), but they may
-// queue behind later stage-3 work, so an embedding-only batch completes
-// at its s3_end_ns, not its done_ns.
+// pins this against reference schedules), but they may queue behind
+// later aggregation work, so an embedding-only batch completes at its
+// s3_end_ns, not its done_ns.
 //
-// Host scheduling contract (deterministic, work-conserving,
-// non-preemptive): whenever the host frees, it runs the ready task
-// with the earliest possible start; ties break by priority class
-//   stage-1 > stage-3 > top > bottom-post > bottom-pre
-// then FIFO by batch. Stage-1 keeps the DPUs fed (scheduled directly
-// at Submit); stage-3 completes the embedding path and unblocks tops;
-// the bottom-MLP tasks are overlap filler that soaks host idle while
-// the DPUs own the batch. Within a class, ready times are monotone in
-// batch order, so each class is a FIFO queue and the schedule is
-// independent of host thread count (simulated time only).
+// Lane scheduling contract (deterministic, work-conserving,
+// non-preemptive per lane): stage 1 is scheduled directly at Submit on
+// the transfer lane, ahead of any pull that would begin at or after the
+// cut (keeping the DPUs fed); pulls then run FIFO as the lane frees.
+// Whenever the core lane frees, it runs the ready task with the
+// earliest possible start; ties break by priority class
+//   aggregate > top > bottom-post > bottom-pre
+// then FIFO by batch. Aggregation completes the embedding path and
+// unblocks tops; the bottom-MLP tasks are overlap filler that soaks
+// core idle while the DPUs own the batch. Tasks of both lanes start in
+// global time order (a pull before a core task on equal instants), so
+// an aggregation is always known to the core lane by the time its pull
+// ends. Within a class, ready times are monotone in batch order, so
+// each class is a FIFO queue and the schedule is independent of host
+// thread count (simulated time only).
 //
 // Admission: batch k may only be cut once batch k-depth's stage 2
 // finished and freed its index buffer. NextAdmitTime() exposes this to
@@ -56,8 +66,8 @@ struct DataFlowPlan {
   /// Bottom-MLP layers run as the low-priority overlap filler task
   /// (BPRE) while the batch's embedding stages own the DPUs; the
   /// remaining layers run as the higher-priority BPOST task. The split
-  /// tunes non-preemptive host scheduling granularity: a long
-  /// monolithic bottom task can delay the next batch's stage-1 push,
+  /// tunes non-preemptive core-lane scheduling granularity: a long
+  /// monolithic bottom task can delay an earlier batch's aggregation,
   /// a fully split one yields between the halves. CPU backend only
   /// (the GPU runs the whole stack as one offload).
   std::uint32_t bottom_split = 0;
@@ -75,11 +85,11 @@ struct DataFlowPlan {
 /// split exists so trace spans can partition the TOP task honestly.
 struct BatchTaskCosts {
   core::StageBreakdown emb;
-  Nanos bottom_pre = 0.0;   // host: overlapped bottom-MLP prefix
-  Nanos bottom_post = 0.0;  // host: remaining bottom-MLP layers
+  Nanos bottom_pre = 0.0;   // core: overlapped bottom-MLP prefix
+  Nanos bottom_post = 0.0;  // core: remaining bottom-MLP layers
   Nanos bottom_gpu = 0.0;   // gpu: whole bottom stack + PCIe + sync
-  Nanos interact = 0.0;     // host: feature interaction stream pass
-  Nanos top_mlp = 0.0;      // host: top-MLP GEMVs
+  Nanos interact = 0.0;     // core: feature interaction stream pass
+  Nanos top_mlp = 0.0;      // core: top-MLP GEMVs
   Nanos top_gpu = 0.0;      // gpu: interaction + top stack + PCIe + sync
 
   Nanos top_host() const { return interact + top_mlp; }
@@ -87,19 +97,22 @@ struct BatchTaskCosts {
 };
 
 /// The executed schedule of one batch under a data-flow plan. The
-/// bottom stack runs as [bpre, bpost] on the host, or as one GPU task
-/// recorded in the bpre fields (bpost collapses to zero length at its
-/// end).
+/// bottom stack runs as [bpre, bpost] on the core lane, or as one GPU
+/// task recorded in the bpre fields (bpost collapses to zero length at
+/// its end).
 struct ExecutedFlowBatch {
   BatchTaskCosts costs;
   Nanos cut_ns = 0.0;                        // stage 1 may start here
   Nanos s1_start_ns = 0.0, s1_end_ns = 0.0;  // CPU->DPU index push
   Nanos s2_start_ns = 0.0, s2_end_ns = 0.0;  // DPU lookup/reduce
-  Nanos s3_start_ns = 0.0, s3_end_ns = 0.0;  // pull + CPU aggregation
+  /// Stage 3: the pull occupies the transfer lane over
+  /// [s3_start, pull_end), the aggregation the core lane over
+  /// [agg start, s3_end), starting at or after pull_end.
+  Nanos s3_start_ns = 0.0, pull_end_ns = 0.0, s3_end_ns = 0.0;
   Nanos bpre_start_ns = 0.0, bpre_end_ns = 0.0;
   Nanos bpost_start_ns = 0.0, bpost_end_ns = 0.0;
   Nanos bottom_done_ns = 0.0;
-  /// Interaction + top MLP (host or GPU per the plan). The interact
+  /// Interaction + top MLP (core lane or GPU per the plan). The interact
   /// part occupies [top_start, top_start + costs.interact).
   Nanos top_start_ns = 0.0, top_end_ns = 0.0;
   /// Batch completion == top_end_ns.
@@ -120,7 +133,8 @@ class DataFlowExecutor {
 
   /// Submits the next batch at its cut instant (>= previous cut, >=
   /// NextAdmitTime()). Stage 1/2 (and a GPU bottom) are scheduled
-  /// eagerly; host dense tasks and stage 3 run as host time advances.
+  /// eagerly; pulls, aggregation and core-lane dense tasks run as the
+  /// lanes' time advances.
   /// Returns the batch index.
   std::size_t Submit(const BatchTaskCosts& costs, Nanos cut_ns);
 
@@ -129,19 +143,31 @@ class DataFlowExecutor {
   void Drain();
 
   const std::vector<ExecutedFlowBatch>& batches() const { return batches_; }
-  Nanos host_busy_ns() const { return host_busy_; }
+  /// Transfer-lane busy time: stage-1 pushes + stage-3 pulls.
+  Nanos host_busy_ns() const { return xfer_busy_; }
+  /// Core-lane busy time: aggregation + CPU dense tasks.
+  Nanos host_core_busy_ns() const { return core_busy_; }
   Nanos dpu_busy_ns() const { return dpu_busy_; }
   Nanos gpu_busy_ns() const { return gpu_busy_; }
-  /// Host time spent in dense (MLP/interaction) tasks — a subset of
-  /// host_busy_ns.
+  /// Core time spent in dense (MLP/interaction) tasks — a subset of
+  /// host_core_busy_ns.
   Nanos host_mlp_busy_ns() const { return host_mlp_busy_; }
 
  private:
-  // Host task classes in priority order (lower = higher priority;
-  // stage 1 is scheduled at Submit and never queues).
-  enum HostClass : std::size_t { kS3 = 0, kTop, kBpost, kBpre, kNumClasses };
+  // Queued host task classes. The pull is the transfer lane's only
+  // queued class (stage 1 is scheduled at Submit and never queues);
+  // the rest run on the core lane in priority order (lower = higher
+  // priority).
+  enum HostClass : std::size_t {
+    kPull = 0,
+    kAgg,
+    kTop,
+    kBpost,
+    kBpre,
+    kNumClasses
+  };
 
-  // Starts pending host tasks whose begin instant falls strictly
+  // Starts pending lane tasks whose begin instant falls strictly
   // before `until` (a started task may overrun it).
   void AdvanceHost(Nanos until);
   // Ready time of the head task of `cls` for batch index `b`; negative
@@ -157,13 +183,15 @@ class DataFlowExecutor {
   DataFlowPlan plan_;
   std::vector<ExecutedFlowBatch> batches_;
   // Head index per host class (tasks are FIFO within a class).
-  std::size_t head_[kNumClasses] = {0, 0, 0, 0};
+  std::size_t head_[kNumClasses] = {0, 0, 0, 0, 0};
   std::size_t next_gpu_top_ = 0;
-  Nanos host_free_ = 0.0;
+  Nanos xfer_free_ = 0.0;
+  Nanos core_free_ = 0.0;
   Nanos dpu_free_ = 0.0;
   Nanos gpu_free_ = 0.0;
   Nanos last_cut_ = 0.0;
-  Nanos host_busy_ = 0.0;
+  Nanos xfer_busy_ = 0.0;
+  Nanos core_busy_ = 0.0;
   Nanos dpu_busy_ = 0.0;
   Nanos gpu_busy_ = 0.0;
   Nanos host_mlp_busy_ = 0.0;

@@ -81,6 +81,7 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
   using telemetry::Clock;
   using telemetry::kDpuTrack;
   using telemetry::kHostBusTrack;
+  using telemetry::kHostCoreTrack;
   using telemetry::kPipelinePid;
   using telemetry::kRequestPid;
 
@@ -185,6 +186,7 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
   result.shed = batcher.shed_count();
   result.max_queue_depth = batcher.max_queue_depth();
   result.utilization.host_busy_ns = executor.host_busy_ns();
+  result.utilization.host_core_busy_ns = executor.host_core_busy_ns();
   result.utilization.dpu_busy_ns = executor.dpu_busy_ns();
   result.utilization.host_mlp_busy_ns = executor.host_mlp_busy_ns();
   result.utilization.gpu_busy_ns = executor.gpu_busy_ns();
@@ -192,7 +194,9 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
 
   if (tracing) {
     tracer.SetThreadName(kPipelinePid, kHostBusTrack,
-                         "host buses (stage 1/3)");
+                         "host transfer lane (stage 1/3 buses)");
+    tracer.SetThreadName(kPipelinePid, kHostCoreTrack,
+                         "host core lane (aggregate / dense)");
     tracer.SetThreadName(kPipelinePid, kDpuTrack, "DPU array (stage 2)");
     path.NameTracks();
     for (const QueueDepthSample& s : result.queue_depth) {
@@ -216,7 +220,11 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
                         sched.s2_end_ns - sched.s2_start_ns);
         tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage3.pull",
                         sched.s3_start_ns,
-                        sched.s3_end_ns - sched.s3_start_ns);
+                        sched.pull_end_ns - sched.s3_start_ns);
+        tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
+                        "stage3.aggregate",
+                        sched.s3_end_ns - sched.costs.emb.cpu_aggregate,
+                        sched.costs.emb.cpu_aggregate);
         path.TraceBatch(sched, b);
         if (batch_traces[b] != nullptr) {
           core::EmitBatchDpuTimeline(engine.dpu_system(), *batch_traces[b],

@@ -60,23 +60,29 @@ class LatencyHistogram {
   Nanos max_ = 0.0;
 };
 
-/// Busy fractions of the pipeline resources over the run. The
-/// embedding-only plan fills the first two; full-path plans
-/// (src/pipeline) additionally split out the host's dense-compute time
-/// and the optional GPU backend.
+/// Busy fractions of the pipeline resources over the run
+/// (serve/executor.h). The host is two lanes: the transfer lane moves
+/// stage-1/3 data over the DIMM buses, the core lane runs aggregation
+/// and CPU dense tasks. Full-path plans (src/pipeline) additionally
+/// split out the core lane's dense-compute time and the optional GPU
+/// backend.
 struct StageUtilization {
-  Nanos host_busy_ns = 0.0;  // stage 1 + stage 3 + CPU aggregation
+  Nanos host_busy_ns = 0.0;  // transfer lane: stage-1 push + stage-3 pull
   Nanos dpu_busy_ns = 0.0;   // stage 2
   Nanos makespan_ns = 0.0;
-  /// Host time spent in MLP / interaction work (a subset of
-  /// host_busy_ns: one host resource serves both transfer and dense
-  /// compute).
+  /// Core lane: CPU aggregation + CPU-placed dense tasks.
+  Nanos host_core_busy_ns = 0.0;
+  /// Core-lane time spent in MLP / interaction work (a subset of
+  /// host_core_busy_ns).
   Nanos host_mlp_busy_ns = 0.0;
   /// GPU backend busy time; 0 when every stage runs on the host.
   Nanos gpu_busy_ns = 0.0;
 
   double HostUtilization() const {
     return makespan_ns <= 0.0 ? 0.0 : host_busy_ns / makespan_ns;
+  }
+  double HostCoreUtilization() const {
+    return makespan_ns <= 0.0 ? 0.0 : host_core_busy_ns / makespan_ns;
   }
   double DpuUtilization() const {
     return makespan_ns <= 0.0 ? 0.0 : dpu_busy_ns / makespan_ns;

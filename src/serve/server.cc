@@ -25,6 +25,8 @@ void ServeResult::ExportTo(telemetry::MetricsRegistry& registry,
                     static_cast<double>(max_queue_depth));
   registry.SetGauge(prefix + ".host_utilization",
                     utilization.HostUtilization());
+  registry.SetGauge(prefix + ".host_core_utilization",
+                    utilization.HostCoreUtilization());
   registry.SetGauge(prefix + ".dpu_utilization",
                     utilization.DpuUtilization());
   for (const Nanos l : request_latency_ns) {
@@ -36,8 +38,8 @@ namespace {
 
 // Embedding-only serving is the plan with no dense stages: every dense
 // cost stays zero and a batch completes at its stage-3 end (the
-// zero-cost dense tasks may queue behind later pulls, so done_ns is
-// not the completion instant here).
+// zero-cost dense tasks may queue behind later aggregations, so
+// done_ns is not the completion instant here).
 struct EmbeddingPath {
   static Result<BatchTaskCosts> OnBatch(std::span<const std::size_t>,
                                         const core::BatchResult& batch) {

@@ -91,16 +91,17 @@ inline constexpr std::int32_t kDpuPid = 4;       // sim: per-DPU stage-2
 inline constexpr std::int32_t kTaskletPid = 5;   // sim: straggler tasklets
 inline constexpr std::int32_t kRankPid = 6;      // sim: per-rank rollup
 
-/// Well-known track ids (tids) within kPipelinePid. The embedding-only
-/// pipeline uses the bus + DPU pair; the full-path data-flow executor
-/// (src/pipeline) adds the host-MLP and GPU tracks. Host-bus and
-/// host-MLP slices share one simulated host resource, so they never
-/// overlap in time — two display tracks just keep transfer work and
-/// dense-compute work visually separate.
-inline constexpr std::int64_t kHostBusTrack = 0;  // stage 1 push / stage 3 pull
-inline constexpr std::int64_t kDpuTrack = 1;      // stage 2 lookup kernels
-inline constexpr std::int64_t kMlpTrack = 2;      // mlp_bottom/interact/mlp_top
-inline constexpr std::int64_t kGpuTrack = 3;      // GPU-placed MLP stages
+/// Well-known track ids (tids) within kPipelinePid, one per simulated
+/// resource of the data-flow executor (serve/executor.h). The host is
+/// two lanes that run concurrently: the bus track is the transfer lane
+/// (stage-1 push, stage-3 pull), the core track the core lane
+/// (stage-3 aggregation, then the full path's dense tasks). The
+/// executor never overlaps two slices on one track, but the two host
+/// tracks overlap each other.
+inline constexpr std::int64_t kHostBusTrack = 0;   // stage 1 push, stage 3 pull
+inline constexpr std::int64_t kDpuTrack = 1;       // stage 2 lookup kernels
+inline constexpr std::int64_t kHostCoreTrack = 2;  // aggregate + dense tasks
+inline constexpr std::int64_t kGpuTrack = 3;       // GPU-placed MLP stages
 
 struct TracerOptions {
   /// Events per thread buffer; overflow drops (and counts) events.

@@ -4,25 +4,47 @@
 
 namespace updlrm::core {
 
+std::string_view ResourceName(PipelineResource resource) {
+  switch (resource) {
+    case PipelineResource::kTransferLane:
+      return "host transfers";
+    case PipelineResource::kDpus:
+      return "DPU lookups";
+    case PipelineResource::kCoreLane:
+      return "host cores";
+  }
+  return "?";
+}
+
+PipelineResource PipelineEstimate::Binding() const {
+  if (host_work_ns >= dpu_work_ns && host_work_ns >= core_work_ns) {
+    return PipelineResource::kTransferLane;
+  }
+  return dpu_work_ns >= core_work_ns ? PipelineResource::kDpus
+                                     : PipelineResource::kCoreLane;
+}
+
 PipelineEstimate EstimatePipelinedEmbedding(
     std::span<const StageBreakdown> batches) {
   PipelineEstimate estimate;
   if (batches.empty()) return estimate;  // nothing executed, zero bound
   for (const StageBreakdown& b : batches) {
     estimate.serial_ns += b.EmbeddingTotal();
-    estimate.host_work_ns += b.cpu_to_dpu + b.dpu_to_cpu + b.cpu_aggregate;
+    estimate.host_work_ns += b.cpu_to_dpu + b.dpu_to_cpu;
     estimate.dpu_work_ns += b.dpu_lookup;
+    estimate.core_work_ns += b.cpu_aggregate;
   }
-  // Fill: the first batch's indices must arrive before any DPU work;
-  // drain: the last batch's results leave after all DPU work.
-  const Nanos fill = batches.front().cpu_to_dpu;
-  const Nanos drain =
-      batches.back().dpu_to_cpu + batches.back().cpu_aggregate;
-  estimate.pipelined_ns =
-      std::max(estimate.host_work_ns, estimate.dpu_work_ns) + fill + drain;
-  // Overlap can never make the work slower than serial execution.
-  estimate.pipelined_ns = std::min(estimate.pipelined_ns,
-                                   estimate.serial_ns);
+  // Each resource waits for the work that must precede its first task
+  // (fill) and is followed by the work that must succeed its last one
+  // (drain).
+  const StageBreakdown& first = batches.front();
+  const StageBreakdown& last = batches.back();
+  const Nanos transfer = estimate.host_work_ns + last.cpu_aggregate;
+  const Nanos dpu = first.cpu_to_dpu + estimate.dpu_work_ns +
+                    last.dpu_to_cpu + last.cpu_aggregate;
+  const Nanos core = first.cpu_to_dpu + first.dpu_lookup +
+                     first.dpu_to_cpu + estimate.core_work_ns;
+  estimate.pipelined_ns = std::max({transfer, dpu, core});
   return estimate;
 }
 

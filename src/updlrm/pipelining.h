@@ -1,38 +1,55 @@
 // Inter-batch pipelining estimate.
 //
 // The paper executes batches serially: stage 1 -> stage 2 -> stage 3
-// per batch. The two stages' resources are disjoint — stages 1/3 use
-// the host and its DIMM buses, stage 2 the DPUs — so a production
+// per batch. The stages' resources are disjoint — stages 1/3 move data
+// over the host's DIMM buses, stage 2 runs on the DPUs, and the
+// stage-3 aggregation runs on the host's CPU cores — so a production
 // serving loop can push batch k+1's indices while the DPUs execute
-// batch k (double-buffered index/output regions in MRAM). This module
-// turns a sequence of per-batch stage timings into a steady-state
-// pipelined makespan:
+// batch k (double-buffered index/output regions in MRAM) and while the
+// cores reduce batch k-1. This module turns a sequence of per-batch
+// stage timings into a lower bound on the pipelined makespan:
 //
-//   makespan ≈ max(Σ host work, Σ DPU work) + fill + drain
+//   makespan >= max over resources r of (fill_r + Σ work_r + drain_r)
 //
-// where host work is stage 1 + stage 3 + CPU aggregation and DPU work
-// is stage 2. It is an optimistic two-resource bound (no MRAM buffer
-// contention), intended for the what-if ablation bench/abl_pipelining.
+// over the three resources of the serving executor (serve/executor.h):
+//   * transfer lane: work = stage 1 + the stage-3 pull; no fill; drain
+//     = the last batch's aggregation;
+//   * DPUs: work = stage 2; fill = the first batch's push; drain = the
+//     last batch's pull and aggregation;
+//   * core lane: work = the CPU aggregation; fill = the first batch's
+//     push, lookup and pull; no drain.
+// Each term bounds any schedule, so their max does too. It is
+// optimistic (no MRAM buffer contention, no dependency stalls) and is
+// intended for the what-if ablation bench/abl_pipelining.
 #pragma once
 
 #include <span>
+#include <string_view>
 
 #include "common/units.h"
 #include "updlrm/report.h"
 
 namespace updlrm::core {
 
+/// The resources an embedding pipeline overlaps.
+enum class PipelineResource { kTransferLane, kDpus, kCoreLane };
+
+/// "host transfers" / "DPU lookups" / "host cores".
+std::string_view ResourceName(PipelineResource resource);
+
 struct PipelineEstimate {
   Nanos serial_ns = 0.0;     // the engine's sequential embedding time
-  Nanos pipelined_ns = 0.0;  // two-resource overlap bound
-  Nanos host_work_ns = 0.0;  // total stage-1 + stage-3 + aggregation
+  Nanos pipelined_ns = 0.0;  // three-resource lower bound
+  Nanos host_work_ns = 0.0;  // transfer lane: total stage-1 + stage-3 pull
   Nanos dpu_work_ns = 0.0;   // total stage-2
+  Nanos core_work_ns = 0.0;  // core lane: total aggregation
 
   double Speedup() const {
     return pipelined_ns <= 0.0 ? 0.0 : serial_ns / pipelined_ns;
   }
-  /// Which resource bounds the steady state.
-  bool HostBound() const { return host_work_ns >= dpu_work_ns; }
+  /// The resource with the most work, which bounds the steady state
+  /// (ties go to the transfer lane, then the DPUs).
+  PipelineResource Binding() const;
 };
 
 /// Estimates the pipelined embedding-layer makespan for a batch

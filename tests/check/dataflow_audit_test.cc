@@ -114,6 +114,7 @@ StageInstants WellOrdered() {
   t.s2_start_ns = 200;
   t.s2_end_ns = 400;
   t.s3_start_ns = 410;
+  t.pull_end_ns = 460;
   t.s3_end_ns = 500;
   t.bottom_done_ns = 450;
   t.top_start_ns = 500;
@@ -162,6 +163,16 @@ TEST(StageOrderingAudit, FiresWhenTopIgnoresBottomDependency) {
   t.bottom_done_ns = t.top_start_ns + 25;  // top started too early
   AuditStageOrdering(0, t, &report);
   EXPECT_GE(report.count(Rule::kStageOrdering), 1u);
+}
+
+TEST(StageOrderingAudit, FiresWhenAggregateEndsBeforeItsPull) {
+  CheckReport report;
+  StageInstants t = WellOrdered();
+  t.pull_end_ns = t.s3_end_ns + 10;  // the aggregate outran its input
+  AuditStageOrdering(2, t, &report);
+  EXPECT_EQ(report.count(Rule::kStageOrdering), 1u);
+  EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("pull"),
+            std::string::npos);
 }
 
 TEST(StageOrderingAudit, FiresOnNegativeDuration) {

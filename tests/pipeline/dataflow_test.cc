@@ -184,5 +184,30 @@ TEST(PredictFlowTest, BoundsAndDepthMonotonicity) {
   EXPECT_GE(p2, c2.top_host());
 }
 
+TEST(PredictFlowTest, HostLanesAreSeparateResources) {
+  // Transfers and core work overlap on the executor, so the period is
+  // the busier lane, not their sum.
+  BatchTaskCosts c;
+  c.emb.cpu_to_dpu = 100.0;
+  c.emb.dpu_lookup = 50.0;
+  c.emb.dpu_to_cpu = 100.0;
+  c.emb.cpu_aggregate = 30.0;
+  c.bottom_post = 500.0;
+  c.interact = 10.0;
+  c.top_mlp = 40.0;
+  DataFlowPlan plan;
+  plan.depth = 2;
+  // Core lane 30 + 500 + 50 = 580 beats the critical path
+  // max(280, 500) + 50 = 550 and the transfer lane's 200.
+  EXPECT_DOUBLE_EQ(PredictFlow(c, plan), 580.0);
+  // Moving the dense stages to the GPU leaves the core lane only the
+  // aggregation: the critical path binds.
+  plan.bottom = Backend::kGpu;
+  plan.top = Backend::kGpu;
+  c.bottom_gpu = 120.0;
+  c.top_gpu = 90.0;
+  EXPECT_DOUBLE_EQ(PredictFlow(c, plan), 280.0 + 90.0);
+}
+
 }  // namespace
 }  // namespace updlrm::pipeline

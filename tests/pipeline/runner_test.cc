@@ -109,13 +109,17 @@ TEST(RunnerTest, ServesEveryRequestWithFullPathLatencies) {
   EXPECT_TRUE(result->ctr.empty());  // timing-only engine
   ASSERT_EQ(result->schedule.size(), result->num_batches);
   // Full-path completion: every batch's done instant is its top end,
-  // strictly after the embedding pull that the embedding-only server
+  // strictly after the stage-3 end that the embedding-only server
   // would report.
   for (const auto& b : result->schedule) {
     EXPECT_GT(b.done_ns, b.s3_end_ns);
     EXPECT_DOUBLE_EQ(b.done_ns, b.top_end_ns);
   }
   EXPECT_GT(result->utilization.host_mlp_busy_ns, 0.0);
+  // The core lane also aggregates, so its busy time exceeds the dense
+  // part.
+  EXPECT_GT(result->utilization.host_core_busy_ns,
+            result->utilization.host_mlp_busy_ns);
   EXPECT_DOUBLE_EQ(result->utilization.gpu_busy_ns, 0.0);
   EXPECT_EQ(result->latency.count(), result->completed);
 }

@@ -1,6 +1,7 @@
-// The full-path data-flow executor: deterministic host scheduling
-// around the embedding stages, GPU offload FIFO, depth-bounded
-// admission, and the stage-ordering invariants under random load.
+// The full-path data-flow executor: deterministic transfer-lane and
+// core-lane scheduling around the embedding stages, GPU offload FIFO,
+// depth-bounded admission, and the stage-ordering invariants under
+// random load.
 #include "serve/executor.h"
 
 #include <gtest/gtest.h>
@@ -36,22 +37,25 @@ TEST(DataFlowExecutorTest, SingleBatchCpuFlowSchedulesInOrder) {
   ex.Submit(CpuCosts(), 0.0);
   ex.Drain();
   const ExecutedFlowBatch& b = ex.batches().front();
-  // S1 [0,100] then S2 [100,300]; the host fills the DPU window with
-  // the bottom stack [100,400]; S3 waits for both the host and the
-  // lookup [400,500]; top closes the batch [500,600].
+  // Transfer lane: S1 [0,100], then the pull once S2 [100,300] ends
+  // [300,350]. Core lane: the bottom stack starts at the cut [0,300]
+  // (the push runs on the other lane), the aggregation waits for the
+  // pull [350,400], and top closes the batch [400,500].
   EXPECT_DOUBLE_EQ(b.s1_start_ns, 0.0);
   EXPECT_DOUBLE_EQ(b.s1_end_ns, 100.0);
   EXPECT_DOUBLE_EQ(b.s2_start_ns, 100.0);
   EXPECT_DOUBLE_EQ(b.s2_end_ns, 300.0);
-  EXPECT_DOUBLE_EQ(b.bpost_start_ns, 100.0);
-  EXPECT_DOUBLE_EQ(b.bpost_end_ns, 400.0);
-  EXPECT_DOUBLE_EQ(b.bottom_done_ns, 400.0);
-  EXPECT_DOUBLE_EQ(b.s3_start_ns, 400.0);
-  EXPECT_DOUBLE_EQ(b.s3_end_ns, 500.0);
-  EXPECT_DOUBLE_EQ(b.top_start_ns, 500.0);
-  EXPECT_DOUBLE_EQ(b.top_end_ns, 600.0);
-  EXPECT_DOUBLE_EQ(b.done_ns, 600.0);
-  EXPECT_DOUBLE_EQ(ex.host_busy_ns(), 100.0 + 300.0 + 100.0 + 100.0);
+  EXPECT_DOUBLE_EQ(b.bpost_start_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b.bpost_end_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b.bottom_done_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b.s3_start_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b.pull_end_ns, 350.0);
+  EXPECT_DOUBLE_EQ(b.s3_end_ns, 400.0);
+  EXPECT_DOUBLE_EQ(b.top_start_ns, 400.0);
+  EXPECT_DOUBLE_EQ(b.top_end_ns, 500.0);
+  EXPECT_DOUBLE_EQ(b.done_ns, 500.0);
+  EXPECT_DOUBLE_EQ(ex.host_busy_ns(), 100.0 + 50.0);
+  EXPECT_DOUBLE_EQ(ex.host_core_busy_ns(), 300.0 + 50.0 + 100.0);
   EXPECT_DOUBLE_EQ(ex.host_mlp_busy_ns(), 300.0 + 100.0);
   EXPECT_DOUBLE_EQ(ex.dpu_busy_ns(), 200.0);
   EXPECT_DOUBLE_EQ(ex.gpu_busy_ns(), 0.0);
@@ -91,8 +95,8 @@ TEST(DataFlowExecutorTest, BottomOverlapsTheNextBatchWindow) {
   ex.Drain();
   const auto& b0 = ex.batches()[0];
   const auto& b1 = ex.batches()[1];
-  // Batch 1's S1 takes the host right at its cut (S1 outranks dense
-  // work), then its bottom stack starts inside batch 0's S2 window.
+  // Batch 1's S1 takes the transfer lane right at its cut, and its
+  // bottom stack runs on the core lane inside batch 0's S2 window.
   EXPECT_DOUBLE_EQ(b1.s1_start_ns, 100.0);
   EXPECT_LT(b1.bpost_start_ns, b0.s2_end_ns);
   // Batch order is preserved on the DPU resource.
@@ -102,25 +106,48 @@ TEST(DataFlowExecutorTest, BottomOverlapsTheNextBatchWindow) {
 }
 
 TEST(DataFlowExecutorTest, StageThreePreemptsQueuedBottomWork) {
-  // S3 outranks bottom tasks at equal start instants: once the host
-  // frees at the lookup's end, the pull runs before further dense work.
+  // The aggregation outranks queued dense work at equal start instants
+  // on the core lane, but never interrupts a running task; the pull
+  // never waits for dense work at all.
   BatchTaskCosts c = CpuCosts();
   c.bottom_pre = 120.0;
   c.bottom_post = 180.0;
   DataFlowPlan plan;
-  plan.depth = 1;
+  plan.depth = 2;
   plan.bottom_split = 1;
   DataFlowExecutor ex(plan);
   ex.Submit(c, 0.0);
+  ex.Submit(c, 0.0);
   ex.Drain();
-  const auto& b = ex.batches().front();
-  // Host: S1 [0,100], BPRE [100,220], BPOST [220,400]; S3 becomes
-  // ready at 300 mid-BPOST and must wait (non-preemptive) -> [400,500].
-  EXPECT_DOUBLE_EQ(b.bpre_start_ns, 100.0);
-  EXPECT_DOUBLE_EQ(b.bpre_end_ns, 220.0);
-  EXPECT_DOUBLE_EQ(b.bpost_end_ns, 400.0);
-  EXPECT_DOUBLE_EQ(b.s3_start_ns, 400.0);
-  EXPECT_DOUBLE_EQ(b.top_start_ns, 500.0);
+  const auto& b0 = ex.batches()[0];
+  const auto& b1 = ex.batches()[1];
+  // Transfer lane: S1 [0,100] and [100,200]; pulls [300,350] and
+  // [500,550] as each S2 ([100,300], [300,500]) ends.
+  EXPECT_DOUBLE_EQ(b0.s3_start_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b0.pull_end_ns, 350.0);
+  EXPECT_DOUBLE_EQ(b1.s3_start_ns, 500.0);
+  EXPECT_DOUBLE_EQ(b1.pull_end_ns, 550.0);
+  // Core lane: BPRE0 [0,120], then BPOST0 beats BPRE1 on the tie at
+  // 120 [120,300], then BPRE1 [300,420]. Batch 0's aggregation becomes
+  // ready at 350 mid-BPRE1 and waits (non-preemptive); at 420 it beats
+  // BPOST1 on the tie [420,470], and TOP0 beats BPOST1 on the next tie
+  // at 470 [470,570]. Batch 1's aggregation (ready at 550) beats BPOST1
+  // once more at 570 [570,620]; BPOST1 [620,800] and TOP1 [800,900]
+  // close the run.
+  EXPECT_DOUBLE_EQ(b0.bpre_start_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b0.bpre_end_ns, 120.0);
+  EXPECT_DOUBLE_EQ(b0.bpost_start_ns, 120.0);
+  EXPECT_DOUBLE_EQ(b0.bpost_end_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b1.bpre_start_ns, 300.0);
+  EXPECT_DOUBLE_EQ(b1.bpre_end_ns, 420.0);
+  EXPECT_DOUBLE_EQ(b0.s3_end_ns, 470.0);
+  EXPECT_DOUBLE_EQ(b0.top_start_ns, 470.0);
+  EXPECT_DOUBLE_EQ(b0.done_ns, 570.0);
+  EXPECT_DOUBLE_EQ(b1.s3_end_ns, 620.0);
+  EXPECT_DOUBLE_EQ(b1.bpost_start_ns, 620.0);
+  EXPECT_DOUBLE_EQ(b1.bpost_end_ns, 800.0);
+  EXPECT_DOUBLE_EQ(b1.top_start_ns, 800.0);
+  EXPECT_DOUBLE_EQ(b1.done_ns, 900.0);
 }
 
 TEST(DataFlowExecutorTest, GpuBottomRunsOffHostAndInFifoOrder) {
@@ -143,7 +170,7 @@ TEST(DataFlowExecutorTest, GpuBottomRunsOffHostAndInFifoOrder) {
   EXPECT_DOUBLE_EQ(b1.bpre_start_ns, 500.0);  // queued behind batch 0
   EXPECT_DOUBLE_EQ(b1.bottom_done_ns, 1000.0);
   EXPECT_DOUBLE_EQ(ex.gpu_busy_ns(), 1000.0);
-  // The host never ran dense bottom work; its MLP time is the tops.
+  // The core lane never ran dense bottom work; its MLP time is the tops.
   EXPECT_DOUBLE_EQ(ex.host_mlp_busy_ns(),
                    2.0 * (c.interact + c.top_mlp));
   // Tops wait for the (slow) GPU bottom.
@@ -173,6 +200,8 @@ TEST(DataFlowExecutorTest, GpuTopWaitsForPullAndBottom) {
 
 // Randomized loads across every backend mix: the executed schedule must
 // satisfy the stage-ordering audit and never double-book a resource.
+// The two host lanes are separate resources: tasks never overlap within
+// a lane, but a transfer may overlap a core task.
 TEST(DataFlowExecutorTest, RandomLoadsKeepOrderingAndResourceInvariants) {
   Rng rng(99);
   const Backend kinds[] = {Backend::kCpu, Backend::kGpu};
@@ -210,7 +239,7 @@ TEST(DataFlowExecutorTest, RandomLoadsKeepOrderingAndResourceInvariants) {
         ex.Drain();
 
         check::CheckReport report;
-        std::vector<std::pair<Nanos, Nanos>> host, dpu, gpu;
+        std::vector<std::pair<Nanos, Nanos>> transfer, core, dpu, gpu;
         for (std::size_t i = 0; i < ex.batches().size(); ++i) {
           const ExecutedFlowBatch& b = ex.batches()[i];
           check::StageInstants t;
@@ -222,30 +251,33 @@ TEST(DataFlowExecutorTest, RandomLoadsKeepOrderingAndResourceInvariants) {
           t.s2_start_ns = b.s2_start_ns;
           t.s2_end_ns = b.s2_end_ns;
           t.s3_start_ns = b.s3_start_ns;
+          t.pull_end_ns = b.pull_end_ns;
           t.s3_end_ns = b.s3_end_ns;
           t.bottom_done_ns = b.bottom_done_ns;
           t.top_start_ns = b.top_start_ns;
           t.top_end_ns = b.top_end_ns;
           check::AuditStageOrdering(i, t, &report);
 
-          host.emplace_back(b.s1_start_ns, b.s1_end_ns);
-          host.emplace_back(b.s3_start_ns, b.s3_end_ns);
+          transfer.emplace_back(b.s1_start_ns, b.s1_end_ns);
+          transfer.emplace_back(b.s3_start_ns, b.pull_end_ns);
+          core.emplace_back(b.s3_end_ns - b.costs.emb.cpu_aggregate,
+                            b.s3_end_ns);
           dpu.emplace_back(b.s2_start_ns, b.s2_end_ns);
           if (bottom == Backend::kCpu) {
-            host.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
-            host.emplace_back(b.bpost_start_ns, b.bpost_end_ns);
+            core.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
+            core.emplace_back(b.bpost_start_ns, b.bpost_end_ns);
           } else {
             gpu.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
           }
           if (top == Backend::kCpu) {
-            host.emplace_back(b.top_start_ns, b.top_end_ns);
+            core.emplace_back(b.top_start_ns, b.top_end_ns);
           } else {
             gpu.emplace_back(b.top_start_ns, b.top_end_ns);
           }
         }
         EXPECT_TRUE(report.clean())
             << pipeline::Name(plan) << ": " << report.ToString();
-        for (auto* intervals : {&host, &dpu, &gpu}) {
+        for (auto* intervals : {&transfer, &core, &dpu, &gpu}) {
           std::sort(intervals->begin(), intervals->end());
           for (std::size_t i = 1; i < intervals->size(); ++i) {
             EXPECT_LE((*intervals)[i - 1].second,

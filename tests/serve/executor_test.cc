@@ -1,7 +1,7 @@
 // Embedding-only execution on the data-flow executor (the plan with no
 // dense stages), and the validation of the `EstimatePipelinedEmbedding`
-// two-resource bound against the executed schedule (the bound used to
-// be the only pipelining story; now it is checked against what the
+// three-resource bound against the executed schedule (the bound used
+// to be the only pipelining story; now it is checked against what the
 // executor actually achieves).
 #include "serve/executor.h"
 
@@ -79,6 +79,7 @@ TEST(ExecutorTest, SingleBatchRunsSerially) {
   EXPECT_DOUBLE_EQ(b.s1_start_ns, 0.0);
   EXPECT_DOUBLE_EQ(b.s2_start_ns, 10.0);
   EXPECT_DOUBLE_EQ(b.s3_start_ns, 60.0);
+  EXPECT_DOUBLE_EQ(b.pull_end_ns, 67.0);
   EXPECT_DOUBLE_EQ(Makespan(exec), 70.0);
   EXPECT_DOUBLE_EQ(Makespan(exec), Serial(batches));
 }
@@ -135,7 +136,7 @@ TEST(ExecutorTest, Stage1PriorityKeepsDpusFed) {
 
 // The acceptance contract between the estimator and the executor: for
 // homogeneous DPU-bound batches (the regime the paper's workloads live
-// in — stage 2 dominates), the two-resource estimate is a true lower
+// in — stage 2 dominates), the three-resource estimate is a true lower
 // bound of any schedule, and the executed double-buffered schedule
 // lands within fill + drain of it.
 TEST(ExecutorTest, ExecutedMakespanMatchesBoundForHomogeneousBatches) {
@@ -161,22 +162,30 @@ TEST(ExecutorTest, ExecutedRespectsTrueLowerBoundsOnMixedBatches) {
       Batch(10, 100, 5, 2), Batch(30, 10, 5, 1), Batch(20, 60, 15, 5),
       Batch(5, 40, 5, 0),   Batch(25, 80, 10, 3)};
   const auto exec = Execute(batches);
-  // Any schedule is bounded below by each serial resource and by the
-  // fill + DPU chain + drain critical path.
-  Nanos host = 0.0, dpu = 0.0;
-  for (const auto& b : batches) {
-    host += b.cpu_to_dpu + b.dpu_to_cpu + b.cpu_aggregate;
-    dpu += b.dpu_lookup;
-  }
-  const Nanos fill = batches.front().cpu_to_dpu;
-  const Nanos drain =
-      batches.back().dpu_to_cpu + batches.back().cpu_aggregate;
-  EXPECT_GE(Makespan(exec), host);
-  EXPECT_GE(Makespan(exec), fill + dpu + drain);
+  const auto estimate = core::EstimatePipelinedEmbedding(batches);
+  // Any schedule is bounded below on each of the three resources:
+  //   * transfer lane: every push and pull, then the last aggregation;
+  //   * DPUs: the first push, every lookup, then the last pull and
+  //     aggregation;
+  //   * core lane: the first batch's push, lookup and pull, then every
+  //     aggregation.
+  const core::StageBreakdown& first = batches.front();
+  const core::StageBreakdown& last = batches.back();
+  const Nanos transfer_bound = estimate.host_work_ns + last.cpu_aggregate;
+  const Nanos dpu_bound = first.cpu_to_dpu + estimate.dpu_work_ns +
+                          last.dpu_to_cpu + last.cpu_aggregate;
+  const Nanos core_bound = first.cpu_to_dpu + first.dpu_lookup +
+                           first.dpu_to_cpu + estimate.core_work_ns;
+  EXPECT_GE(Makespan(exec), transfer_bound);
+  EXPECT_GE(Makespan(exec), dpu_bound);
+  EXPECT_GE(Makespan(exec), core_bound);
+  EXPECT_DOUBLE_EQ(estimate.pipelined_ns,
+                   std::max({transfer_bound, dpu_bound, core_bound}));
   EXPECT_LE(Makespan(exec), Serial(batches));
   // Resource accounting adds up, with no dense time anywhere.
-  EXPECT_DOUBLE_EQ(exec.host_busy_ns(), host);
-  EXPECT_DOUBLE_EQ(exec.dpu_busy_ns(), dpu);
+  EXPECT_DOUBLE_EQ(exec.host_busy_ns(), estimate.host_work_ns);
+  EXPECT_DOUBLE_EQ(exec.host_core_busy_ns(), estimate.core_work_ns);
+  EXPECT_DOUBLE_EQ(exec.dpu_busy_ns(), estimate.dpu_work_ns);
   EXPECT_DOUBLE_EQ(exec.host_mlp_busy_ns(), 0.0);
   EXPECT_DOUBLE_EQ(exec.gpu_busy_ns(), 0.0);
 }
@@ -184,7 +193,10 @@ TEST(ExecutorTest, ExecutedRespectsTrueLowerBoundsOnMixedBatches) {
 // The two-resource embedding schedule with no dense tasks at all,
 // written out directly: the host runs stage 1 at the cut (winning
 // ties) and stage 3 work-conserving in batch order, the DPUs run
-// stage 2 FIFO, and `depth` buffer pairs gate the cuts.
+// stage 2 FIFO, and `depth` buffer pairs gate the cuts. This was the
+// executor's schedule when one host resource ran every transfer and
+// the aggregation; with no aggregation work the two host lanes must
+// reproduce it exactly.
 class TwoResourceSchedule {
  public:
   explicit TwoResourceSchedule(std::uint32_t depth) : depth_(depth) {}
@@ -243,14 +255,87 @@ class TwoResourceSchedule {
   Nanos dpu_busy_ = 0.0;
 };
 
-// Zero-cost dense tasks are invisible to the embedding stages: under
-// every backend mix and split, with random integer stage costs and cut
-// gaps (integers force exact ties), the executor reproduces the
-// two-resource schedule instant for instant — every cut, stage-1/2/3
-// instant, admission instant, busy total and the makespan — and the
-// embedding-only completion instant is the stage-3 end. (done_ns is
-// not: a zero-cost top may queue behind a later batch's stage 3.)
-TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
+// The three-resource embedding schedule with no dense tasks, written
+// out directly: the transfer lane runs stage 1 at the cut (winning
+// ties) and the stage-3 pulls work-conserving in batch order, the DPUs
+// run stage 2 FIFO, the core lane aggregates each batch FIFO once its
+// pull is done, and `depth` buffer pairs gate the cuts.
+class ThreeResourceSchedule {
+ public:
+  explicit ThreeResourceSchedule(std::uint32_t depth) : depth_(depth) {}
+
+  Nanos NextAdmitTime() const {
+    if (batches_.size() < depth_) return last_cut_;
+    return std::max(last_cut_,
+                    batches_[batches_.size() - depth_].s2_end_ns);
+  }
+
+  void Submit(const core::StageBreakdown& stages, Nanos cut_ns) {
+    AdvanceTransfer(cut_ns);
+    ExecutedFlowBatch b;
+    b.costs.emb = stages;
+    b.cut_ns = cut_ns;
+    b.s1_start_ns = std::max(cut_ns, transfer_free_);
+    b.s1_end_ns = b.s1_start_ns + stages.cpu_to_dpu;
+    transfer_free_ = b.s1_end_ns;
+    transfer_busy_ += stages.cpu_to_dpu;
+    b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
+    b.s2_end_ns = b.s2_start_ns + stages.dpu_lookup;
+    dpu_free_ = b.s2_end_ns;
+    dpu_busy_ += stages.dpu_lookup;
+    last_cut_ = cut_ns;
+    batches_.push_back(b);
+  }
+
+  void Drain() { AdvanceTransfer(std::numeric_limits<double>::infinity()); }
+
+  const std::vector<ExecutedFlowBatch>& batches() const { return batches_; }
+  Nanos host_busy_ns() const { return transfer_busy_; }
+  Nanos host_core_busy_ns() const { return core_busy_; }
+  Nanos dpu_busy_ns() const { return dpu_busy_; }
+
+ private:
+  void AdvanceTransfer(Nanos until) {
+    while (next_pull_ < batches_.size()) {
+      ExecutedFlowBatch& b = batches_[next_pull_];
+      const Nanos start = std::max(transfer_free_, b.s2_end_ns);
+      if (start >= until) break;
+      b.s3_start_ns = start;
+      b.pull_end_ns = start + b.costs.emb.dpu_to_cpu;
+      transfer_free_ = b.pull_end_ns;
+      transfer_busy_ += b.costs.emb.dpu_to_cpu;
+      // Aggregations are the core lane's only work, in pull order.
+      b.s3_end_ns = std::max(core_free_, b.pull_end_ns) +
+                    b.costs.emb.cpu_aggregate;
+      core_free_ = b.s3_end_ns;
+      core_busy_ += b.costs.emb.cpu_aggregate;
+      ++next_pull_;
+    }
+  }
+
+  std::uint32_t depth_;
+  std::vector<ExecutedFlowBatch> batches_;
+  std::size_t next_pull_ = 0;
+  Nanos transfer_free_ = 0.0;
+  Nanos core_free_ = 0.0;
+  Nanos dpu_free_ = 0.0;
+  Nanos last_cut_ = 0.0;
+  Nanos transfer_busy_ = 0.0;
+  Nanos core_busy_ = 0.0;
+  Nanos dpu_busy_ = 0.0;
+};
+
+// Runs 2,000 random schedules under every backend mix and split, with
+// zero-cost dense tasks and random integer stage costs and cut gaps
+// (integers force exact ties), through the executor and through the
+// reference schedule `Reference`, and checks that they agree instant
+// for instant: every cut, stage-1/2/3 instant, admission instant, busy
+// total and the makespan, which the three-resource estimate bounds
+// from below. `with_aggregate` draws aggregation costs; without it
+// every batch's aggregation is zero. The random stream is the same
+// either way, so both variants run the same schedules.
+template <typename Reference>
+void ExpectZeroCostDenseMatches(bool with_aggregate) {
   std::vector<DataFlowPlan> plans;
   for (const Backend bottom : {Backend::kCpu, Backend::kGpu}) {
     for (const Backend top : {Backend::kCpu, Backend::kGpu}) {
@@ -274,11 +359,12 @@ TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
     std::vector<Nanos> gaps;
     for (int b = 0; b < 24; ++b) {
       stages.push_back(Batch(cost(6), cost(12), cost(6), cost(3)));
+      if (!with_aggregate) stages.back().cpu_aggregate = 0.0;
       gaps.push_back(rng.NextBounded(2) == 0 ? 0.0 : cost(20));
     }
     for (DataFlowPlan plan : plans) {
       plan.depth = depth;
-      TwoResourceSchedule ref(depth);
+      Reference ref(depth);
       DataFlowExecutor flow(plan);
       Nanos cut = 0.0;
       for (std::size_t b = 0; b < stages.size(); ++b) {
@@ -291,6 +377,7 @@ TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
       ASSERT_EQ(flow.NextAdmitTime(), ref.NextAdmitTime());
       ref.Drain();
       flow.Drain();
+      Nanos aggregate = 0.0;
       for (std::size_t b = 0; b < stages.size(); ++b) {
         const ExecutedFlowBatch& want = ref.batches()[b];
         const ExecutedFlowBatch& got = flow.batches()[b];
@@ -305,14 +392,56 @@ TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
         ASSERT_EQ(got.s2_end_ns, want.s2_end_ns) << where;
         ASSERT_EQ(got.s3_start_ns, want.s3_start_ns) << where;
         ASSERT_EQ(got.s3_end_ns, want.s3_end_ns) << where;
+        aggregate += stages[b].cpu_aggregate;
       }
       ASSERT_EQ(flow.host_busy_ns(), ref.host_busy_ns());
+      ASSERT_EQ(flow.host_core_busy_ns(), aggregate);
       ASSERT_EQ(flow.dpu_busy_ns(), ref.dpu_busy_ns());
       ASSERT_EQ(flow.host_mlp_busy_ns(), 0.0);
       ASSERT_EQ(flow.gpu_busy_ns(), 0.0);
       ASSERT_EQ(Makespan(flow), ref.batches().back().s3_end_ns);
+      ASSERT_GE(Makespan(flow),
+                core::EstimatePipelinedEmbedding(stages).pipelined_ns);
     }
   }
+}
+
+// Old == new: with no aggregation work, splitting the host into a
+// transfer lane and a core lane moves no stage-1/2/3 instant of the
+// one-host schedule. Zero-cost dense tasks are invisible to the
+// embedding stages. (done_ns is not: a zero-cost top may queue behind
+// a later batch's aggregation, so the embedding-only completion
+// instant is the stage-3 end.)
+TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
+  ExpectZeroCostDenseMatches<TwoResourceSchedule>(/*with_aggregate=*/false);
+}
+
+// With aggregation work, the executor is the three-resource schedule:
+// the core lane aggregates while the transfer lane already pushes and
+// pulls later batches.
+TEST(ExecutorTest, ZeroCostDenseTasksFollowThreeResourceSchedule) {
+  ExpectZeroCostDenseMatches<ThreeResourceSchedule>(/*with_aggregate=*/true);
+}
+
+TEST(ExecutorTest, AggregationOverlapsLaterTransfers) {
+  // Core-heavy batches: the pull of batch k+1 runs while batch k
+  // aggregates, so the makespan is the core chain, not the one-host
+  // sum of transfers and aggregation.
+  const std::vector<core::StageBreakdown> batches(4, Batch(10, 20, 10, 40));
+  const auto exec = Execute(batches);
+  // Batch 0: push [0,10), lookup [10,30), pull [40,50) (batch 2's
+  // push takes the lane at its cut, t = 30), aggregate [50,90).
+  // Batch 1's pull [60,70) runs while batch 0 aggregates, and each
+  // later aggregation starts as the previous one ends.
+  EXPECT_DOUBLE_EQ(exec.batches()[0].s3_start_ns, 40.0);
+  EXPECT_DOUBLE_EQ(exec.batches()[0].pull_end_ns, 50.0);
+  EXPECT_DOUBLE_EQ(exec.batches()[0].s3_end_ns, 90.0);
+  EXPECT_DOUBLE_EQ(exec.batches()[1].s3_start_ns, 60.0);
+  EXPECT_DOUBLE_EQ(exec.batches()[1].pull_end_ns, 70.0);
+  EXPECT_DOUBLE_EQ(exec.batches()[1].s3_end_ns, 130.0);
+  EXPECT_DOUBLE_EQ(Makespan(exec), 50.0 + 4 * 40.0);
+  EXPECT_DOUBLE_EQ(exec.host_busy_ns(), 4 * 20.0);
+  EXPECT_DOUBLE_EQ(exec.host_core_busy_ns(), 4 * 40.0);
 }
 
 }  // namespace

@@ -101,12 +101,17 @@ TEST(LatencyHistogramTest, UnderflowAndOverflowAreCaptured) {
 TEST(StageUtilizationTest, ComputesBusyFractions) {
   StageUtilization u;
   u.host_busy_ns = 25.0;
+  u.host_core_busy_ns = 40.0;
+  u.host_mlp_busy_ns = 30.0;
   u.dpu_busy_ns = 80.0;
   u.makespan_ns = 100.0;
   EXPECT_DOUBLE_EQ(u.HostUtilization(), 0.25);
+  EXPECT_DOUBLE_EQ(u.HostCoreUtilization(), 0.40);
+  EXPECT_DOUBLE_EQ(u.HostMlpUtilization(), 0.30);
   EXPECT_DOUBLE_EQ(u.DpuUtilization(), 0.80);
   u.makespan_ns = 0.0;
   EXPECT_DOUBLE_EQ(u.HostUtilization(), 0.0);
+  EXPECT_DOUBLE_EQ(u.HostCoreUtilization(), 0.0);
 }
 
 TEST(SloReportTest, WritesStableKeysAndUnitsIntoAnOpenObject) {

@@ -122,6 +122,8 @@ TEST(ServeDeterminismTest, SimulationBitExactAcrossThreadCounts) {
     EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << threads;
     EXPECT_EQ(a.makespan_ns, b.makespan_ns) << threads;
     EXPECT_EQ(a.utilization.host_busy_ns, b.utilization.host_busy_ns);
+    EXPECT_EQ(a.utilization.host_core_busy_ns,
+              b.utilization.host_core_busy_ns);
     EXPECT_EQ(a.utilization.dpu_busy_ns, b.utilization.dpu_busy_ns);
     ASSERT_EQ(a.request_latency_ns.size(), b.request_latency_ns.size());
     for (std::size_t i = 0; i < b.request_latency_ns.size(); ++i) {

@@ -5,8 +5,10 @@
 // with tracing off and on at --threads 1/2/4; carries the `tsan`
 // ctest label so a -DUPDLRM_SANITIZE=thread build exercises the
 // tracer's concurrent emission path under TSan.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,6 +190,35 @@ TEST(TraceDeterminismTest, SamplingSkipsButCountsRequests) {
   EXPECT_EQ(sampled.requests_traced + sampled.requests_sampled_out,
             all.requests_traced);
   EXPECT_LT(sampled.traced_events, all.traced_events);
+}
+
+TEST(TraceDeterminismTest, StageThreeAggregatesOnTheCoreTrack) {
+  // The serve loop splits stage 3 across the host lanes: the pull on
+  // the bus track, then one aggregation slice per batch on the core
+  // track, ending at the batch's stage-3 end.
+  const RunResult run = RunAt(1, /*tracing=*/true);
+  std::vector<TraceEvent> aggregates;
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) {
+    if (e.name != nullptr && std::string_view(e.name) == "stage3.aggregate") {
+      aggregates.push_back(e);
+    }
+  }
+  std::sort(aggregates.begin(), aggregates.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.ts_ns < b.ts_ns;
+            });
+  const std::vector<serve::ExecutedBatch>& schedule = run.serve.schedule;
+  ASSERT_EQ(aggregates.size(), schedule.size());
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const TraceEvent& e = aggregates[i];
+    EXPECT_EQ(e.pid, kPipelinePid) << i;
+    EXPECT_EQ(e.tid, kHostCoreTrack) << i;
+    EXPECT_EQ(e.dur_ns, schedule[i].stages.cpu_aggregate) << i;
+    EXPECT_NEAR(e.ts_ns + e.dur_ns, schedule[i].s3_end_ns, 1e-6) << i;
+    EXPECT_GE(e.ts_ns, schedule[i].s3_start_ns + schedule[i].stages.dpu_to_cpu -
+                           1e-6)
+        << i;
+  }
 }
 
 }  // namespace

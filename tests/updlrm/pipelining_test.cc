@@ -20,7 +20,7 @@ TEST(PipeliningTest, SingleBatchGainsNothing) {
   const std::vector<StageBreakdown> batches = {Batch(10, 50, 10)};
   const auto e = EstimatePipelinedEmbedding(batches);
   EXPECT_DOUBLE_EQ(e.serial_ns, 70.0);
-  // fill(10) + max(20, 50) + drain(10) = 70 == serial.
+  // DPUs: fill(10) + 50 + drain(10) = 70 == serial.
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 70.0);
   EXPECT_DOUBLE_EQ(e.Speedup(), 1.0);
 }
@@ -32,21 +32,50 @@ TEST(PipeliningTest, DpuBoundSteadyState) {
   EXPECT_DOUBLE_EQ(e.serial_ns, 1000.0);
   EXPECT_DOUBLE_EQ(e.dpu_work_ns, 800.0);
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 800.0 + 10.0 + 10.0);
-  EXPECT_FALSE(e.HostBound());
+  EXPECT_EQ(e.Binding(), PipelineResource::kDpus);
   EXPECT_NEAR(e.Speedup(), 1000.0 / 820.0, 1e-12);
 }
 
-TEST(PipeliningTest, HostBoundSteadyState) {
+TEST(PipeliningTest, TransferBoundSteadyState) {
   std::vector<StageBreakdown> batches(10, Batch(40, 20, 40, 10));
   const auto e = EstimatePipelinedEmbedding(batches);
-  EXPECT_TRUE(e.HostBound());
-  EXPECT_DOUBLE_EQ(e.host_work_ns, 900.0);
-  // fill 40 + 900 + drain (40 + 10) = 990 < serial 1100.
-  EXPECT_DOUBLE_EQ(e.pipelined_ns, 990.0);
+  EXPECT_EQ(e.Binding(), PipelineResource::kTransferLane);
+  EXPECT_DOUBLE_EQ(e.host_work_ns, 800.0);
+  EXPECT_DOUBLE_EQ(e.core_work_ns, 100.0);
+  // Transfer lane: 800 + the last aggregation 10 = 810 < serial 1100.
+  // (Adding the DPUs' fill and drain to it would count the first push
+  // and the last pull twice.)
+  EXPECT_DOUBLE_EQ(e.pipelined_ns, 810.0);
+}
+
+TEST(PipeliningTest, CoreBoundSteadyState) {
+  // Aggregation runs on the cores, off the transfer lane: a batch
+  // sequence whose aggregation outweighs its transfers and lookups is
+  // bound by the cores alone.
+  std::vector<StageBreakdown> batches(10, Batch(10, 20, 10, 30));
+  const auto e = EstimatePipelinedEmbedding(batches);
+  EXPECT_EQ(e.Binding(), PipelineResource::kCoreLane);
+  EXPECT_DOUBLE_EQ(e.host_work_ns, 200.0);
+  EXPECT_DOUBLE_EQ(e.dpu_work_ns, 200.0);
+  EXPECT_DOUBLE_EQ(e.core_work_ns, 300.0);
+  // Core lane: the first push, lookup and pull (40) + 300 = 340 <
+  // serial 700.
+  EXPECT_DOUBLE_EQ(e.pipelined_ns, 340.0);
+  EXPECT_EQ(ResourceName(e.Binding()), "host cores");
+}
+
+TEST(PipeliningTest, BindingTiesPreferTransferThenDpus) {
+  std::vector<StageBreakdown> batches(4, Batch(10, 20, 10, 20));
+  EXPECT_EQ(EstimatePipelinedEmbedding(batches).Binding(),
+            PipelineResource::kTransferLane);
+  batches.assign(4, Batch(5, 20, 5, 20));
+  EXPECT_EQ(EstimatePipelinedEmbedding(batches).Binding(),
+            PipelineResource::kDpus);
 }
 
 TEST(PipeliningTest, NeverSlowerThanSerial) {
-  // Pathological single-stage batches: the bound must clamp to serial.
+  // Pathological single-stage batches: every resource term stays at or
+  // below serial execution.
   std::vector<StageBreakdown> batches(3, Batch(100, 0, 100, 50));
   const auto e = EstimatePipelinedEmbedding(batches);
   EXPECT_LE(e.pipelined_ns, e.serial_ns);
@@ -58,8 +87,10 @@ TEST(PipeliningTest, HeterogeneousBatches) {
                                          Batch(20, 60, 15, 5)};
   const auto e = EstimatePipelinedEmbedding(batches);
   EXPECT_DOUBLE_EQ(e.dpu_work_ns, 170.0);
-  EXPECT_DOUBLE_EQ(e.host_work_ns, 10 + 5 + 30 + 5 + 20 + 15 + 5);
-  // fill = 10 (first batch s1), drain = 15 + 5 (last batch s3 + agg).
+  EXPECT_DOUBLE_EQ(e.host_work_ns, 10 + 5 + 30 + 5 + 20 + 15);
+  EXPECT_DOUBLE_EQ(e.core_work_ns, 5.0);
+  // DPUs: fill = 10 (first batch s1), drain = 15 + 5 (last batch pull
+  // + agg).
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 170.0 + 10.0 + 20.0);
   EXPECT_GT(e.Speedup(), 1.0);
 }
@@ -73,28 +104,30 @@ TEST(PipeliningTest, EmptyInputYieldsZeroedEstimate) {
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 0.0);
   EXPECT_DOUBLE_EQ(e.host_work_ns, 0.0);
   EXPECT_DOUBLE_EQ(e.dpu_work_ns, 0.0);
+  EXPECT_DOUBLE_EQ(e.core_work_ns, 0.0);
   EXPECT_DOUBLE_EQ(e.Speedup(), 0.0);
 }
 
 TEST(PipeliningTest, OneBatchFillAndDrainDpuBound) {
   // A single DPU-bound batch is pure fill + work + drain: the bound
-  // equals serial exactly, with no clamping involved.
+  // equals serial exactly.
   const std::vector<StageBreakdown> batches = {Batch(10, 100, 5, 3)};
   const auto e = EstimatePipelinedEmbedding(batches);
   EXPECT_DOUBLE_EQ(e.serial_ns, 118.0);
   // fill(10) + dpu(100) + drain(5 + 3) = 118 == serial.
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 118.0);
-  EXPECT_FALSE(e.HostBound());
+  EXPECT_EQ(e.Binding(), PipelineResource::kDpus);
 }
 
-TEST(PipeliningTest, OneBatchHostBoundClampsToSerial) {
-  // Host-bound single batch: max(host, dpu) + fill + drain would
-  // double-count the fill/drain transfers, so the serial clamp engages.
+TEST(PipeliningTest, OneBatchTransferBoundIsSerial) {
+  // Transfer-bound single batch: the transfer lane's term (80 + 10)
+  // sits below the DPUs' and the core lane's, which both span the
+  // whole serial chain.
   const std::vector<StageBreakdown> batches = {Batch(40, 5, 40, 10)};
   const auto e = EstimatePipelinedEmbedding(batches);
   EXPECT_DOUBLE_EQ(e.serial_ns, 95.0);
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 95.0);
-  EXPECT_TRUE(e.HostBound());
+  EXPECT_EQ(e.Binding(), PipelineResource::kTransferLane);
 }
 
 }  // namespace
