@@ -26,26 +26,17 @@ int main(int argc, char** argv) {
   const std::vector<cache::CacheRes> caches =
       bench::MineCaches(w, 0, &profiles);
 
-  // Three transfer modes in one table: the classic per-call padded
-  // path, the ragged sequential fallback, and (with --coalesce) the
-  // batched transfer planner that picks the cheapest of {coalesced
-  // padded, per-table padded, sequential} from the actual buffer sizes.
   struct Mode {
     const char* name;
     bool pad;
-    bool coalesce;
   };
-  std::vector<Mode> modes = {{"padded (parallel)", true, false},
-                             {"ragged (sequential)", false, false}};
-  if (scale.coalesce) {
-    modes.push_back({"coalesced (planned)", true, true});
-  }
+  const Mode modes[] = {{"padded (parallel)", true},
+                        {"ragged (sequential)", false}};
 
   TablePrinter out({"transfer mode", "stage1 (us/batch)",
                     "stage3 (us/batch)", "embedding total (us/batch)"});
   double padded_total = 0.0;
   double ragged_total = 0.0;
-  double coalesced_total = 0.0;
   for (const Mode& mode : modes) {
     auto system = bench::MakePaperSystem();
     core::EngineOptions options = bench::PaperEngineOptions(
@@ -53,20 +44,14 @@ int main(int argc, char** argv) {
     options.premined_cache = &caches;
     options.preprofiled = &profiles;
     options.pad_transfers = mode.pad;
-    options.dedup = false;
     options.wram_cache_rows = 0;
-    options.coalesce_transfers = mode.coalesce;
     auto engine = core::UpDlrmEngine::Create(nullptr, w.config, w.trace,
                                              system.get(), options);
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
     auto report = (*engine)->RunAll(nullptr);
     UPDLRM_CHECK_MSG(report.ok(), report.status().ToString());
     const auto batches = static_cast<double>(report->num_batches);
-    if (mode.coalesce) {
-      coalesced_total = report->EmbeddingTotal();
-    } else {
-      (mode.pad ? padded_total : ragged_total) = report->EmbeddingTotal();
-    }
+    (mode.pad ? padded_total : ragged_total) = report->EmbeddingTotal();
     out.AddRow({mode.name,
                 TablePrinter::FmtMicros(
                     report->stages.cpu_to_dpu / batches, 0),
@@ -80,14 +65,5 @@ int main(int argc, char** argv) {
       "\nsequential fallback costs %.2fx the padded embedding time — "
       "why the engine pads (§2.2's equal-buffer rule)\n",
       ragged_total / padded_total);
-  if (scale.coalesce) {
-    std::printf(
-        "coalesced plan: %.2fx the padded embedding time (never worse — "
-        "it includes the padded call as a candidate and skips zero-byte "
-        "DPUs when padding)\n",
-        coalesced_total / padded_total);
-  } else {
-    std::printf("pass --coalesce to add the batched transfer-plan row\n");
-  }
   return 0;
 }

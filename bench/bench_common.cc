@@ -30,9 +30,7 @@ BenchScale ParseScale(int argc, const char* const* argv) {
         static_cast<std::uint32_t>(cl->GetInt("threads", 0));
     scale.seed = static_cast<std::uint64_t>(cl->GetInt("seed", 0));
     scale.arrival = cl->GetString("arrival", scale.arrival);
-    scale.dedup = cl->GetBool("dedup", false);
     scale.wram = static_cast<std::uint32_t>(cl->GetInt("wram", 0));
-    scale.coalesce = cl->GetBool("coalesce", false);
     scale.check = cl->GetBool("check", false);
     scale.e2e = cl->GetBool("e2e", false);
     if (cl->GetBool("force-scalar", false)) {
@@ -122,9 +120,7 @@ core::EngineOptions PaperEngineOptions(partition::Method method,
   options.batch_size = scale.batch_size;
   options.num_threads = scale.threads;
   options.grace.num_threads = scale.threads;
-  options.dedup = scale.dedup;
   options.wram_cache_rows = scale.wram;
-  options.coalesce_transfers = scale.coalesce;
   options.check_mode = scale.check;
   return options;
 }

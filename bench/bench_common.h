@@ -53,12 +53,10 @@ struct BenchScale {
   /// Arrival process for serving benches ("poisson" | "uniform" |
   /// "bursty"); ignored by the offline benches.
   std::string arrival = "poisson";
-  /// Embedding hot-path levers (EngineOptions::{dedup, wram_cache_rows,
-  /// coalesce_transfers}); all default off so bench output matches the
-  /// paper baseline unless explicitly enabled.
-  bool dedup = false;
+  /// WRAM hot-row tier (EngineOptions::wram_cache_rows, --wram=N);
+  /// default off so bench output matches the paper baseline unless
+  /// explicitly enabled.
   std::uint32_t wram = 0;
-  bool coalesce = false;
   /// Hardware-contract checker (EngineOptions::check_mode): shadow
   /// MRAM/DMA validation, plan audits and the model/sim cross-audit on
   /// every engine the bench creates. The bench aborts with the
@@ -93,10 +91,10 @@ struct BenchScale {
 };
 
 /// Parses --samples / --full / --batch / --threads / --seed / --arrival
-/// / --dedup / --wram=N / --coalesce / --check / --e2e /
-/// --trace-out=PATH / --trace-sample-every=N / --health-out=PATH /
-/// --health-window-us=N from argv; sizes the process-wide default pool
-/// and prints a scale banner.
+/// / --wram=N / --check / --e2e / --trace-out=PATH /
+/// --trace-sample-every=N / --health-out=PATH / --health-window-us=N
+/// from argv; sizes the process-wide default pool and prints a scale
+/// banner.
 BenchScale ParseScale(int argc, const char* const* argv);
 
 struct Workload {

@@ -34,12 +34,11 @@ int main(int argc, char** argv) {
                                        partition::Method::kNonUniform,
                                        partition::Method::kCacheAware};
 
-  // The dedup/WRAM counter columns reconcile the stage shares with the
-  // Eq. 1-3 terms: both are 0% with the hot-path levers off; pass
-  // --dedup / --wram=N to see how the levers shift the breakdown.
+  // The WRAM counter column reconciles the stage shares with the
+  // Eq. 1-3 terms: it is 0% with the WRAM tier off; pass --wram=N to
+  // see how the tier shifts the breakdown.
   TablePrinter out({"method", "Nc", "stage1 CPU->DPU", "stage2 lookup",
-                    "stage3 DPU->CPU", "total (ms/batch)", "wram hit%",
-                    "dedup saved%"});
+                    "stage3 DPU->CPU", "total (ms/batch)", "wram hit%"});
   double ca_lookup_share_min = 1.0, ca_lookup_share_max = 0.0;
   double other_lookup_share_min = 1.0, other_lookup_share_max = 0.0;
   std::vector<std::vector<std::string>> stragglers;
@@ -99,8 +98,7 @@ int main(int argc, char** argv) {
                       stages_total / 1e6 /
                           static_cast<double>(report->num_batches),
                       3),
-                  TablePrinter::FmtPercent(stats.wram_hit_share, 1),
-                  TablePrinter::FmtPercent(stats.dedup_saved_share, 1)});
+                  TablePrinter::FmtPercent(stats.wram_hit_share, 1)});
     }
   }
   out.Print(std::cout);

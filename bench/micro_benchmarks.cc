@@ -214,9 +214,9 @@ BENCHMARK(BM_EngineRunBatch);
 
 // ---------------------------------------------------------------------
 // Vectorized host-runtime kernels (common/simd.h): scalar vs dispatched
-// throughput of the pooled-sum reduction and the dedup gather-map
-// counting pass. state.range(0) toggles ForceScalar, so each pair of
-// rows reads off the AVX2 speedup directly.
+// throughput of the pooled-sum reduction and the cross-rank merge.
+// state.range(0) toggles ForceScalar, so each pair of rows reads off
+// the AVX2 speedup directly.
 // ---------------------------------------------------------------------
 
 constexpr std::size_t kSimdN = 1 << 16;
@@ -240,28 +240,6 @@ void BM_PooledSumAddI32(benchmark::State& state) {
                                                               : "scalar"));
 }
 BENCHMARK(BM_PooledSumAddI32)->Arg(0)->Arg(1);
-
-void BM_GatherMapUniqueCounts(benchmark::State& state) {
-  simd::ForceScalar(state.range(0) != 0);
-  Rng rng(4);
-  std::vector<std::uint64_t> keys(kSimdN);
-  for (auto& k : keys) {
-    k = ((rng.NextU64() % 3) << 62) | (rng.NextU64() % (kSimdN / 8));
-  }
-  std::sort(keys.begin(), keys.end());
-  for (auto _ : state) {
-    std::uint64_t counts[3] = {0, 0, 0};
-    simd::UniqueStreamCounts(keys.data(), kSimdN, counts);
-    benchmark::DoNotOptimize(counts);
-  }
-  simd::ForceScalar(false);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kSimdN * sizeof(std::uint64_t));
-  state.SetLabel(state.range(0) != 0 ? "scalar"
-                                     : (simd::Avx2Available() ? "avx2"
-                                                              : "scalar"));
-}
-BENCHMARK(BM_GatherMapUniqueCounts)->Arg(0)->Arg(1);
 
 void BM_CrossRankReduceAddI64(benchmark::State& state) {
   simd::ForceScalar(state.range(0) != 0);
@@ -318,26 +296,8 @@ std::vector<std::int64_t>& SimdAcc() {
   static std::vector<std::int64_t> acc(kSimdN, 0);
   return acc;
 }
-std::vector<std::uint64_t>& SimdKeys() {
-  static std::vector<std::uint64_t> keys = [] {
-    std::vector<std::uint64_t> k(kSimdN);
-    Rng rng(6);
-    for (auto& x : k) {
-      x = ((rng.NextU64() % 3) << 62) | (rng.NextU64() % (kSimdN / 8));
-    }
-    std::sort(k.begin(), k.end());
-    return k;
-  }();
-  return keys;
-}
-
 void RunPooledSum() {
   simd::AddI32ToI64(SimdSrc().data(), SimdAcc().data(), kSimdN);
-}
-void RunUniqueCounts() {
-  std::uint64_t counts[3] = {0, 0, 0};
-  simd::UniqueStreamCounts(SimdKeys().data(), kSimdN, counts);
-  benchmark::DoNotOptimize(counts);
 }
 
 // Cross-shard merge kernel: the int64 lane addition the ShardedEngine
@@ -370,17 +330,14 @@ void RunGoodReadsMine() {
 void WriteSimdThroughputRows() {
   constexpr std::uint64_t kPooledBytes =
       kSimdN * (sizeof(std::int32_t) + sizeof(std::int64_t));
-  constexpr std::uint64_t kKeyBytes = kSimdN * sizeof(std::uint64_t);
   constexpr std::uint64_t kMergeBytes =
       kSimdN * 2 * sizeof(std::int64_t);  // read partial + read/write acc
 
   simd::ForceScalar(true);
   const double pooled_scalar = MeasureGbps(RunPooledSum, kPooledBytes);
-  const double gather_scalar = MeasureGbps(RunUniqueCounts, kKeyBytes);
   const double merge_scalar = MeasureGbps(RunRankMerge, kMergeBytes);
   simd::ForceScalar(false);
   const double pooled_simd = MeasureGbps(RunPooledSum, kPooledBytes);
-  const double gather_simd = MeasureGbps(RunUniqueCounts, kKeyBytes);
   const double merge_simd = MeasureGbps(RunRankMerge, kMergeBytes);
 
   telemetry::JsonWriter payload;
@@ -392,15 +349,13 @@ void WriteSimdThroughputRows() {
     payload.Field("simd", simd_gbps).EndObject();
   };
   kernel("pooled_sum_gbps", pooled_scalar, pooled_simd);
-  kernel("gather_map_gbps", gather_scalar, gather_simd);
   kernel("cross_rank_reduce_gbps", merge_scalar, merge_simd);
   payload.EndObject();
   bench::WriteBenchHostEntry("micro_simd_kernels", payload.str());
   std::printf("# simd kernels: pooled-sum %.2f -> %.2f GB/s, "
-              "gather-map %.2f -> %.2f GB/s, cross-rank reduce "
-              "%.2f -> %.2f GB/s (scalar -> %s) -> BENCH_host.json\n",
-              pooled_scalar, pooled_simd, gather_scalar, gather_simd,
-              merge_scalar, merge_simd,
+              "cross-rank reduce %.2f -> %.2f GB/s (scalar -> %s) "
+              "-> BENCH_host.json\n",
+              pooled_scalar, pooled_simd, merge_scalar, merge_simd,
               simd::UsingAvx2() ? "avx2" : "scalar");
 }
 

@@ -18,8 +18,7 @@ ModelAudit::ModelAudit(pim::DpuConfig dpu,
 void ModelAudit::AuditKernel(const pim::EmbeddingKernelWork& work,
                              Cycles claimed) {
   if (work.num_lookups + work.num_cache_reads + work.num_samples +
-          work.num_wram_hits + work.num_gather_refs ==
-      0) {
+          work.num_wram_hits == 0) {
     // An empty launch must be priced as free by both implementations.
     if (claimed != 0) {
       report_->AddViolation(Rule::kModelSimDivergence,
@@ -28,9 +27,8 @@ void ModelAudit::AuditKernel(const pim::EmbeddingKernelWork& work,
     }
     return;
   }
-  const WorkKey key{work.num_lookups,   work.num_cache_reads,
-                    work.num_samples,   work.row_bytes,
-                    work.num_wram_hits, work.num_gather_refs};
+  const WorkKey key{work.num_lookups, work.num_cache_reads,
+                    work.num_samples, work.row_bytes, work.num_wram_hits};
   Cycles executed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -53,8 +51,7 @@ void ModelAudit::AuditKernel(const pim::EmbeddingKernelWork& work,
             std::to_string(work.num_cache_reads) + ", samples " +
             std::to_string(work.num_samples) + ", row_bytes " +
             std::to_string(work.row_bytes) + ", wram " +
-            std::to_string(work.num_wram_hits) + ", gather " +
-            std::to_string(work.num_gather_refs) + "}: model claims " +
+            std::to_string(work.num_wram_hits) + "}: model claims " +
             std::to_string(claimed) + " cycles, sim executed " +
             std::to_string(executed) + " (ratio " + std::to_string(ratio) +
             " outside [" + std::to_string(tol_.min_ratio) + ", " +

@@ -1,6 +1,5 @@
 #include "check/plan_audit.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -163,23 +162,6 @@ void AuditPlan(const partition::PartitionPlan& plan,
   }
 }
 
-void AuditDedupBounds(bool applied, std::uint64_t unique_total,
-                      std::uint64_t refs, CheckReport* report) {
-  if (!applied) return;
-  if (unique_total > 0xffff) {
-    report->AddViolation(Rule::kGatherBounds,
-                         "dedup plan applied with " +
-                             std::to_string(unique_total) +
-                             " unique entries (> uint16 gather range)");
-  }
-  if (refs < unique_total) {
-    report->AddViolation(Rule::kGatherBounds,
-                         "dedup plan replays " + std::to_string(refs) +
-                             " refs for " + std::to_string(unique_total) +
-                             " unique entries (refs must cover uniques)");
-  }
-}
-
 void AuditWramCapacity(std::uint32_t bin, std::uint32_t pinned_rows,
                        std::uint32_t max_rows, CheckReport* report) {
   if (pinned_rows <= max_rows) return;
@@ -188,17 +170,6 @@ void AuditWramCapacity(std::uint32_t bin, std::uint32_t pinned_rows,
                            std::to_string(pinned_rows) +
                            " WRAM rows; capacity clamp is " +
                            std::to_string(max_rows));
-}
-
-void AuditTransferPlan(Nanos plan_ns, Nanos padded_ns, Nanos ragged_ns,
-                       CheckReport* report, double slack) {
-  const Nanos best_classic = std::min(padded_ns, ragged_ns);
-  if (plan_ns <= best_classic * (1.0 + slack)) return;
-  report->AddViolation(Rule::kTransferPlan,
-                       "coalesced plan costs " + std::to_string(plan_ns) +
-                           " ns; classic paths cost " +
-                           std::to_string(padded_ns) + " (padded) / " +
-                           std::to_string(ragged_ns) + " (sequential) ns");
 }
 
 }  // namespace updlrm::check

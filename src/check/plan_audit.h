@@ -5,16 +5,14 @@
 // rely on — exact non-overlapping row coverage, per-bin capacity, cache
 // co-location, the §3.1 tile-shape claim — and reports violations
 // through CheckReport instead of failing, so a single audit pass can
-// surface every broken invariant at once. The smaller audits cover the
-// per-batch plans the engine derives at run time: the dedup planner's
-// uint16 gather-map bound, the WRAM hot-row tier's capacity clamp, and
-// the coalesced transfer planner's never-worse-than-classic guarantee.
+// surface every broken invariant at once. AuditWramCapacity covers the
+// one per-bin plan the engine derives beyond the partition: the WRAM
+// hot-row tier's capacity clamp.
 #pragma once
 
 #include <cstdint>
 
 #include "check/report.h"
-#include "common/units.h"
 #include "partition/plan.h"
 
 namespace updlrm::check {
@@ -40,23 +38,10 @@ struct PlanAuditLimits {
 void AuditPlan(const partition::PartitionPlan& plan,
                const PlanAuditLimits& limits, CheckReport* report);
 
-/// Audits one applied dedup plan: gather refs are 16-bit indices into
-/// the unique list, so an applied plan with more than 65535 unique
-/// entries (or whose per-bin reference count cannot be replayed through
-/// uint16 refs) is wire-format corruption. Fires kGatherBounds.
-void AuditDedupBounds(bool applied, std::uint64_t unique_total,
-                      std::uint64_t refs, CheckReport* report);
-
 /// Audits one bin's pinned WRAM hot-row tier against the kernel's
 /// capacity clamp (EmbeddingKernelCostModel::MaxWramCacheRows). Fires
 /// kWramCapacity.
 void AuditWramCapacity(std::uint32_t bin, std::uint32_t pinned_rows,
                        std::uint32_t max_rows, CheckReport* report);
-
-/// Audits one coalesced transfer plan against the two classic paths it
-/// promises never to lose to (padded-parallel and sequential-ragged).
-/// `slack` absorbs float rounding. Fires kTransferPlan.
-void AuditTransferPlan(Nanos plan_ns, Nanos padded_ns, Nanos ragged_ns,
-                       CheckReport* report, double slack = 1e-9);
 
 }  // namespace updlrm::check

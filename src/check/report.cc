@@ -26,12 +26,8 @@ std::string_view RuleName(Rule rule) {
       return "cache-colocation";
     case Rule::kTileShape:
       return "tile-shape";
-    case Rule::kGatherBounds:
-      return "gather-bounds";
     case Rule::kWramCapacity:
       return "wram-capacity";
-    case Rule::kTransferPlan:
-      return "transfer-plan";
     case Rule::kModelSimDivergence:
       return "model-sim-divergence";
     case Rule::kDataFlowShape:

@@ -33,9 +33,7 @@ enum class Rule : std::uint32_t {
   kPlanCapacity,        // plan tiles exceed the bin's byte capacity
   kCacheColocation,     // cache list and its items not co-located
   kTileShape,           // Nc not even / > 8 under the §3.1 model claim
-  kGatherBounds,        // dedup gather map outside uint16 bounds
   kWramCapacity,        // pinned WRAM tier exceeds leftover WRAM
-  kTransferPlan,        // coalesced plan prices worse than classic paths
   kModelSimDivergence,  // kernel_cost vs kernel_sim outside tolerance
   kDataFlowShape,       // data-flow plan outside the legal space
   kDataFlowCapacity,    // in-flight pipeline buffers exceed reserved IO

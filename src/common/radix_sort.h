@@ -2,10 +2,9 @@
 //
 // The setup phase sorts large index arrays by numeric keys
 // (trace/generator.cc's rank shuffle, trace/profiler.cc's
-// frequency-descending item order), the GRACE miner sorts its pair keys
-// (cache/grace.cc), and the dedup planner sorts each bin's key buffer
-// every batch. All of them are stable sorts by a 64- or 32-bit key,
-// which an LSD radix sort reproduces *exactly*: radix by
+// frequency-descending item order) and the GRACE miner sorts its pair
+// keys (cache/grace.cc). All of them are stable sorts by a 64- or
+// 32-bit key, which an LSD radix sort reproduces *exactly*: radix by
 // ascending key with stable per-digit scatter yields the same
 // permutation as std::stable_sort with the corresponding comparator
 // (pinned by tests/common/simd_test.cc), while running in O(n) passes
@@ -21,8 +20,7 @@
 // passes over the data), small ones 8-bit digits (8 cheaper passes,
 // 256-entry histograms). Passes whose digit is constant across all
 // keys are skipped (one histogram scan detects them), so
-// nearly-narrow keys — e.g. the dedup planner's 34-bit stream-tagged
-// keys — pay only for the bytes that vary.
+// nearly-narrow keys pay only for the bytes that vary.
 #pragma once
 
 #include <bit>

@@ -43,14 +43,6 @@ void AddScaledF32Scalar(const float* col, float x, float* acc,
   }
 }
 
-void UniqueStreamCountsScalar(const std::uint64_t* keys, std::size_t n,
-                              std::uint64_t counts[3]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0 && keys[i] == keys[i - 1]) continue;
-    ++counts[keys[i] >> 62];
-  }
-}
-
 std::uint64_t MaxU64Scalar(const std::uint64_t* v, std::size_t n) {
   std::uint64_t m = 0;
   for (std::size_t i = 0; i < n; ++i) m = v[i] > m ? v[i] : m;
@@ -61,13 +53,6 @@ std::uint64_t SumU64Scalar(const std::uint64_t* v, std::size_t n) {
   std::uint64_t s = 0;
   for (std::size_t i = 0; i < n; ++i) s += v[i];
   return s;
-}
-
-std::uint64_t CountNonZeroU64Scalar(const std::uint64_t* v,
-                                    std::size_t n) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < n; ++i) c += v[i] != 0 ? 1 : 0;
-  return c;
 }
 
 bool AllZeroOrEqualU64Scalar(const std::uint64_t* v, std::size_t n,
@@ -151,46 +136,6 @@ __attribute__((target("avx2"))) void AddScaledF32Avx2(
   }
 }
 
-__attribute__((target("avx2"))) void UniqueStreamCountsAvx2(
-    const std::uint64_t* keys, std::size_t n, std::uint64_t counts[3]) {
-  if (n == 0) return;
-  ++counts[keys[0] >> 62];
-  std::size_t i = 1;
-  std::uint64_t c0 = 0, c1 = 0, c2 = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i prev = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(keys + i - 1));
-    // Lane l is "unique" when keys[i+l] != keys[i+l-1].
-    const __m256i eq = _mm256_cmpeq_epi64(cur, prev);
-    const int uniq = ~_mm256_movemask_pd(_mm256_castsi256_pd(eq)) & 0xf;
-    if (uniq == 0) continue;
-    // Stream id = top two bits; compare against each stream and count
-    // the unique lanes that match.
-    const __m256i stream = _mm256_srli_epi64(cur, 62);
-    const int is0 = _mm256_movemask_pd(_mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(stream, _mm256_setzero_si256())));
-    const int is1 = _mm256_movemask_pd(_mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(stream, _mm256_set1_epi64x(1))));
-    const int is2 = _mm256_movemask_pd(_mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(stream, _mm256_set1_epi64x(2))));
-    c0 += static_cast<unsigned>(__builtin_popcount(uniq & is0));
-    c1 += static_cast<unsigned>(__builtin_popcount(uniq & is1));
-    c2 += static_cast<unsigned>(__builtin_popcount(uniq & is2));
-  }
-  for (; i < n; ++i) {
-    if (keys[i] == keys[i - 1]) continue;
-    const std::uint64_t s = keys[i] >> 62;
-    c0 += s == 0;
-    c1 += s == 1;
-    c2 += s == 2;
-  }
-  counts[0] += c0;
-  counts[1] += c1;
-  counts[2] += c2;
-}
-
 // Unsigned 64-bit lane max: flip the sign bit so signed compare orders
 // unsigned values correctly.
 __attribute__((target("avx2"))) inline __m256i MaxEpu64(__m256i a,
@@ -232,22 +177,6 @@ __attribute__((target("avx2"))) std::uint64_t SumU64Avx2(
   std::uint64_t s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
   for (; i < n; ++i) s += v[i];
   return s;
-}
-
-__attribute__((target("avx2"))) std::uint64_t CountNonZeroU64Avx2(
-    const std::uint64_t* v, std::size_t n) {
-  std::size_t i = 0;
-  std::uint64_t zeros = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i eq = _mm256_cmpeq_epi64(x, _mm256_setzero_si256());
-    zeros += static_cast<unsigned>(
-        __builtin_popcount(_mm256_movemask_pd(_mm256_castsi256_pd(eq))));
-  }
-  std::uint64_t count = i - zeros;
-  for (; i < n; ++i) count += v[i] != 0 ? 1 : 0;
-  return count;
 }
 
 __attribute__((target("avx2"))) bool AllZeroOrEqualU64Avx2(
@@ -296,11 +225,8 @@ struct Kernels {
   void (*add_i32_to_i64)(const std::int32_t*, std::int64_t*, std::size_t);
   void (*add_i64_to_i64)(const std::int64_t*, std::int64_t*, std::size_t);
   void (*add_scaled_f32)(const float*, float, float*, std::size_t);
-  void (*unique_stream_counts)(const std::uint64_t*, std::size_t,
-                               std::uint64_t[3]);
   std::uint64_t (*max_u64)(const std::uint64_t*, std::size_t);
   std::uint64_t (*sum_u64)(const std::uint64_t*, std::size_t);
-  std::uint64_t (*count_non_zero_u64)(const std::uint64_t*, std::size_t);
   bool (*all_zero_or_equal_u64)(const std::uint64_t*, std::size_t,
                                 std::uint64_t);
   void (*pack_padded)(const std::uint8_t*, std::size_t, std::uint8_t*,
@@ -310,9 +236,8 @@ struct Kernels {
 constexpr Kernels kScalarKernels = {
     AddI32ToI64Scalar,      AddI64ToI64Scalar,
     AddScaledF32Scalar,
-    UniqueStreamCountsScalar,
     MaxU64Scalar,           SumU64Scalar,
-    CountNonZeroU64Scalar,  AllZeroOrEqualU64Scalar,
+    AllZeroOrEqualU64Scalar,
     PackPaddedScalar,
 };
 
@@ -320,9 +245,8 @@ constexpr Kernels kScalarKernels = {
 const Kernels kAvx2Kernels = {
     AddI32ToI64Avx2,      AddI64ToI64Avx2,
     AddScaledF32Avx2,
-    UniqueStreamCountsAvx2,
     MaxU64Avx2,           SumU64Avx2,
-    CountNonZeroU64Avx2,  AllZeroOrEqualU64Avx2,
+    AllZeroOrEqualU64Avx2,
     PackPaddedAvx2,
 };
 #endif
@@ -382,21 +306,12 @@ void AddScaledF32(const float* col, float x, float* acc, std::size_t n) {
   g_active->add_scaled_f32(col, x, acc, n);
 }
 
-void UniqueStreamCounts(const std::uint64_t* sorted_keys, std::size_t n,
-                        std::uint64_t counts[3]) {
-  g_active->unique_stream_counts(sorted_keys, n, counts);
-}
-
 std::uint64_t MaxU64(const std::uint64_t* v, std::size_t n) {
   return g_active->max_u64(v, n);
 }
 
 std::uint64_t SumU64(const std::uint64_t* v, std::size_t n) {
   return g_active->sum_u64(v, n);
-}
-
-std::uint64_t CountNonZeroU64(const std::uint64_t* v, std::size_t n) {
-  return g_active->count_non_zero_u64(v, n);
 }
 
 bool AllZeroOrEqualU64(const std::uint64_t* v, std::size_t n,

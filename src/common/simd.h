@@ -2,11 +2,11 @@
 //
 // The host side of the pipeline has a handful of flat loops that
 // dominate its wall clock once the DPU fleet hides MRAM latency: the
-// pooled-sum / partial-aggregation reduction of the functional engine,
-// the neighbor-compare pass of the dedup planner, and the byte-matrix
-// scans + padded packing of the transfer layer. Each kernel here ships
-// two implementations — a portable scalar loop and an AVX2 version —
-// selected once at process start by CPUID and overridable at runtime.
+// pooled-sum / partial-aggregation reduction of the functional engine
+// and the byte-matrix scans + padded packing of the transfer layer.
+// Each kernel here ships two implementations — a portable scalar loop
+// and an AVX2 version — selected once at process start by CPUID and
+// overridable at runtime.
 //
 // Bit-exactness contract: every kernel is integer-only (or pure byte
 // movement), so the AVX2 and scalar paths produce identical bytes on
@@ -63,23 +63,12 @@ void AddI64ToI64(const std::int64_t* src, std::int64_t* acc,
 /// intrinsics cannot be contracted), so no fused rounding sneaks in.
 void AddScaledF32(const float* col, float x, float* acc, std::size_t n);
 
-/// Per-stream unique-key counts over a *sorted* key span — the dedup
-/// planner's gather-map pass. Key stream = top two bits (see
-/// updlrm/dedup.h); counts[s] += number of positions i where
-/// keys[i] != keys[i-1] (i = 0 counts as unique), for stream s in
-/// {0, 1, 2}. counts must be zeroed by the caller.
-void UniqueStreamCounts(const std::uint64_t* sorted_keys, std::size_t n,
-                        std::uint64_t counts[3]);
-
 /// max over a byte-matrix row (0 for n == 0).
 std::uint64_t MaxU64(const std::uint64_t* v, std::size_t n);
 
 /// Wrapping sum (byte totals never approach 2^64 in practice; the
 /// scalar loop wraps identically).
 std::uint64_t SumU64(const std::uint64_t* v, std::size_t n);
-
-/// Number of nonzero entries (participating DPUs of a transfer call).
-std::uint64_t CountNonZeroU64(const std::uint64_t* v, std::size_t n);
 
 /// True iff every entry is 0 or `value` — the "all participating
 /// buffers equally sized" test that keeps the parallel transfer path.

@@ -21,8 +21,6 @@ namespace updlrm::pim {
   X(samples)                         \
   X(mram_bytes_read)                 \
   X(wram_hits)                       \
-  X(gather_refs)                     \
-  X(dedup_saved_reads)               \
   X(index_bytes_pushed)
 
 /// Cumulative per-DPU counters, reported by the benches for utilization
@@ -33,10 +31,8 @@ struct DpuStats {
   std::uint64_t cache_reads = 0;   // cached partial-sum reads (MRAM)
   std::uint64_t samples = 0;       // partial sums produced
   std::uint64_t mram_bytes_read = 0;
-  // Embedding hot-path levers (EngineOptions::{dedup, wram_cache_rows}).
-  std::uint64_t wram_hits = 0;         // rows served from pinned WRAM
-  std::uint64_t gather_refs = 0;       // dedup gather-map replays
-  std::uint64_t dedup_saved_reads = 0; // MRAM row reads dedup removed
+  // Rows served from the pinned WRAM tier (EngineOptions::wram_cache_rows).
+  std::uint64_t wram_hits = 0;
   std::uint64_t index_bytes_pushed = 0;  // wire bytes of index payload
 
   void Reset() { *this = DpuStats{}; }

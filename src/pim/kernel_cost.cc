@@ -32,12 +32,10 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
       params.instr_per_lookup_base + params.instr_per_element * elements;
 
   // Phase 1: stream index lists MRAM->WRAM in chunks. Every MRAM/WRAM
-  // row reference is one 4-byte index word; gather refs are 16-bit, two
-  // per word. With the levers off this is exactly the historical
-  // lookups+cache count.
+  // row reference is one 4-byte index word; with the WRAM tier off this
+  // is exactly the historical lookups+cache count.
   const std::uint64_t mram_reads = work.num_lookups + work.num_cache_reads;
-  const std::uint64_t index_words =
-      mram_reads + work.num_wram_hits + CeilDiv(work.num_gather_refs, 2);
+  const std::uint64_t index_words = mram_reads + work.num_wram_hits;
   const std::uint32_t chunk_bytes = params.index_chunk * 4;
   KernelWorkload index_stream{
       .num_items = CeilDiv(index_words, params.index_chunk),
@@ -67,16 +65,6 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
       .dma_occupancy_per_item = 0,
   };
 
-  // Phase 2c: gather replay. Each deduplicated reference re-accumulates
-  // an already-materialized partial row from WRAM into its sample slot.
-  KernelWorkload gather{
-      .num_items = work.num_gather_refs,
-      .instr_cycles_per_item = params.instr_per_gather_base +
-                               params.instr_per_element * elements,
-      .dma_latency_per_item = 0,
-      .dma_occupancy_per_item = 0,
-  };
-
   // Phase 3: per-sample bookkeeping and output write-back.
   KernelWorkload outputs{
       .num_items = work.num_samples,
@@ -85,18 +73,17 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
       .dma_occupancy_per_item = mram.EngineOccupancy(work.row_bytes),
   };
 
-  return {index_stream, reads, wram_hits, gather, outputs};
+  return {index_stream, reads, wram_hits, outputs};
 }
 
 Cycles EmbeddingKernelCostModel::KernelCycles(
     const EmbeddingKernelWork& work) const {
   if (work.num_lookups + work.num_cache_reads + work.num_samples +
-          work.num_wram_hits + work.num_gather_refs ==
-      0) {
+          work.num_wram_hits == 0) {
     return 0;
   }
-  // Zero-item phases contribute zero cycles, so with the levers off the
-  // makespan is bit-identical to the historical three-phase kernel.
+  // Zero-item phases contribute zero cycles, so with the WRAM tier off
+  // the makespan is bit-identical to the historical three-phase kernel.
   const auto phases = EmbeddingKernelPhases(params_, mram_timing_, work);
   return params_.boot_cycles + pipeline_.Makespan(phases);
 }

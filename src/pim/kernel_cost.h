@@ -38,9 +38,6 @@ struct EmbeddingKernelCostParams {
   // a hit bypasses the MRAM latency curve entirely (see DESIGN.md
   // §"Embedding hot path").
   Cycles instr_per_wram_hit_base = 12;
-  // Per gather-map reference: 16-bit ref load, WRAM partial-sum read,
-  // accumulate into the sample slot. Pure WRAM traffic, no DMA.
-  Cycles instr_per_gather_base = 8;
   // Tasklet boot, barrier and drain per kernel launch on one DPU.
   Cycles boot_cycles = 8'000;
   // Index-streaming chunk: indices copied MRAM->WRAM per DMA.
@@ -49,9 +46,9 @@ struct EmbeddingKernelCostParams {
   Status Validate() const;
 };
 
-/// Work one DPU performs for one batch. With the dedup/WRAM levers off,
-/// only the first four fields are nonzero and the cost reduces exactly
-/// to the historical three-phase kernel.
+/// Work one DPU performs for one batch. With the WRAM tier off, only the
+/// first four fields are nonzero and the cost reduces exactly to the
+/// historical three-phase kernel.
 struct EmbeddingKernelWork {
   std::uint64_t num_lookups = 0;      // EMT row-slice reads (MRAM)
   std::uint64_t num_cache_reads = 0;  // cached partial-sum reads (MRAM)
@@ -60,22 +57,18 @@ struct EmbeddingKernelWork {
   // Rows served from the pinned WRAM hot-row tier: accumulation only,
   // no MRAM DMA (EngineOptions::wram_cache_rows).
   std::uint64_t num_wram_hits = 0;
-  // Gather-map replays for deduplicated references: each original
-  // reference beyond the first copy of a row becomes one WRAM-resident
-  // 16-bit gather ref (EngineOptions::dedup).
-  std::uint64_t num_gather_refs = 0;
 };
 
 /// Phases of the embedding kernel, in execution order: index streaming,
-/// MRAM row/cache reads, WRAM hot-row hits, gather replay, per-sample
-/// output write-back.
-inline constexpr std::size_t kEmbeddingKernelNumPhases = 5;
+/// MRAM row/cache reads, WRAM hot-row hits, per-sample output
+/// write-back.
+inline constexpr std::size_t kEmbeddingKernelNumPhases = 4;
 
 /// Display names for the phases, in EmbeddingKernelPhases order (used
 /// by the telemetry timeline and the straggler report).
 inline constexpr std::array<const char*, kEmbeddingKernelNumPhases>
     kEmbeddingKernelPhaseNames = {"index_stream", "mram_reads", "wram_hits",
-                                  "gather_replay", "sample_output"};
+                                  "sample_output"};
 
 /// Builds the per-phase work items / instruction budgets / DMA costs of
 /// one kernel launch. Single source of truth shared by the analytic

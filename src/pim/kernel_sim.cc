@@ -328,8 +328,7 @@ KernelSimResult SimulateEmbeddingKernel(
     timeline->phases.clear();
   }
   if (work.num_lookups + work.num_cache_reads + work.num_samples +
-          work.num_wram_hits + work.num_gather_refs ==
-      0) {
+          work.num_wram_hits == 0) {
     return result;
   }
   // The phase list comes from the same builder the analytic model

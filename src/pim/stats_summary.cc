@@ -51,13 +51,6 @@ DpuStatsSummary SummarizeStats(const DpuSystem& system) {
       row_refs == 0 ? 0.0
                     : static_cast<double>(summary.total_wram_hits) /
                           static_cast<double>(row_refs);
-  const std::uint64_t pre_dedup_refs =
-      row_refs + summary.total_dedup_saved_reads;
-  summary.dedup_saved_share =
-      pre_dedup_refs == 0
-          ? 0.0
-          : static_cast<double>(summary.total_dedup_saved_reads) /
-                static_cast<double>(pre_dedup_refs);
   return summary;
 }
 
@@ -102,8 +95,6 @@ void ExportStats(const DpuStatsSummary& summary,
   registry.SetGauge(prefix + ".cache_read_share",
                     summary.cache_read_share);
   registry.SetGauge(prefix + ".wram_hit_share", summary.wram_hit_share);
-  registry.SetGauge(prefix + ".dedup_saved_share",
-                    summary.dedup_saved_share);
 }
 
 }  // namespace updlrm::pim

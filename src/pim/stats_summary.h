@@ -35,9 +35,6 @@ struct DpuStatsSummary {
   /// Share of row references served from the pinned WRAM tier (of all
   /// row references: MRAM reads + WRAM hits).
   double wram_hit_share = 0.0;
-  /// Share of original row references the dedup planner collapsed into
-  /// gather replays (saved MRAM reads / pre-dedup references).
-  double dedup_saved_share = 0.0;
   /// Hardware-contract violations reported by the check layer
   /// (src/check/). DpuStats does not track violations, so
   /// SummarizeStats leaves this 0; callers running under

@@ -12,29 +12,10 @@
 //
 // Ranks transfer concurrently; within a rank the padded buffer matrix is
 // streamed at the rank's aggregate bandwidth.
-// A batch additionally has a *coalesced transfer plan* (PlanTransfer):
-// instead of pricing one SDK call padded to the global maximum, the plan
-// compares three legal execution strategies for the same per-DPU byte
-// vector and group (per-table) boundaries, and picks the cheapest:
-//
-//   coalesced padded:  one launch; each rank streams a matrix padded to
-//                      the call-wide max over *participating* (nonzero)
-//                      buffers — zero-byte DPUs are simply absent from
-//                      the transfer matrix;
-//   per-group padded:  one launch per group (table); each group's matrix
-//                      pads only to that group's max, so heterogeneous
-//                      tables stop paying for the largest table's rows;
-//   sequential:        one launch; ragged buffers copied one DPU at a
-//                      time at the serial bandwidth.
-//
-// The classic PushTime/PullTime entry points are kept bit-compatible
-// with their historical behavior (global-max padding including zero
-// slots) so existing callers and golden results are unchanged.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -56,21 +37,6 @@ struct HostTransferParams {
   Nanos kernel_launch_ns = 50'000.0;
 
   Status Validate() const;
-};
-
-/// Result of the coalesced transfer planner (see file comment).
-struct TransferPlan {
-  enum class Path {
-    kCoalescedPadded,  // one call, padded to the call-wide nonzero max
-    kPerGroupPadded,   // one call per group, padded to the group max
-    kSequential,       // one call, ragged buffers copied serially
-  };
-  Path path = Path::kCoalescedPadded;
-  Nanos time = 0.0;
-  /// Bytes actually streamed under the chosen path (padding included).
-  std::uint64_t streamed_bytes = 0;
-  /// SDK calls (launch overheads) the chosen path pays.
-  std::uint32_t launches = 0;
 };
 
 class HostTransferModel {
@@ -98,19 +64,6 @@ class HostTransferModel {
   Nanos PullTime(std::span<const std::uint64_t> bytes_per_dpu,
                  bool pad_to_max) const;
 
-  /// Coalesced transfer plan for one batch's push side: picks the
-  /// cheapest of {coalesced padded, per-group padded, sequential} for
-  /// the given buffers. `group_start` lists the first DPU of each
-  /// contiguous group (ascending, size = groups + 1, last entry ==
-  /// bytes_per_dpu.size()); pass {0, num_dpus} for a single group.
-  /// Zero-byte DPUs never pad, launch, or force raggedness.
-  TransferPlan PlanPush(std::span<const std::uint64_t> bytes_per_dpu,
-                        std::span<const std::uint32_t> group_start) const;
-
-  /// Same for the pull side.
-  TransferPlan PlanPull(std::span<const std::uint64_t> bytes_per_dpu,
-                        std::span<const std::uint32_t> group_start) const;
-
   /// Broadcast of one buffer to all DPUs (always parallel).
   Nanos BroadcastTime(std::uint64_t bytes) const;
 
@@ -127,22 +80,8 @@ class HostTransferModel {
   // on the host that owns the rank, which reduces it there: no ingress.
   enum class Direction { kPush, kPull };
 
-  double RankBandwidth(Direction dir) const;
-  // Cross-host ingress of `bytes` to rank `rank`: pushes only.
-  Nanos RankIngress(Direction dir, std::uint32_t rank,
-                    std::uint64_t bytes) const;
   Nanos TransferTime(std::span<const std::uint64_t> bytes_per_dpu,
                      bool pad_to_max, Direction dir) const;
-  TransferPlan PlanTransfer(std::span<const std::uint64_t> bytes_per_dpu,
-                            std::span<const std::uint32_t> group_start,
-                            Direction dir) const;
-  // Padded stream time of one call covering [lo, hi): every nonzero
-  // buffer is padded to the call max; ranks stream concurrently.
-  // Returns {bound_ns (no launch), streamed_bytes}.
-  std::pair<Nanos, std::uint64_t> PaddedStream(
-      std::span<const std::uint64_t> bytes_per_dpu, std::uint32_t lo,
-      std::uint32_t hi, Direction dir) const;
-
   // Total cross-host ingress cost of a sequential (ragged) push: each
   // remote rank's raw bytes traverse the fabric once. Zero for pulls.
   Nanos SequentialIngress(std::span<const std::uint64_t> bytes_per_dpu,

@@ -12,7 +12,6 @@
 #include "pim/reduction.h"
 #include "telemetry/tracer.h"
 #include "trace/profiler.h"
-#include "updlrm/dedup.h"
 #include "updlrm/timeline.h"
 
 namespace updlrm::core {
@@ -38,7 +37,6 @@ void UpDlrmEngine::BinRoute::Clear() {
   emt_count = 0;
   cache_count = 0;
   wram_count = 0;
-  dedup_keys.clear();
 }
 
 UpDlrmEngine::UpDlrmEngine(const dlrm::DlrmModel* model,
@@ -285,11 +283,6 @@ Status UpDlrmEngine::Setup() {
         fn_task_start_[g] +
         static_cast<std::size_t>(geom.row_shards) * geom.col_shards;
   }
-
-  // Table boundaries for the coalesced transfer planner; DPUs past the
-  // last group carry zero bytes and never pad or launch.
-  transfer_group_start_.assign(first_dpu_.begin(), first_dpu_.end());
-  transfer_group_start_.push_back(system_->num_dpus());
   return Status::Ok();
 }
 
@@ -535,7 +528,6 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
   // and cache reads share one addressing scheme.
   const bool has_replicas = !group.replica_slot.empty();
   const bool has_wram = !group.wram_cached.empty();
-  const bool dedup = options_.dedup;
   const std::uint64_t replica_ref_base =
       group.layout.replica_base / row_bytes;
   const std::uint64_t cache_ref_base = group.layout.cache_base / row_bytes;
@@ -558,9 +550,6 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
         }
         BinRoute& rt = routes[best];
         ++rt.emt_count;
-        if (dedup) {
-          rt.dedup_keys.push_back(MakeDedupKey(DedupStream::kRow, idx));
-        }
         if (fn) {
           rt.emt_slots.push_back(static_cast<std::uint32_t>(
               replica_ref_base + group.replica_slot[idx]));
@@ -587,14 +576,8 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
         // accounting splits off, so the lever cannot change outputs.
         if (has_wram && group.wram_cached[idx]) {
           ++rt.wram_count;
-          if (dedup) {
-            rt.dedup_keys.push_back(MakeDedupKey(DedupStream::kWram, idx));
-          }
         } else {
           ++rt.emt_count;
-          if (dedup) {
-            rt.dedup_keys.push_back(MakeDedupKey(DedupStream::kRow, idx));
-          }
         }
         if (fn) rt.emt_slots.push_back(group.row_slot[idx]);
       }
@@ -605,11 +588,6 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
       const auto bin = static_cast<std::uint32_t>(group.plan.list_bin[l]);
       BinRoute& rt = routes[bin];
       ++rt.cache_count;
-      if (dedup) {
-        rt.dedup_keys.push_back(MakeDedupKey(
-            DedupStream::kCache,
-            (static_cast<std::uint64_t>(l) << 32) | mask));
-      }
       if (fn) {
         rt.cache_slots.push_back(static_cast<std::uint32_t>(
             cache_ref_base + group.list_offset[l] / row_bytes + mask - 1));
@@ -715,46 +693,20 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           const std::uint32_t row_bytes = geom.row_bytes();
           const auto bin =
               static_cast<std::uint32_t>(task - bin_task_start_[g]);
-          BinRoute& rt = scratch_[g].routes[bin];
+          const BinRoute& rt = scratch_[g].routes[bin];
 
-          // Dedup plan for this bin's request buffer: ship unique
-          // indices + a 16-bit gather map when that shrinks the wire
-          // payload AND the kernel cycles (see updlrm/dedup.h). The
-          // second check matters when the WRAM tier already serves the
-          // duplicated rows: replaying r gather refs can cost more
-          // issue slots than the r - u WRAM hits it replaces, even
-          // though the wire payload shrinks. Without dedup the raw
-          // reference counts flow through unchanged.
-          pim::EmbeddingKernelWork work{
+          // One 4-byte index per routed reference, whichever tier
+          // (MRAM row, WRAM hot row, cached partial sum) serves it.
+          const pim::EmbeddingKernelWork work{
               .num_lookups = rt.emt_count,
               .num_cache_reads = rt.cache_count,
               .num_samples = batch,
               .row_bytes = row_bytes,
               .num_wram_hits = rt.wram_count,
-              .num_gather_refs = 0,
           };
-          std::uint64_t list_bytes =
+          const std::uint64_t list_bytes =
               (rt.emt_count + rt.wram_count + rt.cache_count) * 4;
-          std::uint64_t saved_reads = 0;
-          Cycles cycles = system_->kernel_cost().KernelCycles(work);
-          if (options_.dedup) {
-            const DedupPlan plan = PlanDedup(rt.dedup_keys);
-            if (plan.applied) {
-              pim::EmbeddingKernelWork deduped = work;
-              deduped.num_lookups = plan.unique_rows;
-              deduped.num_cache_reads = plan.unique_cache;
-              deduped.num_wram_hits = plan.unique_wram;
-              deduped.num_gather_refs = plan.refs;
-              const Cycles dedup_cycles =
-                  system_->kernel_cost().KernelCycles(deduped);
-              if (dedup_cycles <= cycles) {
-                work = deduped;
-                cycles = dedup_cycles;
-                list_bytes = plan.index_list_bytes;
-                saved_reads = plan.SavedReads();
-              }
-            }
-          }
+          const Cycles cycles = system_->kernel_cost().KernelCycles(work);
           bin_cycles[task] = cycles;
           if (dpu_trace != nullptr) {
             DpuTraceSlice& slice = dpu_trace->slices[task];
@@ -767,15 +719,9 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           }
           if (checker_ != nullptr) {
             // Cross-audit the priced launch against the executed
-            // simulator, check the dedup wire format, and report this
-            // launch's per-item DMA shapes to the shadow validator.
+            // simulator and report this launch's per-item DMA shapes to
+            // the shadow validator.
             checker_->model_audit().AuditKernel(work, cycles);
-            check::AuditDedupBounds(work.num_gather_refs > 0,
-                                    work.num_lookups +
-                                        work.num_cache_reads +
-                                        work.num_wram_hits,
-                                    work.num_gather_refs,
-                                    &checker_->report());
             const std::uint32_t chunk_bytes =
                 system_->config().kernel_cost.index_chunk * 4;
             check::AccessValidator& access = checker_->access();
@@ -809,7 +755,14 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             continue;
           }
           const std::uint64_t out_bytes = batch * row_bytes;
-          UPDLRM_CHECK(out_bytes <= group.layout.output_bytes);
+          if (out_bytes > group.layout.output_bytes) {
+            bin_status[task] = Status::CapacityExceeded(
+                "stage-3 output buffer overflow (" +
+                // UPDLRM_LINT_ALLOW(noalloc-region): rejection path.
+                std::to_string(out_bytes) +
+                " bytes); run fewer samples per batch");
+            continue;
+          }
 
           for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
             const std::uint32_t id = group.GlobalDpu(bin, c);
@@ -821,8 +774,6 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             st.cache_reads += work.num_cache_reads;
             st.samples += batch;
             st.wram_hits += work.num_wram_hits;
-            st.gather_refs += work.num_gather_refs;
-            st.dedup_saved_reads += saved_reads;
             st.index_bytes_pushed += idx_bytes;
             st.mram_bytes_read +=
                 (work.num_lookups + work.num_cache_reads) * row_bytes +
@@ -972,33 +923,10 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
 
   // --- Stage latencies. ---
   const double clock = system_->config().dpu.clock_hz;
-  if (options_.coalesce_transfers) {
-    // Coalesced plan: the padded-vs-ragged choice is re-derived from
-    // the actual (deduped) buffer sizes, and a single call can cover
-    // every table's buffers, amortizing the launch overhead.
-    const pim::TransferPlan push_plan =
-        system_->transfer().PlanPush(push_bytes, transfer_group_start_);
-    const pim::TransferPlan pull_plan =
-        system_->transfer().PlanPull(pull_bytes, transfer_group_start_);
-    out.stages.cpu_to_dpu = push_plan.time;
-    out.stages.dpu_to_cpu = pull_plan.time;
-    if (checker_ != nullptr) {
-      // The planner promises to never lose to either classic path.
-      check::AuditTransferPlan(
-          push_plan.time, system_->transfer().PushTime(push_bytes, true),
-          system_->transfer().PushTime(push_bytes, false),
-          &checker_->report());
-      check::AuditTransferPlan(
-          pull_plan.time, system_->transfer().PullTime(pull_bytes, true),
-          system_->transfer().PullTime(pull_bytes, false),
-          &checker_->report());
-    }
-  } else {
-    out.stages.cpu_to_dpu =
-        system_->transfer().PushTime(push_bytes, options_.pad_transfers);
-    out.stages.dpu_to_cpu =
-        system_->transfer().PullTime(pull_bytes, options_.pad_transfers);
-  }
+  out.stages.cpu_to_dpu =
+      system_->transfer().PushTime(push_bytes, options_.pad_transfers);
+  out.stages.dpu_to_cpu =
+      system_->transfer().PullTime(pull_bytes, options_.pad_transfers);
   out.stages.dpu_lookup = system_->transfer().KernelLaunchOverhead() +
                           CyclesToNanos(max_kernel, clock);
   // Worst per-DPU stage-1/3 buffer footprint of this batch: the

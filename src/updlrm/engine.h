@@ -58,24 +58,13 @@ struct EngineOptions {
   /// every bin and route their lookups to the least-loaded DPU
   /// (partition/replication.h). 0 disables.
   std::uint32_t replicate_hot_rows = 0;
-  /// Embedding hot-path levers (DESIGN.md §"Embedding hot path"). All
-  /// default off; each lever off leaves results bit-identical to the
-  /// pre-lever engine.
-  ///
-  /// Collapse each (table, DPU-bin) request buffer into a unique-index
-  /// list + 16-bit gather map when that shrinks the wire payload;
-  /// stage-2 reads each unique row once and replays the gather.
-  bool dedup = false;
-  /// Pin the top-K hottest EMT-resident rows of every bin into the
-  /// DPU's WRAM at setup; lookups hitting them skip the MRAM DMA.
-  /// Clamped to the WRAM space left over by the kernel's working
-  /// buffers. 0 disables.
+  /// WRAM hot-row tier (DESIGN.md §6e): pin the top-K hottest
+  /// EMT-resident rows of every bin into the DPU's WRAM at setup;
+  /// lookups hitting them skip the MRAM DMA. Clamped to the WRAM space
+  /// left over by the kernel's working buffers. 0 (the default)
+  /// disables it and leaves results bit-identical to the tier-less
+  /// engine.
   std::uint32_t wram_cache_rows = 0;
-  /// Replace the per-call padded/ragged choice with the coalesced
-  /// transfer planner: one batch's push (and pull) picks the cheapest
-  /// of {one coalesced padded call, one padded call per table,
-  /// sequential ragged} from the actual (deduped) buffer sizes.
-  bool coalesce_transfers = false;
   /// Also emit the pooled embeddings as raw Q15.16 int64 accumulators
   /// (BatchResult::pooled_fixed) — the sharded scale-out engine merges
   /// shards in integer space before the single float conversion.
@@ -221,9 +210,6 @@ class UpDlrmEngine {
     /// References served by the bin's pinned WRAM tier (timing split of
     /// what was historically emt_count; functional slots are unchanged).
     std::uint64_t wram_count = 0;
-    /// Stream-tagged reference keys in routing order, filled only when
-    /// options_.dedup — the planner's input in both execution modes.
-    std::vector<std::uint64_t> dedup_keys;
     void Clear();
   };
 
@@ -279,9 +265,6 @@ class UpDlrmEngine {
   // stage-2 tasks and the per-(group, bin, col) functional tasks.
   std::vector<std::size_t> bin_task_start_;  // size groups + 1
   std::vector<std::size_t> fn_task_start_;   // size groups + 1
-  // Group (table) boundaries in global DPU ids for the coalesced
-  // transfer planner: {first_dpu_[t]..., num_dpus}.
-  std::vector<std::uint32_t> transfer_group_start_;
 
   // Hardware-contract checker; null unless options_.check_mode. Its
   // observers hook system_'s banks, so the destructor detaches them.

@@ -112,9 +112,7 @@ TEST(CheckerTest, HotPathLeversRunClean) {
   Fixture f = MakeFixture();
   core::EngineOptions options =
       CheckedOptions(partition::Method::kCacheAware);
-  options.dedup = true;
   options.wram_cache_rows = 32;
-  options.coalesce_transfers = true;
   options.replicate_hot_rows = 32;
   auto engine = core::UpDlrmEngine::Create(f.model.get(), f.config,
                                            f.trace, f.system.get(), options);

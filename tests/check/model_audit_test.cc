@@ -47,7 +47,6 @@ TEST(ModelAuditTest, LeverWorkShapesPassToo) {
   AuditUnderTest t;
   pim::EmbeddingKernelWork work = TypicalWork();
   work.num_wram_hits = 120;
-  work.num_gather_refs = 80;
   t.audit.AuditKernel(work, t.model.KernelCycles(work));
   EXPECT_TRUE(t.report.clean()) << t.report.ToString();
 }

@@ -1,7 +1,7 @@
 // Injected-fault coverage of the static plan auditor: one deliberate
 // fault per rule (plan coverage, plan capacity, cache co-location, tile
-// shape, gather-map bounds, WRAM capacity, transfer plan), each proven
-// to fire against a plan that is clean without the fault.
+// shape, WRAM capacity), each proven to fire against a plan that is
+// clean without the fault.
 #include "check/plan_audit.h"
 
 #include <gtest/gtest.h>
@@ -118,23 +118,6 @@ TEST(PlanAuditTest, WideNcUnderModelClaimFiresTileShape) {
   EXPECT_EQ(report.count(Rule::kTileShape), 1u);
 }
 
-// Rule: kGatherBounds — an applied dedup plan outside uint16 range.
-TEST(PlanAuditTest, OversizedDedupPlanFiresGatherBounds) {
-  CheckReport report;
-  AuditDedupBounds(/*applied=*/true, /*unique_total=*/70'000,
-                   /*refs=*/80'000, &report);
-  EXPECT_EQ(report.count(Rule::kGatherBounds), 1u);
-  // Not applied: the raw wire format carries no gather map.
-  AuditDedupBounds(false, 70'000, 80'000, &report);
-  EXPECT_EQ(report.count(Rule::kGatherBounds), 1u);
-  // Applied and in range: clean.
-  AuditDedupBounds(true, 100, 400, &report);
-  EXPECT_EQ(report.count(Rule::kGatherBounds), 1u);
-  // Refs fewer than uniques: the gather map cannot replay the list.
-  AuditDedupBounds(true, 400, 100, &report);
-  EXPECT_EQ(report.count(Rule::kGatherBounds), 2u);
-}
-
 // Rule: kWramCapacity — pinning beyond the kernel's clamp.
 TEST(PlanAuditTest, OverfullWramTierFiresCapacity) {
   CheckReport report;
@@ -145,16 +128,6 @@ TEST(PlanAuditTest, OverfullWramTierFiresCapacity) {
   EXPECT_EQ(report.count(Rule::kWramCapacity), 1u);
   EXPECT_NE(report.first_offender(Rule::kWramCapacity).find("bin 2"),
             std::string::npos);
-}
-
-// Rule: kTransferPlan — a coalesced plan losing to a classic path.
-TEST(PlanAuditTest, RegressingTransferPlanFires) {
-  CheckReport report;
-  AuditTransferPlan(/*plan_ns=*/90.0, /*padded_ns=*/100.0,
-                    /*ragged_ns=*/120.0, &report);
-  EXPECT_EQ(report.count(Rule::kTransferPlan), 0u);
-  AuditTransferPlan(101.0, 100.0, 120.0, &report);
-  EXPECT_EQ(report.count(Rule::kTransferPlan), 1u);
 }
 
 }  // namespace

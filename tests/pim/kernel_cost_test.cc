@@ -113,17 +113,14 @@ TEST(KernelCostTest, WramHitsCheaperThanMramReads) {
   EXPECT_LT(model.KernelCycles(from_wram), model.KernelCycles(from_mram));
 }
 
-TEST(KernelCostTest, WramHitsAndGatherRefsAddCycles) {
+TEST(KernelCostTest, WramHitsAddCycles) {
   const auto model = DefaultModel();
   const EmbeddingKernelWork base{
       .num_lookups = 1000, .num_cache_reads = 0, .num_samples = 64,
       .row_bytes = 32};
   EmbeddingKernelWork with_wram = base;
   with_wram.num_wram_hits = 500;
-  EmbeddingKernelWork with_gather = base;
-  with_gather.num_gather_refs = 500;
   EXPECT_GT(model.KernelCycles(with_wram), model.KernelCycles(base));
-  EXPECT_GT(model.KernelCycles(with_gather), model.KernelCycles(base));
 }
 
 TEST(KernelCostTest, HotPathOnlyWorkStillPaysBoot) {

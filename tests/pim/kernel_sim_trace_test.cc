@@ -83,7 +83,6 @@ TEST(KernelSimTraceTest, FullKernelTimelineMatchesExactEngine) {
   work.num_samples = 64;
   work.row_bytes = 128;
   work.num_wram_hits = 150;
-  work.num_gather_refs = 90;
 
   KernelTimeline fast_tl;
   const KernelSimResult fast = SimulateEmbeddingKernel(

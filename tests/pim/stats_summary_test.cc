@@ -82,11 +82,8 @@ TEST(StatsSummaryTest, LeverSharesComputedFromCounters) {
   auto system = SmallSystem();
   system->dpu(0).stats().lookups = 60;
   system->dpu(0).stats().wram_hits = 40;
-  system->dpu(1).stats().dedup_saved_reads = 25;
   const DpuStatsSummary s = SummarizeStats(*system);
   EXPECT_DOUBLE_EQ(s.wram_hit_share, 40.0 / 100.0);
-  // Pre-dedup references = lookups + wram hits + saved reads.
-  EXPECT_DOUBLE_EQ(s.dedup_saved_share, 25.0 / 125.0);
 }
 
 TEST(StatsSummaryTest, BalancedWorkHasUnitImbalance) {

@@ -126,74 +126,6 @@ TEST(TransferTest, ParamValidation) {
   EXPECT_TRUE(FastParams().Validate().ok());
 }
 
-TEST(TransferPlanTest, EmptyOrZeroInputNeverLaunches) {
-  const HostTransferModel model(FastParams(), 128, 64);
-  const std::vector<std::uint32_t> one_group = {0, 128};
-  const std::vector<std::uint64_t> zeros(128, 0);
-  const TransferPlan plan = model.PlanPush(zeros, one_group);
-  EXPECT_DOUBLE_EQ(plan.time, 0.0);
-  EXPECT_EQ(plan.launches, 0u);
-  EXPECT_EQ(plan.streamed_bytes, 0u);
-}
-
-TEST(TransferPlanTest, EqualBuffersMatchClassicPaddedCall) {
-  const HostTransferModel model(FastParams(), 128, 64);
-  const std::vector<std::uint32_t> one_group = {0, 128};
-  const std::vector<std::uint64_t> bytes(128, 1000);
-  const TransferPlan plan = model.PlanPush(bytes, one_group);
-  EXPECT_EQ(plan.path, TransferPlan::Path::kCoalescedPadded);
-  EXPECT_EQ(plan.launches, 1u);
-  EXPECT_NEAR(plan.time, model.PushTime(bytes, true), 1.0);
-}
-
-TEST(TransferPlanTest, ZeroByteDpusNeverPad) {
-  // Half the DPUs carry nothing; the classic padded call pads them
-  // anyway, the planner's matrix simply omits them.
-  const HostTransferModel model(FastParams(), 128, 64);
-  const std::vector<std::uint32_t> one_group = {0, 128};
-  std::vector<std::uint64_t> bytes(128, 0);
-  for (std::uint32_t d = 0; d < 64; d += 2) bytes[d] = 1000;
-  const TransferPlan plan = model.PlanPush(bytes, one_group);
-  EXPECT_EQ(plan.path, TransferPlan::Path::kCoalescedPadded);
-  // Rank 0 streams 32 participating buffers, not 64 padded ones.
-  EXPECT_NEAR(plan.time, 1000.0 + 32'000.0, 1.0);
-  EXPECT_LE(plan.time, model.PushTime(bytes, true));
-}
-
-TEST(TransferPlanTest, HeterogeneousGroupsPreferPerGroupPadding) {
-  // Both groups share one rank and group 0's buffers are 100x group
-  // 1's: one call padded to the call-wide max streams 128 * 100'000 B,
-  // while two per-group calls pay an extra launch but pad group 1 only
-  // to its own 1000-byte max. (Across *different* ranks the distinction
-  // vanishes — ranks stream concurrently, so the big group bounds the
-  // call either way.)
-  const HostTransferModel model(FastParams(), 128, 128);
-  const std::vector<std::uint32_t> groups = {0, 64, 128};
-  std::vector<std::uint64_t> bytes(128, 1000);
-  for (std::uint32_t d = 0; d < 64; ++d) bytes[d] = 100'000;
-  const TransferPlan plan = model.PlanPush(bytes, groups);
-  EXPECT_EQ(plan.path, TransferPlan::Path::kPerGroupPadded);
-  EXPECT_EQ(plan.launches, 2u);
-  const TransferPlan single =
-      model.PlanPush(bytes, std::vector<std::uint32_t>{0, 128});
-  EXPECT_LT(plan.time, single.time);
-}
-
-TEST(TransferPlanTest, NeverWorseThanClassicPaths) {
-  const HostTransferModel model(FastParams(), 128, 64);
-  const std::vector<std::uint32_t> one_group = {0, 128};
-  std::vector<std::uint64_t> bytes(128);
-  for (std::uint32_t d = 0; d < 128; ++d) {
-    bytes[d] = (d * 2654435761u) % 5000;  // deterministic ragged mix
-  }
-  const TransferPlan plan = model.PlanPush(bytes, one_group);
-  EXPECT_LE(plan.time, model.PushTime(bytes, true) + 1e-9);
-  EXPECT_LE(plan.time, model.PushTime(bytes, false) + 1e-9);
-  const TransferPlan pull = model.PlanPull(bytes, one_group);
-  EXPECT_LE(pull.time, model.PullTime(bytes, true) + 1e-9);
-  EXPECT_LE(pull.time, model.PullTime(bytes, false) + 1e-9);
-}
-
 // Two ranks; rank 1 lives on host 1, off the front end.
 HostTransferModel RemoteRankModel() {
   FleetTopologyConfig topo;
@@ -203,17 +135,14 @@ HostTransferModel RemoteRankModel() {
 
 TEST(TransferTest, PullFromRemoteHostRankCostsTheLocalPull) {
   // A pull lands on the host that owns the rank: no cross-host hop, on
-  // the padded, sequential and planned paths alike.
+  // the padded and sequential paths alike.
   const HostTransferModel local(FastParams(), 128, 64);
   const HostTransferModel remote = RemoteRankModel();
   ASSERT_EQ(remote.topology().HostOfRank(1), 1u);
-  const std::vector<std::uint32_t> one_group = {0, 128};
   std::vector<std::uint64_t> bytes(128, 900);
   bytes[70] = 1000;  // ragged, and inside the remote rank
   EXPECT_EQ(remote.PullTime(bytes, true), local.PullTime(bytes, true));
   EXPECT_EQ(remote.PullTime(bytes, false), local.PullTime(bytes, false));
-  EXPECT_EQ(remote.PlanPull(bytes, one_group).time,
-            local.PlanPull(bytes, one_group).time);
 }
 
 TEST(TransferTest, PushToRemoteHostRankPaysIngress) {
@@ -237,8 +166,6 @@ TEST(TransferTest, PushToRemoteHostRankPaysIngress) {
   EXPECT_EQ(remote.PushTime(ragged, false),
             local.PushTime(ragged, false) +
                 remote.topology().IngressExtra(1, remote_bytes));
-  EXPECT_GT(remote.PlanPush(ragged, std::vector<std::uint32_t>{0, 128}).time,
-            local.PlanPush(ragged, std::vector<std::uint32_t>{0, 128}).time);
 }
 
 TEST(TransferDeathTest, WrongVectorSizeAborts) {

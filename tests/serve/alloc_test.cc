@@ -126,16 +126,15 @@ TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
   engine_options.reserved_io_bytes = 128 * kKiB;
   engine_options.grace.num_hot_items = 96;
   engine_options.num_threads = 1;  // inline ParallelFor path
-  engine_options.dedup = true;     // cover the dedup planner too
+  engine_options.wram_cache_rows = 64;  // cover the WRAM tier too
   auto engine = core::UpDlrmEngine::Create(nullptr, config, *trace,
                                            system->get(), engine_options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   std::vector<std::size_t> samples(16);
   // Warmup: size every reused scratch buffer to its high-water mark
-  // (including the thread-local arena and dedup scratch). Covers the
-  // same sample windows as the measured loop — scratch high-water
-  // marks are data-dependent.
+  // (including the thread-local arena). Covers the same sample windows
+  // as the measured loop — scratch high-water marks are data-dependent.
   Status status = Status::Ok();
   for (std::size_t b = 0; b < 8; ++b) {
     std::iota(samples.begin(), samples.end(), b * 16);

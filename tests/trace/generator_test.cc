@@ -124,8 +124,8 @@ TEST(GeneratorTest, BalancedSyntheticIsFlat) {
 }
 
 TEST(GeneratorTest, DuplicateRateMatchesZipfSkew) {
-  // The dedup planner's payoff rides on cross-sample duplication, so
-  // the generator must reproduce the duplication a Zipf(α) stream
+  // The WRAM hot-row tier's payoff rides on cross-sample duplication,
+  // so the generator must reproduce the duplication a Zipf(α) stream
   // implies. With cliques and jitter off, a sample of m distinct items
   // behaves like independent Zipf draws repeated until m distinct
   // values appear (duplicates within a sample are redrawn). Solve

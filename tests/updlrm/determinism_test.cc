@@ -101,11 +101,8 @@ EngineRun RunEngineAt(std::uint32_t threads, bool hot_path = false) {
   options.grace.num_hot_items = 96;
   options.num_threads = threads;
   if (hot_path) {
-    // All three embedding hot-path levers at once: dedup planning,
-    // the WRAM hot-row tier, and coalesced transfer planning.
-    options.dedup = true;
+    // The embedding hot-path lever: the WRAM hot-row tier.
     options.wram_cache_rows = 64;
-    options.coalesce_transfers = true;
   }
   auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
                                      f.system.get(), options);
@@ -153,9 +150,9 @@ TEST(DeterminismTest, EngineBitExactAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, HotPathLeversBitExactAcrossThreadCounts) {
-  // The dedup gather maps, WRAM pin sets and coalesced transfer plans
-  // are all built per (group, bin) task into disjoint slots — enabling
-  // every lever must not break the bit-exactness contract.
+  // WRAM pin sets are fixed at setup and routing splits each bin's
+  // count per (group, bin) task into disjoint slots — enabling the
+  // tier must not break the bit-exactness contract.
   const EngineRun serial = RunEngineAt(1, /*hot_path=*/true);
   ASSERT_FALSE(serial.pooled.empty());
   for (std::uint32_t threads : {2u, 4u, 0u}) {

@@ -379,6 +379,38 @@ TEST(EngineTest, RunSamplesRejectsBadLists) {
   EXPECT_FALSE((*engine)->RunSamples(out_of_range, nullptr).ok());
 }
 
+TEST(EngineTest, RunSamplesRejectsBatchLargerThanOutputRegion) {
+  // At Nc = 8 a partial sum is 32 bytes, so the 64 KiB stage-3 output
+  // region holds 2048 samples. A larger batch is a capacity error the
+  // caller can act on (split the batch), not a process abort.
+  Fixture f = MakeFixture();
+  EngineOptions options = SmallEngineOptions(partition::Method::kUniform, 8);
+  // Room for the stage-1 index lists of a 2049-sample batch, so the
+  // output region is the limit that binds.
+  options.reserved_io_bytes = 512 * kKiB;
+  auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                     f.system.get(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const TableGroup& group = (*engine)->groups()[0];
+  const std::uint64_t output_bytes = group.layout.output_bytes;
+  const std::size_t max_samples = output_bytes / group.plan.geom.row_bytes();
+  ASSERT_EQ(max_samples, 2048u);
+  std::vector<std::size_t> samples(max_samples + 1);
+  for (std::size_t i = 0; i < samples.size(); ++i) samples[i] = i % 96;
+  auto over = (*engine)->RunSamples(samples, nullptr);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kCapacityExceeded)
+      << over.status().ToString();
+  EXPECT_NE(over.status().message().find("output"), std::string::npos)
+      << over.status().ToString();
+  // A batch that exactly fills the region still runs, and the engine
+  // stays usable after the rejection.
+  samples.pop_back();
+  auto full = (*engine)->RunSamples(samples, nullptr);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->max_output_bytes, output_bytes);
+}
+
 TEST(EngineTest, ReplicationKeepsPooledEmbeddingsBitExact) {
   // Replicated rows come from the replica region of an adaptively
   // chosen DPU — the functional result must not change.

@@ -1,10 +1,8 @@
-// The embedding hot path's three levers (DESIGN.md §"Embedding hot
-// path"): batch dedup planning, the pinned WRAM hot-row tier, and the
-// coalesced transfer plan. Dedup and WRAM pinning change timing
-// accounting only — pooled outputs must stay bit-identical with any
-// lever combination — and the wire/cycle win rules mean no lever may
+// The embedding hot path's one lever (DESIGN.md §6e): the pinned WRAM
+// hot-row tier. Pinning changes timing accounting only — pooled outputs
+// must stay bit-identical with the tier on or off — and a WRAM hit
+// costs less than the MRAM read it replaces, so the tier may not
 // regress the modeled embedding time.
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -15,97 +13,11 @@
 #include "partition/uniform.h"
 #include "pim/stats_summary.h"
 #include "trace/generator.h"
-#include "updlrm/dedup.h"
 #include "updlrm/engine.h"
 #include "updlrm/placement.h"
 
 namespace updlrm::core {
 namespace {
-
-// ---------------------------------------------------------------------
-// PlanDedup: the per-bin byte-win rule and stream separation.
-
-std::vector<DedupKey> RowKeys(std::initializer_list<std::uint64_t> rows) {
-  std::vector<DedupKey> keys;
-  for (std::uint64_t r : rows) keys.push_back(MakeDedupKey(DedupStream::kRow, r));
-  return keys;
-}
-
-TEST(DedupPlanTest, EmptyBufferIsNotApplied) {
-  std::vector<DedupKey> keys;
-  const DedupPlan plan = PlanDedup(keys);
-  EXPECT_FALSE(plan.applied);
-  EXPECT_EQ(plan.refs, 0u);
-  EXPECT_EQ(plan.UniqueTotal(), 0u);
-  EXPECT_EQ(plan.SavedReads(), 0u);
-  EXPECT_EQ(plan.index_list_bytes, 0u);
-}
-
-TEST(DedupPlanTest, CollapsesCrossSampleDuplicates) {
-  // 16 references naming only 3 distinct rows: raw wire is 16*4 = 64 B,
-  // dedup wire is AlignUp(3*4 + 16*2, 8) + 8 = 56 B — dedup wins.
-  std::vector<DedupKey> keys;
-  for (int i = 0; i < 16; ++i) {
-    keys.push_back(MakeDedupKey(DedupStream::kRow, i % 3));
-  }
-  const DedupPlan plan = PlanDedup(keys);
-  EXPECT_TRUE(plan.applied);
-  EXPECT_EQ(plan.refs, 16u);
-  EXPECT_EQ(plan.unique_rows, 3u);
-  EXPECT_EQ(plan.SavedReads(), 13u);
-  EXPECT_EQ(plan.index_list_bytes, 56u);
-}
-
-TEST(DedupPlanTest, AllUniqueKeepsRawEncoding) {
-  auto keys = RowKeys({0, 1, 2, 3, 4, 5, 6, 7});
-  const DedupPlan plan = PlanDedup(keys);
-  EXPECT_FALSE(plan.applied);
-  EXPECT_EQ(plan.unique_rows, 8u);
-  EXPECT_EQ(plan.SavedReads(), 0u);
-  EXPECT_EQ(plan.index_list_bytes, 8u * 4u);  // raw: 4 B per reference
-}
-
-TEST(DedupPlanTest, MarginalDuplicationFailsByteRule) {
-  // 4 refs over 3 uniques: raw 16 B, dedup AlignUp(12+8,8)+8 = 32 B.
-  // The header plus gather map outweigh one saved index — keep raw.
-  auto keys = RowKeys({7, 7, 8, 9});
-  const DedupPlan plan = PlanDedup(keys);
-  EXPECT_FALSE(plan.applied);
-  EXPECT_EQ(plan.index_list_bytes, 16u);
-}
-
-TEST(DedupPlanTest, StreamsNeverCollapseTogether) {
-  // Row 5 read as an EMT slice, a WRAM pin and a cache subset sum are
-  // three different reads; equal values must not merge across tiers.
-  std::vector<DedupKey> keys;
-  for (int i = 0; i < 8; ++i) {
-    keys.push_back(MakeDedupKey(DedupStream::kRow, 5));
-    keys.push_back(MakeDedupKey(DedupStream::kWram, 5));
-    keys.push_back(MakeDedupKey(DedupStream::kCache, 5));
-  }
-  const DedupPlan plan = PlanDedup(keys);
-  EXPECT_TRUE(plan.applied);
-  EXPECT_EQ(plan.unique_rows, 1u);
-  EXPECT_EQ(plan.unique_wram, 1u);
-  EXPECT_EQ(plan.unique_cache, 1u);
-  EXPECT_EQ(plan.SavedReads(), 24u - 3u);
-}
-
-TEST(DedupPlanTest, PlanIsAFunctionOfTheMultiset) {
-  // Routing order must not matter: any permutation of the same keys
-  // yields the identical plan (the determinism contract's foundation).
-  std::vector<DedupKey> a;
-  for (int i = 0; i < 64; ++i) {
-    a.push_back(MakeDedupKey(DedupStream::kRow, (i * 7) % 11));
-  }
-  std::vector<DedupKey> b(a.rbegin(), a.rend());
-  const DedupPlan pa = PlanDedup(a);
-  const DedupPlan pb = PlanDedup(b);
-  EXPECT_EQ(pa.applied, pb.applied);
-  EXPECT_EQ(pa.unique_rows, pb.unique_rows);
-  EXPECT_EQ(pa.index_list_bytes, pb.index_list_bytes);
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));  // both sorted
-}
 
 // ---------------------------------------------------------------------
 // BuildWramCache: deterministic hottest-first pinning per bin.
@@ -182,8 +94,8 @@ TEST(WramCacheTest, ZeroRowsIsANoOp) {
 }
 
 // ---------------------------------------------------------------------
-// Engine integration: lever combinations preserve functional outputs
-// and never regress the modeled embedding time.
+// Engine integration: the WRAM tier preserves functional outputs and
+// never regresses the modeled embedding time.
 
 struct Fixture {
   dlrm::DlrmConfig config;
@@ -235,14 +147,14 @@ Fixture MakeFixture(std::uint64_t seed = 31) {
   return f;
 }
 
-struct LeverRun {
+struct WramRun {
   std::vector<float> pooled;
   std::vector<float> ctr;
   InferenceReport report;
   pim::DpuStatsSummary stats;
 };
 
-LeverRun RunWithLevers(bool dedup, std::uint32_t wram, bool coalesce) {
+WramRun RunWithWramRows(std::uint32_t wram) {
   Fixture f = MakeFixture();
   EngineOptions options;
   options.method = partition::Method::kCacheAware;
@@ -250,14 +162,12 @@ LeverRun RunWithLevers(bool dedup, std::uint32_t wram, bool coalesce) {
   options.batch_size = 16;
   options.reserved_io_bytes = 128 * kKiB;
   options.grace.num_hot_items = 96;
-  options.dedup = dedup;
   options.wram_cache_rows = wram;
-  options.coalesce_transfers = coalesce;
   auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
                                      f.system.get(), options);
   UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
 
-  LeverRun run;
+  WramRun run;
   auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
   UPDLRM_CHECK(batch.ok());
   run.pooled = std::move(batch->pooled);
@@ -269,54 +179,30 @@ LeverRun RunWithLevers(bool dedup, std::uint32_t wram, bool coalesce) {
   return run;
 }
 
-TEST(HotPathEngineTest, LeversNeverChangeFunctionalOutputs) {
-  const LeverRun base = RunWithLevers(false, 0, false);
+TEST(HotPathEngineTest, WramTierNeverChangesFunctionalOutputs) {
+  const WramRun base = RunWithWramRows(0);
   ASSERT_FALSE(base.pooled.empty());
-  const LeverRun combos[] = {
-      RunWithLevers(true, 0, false),   // dedup only
-      RunWithLevers(false, 64, false), // WRAM tier only
-      RunWithLevers(false, 0, true),   // coalesced transfers only
-      RunWithLevers(true, 64, true),   // all three
-  };
-  for (const LeverRun& run : combos) {
-    ASSERT_EQ(run.pooled.size(), base.pooled.size());
-    for (std::size_t i = 0; i < base.pooled.size(); ++i) {
-      ASSERT_EQ(run.pooled[i], base.pooled[i]) << "lane " << i;
-    }
-    ASSERT_EQ(run.ctr, base.ctr);
+  const WramRun wram = RunWithWramRows(64);
+  ASSERT_EQ(wram.pooled.size(), base.pooled.size());
+  for (std::size_t i = 0; i < base.pooled.size(); ++i) {
+    ASSERT_EQ(wram.pooled[i], base.pooled[i]) << "lane " << i;
   }
+  ASSERT_EQ(wram.ctr, base.ctr);
 }
 
-TEST(HotPathEngineTest, LeversNeverRegressEmbeddingTime) {
-  const LeverRun base = RunWithLevers(false, 0, false);
-  const double baseline = base.report.EmbeddingTotal();
-  EXPECT_LE(RunWithLevers(true, 0, false).report.EmbeddingTotal(), baseline);
-  EXPECT_LE(RunWithLevers(false, 0, true).report.EmbeddingTotal(), baseline);
-  EXPECT_LE(RunWithLevers(false, 64, false).report.EmbeddingTotal(),
-            baseline);
-  EXPECT_LE(RunWithLevers(true, 64, true).report.EmbeddingTotal(), baseline);
+TEST(HotPathEngineTest, WramTierNeverRegressesEmbeddingTime) {
+  EXPECT_LE(RunWithWramRows(64).report.EmbeddingTotal(),
+            RunWithWramRows(0).report.EmbeddingTotal());
 }
 
 TEST(HotPathEngineTest, WramTierActuallyHits) {
-  const LeverRun base = RunWithLevers(false, 0, false);
+  const WramRun base = RunWithWramRows(0);
   EXPECT_EQ(base.stats.total_wram_hits, 0u);
-  const LeverRun wram = RunWithLevers(false, 64, false);
+  const WramRun wram = RunWithWramRows(64);
   EXPECT_GT(wram.stats.total_wram_hits, 0u);
   EXPECT_GT(wram.stats.wram_hit_share, 0.0);
   // Hits replace MRAM row reads one for one; batch geometry is fixed.
   EXPECT_LT(wram.report.stages.dpu_lookup, base.report.stages.dpu_lookup);
-}
-
-TEST(HotPathEngineTest, DedupCountersStayConsistent) {
-  const LeverRun dedup = RunWithLevers(true, 0, false);
-  // Dedup may or may not fire at this scale, but the accounting must be
-  // coherent: saved reads and pushed bytes move together.
-  if (dedup.stats.total_dedup_saved_reads > 0) {
-    const LeverRun base = RunWithLevers(false, 0, false);
-    EXPECT_LT(dedup.stats.total_index_bytes_pushed,
-              base.stats.total_index_bytes_pushed);
-    EXPECT_GT(dedup.stats.dedup_saved_share, 0.0);
-  }
 }
 
 }  // namespace
