@@ -5,6 +5,9 @@
 // produces ragged per-DPU index buffers, so UpDLRM pads them to the
 // batch maximum to stay on the parallel path. This ablation quantifies
 // what the sequential fallback would cost.
+//
+// Gate: exits non-zero unless padding lowers both the stage-1 time and
+// the embedding total below the ragged (sequential) run's.
 #include <cstdio>
 #include <iostream>
 
@@ -35,8 +38,9 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"transfer mode", "stage1 (us/batch)",
                     "stage3 (us/batch)", "embedding total (us/batch)"});
-  double padded_total = 0.0;
-  double ragged_total = 0.0;
+  // Indexed by Mode::pad: [0] ragged, [1] padded.
+  double stage1[2] = {0.0, 0.0};
+  double total[2] = {0.0, 0.0};
   for (const Mode& mode : modes) {
     auto system = bench::MakePaperSystem();
     core::EngineOptions options = bench::PaperEngineOptions(
@@ -51,7 +55,8 @@ int main(int argc, char** argv) {
     auto report = (*engine)->RunAll(nullptr);
     UPDLRM_CHECK_MSG(report.ok(), report.status().ToString());
     const auto batches = static_cast<double>(report->num_batches);
-    (mode.pad ? padded_total : ragged_total) = report->EmbeddingTotal();
+    stage1[mode.pad] = report->stages.cpu_to_dpu;
+    total[mode.pad] = report->EmbeddingTotal();
     out.AddRow({mode.name,
                 TablePrinter::FmtMicros(
                     report->stages.cpu_to_dpu / batches, 0),
@@ -64,6 +69,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nsequential fallback costs %.2fx the padded embedding time — "
       "why the engine pads (§2.2's equal-buffer rule)\n",
-      ragged_total / padded_total);
-  return 0;
+      total[0] / total[1]);
+  const bool padding_wins = stage1[1] < stage1[0] && total[1] < total[0];
+  std::printf("padding lowers stage 1 and the embedding total: %s\n",
+              padding_wins ? "yes" : "NO");
+  return padding_wins ? 0 : 1;
 }

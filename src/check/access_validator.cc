@@ -19,8 +19,6 @@ std::string_view RegionKindName(RegionKind kind) {
   switch (kind) {
     case RegionKind::kEmt:
       return "emt";
-    case RegionKind::kReplica:
-      return "replica";
     case RegionKind::kCache:
       return "cache";
     case RegionKind::kIndex:

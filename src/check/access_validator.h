@@ -1,7 +1,7 @@
 // Shadow-state validator of simulated MRAM/WRAM/DMA accesses.
 //
-// Keeps, per DPU, (a) the registered MRAM region map (EMT, replica,
-// cache, index buffer, output buffer) and (b) an interval set of bytes
+// Keeps, per DPU, (a) the registered MRAM region map (EMT, cache,
+// index buffer, output buffer) and (b) an interval set of bytes
 // ever written. Every intercepted access is checked against the UPMEM
 // hardware contract: 8-byte alignment, DPU DMA transfers of 8..2048
 // bytes, accesses within the 64 MB bank, reads only of written bytes,
@@ -34,7 +34,6 @@ struct AccessLimits {
 /// its layout into RegisterRegion calls; check/ cannot depend on core).
 enum class RegionKind : std::uint8_t {
   kEmt = 0,
-  kReplica,
   kCache,
   kIndex,
   kOutput,

@@ -121,23 +121,6 @@ void AuditPlan(const partition::PartitionPlan& plan,
     }
   }
 
-  // --- Replicated rows must not double as cache-list members (they
-  // would have two MRAM homes with different addressing).
-  for (const std::uint32_t r : plan.replicated_rows) {
-    if (r >= rows) {
-      report->AddViolation(Rule::kPlanCoverage,
-                           tag + ": replicated row " + std::to_string(r) +
-                               " outside the table");
-      break;
-    }
-    if (!plan.item_list.empty() && plan.item_list[r] >= 0) {
-      report->AddViolation(Rule::kPlanCoverage,
-                           tag + ": row " + std::to_string(r) +
-                               " both replicated and cache-listed");
-      break;
-    }
-  }
-
   // --- Capacity: every bin's EMT tile and cache block fit the regions
   // placement carved out of the 64 MB bank.
   if (!capacity_auditable) return;

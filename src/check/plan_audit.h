@@ -22,7 +22,7 @@ namespace updlrm::check {
 /// actually carved out), so the audit is against the real regions, not
 /// the planner's own arithmetic.
 struct PlanAuditLimits {
-  /// Per-bin EMT-region bytes (uncached, unreplicated rows).
+  /// Per-bin EMT-region bytes (uncached rows).
   std::uint64_t emt_bytes = 0;
   /// Per-bin cache-region bytes.
   std::uint64_t cache_bytes = 0;

@@ -28,7 +28,7 @@ enum class Rule : std::uint32_t {
   kDmaSize,             // DPU DMA transfer of 0 or > 2048 bytes
   kBankBounds,          // access beyond the 64 MB MRAM bank
   kUninitRead,          // read of MRAM bytes never written
-  kRegionOverlap,       // EMT/replica/cache/index/output regions overlap
+  kRegionOverlap,       // EMT/cache/index/output regions overlap
   kPlanCoverage,        // row coverage not exact / row with two homes
   kPlanCapacity,        // plan tiles exceed the bin's byte capacity
   kCacheColocation,     // cache list and its items not co-located

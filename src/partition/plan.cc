@@ -1,7 +1,5 @@
 #include "partition/plan.h"
 
-#include <algorithm>
-
 namespace updlrm::partition {
 
 Result<GroupGeometry> GroupGeometry::Make(dlrm::TableShape table,
@@ -76,12 +74,7 @@ std::vector<std::uint64_t> PartitionPlan::EmtRowsPerBin() const {
   for (std::uint64_t r = 0; r < row_bin.size(); ++r) {
     const bool cached =
         !item_list.empty() && item_list[r] >= 0;
-    const bool replicated =
-        !replicated_rows.empty() &&
-        std::binary_search(replicated_rows.begin(),
-                           replicated_rows.end(),
-                           static_cast<std::uint32_t>(r));
-    if (!cached && !replicated) ++rows[row_bin[r]];
+    if (!cached) ++rows[row_bin[r]];
   }
   return rows;
 }
@@ -122,34 +115,9 @@ Status PartitionPlan::Validate(const BinCapacity& capacity) const {
     return Status::InvalidArgument("cache metadata without cache lists");
   }
 
-  if (has_replication()) {
-    if (!std::is_sorted(replicated_rows.begin(), replicated_rows.end())) {
-      return Status::InvalidArgument("replicated_rows must be sorted");
-    }
-    if (std::adjacent_find(replicated_rows.begin(),
-                           replicated_rows.end()) !=
-        replicated_rows.end()) {
-      return Status::InvalidArgument("replicated_rows must be unique");
-    }
-    if (replicated_rows.back() >= geom.table.rows) {
-      return Status::OutOfRange("replicated row beyond table");
-    }
-    if (!item_list.empty()) {
-      for (std::uint32_t row : replicated_rows) {
-        if (item_list[row] >= 0) {
-          return Status::InvalidArgument(
-              "row " + std::to_string(row) +
-              " is both cached and replicated");
-        }
-      }
-    }
-  }
-
   const std::vector<std::uint64_t> emt_rows = EmtRowsPerBin();
   for (std::uint32_t b = 0; b < geom.row_shards; ++b) {
-    // Every bin holds the replica region in addition to its own rows.
-    const std::uint64_t emt_bytes =
-        emt_rows[b] * geom.row_bytes() + ReplicaBytesPerBin();
+    const std::uint64_t emt_bytes = emt_rows[b] * geom.row_bytes();
     if (emt_bytes > capacity.emt_bytes) {
       return Status::CapacityExceeded(
           "bin " + std::to_string(b) + " EMT region needs " +

@@ -84,22 +84,10 @@ struct PartitionPlan {
   /// routing).
   std::vector<std::int32_t> item_list;
 
-  /// Rows replicated into every bin's replica region (sorted, unique,
-  /// disjoint from cache-list members); lookups of these rows are
-  /// routed adaptively. See partition/replication.h.
-  std::vector<std::uint32_t> replicated_rows;
-
   bool has_cache() const { return !cache.lists.empty(); }
-  bool has_replication() const { return !replicated_rows.empty(); }
 
-  /// Bytes of the per-bin replica region (every bin holds a copy).
-  std::uint64_t ReplicaBytesPerBin() const {
-    return replicated_rows.size() *
-           static_cast<std::uint64_t>(geom.row_bytes());
-  }
-
-  /// Rows stored in the EMT region of each bin (cached and replicated
-  /// items excluded — they live in the cache/replica regions).
+  /// Rows stored in the EMT region of each bin (cached items excluded —
+  /// they live in the cache region).
   std::vector<std::uint64_t> EmtRowsPerBin() const;
 
   /// Cache-region bytes needed in each bin.

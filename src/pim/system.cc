@@ -20,7 +20,6 @@ Status DpuSystemConfig::Validate() const {
 DpuSystem::DpuSystem(DpuSystemConfig config)
     : config_(config),
       mram_timing_(config.mram_timing),
-      pipeline_(config.dpu),
       transfer_(config.transfer, config.num_dpus, config.dpus_per_rank,
                 config.topology),
       kernel_cost_(config.kernel_cost, config.dpu,

@@ -13,7 +13,6 @@
 #include "pim/dpu_config.h"
 #include "pim/kernel_cost.h"
 #include "pim/mram_timing.h"
-#include "pim/pipeline.h"
 #include "pim/topology.h"
 #include "pim/transfer.h"
 
@@ -58,7 +57,6 @@ class DpuSystem {
 
   const DpuSystemConfig& config() const { return config_; }
   const MramTimingModel& mram_timing() const { return mram_timing_; }
-  const PipelineModel& pipeline() const { return pipeline_; }
   const HostTransferModel& transfer() const { return transfer_; }
   /// The fleet's rank/host topology (owned by the transfer model).
   const FleetTopology& topology() const { return transfer_.topology(); }
@@ -78,7 +76,6 @@ class DpuSystem {
 
   DpuSystemConfig config_;
   MramTimingModel mram_timing_;
-  PipelineModel pipeline_;
   HostTransferModel transfer_;
   EmbeddingKernelCostModel kernel_cost_;
   std::vector<DpuCore> dpus_;

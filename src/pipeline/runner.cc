@@ -59,10 +59,6 @@ class DenseFlowPath {
       }
       dense_rows_.clear();
       for (const std::size_t s : samples) {
-        if (s >= dense_->num_samples()) {
-          return Status::InvalidArgument(
-              "request sample outside the dense inputs");
-        }
         const std::span<const float> row = dense_->Sample(s);
         dense_rows_.insert(dense_rows_.end(), row.begin(), row.end());
       }
@@ -155,6 +151,22 @@ Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options) {
   UPDLRM_RETURN_IF_ERROR(options.gpu.Validate());
+  // Dense inputs are only read by the functional CTR forward; check
+  // them once here rather than abort inside it.
+  if (dense != nullptr && engine.functional()) {
+    if (dense->dim() != engine.config().dense_features) {
+      return Status::InvalidArgument(
+          "dense inputs have " + std::to_string(dense->dim()) +
+          " features, the model expects " +
+          std::to_string(engine.config().dense_features));
+    }
+    for (const serve::Request& r : requests) {
+      if (r.sample >= dense->num_samples()) {
+        return Status::InvalidArgument(
+            "request sample outside the dense inputs");
+      }
+    }
+  }
   const DataFlowPlan& plan = options.plan;
   if (options.audit != nullptr) {
     check::DataFlowShape shape;

@@ -66,8 +66,10 @@ struct DataFlowServeResult : serve::ServeScorecard {
 /// CTR computation (sample ids index it like the trace); pass nullptr
 /// to skip CTR even on a functional engine. Fails with InvalidArgument
 /// on invalid options.gpu, a zero plan.depth or max_batch_size, a
-/// negative max_queue_delay_ns, or a request that references a sample
-/// outside the engine's trace or the dense inputs.
+/// negative max_queue_delay_ns, a request that references a sample
+/// outside the engine's trace or the dense inputs, or (functional
+/// engines) dense inputs whose feature count is not
+/// config.dense_features.
 Result<DataFlowServeResult> RunDataFlowSimulation(
     core::UpDlrmEngine& engine, std::span<const serve::Request> requests,
     const dlrm::DenseInputs* dense, const DataFlowServeOptions& options);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/arena.h"
 #include "common/fixed_point.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
-#include "partition/replication.h"
 #include "pim/reduction.h"
 #include "telemetry/tracer.h"
 #include "trace/profiler.h"
@@ -224,7 +222,7 @@ Status UpDlrmEngine::Setup() {
           const auto t = static_cast<std::uint32_t>(i);
           // Shared profile when provided (validated above); otherwise
           // profile this table's trace once here — the partitioner,
-          // replication, WRAM tier and cache miner all reuse it.
+          // WRAM tier and cache miner all reuse it.
           const trace::TableProfile* profile =
               options_.preprofiled != nullptr ? &(*options_.preprofiled)[t]
                                               : nullptr;
@@ -320,9 +318,6 @@ void UpDlrmEngine::AuditGroup(const TableGroup& group) {
       const std::uint32_t dpu = group.GlobalDpu(b, c);
       access.RegisterRegion(dpu, check::RegionKind::kEmt,
                             group.layout.emt_base, emt_used);
-      access.RegisterRegion(dpu, check::RegionKind::kReplica,
-                            group.layout.replica_base,
-                            group.layout.replica_bytes);
       access.RegisterRegion(dpu, check::RegionKind::kCache,
                             group.layout.cache_base, cache_used);
       access.RegisterRegion(dpu, check::RegionKind::kIndex,
@@ -461,46 +456,7 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
       break;
     }
   }
-  if (options_.replicate_hot_rows > 0) {
-    // Replication adds up to k extra row slices to every bin; a k that
-    // fits one workload can overflow another's EMT regions. Rather than
-    // abort Setup with CAPACITY_EXCEEDED, shed replicas down to the
-    // largest feasible count (replica bytes interact with per-bin EMT
-    // row placement, so bisect instead of solving in closed form).
-    // ApplyReplication is idempotent — re-applying with a smaller k
-    // replaces, not accumulates, the marks.
-    auto replicate = [&](std::uint32_t k) -> Result<std::size_t> {
-      auto marked = partition::ApplyReplication(plan, freq, k, by_freq);
-      if (!marked.ok()) return marked;
-      UPDLRM_RETURN_IF_ERROR(plan.Validate(capacity));
-      return marked;
-    };
-    auto requested = replicate(options_.replicate_hot_rows);
-    if (!requested.ok()) {
-      // Separate "replicas overflow the bins" from a structurally
-      // invalid plan: with zero replicas the plan must validate.
-      auto zero = replicate(0);
-      if (!zero.ok()) return zero.status();
-      std::uint32_t lo = 0;                            // feasible
-      std::uint32_t hi = options_.replicate_hot_rows;  // infeasible
-      while (hi - lo > 1) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        if (replicate(mid).ok()) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      auto clamped = replicate(lo);
-      if (!clamped.ok()) return clamped.status();
-      std::fprintf(stderr,
-                   "[updlrm] warning: table %u: replicate_hot_rows=%u "
-                   "exceeds bin capacity; clamped to %zu replicas\n",
-                   table, options_.replicate_hot_rows, clamped.value());
-    }
-  } else {
-    UPDLRM_RETURN_IF_ERROR(plan.Validate(capacity));
-  }
+  UPDLRM_RETURN_IF_ERROR(plan.Validate(capacity));
   return plan;
 }
 
@@ -524,38 +480,13 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
 
   // Routing: decide, per index, which bin serves it and whether a
   // cached subset sum covers it (one read per touched list, §3.3).
-  // Slot references are absolute (offset / row_bytes), so EMT, replica
-  // and cache reads share one addressing scheme.
-  const bool has_replicas = !group.replica_slot.empty();
+  // Slot references are absolute (offset / row_bytes), so EMT and cache
+  // reads share one addressing scheme.
   const bool has_wram = !group.wram_cached.empty();
-  const std::uint64_t replica_ref_base =
-      group.layout.replica_base / row_bytes;
   const std::uint64_t cache_ref_base = group.layout.cache_base / row_bytes;
   for (const std::size_t s : samples) {
     scratch.touched_lists.clear();
     for (std::uint32_t idx : ttrace.Sample(s)) {
-      if (has_replicas && group.replica_slot[idx] != kCachedRowSlot) {
-        // Adaptive routing: replicated rows exist in every bin; send
-        // the lookup to the currently least-loaded one.
-        std::uint32_t best = 0;
-        std::uint64_t best_load = ~0ULL;
-        for (std::uint32_t b = 0; b < geom.row_shards; ++b) {
-          const std::uint64_t load = routes[b].emt_count +
-                                     routes[b].wram_count +
-                                     routes[b].cache_count;
-          if (load < best_load) {
-            best_load = load;
-            best = b;
-          }
-        }
-        BinRoute& rt = routes[best];
-        ++rt.emt_count;
-        if (fn) {
-          rt.emt_slots.push_back(static_cast<std::uint32_t>(
-              replica_ref_base + group.replica_slot[idx]));
-        }
-        continue;
-      }
       const std::int32_t l = has_cache ? group.plan.item_list[idx] : -1;
       if (l >= 0) {
         if (scratch.list_mask[l] == 0) {
@@ -625,6 +556,21 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
     if (s >= trace_.num_samples()) {
       return Status::InvalidArgument("sample id " + std::to_string(s) +
                                      " outside the trace");
+    }
+  }
+  // Dense inputs are only read by the functional CTR forward.
+  if (functional() && dense != nullptr) {
+    if (dense->dim() != config_.dense_features) {
+      return Status::InvalidArgument(
+          "dense inputs have " + std::to_string(dense->dim()) +
+          " features, the model expects " +
+          std::to_string(config_.dense_features));
+    }
+    for (const std::size_t s : samples) {
+      if (s >= dense->num_samples()) {
+        return Status::InvalidArgument("sample id " + std::to_string(s) +
+                                       " outside the dense inputs");
+      }
     }
   }
   const std::size_t batch = samples.size();
@@ -858,8 +804,8 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             Status status;
             for (std::size_t s = 0; s < batch && status.ok(); ++s) {
               std::fill(acc, acc + nc_, std::int64_t{0});
-              // Slot references are absolute (EMT at base 0, replicas
-              // and cache offsets folded in during routing).
+              // Slot references are absolute (EMT at base 0, cache
+              // offsets folded in during routing).
               for (std::uint32_t k = rt.emt_offsets[s];
                    k < rt.emt_offsets[s + 1] && status.ok(); ++k) {
                 status = mram.Read(

@@ -54,10 +54,6 @@ struct EngineOptions {
   /// Pad ragged stage-1/3 buffers to the max size so transfers take the
   /// parallel path (§2.2); disabling falls back to sequential transfers.
   bool pad_transfers = true;
-  /// Extension: replicate the top-k hottest uncached rows per table into
-  /// every bin and route their lookups to the least-loaded DPU
-  /// (partition/replication.h). 0 disables.
-  std::uint32_t replicate_hot_rows = 0;
   /// WRAM hot-row tier (DESIGN.md §6e): pin the top-K hottest
   /// EMT-resident rows of every bin into the DPU's WRAM at setup;
   /// lookups hitting them skip the MRAM DMA. Clamped to the WRAM space
@@ -132,6 +128,9 @@ class UpDlrmEngine {
   /// whatever requests are queued, and admission control can punch holes
   /// into the arrival order. Sample ids index both the trace and
   /// `dense`. Equivalent to RunBatch for a contiguous ascending list.
+  /// Fails with InvalidArgument on a sample outside the trace or, in
+  /// functional mode, on a `dense` whose feature count differs from
+  /// config.dense_features or that lacks a requested sample.
   Result<BatchResult> RunSamples(std::span<const std::size_t> samples,
                                  const dlrm::DenseInputs* dense);
 

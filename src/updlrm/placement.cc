@@ -54,9 +54,7 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
   MramLayout& layout = group.layout;
   layout.emt_base = 0;
   layout.emt_bytes = AlignUp(emt_need, row_bytes);
-  layout.replica_base = layout.emt_base + layout.emt_bytes;
-  layout.replica_bytes = group.plan.ReplicaBytesPerBin();
-  layout.cache_base = layout.replica_base + layout.replica_bytes;
+  layout.cache_base = layout.emt_base + layout.emt_bytes;
   layout.cache_bytes = AlignUp(cache_need, row_bytes);
   layout.output_bytes = kOutputRegionBytes;
   layout.index_base = layout.cache_base + layout.cache_bytes;
@@ -70,23 +68,13 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
         std::to_string(system_config.dpu.mram_bytes));
   }
 
-  if (group.plan.has_replication()) {
-    group.replica_slot.assign(geom.table.rows, kCachedRowSlot);
-    for (std::size_t i = 0; i < group.plan.replicated_rows.size(); ++i) {
-      group.replica_slot[group.plan.replicated_rows[i]] =
-          static_cast<std::uint32_t>(i);
-    }
-  }
-
   if (build_row_slots) {
     group.row_slot.assign(geom.table.rows, kCachedRowSlot);
     std::vector<std::uint32_t> next_slot(geom.row_shards, 0);
     for (std::uint64_t r = 0; r < geom.table.rows; ++r) {
       const bool cached =
           !group.plan.item_list.empty() && group.plan.item_list[r] >= 0;
-      const bool replicated = !group.replica_slot.empty() &&
-                              group.replica_slot[r] != kCachedRowSlot;
-      if (cached || replicated) continue;
+      if (cached) continue;
       group.row_slot[r] = next_slot[group.plan.row_bin[r]]++;
     }
   }
@@ -114,9 +102,9 @@ void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
   UPDLRM_CHECK(freq.size() == geom.table.rows);
 
   // Eligible rows are the ones stage-1 routing sends down the EMT path:
-  // not a cache-list member (those read subset sums) and not replicated
-  // (those route adaptively across bins). A pinned row keeps its MRAM
-  // slot — WRAM holds a copy — so the functional path is unchanged.
+  // not a cache-list member (those read subset sums). A pinned row keeps
+  // its MRAM slot — WRAM holds a copy — so the functional path is
+  // unchanged.
   group.wram_cached.assign(geom.table.rows, 0);
   group.wram_rows_per_bin.assign(geom.row_shards, 0);
   std::vector<std::vector<std::uint32_t>> candidates(geom.row_shards);
@@ -124,9 +112,7 @@ void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
     if (freq[r] == 0) continue;  // never referenced: pinning is waste
     const bool cached =
         !group.plan.item_list.empty() && group.plan.item_list[r] >= 0;
-    const bool replicated = !group.replica_slot.empty() &&
-                            group.replica_slot[r] != kCachedRowSlot;
-    if (cached || replicated) continue;
+    if (cached) continue;
     candidates[group.plan.row_bin[r]].push_back(
         static_cast<std::uint32_t>(r));
   }
@@ -178,24 +164,6 @@ Status PlaceTable(const dlrm::EmbeddingTable& table, const TableGroup& group,
               .mram()
               .Write(offset, AsBytes(std::span<const std::int32_t>(
                                  qrow.data() + c * geom.nc, geom.nc))));
-    }
-  }
-
-  // Replica region: every bin (and column shard) holds a copy of each
-  // replicated row's slice at the same slot.
-  for (std::size_t i = 0; i < group.plan.replicated_rows.size(); ++i) {
-    const std::uint32_t r = group.plan.replicated_rows[i];
-    table.QuantizedRow(r, qrow);
-    const std::uint64_t offset =
-        group.layout.replica_base + i * static_cast<std::uint64_t>(row_bytes);
-    for (std::uint32_t bin = 0; bin < geom.row_shards; ++bin) {
-      for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
-        UPDLRM_RETURN_IF_ERROR(
-            system.dpu(group.GlobalDpu(bin, c))
-                .mram()
-                .Write(offset, AsBytes(std::span<const std::int32_t>(
-                                   qrow.data() + c * geom.nc, geom.nc))));
-      }
     }
   }
 

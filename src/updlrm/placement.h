@@ -29,8 +29,6 @@ inline constexpr std::uint32_t kCachedRowSlot = 0xffffffffU;
 struct MramLayout {
   std::uint64_t emt_base = 0;
   std::uint64_t emt_bytes = 0;
-  std::uint64_t replica_base = 0;  // hot-row replicas (every bin)
-  std::uint64_t replica_bytes = 0;
   std::uint64_t cache_base = 0;
   std::uint64_t cache_bytes = 0;
   std::uint64_t index_base = 0;
@@ -46,12 +44,9 @@ struct TableGroup {
   MramLayout layout;
 
   /// row -> slot within its bin's EMT region; kCachedRowSlot for rows
-  /// living in the cache or replica regions instead. Only populated
-  /// when `build_row_slots` (functional mode).
+  /// living in the cache region instead. Only populated when
+  /// `build_row_slots` (functional mode).
   std::vector<std::uint32_t> row_slot;
-  /// row -> slot within the (per-bin identical) replica region, or
-  /// kCachedRowSlot. Empty when the plan has no replication.
-  std::vector<std::uint32_t> replica_slot;
   /// list -> byte offset of its slot block within the cache region.
   std::vector<std::uint64_t> list_offset;
   /// Uncached rows per bin (slot counts).
@@ -79,8 +74,8 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
                                    bool build_row_slots);
 
 /// Pins each bin's top-`rows_per_dpu` hottest EMT-resident rows (never
-/// cache-list members or replicas — those live in other tiers) into the
-/// bin's WRAM hot-row cache. Selection is deterministic: frequency
+/// cache-list members — those live in the cache tier) into the bin's
+/// WRAM hot-row cache. Selection is deterministic: frequency
 /// descending, row id ascending; zero-frequency rows are never pinned.
 /// Populates `wram_cached` / `wram_rows_per_bin`; a no-op when
 /// `rows_per_dpu` is 0.

@@ -98,7 +98,7 @@ TEST(AccessValidatorTest, AdjacentAndZeroByteRegionsNeverOverlap) {
   AccessValidator v(1, Limits(), &report);
   v.RegisterRegion(0, RegionKind::kEmt, 0, 4096);
   v.RegisterRegion(0, RegionKind::kCache, 4096, 4096);  // adjacent
-  v.RegisterRegion(0, RegionKind::kReplica, 2048, 0);   // empty
+  v.RegisterRegion(0, RegionKind::kIndex, 2048, 0);     // empty
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 

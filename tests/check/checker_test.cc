@@ -113,7 +113,6 @@ TEST(CheckerTest, HotPathLeversRunClean) {
   core::EngineOptions options =
       CheckedOptions(partition::Method::kCacheAware);
   options.wram_cache_rows = 32;
-  options.replicate_hot_rows = 32;
   auto engine = core::UpDlrmEngine::Create(f.model.get(), f.config,
                                            f.trace, f.system.get(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();

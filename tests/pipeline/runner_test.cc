@@ -264,6 +264,24 @@ TEST(RunnerTest, RejectsInvalidGpuParams) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RunnerTest, RejectsMismatchedDenseInputs) {
+  Fixture f = MakeFixture(/*functional=*/true);
+  const auto requests = Arrivals(f.trace, 1.0e6);
+  const dlrm::DenseInputs wide_dense = dlrm::DenseInputs::Generate(
+      f.trace.num_samples(), f.config.dense_features + 1, 7);
+  auto wrong_dim = RunDataFlowSimulation(*f.engine, requests, &wide_dense,
+                                         BaseOptions());
+  ASSERT_FALSE(wrong_dim.ok());
+  EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
+
+  const dlrm::DenseInputs short_dense = dlrm::DenseInputs::Generate(
+      f.trace.num_samples() / 2, f.config.dense_features, 7);
+  auto too_few = RunDataFlowSimulation(*f.engine, requests, &short_dense,
+                                       BaseOptions());
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_EQ(too_few.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RunnerTest, RejectsRequestsOutsideTheTrace) {
   Fixture f = MakeFixture(/*functional=*/false);
   const std::vector<serve::Request> requests = {

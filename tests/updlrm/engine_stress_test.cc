@@ -65,12 +65,12 @@ World MakeWorld(std::uint32_t num_tables, std::uint32_t num_dpus,
 using StressParam =
     std::tuple<partition::Method, std::uint32_t /*tables*/,
                std::uint32_t /*dpus*/, std::uint32_t /*dim*/,
-               std::uint32_t /*replicate*/>;
+               std::uint32_t /*wram_cache_rows*/>;
 
 class EngineStress : public ::testing::TestWithParam<StressParam> {};
 
 TEST_P(EngineStress, BitExactWithFullAccounting) {
-  const auto [method, tables, dpus, dim, replicate] = GetParam();
+  const auto [method, tables, dpus, dim, wram_rows] = GetParam();
   World w = MakeWorld(tables, dpus, dim, 41 + tables + dim);
 
   EngineOptions options;
@@ -78,7 +78,7 @@ TEST_P(EngineStress, BitExactWithFullAccounting) {
   options.batch_size = 16;
   options.reserved_io_bytes = 128 * kKiB;
   options.grace.num_hot_items = 96;
-  options.replicate_hot_rows = replicate;
+  options.wram_cache_rows = wram_rows;
   auto engine = UpDlrmEngine::Create(w.model.get(), w.config, w.trace,
                                      w.system.get(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -100,22 +100,22 @@ TEST_P(EngineStress, BitExactWithFullAccounting) {
     EXPECT_GT(batch->total, 0.0);
   }
 
-  // Accounting invariant: total routed reads (EMT + cache) never exceed
-  // the trace's lookups (caching only collapses), and every lookup is
-  // replicated across its group's column shards.
+  // Accounting invariant: total routed reads (MRAM rows + WRAM hits +
+  // cache) never exceed the trace's lookups (caching only collapses),
+  // and every lookup is replicated across its group's column shards.
   std::uint64_t trace_lookups = 0;
   for (const auto& table : w.trace.tables) {
     trace_lookups += table.num_lookups();
   }
   std::uint64_t routed = 0;
   for (std::uint32_t d = 0; d < w.system->num_dpus(); ++d) {
-    routed += w.system->dpu(d).stats().lookups +
-              w.system->dpu(d).stats().cache_reads;
+    const pim::DpuStats& st = w.system->dpu(d).stats();
+    routed += st.lookups + st.wram_hits + st.cache_reads;
   }
   const std::uint32_t col_shards = dim / (*engine)->nc();
   EXPECT_LE(routed, trace_lookups * col_shards);
   EXPECT_GT(routed, 0u);
-  if (method == partition::Method::kUniform && replicate == 0) {
+  if (method == partition::Method::kUniform) {
     EXPECT_EQ(routed, trace_lookups * col_shards);
   }
 }
@@ -123,9 +123,10 @@ TEST_P(EngineStress, BitExactWithFullAccounting) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineStress,
     ::testing::Values(
-        // method, tables, dpus, dim, replicate
+        // method, tables, dpus, dim, wram_cache_rows
         StressParam{partition::Method::kUniform, 2, 8, 8, 0},
         StressParam{partition::Method::kUniform, 4, 16, 16, 0},
+        StressParam{partition::Method::kUniform, 2, 8, 8, 32},
         StressParam{partition::Method::kNonUniform, 2, 16, 8, 0},
         StressParam{partition::Method::kNonUniform, 3, 24, 16, 64},
         StressParam{partition::Method::kCacheAware, 2, 8, 8, 0},
@@ -137,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
                  std::get<0>(info.param))) +
              "_t" + std::to_string(std::get<1>(info.param)) + "_d" +
              std::to_string(std::get<2>(info.param)) + "_dim" +
-             std::to_string(std::get<3>(info.param)) + "_r" +
+             std::to_string(std::get<3>(info.param)) + "_w" +
              std::to_string(std::get<4>(info.param));
     });
 

@@ -379,6 +379,34 @@ TEST(EngineTest, RunSamplesRejectsBadLists) {
   EXPECT_FALSE((*engine)->RunSamples(out_of_range, nullptr).ok());
 }
 
+TEST(EngineTest, RunSamplesRejectsMismatchedDenseInputs) {
+  // Dense inputs reach the CTR forward only in functional mode; a short
+  // or wrong-width set is the caller's error, not a process abort.
+  Fixture f = MakeFixture();
+  auto engine = UpDlrmEngine::Create(
+      f.model.get(), f.config, f.trace, f.system.get(),
+      SmallEngineOptions(partition::Method::kUniform, 4));
+  ASSERT_TRUE(engine.ok());
+  const std::vector<std::size_t> samples = {0, 40};
+
+  const dlrm::DenseInputs short_dense =
+      dlrm::DenseInputs::Generate(40, f.config.dense_features, 7);
+  auto too_few = (*engine)->RunSamples(samples, &short_dense);
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_EQ(too_few.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->RunBatch({32, 48}, &short_dense).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const dlrm::DenseInputs wide_dense =
+      dlrm::DenseInputs::Generate(96, f.config.dense_features + 1, 7);
+  auto wrong_dim = (*engine)->RunSamples(samples, &wide_dense);
+  ASSERT_FALSE(wrong_dim.ok());
+  EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
+
+  // The engine stays usable with matching inputs.
+  EXPECT_TRUE((*engine)->RunSamples(samples, &f.dense).ok());
+}
+
 TEST(EngineTest, RunSamplesRejectsBatchLargerThanOutputRegion) {
   // At Nc = 8 a partial sum is 32 bytes, so the 64 KiB stage-3 output
   // region holds 2048 samples. A larger batch is a capacity error the
@@ -409,76 +437,6 @@ TEST(EngineTest, RunSamplesRejectsBatchLargerThanOutputRegion) {
   auto full = (*engine)->RunSamples(samples, nullptr);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(full->max_output_bytes, output_bytes);
-}
-
-TEST(EngineTest, ReplicationKeepsPooledEmbeddingsBitExact) {
-  // Replicated rows come from the replica region of an adaptively
-  // chosen DPU — the functional result must not change.
-  Fixture f = MakeFixture();
-  EngineOptions options =
-      SmallEngineOptions(partition::Method::kCacheAware, 4);
-  options.replicate_hot_rows = 32;
-  auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
-                                     f.system.get(), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_TRUE((*engine)->groups()[0].plan.has_replication());
-  auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  std::vector<float> expected(2 * 8);
-  for (std::size_t s = 0; s < 16; ++s) {
-    f.model->PooledEmbeddingsFixed(f.trace, s, expected);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(batch->pooled[s * 16 + i], expected[i])
-          << "sample " << s << " lane " << i;
-    }
-  }
-}
-
-TEST(EngineTest, ReplicationReducesStage2OnSkewedTrace) {
-  Fixture f1 = MakeFixture(false);
-  Fixture f2 = MakeFixture(false);
-  EngineOptions plain =
-      SmallEngineOptions(partition::Method::kNonUniform, 4);
-  EngineOptions replicated = plain;
-  replicated.replicate_hot_rows = 64;
-  auto a = UpDlrmEngine::Create(nullptr, f1.config, f1.trace,
-                                f1.system.get(), plain);
-  auto b = UpDlrmEngine::Create(nullptr, f2.config, f2.trace,
-                                f2.system.get(), replicated);
-  ASSERT_TRUE(a.ok() && b.ok());
-  auto ra = (*a)->RunAll(nullptr);
-  auto rb = (*b)->RunAll(nullptr);
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_LE(rb->stages.dpu_lookup, ra->stages.dpu_lookup * 1.001);
-}
-
-TEST(EngineTest, ReplicationClampsToBinCapacityInsteadOfFailing) {
-  // Regression: replicate_hot_rows larger than the bins can hold used to
-  // abort Setup with CAPACITY_EXCEEDED (bench/abl_replication at high k).
-  // The engine now sheds replicas to the largest feasible count and
-  // warns; functional results stay bit-exact against the reference.
-  Fixture f = MakeFixture();
-  EngineOptions options =
-      SmallEngineOptions(partition::Method::kNonUniform, 4);
-  options.replicate_hot_rows = 1u << 20;  // far beyond 1 MiB MRAM bins
-  auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
-                                     f.system.get(), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  for (const auto& g : (*engine)->groups()) {
-    EXPECT_LT(g.plan.replicated_rows.size(), options.replicate_hot_rows);
-  }
-  auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_GT(batch->max_index_bytes, 0u);
-  EXPECT_GT(batch->max_output_bytes, 0u);
-  std::vector<float> expected(2 * 8);
-  for (std::size_t s = 0; s < 16; ++s) {
-    f.model->PooledEmbeddingsFixed(f.trace, s, expected);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(batch->pooled[s * 16 + i], expected[i])
-          << "sample " << s << " lane " << i;
-    }
-  }
 }
 
 TEST(EngineTest, PreminedCacheMatchesFreshMining) {
