@@ -96,69 +96,80 @@ void BM_NonUniformPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_NonUniformPartition);
 
-// The repo benchmark's GoodReads mining window (bench/suite
-// read-ca-poisson): the first 1,600 samples of one "read" table, mined
-// on one thread with the default 16,384-item hot set.
+// The repo benchmark's two GoodReads mining shapes, each one "read"
+// table mined on one thread: read-ca-poisson's window (the first 1,600
+// samples, the default 16,384-item hot set) and one read-ca-shard4
+// shard's table (all 12,800 samples, a 4,096-item hot set, nearly every
+// sample at the 96-hot cap).
 struct MineWindow {
   trace::TableTrace table;
   std::uint64_t num_items = 0;
+  std::size_t num_hot = 0;
   std::uint64_t pairs = 0;  // hot pairs one Mine call counts
 };
 
+MineWindow MakeGoodReadsWindow(std::size_t samples, std::size_t num_hot) {
+  auto spec = trace::FindDataset("read");
+  UPDLRM_CHECK(spec.ok());
+  trace::TraceGeneratorOptions options;
+  options.num_samples = samples;
+  options.num_tables = 1;
+  auto t = trace::TraceGenerator(*spec).Generate(options);
+  UPDLRM_CHECK(t.ok());
+  MineWindow w;
+  w.table = std::move(t->tables[0]);
+  w.num_items = spec->num_items;
+  w.num_hot = num_hot;
+  // Every sample counts the pairs of min(h, cap) of its hot items.
+  const trace::TableProfile profile =
+      trace::ProfileTable(w.table, w.num_items);
+  std::vector<bool> hot(w.num_items, false);
+  std::size_t hot_count = 0;
+  for (std::uint32_t id : profile.by_freq) {
+    if (hot_count >= num_hot || profile.freq[id] == 0) break;
+    hot[id] = true;
+    ++hot_count;
+  }
+  for (std::size_t s = 0; s < w.table.num_samples(); ++s) {
+    std::uint64_t h = 0;
+    for (std::uint32_t id : w.table.Sample(s)) h += hot[id];
+    h = std::min<std::uint64_t>(h, cache::kMaxHotPerSample);
+    if (h >= 2) w.pairs += h * (h - 1) / 2;
+  }
+  return w;
+}
+
 const MineWindow& GoodReadsMineWindow() {
-  static const MineWindow window = [] {
-    auto spec = trace::FindDataset("read");
-    UPDLRM_CHECK(spec.ok());
-    trace::TraceGeneratorOptions options;
-    options.num_samples = 1'600;
-    options.num_tables = 1;
-    auto t = trace::TraceGenerator(*spec).Generate(options);
-    UPDLRM_CHECK(t.ok());
-    MineWindow w;
-    w.table = std::move(t->tables[0]);
-    w.num_items = spec->num_items;
-    // Every sample counts the pairs of its first min(h, cap) hot items.
-    const trace::TableProfile profile =
-        trace::ProfileTable(w.table, w.num_items);
-    std::vector<bool> hot(w.num_items, false);
-    std::size_t num_hot = 0;
-    for (std::uint32_t id : profile.by_freq) {
-      if (num_hot >= cache::GraceOptions{}.num_hot_items ||
-          profile.freq[id] == 0) {
-        break;
-      }
-      hot[id] = true;
-      ++num_hot;
-    }
-    for (std::size_t s = 0; s < w.table.num_samples(); ++s) {
-      std::uint64_t h = 0;
-      for (std::uint32_t id : w.table.Sample(s)) h += hot[id];
-      h = std::min<std::uint64_t>(h, cache::kMaxHotPerSample);
-      if (h >= 2) w.pairs += h * (h - 1) / 2;
-    }
-    return w;
-  }();
+  static const MineWindow window =
+      MakeGoodReadsWindow(1'600, cache::GraceOptions{}.num_hot_items);
   return window;
 }
 
-cache::GraceOptions MineWindowOptions() {
-  cache::GraceOptions options;
-  options.num_threads = 1;
-  return options;
+const MineWindow& ShardMineWindow() {
+  static const MineWindow window = MakeGoodReadsWindow(12'800, 4'096);
+  return window;
 }
 
+void MineOnce(const MineWindow& w) {
+  cache::GraceOptions options;
+  options.num_hot_items = w.num_hot;
+  options.num_threads = 1;
+  auto res = cache::GraceMiner(options).Mine(w.table, w.num_items);
+  UPDLRM_CHECK_MSG(res.ok(), res.status().ToString());
+  benchmark::DoNotOptimize(res->lists.data());
+}
+
+// Arg 0: read-ca-poisson's window; arg 1: a read-ca-shard4 shard.
 void BM_GraceMining(benchmark::State& state) {
-  const MineWindow& w = GoodReadsMineWindow();
-  const cache::GraceMiner miner(MineWindowOptions());
-  for (auto _ : state) {
-    auto res = miner.Mine(w.table, w.num_items);
-    benchmark::DoNotOptimize(res.ok());
-  }
+  const MineWindow& w =
+      state.range(0) == 0 ? GoodReadsMineWindow() : ShardMineWindow();
+  for (auto _ : state) MineOnce(w);
   state.counters["pairs_per_s"] = benchmark::Counter(
       static_cast<double>(w.pairs) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
+  state.SetLabel(state.range(0) == 0 ? "window" : "shard");
 }
-BENCHMARK(BM_GraceMining)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GraceMining)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CacheAwarePartition(benchmark::State& state) {
   const auto& trace = SharedTrace();
@@ -318,12 +329,8 @@ void RunRankMerge() {
   benchmark::DoNotOptimize(acc.data());
 }
 
-void RunGoodReadsMine() {
-  const MineWindow& w = GoodReadsMineWindow();
-  auto res =
-      cache::GraceMiner(MineWindowOptions()).Mine(w.table, w.num_items);
-  UPDLRM_CHECK_MSG(res.ok(), res.status().ToString());
-}
+void RunGoodReadsMine() { MineOnce(GoodReadsMineWindow()); }
+void RunShardMine() { MineOnce(ShardMineWindow()); }
 
 }  // namespace
 
@@ -359,19 +366,21 @@ void WriteSimdThroughputRows() {
               simd::UsingAvx2() ? "avx2" : "scalar");
 }
 
-void WriteGraceMiningRow() {
-  const MineWindow& w = GoodReadsMineWindow();
-  const double mines_per_s = MeasureRunsPerSecond(RunGoodReadsMine);
+// One BENCH_host.json entry per mining shape.
+void WriteGraceMiningRow(const char* entry, const char* shape,
+                         const MineWindow& w, void (*run)()) {
+  const double mines_per_s = MeasureRunsPerSecond(run);
   const double pairs_per_s = static_cast<double>(w.pairs) * mines_per_s;
   telemetry::JsonWriter payload;
   payload.BeginObject().Field("samples", w.table.num_samples());
-  payload.Field("hot_items", cache::GraceOptions{}.num_hot_items);
+  payload.Field("hot_items", w.num_hot);
   payload.Field("pairs_per_mine", w.pairs).Field("mine_s", 1.0 / mines_per_s);
   payload.Field("pairs_per_s", pairs_per_s).EndObject();
-  bench::WriteBenchHostEntry("micro_grace_mining", payload.str());
-  std::printf("# grace mining (GoodReads, %zu samples): %.3f s per table, "
-              "%.1f M pairs/s -> BENCH_host.json\n",
-              w.table.num_samples(), 1.0 / mines_per_s, pairs_per_s / 1e6);
+  bench::WriteBenchHostEntry(entry, payload.str());
+  std::printf("# grace mining (GoodReads %s, %zu samples, %zu hot): %.3f s "
+              "per table, %.1f M pairs/s -> BENCH_host.json\n",
+              shape, w.table.num_samples(), w.num_hot, 1.0 / mines_per_s,
+              pairs_per_s / 1e6);
 }
 
 }  // namespace updlrm
@@ -382,6 +391,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   updlrm::WriteSimdThroughputRows();
-  updlrm::WriteGraceMiningRow();
+  updlrm::WriteGraceMiningRow("micro_grace_mining", "window",
+                              updlrm::GoodReadsMineWindow(),
+                              updlrm::RunGoodReadsMine);
+  updlrm::WriteGraceMiningRow("micro_grace_mining_shard", "shard",
+                              updlrm::ShardMineWindow(),
+                              updlrm::RunShardMine);
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -19,9 +20,13 @@ namespace {
 // rank_of entry of an item outside the hot set.
 constexpr std::uint32_t kNotHot = std::numeric_limits<std::uint32_t>::max();
 
-// Hot sets up to this size pack a rank pair into a u32 key (16 bits per
-// rank); larger ones use u64 keys (32 bits per rank).
-constexpr std::size_t kMaxHotForU32Keys = std::size_t{1} << 16;
+// Counter cells of one pair block: W = max(1, kBlockCells / H) rows of
+// the H x H pair triangle, so a dense block's u32 counters fit in 1 MiB.
+constexpr std::size_t kBlockCells = std::size_t{1} << 18;
+
+// A block counts densely when it holds at least one pair per this many
+// cells; sparser blocks sort their cell ids instead.
+constexpr std::uint64_t kDenseCellsPerPair = 32;
 
 // Samples are counted in parallel shards; a per-sample seed keeps the
 // (rare) hot-item subsampling independent of both shard boundaries and
@@ -37,11 +42,38 @@ std::size_t ReplayGrain(std::size_t num_samples) {
   return std::max<std::size_t>(64, num_samples / 256);
 }
 
-// Pairs a sample with `hot` hot items contributes: every 2-subset of
-// its hot items after the cap.
-std::uint64_t PairsOf(std::size_t hot) {
-  const std::uint64_t h = std::min(hot, kMaxHotPerSample);
-  return h < 2 ? 0 : h * (h - 1) / 2;
+// Hot set: the `num_hot` most frequent items with nonzero counts, ties
+// broken toward lower ids (exactly the prefix of
+// trace::ItemsByFrequency), in ascending id order. A frequency
+// histogram finds the threshold f*: every item above it is hot, and
+// the lowest-id items at f* fill the remaining slots.
+std::vector<std::uint32_t> HotIds(std::span<const std::uint64_t> freq,
+                                  std::uint64_t max_freq,
+                                  std::size_t num_hot) {
+  std::vector<std::uint64_t> items_at(max_freq + 1, 0);
+  for (std::uint64_t f : freq) ++items_at[f];
+  std::uint64_t threshold = 1;
+  std::uint64_t quota = max_freq >= 1 ? items_at[1] : 0;
+  std::uint64_t above = 0;
+  for (std::uint64_t f = max_freq; f >= 1; --f) {
+    if (above + items_at[f] >= num_hot) {
+      threshold = f;
+      quota = num_hot - above;
+      break;
+    }
+    above += items_at[f];
+  }
+  std::vector<std::uint32_t> hot_ids;
+  hot_ids.reserve(std::min<std::uint64_t>(num_hot, freq.size()));
+  for (std::size_t id = 0; id < freq.size(); ++id) {
+    if (freq[id] > threshold) {
+      hot_ids.push_back(static_cast<std::uint32_t>(id));
+    } else if (freq[id] == threshold && quota > 0) {
+      hot_ids.push_back(static_cast<std::uint32_t>(id));
+      --quota;
+    }
+  }
+  return hot_ids;
 }
 
 // Hot ranks of sample `s` in sample order, subsampled to the cap.
@@ -60,32 +92,142 @@ void HotRanks(std::span<const std::uint32_t> sample, std::size_t s,
   }
 }
 
-// One co-occurrence edge between hot ranks a <= b.
+// One co-occurrence edge between hot ranks a < b. A count is at most
+// the number of samples holding two hot items, below 2^32 because the
+// CSR's positions are.
 struct Edge {
-  std::uint64_t count;
-  std::uint32_t a, b;
+  std::uint32_t count, a, b;
 };
 
-// Counts every hot pair of every sample exactly. A rank pass sizes
-// each sample's run of pair keys (rank a in the high half of the key, b
-// in the low) and prefix-sums the runs into fixed offsets of one
-// buffer; the fill pass writes each run in place, so the buffer's bytes
-// do not depend on the thread count. The buffer is radix-sorted and
-// equal keys are run-length counted. Returns the edges with count >=
-// min_pair_count in ascending (a, b) order, or InvalidArgument when the
-// trace holds an id >= rank_of.size(), the item count (the rank pass
-// checks every id before anything indexes by it).
-template <typename Key>
+// The pairs of one CSR position: (ranks[first], ranks[q]) for every q
+// in (first, end), the rest of its sample.
+struct Run {
+  std::uint32_t first, end;
+};
+
+// One pair block: rows [first_row, first_row + rows) of the H x H pair
+// triangle and the runs whose first rank falls in them.
+struct PairBlock {
+  std::span<const Run> runs;
+  std::size_t first_row, rows;
+};
+
+// A pair-counting chunk's scratch, reused across its blocks.
+struct BlockScratch {
+  std::vector<std::uint32_t> counts;  // dense counters, zero between blocks
+  std::vector<Edge> row_edges;        // one dense row's candidates
+  std::vector<std::uint32_t> cells, sorted, offset;  // sparse cell sort
+};
+
+// Counts a dense block into a rows x H counter array, then scans each
+// row from a + 1 in ascending order, resetting what it reads. Runs of 8
+// zero counters are skipped; the others emit branch-free.
+void CountDenseBlock(const PairBlock& block,
+                     std::span<const std::uint32_t> ranks,
+                     std::size_t num_hot, std::uint64_t min_count,
+                     BlockScratch& scratch, std::vector<Edge>& out) {
+  if (scratch.counts.size() < block.rows * num_hot) {
+    scratch.counts.resize(block.rows * num_hot, 0);
+    scratch.row_edges.resize(num_hot);
+  }
+  for (const Run& run : block.runs) {
+    std::uint32_t* row =
+        scratch.counts.data() + (ranks[run.first] - block.first_row) * num_hot;
+    for (std::uint32_t q = run.first + 1; q < run.end; ++q) ++row[ranks[q]];
+  }
+  for (std::size_t r = 0; r < block.rows; ++r) {
+    const auto a = static_cast<std::uint32_t>(block.first_row + r);
+    std::uint32_t* row = scratch.counts.data() + r * num_hot;
+    Edge* next = scratch.row_edges.data();
+    const auto emit = [&](std::size_t b) {
+      const std::uint32_t count = row[b];
+      row[b] = 0;
+      *next = Edge{count, a, static_cast<std::uint32_t>(b)};
+      next += count >= min_count;
+    };
+    std::size_t b = a + 1;
+    for (; b + 8 <= num_hot; b += 8) {
+      std::uint32_t any = 0;
+      for (std::size_t k = 0; k < 8; ++k) any |= row[b + k];
+      if (any == 0) continue;
+      for (std::size_t k = 0; k < 8; ++k) emit(b + k);
+    }
+    for (; b < num_hot; ++b) emit(b);
+    out.insert(out.end(), scratch.row_edges.data(), next);
+  }
+}
+
+// Sorts a sparse block's cell ids, local_row * H + b, with two stable
+// counting passes: the low half of their bits, then the high half.
+void SortCells(std::size_t num_cells, BlockScratch& scratch) {
+  std::vector<std::uint32_t>& cells = scratch.cells;
+  std::vector<std::uint32_t>& sorted = scratch.sorted;
+  const unsigned low_bits = (std::bit_width(num_cells - 1) + 1) / 2;
+  const std::uint32_t low_mask = (std::uint32_t{1} << low_bits) - 1;
+  sorted.resize(cells.size());
+  const auto pass = [&](const std::vector<std::uint32_t>& from,
+                        std::vector<std::uint32_t>& to, auto digit) {
+    std::vector<std::uint32_t>& offset = scratch.offset;
+    offset.assign(std::size_t{low_mask} + 2, 0);
+    for (std::uint32_t c : from) ++offset[digit(c) + 1];
+    std::partial_sum(offset.begin(), offset.end(), offset.begin());
+    for (std::uint32_t c : from) to[offset[digit(c)]++] = c;
+  };
+  pass(cells, sorted, [&](std::uint32_t c) { return c & low_mask; });
+  pass(sorted, cells, [&](std::uint32_t c) { return c >> low_bits; });
+}
+
+// Counts a sparse block by sorting its cell ids and run-length counting
+// equal ones, in ascending (a, b) order.
+void CountSparseBlock(const PairBlock& block,
+                      std::span<const std::uint32_t> ranks,
+                      std::size_t num_hot, std::uint64_t min_count,
+                      BlockScratch& scratch, std::vector<Edge>& out) {
+  std::vector<std::uint32_t>& cells = scratch.cells;
+  cells.clear();
+  for (const Run& run : block.runs) {
+    const std::size_t row = (ranks[run.first] - block.first_row) * num_hot;
+    for (std::uint32_t q = run.first + 1; q < run.end; ++q) {
+      cells.push_back(static_cast<std::uint32_t>(row + ranks[q]));
+    }
+  }
+  SortCells(block.rows * num_hot, scratch);
+  for (std::size_t i = 0; i < cells.size();) {
+    std::size_t j = i + 1;
+    while (j < cells.size() && cells[j] == cells[i]) ++j;
+    if (j - i >= min_count) {
+      out.push_back(
+          {static_cast<std::uint32_t>(j - i),
+           static_cast<std::uint32_t>(block.first_row + cells[i] / num_hot),
+           static_cast<std::uint32_t>(cells[i] % num_hot)});
+    }
+    i = j;
+  }
+}
+
+// Counts every hot pair of every sample exactly. A rank pass sizes each
+// sample's capped hot run, and a fill pass writes its ranks, sorted, at
+// a fixed CSR offset (so the CSR's bytes do not depend on the thread
+// count). Each CSR position with a pair to its right is bucketed by the
+// block of its rank, W = max(1, kBlockCells / H) rows of the pair
+// triangle. Blocks are counted in parallel: a dense block increments a
+// W x H counter array and scans its rows in ascending order, a sparse
+// one sorts its block-local cell ids and run-length counts them. Either
+// way a block's edges come out in ascending (a, b) order, so the edges
+// concatenated in block order are ascending too. Returns the edges with
+// count >= max(1, min_pair_count), or InvalidArgument when the trace
+// holds an id >= rank_of.size(), the item count (the rank pass checks
+// every id before anything indexes by it).
 Result<std::vector<Edge>> CountEdges(const trace::TableTrace& table,
                                      std::span<const std::uint32_t> rank_of,
+                                     std::size_t num_hot,
                                      std::uint64_t min_pair_count,
                                      std::uint32_t num_threads) {
-  constexpr int kRankBits = sizeof(Key) * 4;
   const std::size_t num_samples = table.num_samples();
-  std::vector<Key> keys;
+  std::vector<std::uint64_t> run_offset(num_samples + 1, 0);
+  std::vector<std::uint32_t> ranks;
   {
     telemetry::TraceSpan span("grace.count", "cache");
-    std::vector<std::uint64_t> run_offset(num_samples + 1, 0);
     std::atomic<bool> id_out_of_range{false};
     ParallelFor(
         num_samples,
@@ -99,7 +241,7 @@ Result<std::vector<Edge>> CountEdges(const trace::TableTrace& table,
               }
               hot += rank_of[idx] != kNotHot;
             }
-            run_offset[s + 1] = PairsOf(hot);
+            run_offset[s + 1] = std::min(hot, kMaxHotPerSample);
           }
         },
         num_threads, ReplayGrain(num_samples));
@@ -110,47 +252,105 @@ Result<std::vector<Edge>> CountEdges(const trace::TableTrace& table,
     }
     std::partial_sum(run_offset.begin(), run_offset.end(),
                      run_offset.begin());
+    if (run_offset.back() > std::numeric_limits<std::uint32_t>::max()) {
+      return Status::InvalidArgument("trace holds more than 2^32 hot "
+                                     "accesses after the per-sample cap");
+    }
 
-    keys.resize(run_offset.back());
+    ranks.resize(run_offset.back());
     ParallelFor(
         num_samples,
         [&](std::size_t begin, std::size_t end) {
           std::vector<std::uint32_t> hot;
           for (std::size_t s = begin; s < end; ++s) {
             HotRanks(table.Sample(s), s, rank_of, hot);
-            Key* out = keys.data() + run_offset[s];
-            for (std::size_t i = 0; i < hot.size(); ++i) {
-              for (std::size_t j = i + 1; j < hot.size(); ++j) {
-                const Key lo = std::min(hot[i], hot[j]);
-                const Key hi = std::max(hot[i], hot[j]);
-                *out++ = static_cast<Key>(lo << kRankBits) | hi;
-              }
-            }
+            std::sort(hot.begin(), hot.end());
+            std::copy(hot.begin(), hot.end(), ranks.begin() + run_offset[s]);
           }
         },
         num_threads, ReplayGrain(num_samples));
   }
 
-  telemetry::TraceSpan span("grace.sort", "cache");
-  {
-    std::vector<Key> scratch;
-    if constexpr (sizeof(Key) == sizeof(std::uint32_t)) {
-      RadixSortU32(std::span<Key>(keys), scratch);
-    } else {
-      RadixSortU64(std::span<Key>(keys), scratch);
+  telemetry::TraceSpan span("grace.pairs", "cache");
+  const std::size_t rows_per_block =
+      std::max<std::size_t>(1, kBlockCells / std::max<std::size_t>(num_hot, 1));
+  const std::size_t num_blocks =
+      (num_hot + rows_per_block - 1) / rows_per_block;
+
+  // Bucket the runs by block (a counting sort), tallying block pairs.
+  std::vector<std::uint64_t> block_pairs(num_blocks, 0);
+  std::vector<std::uint32_t> block_first(num_blocks + 1, 0);
+  for (std::size_t s = 0; s < num_samples; ++s) {
+    for (std::uint64_t p = run_offset[s]; p + 1 < run_offset[s + 1]; ++p) {
+      const std::size_t block = ranks[p] / rows_per_block;
+      ++block_first[block + 1];
+      block_pairs[block] += run_offset[s + 1] - p - 1;
     }
   }
-  constexpr Key kRankMask = (Key{1} << kRankBits) - 1;
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < keys.size();) {
-    std::size_t j = i + 1;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    if (j - i >= min_pair_count) {
-      edges.push_back({j - i,
-                       static_cast<std::uint32_t>(keys[i] >> kRankBits),
-                       static_cast<std::uint32_t>(keys[i] & kRankMask)});
+  std::partial_sum(block_first.begin(), block_first.end(),
+                   block_first.begin());
+  std::vector<Run> runs(block_first.back());
+  {
+    std::vector<std::uint32_t> fill(block_first.begin(),
+                                    block_first.end() - 1);
+    for (std::size_t s = 0; s < num_samples; ++s) {
+      const auto end = static_cast<std::uint32_t>(run_offset[s + 1]);
+      for (auto p = static_cast<std::uint32_t>(run_offset[s]); p + 1 < end;
+           ++p) {
+        runs[fill[ranks[p] / rows_per_block]++] = Run{p, end};
+      }
     }
-    i = j;
+  }
+
+  // Blocks are cut into a few chunks of about equal pair count, each
+  // with one counter array and one edge vector for all its blocks.
+  const std::size_t workers =
+      num_threads != 0 ? num_threads : ThreadPool::Default().size();
+  const std::size_t num_chunks = std::min(num_blocks, 4 * workers);
+  std::vector<std::uint64_t> pairs_before(num_blocks + 1, 0);
+  std::partial_sum(block_pairs.begin(), block_pairs.end(),
+                   pairs_before.begin() + 1);
+  std::vector<std::size_t> chunk_first(num_chunks + 1, num_blocks);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    const std::uint64_t target = pairs_before.back() * c / num_chunks;
+    chunk_first[c] = static_cast<std::size_t>(
+        std::lower_bound(pairs_before.begin(), pairs_before.end() - 1,
+                         target) -
+        pairs_before.begin());
+  }
+
+  const std::uint64_t min_count = std::max<std::uint64_t>(1, min_pair_count);
+  std::vector<std::vector<Edge>> chunk_edges(num_chunks);
+  ParallelFor(
+      num_chunks,
+      [&](std::size_t chunk_begin, std::size_t chunk_end) {
+        BlockScratch scratch;
+        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+          for (std::size_t b = chunk_first[c]; b < chunk_first[c + 1]; ++b) {
+            const std::size_t first_row = b * rows_per_block;
+            const PairBlock block{
+                std::span<const Run>(runs.data() + block_first[b],
+                                     block_first[b + 1] - block_first[b]),
+                first_row, std::min(rows_per_block, num_hot - first_row)};
+            if (block_pairs[b] * kDenseCellsPerPair >= block.rows * num_hot) {
+              CountDenseBlock(block, ranks, num_hot, min_count, scratch,
+                              chunk_edges[c]);
+            } else {
+              CountSparseBlock(block, ranks, num_hot, min_count, scratch,
+                               chunk_edges[c]);
+            }
+          }
+        }
+      },
+      num_threads);
+
+  std::size_t num_edges = 0;
+  for (const auto& part : chunk_edges) num_edges += part.size();
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
+  for (auto& part : chunk_edges) {
+    edges.insert(edges.end(), part.begin(), part.end());
+    std::vector<Edge>().swap(part);
   }
   return edges;
 }
@@ -180,40 +380,37 @@ Result<CacheRes> GraceMiner::Mine(const trace::TableTrace& table,
   if (num_items == 0) {
     return Status::InvalidArgument("num_items must be > 0");
   }
-  if (profile != nullptr && (profile->freq.size() != num_items ||
-                             profile->by_freq.size() != num_items)) {
+  if (profile != nullptr && profile->freq.size() != num_items) {
     return Status::InvalidArgument(
         "profile does not match the table shape");
   }
 
-  trace::TableProfile own_profile;
+  std::vector<std::uint64_t> own_freq;
   if (profile == nullptr) {
-    auto profiled = trace::CheckedProfileTable(table, num_items);
-    if (!profiled.ok()) return profiled.status();
-    own_profile = std::move(profiled).value();
-    profile = &own_profile;
+    auto counted = trace::CheckedItemFrequencies(table, num_items);
+    if (!counted.ok()) return counted.status();
+    own_freq = std::move(counted).value();
   }
-  const std::span<const std::uint64_t> freq(profile->freq);
+  const std::span<const std::uint64_t> freq =
+      profile != nullptr ? std::span<const std::uint64_t>(profile->freq)
+                         : std::span<const std::uint64_t>(own_freq);
+  // A sample holds an id at most once, so no count of this trace
+  // exceeds its sample count (which also bounds HotIds' histogram).
+  const std::uint64_t max_freq =
+      freq.empty() ? 0 : *std::max_element(freq.begin(), freq.end());
+  if (max_freq > table.num_samples()) {
+    return Status::InvalidArgument(
+        "profile does not match the table shape");
+  }
 
-  // Hot set: the most frequent items with nonzero counts, ranked in
-  // ascending id order so rank order is id order.
-  std::vector<std::uint32_t> hot_ids;
-  for (std::uint32_t id : profile->by_freq) {
-    if (hot_ids.size() >= options_.num_hot_items || freq[id] == 0) break;
-    hot_ids.push_back(id);
-  }
-  std::sort(hot_ids.begin(), hot_ids.end());
+  // Ranked in ascending id order, so rank order is id order.
+  const std::vector<std::uint32_t> hot_ids =
+      HotIds(freq, max_freq, options_.num_hot_items);
   std::vector<std::uint32_t> rank_of(num_items, kNotHot);
   for (std::uint32_t r = 0; r < hot_ids.size(); ++r) rank_of[hot_ids[r]] = r;
 
-  auto edges_or =
-      hot_ids.size() <= kMaxHotForU32Keys
-          ? CountEdges<std::uint32_t>(table, rank_of,
-                                      options_.min_pair_count,
-                                      options_.num_threads)
-          : CountEdges<std::uint64_t>(table, rank_of,
-                                      options_.min_pair_count,
-                                      options_.num_threads);
+  auto edges_or = CountEdges(table, rank_of, hot_ids.size(),
+                             options_.min_pair_count, options_.num_threads);
   if (!edges_or.ok()) return edges_or.status();
   const std::vector<Edge>& edges = *edges_or;
 

@@ -39,10 +39,12 @@ struct GraceOptions {
   std::size_t max_lists = 8192;
   // Maximum items per list; capped at kMaxCacheListSize.
   std::size_t max_list_size = kMaxCacheListSize;
-  // Host threads for the pair-key fill and the scoring replay (0 =
-  // default pool, 1 = serial). Mined results are thread-count
-  // invariant: every sample writes its pair keys at a fixed offset,
-  // counts are exact integers, and ties break on item ids.
+  // Host threads for the hot-rank fill, the pair-block counting and
+  // the scoring replay (0 = default pool, 1 = serial). Mined results
+  // are thread-count invariant: every sample writes its hot ranks at a
+  // fixed offset, counts are exact integers, blocks emit their edges in
+  // rank order whichever thread counts them, and ties break on item
+  // ids.
   std::uint32_t num_threads = 0;
 
   Status Validate() const;
@@ -55,10 +57,12 @@ class GraceMiner {
   /// Mines cache lists from one table's trace. Lists are disjoint,
   /// benefit-scored on the same trace, and sorted by descending benefit;
   /// zero-benefit groups are dropped. `profile` optionally supplies the
-  /// table's precomputed freq/by_freq (trace::ProfileTable) so callers
-  /// that already profiled the trace skip the miner's own pass; null =
-  /// profile internally. Results are identical either way.
-  /// InvalidArgument when the trace holds an id >= num_items.
+  /// table's precomputed freq (trace::ProfileTable; by_freq is not
+  /// read) so callers that already profiled the trace skip the miner's
+  /// own counting pass; null = count internally. Results are identical
+  /// either way. InvalidArgument when the trace holds an id >=
+  /// num_items, or when `profile` cannot describe `table` (wrong size,
+  /// or a count above the sample count).
   Result<CacheRes> Mine(const trace::TableTrace& table,
                         std::uint64_t num_items,
                         const trace::TableProfile* profile = nullptr) const;

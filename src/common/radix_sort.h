@@ -1,14 +1,14 @@
-// Stable LSD radix sorts for the host runtime's index-sort hot spots.
+// Stable LSD radix sort for the host runtime's index-sort hot spots.
 //
 // The setup phase sorts large index arrays by numeric keys
 // (trace/generator.cc's rank shuffle, trace/profiler.cc's
-// frequency-descending item order) and the GRACE miner sorts its pair
-// keys (cache/grace.cc). All of them are stable sorts by a 64- or
-// 32-bit key, which an LSD radix sort reproduces *exactly*: radix by
-// ascending key with stable per-digit scatter yields the same
-// permutation as std::stable_sort with the corresponding comparator
-// (pinned by tests/common/simd_test.cc), while running in O(n) passes
-// instead of O(n log n) comparisons.
+// frequency-descending item order, cache/grace.cc's edge order). All
+// of them are stable sorts of ids by a 64-bit key, which an LSD radix
+// sort reproduces *exactly*: radix by ascending key with stable
+// per-digit scatter yields the same permutation as std::stable_sort
+// with the corresponding comparator (pinned by
+// tests/common/simd_test.cc), while running in O(n) passes instead of
+// O(n log n) comparisons.
 //
 // Key transforms (total orders mapped onto ascending u64):
 //   * non-negative doubles: the IEEE-754 bit pattern of d >= 0.0 is
@@ -45,37 +45,38 @@ namespace radix_internal {
 // from roughly this many elements (half the scatter passes of 8-bit).
 constexpr std::size_t kWideDigitThreshold = 1u << 16;
 
-// Scatter passes for a Key of kDigitBits-wide digits.
-template <typename Key, int kDigitBits>
-constexpr std::size_t kPassCount = sizeof(Key) * 8 / kDigitBits;
+// Scatter passes over a u64 key of kDigitBits-wide digits.
+template <int kDigitBits>
+constexpr std::size_t kPassCount = 64 / kDigitBits;
 
 // Digit histograms for every pass in one scan. uint32 counters cap the
 // sort at 2^32-1 elements — far above any table/trace here.
-template <int kDigitBits, typename Key>
-void Histograms(const Key* keys, std::size_t n, std::uint32_t* hist) {
-  constexpr std::size_t kPasses = kPassCount<Key, kDigitBits>;
+template <int kDigitBits>
+void Histograms(const std::uint64_t* keys, std::size_t n,
+                std::uint32_t* hist) {
+  constexpr std::size_t kPasses = kPassCount<kDigitBits>;
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  constexpr Key kMask = kBuckets - 1;
+  constexpr std::uint64_t kMask = kBuckets - 1;
   std::memset(hist, 0, kPasses * kBuckets * sizeof(std::uint32_t));
   for (std::size_t i = 0; i < n; ++i) {
-    const Key k = keys[i];
+    const std::uint64_t k = keys[i];
     for (std::size_t p = 0; p < kPasses; ++p) {
       ++hist[p * kBuckets + ((k >> (kDigitBits * p)) & kMask)];
     }
   }
 }
 
-// One stable counting-scatter pass per non-constant digit. Payload may
-// be null (bare value sort). Returns the buffer currently holding the
-// sorted data (keys or key_tmp; ids mirrors the same side).
-template <int kDigitBits, typename Key, typename Index>
-Key* Passes(Key* keys, Key* key_tmp, Index* ids, Index* id_tmp,
-            std::size_t n, std::uint32_t* hist, std::uint32_t* offset) {
-  constexpr std::size_t kPasses = kPassCount<Key, kDigitBits>;
+// One stable counting-scatter pass per non-constant digit, permuting
+// keys and ids together. Leaves the sorted ids in `ids`.
+template <int kDigitBits, typename Index>
+void Passes(std::uint64_t* keys, std::uint64_t* key_tmp, Index* ids,
+            Index* id_tmp, std::size_t n, std::uint32_t* hist,
+            std::uint32_t* offset) {
+  constexpr std::size_t kPasses = kPassCount<kDigitBits>;
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  constexpr Key kMask = kBuckets - 1;
-  Key* src_k = keys;
-  Key* dst_k = key_tmp;
+  constexpr std::uint64_t kMask = kBuckets - 1;
+  std::uint64_t* src_k = keys;
+  std::uint64_t* dst_k = key_tmp;
   Index* src_i = ids;
   Index* dst_i = id_tmp;
   for (std::size_t p = 0; p < kPasses; ++p) {
@@ -97,59 +98,36 @@ Key* Passes(Key* keys, Key* key_tmp, Index* ids, Index* id_tmp,
       sum += h[d];
     }
     const std::size_t shift = kDigitBits * p;
-    if (ids != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Key k = src_k[i];
-        const std::uint32_t slot = offset[(k >> shift) & kMask]++;
-        dst_k[slot] = k;
-        dst_i[slot] = src_i[i];
-      }
-      std::swap(src_i, dst_i);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Key k = src_k[i];
-        dst_k[offset[(k >> shift) & kMask]++] = k;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = src_k[i];
+      const std::uint32_t slot = offset[(k >> shift) & kMask]++;
+      dst_k[slot] = k;
+      dst_i[slot] = src_i[i];
     }
     std::swap(src_k, dst_k);
+    std::swap(src_i, dst_i);
   }
-  if (ids != nullptr && src_i != ids) {
-    std::memcpy(ids, src_i, n * sizeof(Index));
-  }
-  return src_k;
+  if (src_i != ids) std::memcpy(ids, src_i, n * sizeof(Index));
 }
 
-template <int kDigitBits, typename Key, typename Index>
-void SortImpl(Key* keys, Key* key_tmp, Index* ids, Index* id_tmp,
-              std::size_t n) {
-  constexpr std::size_t kPasses = kPassCount<Key, kDigitBits>;
+template <int kDigitBits, typename Index>
+void SortImpl(std::uint64_t* keys, std::uint64_t* key_tmp, Index* ids,
+              Index* id_tmp, std::size_t n) {
+  constexpr std::size_t kPasses = kPassCount<kDigitBits>;
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
   std::vector<std::uint32_t> hist(kPasses * kBuckets);
   std::vector<std::uint32_t> offset(kBuckets);
   Histograms<kDigitBits>(keys, n, hist.data());
-  Key* sorted = Passes<kDigitBits>(keys, key_tmp, ids, id_tmp, n,
-                                   hist.data(), offset.data());
-  if (sorted != keys) {
-    std::memcpy(keys, sorted, n * sizeof(Key));
-  }
-}
-
-template <typename Key, typename Index>
-void Dispatch(Key* keys, Key* key_tmp, Index* ids, Index* id_tmp,
-              std::size_t n) {
-  if (n >= kWideDigitThreshold) {
-    SortImpl<16>(keys, key_tmp, ids, id_tmp, n);
-  } else {
-    SortImpl<8>(keys, key_tmp, ids, id_tmp, n);
-  }
+  Passes<kDigitBits>(keys, key_tmp, ids, id_tmp, n, hist.data(),
+                     offset.data());
 }
 
 }  // namespace radix_internal
 
 /// Stably sorts `ids` so that keys[i] (the key belonging to ids[i] at
 /// call time) is ascending; equal keys keep their relative id order.
-/// `keys` is consumed (permuted alongside ids). Both spans must have
-/// the same size.
+/// `keys` is consumed (left permuted, not necessarily sorted). Both
+/// spans must have the same size.
 template <typename Index>
 void StableRadixSortIdsByKey(std::span<Index> ids,
                              std::span<std::uint64_t> keys) {
@@ -157,31 +135,13 @@ void StableRadixSortIdsByKey(std::span<Index> ids,
   if (n < 2) return;
   std::vector<std::uint64_t> key_tmp(n);
   std::vector<Index> id_tmp(n);
-  radix_internal::Dispatch(keys.data(), key_tmp.data(), ids.data(),
-                           id_tmp.data(), n);
-}
-
-/// Sorts `keys` ascending in place (values, no payload). `scratch` is
-/// resized as needed and reusable across calls — pass a persistent
-/// buffer to amortize.
-inline void RadixSortU64(std::span<std::uint64_t> keys,
-                         std::vector<std::uint64_t>& scratch) {
-  const std::size_t n = keys.size();
-  if (n < 2) return;
-  if (scratch.size() < n) scratch.resize(n);
-  radix_internal::Dispatch<std::uint64_t, std::uint32_t>(
-      keys.data(), scratch.data(), nullptr, nullptr, n);
-}
-
-/// RadixSortU64 for 32-bit keys: half the bytes per pass, and half the
-/// passes (2 with 16-bit digits, 4 with 8-bit).
-inline void RadixSortU32(std::span<std::uint32_t> keys,
-                         std::vector<std::uint32_t>& scratch) {
-  const std::size_t n = keys.size();
-  if (n < 2) return;
-  if (scratch.size() < n) scratch.resize(n);
-  radix_internal::Dispatch<std::uint32_t, std::uint32_t>(
-      keys.data(), scratch.data(), nullptr, nullptr, n);
+  if (n >= radix_internal::kWideDigitThreshold) {
+    radix_internal::SortImpl<16>(keys.data(), key_tmp.data(), ids.data(),
+                                 id_tmp.data(), n);
+  } else {
+    radix_internal::SortImpl<8>(keys.data(), key_tmp.data(), ids.data(),
+                                id_tmp.data(), n);
+  }
 }
 
 }  // namespace updlrm

@@ -9,30 +9,24 @@
 
 namespace updlrm::trace {
 
-namespace {
-
-// Adds `table`'s accesses into `freq` (sized num_items); false at the
-// first id >= num_items.
-bool CountItems(const TableTrace& table, std::vector<std::uint64_t>& freq) {
-  for (std::uint32_t idx : table.indices()) {
-    if (idx >= freq.size()) return false;
-    ++freq[idx];
-  }
-  return true;
-}
-
-Status OutOfRangeIds(std::uint64_t num_items) {
-  return Status::InvalidArgument("trace holds an item id >= num_items (" +
-                                 std::to_string(num_items) + ")");
-}
-
-}  // namespace
-
 std::vector<std::uint64_t> ItemFrequencies(const TableTrace& table,
                                            std::uint64_t num_items) {
+  auto freq = CheckedItemFrequencies(table, num_items);
+  UPDLRM_CHECK_MSG(freq.ok(), freq.status().ToString());
+  return std::move(freq).value();
+}
+
+Result<std::vector<std::uint64_t>> CheckedItemFrequencies(
+    const TableTrace& table, std::uint64_t num_items) {
   std::vector<std::uint64_t> freq(num_items, 0);
-  UPDLRM_CHECK_MSG(CountItems(table, freq),
-                   OutOfRangeIds(num_items).ToString());
+  for (std::uint32_t idx : table.indices()) {
+    if (idx >= num_items) {
+      return Status::InvalidArgument(
+          "trace holds an item id >= num_items (" +
+          std::to_string(num_items) + ")");
+    }
+    ++freq[idx];
+  }
   return freq;
 }
 
@@ -106,9 +100,10 @@ TableProfile ProfileTable(const TableTrace& table,
 
 Result<TableProfile> CheckedProfileTable(const TableTrace& table,
                                          std::uint64_t num_items) {
+  auto freq = CheckedItemFrequencies(table, num_items);
+  if (!freq.ok()) return freq.status();
   TableProfile profile;
-  profile.freq.assign(num_items, 0);
-  if (!CountItems(table, profile.freq)) return OutOfRangeIds(num_items);
+  profile.freq = std::move(freq).value();
   profile.by_freq = ItemsByFrequency(profile.freq);
   return profile;
 }

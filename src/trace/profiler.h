@@ -19,6 +19,11 @@ namespace updlrm::trace {
 std::vector<std::uint64_t> ItemFrequencies(const TableTrace& table,
                                            std::uint64_t num_items);
 
+/// ItemFrequencies for untrusted traces: InvalidArgument on an id >=
+/// num_items instead of aborting.
+Result<std::vector<std::uint64_t>> CheckedItemFrequencies(
+    const TableTrace& table, std::uint64_t num_items);
+
 /// Sum of per-item counts over contiguous row blocks — Fig. 5's
 /// "accesses per row block" histogram. Blocks are equal-sized (the last
 /// absorbs the remainder). Requires 1 <= num_blocks <= freq.size().

@@ -434,10 +434,11 @@ TEST(GraceOracleTest, MatchesReferenceWhenSamplesExceedTheHotCap) {
 }
 
 TEST(GraceOracleTest, MatchesReferenceWithU64Keys) {
-  // A hot set above 65,536 items forces 64-bit pair keys. Every sample
+  // A hot set above 65,536 items, whose ranks do not fit 16 bits: pair
+  // blocks are 3 rows wide and nearly all sparse. Every sample
   // sweeps 28 fresh ids across the 70,000-item range (so all of them
-  // are hot) plus 6 ids from a small high-id pool whose ranks need the
-  // key's upper bits, so those pairs repeat into edges.
+  // are hot) plus 6 ids from a small high-id pool whose ranks fill the
+  // last blocks, so those pairs repeat into edges.
   constexpr std::uint64_t kItems = 70'000;
   Rng rng(5);
   trace::TableTrace table;
@@ -466,6 +467,112 @@ TEST(GraceOracleTest, MatchesReferenceWithU64Keys) {
   for (std::uint64_t f : profile.freq) nonzero += f > 0;
   ASSERT_GT(nonzero, std::size_t{1} << 16);
   EXPECT_GT(ExpectMatchesReference(table, kItems, options), 0u);
+}
+
+// Pair blocks are W = max(1, 2^18 / H) rows of the H x H pair
+// triangle; a block counts densely when it holds a pair per 32 cells.
+// Each sample here holds `low` distinct ids from [0, low_range) and
+// `high` ids swept in order through [low_range, num_items). Pairs start
+// at the lower rank, so the blocks over the low ids are dense and, when
+// the sweep is sparse, the ones above them sort.
+trace::TableTrace LowHighTable(std::uint64_t seed, std::size_t samples,
+                               std::size_t low, std::uint32_t low_range,
+                               std::size_t high, std::uint32_t num_items) {
+  Rng rng(seed);
+  trace::TableTrace table;
+  std::vector<std::uint32_t> sample;
+  std::uint32_t next = low_range;
+  for (std::size_t s = 0; s < samples; ++s) {
+    sample.clear();
+    while (sample.size() < low) {
+      const auto id = static_cast<std::uint32_t>(rng.NextBounded(low_range));
+      if (std::find(sample.begin(), sample.end(), id) == sample.end()) {
+        sample.push_back(id);
+      }
+    }
+    for (std::size_t k = 0; k < high; ++k) {
+      sample.push_back(next);
+      next = next + 1 < num_items ? next + 1 : low_range;
+    }
+    std::sort(sample.begin(), sample.end());
+    table.AppendSample(sample);
+  }
+  return table;
+}
+
+TEST(GraceOracleTest, MatchesReferenceOnDenseBlocks) {
+  // read-ca-shard4's shape in miniature: a 2,048-item hot set (16 blocks
+  // of 128 rows) cut from 2,100 items, and samples of about 118 hot
+  // items, all over the 96 cap, so every block holds far more than one
+  // pair per 32 cells.
+  const auto table = LowHighTable(8, 400, 100, 1'800, 20, 2'100);
+  GraceOptions options;
+  options.num_hot_items = 2'048;
+  options.min_pair_count = 6;
+  EXPECT_GT(ExpectMatchesReference(table, 2'100, options), 0u);
+}
+
+TEST(GraceOracleTest, MatchesReferenceOnMixedDenseAndSparseBlocks) {
+  // 4,096 hot items (64 blocks of 64 rows) cut from 4,608: 60 ids per
+  // sample from the lowest 512 make their 8 blocks dense; 8 swept ids
+  // per sample leave the other 56 blocks sparse. The sweep's period of
+  // 512 samples repeats the same groups of 8, so their pairs become
+  // sparse-block edges.
+  const auto table = LowHighTable(9, 3'000, 60, 512, 8, 4'608);
+  GraceOptions options;
+  options.num_hot_items = 4'096;
+  options.min_pair_count = 2;
+  EXPECT_GT(ExpectMatchesReference(table, 4'608, options), 0u);
+}
+
+TEST(GraceOracleTest, MinPairCountZeroEmitsOnlyOccurringPairs) {
+  // Dense blocks hold many counters that stay zero; a zero count must
+  // never become an edge (the reference counts only pairs that occur).
+  const auto table = LowHighTable(10, 300, 40, 600, 6, 3'000);
+  GraceOptions options;
+  options.num_hot_items = 3'000;
+  options.min_pair_count = 0;
+  EXPECT_GT(ExpectMatchesReference(table, 3'000, options), 0u);
+}
+
+TEST(GraceOracleTest, HotSetTiesAtTheCutMatchWithAndWithoutProfile) {
+  // Ten hubs in every sample; 50 mid items (ids 10..59) each in every
+  // other sample by parity; 40 tail items each in every fourth sample.
+  // A 30-item hot set takes the hubs and 20 of the 50 tied mid items:
+  // the lowest ids, as in trace::ItemsByFrequency.
+  trace::TableTrace table;
+  std::vector<std::uint32_t> sample;
+  for (std::uint32_t s = 0; s < 200; ++s) {
+    sample.clear();
+    for (std::uint32_t id = 0; id < 100; ++id) {
+      const bool in = id < 10 || (id < 60 && (s + id) % 2 == 0) ||
+                      (id >= 60 && (s + id) % 4 == 0);
+      if (in) sample.push_back(id);
+    }
+    table.AppendSample(sample);
+  }
+  const trace::TableProfile profile = trace::ProfileTable(table, 100);
+  GraceOptions options;
+  options.num_hot_items = 30;
+  options.min_pair_count = 2;
+  ASSERT_EQ(profile.freq[profile.by_freq[29]],
+            profile.freq[profile.by_freq[30]]);
+  EXPECT_GT(ExpectMatchesReference(table, 100, options), 0u);
+  auto own = GraceMiner(options).Mine(table, 100);
+  auto supplied = GraceMiner(options).Mine(table, 100, &profile);
+  ASSERT_TRUE(own.ok());
+  ASSERT_TRUE(supplied.ok());
+  ExpectSameCacheRes(*own, *supplied);
+}
+
+TEST(GraceTest, RejectsAProfileThatCannotDescribeTheTrace) {
+  trace::TableTrace table;
+  table.AppendSample(std::vector<std::uint32_t>{1, 2});
+  trace::TableProfile profile = trace::ProfileTable(table, 4);
+  profile.freq[3] = 2;  // more than the trace's one sample
+  auto mined = GraceMiner().Mine(table, 4, &profile);
+  ASSERT_FALSE(mined.ok());
+  EXPECT_EQ(mined.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GraceOracleTest, MatchesReferenceAtEdgeThresholds) {
@@ -509,7 +616,7 @@ TEST(GraceTest, TracingIsBitNeutralAndEmitsPhaseSpans) {
   const std::vector<telemetry::TraceEvent> events =
       telemetry::Tracer::Get().Snapshot();
   for (const char* span :
-       {"grace.count", "grace.sort", "grace.group", "grace.score"}) {
+       {"grace.count", "grace.pairs", "grace.group", "grace.score"}) {
     EXPECT_TRUE(std::any_of(events.begin(), events.end(),
                             [&](const telemetry::TraceEvent& e) {
                               return e.name != nullptr &&

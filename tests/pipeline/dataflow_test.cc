@@ -52,7 +52,9 @@ TEST(EnumerateDataFlowsTest, CoversTheSpaceInDeterministicOrder) {
   EXPECT_EQ(names.size(), plans.size());
   // GPU-bottom plans always carry split 0.
   for (const auto& p : plans) {
-    if (p.bottom == Backend::kGpu) EXPECT_EQ(p.bottom_split, 0u);
+    if (p.bottom == Backend::kGpu) {
+      EXPECT_EQ(p.bottom_split, 0u);
+    }
   }
 }
 

@@ -34,11 +34,16 @@ TEST(ProfilerTest, CheckedProfileTableMatchesAndRejectsBadIds) {
   const TableProfile profile = ProfileTable(table, 4);
   EXPECT_EQ(checked->freq, profile.freq);
   EXPECT_EQ(checked->by_freq, profile.by_freq);
+  auto freq = CheckedItemFrequencies(table, 4);
+  ASSERT_TRUE(freq.ok());
+  EXPECT_EQ(*freq, profile.freq);
 
   table.AppendSample(std::vector<std::uint32_t>{4});
   auto bad = CheckedProfileTable(table, 4);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckedItemFrequencies(table, 4).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProfilerTest, RowBlockCountsEvenSplit) {

@@ -249,7 +249,9 @@ void ExpectAggregatePartsCompose(ShardedEngine& sharded,
     const AggregateParts& p = batch->aggregate_parts;
     EXPECT_GT(p.shard_reduce, 0.0);
     EXPECT_GT(p.merge_tree, 0.0);
-    if (expect_dram) EXPECT_GT(p.dram_gather, 0.0);
+    if (expect_dram) {
+      EXPECT_GT(p.dram_gather, 0.0);
+    }
     EXPECT_EQ(std::max(p.shard_reduce, p.dram_gather) + p.merge_tree,
               batch->stages.cpu_aggregate);
     ASSERT_EQ(batch->reduction.levels, levels);
