@@ -17,8 +17,10 @@
 // (fixed-order accumulation: bit-exact at any thread count too).
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "common/cli.h"
+#include "common/stats.h"
 #include "pipeline/runner.h"
 #include "pipeline/tuner.h"
 #include "serve/server.h"
@@ -135,18 +137,19 @@ int main(int argc, char** argv) {
               100.0 * result->utilization.HostCoreUtilization(),
               100.0 * result->utilization.DpuUtilization());
   std::printf("queue depth    max %zu\n\n", result->max_queue_depth);
+  const std::vector<Nanos>& latency = result->request_latency_ns;
   std::printf("latency  p50   %8.1f us\n",
-              NanosToMicros(result->latency.PercentileNs(50.0)));
+              NanosToMicros(NearestRank(latency, 50.0)));
   std::printf("         p95   %8.1f us\n",
-              NanosToMicros(result->latency.PercentileNs(95.0)));
+              NanosToMicros(NearestRank(latency, 95.0)));
   std::printf("         p99   %8.1f us\n",
-              NanosToMicros(result->latency.PercentileNs(99.0)));
+              NanosToMicros(NearestRank(latency, 99.0)));
   std::printf("         max   %8.1f us\n",
-              NanosToMicros(result->latency.max_ns()));
+              NanosToMicros(NearestRank(latency, 100.0)));
 
   // The scorecard a load balancer would consume, as JSON.
   const serve::SloReport report = result->MakeSloReport(
-      qps, /*slo_ns=*/3.0 * result->latency.PercentileNs(50.0));
+      qps, /*slo_ns=*/3.0 * NearestRank(latency, 50.0));
   telemetry::JsonWriter json;
   json.BeginObject();
   report.WriteFields(json);
@@ -213,8 +216,8 @@ int main(int argc, char** argv) {
               100.0 * e2e->utilization.HostMlpUtilization(),
               100.0 * e2e->utilization.DpuUtilization());
   std::printf("full-path latency  p50 %8.1f us   p99 %8.1f us\n",
-              NanosToMicros(e2e->latency.PercentileNs(50.0)),
-              NanosToMicros(e2e->latency.PercentileNs(99.0)));
+              NanosToMicros(NearestRank(e2e->request_latency_ns, 50.0)),
+              NanosToMicros(NearestRank(e2e->request_latency_ns, 99.0)));
   std::printf("\nfirst CTR predictions (request -> click probability):\n");
   const std::size_t show = std::min<std::size_t>(8, e2e->ctr.size());
   for (std::size_t i = 0; i < show; ++i) {

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/status.h"
-
 namespace updlrm {
 
 void OnlineStats::Add(double x) {
@@ -30,16 +28,16 @@ double OnlineStats::variance() const {
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentile(std::span<const double> values, double p) {
-  UPDLRM_CHECK(!values.empty());
-  UPDLRM_CHECK(p >= 0.0 && p <= 100.0);
+double NearestRank(std::span<const double> values, double p) {
+  if (values.empty()) return 0.0;
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const double n = static_cast<double>(sorted.size());
+  // The epsilon keeps decimal p exact: 99.9% of 1000 is rank 999, not
+  // the 1000 that 99.9 * 1000 / 100 = 999.0000000000001 would round to.
+  const auto rank = static_cast<std::size_t>(
+      std::max(1.0, std::ceil(p * n / 100.0 - 1e-9)));
+  return sorted[std::min(rank, sorted.size()) - 1];
 }
 
 double ImbalanceRatio(std::span<const double> loads) {

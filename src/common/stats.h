@@ -30,8 +30,10 @@ class OnlineStats {
   double sum_ = 0.0;
 };
 
-/// Linear-interpolated percentile; `p` in [0, 100]. Copies and sorts.
-double Percentile(std::span<const double> values, double p);
+/// Exact nearest-rank percentile of `values` (any order): the smallest
+/// value v such that at least p% of the values are <= v, p in (0, 100].
+/// Returns 0 for an empty input. Copies and sorts.
+double NearestRank(std::span<const double> values, double p);
 
 /// max / mean of a load vector; 1.0 == perfectly balanced. Returns 0 for
 /// empty or all-zero input.

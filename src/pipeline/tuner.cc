@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/stats.h"
 #include "pipeline/runner.h"
 
 namespace updlrm::pipeline {
@@ -111,7 +112,7 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
     auto run = RunDataFlowSimulation(engine, calibration, nullptr,
                                      serve_options);
     if (!run.ok()) return run.status();
-    outcome.measured_p99_ns = run->latency.PercentileNs(99.0);
+    outcome.measured_p99_ns = NearestRank(run->request_latency_ns, 99.0);
     outcome.calibrated = true;
   }
 

@@ -2,13 +2,13 @@
 //
 // Serving quality is a distribution, not a mean: SLOs bind the p99, and
 // capacity planning asks for the highest load whose tail still meets
-// it. This module provides the fixed-bucket latency histogram the
-// simulator fills per request, per-stage utilization, a queue-depth
-// time series, and the SLO report benches emit as JSON. Buckets are
-// fixed (log-spaced, 1 µs .. 10 s at 10 buckets/decade) so histograms
-// merge and compare across runs without renormalization, and every
-// statistic is a pure function of simulated inputs — bit-exact at any
-// host thread count.
+// it. This module provides per-stage utilization, a queue-depth time
+// series, and the SLO report benches emit as JSON. Every run keeps each
+// completed request's latency, so the report's percentiles are exact
+// nearest-rank ones over those samples (common/stats.h NearestRank, the
+// same definition the repo benchmark uses), and every statistic is a
+// pure function of simulated inputs — bit-exact at any host thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -19,46 +19,6 @@
 #include "telemetry/json.h"
 
 namespace updlrm::serve {
-
-/// Log-spaced fixed-bucket histogram over [1 µs, 10 s), with underflow
-/// and overflow buckets. Percentiles interpolate linearly inside a
-/// bucket (log-bucket resolution: <= ~26% relative error, the usual
-/// fixed-histogram trade) and clamp to the exactly-tracked min/max.
-class LatencyHistogram {
- public:
-  static constexpr int kBucketsPerDecade = 10;
-  static constexpr int kDecades = 7;
-  static constexpr double kMinNs = 1.0e3;  // 1 µs
-  /// underflow + kDecades * kBucketsPerDecade + overflow
-  static constexpr int kNumBuckets = 2 + kDecades * kBucketsPerDecade;
-
-  void Add(Nanos latency_ns);
-
-  std::uint64_t count() const { return count_; }
-  Nanos sum_ns() const { return sum_; }
-  Nanos min_ns() const { return count_ == 0 ? 0.0 : min_; }
-  Nanos max_ns() const { return count_ == 0 ? 0.0 : max_; }
-  Nanos MeanNs() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-
-  /// Interpolated percentile, p in [0, 100]. 0 with no samples.
-  Nanos PercentileNs(double p) const;
-
-  std::span<const std::uint64_t> buckets() const { return buckets_; }
-
-  /// [lower, upper) bounds of bucket i; the underflow bucket is
-  /// [0, kMinNs), the overflow bucket [10 s, +inf).
-  static Nanos BucketLowerNs(int i);
-  static Nanos BucketUpperNs(int i);
-
- private:
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  Nanos sum_ = 0.0;
-  Nanos min_ = 0.0;
-  Nanos max_ = 0.0;
-};
 
 /// Busy fractions of the pipeline resources over the run
 /// (serve/executor.h). The host is two lanes: the transfer lane moves
@@ -123,7 +83,6 @@ struct SloReport {
 /// What one serve run scored, shared by the embedding-only and the
 /// full-path simulations (both fill it in serve/loop.h).
 struct ServeScorecard {
-  LatencyHistogram latency;
   /// Completion latency per completed request, in batch-cut order.
   std::vector<Nanos> request_latency_ns;
   std::uint64_t offered = 0;
@@ -141,6 +100,8 @@ struct ServeScorecard {
   std::uint64_t requests_traced = 0;
   std::uint64_t requests_sampled_out = 0;
 
+  /// Exact p50/p95/p99 (NearestRank), mean and max over
+  /// request_latency_ns, judged against `slo_ns`.
   SloReport MakeSloReport(double offered_qps, Nanos slo_ns) const;
 };
 

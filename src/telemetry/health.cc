@@ -321,7 +321,7 @@ void FleetHealthWindow::WriteJson(JsonWriter& w) const {
     w.Key("slo").BeginObject().Field("completed", slo.completed);
     w.Field("over_slo", slo.over_slo).Field("fast_burn", slo.fast_burn);
     w.Field("slow_burn", slo.slow_burn);
-    w.Field("p99_ns", latency.Percentile(99.0));
+    w.Field("p99_ns", p99_ns);
     w.Field("alert", slo.alerting).EndObject();
   }
   if (has_health) {
@@ -345,8 +345,8 @@ void HealthSummary::WriteJson(JsonWriter& w) const {
   w.Field("max_fast_burn", max_fast_burn);
   w.Field("max_slow_burn", max_slow_burn);
   w.Field("straggler_windows", straggler_windows);
-  w.Field("max_unit_z", max_unit_z).Field("completed", latency.count());
-  w.Field("p99_ns", latency.Percentile(99.0)).EndObject().EndObject();
+  w.Field("max_unit_z", max_unit_z).Field("completed", completed);
+  w.Field("p99_ns", p99_ns).EndObject().EndObject();
 }
 
 void HealthSummary::ExportTo(MetricsRegistry& registry,

@@ -267,8 +267,8 @@ struct FleetHealthWindow {
   std::vector<DriftWindow> drift;  // ascending table id
   bool has_slo = false;
   BurnRateMonitor::WindowVerdict slo;
-  /// Per-window latency distribution behind the SLO counts.
-  ValueHistogram latency;
+  /// Exact p99 (NearestRank) of the window's completion latencies.
+  Nanos p99_ns = 0.0;
   bool has_health = false;
   StragglerScorer::WindowVerdict health;
 
@@ -291,8 +291,9 @@ struct HealthSummary {
   // Stragglers.
   std::uint64_t straggler_windows = 0;
   double max_unit_z = 0.0;
-  /// Merge of every window's latency histogram (ValueHistogram::Merge).
-  ValueHistogram latency;
+  /// Completions over every window, and their exact p99 (NearestRank).
+  std::uint64_t completed = 0;
+  Nanos p99_ns = 0.0;
 
   /// {"summary":{...}}: the JSONL stream's trailing record.
   void WriteJson(JsonWriter& w) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stats.h"
 #include "telemetry/json.h"
 #include "telemetry/tracer.h"
 
@@ -59,15 +60,16 @@ void FleetMonitor::OnAccess(std::uint32_t table, Nanos t_ns,
 // --- SLO stream -------------------------------------------------------
 
 void FleetMonitor::CloseSloWindow() {
-  if (slo_completed_ == 0) return;
+  const std::span<const Nanos> window =
+      std::span<const Nanos>(slo_latency_ns_).subspan(slo_window_begin_);
+  if (window.empty()) return;
   SloRecord record;
   record.window = static_cast<std::uint64_t>(slo_window_);
-  record.verdict = burn_.PushWindow(slo_completed_, slo_over_);
-  record.latency = slo_latency_;
-  slo_records_.push_back(std::move(record));
-  slo_completed_ = 0;
+  record.verdict = burn_.PushWindow(window.size(), slo_over_);
+  record.p99_ns = NearestRank(window, 99.0);
+  slo_records_.push_back(record);
   slo_over_ = 0;
-  slo_latency_ = ValueHistogram();
+  slo_window_begin_ = slo_latency_ns_.size();
 }
 
 void FleetMonitor::OnRequest(Nanos done_ns, Nanos latency_ns) {
@@ -85,9 +87,8 @@ void FleetMonitor::OnRequest(Nanos done_ns, Nanos latency_ns) {
     }
     slo_window_ = w;
   }
-  ++slo_completed_;
   slo_over_ += latency_ns > options_.slo.slo_ns ? 1 : 0;
-  slo_latency_.Observe(latency_ns);
+  slo_latency_ns_.push_back(latency_ns);
 }
 
 // --- unit stream ------------------------------------------------------
@@ -172,7 +173,7 @@ void FleetMonitor::Finalize() {
       if (r.window != w) continue;
       window.has_slo = true;
       window.slo = r.verdict;
-      window.latency = r.latency;
+      window.p99_ns = r.p99_ns;
     }
     for (const HealthRecord& r : health_records_) {
       if (r.window != w) continue;
@@ -201,7 +202,6 @@ void FleetMonitor::Finalize() {
           std::max(summary_.max_fast_burn, window.slo.fast_burn);
       summary_.max_slow_burn =
           std::max(summary_.max_slow_burn, window.slo.slow_burn);
-      summary_.latency.Merge(window.latency);
     }
     if (window.has_health) {
       summary_.straggler_windows += window.health.alerting ? 1 : 0;
@@ -213,6 +213,8 @@ void FleetMonitor::Finalize() {
     summary_.drift_tables_alerting += s.detector.alerting() ? 1 : 0;
   }
   summary_.slo_alerting = burn_.alerting();
+  summary_.completed = slo_latency_ns_.size();
+  summary_.p99_ns = NearestRank(slo_latency_ns_, 99.0);
   finalized_ = true;
 }
 

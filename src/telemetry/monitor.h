@@ -121,7 +121,7 @@ class FleetMonitor {
   struct SloRecord {
     std::uint64_t window = 0;
     BurnRateMonitor::WindowVerdict verdict;
-    ValueHistogram latency;
+    Nanos p99_ns = 0.0;
   };
   void CloseSloWindow();
 
@@ -138,9 +138,11 @@ class FleetMonitor {
 
   BurnRateMonitor burn_;
   std::int64_t slo_window_ = -1;
-  std::uint64_t slo_completed_ = 0;
-  std::uint64_t slo_over_ = 0;
-  ValueHistogram slo_latency_;
+  std::uint64_t slo_over_ = 0;  // open window
+  /// Every completion latency of the run, in feed order; the open
+  /// window's are the ones from slo_window_begin_ on.
+  std::vector<Nanos> slo_latency_ns_;
+  std::size_t slo_window_begin_ = 0;
   std::vector<SloRecord> slo_records_;
 
   std::unique_ptr<StragglerScorer> scorer_;

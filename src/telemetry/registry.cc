@@ -3,93 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "telemetry/json.h"
 
 namespace updlrm::telemetry {
-
-namespace {
-
-/// Bucket index for a value (0 = underflow, kNumBuckets-1 = overflow).
-int BucketIndex(double value) {
-  if (!(value >= ValueHistogram::kMinValue)) return 0;  // also NaN
-  const double pos = std::log10(value / ValueHistogram::kMinValue) *
-                     ValueHistogram::kBucketsPerDecade;
-  const int idx = 1 + static_cast<int>(pos);
-  if (idx >= ValueHistogram::kNumBuckets - 1) {
-    return ValueHistogram::kNumBuckets - 1;
-  }
-  return idx;
-}
-
-double BucketLower(int i) {
-  if (i <= 0) return 0.0;
-  return ValueHistogram::kMinValue *
-         std::pow(10.0, static_cast<double>(i - 1) /
-                            ValueHistogram::kBucketsPerDecade);
-}
-
-double BucketUpper(int i) {
-  if (i >= ValueHistogram::kNumBuckets - 1) {
-    return BucketLower(ValueHistogram::kNumBuckets - 1) * 10.0;
-  }
-  return BucketLower(i + 1);
-}
-
-}  // namespace
-
-void ValueHistogram::Observe(double value) {
-  if (std::isnan(value)) return;  // undefined sample; keep stats sane
-  if (value < 0.0) value = 0.0;
-  ++buckets_[BucketIndex(value)];
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    if (value < min_) min_ = value;
-    if (value > max_) max_ = value;
-  }
-  ++count_;
-  sum_ += value;
-}
-
-void ValueHistogram::Merge(const ValueHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double ValueHistogram::Percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  if (p <= 0.0) return min_;
-  if (p >= 100.0) return max_;
-  const double rank = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    const std::uint64_t next = seen + buckets_[i];
-    if (static_cast<double>(next) >= rank) {
-      const double lower = BucketLower(i);
-      const double upper = BucketUpper(i);
-      const double frac =
-          (rank - static_cast<double>(seen)) /
-          static_cast<double>(buckets_[i]);
-      double v = lower + frac * (upper - lower);
-      if (v < min_) v = min_;
-      if (v > max_) v = max_;
-      return v;
-    }
-    seen = next;
-  }
-  return max_;
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry registry;
@@ -115,7 +33,8 @@ void MetricsRegistry::Observe(const std::string& name, double value) {
   MutexLock lock(mu_);
   UPDLRM_CHECK_MSG(counters_.count(name) == 0 && gauges_.count(name) == 0,
                    "metric name reused across kinds: " + name);
-  histograms_[name].Observe(value);
+  std::vector<double>& samples = histograms_[name];
+  if (!std::isnan(value)) samples.push_back(value);
 }
 
 double MetricsRegistry::CounterValue(const std::string& name) const {
@@ -130,11 +49,11 @@ double MetricsRegistry::GaugeValue(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-ValueHistogram MetricsRegistry::HistogramValue(
+std::vector<double> MetricsRegistry::HistogramValue(
     const std::string& name) const {
   MutexLock lock(mu_);
   auto it = histograms_.find(name);
-  return it == histograms_.end() ? ValueHistogram{} : it->second;
+  return it == histograms_.end() ? std::vector<double>{} : it->second;
 }
 
 bool MetricsRegistry::Has(const std::string& name) const {
@@ -152,10 +71,15 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, value] : gauges_) w.Field(name, value);
   w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    w.Key(name).BeginObject().Field("count", h.count());
-    w.Field("mean", h.Mean()).Field("p50", h.Percentile(50.0));
-    w.Field("p95", h.Percentile(95.0)).Field("p99", h.Percentile(99.0));
-    w.Field("min", h.min()).Field("max", h.max()).EndObject();
+    double sum = 0.0;
+    for (const double v : h) sum += v;
+    const auto [min, max] = std::minmax_element(h.begin(), h.end());
+    w.Key(name).BeginObject().Field("count", h.size());
+    w.Field("mean", h.empty() ? 0.0 : sum / static_cast<double>(h.size()));
+    w.Field("p50", NearestRank(h, 50.0)).Field("p95", NearestRank(h, 95.0));
+    w.Field("p99", NearestRank(h, 99.0));
+    w.Field("min", h.empty() ? 0.0 : *min);
+    w.Field("max", h.empty() ? 0.0 : *max).EndObject();
   }
   w.EndObject().EndObject();
   return w.str();

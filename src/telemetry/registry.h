@@ -17,55 +17,13 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 namespace updlrm::telemetry {
-
-/// Log-spaced fixed-bucket histogram for nonnegative values (latencies
-/// in ns, cycle counts, batch sizes). Same log-bucket trade as
-/// serve::LatencyHistogram — <= ~26% relative error inside a bucket,
-/// exact min/max/sum — but over a wider range ([1, 1e12), plus
-/// underflow/overflow) since it holds more than latencies.
-class ValueHistogram {
- public:
-  static constexpr int kBucketsPerDecade = 10;
-  static constexpr int kDecades = 12;
-  static constexpr double kMinValue = 1.0;
-  /// underflow + kDecades * kBucketsPerDecade + overflow
-  static constexpr int kNumBuckets = 2 + kDecades * kBucketsPerDecade;
-
-  void Observe(double value);
-
-  /// Folds `other` in, bucket-wise: equivalent to observing every one
-  /// of its samples (exact count/sum/min/max; identical buckets since
-  /// the bucket grid is fixed). Merging an empty histogram is a no-op;
-  /// merging into an empty one copies.
-  void Merge(const ValueHistogram& other);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double Mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-
-  /// Interpolated percentile, p in [0, 100]. 0 with no samples.
-  double Percentile(double p) const;
-
-  std::span<const std::uint64_t> buckets() const { return buckets_; }
-
- private:
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Thread-safe named metrics store. Names are dotted paths
 /// ("<subsystem>.<metric>"); each name belongs to exactly one kind —
@@ -84,19 +42,23 @@ class MetricsRegistry {
   void Increment(const std::string& name, double delta = 1.0);
   /// Sets a gauge to its latest value.
   void SetGauge(const std::string& name, double value);
-  /// Records one sample into a histogram (creating it empty).
+  /// Records one sample into a histogram (creating it empty). A
+  /// histogram keeps every sample; NaN samples are dropped.
   void Observe(const std::string& name, double value);
 
   /// Reads (0.0 / empty when the metric does not exist).
   double CounterValue(const std::string& name) const;
   double GaugeValue(const std::string& name) const;
-  ValueHistogram HistogramValue(const std::string& name) const;
+  /// A histogram's samples in observation order.
+  std::vector<double> HistogramValue(const std::string& name) const;
   bool Has(const std::string& name) const;
 
   /// One JSON object, single line, stable key order:
   ///   {"counters":{...},"gauges":{...},
   ///    "histograms":{"x":{"count":..,"mean":..,"p50":..,"p95":..,
   ///                       "p99":..,"min":..,"max":..}}}
+  /// Histogram statistics are exact: percentiles are NearestRank over
+  /// the kept samples.
   std::string ToJson() const;
 
   /// Drops every metric (benches call this between measured sections).
@@ -106,7 +68,7 @@ class MetricsRegistry {
   mutable Mutex mu_;
   std::map<std::string, double> counters_ GUARDED_BY(mu_);
   std::map<std::string, double> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, ValueHistogram> histograms_ GUARDED_BY(mu_);
+  std::map<std::string, std::vector<double>> histograms_ GUARDED_BY(mu_);
 };
 
 }  // namespace updlrm::telemetry

@@ -152,20 +152,17 @@ Status UpDlrmEngine::Setup() {
     Nanos best_cost = 0.0;
     for (std::uint32_t nc : partition::DefaultNcCandidates()) {
       auto alloc = allocate_at(nc);
-      if (!alloc.ok()) continue;
+      if (!alloc.ok() ||
+          !system_->kernel_cost().ValidateWramFit(nc * 4).ok()) {
+        continue;
+      }
       bool feasible = true;
-      const std::uint32_t col_shards = config_.embedding_dim / nc;
       for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
-        if (!partition::GroupGeometry::Make(shapes[t],
-                                            (*alloc)[t], nc)
-                 .ok() ||
-            !system_->kernel_cost()
-                 .ValidateWramFit(nc * 4)
+        if (!partition::GroupGeometry::Make(shapes[t], (*alloc)[t], nc)
                  .ok()) {
           feasible = false;
           break;
         }
-        (void)col_shards;
       }
       if (!feasible) continue;
       const Nanos cost = EstimateBatchCost(nc, *alloc);

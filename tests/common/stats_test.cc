@@ -36,16 +36,39 @@ TEST(OnlineStatsTest, SingleValue) {
   EXPECT_DOUBLE_EQ(s.max(), -3.5);
 }
 
-TEST(PercentileTest, InterpolatesLinearly) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 2.5);
+TEST(NearestRankTest, EmptyIsZeroAndSingleValueIsEveryPercentile) {
+  EXPECT_EQ(NearestRank(std::vector<double>{}, 99.0), 0.0);
+  for (const double p : {0.1, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(NearestRank(std::vector<double>{7.0}, p), 7.0) << p;
+  }
 }
 
-TEST(PercentileTest, UnsortedInputHandled) {
+TEST(NearestRankTest, SmallestValueCoveringTheRank) {
+  const std::vector<double> v = {10.0, 20.0, 30.0, 40.0, 50.0};
+  EXPECT_EQ(NearestRank(v, 1.0), 10.0);   // small p is the min
+  EXPECT_EQ(NearestRank(v, 20.0), 10.0);  // rank ceil(1.0) = 1
+  EXPECT_EQ(NearestRank(v, 21.0), 20.0);  // rank ceil(1.05) = 2
+  EXPECT_EQ(NearestRank(v, 50.0), 30.0);
+  EXPECT_EQ(NearestRank(v, 99.0), 50.0);
+  EXPECT_EQ(NearestRank(v, 100.0), 50.0);  // p = 100 is the max
+}
+
+TEST(NearestRankTest, TiesAndDecimalRanksAreExact) {
+  const std::vector<double> tied = {5.0, 1.0, 5.0, 5.0};
+  EXPECT_EQ(NearestRank(tied, 25.0), 1.0);
+  EXPECT_EQ(NearestRank(tied, 26.0), 5.0);
+  EXPECT_EQ(NearestRank(tied, 100.0), 5.0);
+  std::vector<double> v;
+  for (int i = 1000; i >= 1; --i) v.push_back(static_cast<double>(i));
+  EXPECT_EQ(NearestRank(v, 99.0), 990.0);
+  EXPECT_EQ(NearestRank(v, 99.9), 999.0);  // not 1000
+}
+
+TEST(NearestRankTest, UnsortedInputHandled) {
   const std::vector<double> v = {9.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 5.0);
+  EXPECT_EQ(NearestRank(v, 50.0), 5.0);
+  EXPECT_EQ(NearestRank(v, 34.0), 5.0);
+  EXPECT_EQ(NearestRank(v, 33.0), 1.0);
 }
 
 TEST(ImbalanceTest, BalancedIsOne) {

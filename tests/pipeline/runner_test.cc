@@ -121,7 +121,7 @@ TEST(RunnerTest, ServesEveryRequestWithFullPathLatencies) {
   EXPECT_GT(result->utilization.host_core_busy_ns,
             result->utilization.host_mlp_busy_ns);
   EXPECT_DOUBLE_EQ(result->utilization.gpu_busy_ns, 0.0);
-  EXPECT_EQ(result->latency.count(), result->completed);
+  EXPECT_EQ(result->request_latency_ns.size(), result->completed);
 }
 
 TEST(RunnerTest, CtrMatchesTheReferenceModelExactly) {

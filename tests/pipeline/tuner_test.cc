@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats.h"
 #include "pipeline/runner.h"
 #include "trace/generator.h"
 
@@ -160,7 +161,38 @@ TEST(TunerTest, FullCalibrationDominatesEveryStaticPlan) {
   auto replay = RunDataFlowSimulation(*f.engine, requests, nullptr,
                                       serve_options);
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->latency.PercentileNs(99.0), tuned->best_p99_ns);
+  EXPECT_EQ(NearestRank(replay->request_latency_ns, 99.0),
+            tuned->best_p99_ns);
+}
+
+// Plans whose dense stages never reach the tail can score exactly the
+// same exact p99; the documented tie-break then decides: the lower
+// prediction, then the lower enumeration index.
+TEST(TunerTest, EqualMeasuredP99FallsToPredictionThenEnumeration) {
+  Fixture f = MakeFixture();
+  const auto requests = Arrivals(f.trace, 1.0e6);
+  TunerOptions options = SmallSearch();
+  options.calibrate_top_n = 0;  // calibrate everything
+  DataFlowTuner tuner(options);
+  auto tuned = tuner.Tune(*f.engine, requests, Batcher());
+  ASSERT_TRUE(tuned.ok());
+  const std::vector<CandidateOutcome>& c = tuned->candidates;
+  std::size_t best = c.size();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (c[i].plan == tuned->best) best = i;
+  }
+  ASSERT_LT(best, c.size());
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (i == best || c[i].measured_p99_ns != c[best].measured_p99_ns) {
+      continue;
+    }
+    ++ties;
+    EXPECT_TRUE(c[best].predicted_ns < c[i].predicted_ns ||
+                (c[best].predicted_ns == c[i].predicted_ns && best < i))
+        << Name(c[i].plan) << " ties " << Name(tuned->best);
+  }
+  EXPECT_GT(ties, 0u) << "the fixture must exercise an exact tie";
 }
 
 TEST(TunerTest, RespectsGpuAvailability) {

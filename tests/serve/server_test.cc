@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats.h"
 #include "trace/generator.h"
 
 namespace updlrm::serve {
@@ -144,11 +145,7 @@ TEST(ServerTest, HighLoadFillsBatchesAndPipelines) {
   for (const auto& b : result->schedule) serial += b.stages.EmbeddingTotal();
   EXPECT_LE(result->makespan_ns,
             requests.back().arrival_ns + serial + 1.0);
-  // The latency histogram agrees with the raw per-request record.
-  EXPECT_EQ(result->latency.count(), result->completed);
-  EXPECT_DOUBLE_EQ(result->latency.max_ns(),
-                   *std::max_element(result->request_latency_ns.begin(),
-                                     result->request_latency_ns.end()));
+  EXPECT_EQ(result->request_latency_ns.size(), result->completed);
 }
 
 TEST(ServerTest, BoundedQueueShedsUnderOverload) {
@@ -171,7 +168,7 @@ TEST(ServerTest, BoundedQueueShedsUnderOverload) {
   for (const auto& b : result->schedule) {
     worst_batch = std::max(worst_batch, b.stages.EmbeddingTotal());
   }
-  EXPECT_LE(result->latency.max_ns(),
+  EXPECT_LE(NearestRank(result->request_latency_ns, 100.0),
             options.batcher.max_queue_delay_ns + 3.0 * worst_batch);
 }
 
@@ -204,6 +201,8 @@ TEST(ServerTest, RecordsQueueDepthTimeSeries) {
   EXPECT_EQ(result->schedule.size(), result->num_batches);
 }
 
+// The report's statistics are exact over the kept per-request
+// latencies: nearest-rank percentiles, the in-order mean, the max.
 TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
   Fixture f = MakeFixture();
   const auto requests = Arrivals(f.trace, 1.0e6);
@@ -211,14 +210,24 @@ TEST(ServerTest, MakeSloReportJudgesTailAgainstSlo) {
   options.batcher.max_batch_size = 16;
   auto result = RunServeSimulation(*f.engine, requests, options);
   ASSERT_TRUE(result.ok());
+  const std::vector<Nanos>& latency = result->request_latency_ns;
+  ASSERT_FALSE(latency.empty());
   const SloReport strict =
-      result->MakeSloReport(1.0e6, result->latency.PercentileNs(50.0));
+      result->MakeSloReport(1.0e6, NearestRank(latency, 50.0));
   const SloReport loose =
-      result->MakeSloReport(1.0e6, result->latency.max_ns() + 1.0);
+      result->MakeSloReport(1.0e6, NearestRank(latency, 100.0) + 1.0);
   EXPECT_FALSE(strict.slo_met);  // p99 above the median SLO
   EXPECT_TRUE(loose.slo_met);
   EXPECT_GT(loose.achieved_qps, 0.0);
   EXPECT_EQ(loose.completed, result->completed);
+  EXPECT_EQ(loose.p50_ns, NearestRank(latency, 50.0));
+  EXPECT_EQ(loose.p95_ns, NearestRank(latency, 95.0));
+  EXPECT_EQ(loose.p99_ns, NearestRank(latency, 99.0));
+  Nanos sum = 0.0;
+  for (const Nanos l : latency) sum += l;
+  EXPECT_EQ(loose.mean_ns, sum / static_cast<double>(latency.size()));
+  EXPECT_EQ(loose.max_ns,
+            *std::max_element(latency.begin(), latency.end()));
 }
 
 // Options the batcher or the buffer window cannot run are rejected

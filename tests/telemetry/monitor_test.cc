@@ -316,9 +316,11 @@ TEST(FleetMonitorTest, SloStreamMergesAndIdleWindowsAgeTheBurn) {
   EXPECT_EQ(monitor.windows()[0].slo.over_slo, 1u);
   EXPECT_EQ(monitor.windows()[1].index, 2u);
   EXPECT_EQ(monitor.windows()[1].slo.over_slo, 0u);
-  // Summary latency = merge of the per-window histograms.
-  EXPECT_EQ(monitor.summary().latency.count(), 3u);
-  EXPECT_DOUBLE_EQ(monitor.summary().latency.max(), 500.0);
+  // Exact p99s: per window over its completions, and over all of them.
+  EXPECT_EQ(monitor.windows()[0].p99_ns, 500.0);
+  EXPECT_EQ(monitor.windows()[1].p99_ns, 10.0);
+  EXPECT_EQ(monitor.summary().completed, 3u);
+  EXPECT_EQ(monitor.summary().p99_ns, 500.0);
 }
 
 TEST(FleetMonitorTest, UnitSamplesDifferenceIntoWindowDeltas) {

@@ -1,5 +1,5 @@
 // The unified metrics registry: counter/gauge/histogram semantics,
-// percentile interpolation bounds, deterministic JSON snapshots and
+// exact histogram statistics, deterministic JSON snapshots and
 // the one-kind-per-name contract.
 #include "telemetry/registry.h"
 
@@ -7,158 +7,10 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace updlrm::telemetry {
 namespace {
-
-TEST(ValueHistogramTest, TracksCountSumMinMax) {
-  ValueHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-  h.Observe(100.0);
-  h.Observe(5.0);
-  h.Observe(1e9);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 100.0 + 5.0 + 1e9);
-  EXPECT_DOUBLE_EQ(h.min(), 5.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1e9);
-  EXPECT_DOUBLE_EQ(h.Mean(), h.sum() / 3.0);
-}
-
-TEST(ValueHistogramTest, PercentilesClampToExactExtremes) {
-  ValueHistogram h;
-  for (int i = 1; i <= 100; ++i) h.Observe(static_cast<double>(i) * 10.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 10.0);     // exact min
-  EXPECT_DOUBLE_EQ(h.Percentile(100.0), 1000.0);  // exact max
-  // Log-spaced buckets bound the interior error to ~26% relative.
-  const double p50 = h.Percentile(50.0);
-  EXPECT_GT(p50, 500.0 * 0.7);
-  EXPECT_LT(p50, 500.0 * 1.3);
-  const double p99 = h.Percentile(99.0);
-  EXPECT_GT(p99, 990.0 * 0.7);
-  EXPECT_LE(p99, 1000.0);
-}
-
-TEST(ValueHistogramTest, BucketEdgesLandWhereTheGridSaysTheyDo) {
-  // Exact edge values: 0 is the underflow bucket, kMinValue opens the
-  // first real bucket, each decade boundary 10^d opens bucket
-  // 1 + d * kBucketsPerDecade, and the range's top (1e12) spills into
-  // the overflow bucket — [1, 1e12) with 12 decades has no 121st
-  // in-range bucket.
-  ValueHistogram h;
-  h.Observe(0.0);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  h.Observe(ValueHistogram::kMinValue);
-  EXPECT_EQ(h.buckets()[1], 1u);
-  for (int d = 1; d < ValueHistogram::kDecades; ++d) {
-    ValueHistogram decade;
-    decade.Observe(std::pow(10.0, d));
-    EXPECT_EQ(decade.buckets()[1 + d * ValueHistogram::kBucketsPerDecade],
-              1u)
-        << "decade boundary 1e" << d;
-  }
-  ValueHistogram top;
-  top.Observe(1e12);
-  EXPECT_EQ(top.buckets()[ValueHistogram::kNumBuckets - 1], 1u);
-  // Just inside the range stays in the last real bucket.
-  ValueHistogram inside;
-  inside.Observe(1e12 * (1.0 - 1e-9));
-  EXPECT_EQ(inside.buckets()[ValueHistogram::kNumBuckets - 2], 1u);
-}
-
-TEST(ValueHistogramTest, SingleSampleIsExactAtEveryPercentile) {
-  // Bucket interpolation can never widen a single observation: the
-  // min/max clamp pins every percentile to the sample itself.
-  for (const double v : {0.0, 1.0, 3.7, 1e6, 5e13}) {
-    ValueHistogram h;
-    h.Observe(v);
-    for (const double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
-      EXPECT_DOUBLE_EQ(h.Percentile(p), v) << "p" << p << " of " << v;
-    }
-  }
-}
-
-TEST(ValueHistogramTest, PercentileIsMonotoneInP) {
-  ValueHistogram h;
-  for (int i = 0; i < 1000; ++i) {
-    h.Observe(static_cast<double>((i * 7919) % 100000));
-  }
-  double prev = h.Percentile(0.0);
-  for (double p = 5.0; p <= 100.0; p += 5.0) {
-    const double v = h.Percentile(p);
-    EXPECT_GE(v, prev) << "p" << p;
-    prev = v;
-  }
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), h.min());
-  EXPECT_DOUBLE_EQ(h.Percentile(100.0), h.max());  // exact p100 pin
-}
-
-TEST(ValueHistogramTest, MergeMatchesObservingTheUnion) {
-  ValueHistogram a;
-  ValueHistogram b;
-  ValueHistogram all;
-  for (int i = 1; i <= 50; ++i) {
-    const double v = static_cast<double>(i * i);
-    a.Observe(v);
-    all.Observe(v);
-  }
-  for (int i = 1; i <= 30; ++i) {
-    const double v = 1e7 / static_cast<double>(i);
-    b.Observe(v);
-    all.Observe(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  for (int i = 0; i < ValueHistogram::kNumBuckets; ++i) {
-    EXPECT_EQ(a.buckets()[i], all.buckets()[i]) << "bucket " << i;
-  }
-  for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(a.Percentile(p), all.Percentile(p)) << "p" << p;
-  }
-}
-
-TEST(ValueHistogramTest, MergeWithEmptyIsIdentityBothWays) {
-  ValueHistogram filled;
-  filled.Observe(5.0);
-  filled.Observe(500.0);
-  const ValueHistogram empty;
-  // Merging an empty histogram changes nothing...
-  ValueHistogram x = filled;
-  x.Merge(empty);
-  EXPECT_EQ(x.count(), 2u);
-  EXPECT_DOUBLE_EQ(x.min(), 5.0);
-  EXPECT_DOUBLE_EQ(x.max(), 500.0);
-  EXPECT_DOUBLE_EQ(x.sum(), filled.sum());
-  // ... and merging into an empty one copies (min/max included, even
-  // though an empty histogram reports min()/max() as 0).
-  ValueHistogram y;
-  y.Merge(filled);
-  EXPECT_EQ(y.count(), 2u);
-  EXPECT_DOUBLE_EQ(y.min(), 5.0);
-  EXPECT_DOUBLE_EQ(y.max(), 500.0);
-  EXPECT_DOUBLE_EQ(y.Percentile(100.0), 500.0);
-  // Empty-with-empty stays empty.
-  ValueHistogram z;
-  z.Merge(empty);
-  EXPECT_EQ(z.count(), 0u);
-  EXPECT_DOUBLE_EQ(z.Percentile(50.0), 0.0);
-}
-
-TEST(ValueHistogramTest, HandlesOutOfRangeInputs) {
-  ValueHistogram h;
-  h.Observe(-5.0);   // clamped to 0 (underflow bucket)
-  h.Observe(0.25);   // below kMinValue -> underflow bucket
-  h.Observe(5e13);   // beyond the top decade -> overflow bucket
-  h.Observe(std::nan(""));  // ignored
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5e13);
-  EXPECT_DOUBLE_EQ(h.Percentile(100.0), 5e13);
-}
 
 TEST(MetricsRegistryTest, CountersAccumulateGaugesOverwrite) {
   MetricsRegistry registry;
@@ -175,14 +27,20 @@ TEST(MetricsRegistryTest, CountersAccumulateGaugesOverwrite) {
   EXPECT_DOUBLE_EQ(registry.CounterValue("missing"), 0.0);
 }
 
-TEST(MetricsRegistryTest, HistogramsObserve) {
+TEST(MetricsRegistryTest, HistogramsKeepSamplesAndReportExactStats) {
   MetricsRegistry registry;
-  registry.Observe("serve.latency_ns", 1'000.0);
-  registry.Observe("serve.latency_ns", 2'000.0);
-  const ValueHistogram h = registry.HistogramValue("serve.latency_ns");
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.min(), 1'000.0);
-  EXPECT_DOUBLE_EQ(h.max(), 2'000.0);
+  for (const double v : {3'000.0, 1'000.0, 2'000.0, 4'000.0}) {
+    registry.Observe("serve.latency_ns", v);
+  }
+  registry.Observe("serve.latency_ns", std::nan(""));  // dropped
+  EXPECT_EQ(registry.HistogramValue("serve.latency_ns"),
+            (std::vector<double>{3'000.0, 1'000.0, 2'000.0, 4'000.0}));
+  EXPECT_TRUE(registry.HistogramValue("missing").empty());
+  EXPECT_EQ(registry.ToJson(),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":"
+            "{\"serve.latency_ns\":{\"count\":4,\"mean\":2500,"
+            "\"p50\":2000,\"p95\":4000,\"p99\":4000,\"min\":1000,"
+            "\"max\":4000}}}");
 }
 
 TEST(MetricsRegistryTest, ToJsonIsDeterministicAndOrdered) {

@@ -16,12 +16,18 @@
 //   neutral        everything else: changes are reported, never fatal
 //                  (counts and configuration echoes move legitimately).
 //
+// String and bool leaves (plan and method names, "slo_met", ...) are
+// identities: they say which configuration a row measured and whether
+// it met its SLO, so any change to one is a regression — rows measured
+// under a different plan must not be compared number by number as if
+// nothing moved.
+//
 // Host-noise paths (host wall time, thread counts, trace buffer
 // accounting) are ignored entirely — simulated results are the
-// contract, wall clock is the weather. A metric present in the
-// baseline but missing from the current file is a regression (a bench
-// silently dropping a measurement is exactly what this tool exists to
-// catch); new metrics are informational.
+// contract, wall clock is the weather. A metric or identity present in
+// the baseline but missing from the current file is a regression (a
+// bench silently dropping a measurement is exactly what this tool
+// exists to catch); new ones are informational.
 //
 // Exit status: 0 = no regression, 1 = regression(s), 2 = usage/parse
 // error. CI's bench-regression job runs the smoke benches and diffs
@@ -87,21 +93,29 @@ Direction Classify(const std::string& path) {
   return Direction::kNeutral;
 }
 
-/// Depth-first flatten of numeric leaves into dotted paths. Bools and
-/// strings are skipped: they are configuration echoes, not metrics.
+/// A bench file's leaves by dotted path: numbers, and string/bool
+/// identities (strings quoted, so "true" and true stay distinct).
+struct Leaves {
+  std::map<std::string, double> numbers;
+  std::map<std::string, std::string> identities;
+};
+
+/// Depth-first flatten of number, string and bool leaves into dotted
+/// paths. Nulls (non-finite numbers) are skipped.
 void Flatten(const telemetry::JsonValue& value, const std::string& path,
-             std::map<std::string, double>& out) {
+             Leaves& out) {
+  if (ContainsAny(Lower(path), kIgnore, std::size(kIgnore))) return;
   if (value.is_number()) {
-    out[path] = value.AsNumber();
-    return;
-  }
-  if (value.is_object()) {
+    out.numbers[path] = value.AsNumber();
+  } else if (value.is_string()) {
+    out.identities[path] = "\"" + value.AsString() + "\"";
+  } else if (value.is_bool()) {
+    out.identities[path] = value.AsBool() ? "true" : "false";
+  } else if (value.is_object()) {
     for (const auto& [key, child] : value.AsObject()) {
       Flatten(child, path.empty() ? key : path + "." + key, out);
     }
-    return;
-  }
-  if (value.is_array()) {
+  } else if (value.is_array()) {
     const telemetry::JsonArray& array = value.AsArray();
     for (std::size_t i = 0; i < array.size(); ++i) {
       Flatten(array[i], path + "[" + std::to_string(i) + "]", out);
@@ -109,8 +123,7 @@ void Flatten(const telemetry::JsonValue& value, const std::string& path,
   }
 }
 
-Result<std::map<std::string, double>> LoadMetrics(
-    const std::string& path) {
+Result<Leaves> LoadLeaves(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open " + path);
   std::ostringstream buffer;
@@ -120,15 +133,9 @@ Result<std::map<std::string, double>> LoadMetrics(
     return Status::InvalidArgument(path + ": " +
                                    parsed.status().ToString());
   }
-  std::map<std::string, double> metrics;
-  Flatten(*parsed, "", metrics);
-  std::map<std::string, double> kept;
-  for (const auto& [key, v] : metrics) {
-    if (!ContainsAny(Lower(key), kIgnore, std::size(kIgnore))) {
-      kept.emplace(key, v);
-    }
-  }
-  return kept;
+  Leaves leaves;
+  Flatten(*parsed, "", leaves);
+  return leaves;
 }
 
 int Run(int argc, char** argv) {
@@ -157,8 +164,8 @@ int Run(int argc, char** argv) {
   }
   const std::string& base_path = cli->positional()[0];
   const std::string& cur_path = cli->positional()[1];
-  auto base = LoadMetrics(base_path);
-  auto cur = LoadMetrics(cur_path);
+  auto base = LoadLeaves(base_path);
+  auto cur = LoadLeaves(cur_path);
   if (!base.ok() || !cur.ok()) {
     std::fprintf(stderr, "bench_diff: %s\n",
                  (!base.ok() ? base : cur).status().ToString().c_str());
@@ -169,9 +176,26 @@ int Run(int argc, char** argv) {
   std::size_t regressions = 0;
   std::size_t improvements = 0;
   std::size_t changed_neutral = 0;
-  for (const auto& [key, was] : *base) {
-    const auto it = cur->find(key);
-    if (it == cur->end()) {
+  for (const auto& [key, was] : base->identities) {
+    const auto it = cur->identities.find(key);
+    if (it == cur->identities.end()) {
+      std::printf("REGRESSION %s: present in baseline, missing now\n",
+                  key.c_str());
+      ++regressions;
+      continue;
+    }
+    ++compared;
+    if (it->second != was) {
+      std::printf("REGRESSION %s: %s -> %s\n", key.c_str(), was.c_str(),
+                  it->second.c_str());
+      ++regressions;
+    } else if (show_all) {
+      std::printf("ok         %s: %s\n", key.c_str(), was.c_str());
+    }
+  }
+  for (const auto& [key, was] : base->numbers) {
+    const auto it = cur->numbers.find(key);
+    if (it == cur->numbers.end()) {
       std::printf("REGRESSION %s: present in baseline, missing now\n",
                   key.c_str());
       ++regressions;
@@ -207,9 +231,17 @@ int Run(int argc, char** argv) {
     }
   }
   std::size_t added = 0;
-  for (const auto& [key, now] : *cur) {
-    if (base->find(key) == base->end()) {
+  for (const auto& [key, now] : cur->numbers) {
+    if (base->numbers.find(key) == base->numbers.end()) {
       if (show_all) std::printf("new        %s: %g\n", key.c_str(), now);
+      ++added;
+    }
+  }
+  for (const auto& [key, now] : cur->identities) {
+    if (base->identities.find(key) == base->identities.end()) {
+      if (show_all) {
+        std::printf("new        %s: %s\n", key.c_str(), now.c_str());
+      }
       ++added;
     }
   }
