@@ -117,6 +117,7 @@ core::EngineOptions PaperEngineOptions(partition::Method method,
   core::EngineOptions options;
   options.method = method;
   options.nc = nc;
+  options.replicas = 1;  // the paper's single copy of the model
   options.batch_size = scale.batch_size;
   options.num_threads = scale.threads;
   options.grace.num_threads = scale.threads;
@@ -421,9 +422,13 @@ std::vector<std::vector<std::string>> StragglerRows(
   std::vector<std::vector<std::string>> rows;
   for (const pim::DpuHotspot& h : pim::TopKSlowestDpus(system, k)) {
     const auto loc = engine.LocateDpu(h.dpu);
+    // Replicated engines name the copy first: replica/table/bin/col.
+    const std::string copy =
+        loc && engine.replicas() > 1 ? std::to_string(loc->replica) + "/"
+                                     : "";
     const std::string where =
-        loc ? std::to_string(loc->table) + "/" + std::to_string(loc->bin) +
-                  "/" + std::to_string(loc->col)
+        loc ? copy + std::to_string(loc->table) + "/" +
+                  std::to_string(loc->bin) + "/" + std::to_string(loc->col)
             : "-";
     rows.push_back(
         {label, std::to_string(h.dpu), where,

@@ -119,7 +119,8 @@ pim::DpuSystemConfig MakePaperSystemConfig(const BenchScale& scale);
 /// MakePaperSystem honoring --dpus / --ranks.
 std::unique_ptr<pim::DpuSystem> MakePaperSystem(const BenchScale& scale);
 
-/// Engine options matching the §4.1 setup.
+/// Engine options matching the §4.1 setup: one copy of the model
+/// (replicas = 1), so every paper figure keeps the paper's layout.
 core::EngineOptions PaperEngineOptions(partition::Method method,
                                        std::uint32_t nc,
                                        const BenchScale& scale);
@@ -251,7 +252,8 @@ class TraceSession {
 /// Top-k straggler rows for the engine's accumulated stage-2 work —
 /// the per-run balance report behind the NU/CA claims. Each row is
 /// {label, dpu, table/bin/col, kernel cycles, x mean, lookups,
-/// wram hits} for a TablePrinter with kStragglerColumns headers.
+/// wram hits} for a TablePrinter with kStragglerColumns headers; a
+/// replicated engine prefixes the location with its replica.
 inline const std::vector<std::string> kStragglerColumns = {
     "config", "dpu", "tbl/bin/col", "kernel cycles", "x mean",
     "lookups", "wram hits"};

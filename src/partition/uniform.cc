@@ -22,11 +22,19 @@ std::span<const std::uint32_t> DefaultNcCandidates() {
   return kCandidates;
 }
 
+bool ReplicasFit(std::uint32_t replicas, std::uint32_t dpus_per_table,
+                 const pim::DpuSystem& system) {
+  if (replicas == 1) return true;
+  return replicas > 1 && system.num_ranks() % replicas == 0 &&
+         system.num_dpus() % system.config().dpus_per_rank == 0 &&
+         dpus_per_table % replicas == 0;
+}
+
 Result<TileOptimizerResult> OptimizeTileShape(
     dlrm::TableShape table, std::uint32_t dpus_per_table,
     std::size_t batch_size, double avg_reduction,
     const pim::DpuSystem& system,
-    std::span<const std::uint32_t> nc_candidates) {
+    std::span<const std::uint32_t> nc_candidates, std::uint32_t replicas) {
   if (batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
@@ -36,57 +44,73 @@ Result<TileOptimizerResult> OptimizeTileShape(
 
   // Eq. (2): N_r * N_c <= 64 MB / 4 B per DPU.
   const std::uint64_t max_tile_values = system.config().dpu.mram_bytes / 4;
+  const std::uint32_t min_r = replicas == 0 ? 1 : replicas;
+  const std::uint32_t max_r = replicas == 0 ? system.num_ranks() : replicas;
 
   TileOptimizerResult result;
+  bool over_capacity = false;  // some tile failed Eq. (2) alone
   for (std::uint32_t nc : nc_candidates) {
-    auto geom_or = GroupGeometry::Make(table, dpus_per_table, nc);
-    if (!geom_or.ok()) continue;  // infeasible geometry for this Nc
-    const GroupGeometry& geom = geom_or.value();
+    for (std::uint32_t r = min_r; r <= max_r; ++r) {
+      if (!ReplicasFit(r, dpus_per_table, system)) continue;
+      auto geom_or = GroupGeometry::Make(table, dpus_per_table / r, nc);
+      if (!geom_or.ok()) continue;  // infeasible geometry for this Nc
+      const GroupGeometry& geom = geom_or.value();
 
-    TileCandidate cand;
-    cand.nc = nc;
-    cand.nr = geom.UniformRowsPerBin();
-    if (cand.nr * nc > max_tile_values) continue;  // violates Eq. (2)
-    if (!system.kernel_cost().ValidateWramFit(geom.row_bytes()).ok()) {
-      continue;
+      TileCandidate cand;
+      cand.nc = nc;
+      cand.nr = geom.UniformRowsPerBin();
+      cand.replicas = r;
+      if (cand.nr * nc > max_tile_values) {  // violates Eq. (2)
+        over_capacity = true;
+        continue;
+      }
+      if (!system.kernel_cost().ValidateWramFit(geom.row_bytes()).ok()) {
+        continue;
+      }
+
+      // One copy serves the largest chunk of the batch deal.
+      const std::size_t samples = CeilDiv(batch_size, r);
+      // Balanced-access assumption of §3.1: every DPU of a row shard
+      // sees samples * Avg_Red / row_shards lookups per batch.
+      const auto lookups_per_dpu = static_cast<std::uint64_t>(std::llround(
+          static_cast<double>(samples) * avg_reduction /
+          static_cast<double>(geom.row_shards)));
+
+      // Stage 2: in-DPU lookup + reduction.
+      pim::EmbeddingKernelWork work{
+          .num_lookups = lookups_per_dpu,
+          .num_cache_reads = 0,
+          .num_samples = samples,
+          .row_bytes = geom.row_bytes(),
+      };
+      cand.stage2_ns =
+          system.transfer().KernelLaunchOverhead() +
+          CyclesToNanos(system.kernel_cost().KernelCycles(work),
+                        system.config().dpu.clock_hz);
+
+      // Stage 1: indices (4 B each) + per-sample offsets to every DPU.
+      const std::uint64_t push_bytes =
+          lookups_per_dpu * 4 + (samples + 1) * 4;
+      // Stage 3: one Nc-wide partial sum per sample from every DPU.
+      const std::uint64_t pull_bytes =
+          static_cast<std::uint64_t>(samples) * geom.row_bytes();
+      const std::vector<std::uint64_t> push(system.num_dpus(), push_bytes);
+      const std::vector<std::uint64_t> pull(system.num_dpus(), pull_bytes);
+      cand.stage1_ns = system.transfer().PushTime(push, /*pad_to_max=*/true);
+      cand.stage3_ns = system.transfer().PullTime(pull, /*pad_to_max=*/true);
+
+      cand.total_ns = cand.stage1_ns + cand.stage2_ns + cand.stage3_ns;
+      result.candidates.push_back(cand);
     }
-
-    // Balanced-access assumption of §3.1: every DPU of a row shard sees
-    // batch * Avg_Red / row_shards lookups per batch.
-    const auto lookups_per_dpu = static_cast<std::uint64_t>(std::llround(
-        static_cast<double>(batch_size) * avg_reduction /
-        static_cast<double>(geom.row_shards)));
-
-    // Stage 2: in-DPU lookup + reduction.
-    pim::EmbeddingKernelWork work{
-        .num_lookups = lookups_per_dpu,
-        .num_cache_reads = 0,
-        .num_samples = batch_size,
-        .row_bytes = geom.row_bytes(),
-    };
-    cand.stage2_ns =
-        system.transfer().KernelLaunchOverhead() +
-        CyclesToNanos(system.kernel_cost().KernelCycles(work),
-                      system.config().dpu.clock_hz);
-
-    // Stage 1: indices (4 B each) + per-sample offsets to every DPU.
-    const std::uint64_t push_bytes =
-        lookups_per_dpu * 4 + (batch_size + 1) * 4;
-    // Stage 3: one Nc-wide partial sum per sample from every DPU.
-    const std::uint64_t pull_bytes =
-        static_cast<std::uint64_t>(batch_size) * geom.row_bytes();
-    const std::vector<std::uint64_t> push(system.num_dpus(), push_bytes);
-    const std::vector<std::uint64_t> pull(system.num_dpus(), pull_bytes);
-    cand.stage1_ns = system.transfer().PushTime(push, /*pad_to_max=*/true);
-    cand.stage3_ns = system.transfer().PullTime(pull, /*pad_to_max=*/true);
-
-    cand.total_ns = cand.stage1_ns + cand.stage2_ns + cand.stage3_ns;
-    result.candidates.push_back(cand);
   }
 
+  if (result.candidates.empty() && over_capacity) {
+    return Status::CapacityExceeded(
+        "every (N_c, R) tile of this table exceeds MRAM (Eq. 2)");
+  }
   if (result.candidates.empty()) {
     return Status::InvalidArgument(
-        "no feasible N_c candidate for this table/DPU configuration");
+        "no feasible (N_c, R) candidate for this table/DPU configuration");
   }
   result.best = result.candidates.front();
   for (const auto& cand : result.candidates) {

@@ -126,7 +126,7 @@ BatchTaskCosts ComputeBatchTaskCosts(const dlrm::DlrmConfig& config,
   return costs;
 }
 
-Nanos PredictFlow(const BatchTaskCosts& c, const DataFlowPlan& plan) {
+Nanos PredictPeriod(const BatchTaskCosts& c, const DataFlowPlan& plan) {
   const bool bottom_gpu = plan.bottom == Backend::kGpu;
   const bool top_gpu = plan.top == Backend::kGpu;
   // Per-batch busy time on each executor resource (serve/executor.h).
@@ -143,6 +143,12 @@ Nanos PredictFlow(const BatchTaskCosts& c, const DataFlowPlan& plan) {
   if (plan.depth <= 1) {
     period = std::max(period, c.emb.cpu_to_dpu + c.emb.dpu_lookup);
   }
+  return period;
+}
+
+Nanos PredictFlow(const BatchTaskCosts& c, const DataFlowPlan& plan) {
+  const bool bottom_gpu = plan.bottom == Backend::kGpu;
+  const bool top_gpu = plan.top == Backend::kGpu;
   // Single-batch critical path: embedding chain and bottom stack race,
   // then interaction + top.
   const Nanos emb_chain =
@@ -151,7 +157,7 @@ Nanos PredictFlow(const BatchTaskCosts& c, const DataFlowPlan& plan) {
   const Nanos bottom = bottom_gpu ? c.bottom_gpu : c.bottom_host();
   const Nanos top = top_gpu ? c.top_gpu : c.top_host();
   const Nanos critical = std::max(emb_chain, bottom) + top;
-  return std::max(period, critical);
+  return std::max(PredictPeriod(c, plan), critical);
 }
 
 }  // namespace updlrm::pipeline

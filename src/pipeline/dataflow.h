@@ -64,10 +64,15 @@ BatchTaskCosts ComputeBatchTaskCosts(const dlrm::DlrmConfig& config,
                                      std::size_t batch_size,
                                      const DataFlowPlan& plan);
 
+/// Steady-state cut-to-cut period of `plan`: the largest per-batch busy
+/// time over the executor's resources (transfer lane, core lane, DPUs,
+/// GPU), and at depth 1 no less than push + lookup. batch / period is
+/// the throughput bound at saturation.
+Nanos PredictPeriod(const BatchTaskCosts& costs, const DataFlowPlan& plan);
+
 /// Analytic steady-state score of `plan` (lower is better): the larger
-/// of the per-resource periods over the executor's resources (transfer
-/// lane, core lane, DPUs, GPU; the throughput bound at saturation) and
-/// the single-batch critical path (latency floor at low load). A rank
+/// of PredictPeriod (the throughput bound at saturation) and the
+/// single-batch critical path (latency floor at low load). A rank
 /// heuristic, not a latency promise — the tuner calibrates the
 /// finalists with real simulated runs.
 Nanos PredictFlow(const BatchTaskCosts& costs, const DataFlowPlan& plan);

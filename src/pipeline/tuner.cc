@@ -75,21 +75,26 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
   for (const DataFlowPlan& plan : EnumerateDataFlows(space)) {
     CandidateOutcome outcome;
     outcome.plan = plan;
-    outcome.predicted_ns = PredictFlow(
-        ComputeBatchTaskCosts(config, engine.cpu_model(), gpu, *probe_batch,
-                              probe.size(), plan),
-        plan);
+    const BatchTaskCosts costs = ComputeBatchTaskCosts(
+        config, engine.cpu_model(), gpu, *probe_batch, probe.size(), plan);
+    outcome.predicted_ns = PredictFlow(costs, plan);
+    outcome.predicted_period_ns = PredictPeriod(costs, plan);
     tuned.candidates.push_back(outcome);
   }
 
-  // Calibration order: predicted rank (stable, so prediction ties keep
-  // enumeration order).
+  // Calibration order: predicted rank, then the shorter period (a plan
+  // whose score is its critical path can still differ in saturation
+  // headroom); stable, so full ties keep enumeration order.
   std::vector<std::size_t> rank(tuned.candidates.size());
   std::iota(rank.begin(), rank.end(), 0);
   std::stable_sort(rank.begin(), rank.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return tuned.candidates[a].predicted_ns <
-                            tuned.candidates[b].predicted_ns;
+                     const CandidateOutcome& x = tuned.candidates[a];
+                     const CandidateOutcome& y = tuned.candidates[b];
+                     return x.predicted_ns != y.predicted_ns
+                                ? x.predicted_ns < y.predicted_ns
+                                : x.predicted_period_ns <
+                                      y.predicted_period_ns;
                    });
   const std::size_t to_calibrate =
       options_.calibrate_top_n == 0

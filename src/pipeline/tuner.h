@@ -51,6 +51,10 @@ struct CandidateOutcome {
   DataFlowPlan plan;
   /// Analytic steady-state score (PredictFlow on the probe batch).
   Nanos predicted_ns = 0.0;
+  /// PredictPeriod on the probe batch: breaks score ties in the
+  /// calibration order, so where the critical path sets every score the
+  /// plans with throughput headroom are calibrated first.
+  Nanos predicted_period_ns = 0.0;
   /// Calibrated p99 latency; negative when not calibrated.
   Nanos measured_p99_ns = -1.0;
   bool calibrated = false;

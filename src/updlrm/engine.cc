@@ -14,6 +14,20 @@
 
 namespace updlrm::core {
 
+namespace {
+
+// Index of the group whose task range [start[g], start[g + 1]) holds
+// the replica-local task id `local`.
+std::size_t GroupOfTask(std::span<const std::size_t> start,
+                        std::size_t local) {
+  return static_cast<std::size_t>(
+             std::upper_bound(start.begin(), start.end(), local) -
+             start.begin()) -
+         1;
+}
+
+}  // namespace
+
 void PriceDenseStages(const host::CpuTimingModel& cpu,
                       const dlrm::DlrmConfig& config, std::size_t batch,
                       BatchResult* out) {
@@ -58,7 +72,9 @@ Result<std::unique_ptr<UpDlrmEngine>> UpDlrmEngine::Create(
     const dlrm::DlrmModel* model, const dlrm::DlrmConfig& config,
     const trace::Trace& trace, pim::DpuSystem* system,
     EngineOptions options) {
-  UPDLRM_CHECK(system != nullptr);
+  if (system == nullptr) {
+    return Status::InvalidArgument("UpDlrmEngine needs a DpuSystem");
+  }
   std::unique_ptr<UpDlrmEngine> engine(
       new UpDlrmEngine(model, config, trace, system, std::move(options)));
   UPDLRM_RETURN_IF_ERROR(engine->Setup());
@@ -89,12 +105,6 @@ Status UpDlrmEngine::Setup() {
     return Status::FailedPrecondition(
         "functional engine requires a functional DpuSystem");
   }
-  if (options_.check_mode) {
-    checker_ = std::make_unique<check::Checker>(system_->config());
-    // Attach before placement so PlaceTable's writes seed the
-    // written-byte shadow state the uninit-read rule checks against.
-    checker_->Attach(*system_);
-  }
 
   std::vector<dlrm::TableShape> shapes;
   std::vector<double> traffic;
@@ -107,86 +117,132 @@ Status UpDlrmEngine::Setup() {
   }
   avg_red = std::max(1.0, avg_red / trace_.num_tables());
 
-  const bool paper_setup =
-      !config_.heterogeneous() &&
+  const bool equal_split =
       options_.allocation == partition::DpuAllocationPolicy::kEqual;
+  const bool paper_setup = !config_.heterogeneous() && equal_split;
+  if (options_.replicas > 1) {
+    if (!equal_split) {
+      return Status::InvalidArgument(
+          "replicas > 1 needs the equal DPU allocation");
+    }
+    if (system_->num_ranks() % options_.replicas != 0 ||
+        system_->num_dpus() % system_->config().dpus_per_rank != 0) {
+      return Status::InvalidArgument(
+          "replicas (" + std::to_string(options_.replicas) +
+          ") must divide the rank count (" +
+          std::to_string(system_->num_ranks()) + " whole ranks)");
+    }
+    const std::uint32_t copy_dpus = system_->num_dpus() / options_.replicas;
+    if (copy_dpus < config_.num_tables ||
+        (paper_setup && copy_dpus % config_.num_tables != 0)) {
+      return Status::InvalidArgument(
+          "replicas (" + std::to_string(options_.replicas) + ") leave " +
+          std::to_string(copy_dpus) +
+          " DPUs per replica, not a multiple of the table count");
+    }
+  }
+  if (options_.check_mode) {
+    checker_ = std::make_unique<check::Checker>(system_->config());
+    // Attach before placement so PlaceTable's writes seed the
+    // written-byte shadow state the uninit-read rule checks against.
+    checker_->Attach(*system_);
+  }
 
-  auto allocate_at =
-      [&](std::uint32_t nc) -> Result<std::vector<std::uint32_t>> {
+  auto allocate_at = [&](std::uint32_t nc, std::uint32_t replicas)
+      -> Result<std::vector<std::uint32_t>> {
     if (config_.embedding_dim % nc != 0) {
       return Status::InvalidArgument("nc must divide the embedding dim");
     }
     const std::uint32_t col_shards = config_.embedding_dim / nc;
     if (paper_setup) {
-      if (system_->num_dpus() % config_.num_tables != 0) {
+      const std::uint32_t copy_dpus = system_->num_dpus() / replicas;
+      if (copy_dpus % config_.num_tables != 0) {
         return Status::InvalidArgument(
             "num_dpus must be divisible by num_tables (one group per "
             "EMT)");
       }
-      return std::vector<std::uint32_t>(
-          config_.num_tables, system_->num_dpus() / config_.num_tables);
+      return std::vector<std::uint32_t>(config_.num_tables,
+                                        copy_dpus / config_.num_tables);
     }
-    return partition::AllocateDpus(shapes, system_->num_dpus(),
+    return partition::AllocateDpus(shapes, system_->num_dpus() / replicas,
                                    col_shards, options_.allocation,
                                    traffic);
   };
 
-  if (options_.nc != 0) {
-    nc_ = options_.nc;
-    auto alloc = allocate_at(nc_);
-    if (!alloc.ok()) return alloc.status();
-    dpus_per_table_ = std::move(alloc).value();
-  } else if (paper_setup) {
+  // The tile shapes (Nc, R) to build, cheapest first. Eq. 2 only bounds
+  // a uniform tile; the first shape whose plans actually fit MRAM wins.
+  std::vector<partition::TileCandidate> ranked;
+  if (paper_setup && (options_.nc == 0 || options_.replicas == 0)) {
+    const std::uint32_t pinned_nc[] = {options_.nc};
     auto tile = partition::OptimizeTileShape(
         config_.table_shape(), system_->num_dpus() / config_.num_tables,
-        options_.batch_size, avg_red, *system_);
-    if (!tile.ok()) return tile.status();
-    tile_result_ = std::move(tile).value();
-    nc_ = tile_result_->best.nc;
-    auto alloc = allocate_at(nc_);
-    if (!alloc.ok()) return alloc.status();
-    dpus_per_table_ = std::move(alloc).value();
+        options_.batch_size, avg_red, *system_,
+        options_.nc == 0 ? partition::DefaultNcCandidates()
+                         : std::span<const std::uint32_t>(pinned_nc),
+        options_.replicas);
+    if (tile.ok()) {
+      tile_result_ = std::move(tile).value();
+      ranked = tile_result_->candidates;
+    } else if (options_.nc == 0) {
+      return tile.status();
+    } else {
+      // A pinned Nc builds at R = 1 even where Eq. 2's uniform bound
+      // rejects it; the real capacity check below decides.
+      ranked.push_back({.nc = options_.nc});
+    }
+  } else if (options_.nc != 0 && options_.replicas != 0) {
+    ranked.push_back({.nc = options_.nc, .replicas = options_.replicas});
   } else {
-    // Heterogeneous / non-equal allocation: search Nc candidates with
-    // the allocation each implies.
-    Nanos best_cost = 0.0;
-    for (std::uint32_t nc : partition::DefaultNcCandidates()) {
-      auto alloc = allocate_at(nc);
-      if (!alloc.ok() ||
-          !system_->kernel_cost().ValidateWramFit(nc * 4).ok()) {
-        continue;
-      }
-      bool feasible = true;
-      for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
-        if (!partition::GroupGeometry::Make(shapes[t], (*alloc)[t], nc)
-                 .ok()) {
-          feasible = false;
-          break;
+    // Heterogeneous tables or a non-equal allocation: price every
+    // (Nc, R) with the allocation it implies. Only the equal split
+    // replicates (R = 1 otherwise).
+    const std::uint32_t max_r =
+        options_.replicas != 0 ? options_.replicas
+        : equal_split          ? system_->num_ranks()
+                               : 1;
+    const std::uint32_t pinned_nc[] = {options_.nc};
+    for (std::uint32_t nc : options_.nc == 0
+                                ? partition::DefaultNcCandidates()
+                                : std::span<const std::uint32_t>(pinned_nc)) {
+      for (std::uint32_t r = std::max(1U, options_.replicas); r <= max_r;
+           ++r) {
+        // Tables split unevenly here, so only whole ranks constrain R.
+        if (!partition::ReplicasFit(r, system_->num_dpus(), *system_)) {
+          continue;
         }
-      }
-      if (!feasible) continue;
-      const Nanos cost = EstimateBatchCost(nc, *alloc);
-      if (nc_ == 0 || cost < best_cost) {
-        nc_ = nc;
-        best_cost = cost;
-        dpus_per_table_ = std::move(alloc).value();
+        auto alloc = allocate_at(nc, r);
+        if (!alloc.ok() ||
+            !system_->kernel_cost().ValidateWramFit(nc * 4).ok()) {
+          continue;
+        }
+        bool feasible = true;
+        for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
+          if (!partition::GroupGeometry::Make(shapes[t], (*alloc)[t], nc)
+                   .ok()) {
+            feasible = false;
+            break;
+          }
+        }
+        if (!feasible) continue;
+        ranked.push_back({.nc = nc,
+                          .replicas = r,
+                          .total_ns = EstimateBatchCost(nc, r, *alloc)});
       }
     }
-    if (nc_ == 0) {
+    if (ranked.empty() && options_.nc == 0) {
       return Status::InvalidArgument(
           "no feasible Nc for this model/system combination");
     }
+    if (ranked.empty()) {
+      ranked.push_back({.nc = options_.nc});  // the build reports why
+    }
   }
-
-  first_dpu_.assign(config_.num_tables, 0);
-  std::uint32_t next_dpu = 0;
-  for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
-    first_dpu_[t] = next_dpu;
-    next_dpu += dpus_per_table_[t];
-  }
-  if (next_dpu > system_->num_dpus()) {
-    return Status::CapacityExceeded("allocation exceeds the DPU count");
-  }
+  // Equal costs keep enumeration order (Nc, then R, ascending).
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const partition::TileCandidate& a,
+                      const partition::TileCandidate& b) {
+                     return a.total_ns < b.total_ns;
+                   });
   if (options_.preprofiled != nullptr) {
     if (options_.preprofiled->size() != config_.num_tables) {
       return Status::InvalidArgument(
@@ -203,10 +259,80 @@ Status UpDlrmEngine::Setup() {
     }
   }
 
-  // Per-table preparation (profiling, partitioning, mining, MRAM
-  // placement) is independent across tables: each table's group owns a
-  // disjoint DPU range, so placement writes never alias. Errors are
-  // reported in table order regardless of completion order.
+  Status built;
+  for (const partition::TileCandidate& shape : ranked) {
+    nc_ = shape.nc;
+    replicas_ = shape.replicas;
+    replica_dpus_ = system_->num_dpus() / replicas_;
+    auto alloc = allocate_at(nc_, replicas_);
+    if (!alloc.ok()) return alloc.status();
+    dpus_per_table_ = std::move(alloc).value();
+    first_dpu_.assign(config_.num_tables, 0);
+    std::uint32_t next_dpu = 0;
+    for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
+      first_dpu_[t] = next_dpu;
+      next_dpu += dpus_per_table_[t];
+    }
+    if (next_dpu > replica_dpus_) {
+      return Status::CapacityExceeded("allocation exceeds the DPU count");
+    }
+    built = BuildGroups();
+    if (built.code() != StatusCode::kCapacityExceeded) break;
+  }
+  UPDLRM_RETURN_IF_ERROR(built);
+  if (tile_result_.has_value()) {
+    for (const partition::TileCandidate& cand : tile_result_->candidates) {
+      if (cand.nc == nc_ && cand.replicas == replicas_) {
+        tile_result_->best = cand;
+      }
+    }
+  }
+
+  // Functional placement: every replica holds the same quantized data.
+  // Each (replica, table) owns a disjoint DPU range, so writes never
+  // alias; errors are reported in (replica, table) order.
+  if (model_ != nullptr) {
+    const std::size_t num_groups = groups_.size();
+    std::vector<Status> placed(replicas_ * num_groups);
+    ParallelFor(
+        placed.size(),
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const TableGroup& group = groups_[i % num_groups];
+            placed[i] = PlaceTable(
+                model_->table(group.table_index), group, *system_,
+                static_cast<std::uint32_t>(i / num_groups) * replica_dpus_);
+          }
+        },
+        options_.num_threads);
+    for (const Status& status : placed) UPDLRM_RETURN_IF_ERROR(status);
+  }
+  if (checker_ != nullptr) {
+    for (const TableGroup& group : groups_) AuditGroup(group);
+  }
+
+  scratch_.resize(replicas_ * groups_.size());
+  bin_task_start_.assign(groups_.size() + 1, 0);
+  fn_task_start_.assign(groups_.size() + 1, 0);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const auto& geom = groups_[g].plan.geom;
+    for (std::uint32_t r = 0; r < replicas_; ++r) {
+      GroupScratch& scratch = scratch_[r * groups_.size() + g];
+      scratch.routes.assign(geom.row_shards, BinRoute{});
+      scratch.list_mask.assign(groups_[g].plan.cache.lists.size(), 0);
+    }
+    bin_task_start_[g + 1] = bin_task_start_[g] + geom.row_shards;
+    fn_task_start_[g + 1] =
+        fn_task_start_[g] +
+        static_cast<std::size_t>(geom.row_shards) * geom.col_shards;
+  }
+  return Status::Ok();
+}
+
+Status UpDlrmEngine::BuildGroups() {
+  // Per-table preparation (profiling, partitioning, mining) is
+  // independent across tables. Errors are reported in table order
+  // regardless of completion order.
   struct BuiltGroup {
     Status status;
     TableGroup group;
@@ -217,7 +343,7 @@ Status UpDlrmEngine::Setup() {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const auto t = static_cast<std::uint32_t>(i);
-          // Shared profile when provided (validated above); otherwise
+          // Shared profile when provided (validated in Setup); otherwise
           // profile this table's trace once here — the partitioner,
           // WRAM tier and cache miner all reuse it.
           const trace::TableProfile* profile =
@@ -248,10 +374,6 @@ Status UpDlrmEngine::Setup() {
                 built[i].group, profile->freq,
                 EffectiveWramRows(built[i].group.plan.geom.row_bytes()));
           }
-          if (model_ != nullptr) {
-            built[i].status =
-                PlaceTable(model_->table(t), built[i].group, *system_);
-          }
         }
       },
       options_.num_threads);
@@ -261,22 +383,6 @@ Status UpDlrmEngine::Setup() {
   for (BuiltGroup& b : built) {
     UPDLRM_RETURN_IF_ERROR(b.status);
     groups_.push_back(std::move(b.group));
-  }
-  if (checker_ != nullptr) {
-    for (const TableGroup& group : groups_) AuditGroup(group);
-  }
-
-  scratch_.resize(groups_.size());
-  bin_task_start_.assign(groups_.size() + 1, 0);
-  fn_task_start_.assign(groups_.size() + 1, 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const auto& geom = groups_[g].plan.geom;
-    scratch_[g].routes.assign(geom.row_shards, BinRoute{});
-    scratch_[g].list_mask.assign(groups_[g].plan.cache.lists.size(), 0);
-    bin_task_start_[g + 1] = bin_task_start_[g] + geom.row_shards;
-    fn_task_start_[g + 1] =
-        fn_task_start_[g] +
-        static_cast<std::size_t>(geom.row_shards) * geom.col_shards;
   }
   return Status::Ok();
 }
@@ -289,7 +395,7 @@ void UpDlrmEngine::AuditGroup(const TableGroup& group) {
   check::PlanAuditLimits limits;
   limits.emt_bytes = group.layout.emt_bytes;
   limits.cache_bytes = group.layout.cache_bytes;
-  limits.claims_uniform_model = tile_result_.has_value();
+  limits.claims_uniform_model = options_.nc == 0 && tile_result_.has_value();
   check::AuditPlan(group.plan, limits, &checker_->report());
 
   const std::uint32_t max_rows =
@@ -311,18 +417,20 @@ void UpDlrmEngine::AuditGroup(const TableGroup& group) {
     const std::uint64_t cache_used =
         group.cache_bytes_per_bin.empty() ? 0
                                           : group.cache_bytes_per_bin[b];
-    for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
-      const std::uint32_t dpu = group.GlobalDpu(b, c);
-      access.RegisterRegion(dpu, check::RegionKind::kEmt,
-                            group.layout.emt_base, emt_used);
-      access.RegisterRegion(dpu, check::RegionKind::kCache,
-                            group.layout.cache_base, cache_used);
-      access.RegisterRegion(dpu, check::RegionKind::kIndex,
-                            group.layout.index_base,
-                            group.layout.index_bytes);
-      access.RegisterRegion(dpu, check::RegionKind::kOutput,
-                            group.layout.output_base,
-                            group.layout.output_bytes);
+    for (std::uint32_t r = 0; r < replicas_; ++r) {
+      for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
+        const std::uint32_t dpu = ReplicaDpu(r, group, b, c);
+        access.RegisterRegion(dpu, check::RegionKind::kEmt,
+                              group.layout.emt_base, emt_used);
+        access.RegisterRegion(dpu, check::RegionKind::kCache,
+                              group.layout.cache_base, cache_used);
+        access.RegisterRegion(dpu, check::RegionKind::kIndex,
+                              group.layout.index_base,
+                              group.layout.index_bytes);
+        access.RegisterRegion(dpu, check::RegionKind::kOutput,
+                              group.layout.output_base,
+                              group.layout.output_bytes);
+      }
     }
   }
 }
@@ -334,7 +442,10 @@ std::uint32_t UpDlrmEngine::EffectiveWramRows(
 }
 
 Nanos UpDlrmEngine::EstimateBatchCost(
-    std::uint32_t nc, std::span<const std::uint32_t> alloc) const {
+    std::uint32_t nc, std::uint32_t replicas,
+    std::span<const std::uint32_t> alloc) const {
+  // One replica serves the largest chunk of the batch deal.
+  const std::size_t samples = CeilDiv(options_.batch_size, replicas);
   const std::uint32_t col_shards = config_.embedding_dim / nc;
   const std::uint32_t row_bytes = nc * 4;
   Cycles max_kernel = 0;
@@ -344,23 +455,21 @@ Nanos UpDlrmEngine::EstimateBatchCost(
     const double avg_red =
         std::max(1.0, trace_.tables[t].MeasuredAvgReduction());
     const auto lookups_per_dpu = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(options_.batch_size) * avg_red /
+        std::ceil(static_cast<double>(samples) * avg_red /
                   static_cast<double>(row_shards)));
     const pim::EmbeddingKernelWork work{
         .num_lookups = lookups_per_dpu,
         .num_cache_reads = 0,
-        .num_samples = options_.batch_size,
+        .num_samples = samples,
         .row_bytes = row_bytes,
     };
     max_kernel =
         std::max(max_kernel, system_->kernel_cost().KernelCycles(work));
-    max_push = std::max(
-        max_push, lookups_per_dpu * 4 + (options_.batch_size + 1) * 4);
+    max_push = std::max(max_push, lookups_per_dpu * 4 + (samples + 1) * 4);
   }
   const std::vector<std::uint64_t> push(system_->num_dpus(), max_push);
   const std::vector<std::uint64_t> pull(
-      system_->num_dpus(),
-      static_cast<std::uint64_t>(options_.batch_size) * row_bytes);
+      system_->num_dpus(), static_cast<std::uint64_t>(samples) * row_bytes);
   return system_->transfer().PushTime(push, true) +
          system_->transfer().KernelLaunchOverhead() +
          CyclesToNanos(max_kernel, system_->config().dpu.clock_hz) +
@@ -458,14 +567,14 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
 }
 
 void UpDlrmEngine::RouteGroup(std::size_t g,
-                              std::span<const std::size_t> samples) {
+                              std::span<const std::size_t> samples,
+                              GroupScratch& scratch) const {
   const bool fn = functional();
   const TableGroup& group = groups_[g];
   const auto& geom = group.plan.geom;
   const std::uint32_t row_bytes = geom.row_bytes();
   const auto& ttrace = trace_.tables[group.table_index];
   const bool has_cache = group.plan.has_cache();
-  GroupScratch& scratch = scratch_[g];
   auto& routes = scratch.routes;
   for (auto& rt : routes) {
     rt.Clear();
@@ -575,6 +684,16 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   const std::uint32_t dim = config_.embedding_dim;
   const std::uint32_t tables = config_.num_tables;
   const unsigned threads = options_.num_threads;
+  const std::size_t num_groups = groups_.size();
+  // The deal: sample k of the batch goes to replica k / chunk, so each
+  // replica serves one contiguous chunk (the last ones may be short or
+  // empty) in a fixed order, whatever the thread count.
+  const std::size_t chunk = CeilDiv(batch, replicas_);
+  auto chunk_begin = [&](std::size_t r) { return std::min(batch, r * chunk); };
+  auto replica_samples = [&](std::size_t r) {
+    const std::size_t lo = chunk_begin(r);
+    return samples.subspan(lo, std::min(batch, lo + chunk) - lo);
+  };
   // Tracing is observation only: `capture` gates writes into
   // trace-owned side buffers (and the host-clock spans below); every
   // simulated quantity is computed identically either way.
@@ -593,24 +712,30 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   std::span<std::uint64_t> push_bytes(push_bytes_);
   std::span<std::uint64_t> pull_bytes(pull_bytes_);
 
-  // --- Stage 1: routing, one task per group (disjoint scratch). ---
+  // --- Stage 1: routing, one task per (replica, group) (disjoint
+  // scratch). ---
   {
     telemetry::TraceSpan span("engine.route", "engine");
     ParallelFor(
-        groups_.size(),
+        scratch_.size(),
         [&](std::size_t begin, std::size_t end) {
-          for (std::size_t g = begin; g < end; ++g) RouteGroup(g, samples);
+          for (std::size_t task = begin; task < end; ++task) {
+            RouteGroup(task % num_groups,
+                       replica_samples(task / num_groups), scratch_[task]);
+          }
         },
         threads);
   }
 
-  // --- Stage 2: per-(group, bin) kernel cost and per-DPU statistics.
-  // Each task owns bin (g, bin) and writes only that bin's DPU column
-  // (disjoint DPU ids); its kernel cycles land in bin_cycles[task].
-  // The reduction below folds them in fixed task order, so both the
-  // simulated latency (max across DPUs, as on real hardware) and any
-  // error report are thread-count invariant. ---
-  const std::size_t num_bin_tasks = bin_task_start_.back();
+  // --- Stage 2: per-(replica, group, bin) kernel cost and per-DPU
+  // statistics. Each task owns bin (r, g, bin) and writes only that
+  // bin's DPU column (disjoint DPU ids); its kernel cycles land in
+  // bin_cycles[task]. The reduction below folds them in fixed task
+  // order, so both the simulated latency (max across all replicas'
+  // DPUs, as on real hardware) and any error report are thread-count
+  // invariant. A replica dealt no samples launches nothing. ---
+  const std::size_t bins_per_replica = bin_task_start_.back();
+  const std::size_t num_bin_tasks = replicas_ * bins_per_replica;
   bin_cycles_.assign(num_bin_tasks, 0);
   bin_status_.assign(num_bin_tasks, Status());
   std::span<Cycles> bin_cycles(bin_cycles_);
@@ -628,22 +753,33 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   ParallelFor(
       num_bin_tasks,
       [&](std::size_t begin, std::size_t end) {
-        std::size_t g = 0;
         for (std::size_t task = begin; task < end; ++task) {
-          while (task >= bin_task_start_[g + 1]) ++g;
+          const auto r = static_cast<std::uint32_t>(task / bins_per_replica);
+          const std::size_t local = task % bins_per_replica;
+          const std::size_t g = GroupOfTask(bin_task_start_, local);
           const TableGroup& group = groups_[g];
           const auto& geom = group.plan.geom;
           const std::uint32_t row_bytes = geom.row_bytes();
           const auto bin =
-              static_cast<std::uint32_t>(task - bin_task_start_[g]);
-          const BinRoute& rt = scratch_[g].routes[bin];
+              static_cast<std::uint32_t>(local - bin_task_start_[g]);
+          const BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
+          const std::size_t replica_batch = replica_samples(r).size();
+          if (dpu_trace != nullptr) {
+            DpuTraceSlice& slice = dpu_trace->slices[task];
+            slice.replica = r;
+            slice.table = group.table_index;
+            slice.bin = bin;
+            slice.first_dpu = ReplicaDpu(r, group, bin, 0);
+            slice.col_shards = geom.col_shards;
+          }
+          if (replica_batch == 0) continue;
 
           // One 4-byte index per routed reference, whichever tier
           // (MRAM row, WRAM hot row, cached partial sum) serves it.
           const pim::EmbeddingKernelWork work{
               .num_lookups = rt.emt_count,
               .num_cache_reads = rt.cache_count,
-              .num_samples = batch,
+              .num_samples = replica_batch,
               .row_bytes = row_bytes,
               .num_wram_hits = rt.wram_count,
           };
@@ -653,10 +789,6 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           bin_cycles[task] = cycles;
           if (dpu_trace != nullptr) {
             DpuTraceSlice& slice = dpu_trace->slices[task];
-            slice.table = group.table_index;
-            slice.bin = bin;
-            slice.first_dpu = group.GlobalDpu(bin, 0);
-            slice.col_shards = geom.col_shards;
             slice.cycles = cycles;
             slice.work = work;
           }
@@ -669,7 +801,7 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
                 system_->config().kernel_cost.index_chunk * 4;
             check::AccessValidator& access = checker_->access();
             for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
-              const std::uint32_t id = group.GlobalDpu(bin, c);
+              const std::uint32_t id = ReplicaDpu(r, group, bin, c);
               if (list_bytes > 0) {
                 access.OnDma(id, group.layout.index_base, chunk_bytes,
                              /*is_write=*/false);
@@ -688,7 +820,7 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           }
 
           const std::uint64_t idx_bytes =
-              list_bytes + 2 * (batch + 1) * 4;
+              list_bytes + 2 * (replica_batch + 1) * 4;
           if (idx_bytes > group.layout.index_bytes) {
             bin_status[task] = Status::CapacityExceeded(
                 "stage-1 index buffer overflow (" +
@@ -697,7 +829,7 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
                 " bytes); increase EngineOptions::reserved_io_bytes");
             continue;
           }
-          const std::uint64_t out_bytes = batch * row_bytes;
+          const std::uint64_t out_bytes = replica_batch * row_bytes;
           if (out_bytes > group.layout.output_bytes) {
             bin_status[task] = Status::CapacityExceeded(
                 "stage-3 output buffer overflow (" +
@@ -708,14 +840,14 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           }
 
           for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
-            const std::uint32_t id = group.GlobalDpu(bin, c);
+            const std::uint32_t id = ReplicaDpu(r, group, bin, c);
             push_bytes[id] = idx_bytes;
             pull_bytes[id] = out_bytes;
             pim::DpuStats& st = system_->dpu(id).stats();
             st.kernel_cycles += cycles;
             st.lookups += work.num_lookups;
             st.cache_reads += work.num_cache_reads;
-            st.samples += batch;
+            st.samples += replica_batch;
             st.wram_hits += work.num_wram_hits;
             st.index_bytes_pushed += idx_bytes;
             st.mram_bytes_read +=
@@ -753,19 +885,21 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
 
   // --- Functional kernel execution: real MRAM reads, bit-exact int32
   // partial sums per (bin, column shard, sample). One task per
-  // (group, bin, col) DPU; each writes its wire values (the int32
-  // partial sums that cross the DPU->CPU bus) into its own slice of
-  // `wires`, and the host-side aggregation below adds the slices in
-  // fixed (group, bin, col) order — the determinism contract's merge
-  // step. int64 addition of int32 terms is exact, so pooled embeddings
-  // are bit-identical to the serial order at any thread count. ---
+  // (replica, group, bin, col) DPU; each writes its wire values (the
+  // int32 partial sums that cross the DPU->CPU bus) for its replica's
+  // samples into its own slice of `wires`, and the host-side
+  // aggregation below adds the slices in fixed (replica, group, bin,
+  // col) order — the determinism contract's merge step. int64 addition
+  // of int32 terms is exact, so pooled embeddings are bit-identical to
+  // the serial order at any thread count and any R. ---
   std::span<std::int64_t> pooled_acc;
   if (fn) {
     telemetry::TraceSpan span("engine.functional", "engine");
     pooled_acc_.assign(batch * static_cast<std::size_t>(tables) * dim, 0);
     pooled_acc = pooled_acc_;
-    const std::size_t num_fn_tasks = fn_task_start_.back();
-    const std::size_t wires_per_task = batch * nc_;
+    const std::size_t fn_per_replica = fn_task_start_.back();
+    const std::size_t num_fn_tasks = replicas_ * fn_per_replica;
+    const std::size_t wires_per_task = chunk * nc_;
     wires_.assign(num_fn_tasks * wires_per_task, 0);
     fn_status_.assign(num_fn_tasks, Status());
     std::span<std::int32_t> wires(wires_);
@@ -780,26 +914,29 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           ScopedArenaFrame frame(arena);
           std::int64_t* acc = arena.Alloc<std::int64_t>(nc_);
           std::int32_t* buf = arena.Alloc<std::int32_t>(nc_);
-          std::size_t g = 0;
           for (std::size_t task = begin; task < end; ++task) {
-            while (task >= fn_task_start_[g + 1]) ++g;
+            const auto r = static_cast<std::uint32_t>(task / fn_per_replica);
+            const std::size_t g =
+                GroupOfTask(fn_task_start_, task % fn_per_replica);
             const TableGroup& group = groups_[g];
             const auto& geom = group.plan.geom;
             const std::uint32_t row_bytes = geom.row_bytes();
             auto buf_bytes = std::span<std::uint8_t>(
                 reinterpret_cast<std::uint8_t*>(buf), row_bytes);
-            const std::size_t local = task - fn_task_start_[g];
+            const std::size_t local =
+                task % fn_per_replica - fn_task_start_[g];
             const auto bin =
                 static_cast<std::uint32_t>(local / geom.col_shards);
             const auto c =
                 static_cast<std::uint32_t>(local % geom.col_shards);
-            const BinRoute& rt = scratch_[g].routes[bin];
+            const BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
             const pim::Mram& mram =
-                system_->dpu(group.GlobalDpu(bin, c)).mram();
+                system_->dpu(ReplicaDpu(r, group, bin, c)).mram();
             std::int32_t* task_wires =
                 wires.data() + task * wires_per_task;
+            const std::size_t replica_batch = replica_samples(r).size();
             Status status;
-            for (std::size_t s = 0; s < batch && status.ok(); ++s) {
+            for (std::size_t s = 0; s < replica_batch && status.ok(); ++s) {
               std::fill(acc, acc + nc_, std::int64_t{0});
               // Slot references are absolute (EMT at base 0, cache
               // offsets folded in during routing).
@@ -842,20 +979,24 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
     for (std::size_t task = 0; task < num_fn_tasks; ++task) {
       UPDLRM_RETURN_IF_ERROR(fn_status[task]);
     }
-    // Fixed-order merge: task (g, bin, col) ascending, samples
+    // Fixed-order merge: task (r, g, bin, col) ascending, samples
     // ascending within each task.
-    std::size_t g = 0;
     for (std::size_t task = 0; task < num_fn_tasks; ++task) {
-      while (task >= fn_task_start_[g + 1]) ++g;
+      const std::size_t r = task / fn_per_replica;
+      const std::size_t local = task % fn_per_replica;
+      const std::size_t g = GroupOfTask(fn_task_start_, local);
       const TableGroup& group = groups_[g];
       const auto& geom = group.plan.geom;
       const auto c = static_cast<std::uint32_t>(
-          (task - fn_task_start_[g]) % geom.col_shards);
+          (local - fn_task_start_[g]) % geom.col_shards);
       const std::int32_t* task_wires =
           wires.data() + task * wires_per_task;
-      for (std::size_t s = 0; s < batch; ++s) {
+      const std::size_t first = chunk_begin(r);
+      const std::size_t replica_batch = replica_samples(r).size();
+      for (std::size_t s = 0; s < replica_batch; ++s) {
         std::int64_t* dst = pooled_acc.data() +
-                            (s * tables + group.table_index) * dim +
+                            ((first + s) * tables + group.table_index) *
+                                dim +
                             static_cast<std::size_t>(c) * geom.nc;
         // Integer lanes: the vectorized add is exactly the
         // fixed-order merge (int64 addition is commutative per lane).
@@ -980,18 +1121,23 @@ Result<InferenceReport> UpDlrmEngine::RunAll(
 
 std::optional<UpDlrmEngine::DpuLocation> UpDlrmEngine::LocateDpu(
     std::uint32_t dpu) const {
+  const std::uint32_t replica = dpu / replica_dpus_;
+  if (replica >= replicas_) return std::nullopt;
+  const std::uint32_t copy_dpu = dpu % replica_dpus_;
   for (std::uint32_t t = 0; t < static_cast<std::uint32_t>(groups_.size());
        ++t) {
-    if (dpu < first_dpu_[t] || dpu >= first_dpu_[t] + dpus_per_table_[t]) {
+    if (copy_dpu < first_dpu_[t] ||
+        copy_dpu >= first_dpu_[t] + dpus_per_table_[t]) {
       continue;
     }
     const auto& geom = groups_[t].plan.geom;
-    const std::uint32_t local = dpu - first_dpu_[t];
+    const std::uint32_t local = copy_dpu - first_dpu_[t];
     if (local >=
         static_cast<std::uint32_t>(geom.row_shards) * geom.col_shards) {
       return std::nullopt;  // allocated to the table but unused
     }
-    return DpuLocation{t, local / geom.col_shards, local % geom.col_shards};
+    return DpuLocation{replica, t, local / geom.col_shards,
+                       local % geom.col_shards};
   }
   return std::nullopt;
 }

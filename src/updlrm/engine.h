@@ -1,15 +1,18 @@
 // The UpDLRM inference engine (Fig. 4).
 //
 // Pre-process stage (Create): profile the trace, mine cache lists
-// (cache-aware method), choose the tile shape Nc (Eq. 1-3 optimizer
+// (cache-aware method), choose the tile shape (Nc, R) (Eq. 1-3 optimizer
 // unless overridden), partition every EMT onto its DPU group, and place
-// the quantized table slices + cached partial sums into MRAM.
+// the quantized table slices + cached partial sums into MRAM — once per
+// replica: R whole-rank copies of the same table-group layout.
 //
-// Forward stage (RunBatch): route each batch's multi-hot indices to the
-// owning DPUs (stage 1), execute the lookup/reduce kernel on every DPU
-// (stage 2), pull back per-DPU partial sums (stage 3), aggregate them on
-// the CPU into pooled embeddings, and run the MLP stacks. The bottom MLP
-// overlaps the embedding pipeline; interaction + top MLP follow.
+// Forward stage (RunBatch): deal the batch's samples across the
+// replicas in contiguous chunks, route each chunk's multi-hot indices
+// to its replica's owning DPUs (stage 1), execute the lookup/reduce
+// kernel on every DPU (stage 2), pull back per-DPU partial sums
+// (stage 3), aggregate them on the CPU into pooled embeddings, and run
+// the MLP stacks. The bottom MLP overlaps the embedding pipeline;
+// interaction + top MLP follow.
 //
 // Two execution modes share all control flow:
 //   * functional — MRAM holds real quantized data, kernels produce
@@ -45,6 +48,13 @@ struct EngineOptions {
   partition::Method method = partition::Method::kCacheAware;
   /// Columns per tile; 0 = pick automatically with the §3.1 optimizer.
   std::uint32_t nc = 0;
+  /// Whole-rank model replicas R (the tile shape's third axis): R
+  /// copies of every table group on disjoint rank groups, each serving
+  /// a contiguous 1/R chunk of every batch. 0 = pick automatically with
+  /// the §3.1 optimizer (the largest R whose copy fits MRAM); >= 1 pins
+  /// R. R must divide the rank count and leave every copy at least one
+  /// DPU per table. Non-equal allocations run R = 1.
+  std::uint32_t replicas = 0;
   /// Fraction of the mined cache lists' storage requirement to actually
   /// provision (§3.3: 40% / 70% / 100%). Cache-aware method only.
   double cache_capacity_fraction = 1.0;
@@ -138,20 +148,32 @@ class UpDlrmEngine {
   Result<InferenceReport> RunAll(const dlrm::DenseInputs* dense);
 
   std::uint32_t nc() const { return nc_; }
+  /// Whole-rank model replicas R in use (1 = the paper's single copy).
+  std::uint32_t replicas() const { return replicas_; }
+  /// One group per table, shared by every replica (ReplicaDpu maps a
+  /// group's DPU to each copy's global id).
   const std::vector<TableGroup>& groups() const { return groups_; }
   /// The DPU system this engine runs on (for telemetry emission and
   /// the straggler report).
   const pim::DpuSystem& dpu_system() const { return *system_; }
 
-  /// Inverse of TableGroup::GlobalDpu: which (table, bin, column
-  /// shard) a global DPU id serves; nullopt for DPUs no group uses.
+  /// Inverse of ReplicaDpu: which (replica, table, bin, column shard) a
+  /// global DPU id serves; nullopt for DPUs no group uses.
   struct DpuLocation {
+    std::uint32_t replica = 0;
     std::uint32_t table = 0;
     std::uint32_t bin = 0;
     std::uint32_t col = 0;
   };
   std::optional<DpuLocation> LocateDpu(std::uint32_t dpu) const;
-  /// Present when Nc was chosen automatically.
+  /// Global id of replica `replica`'s DPU (bin, col_shard) of `group`.
+  std::uint32_t ReplicaDpu(std::uint32_t replica, const TableGroup& group,
+                           std::uint32_t bin, std::uint32_t col_shard) const {
+    return replica * replica_dpus_ + group.GlobalDpu(bin, col_shard);
+  }
+  /// Present when Nc or R was chosen automatically; `best` is the
+  /// candidate Setup built (the first one, in ascending cost, whose
+  /// plans fit MRAM).
   const std::optional<partition::TileOptimizerResult>& tile_optimization()
       const {
     return tile_result_;
@@ -186,12 +208,15 @@ class UpDlrmEngine {
                EngineOptions options);
 
   Status Setup();
+  // Builds every table's group at the current (nc_, replicas_,
+  // dpus_per_table_) into groups_; no MRAM writes.
+  Status BuildGroups();
   Result<partition::PartitionPlan> BuildPlan(
       std::uint32_t table, const trace::TableProfile& profile) const;
 
   // Check-mode Setup pass over one built group: static plan audit,
-  // WRAM-tier capacity audit, and MRAM region registration for the
-  // shadow-state access validator.
+  // WRAM-tier capacity audit, and MRAM region registration of every
+  // replica's copy for the shadow-state access validator.
   void AuditGroup(const TableGroup& group);
 
   // options_.wram_cache_rows clamped to the WRAM left over by the
@@ -212,22 +237,25 @@ class UpDlrmEngine {
     void Clear();
   };
 
-  // Routing scratch for one group, reused across batches. Each group
-  // owns its scratch so routing fans out group-per-task with no shared
-  // mutable state.
+  // Routing scratch for one (replica, group), reused across batches.
+  // Each owns its scratch so routing fans out (replica, group)-per-task
+  // with no shared mutable state.
   struct GroupScratch {
     std::vector<BinRoute> routes;
     std::vector<std::uint32_t> list_mask;
     std::vector<std::uint32_t> touched_lists;
   };
 
-  // Stage 1 for one group: route the batch's indices to bins (and, in
-  // functional mode, to absolute MRAM slots).
-  void RouteGroup(std::size_t g, std::span<const std::size_t> samples);
+  // Stage 1 for group g of one replica: route that replica's samples'
+  // indices to bins (and, in functional mode, to absolute MRAM slots)
+  // in `scratch`.
+  void RouteGroup(std::size_t g, std::span<const std::size_t> samples,
+                  GroupScratch& scratch) const;
 
-  // Cost of one batch at tile width `nc` under `alloc` (auto-Nc search
-  // for heterogeneous / non-equal allocations).
-  Nanos EstimateBatchCost(std::uint32_t nc,
+  // Cost of one batch at tile width `nc` with `replicas` copies, each
+  // split across tables by `alloc` (the (Nc, R) search for
+  // heterogeneous / non-equal allocations).
+  Nanos EstimateBatchCost(std::uint32_t nc, std::uint32_t replicas,
                           std::span<const std::uint32_t> alloc) const;
 
   const dlrm::DlrmModel* model_;  // null in timing-only mode
@@ -240,10 +268,14 @@ class UpDlrmEngine {
   std::vector<std::uint32_t> dpus_per_table_;
   std::vector<std::uint32_t> first_dpu_;
   std::uint32_t nc_ = 0;
+  std::uint32_t replicas_ = 1;
+  // DPUs per replica: the global-id stride between copies.
+  std::uint32_t replica_dpus_ = 0;
   std::optional<partition::TileOptimizerResult> tile_result_;
   std::vector<TableGroup> groups_;
 
-  // Scratch reused across batches (one entry per group).
+  // Scratch reused across batches: entry r * groups + g for group g of
+  // replica r.
   std::vector<GroupScratch> scratch_;
   // Sample-id scratch for the RunBatch(range) -> RunSamples adapter.
   std::vector<std::size_t> range_samples_;
@@ -260,8 +292,9 @@ class UpDlrmEngine {
   // Per-rank stage-3 byte totals (the aggregation price's input).
   std::vector<std::uint64_t> rank_bytes_;
   std::vector<Status> fn_status_;
-  // Flattened fan-out offsets: task id ranges for the per-(group, bin)
-  // stage-2 tasks and the per-(group, bin, col) functional tasks.
+  // Flattened fan-out offsets within one replica: task id ranges for
+  // the per-(group, bin) stage-2 tasks and the per-(group, bin, col)
+  // functional tasks. Replica r's tasks follow replica r - 1's.
   std::vector<std::size_t> bin_task_start_;  // size groups + 1
   std::vector<std::size_t> fn_task_start_;   // size groups + 1
 

@@ -133,7 +133,7 @@ void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
 }
 
 Status PlaceTable(const dlrm::EmbeddingTable& table, const TableGroup& group,
-                  pim::DpuSystem& system) {
+                  pim::DpuSystem& system, std::uint32_t dpu_offset) {
   if (!system.functional()) {
     return Status::FailedPrecondition(
         "PlaceTable requires a functional DpuSystem");
@@ -160,7 +160,7 @@ Status PlaceTable(const dlrm::EmbeddingTable& table, const TableGroup& group,
           group.layout.emt_base +
           static_cast<std::uint64_t>(slot) * row_bytes;
       UPDLRM_RETURN_IF_ERROR(
-          system.dpu(group.GlobalDpu(bin, c))
+          system.dpu(dpu_offset + group.GlobalDpu(bin, c))
               .mram()
               .Write(offset, AsBytes(std::span<const std::int32_t>(
                                  qrow.data() + c * geom.nc, geom.nc))));
@@ -190,7 +190,7 @@ Status PlaceTable(const dlrm::EmbeddingTable& table, const TableGroup& group,
           static_cast<std::uint64_t>(mask - 1) * row_bytes;
       for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
         UPDLRM_RETURN_IF_ERROR(
-            system.dpu(group.GlobalDpu(bin, c))
+            system.dpu(dpu_offset + group.GlobalDpu(bin, c))
                 .mram()
                 .Write(slot_offset,
                        AsBytes(std::span<const std::int32_t>(

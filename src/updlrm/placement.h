@@ -83,8 +83,9 @@ void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
                     std::uint32_t rows_per_dpu);
 
 /// Writes quantized EMT slices and cache subset sums into the group's
-/// MRAM banks (functional mode only).
+/// MRAM banks (functional mode only), shifted by `dpu_offset` global
+/// DPU ids (a model replica's copy of the group).
 Status PlaceTable(const dlrm::EmbeddingTable& table, const TableGroup& group,
-                  pim::DpuSystem& system);
+                  pim::DpuSystem& system, std::uint32_t dpu_offset = 0);
 
 }  // namespace updlrm::core

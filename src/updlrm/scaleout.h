@@ -89,6 +89,8 @@ class ShardedEngine {
   /// workload; both must outlive the engine. `options` configures every
   /// per-shard engine (emit_fixed_pooled is forced on; preprofiled /
   /// premined_cache are cleared — they describe the unsharded trace).
+  /// options.replicas applies per shard: each shard's engine copies its
+  /// sub-model over its own ranks.
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const dlrm::DlrmModel* model, const dlrm::DlrmConfig& config,
       const trace::Trace& trace, ShardedEngineConfig fleet,

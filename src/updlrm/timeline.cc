@@ -116,6 +116,7 @@ void EmitBatchDpuTimeline(const pim::DpuSystem& system,
   const Nanos kernel_start =
       s2_start_ns + system.transfer().KernelLaunchOverhead();
   for (const DpuTraceSlice& s : trace.slices) {
+    if (s.work.num_samples == 0) continue;  // an idle replica
     const Nanos dur = CyclesToNanos(s.cycles, clock_hz);
     tracer.Complete(kDpuPid, s.first_dpu, Clock::kSim, "kernel",
                     kernel_start, dur, "cycles",

@@ -1,11 +1,12 @@
 // Per-DPU stage-2 timeline capture and emission.
 //
 // When tracing is enabled, the engine records one DpuTraceSlice per
-// (table, bin) stage-2 launch — the work counts and priced cycles that
-// already flow through the launch path, captured with zero extra model
-// evaluation. EmitBatchDpuTimeline later (post-run, outside any hot
-// loop) turns a batch's slices into simulated-clock trace events:
-//   * one "kernel" slice per (table, bin) on the DPU-array track
+// (replica, table, bin) stage-2 launch — the work counts and priced
+// cycles that already flow through the launch path, captured with zero
+// extra model evaluation. EmitBatchDpuTimeline later (post-run, outside
+// any hot loop) turns a batch's slices into simulated-clock trace
+// events:
+//   * one "kernel" slice per launch on the DPU-array track
 //     (pid kDpuPid, tid = the bin's first global DPU id; the bin's
 //     other column shards run the identical kernel),
 //   * a WRAM-hit marker on slices served partly from the pinned tier,
@@ -30,8 +31,11 @@
 
 namespace updlrm::core {
 
-/// One (table, bin) stage-2 launch of a batch.
+/// One (replica, table, bin) stage-2 launch of a batch. A replica
+/// dealt no samples launches nothing: its slices keep zero work.
 struct DpuTraceSlice {
+  /// Which whole-rank model copy ran the launch (EngineOptions::replicas).
+  std::uint32_t replica = 0;
   std::uint32_t table = 0;
   std::uint32_t bin = 0;
   /// The bin's first global DPU id; the bin spans `col_shards`
@@ -42,7 +46,8 @@ struct DpuTraceSlice {
   pim::EmbeddingKernelWork work;
 };
 
-/// All stage-2 launches of one batch, in fixed (group, bin) task order.
+/// All stage-2 launches of one batch, in fixed (replica, group, bin)
+/// task order.
 struct BatchDpuTrace {
   std::vector<DpuTraceSlice> slices;
   /// Index of the slowest slice (first one at max, so deterministic).

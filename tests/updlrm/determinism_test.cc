@@ -41,7 +41,8 @@ struct Fixture {
   dlrm::DenseInputs dense = dlrm::DenseInputs::Generate(0, 1, 0);
 };
 
-Fixture MakeFixture(bool functional, std::uint64_t seed = 31) {
+Fixture MakeFixture(bool functional, std::uint64_t seed = 31,
+                    std::uint32_t dpus_per_rank = 8) {
   Fixture f;
   f.config.num_tables = 2;
   f.config.rows_per_table = 600;
@@ -74,7 +75,7 @@ Fixture MakeFixture(bool functional, std::uint64_t seed = 31) {
 
   pim::DpuSystemConfig sys;
   sys.num_dpus = 8;
-  sys.dpus_per_rank = 8;
+  sys.dpus_per_rank = dpus_per_rank;
   sys.dpu.mram_bytes = 1 * kMiB;
   sys.functional = functional;
   auto system = pim::DpuSystem::Create(sys);
@@ -91,11 +92,16 @@ struct EngineRun {
   InferenceReport report;
 };
 
-EngineRun RunEngineAt(std::uint32_t threads, bool hot_path = false) {
-  Fixture f = MakeFixture(/*functional=*/true);
+// `replicas` > 1 runs that many whole-rank model copies on 4 ranks of 2
+// DPUs, at Nc = 8 so each copy keeps one DPU per table.
+EngineRun RunEngineAt(std::uint32_t threads, bool hot_path = false,
+                      std::uint32_t replicas = 1) {
+  Fixture f = MakeFixture(/*functional=*/true, 31,
+                          /*dpus_per_rank=*/replicas > 1 ? 2 : 8);
   EngineOptions options;
   options.method = partition::Method::kCacheAware;
-  options.nc = 4;
+  options.nc = replicas > 1 ? 8 : 4;
+  options.replicas = replicas;
   options.batch_size = 16;
   options.reserved_io_bytes = 128 * kKiB;
   options.grace.num_hot_items = 96;
@@ -108,11 +114,20 @@ EngineRun RunEngineAt(std::uint32_t threads, bool hot_path = false) {
                                      f.system.get(), options);
   UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
 
+  UPDLRM_CHECK((*engine)->replicas() == replicas);
+
   EngineRun run;
   auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
   UPDLRM_CHECK(batch.ok());
   run.pooled = std::move(batch->pooled);
   run.ctr = std::move(batch->ctr);
+  // Three samples over four copies: one copy is dealt nothing.
+  auto short_batch = (*engine)->RunBatch({40, 43}, &f.dense);
+  UPDLRM_CHECK(short_batch.ok());
+  run.pooled.insert(run.pooled.end(), short_batch->pooled.begin(),
+                    short_batch->pooled.end());
+  run.ctr.insert(run.ctr.end(), short_batch->ctr.begin(),
+                 short_batch->ctr.end());
   auto report = (*engine)->RunAll(&f.dense);
   UPDLRM_CHECK(report.ok());
   run.report = std::move(report).value();
@@ -162,6 +177,22 @@ TEST(DeterminismTest, HotPathLeversBitExactAcrossThreadCounts) {
       ASSERT_EQ(run.pooled[i], serial.pooled[i])
           << "lane " << i << " at " << threads << " threads";
     }
+    ASSERT_EQ(run.ctr, serial.ctr) << threads << " threads";
+    ExpectSameReport(run.report, serial.report);
+  }
+}
+
+TEST(DeterminismTest, RankReplicasBitExactAcrossThreadCounts) {
+  // Four model copies deal each batch in fixed contiguous chunks and
+  // merge in (replica, group, bin, col) order: thread count must not
+  // move a bit, and the outputs equal the single-copy engine's.
+  const EngineRun single = RunEngineAt(1);
+  const EngineRun serial = RunEngineAt(1, /*hot_path=*/false, 4);
+  ASSERT_EQ(serial.pooled, single.pooled);
+  ASSERT_EQ(serial.ctr, single.ctr);
+  for (std::uint32_t threads : {2u, 4u, 0u}) {
+    const EngineRun run = RunEngineAt(threads, /*hot_path=*/false, 4);
+    ASSERT_EQ(run.pooled, serial.pooled) << threads << " threads";
     ASSERT_EQ(run.ctr, serial.ctr) << threads << " threads";
     ExpectSameReport(run.report, serial.report);
   }

@@ -147,13 +147,30 @@ TEST(EngineTest, AutoNcRecordsOptimizerResult) {
 }
 
 TEST(EngineTest, ForcedNcSkipsOptimizer) {
+  // Pinning both tile axes (Nc and R) leaves nothing to optimize.
+  Fixture f = MakeFixture();
+  EngineOptions options = SmallEngineOptions(partition::Method::kUniform, 4);
+  options.replicas = 1;
+  auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                     f.system.get(), options);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ((*engine)->nc(), 4u);
+  EXPECT_FALSE((*engine)->tile_optimization().has_value());
+}
+
+TEST(EngineTest, ForcedNcStillPricesReplicas) {
+  // A pinned Nc with R left automatic searches R at that Nc only.
   Fixture f = MakeFixture();
   auto engine = UpDlrmEngine::Create(
       f.model.get(), f.config, f.trace, f.system.get(),
       SmallEngineOptions(partition::Method::kUniform, 4));
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ((*engine)->nc(), 4u);
-  EXPECT_FALSE((*engine)->tile_optimization().has_value());
+  ASSERT_TRUE((*engine)->tile_optimization().has_value());
+  for (const auto& cand : (*engine)->tile_optimization()->candidates) {
+    EXPECT_EQ(cand.nc, 4u);
+  }
+  EXPECT_EQ((*engine)->replicas(), 1u);  // one rank: one copy
 }
 
 TEST(EngineTest, StageLatenciesArePositive) {
