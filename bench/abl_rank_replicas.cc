@@ -88,22 +88,10 @@ void WriteMeasured(telemetry::JsonWriter& json, const char* key,
 // and 4 on the 256-DPU system: true when every pooled embedding is
 // bit-identical across R and to DlrmModel's fixed-point reference.
 bool FunctionalBitExact(const bench::BenchScale& scale) {
-  dlrm::DlrmConfig config;
-  config.num_tables = 4;
-  config.rows_per_table = 8'192;
-  config.embedding_dim = 32;
-  config.dense_features = 13;
-  auto model = dlrm::DlrmModel::Create(config);
-  UPDLRM_CHECK_MSG(model.ok(), model.status().ToString());
-  trace::DatasetSpec spec = trace::Table1Workloads()[0];
-  spec.num_items = config.rows_per_table;
-  spec.num_hot_items = 1'024;
-  trace::TraceGeneratorOptions generate;
-  generate.num_samples = 256;
-  generate.num_tables = config.num_tables;
-  generate.num_threads = scale.threads;
-  auto trace = trace::TraceGenerator(spec).Generate(generate);
-  UPDLRM_CHECK_MSG(trace.ok(), trace.status().ToString());
+  const bench::FunctionalReplica replica = bench::MakeFunctionalReplica(scale);
+  const dlrm::DlrmConfig& config = replica.config;
+  const dlrm::DlrmModel& model = replica.model;
+  const trace::Trace& trace = replica.trace;
 
   const std::size_t width =
       static_cast<std::size_t>(config.num_tables) * config.embedding_dim;
@@ -121,12 +109,12 @@ bool FunctionalBitExact(const bench::BenchScale& scale) {
           bench::PaperEngineOptions(method, 0, scale);
       options.replicas = replicas;
       options.reserved_io_bytes = 256 * kKiB;
-      auto engine = core::UpDlrmEngine::Create(&*model, config, *trace,
+      auto engine = core::UpDlrmEngine::Create(&model, config, trace,
                                                system->get(), options);
       UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
       std::vector<float> pooled;
       for (const trace::BatchRange& range :
-           trace::MakeBatches(trace->num_samples(), scale.batch_size)) {
+           trace::MakeBatches(trace.num_samples(), scale.batch_size)) {
         auto batch = (*engine)->RunBatch(range, nullptr);
         UPDLRM_CHECK_MSG(batch.ok(), batch.status().ToString());
         pooled.insert(pooled.end(), batch->pooled.begin(),
@@ -135,8 +123,8 @@ bool FunctionalBitExact(const bench::BenchScale& scale) {
       bench::AssertChecksClean(**engine, "functional replica");
       if (replicas == 1) {
         std::vector<float> want(width);
-        for (std::size_t s = 0; s < trace->num_samples(); ++s) {
-          model->PooledEmbeddingsFixed(*trace, s, want);
+        for (std::size_t s = 0; s < trace.num_samples(); ++s) {
+          model.PooledEmbeddingsFixed(trace, s, want);
           exact = exact && std::equal(want.begin(), want.end(),
                                       pooled.begin() + s * width);
         }

@@ -83,6 +83,29 @@ Workload PrepareWorkload(const trace::DatasetSpec& spec,
   return w;
 }
 
+FunctionalReplica MakeFunctionalReplica(const BenchScale& scale) {
+  dlrm::DlrmConfig config;
+  config.num_tables = 4;
+  config.rows_per_table = 8'192;
+  config.embedding_dim = 32;
+  config.dense_features = 13;
+  auto model = dlrm::DlrmModel::Create(config);
+  UPDLRM_CHECK_MSG(model.ok(), model.status().ToString());
+  trace::DatasetSpec spec = trace::Table1Workloads()[0];
+  spec.num_items = config.rows_per_table;
+  spec.num_hot_items = 1'024;
+  trace::TraceGeneratorOptions generate;
+  generate.num_samples = 256;
+  generate.num_tables = config.num_tables;
+  generate.num_threads = scale.threads;
+  auto trace = trace::TraceGenerator(spec).Generate(generate);
+  UPDLRM_CHECK_MSG(trace.ok(), trace.status().ToString());
+  dlrm::DenseInputs dense = dlrm::DenseInputs::Generate(
+      generate.num_samples, config.dense_features, spec.seed + 1);
+  return FunctionalReplica{config, std::move(model).value(),
+                           std::move(trace).value(), std::move(dense)};
+}
+
 std::unique_ptr<pim::DpuSystem> MakePaperSystem() {
   pim::DpuSystemConfig config;  // defaults are the Table 2 system
   config.functional = false;
@@ -118,6 +141,7 @@ core::EngineOptions PaperEngineOptions(partition::Method method,
   options.method = method;
   options.nc = nc;
   options.replicas = 1;  // the paper's single copy of the model
+  options.packed_indices = false;  // the paper's 4-byte stage-1 format
   options.batch_size = scale.batch_size;
   options.num_threads = scale.threads;
   options.grace.num_threads = scale.threads;

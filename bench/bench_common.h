@@ -107,6 +107,18 @@ struct Workload {
 Workload PrepareWorkload(const trace::DatasetSpec& spec,
                          const BenchScale& scale);
 
+/// A functional replica small enough to materialize on the Table 2
+/// system: Table 1's first dataset scaled to 4 tables of 8,192 rows
+/// (1,024 hot), dim 32, 256 samples, with dense inputs. The ablations'
+/// bit-exactness gates serve it.
+struct FunctionalReplica {
+  dlrm::DlrmConfig config;
+  dlrm::DlrmModel model;
+  trace::Trace trace;
+  dlrm::DenseInputs dense;
+};
+FunctionalReplica MakeFunctionalReplica(const BenchScale& scale);
+
 /// The Table 2 UPMEM system: 256 DPUs, 4 ranks, paper defaults.
 /// Timing-only (full-scale tables are never materialized in benches).
 std::unique_ptr<pim::DpuSystem> MakePaperSystem();
@@ -120,7 +132,9 @@ pim::DpuSystemConfig MakePaperSystemConfig(const BenchScale& scale);
 std::unique_ptr<pim::DpuSystem> MakePaperSystem(const BenchScale& scale);
 
 /// Engine options matching the §4.1 setup: one copy of the model
-/// (replicas = 1), so every paper figure keeps the paper's layout.
+/// (replicas = 1) and the paper's 4-byte stage-1 indices
+/// (packed_indices = false), so every paper figure keeps the paper's
+/// layout and wire format.
 core::EngineOptions PaperEngineOptions(partition::Method method,
                                        std::uint32_t nc,
                                        const BenchScale& scale);

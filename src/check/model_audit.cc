@@ -28,7 +28,8 @@ void ModelAudit::AuditKernel(const pim::EmbeddingKernelWork& work,
     return;
   }
   const WorkKey key{work.num_lookups, work.num_cache_reads,
-                    work.num_samples, work.row_bytes, work.num_wram_hits};
+                    work.num_samples, work.row_bytes, work.num_wram_hits,
+                    work.index_bytes};
   Cycles executed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -51,7 +52,8 @@ void ModelAudit::AuditKernel(const pim::EmbeddingKernelWork& work,
             std::to_string(work.num_cache_reads) + ", samples " +
             std::to_string(work.num_samples) + ", row_bytes " +
             std::to_string(work.row_bytes) + ", wram " +
-            std::to_string(work.num_wram_hits) + "}: model claims " +
+            std::to_string(work.num_wram_hits) + ", index_bytes " +
+            std::to_string(work.index_bytes) + "}: model claims " +
             std::to_string(claimed) + " cycles, sim executed " +
             std::to_string(executed) + " (ratio " + std::to_string(ratio) +
             " outside [" + std::to_string(tol_.min_ratio) + ", " +

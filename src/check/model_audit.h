@@ -56,7 +56,7 @@ class ModelAudit {
   const ModelAuditTolerance& tolerance() const { return tol_; }
 
  private:
-  using WorkKey = std::array<std::uint64_t, 5>;
+  using WorkKey = std::array<std::uint64_t, 6>;
 
   pim::DpuConfig dpu_;
   pim::EmbeddingKernelCostParams params_;

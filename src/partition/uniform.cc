@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 
+#include "pim/wire_format.h"
+
 namespace updlrm::partition {
 
 Result<PartitionPlan> UniformPartition(const GroupGeometry& geom) {
@@ -22,6 +24,40 @@ std::span<const std::uint32_t> DefaultNcCandidates() {
   return kCandidates;
 }
 
+TileCandidate PriceBalancedBatch(const pim::DpuSystem& system,
+                                 std::uint64_t lookups_per_dpu,
+                                 std::size_t samples, std::uint32_t row_bytes,
+                                 bool packed_indices) {
+  const pim::IndexWire wire =
+      pim::ChooseWire(packed_indices, lookups_per_dpu);
+  TileCandidate cand;
+
+  // Stage 2: in-DPU lookup + reduction.
+  const pim::EmbeddingKernelWork work{
+      .num_lookups = lookups_per_dpu,
+      .num_cache_reads = 0,
+      .num_samples = samples,
+      .row_bytes = row_bytes,
+      .index_bytes = wire.id_bytes,
+  };
+  cand.stage2_ns = system.transfer().KernelLaunchOverhead() +
+                   CyclesToNanos(system.kernel_cost().KernelCycles(work),
+                                 system.config().dpu.clock_hz);
+
+  // Stage 1: indices + one per-sample offset array to every DPU.
+  cand.push_bytes = pim::PushBytes(wire, lookups_per_dpu, samples, 1);
+  // Stage 3: one Nc-wide partial sum per sample from every DPU.
+  const std::uint64_t pull_bytes =
+      static_cast<std::uint64_t>(samples) * row_bytes;
+  const std::vector<std::uint64_t> push(system.num_dpus(), cand.push_bytes);
+  const std::vector<std::uint64_t> pull(system.num_dpus(), pull_bytes);
+  cand.stage1_ns = system.transfer().PushTime(push, /*pad_to_max=*/true);
+  cand.stage3_ns = system.transfer().PullTime(pull, /*pad_to_max=*/true);
+
+  cand.total_ns = cand.stage1_ns + cand.stage2_ns + cand.stage3_ns;
+  return cand;
+}
+
 bool ReplicasFit(std::uint32_t replicas, std::uint32_t dpus_per_table,
                  const pim::DpuSystem& system) {
   if (replicas == 1) return true;
@@ -34,7 +70,8 @@ Result<TileOptimizerResult> OptimizeTileShape(
     dlrm::TableShape table, std::uint32_t dpus_per_table,
     std::size_t batch_size, double avg_reduction,
     const pim::DpuSystem& system,
-    std::span<const std::uint32_t> nc_candidates, std::uint32_t replicas) {
+    std::span<const std::uint32_t> nc_candidates, std::uint32_t replicas,
+    bool packed_indices) {
   if (batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
@@ -56,11 +93,8 @@ Result<TileOptimizerResult> OptimizeTileShape(
       if (!geom_or.ok()) continue;  // infeasible geometry for this Nc
       const GroupGeometry& geom = geom_or.value();
 
-      TileCandidate cand;
-      cand.nc = nc;
-      cand.nr = geom.UniformRowsPerBin();
-      cand.replicas = r;
-      if (cand.nr * nc > max_tile_values) {  // violates Eq. (2)
+      const std::uint64_t nr = geom.UniformRowsPerBin();
+      if (nr * nc > max_tile_values) {  // violates Eq. (2)
         over_capacity = true;
         continue;
       }
@@ -76,30 +110,11 @@ Result<TileOptimizerResult> OptimizeTileShape(
           static_cast<double>(samples) * avg_reduction /
           static_cast<double>(geom.row_shards)));
 
-      // Stage 2: in-DPU lookup + reduction.
-      pim::EmbeddingKernelWork work{
-          .num_lookups = lookups_per_dpu,
-          .num_cache_reads = 0,
-          .num_samples = samples,
-          .row_bytes = geom.row_bytes(),
-      };
-      cand.stage2_ns =
-          system.transfer().KernelLaunchOverhead() +
-          CyclesToNanos(system.kernel_cost().KernelCycles(work),
-                        system.config().dpu.clock_hz);
-
-      // Stage 1: indices (4 B each) + per-sample offsets to every DPU.
-      const std::uint64_t push_bytes =
-          lookups_per_dpu * 4 + (samples + 1) * 4;
-      // Stage 3: one Nc-wide partial sum per sample from every DPU.
-      const std::uint64_t pull_bytes =
-          static_cast<std::uint64_t>(samples) * geom.row_bytes();
-      const std::vector<std::uint64_t> push(system.num_dpus(), push_bytes);
-      const std::vector<std::uint64_t> pull(system.num_dpus(), pull_bytes);
-      cand.stage1_ns = system.transfer().PushTime(push, /*pad_to_max=*/true);
-      cand.stage3_ns = system.transfer().PullTime(pull, /*pad_to_max=*/true);
-
-      cand.total_ns = cand.stage1_ns + cand.stage2_ns + cand.stage3_ns;
+      TileCandidate cand = PriceBalancedBatch(
+          system, lookups_per_dpu, samples, geom.row_bytes(), packed_indices);
+      cand.nc = nc;
+      cand.nr = nr;
+      cand.replicas = r;
       result.candidates.push_back(cand);
     }
   }

@@ -9,6 +9,11 @@ Status EmbeddingKernelCostParams::Validate() const {
   if (index_chunk == 0) {
     return Status::InvalidArgument("index_chunk must be >= 1");
   }
+  if (index_chunk % 8 != 0) {
+    return Status::InvalidArgument(
+        "index_chunk must be a multiple of 8: a packed chunk (3 bytes "
+        "per index) must stay an 8-byte-aligned MRAM DMA");
+  }
   return Status::Ok();
 }
 
@@ -27,19 +32,24 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
     const EmbeddingKernelCostParams& params, const MramTimingModel& mram,
     const EmbeddingKernelWork& work) {
   UPDLRM_CHECK(work.row_bytes > 0 && work.row_bytes % 8 == 0);
+  UPDLRM_CHECK(work.index_bytes == 4 || work.index_bytes == 3);
   const std::uint32_t elements = work.row_bytes / 4;
   const Cycles instr_per_read =
       params.instr_per_lookup_base + params.instr_per_element * elements;
 
   // Phase 1: stream index lists MRAM->WRAM in chunks. Every MRAM/WRAM
-  // row reference is one 4-byte index word; with the WRAM tier off this
-  // is exactly the historical lookups+cache count.
+  // row reference is one index; with the WRAM tier off this is exactly
+  // the historical lookups+cache count. A packed chunk is 3 bytes per
+  // index, expanded in place to words before use: every index of the
+  // chunk pays the decode.
   const std::uint64_t mram_reads = work.num_lookups + work.num_cache_reads;
   const std::uint64_t index_words = mram_reads + work.num_wram_hits;
-  const std::uint32_t chunk_bytes = params.index_chunk * 4;
+  const std::uint32_t chunk_bytes = params.index_chunk * work.index_bytes;
+  const Cycles decode =
+      work.index_bytes == 4 ? 0 : kInstrPerPackedIndex * params.index_chunk;
   KernelWorkload index_stream{
       .num_items = CeilDiv(index_words, params.index_chunk),
-      .instr_cycles_per_item = 16,
+      .instr_cycles_per_item = 16 + decode,
       .dma_latency_per_item = mram.AccessLatency(chunk_bytes),
       .dma_occupancy_per_item = mram.EngineOccupancy(chunk_bytes),
   };

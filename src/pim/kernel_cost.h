@@ -24,6 +24,12 @@
 
 namespace updlrm::pim {
 
+/// Issue slots per packed (3-byte) slot reference on top of the index
+/// chunk's fixed budget: a halfword load, a byte load and one shift-add
+/// in place of one word load, expanding the chunk in place into the
+/// 4-byte WRAM index buffer (pim/wire_format.h).
+inline constexpr Cycles kInstrPerPackedIndex = 2;
+
 struct EmbeddingKernelCostParams {
   // Per-lookup fixed instruction budget: index load, bounds check,
   // address computation, DMA setup, loop control.
@@ -40,15 +46,18 @@ struct EmbeddingKernelCostParams {
   Cycles instr_per_wram_hit_base = 12;
   // Tasklet boot, barrier and drain per kernel launch on one DPU.
   Cycles boot_cycles = 8'000;
-  // Index-streaming chunk: indices copied MRAM->WRAM per DMA.
+  // Index-streaming chunk: indices copied MRAM->WRAM per DMA. A
+  // multiple of 8, so a packed chunk (3 bytes per index) keeps the
+  // MRAM DMA's 8-byte size alignment.
   std::uint32_t index_chunk = 64;
 
   Status Validate() const;
 };
 
-/// Work one DPU performs for one batch. With the WRAM tier off, only the
-/// first four fields are nonzero and the cost reduces exactly to the
-/// historical three-phase kernel.
+/// Work one DPU performs for one batch. With the WRAM tier off and
+/// 4-byte indices, only the first four fields differ from their
+/// defaults and the cost reduces exactly to the historical three-phase
+/// kernel.
 struct EmbeddingKernelWork {
   std::uint64_t num_lookups = 0;      // EMT row-slice reads (MRAM)
   std::uint64_t num_cache_reads = 0;  // cached partial-sum reads (MRAM)
@@ -57,6 +66,9 @@ struct EmbeddingKernelWork {
   // Rows served from the pinned WRAM hot-row tier: accumulation only,
   // no MRAM DMA (EngineOptions::wram_cache_rows).
   std::uint64_t num_wram_hits = 0;
+  // Bytes per streamed slot reference: 4 (the paper's word indices) or
+  // 3 (the packed stage-1 format, decoded in WRAM).
+  std::uint32_t index_bytes = 4;
 };
 
 /// Phases of the embedding kernel, in execution order: index streaming,

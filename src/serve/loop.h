@@ -109,8 +109,14 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
   batch_start.reserve(expected_batches + 1);
   std::vector<std::size_t> samples;  // sample-id scratch per cut
   samples.reserve(batcher_options.max_batch_size);
-  // Per cut batch: the engine's stage-2 launch records (tracing only).
-  std::vector<std::shared_ptr<const core::BatchDpuTrace>> batch_traces;
+  // Per cut batch (tracing only): the engine's stage-2 launch records,
+  // and the stage-1 push's widths and largest per-DPU buffer.
+  struct TracedBatch {
+    std::shared_ptr<const core::BatchDpuTrace> dpu;
+    pim::IndexWire wire;
+    std::uint64_t max_index_bytes = 0;
+  };
+  std::vector<TracedBatch> batch_traces;
   executor.Reserve(expected_batches);
   result.queue_depth.reserve(expected_batches);
   result.request_latency_ns.reserve(requests.size());
@@ -166,7 +172,10 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
     if (!costs.ok()) return costs.status();
 
     executor.Submit(*costs, t);
-    if (tracing) batch_traces.push_back(batch->dpu_trace);
+    if (tracing) {
+      batch_traces.push_back(TracedBatch{batch->dpu_trace, batch->index_wire,
+                                         batch->max_index_bytes});
+    }
     result.queue_depth.push_back(QueueDepthSample{t, batcher.queue_depth()});
     if (monitor != nullptr) {
       // Cumulative unit counters only exist mid-run, so the straggler
@@ -211,10 +220,14 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
     const Nanos done = path.Done(sched);
     if (tracing) {
       if (b % sample_every == 0) {
+        const TracedBatch& traced = batch_traces[b];
         tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage1.push",
                         sched.s1_start_ns,
                         sched.s1_end_ns - sched.s1_start_ns, "batch",
-                        static_cast<double>(b));
+                        static_cast<double>(b), "id_bytes",
+                        traced.wire.id_bytes, "offset_bytes",
+                        traced.wire.offset_bytes, "max_dpu_bytes",
+                        static_cast<double>(traced.max_index_bytes));
         tracer.Complete(kPipelinePid, kDpuTrack, Clock::kSim, "stage2.kernel",
                         sched.s2_start_ns,
                         sched.s2_end_ns - sched.s2_start_ns);
@@ -226,8 +239,8 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
                         sched.s3_end_ns - sched.costs.emb.cpu_aggregate,
                         sched.costs.emb.cpu_aggregate);
         path.TraceBatch(sched, b);
-        if (batch_traces[b] != nullptr) {
-          core::EmitBatchDpuTimeline(engine.dpu_system(), *batch_traces[b],
+        if (traced.dpu != nullptr) {
+          core::EmitBatchDpuTimeline(engine.dpu_system(), *traced.dpu,
                                      b, sched.s2_start_ns,
                                      /*tasklet_detail=*/true);
         }

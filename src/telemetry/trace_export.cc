@@ -1,7 +1,9 @@
 #include "telemetry/trace_export.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -58,9 +60,10 @@ void WriteEvent(JsonWriter& w, const TraceEvent& e) {
   if (e.kind == EventKind::kCounter) {
     w.Key("args").BeginObject().Field("value", e.value).EndObject();
   } else if (e.kind != EventKind::kEnd &&
-             (e.arg_name[0] != nullptr || e.arg_name[1] != nullptr)) {
+             std::any_of(std::begin(e.arg_name), std::end(e.arg_name),
+                         [](const char* n) { return n != nullptr; })) {
     w.Key("args").BeginObject();
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < kMaxTraceArgs; ++i) {
       if (e.arg_name[i] != nullptr) w.Field(e.arg_name[i], e.arg_value[i]);
     }
     w.EndObject();

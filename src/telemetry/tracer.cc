@@ -133,7 +133,9 @@ void Tracer::Instant(const char* name, const char* category) {
 void Tracer::Complete(std::int32_t pid, std::int64_t tid, Clock clock,
                       const char* name, Nanos ts_ns, Nanos dur_ns,
                       const char* arg0_name, double arg0,
-                      const char* arg1_name, double arg1) {
+                      const char* arg1_name, double arg1,
+                      const char* arg2_name, double arg2,
+                      const char* arg3_name, double arg3) {
   TraceEvent e;
   e.name = name;
   e.kind = EventKind::kComplete;
@@ -146,6 +148,10 @@ void Tracer::Complete(std::int32_t pid, std::int64_t tid, Clock clock,
   e.arg_value[0] = arg0;
   e.arg_name[1] = arg1_name;
   e.arg_value[1] = arg1;
+  e.arg_name[2] = arg2_name;
+  e.arg_value[2] = arg2;
+  e.arg_name[3] = arg3_name;
+  e.arg_value[3] = arg3;
   Emit(e);
 }
 

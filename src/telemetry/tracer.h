@@ -61,6 +61,9 @@ enum class EventKind : std::uint8_t {
   kAsyncEnd,    // id-correlated span close
 };
 
+/// Numeric args one event can carry.
+inline constexpr int kMaxTraceArgs = 4;
+
 /// One recorded event. POD-sized on purpose: buffers are preallocated
 /// arrays of these.
 struct TraceEvent {
@@ -77,9 +80,10 @@ struct TraceEvent {
   double dur_ns = 0.0;    // kComplete only
   std::uint64_t async_id = 0;  // kAsync* only
   double value = 0.0;          // kCounter only
-  /// Up to two numeric args, rendered into the event's "args" object.
-  const char* arg_name[2] = {nullptr, nullptr};
-  double arg_value[2] = {0.0, 0.0};
+  /// Up to kMaxTraceArgs numeric args, rendered into the event's "args"
+  /// object.
+  const char* arg_name[kMaxTraceArgs] = {};
+  double arg_value[kMaxTraceArgs] = {};
 };
 
 /// Well-known export process ids (one per track family). The exporter
@@ -144,7 +148,9 @@ class Tracer {
   void Complete(std::int32_t pid, std::int64_t tid, Clock clock,
                 const char* name, Nanos ts_ns, Nanos dur_ns,
                 const char* arg0_name = nullptr, double arg0 = 0.0,
-                const char* arg1_name = nullptr, double arg1 = 0.0);
+                const char* arg1_name = nullptr, double arg1 = 0.0,
+                const char* arg2_name = nullptr, double arg2 = 0.0,
+                const char* arg3_name = nullptr, double arg3 = 0.0);
   void Counter(std::int32_t pid, Clock clock, const char* name,
                Nanos ts_ns, double value);
   void InstantAt(std::int32_t pid, std::int64_t tid, Clock clock,

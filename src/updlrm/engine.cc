@@ -8,6 +8,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "pim/reduction.h"
+#include "pim/wire_format.h"
 #include "telemetry/tracer.h"
 #include "trace/profiler.h"
 #include "updlrm/timeline.h"
@@ -26,6 +27,14 @@ std::size_t GroupOfTask(std::span<const std::size_t> start,
          1;
 }
 
+// Appends `value` to `out` as a `bytes`-wide little-endian field.
+void AppendLE(std::vector<std::uint8_t>& out, std::uint32_t value,
+              std::uint32_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  pim::PutLE(value, bytes, out.data() + at);
+}
+
 }  // namespace
 
 void PriceDenseStages(const host::CpuTimingModel& cpu,
@@ -42,13 +51,23 @@ void PriceDenseStages(const host::CpuTimingModel& cpu,
 }
 
 void UpDlrmEngine::BinRoute::Clear() {
-  emt_slots.clear();
-  cache_slots.clear();
+  emt_ids.clear();
+  cache_ids.clear();
   emt_offsets.clear();
   cache_offsets.clear();
+  offsets.clear();
   emt_count = 0;
   cache_count = 0;
   wram_count = 0;
+}
+
+void UpDlrmEngine::BinRoute::EncodeOffsets(std::uint32_t arrays,
+                                           std::uint32_t bytes) {
+  offsets.clear();
+  for (const std::uint32_t v : emt_offsets) AppendLE(offsets, v, bytes);
+  if (arrays == 2) {
+    for (const std::uint32_t v : cache_offsets) AppendLE(offsets, v, bytes);
+  }
 }
 
 UpDlrmEngine::UpDlrmEngine(const dlrm::DlrmModel* model,
@@ -179,7 +198,7 @@ Status UpDlrmEngine::Setup() {
         options_.batch_size, avg_red, *system_,
         options_.nc == 0 ? partition::DefaultNcCandidates()
                          : std::span<const std::uint32_t>(pinned_nc),
-        options_.replicas);
+        options_.replicas, options_.packed_indices);
     if (tile.ok()) {
       tile_result_ = std::move(tile).value();
       ranked = tile_result_->candidates;
@@ -263,6 +282,15 @@ Status UpDlrmEngine::Setup() {
   for (const partition::TileCandidate& shape : ranked) {
     nc_ = shape.nc;
     replicas_ = shape.replicas;
+    if (options_.packed_indices &&
+        system_->config().dpu.mram_bytes / (nc_ * 4ULL) >
+            pim::kPackedSlotLimit) {
+      return Status::InvalidArgument(
+          "packed 3-byte slot references cannot address " +
+          std::to_string(system_->config().dpu.mram_bytes) +
+          " bytes of MRAM at Nc = " + std::to_string(nc_) +
+          "; set EngineOptions::packed_indices = false");
+    }
     replica_dpus_ = system_->num_dpus() / replicas_;
     auto alloc = allocate_at(nc_, replicas_);
     if (!alloc.ok()) return alloc.status();
@@ -447,9 +475,9 @@ Nanos UpDlrmEngine::EstimateBatchCost(
   // One replica serves the largest chunk of the batch deal.
   const std::size_t samples = CeilDiv(options_.batch_size, replicas);
   const std::uint32_t col_shards = config_.embedding_dim / nc;
-  const std::uint32_t row_bytes = nc * 4;
-  Cycles max_kernel = 0;
-  std::uint64_t max_push = 0;
+  // Kernel time and push bytes both grow with a DPU's lookups, so the
+  // table with the most lookups per DPU prices the batch.
+  std::uint64_t max_lookups = 0;
   for (std::uint32_t t = 0; t < config_.num_tables; ++t) {
     const std::uint32_t row_shards = alloc[t] / col_shards;
     const double avg_red =
@@ -457,23 +485,11 @@ Nanos UpDlrmEngine::EstimateBatchCost(
     const auto lookups_per_dpu = static_cast<std::uint64_t>(
         std::ceil(static_cast<double>(samples) * avg_red /
                   static_cast<double>(row_shards)));
-    const pim::EmbeddingKernelWork work{
-        .num_lookups = lookups_per_dpu,
-        .num_cache_reads = 0,
-        .num_samples = samples,
-        .row_bytes = row_bytes,
-    };
-    max_kernel =
-        std::max(max_kernel, system_->kernel_cost().KernelCycles(work));
-    max_push = std::max(max_push, lookups_per_dpu * 4 + (samples + 1) * 4);
+    max_lookups = std::max(max_lookups, lookups_per_dpu);
   }
-  const std::vector<std::uint64_t> push(system_->num_dpus(), max_push);
-  const std::vector<std::uint64_t> pull(
-      system_->num_dpus(), static_cast<std::uint64_t>(samples) * row_bytes);
-  return system_->transfer().PushTime(push, true) +
-         system_->transfer().KernelLaunchOverhead() +
-         CyclesToNanos(max_kernel, system_->config().dpu.clock_hz) +
-         system_->transfer().PullTime(pull, true);
+  return partition::PriceBalancedBatch(*system_, max_lookups, samples,
+                                       nc * 4, options_.packed_indices)
+      .total_ns;
 }
 
 Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
@@ -575,6 +591,7 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
   const std::uint32_t row_bytes = geom.row_bytes();
   const auto& ttrace = trace_.tables[group.table_index];
   const bool has_cache = group.plan.has_cache();
+  const std::uint32_t id_bytes = pim::IdBytes(options_.packed_indices);
   auto& routes = scratch.routes;
   for (auto& rt : routes) {
     rt.Clear();
@@ -587,7 +604,8 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
   // Routing: decide, per index, which bin serves it and whether a
   // cached subset sum covers it (one read per touched list, §3.3).
   // Slot references are absolute (offset / row_bytes), so EMT and cache
-  // reads share one addressing scheme.
+  // reads share one addressing scheme; functional mode writes them at
+  // the wire format's id width (Setup checked that packed slots fit).
   const bool has_wram = !group.wram_cached.empty();
   const std::uint64_t cache_ref_base = group.layout.cache_base / row_bytes;
   for (const std::size_t s : samples) {
@@ -616,7 +634,7 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
         } else {
           ++rt.emt_count;
         }
-        if (fn) rt.emt_slots.push_back(group.row_slot[idx]);
+        if (fn) AppendLE(rt.emt_ids, group.row_slot[idx], id_bytes);
       }
     }
     for (std::uint32_t l : scratch.touched_lists) {
@@ -626,16 +644,19 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
       BinRoute& rt = routes[bin];
       ++rt.cache_count;
       if (fn) {
-        rt.cache_slots.push_back(static_cast<std::uint32_t>(
-            cache_ref_base + group.list_offset[l] / row_bytes + mask - 1));
+        AppendLE(rt.cache_ids,
+                 static_cast<std::uint32_t>(cache_ref_base +
+                                            group.list_offset[l] / row_bytes +
+                                            mask - 1),
+                 id_bytes);
       }
     }
     if (fn) {
       for (auto& rt : routes) {
         rt.emt_offsets.push_back(
-            static_cast<std::uint32_t>(rt.emt_slots.size()));
+            static_cast<std::uint32_t>(rt.emt_ids.size() / id_bytes));
         rt.cache_offsets.push_back(
-            static_cast<std::uint32_t>(rt.cache_slots.size()));
+            static_cast<std::uint32_t>(rt.cache_ids.size() / id_bytes));
       }
     }
   }
@@ -726,6 +747,17 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
         },
         threads);
   }
+  // The call's wire widths: offsets are as narrow as this call's
+  // longest per-DPU list allows.
+  std::uint64_t max_refs = 0;
+  for (const GroupScratch& scratch : scratch_) {
+    for (const BinRoute& rt : scratch.routes) {
+      max_refs = std::max(max_refs, rt.refs());
+    }
+  }
+  const pim::IndexWire wire =
+      pim::ChooseWire(options_.packed_indices, max_refs);
+  out.index_wire = wire;
 
   // --- Stage 2: per-(replica, group, bin) kernel cost and per-DPU
   // statistics. Each task owns bin (r, g, bin) and writes only that
@@ -762,7 +794,7 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           const std::uint32_t row_bytes = geom.row_bytes();
           const auto bin =
               static_cast<std::uint32_t>(local - bin_task_start_[g]);
-          const BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
+          BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
           const std::size_t replica_batch = replica_samples(r).size();
           if (dpu_trace != nullptr) {
             DpuTraceSlice& slice = dpu_trace->slices[task];
@@ -774,17 +806,16 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           }
           if (replica_batch == 0) continue;
 
-          // One 4-byte index per routed reference, whichever tier
-          // (MRAM row, WRAM hot row, cached partial sum) serves it.
+          // One index per routed reference, whichever tier (MRAM row,
+          // WRAM hot row, cached partial sum) serves it.
           const pim::EmbeddingKernelWork work{
               .num_lookups = rt.emt_count,
               .num_cache_reads = rt.cache_count,
               .num_samples = replica_batch,
               .row_bytes = row_bytes,
               .num_wram_hits = rt.wram_count,
+              .index_bytes = wire.id_bytes,
           };
-          const std::uint64_t list_bytes =
-              (rt.emt_count + rt.wram_count + rt.cache_count) * 4;
           const Cycles cycles = system_->kernel_cost().KernelCycles(work);
           bin_cycles[task] = cycles;
           if (dpu_trace != nullptr) {
@@ -798,11 +829,11 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             // the shadow validator.
             checker_->model_audit().AuditKernel(work, cycles);
             const std::uint32_t chunk_bytes =
-                system_->config().kernel_cost.index_chunk * 4;
+                system_->config().kernel_cost.index_chunk * wire.id_bytes;
             check::AccessValidator& access = checker_->access();
             for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
               const std::uint32_t id = ReplicaDpu(r, group, bin, c);
-              if (list_bytes > 0) {
+              if (rt.refs() > 0) {
                 access.OnDma(id, group.layout.index_base, chunk_bytes,
                              /*is_write=*/false);
               }
@@ -819,8 +850,10 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             }
           }
 
+          const std::uint32_t arrays = pim::OffsetArrays(
+              options_.packed_indices, group.plan.has_cache());
           const std::uint64_t idx_bytes =
-              list_bytes + 2 * (replica_batch + 1) * 4;
+              pim::PushBytes(wire, rt.refs(), replica_batch, arrays);
           if (idx_bytes > group.layout.index_bytes) {
             bin_status[task] = Status::CapacityExceeded(
                 "stage-1 index buffer overflow (" +
@@ -837,6 +870,14 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
                 std::to_string(out_bytes) +
                 " bytes); run fewer samples per batch");
             continue;
+          }
+          if (fn) {
+            // The wire image the functional kernel decodes is exactly
+            // the priced push.
+            rt.EncodeOffsets(arrays, wire.offset_bytes);
+            UPDLRM_CHECK(rt.emt_ids.size() + rt.cache_ids.size() +
+                             rt.offsets.size() ==
+                         idx_bytes);
           }
 
           for (std::uint32_t c = 0; c < geom.col_shards; ++c) {
@@ -935,40 +976,51 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
             std::int32_t* task_wires =
                 wires.data() + task * wires_per_task;
             const std::size_t replica_batch = replica_samples(r).size();
+            // Decode the bin's wire image as the DPU would: offset
+            // array `a` starts at a * (replica_batch + 1) offsets.
+            const std::uint32_t ob = wire.offset_bytes;
+            const std::uint32_t ib = wire.id_bytes;
+            const bool cache_array =
+                pim::OffsetArrays(options_.packed_indices,
+                                  group.plan.has_cache()) == 2;
+            auto offset = [&](std::size_t a, std::size_t i) {
+              return pim::GetLE(
+                  rt.offsets.data() + (a * (replica_batch + 1) + i) * ob,
+                  ob);
+            };
+            // Slot references are absolute (EMT at base 0, cache
+            // offsets folded in during routing).
             Status status;
-            for (std::size_t s = 0; s < replica_batch && status.ok(); ++s) {
-              std::fill(acc, acc + nc_, std::int64_t{0});
-              // Slot references are absolute (EMT at base 0, cache
-              // offsets folded in during routing).
-              for (std::uint32_t k = rt.emt_offsets[s];
-                   k < rt.emt_offsets[s + 1] && status.ok(); ++k) {
+            auto accumulate = [&](std::span<const std::uint8_t> ids,
+                                  std::uint32_t begin, std::uint32_t end) {
+              for (std::uint32_t k = begin; k < end && status.ok(); ++k) {
                 status = mram.Read(
-                    static_cast<std::uint64_t>(rt.emt_slots[k]) *
+                    static_cast<std::uint64_t>(
+                        pim::GetLE(ids.data() + std::size_t{k} * ib, ib)) *
                         row_bytes,
                     buf_bytes);
                 simd::AddI32ToI64(buf, acc, geom.nc);
               }
-              for (std::uint32_t k = rt.cache_offsets[s];
-                   k < rt.cache_offsets[s + 1] && status.ok(); ++k) {
-                status = mram.Read(
-                    static_cast<std::uint64_t>(rt.cache_slots[k]) *
-                        row_bytes,
-                    buf_bytes);
-                simd::AddI32ToI64(buf, acc, geom.nc);
+            };
+            for (std::size_t s = 0; s < replica_batch && status.ok(); ++s) {
+              std::fill(acc, acc + nc_, std::int64_t{0});
+              accumulate(rt.emt_ids, offset(0, s), offset(0, s + 1));
+              if (cache_array) {
+                accumulate(rt.cache_ids, offset(1, s), offset(1, s + 1));
               }
               if (!status.ok()) break;
               // Partial sums cross the DPU->CPU wire as int32 (§3.1
               // assumes 32-bit values); the Q15.16 range contract
               // keeps them in range.
               for (std::uint32_t lane = 0; lane < geom.nc; ++lane) {
-                const auto wire = static_cast<std::int32_t>(acc[lane]);
-                if (wire != acc[lane]) {
+                const auto partial = static_cast<std::int32_t>(acc[lane]);
+                if (partial != acc[lane]) {
                   status = Status::OutOfRange(
                       "int32 partial-sum overflow; embedding values "
                       "exceed the fixed-point range contract");
                   break;
                 }
-                task_wires[s * nc_ + lane] = wire;
+                task_wires[s * nc_ + lane] = partial;
               }
             }
             fn_status[task] = std::move(status);
@@ -1090,7 +1142,10 @@ Result<InferenceReport> UpDlrmEngine::RunAll(
         const Nanos s3_start = s2_start + st.dpu_lookup;
         tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage1.push",
                         cursor, st.cpu_to_dpu, "batch",
-                        static_cast<double>(batch_index));
+                        static_cast<double>(batch_index), "id_bytes",
+                        batch->index_wire.id_bytes, "offset_bytes",
+                        batch->index_wire.offset_bytes, "max_dpu_bytes",
+                        static_cast<double>(batch->max_index_bytes));
         tracer.Complete(kPipelinePid, 1, Clock::kSim, "stage2.kernel",
                         s2_start, st.dpu_lookup);
         tracer.Complete(kPipelinePid, 0, Clock::kSim, "stage3.pull",

@@ -64,6 +64,12 @@ struct EngineOptions {
   /// Pad ragged stage-1/3 buffers to the max size so transfers take the
   /// parallel path (§2.2); disabling falls back to sequential transfers.
   bool pad_transfers = true;
+  /// Stage-1 wire format (pim/wire_format.h): true pushes 3-byte slot
+  /// references, 2-byte offsets where the call's lists allow, and no
+  /// cache offset array for cacheless groups, with the DPU's decode
+  /// priced in stage 2; false pushes the paper's 4-byte indices and
+  /// offsets, both offset arrays on every DPU.
+  bool packed_indices = true;
   /// WRAM hot-row tier (DESIGN.md §6e): pin the top-K hottest
   /// EMT-resident rows of every bin into the DPU's WRAM at setup;
   /// lookups hitting them skip the MRAM DMA. Clamped to the WRAM space
@@ -224,17 +230,27 @@ class UpDlrmEngine {
   std::uint32_t EffectiveWramRows(std::uint32_t row_bytes) const;
 
   // Per-(bin) routing buffers for one group, reused across batches.
+  // Functional mode builds the bin's stage-1 wire image: slot
+  // references encoded at the format's id width, then (once the call's
+  // offset width is known) the offset arrays.
   struct BinRoute {
-    std::vector<std::uint32_t> emt_slots;    // functional only
-    std::vector<std::uint32_t> cache_slots;  // functional only
-    std::vector<std::uint32_t> emt_offsets;  // per-sample, functional only
+    std::vector<std::uint8_t> emt_ids;    // functional only
+    std::vector<std::uint8_t> cache_ids;  // functional only
+    // Per-sample prefix counts (functional only), encoded into
+    // `offsets` at the call's width.
+    std::vector<std::uint32_t> emt_offsets;
     std::vector<std::uint32_t> cache_offsets;
+    std::vector<std::uint8_t> offsets;
     std::uint64_t emt_count = 0;
     std::uint64_t cache_count = 0;
     /// References served by the bin's pinned WRAM tier (timing split of
     /// what was historically emt_count; functional slots are unchanged).
     std::uint64_t wram_count = 0;
+    std::uint64_t refs() const { return emt_count + wram_count + cache_count; }
     void Clear();
+    // Writes `offsets`: the EMT array, then the cache array when
+    // `arrays` == 2, each offset `bytes` wide.
+    void EncodeOffsets(std::uint32_t arrays, std::uint32_t bytes);
   };
 
   // Routing scratch for one (replica, group), reused across batches.

@@ -13,6 +13,7 @@
 
 #include "common/units.h"
 #include "pim/reduction.h"
+#include "pim/wire_format.h"
 
 namespace updlrm::core {
 
@@ -71,6 +72,9 @@ struct BatchResult {
   /// buffer pair must hold (consumed by the data-flow capacity audit).
   std::uint64_t max_index_bytes = 0;
   std::uint64_t max_output_bytes = 0;
+  /// Widths this batch's stage-1 push used (EngineOptions::
+  /// packed_indices); the sharded engine reports the widest shard's.
+  pim::IndexWire index_wire;
   /// Total stage-3 partial-sum bytes pulled this batch (all DPUs) —
   /// the cross-shard merge planner's per-shard input.
   std::uint64_t partial_bytes = 0;

@@ -309,6 +309,12 @@ Result<BatchResult> ShardedEngine::RunSamples(
     out.stages.cpu_aggregate =
         std::max(out.stages.cpu_aggregate, r->stages.cpu_aggregate);
     out.max_index_bytes = std::max(out.max_index_bytes, r->max_index_bytes);
+    // Each shard picks its call's widths; report the widest.
+    if (s == 0) out.index_wire = r->index_wire;
+    out.index_wire.id_bytes =
+        std::max(out.index_wire.id_bytes, r->index_wire.id_bytes);
+    out.index_wire.offset_bytes = std::max(out.index_wire.offset_bytes,
+                                           r->index_wire.offset_bytes);
     out.max_output_bytes =
         std::max(out.max_output_bytes, r->max_output_bytes);
     shard_partial_bytes_[s] = r->partial_bytes;

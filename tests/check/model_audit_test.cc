@@ -33,11 +33,16 @@ TEST(ModelAuditTest, HonestClaimsPassAcrossWorkShapes) {
   AuditUnderTest t;
   for (std::uint64_t lookups : {1u, 64u, 900u}) {
     for (std::uint32_t row_bytes : {8u, 16u, 32u}) {
-      pim::EmbeddingKernelWork work;
-      work.num_lookups = lookups;
-      work.num_samples = 16;
-      work.row_bytes = row_bytes;
-      t.audit.AuditKernel(work, t.model.KernelCycles(work));
+      // 4-byte indices and the packed stage-1 format's 3-byte ones,
+      // whose in-WRAM decode both implementations price.
+      for (std::uint32_t index_bytes : {4u, 3u}) {
+        pim::EmbeddingKernelWork work;
+        work.num_lookups = lookups;
+        work.num_samples = 16;
+        work.row_bytes = row_bytes;
+        work.index_bytes = index_bytes;
+        t.audit.AuditKernel(work, t.model.KernelCycles(work));
+      }
     }
   }
   EXPECT_TRUE(t.report.clean()) << t.report.ToString();

@@ -199,6 +199,34 @@ TEST(TileOptimizerTest, PicksTheLargestReplicaCountThatFitsEqTwo) {
   EXPECT_EQ(four.status().code(), StatusCode::kCapacityExceeded);
 }
 
+TEST(TileOptimizerTest, PackedFormatNarrowsStageOneOnly) {
+  // GoodReads-sized table at every (Nc, R): the packed wire format
+  // prices each candidate's push through the shared wire helper, cuts
+  // stage 1, and adds only the decode to stage 2.
+  auto system = MakeSystem();
+  auto paper = OptimizeTileShape(dlrm::TableShape{2'360'650, 32}, 32, 64,
+                                 245.8, *system, DefaultNcCandidates(), 0);
+  auto packed = OptimizeTileShape(dlrm::TableShape{2'360'650, 32}, 32, 64,
+                                  245.8, *system, DefaultNcCandidates(), 0,
+                                  /*packed_indices=*/true);
+  ASSERT_TRUE(paper.ok());
+  ASSERT_TRUE(packed.ok());
+  ASSERT_EQ(paper->candidates.size(), packed->candidates.size());
+  for (std::size_t i = 0; i < paper->candidates.size(); ++i) {
+    const TileCandidate& p = paper->candidates[i];
+    const TileCandidate& k = packed->candidates[i];
+    const std::uint64_t samples = CeilDiv(64, k.replicas);
+    const std::uint64_t lookups = (p.push_bytes - (samples + 1) * 4) / 4;
+    EXPECT_EQ(k.push_bytes, lookups * 3 + (samples + 1) * 2);
+    EXPECT_LT(k.stage1_ns, p.stage1_ns);
+    EXPECT_GE(k.stage2_ns, p.stage2_ns);
+    EXPECT_LE(k.stage2_ns, 1.01 * p.stage2_ns);
+    EXPECT_EQ(k.stage3_ns, p.stage3_ns);
+  }
+  EXPECT_EQ(packed->best.nc, paper->best.nc);
+  EXPECT_EQ(packed->best.replicas, paper->best.replicas);
+}
+
 TEST(TileOptimizerTest, ReplicasNeedWholeRanksAndAGroupPerTable) {
   auto system = MakeSystem();  // 4 ranks
   EXPECT_TRUE(ReplicasFit(1, 32, *system));

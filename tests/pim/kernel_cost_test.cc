@@ -164,6 +164,31 @@ TEST(KernelCostTest, ParamsValidation) {
   params.index_chunk = 0;
   EXPECT_FALSE(params.Validate().ok());
   EXPECT_TRUE(EmbeddingKernelCostParams{}.Validate().ok());
+  // 3 x index_chunk bytes must stay a multiple of 8.
+  params.index_chunk = 12;
+  EXPECT_EQ(params.Validate().code(), StatusCode::kInvalidArgument);
+  params.index_chunk = 8;
+  EXPECT_TRUE(params.Validate().ok());
+}
+
+TEST(KernelCostTest, PackedIndexChunkPricesItsDecode) {
+  const EmbeddingKernelCostParams params;
+  const MramTimingModel mram;
+  EmbeddingKernelWork work{
+      .num_lookups = 1000, .num_cache_reads = 0, .num_samples = 64,
+      .row_bytes = 32};
+  const KernelWorkload paper = EmbeddingKernelPhases(params, mram, work)[0];
+  work.index_bytes = 3;
+  const KernelWorkload packed = EmbeddingKernelPhases(params, mram, work)[0];
+  // Same chunk count; a 3-byte-per-index DMA; +2 issue slots per index.
+  EXPECT_EQ(packed.num_items, paper.num_items);
+  EXPECT_EQ(packed.dma_latency_per_item,
+            mram.AccessLatency(3 * params.index_chunk));
+  EXPECT_EQ(paper.dma_latency_per_item,
+            mram.AccessLatency(4 * params.index_chunk));
+  EXPECT_EQ(packed.instr_cycles_per_item,
+            paper.instr_cycles_per_item +
+                kInstrPerPackedIndex * params.index_chunk);
 }
 
 }  // namespace

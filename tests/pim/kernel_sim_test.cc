@@ -72,19 +72,24 @@ TEST_P(SimVsAnalytic, AnalyticModelIsATightLowerBound) {
   const DpuConfig dpu = ConfigWithTasklets(tasklets);
   const MramTimingModel mram;
   const EmbeddingKernelCostParams params;
-  const auto work = Work(lookups, row_bytes);
-
   const EmbeddingKernelCostModel analytic(params, dpu, mram);
-  const Cycles predicted = analytic.KernelCycles(work);
-  const auto sim = SimulateEmbeddingKernel(dpu, mram, params, work);
+  // Word indices and packed 3-byte ones (decoded in WRAM).
+  for (const std::uint32_t index_bytes : {4U, 3U}) {
+    auto work = Work(lookups, row_bytes);
+    work.index_bytes = index_bytes;
+    const Cycles predicted = analytic.KernelCycles(work);
+    const auto sim = SimulateEmbeddingKernel(dpu, mram, params, work);
 
-  // The analytic makespan is a max of lower bounds, so execution can
-  // only be slower — but it should not be much slower (tail effects,
-  // imperfect overlap at phase boundaries).
-  EXPECT_GE(static_cast<double>(sim.makespan),
-            0.98 * static_cast<double>(predicted));
-  EXPECT_LE(static_cast<double>(sim.makespan),
-            1.45 * static_cast<double>(predicted));
+    // The analytic makespan is a max of lower bounds, so execution can
+    // only be slower — but it should not be much slower (tail effects,
+    // imperfect overlap at phase boundaries).
+    EXPECT_GE(static_cast<double>(sim.makespan),
+              0.98 * static_cast<double>(predicted))
+        << "index_bytes " << index_bytes;
+    EXPECT_LE(static_cast<double>(sim.makespan),
+              1.45 * static_cast<double>(predicted))
+        << "index_bytes " << index_bytes;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -80,6 +80,12 @@ TEST(SystemTest, InvalidConfigsRejected) {
   config = SmallConfig();
   config.transfer.serial_bytes_per_sec = 0.0;
   EXPECT_FALSE(DpuSystem::Create(config).ok());
+
+  // A packed index chunk of 3 x 12 bytes is not an 8-byte-aligned DMA.
+  config = SmallConfig();
+  config.kernel_cost.index_chunk = 12;
+  EXPECT_EQ(DpuSystem::Create(config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SystemTest, ModelsShareConfiguration) {

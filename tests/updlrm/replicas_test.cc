@@ -1,8 +1,8 @@
 // Rank replicas (EngineOptions::replicas): R whole-rank copies of the
 // model, each serving a contiguous chunk of every batch. Pooled outputs
 // and CTRs stay bit-exact against DlrmModel at every R and thread
-// count, also when some replicas are dealt no samples; check mode stays
-// clean; LocateDpu inverts the replica DPU map; the optimizer's R falls
+// count, in both stage-1 wire formats, also when some replicas are
+// dealt no samples; check mode stays clean; LocateDpu inverts the replica DPU map; the optimizer's R falls
 // back to a smaller copy when a larger one does not fit MRAM; and
 // malformed replica settings return a Status.
 #include <gtest/gtest.h>
@@ -91,10 +91,10 @@ EngineOptions ReplicaOptions(partition::Method method,
 
 class ReplicaEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<partition::Method, std::uint32_t>> {};
+          std::tuple<partition::Method, std::uint32_t, bool>> {};
 
 TEST_P(ReplicaEquivalence, PooledAndCtrBitExactAtEveryThreadCount) {
-  const auto [method, replicas] = GetParam();
+  const auto [method, replicas, packed] = GetParam();
   Fixture f = MakeFixture(/*functional=*/true);
   const std::size_t width = 2 * 8;
   std::vector<float> want(width);
@@ -102,6 +102,9 @@ TEST_P(ReplicaEquivalence, PooledAndCtrBitExactAtEveryThreadCount) {
     auto system = MakeSystem(/*functional=*/true);
     EngineOptions options = ReplicaOptions(method, replicas);
     options.num_threads = threads;
+    // The functional kernel decodes every slot and offset from the
+    // wire image, so a codec fault breaks the comparison below.
+    options.packed_indices = packed;
     auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
                                        system.get(), options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -133,11 +136,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(partition::Method::kUniform,
                                          partition::Method::kNonUniform,
                                          partition::Method::kCacheAware),
-                       ::testing::Values(1U, 2U, 4U)),
+                       ::testing::Values(1U, 2U, 4U),
+                       ::testing::Bool()),
     [](const auto& info) {
       return std::string(partition::MethodShortName(
                  std::get<0>(info.param))) +
-             "_r" + std::to_string(std::get<1>(info.param));
+             "_r" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_packed" : "_paper");
     });
 
 TEST(ReplicaTest, CheckModeCleanAtFourReplicas) {
@@ -145,17 +150,21 @@ TEST(ReplicaTest, CheckModeCleanAtFourReplicas) {
   for (const partition::Method method :
        {partition::Method::kUniform, partition::Method::kNonUniform,
         partition::Method::kCacheAware}) {
-    auto system = MakeSystem(/*functional=*/true);
-    EngineOptions options = ReplicaOptions(method, 4);
-    options.check_mode = true;
-    auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
-                                       system.get(), options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    for (const std::size_t n : {5U, 64U}) {
-      ASSERT_TRUE((*engine)->RunBatch({0, n}, &f.dense).ok());
+    // Packed index DMAs are 3 x index_chunk bytes, paper ones 4 x.
+    for (const bool packed : {true, false}) {
+      auto system = MakeSystem(/*functional=*/true);
+      EngineOptions options = ReplicaOptions(method, 4);
+      options.check_mode = true;
+      options.packed_indices = packed;
+      auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                         system.get(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (const std::size_t n : {5U, 64U}) {
+        ASSERT_TRUE((*engine)->RunBatch({0, n}, &f.dense).ok());
+      }
+      EXPECT_EQ((*engine)->check_violations(), 0u)
+          << (*engine)->check_report()->ToString();
     }
-    EXPECT_EQ((*engine)->check_violations(), 0u)
-        << (*engine)->check_report()->ToString();
   }
 }
 
