@@ -1,16 +1,19 @@
 // Ablation: rank replicas (EngineOptions::replicas), the tile shape's
 // third axis.
 //
-// R whole-rank copies of the model each serve a contiguous 1/R chunk of
-// every batch, so every DPU pulls batch/R partial rows instead of batch
-// rows: the stage-3 pull and the host aggregate shrink, while the
-// per-DPU lookups and pushed indices stay put. The table reports, for
+// R whole-rank copies of the model each serve ⌈batch/R⌉ samples of
+// every bin, dealt per bin so the copies' loads balance, so every DPU
+// pulls batch/R partial rows instead of batch rows: the stage-3 pull
+// and the host aggregate shrink, while the per-DPU lookups and pushed
+// indices stay put. The table reports, for
 // every Table 1 dataset and partitioning method, the per-batch stage
 // means at the paper's single copy (R = 1) and at the optimizer's
 // (Nc, R), both with Nc chosen by the §3.1 optimizer.
 //
 // Gate: exits non-zero unless
 //   * the optimizer's R lowers us/batch wherever it picks R > 1;
+//   * stage 2 at the optimizer's R is no slower than at R = 1 on every
+//     row (the per-bin deal keeps the slowest copy at its share);
 //   * meta1 and meta2, whose copies do not fit MRAM at R = 4, get a
 //     smaller R instead of a setup error;
 //   * a small functional replica's pooled embeddings are bit-identical
@@ -149,9 +152,9 @@ int main(int argc, char** argv) {
                                        partition::Method::kNonUniform,
                                        partition::Method::kCacheAware};
 
-  TablePrinter out({"dataset", "method", "R", "Nc", "s3 R=1 (us)",
-                    "s3 (us)", "agg R=1", "agg", "R=1 (us/batch)",
-                    "us/batch", "vs R=1"});
+  TablePrinter out({"dataset", "method", "R", "Nc", "s2 R=1 (us)",
+                    "s2 (us)", "s3 R=1 (us)", "s3 (us)", "agg R=1", "agg",
+                    "R=1 (us/batch)", "us/batch", "vs R=1"});
   using Layout = telemetry::JsonWriter::Layout;
   telemetry::JsonWriter json;
   json.BeginObject(Layout::kLines).Field("samples", scale.num_samples);
@@ -176,6 +179,13 @@ int main(int argc, char** argv) {
                            std::to_string(best.replicas) +
                            " does not lower us/batch");
       }
+      if (best.s2_us > one.s2_us) {
+        failures.push_back(label + ": s2 at R = " +
+                           std::to_string(best.replicas) + " (" +
+                           TablePrinter::Fmt(best.s2_us, 1) +
+                           " us) exceeds s2 at R = 1 (" +
+                           TablePrinter::Fmt(one.s2_us, 1) + " us)");
+      }
       const bool too_big_for_four =
           spec.name == "meta1" || spec.name == "meta2";
       if (too_big_for_four && best.replicas >= 4) {
@@ -183,6 +193,8 @@ int main(int argc, char** argv) {
       }
       out.AddRow({spec.name, std::string(partition::MethodShortName(method)),
                   std::to_string(best.replicas), std::to_string(best.nc),
+                  TablePrinter::Fmt(one.s2_us, 1),
+                  TablePrinter::Fmt(best.s2_us, 1),
                   TablePrinter::Fmt(one.s3_us, 1),
                   TablePrinter::Fmt(best.s3_us, 1),
                   TablePrinter::Fmt(one.aggregate_us, 1),
@@ -214,7 +226,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nR = whole-rank model copies the optimizer picked (largest that "
-      "fits MRAM); s3 = stage-3 pull; agg = host aggregate; functional "
+      "fits MRAM); s2 = DPU stage 2; s3 = stage-3 pull; agg = host "
+      "aggregate; functional "
       "replica bit-exact at R = 1, 2, 4: %s -> BENCH_replicas.json\n",
       bit_exact ? "yes" : "NO");
   for (const std::string& f : failures) {

@@ -54,8 +54,9 @@ struct BenchScale {
   /// "bursty"); ignored by the offline benches.
   std::string arrival = "poisson";
   /// WRAM hot-row tier (EngineOptions::wram_cache_rows, --wram=N);
-  /// default off so bench output matches the paper baseline unless
-  /// explicitly enabled.
+  /// default off, the paper's kernel, so bench output matches the paper
+  /// baseline unless enabled (the engine's own default pins as many
+  /// rows as fit).
   std::uint32_t wram = 0;
   /// Hardware-contract checker (EngineOptions::check_mode): shadow
   /// MRAM/DMA validation, plan audits and the model/sim cross-audit on

@@ -71,6 +71,7 @@ struct ThreadPool::ParallelForState {
   CondVar done_cv;
   Mutex error_mu;
   std::exception_ptr error GUARDED_BY(error_mu);
+  // Freelist link; read and written only under the pool's states_mu_.
   ParallelForState* free_next = nullptr;
 };
 
@@ -158,32 +159,27 @@ void ThreadPool::WorkerLoop(unsigned worker_index) {
 }
 
 ThreadPool::ParallelForState* ThreadPool::AcquireState() {
-  ParallelForState* head =
-      free_states_.load(std::memory_order_acquire);
-  while (head != nullptr) {
-    if (free_states_.compare_exchange_weak(head, head->free_next,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-      return head;
-    }
+  // One short critical section per region: a mutex, not a lock-free
+  // stack, because a CAS pop must read the head's link while another
+  // thread may be pushing that same node back (a data race on the link
+  // and an ABA hazard on the head).
+  MutexLock lock(states_mu_);
+  if (ParallelForState* head = free_states_; head != nullptr) {
+    free_states_ = head->free_next;
+    return head;
   }
   // Freelist empty (first call, or deeply nested regions): mint a new
   // immortal state. Bounded by the maximum number of concurrently
   // active regions ever reached, not by call count.
   auto* state = new ParallelForState();
-  {
-    MutexLock lock(states_mu_);
-    all_states_.push_back(state);
-  }
+  all_states_.push_back(state);
   return state;
 }
 
 void ThreadPool::ReleaseState(ParallelForState* state) {
-  ParallelForState* head = free_states_.load(std::memory_order_relaxed);
-  do {
-    state->free_next = head;
-  } while (!free_states_.compare_exchange_weak(
-      head, state, std::memory_order_acq_rel, std::memory_order_relaxed));
+  MutexLock lock(states_mu_);
+  state->free_next = free_states_;
+  free_states_ = state;
 }
 
 // UPDLRM_NOALLOC_BEGIN: ParallelFor steady state. Region descriptors

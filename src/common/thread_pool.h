@@ -105,11 +105,12 @@ class ThreadPool {
   std::atomic<unsigned> next_queue_{0};
   bool stopping_ GUARDED_BY(mu_) = false;
 
-  // Freelist of recycled region descriptors (Treiber stack). States
-  // live until pool destruction — stale helper tasks may dereference
-  // them long after their region completed.
-  std::atomic<ParallelForState*> free_states_{nullptr};
+  // Freelist of recycled region descriptors, linked through their
+  // `free_next` fields and guarded, links included, by states_mu_.
+  // States live until pool destruction — stale helper tasks may
+  // dereference them long after their region completed.
   Mutex states_mu_;
+  ParallelForState* free_states_ GUARDED_BY(states_mu_) = nullptr;
   std::vector<ParallelForState*> all_states_ GUARDED_BY(states_mu_);
 };
 

@@ -33,9 +33,7 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
     const EmbeddingKernelWork& work) {
   UPDLRM_CHECK(work.row_bytes > 0 && work.row_bytes % 8 == 0);
   UPDLRM_CHECK(work.index_bytes == 4 || work.index_bytes == 3);
-  const std::uint32_t elements = work.row_bytes / 4;
-  const Cycles instr_per_read =
-      params.instr_per_lookup_base + params.instr_per_element * elements;
+  const Cycles instr_per_read = params.ReadIssueCycles(work.row_bytes);
 
   // Phase 1: stream index lists MRAM->WRAM in chunks. Every MRAM/WRAM
   // row reference is one index; with the WRAM tier off this is exactly
@@ -69,8 +67,7 @@ std::array<KernelWorkload, kEmbeddingKernelNumPhases> EmbeddingKernelPhases(
   // item never touches the MRAM latency curve or the DMA engine.
   KernelWorkload wram_hits{
       .num_items = work.num_wram_hits,
-      .instr_cycles_per_item = params.instr_per_wram_hit_base +
-                               params.instr_per_element * elements,
+      .instr_cycles_per_item = params.WramHitIssueCycles(work.row_bytes),
       .dma_latency_per_item = 0,
       .dma_occupancy_per_item = 0,
   };

@@ -51,6 +51,15 @@ struct EmbeddingKernelCostParams {
   // MRAM DMA's 8-byte size alignment.
   std::uint32_t index_chunk = 64;
 
+  /// Issue slots of one MRAM row or cached partial-sum read, and of one
+  /// WRAM hot-row hit, at `row_bytes` per row slice.
+  Cycles ReadIssueCycles(std::uint32_t row_bytes) const {
+    return instr_per_lookup_base + instr_per_element * (row_bytes / 4);
+  }
+  Cycles WramHitIssueCycles(std::uint32_t row_bytes) const {
+    return instr_per_wram_hit_base + instr_per_element * (row_bytes / 4);
+  }
+
   Status Validate() const;
 };
 

@@ -59,8 +59,7 @@ void WriteEvent(JsonWriter& w, const TraceEvent& e) {
   if (e.kind == EventKind::kComplete) w.Field("dur", e.dur_ns / 1.0e3);
   if (e.kind == EventKind::kCounter) {
     w.Key("args").BeginObject().Field("value", e.value).EndObject();
-  } else if (e.kind != EventKind::kEnd &&
-             std::any_of(std::begin(e.arg_name), std::end(e.arg_name),
+  } else if (std::any_of(std::begin(e.arg_name), std::end(e.arg_name),
                          [](const char* n) { return n != nullptr; })) {
     w.Key("args").BeginObject();
     for (int i = 0; i < kMaxTraceArgs; ++i) {

@@ -108,9 +108,11 @@ void Tracer::Begin(const char* name, const char* category) {
   Emit(e);
 }
 
-void Tracer::End() {
+void Tracer::End(const char* arg0_name, double arg0) {
   TraceEvent e;
   e.kind = EventKind::kEnd;
+  e.arg_name[0] = arg0_name;
+  e.arg_value[0] = arg0;
   e.clock = Clock::kHost;
   e.pid = kHostPid;
   e.ts_ns = HostNowNs();

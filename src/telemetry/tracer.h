@@ -141,7 +141,10 @@ class Tracer {
 
   // --- host-clock emission (pid kHostPid, tid = thread index) ---
   void Begin(const char* name, const char* category = nullptr);
-  void End();
+  /// Closes the innermost open span; the optional arg lands in the
+  /// span's args (the exporter merges an "E" event's args into its
+  /// slice).
+  void End(const char* arg0_name = nullptr, double arg0 = 0.0);
   void Instant(const char* name, const char* category = nullptr);
 
   // --- explicit-clock emission -----------------------------------

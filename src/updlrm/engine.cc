@@ -50,7 +50,7 @@ void PriceDenseStages(const host::CpuTimingModel& cpu,
                out->interaction_top;
 }
 
-void UpDlrmEngine::BinRoute::Clear() {
+void UpDlrmEngine::BinRoute::Clear(bool functional) {
   emt_ids.clear();
   cache_ids.clear();
   emt_offsets.clear();
@@ -59,6 +59,10 @@ void UpDlrmEngine::BinRoute::Clear() {
   emt_count = 0;
   cache_count = 0;
   wram_count = 0;
+  if (functional) {
+    emt_offsets.push_back(0);
+    cache_offsets.push_back(0);
+  }
 }
 
 void UpDlrmEngine::BinRoute::EncodeOffsets(std::uint32_t arrays,
@@ -339,21 +343,22 @@ Status UpDlrmEngine::Setup() {
     for (const TableGroup& group : groups_) AuditGroup(group);
   }
 
-  scratch_.resize(replicas_ * groups_.size());
+  scratch_.resize(groups_.size());
   bin_task_start_.assign(groups_.size() + 1, 0);
   fn_task_start_.assign(groups_.size() + 1, 0);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     const auto& geom = groups_[g].plan.geom;
-    for (std::uint32_t r = 0; r < replicas_; ++r) {
-      GroupScratch& scratch = scratch_[r * groups_.size() + g];
-      scratch.routes.assign(geom.row_shards, BinRoute{});
-      scratch.list_mask.assign(groups_[g].plan.cache.lists.size(), 0);
-    }
+    GroupScratch& scratch = scratch_[g];
+    scratch.routed.assign(geom.row_shards, BinRoute{});
+    scratch.list_mask.assign(groups_[g].plan.cache.lists.size(), 0);
+    scratch.load.assign(replicas_, 0);
+    scratch.room.assign(replicas_, 0);
     bin_task_start_[g + 1] = bin_task_start_[g] + geom.row_shards;
     fn_task_start_[g + 1] =
         fn_task_start_[g] +
         static_cast<std::size_t>(geom.row_shards) * geom.col_shards;
   }
+  copy_routes_.assign(replicas_ * bin_task_start_.back(), BinRoute{});
   return Status::Ok();
 }
 
@@ -399,7 +404,7 @@ Status UpDlrmEngine::BuildGroups() {
           built[i].group = std::move(group).value();
           if (options_.wram_cache_rows > 0) {
             BuildWramCache(
-                built[i].group, profile->freq,
+                built[i].group, profile->freq, profile->by_freq,
                 EffectiveWramRows(built[i].group.plan.geom.row_bytes()));
           }
         }
@@ -584,67 +589,73 @@ Result<partition::PartitionPlan> UpDlrmEngine::BuildPlan(
 
 void UpDlrmEngine::RouteGroup(std::size_t g,
                               std::span<const std::size_t> samples,
-                              GroupScratch& scratch) const {
+                              std::size_t chunk, GroupScratch& scratch) {
   const bool fn = functional();
   const TableGroup& group = groups_[g];
   const auto& geom = group.plan.geom;
+  const std::uint32_t bins = geom.row_shards;
   const std::uint32_t row_bytes = geom.row_bytes();
   const auto& ttrace = trace_.tables[group.table_index];
   const bool has_cache = group.plan.has_cache();
   const std::uint32_t id_bytes = pim::IdBytes(options_.packed_indices);
-  auto& routes = scratch.routes;
-  for (auto& rt : routes) {
-    rt.Clear();
-    if (fn) {
-      rt.emt_offsets.push_back(0);
-      rt.cache_offsets.push_back(0);
-    }
-  }
+  const std::size_t batch = samples.size();
+  for (BinRoute& rt : scratch.routed) rt.Clear(fn);
+  scratch.refs.assign(batch * bins, SampleRefs{});
 
   // Routing: decide, per index, which bin serves it and whether a
   // cached subset sum covers it (one read per touched list, §3.3).
   // Slot references are absolute (offset / row_bytes), so EMT and cache
   // reads share one addressing scheme; functional mode writes them at
   // the wire format's id width (Setup checked that packed slots fit).
-  const bool has_wram = !group.wram_cached.empty();
+  const bool has_wram = !group.wram_pinned.empty();
   const std::uint64_t cache_ref_base = group.layout.cache_base / row_bytes;
-  for (const std::size_t s : samples) {
+  for (std::size_t i = 0; i < batch; ++i) {
+    SampleRefs* refs = scratch.refs.data() + i * bins;
     scratch.touched_lists.clear();
-    for (std::uint32_t idx : ttrace.Sample(s)) {
+    const std::span<const std::uint32_t> indices = ttrace.Sample(samples[i]);
+    // Every index reads per-row tables at random rows; touching them all
+    // first overlaps the cache misses instead of taking them in turn.
+    for (std::uint32_t idx : indices) {
+      if (has_cache) __builtin_prefetch(&group.plan.item_list[idx]);
+      __builtin_prefetch(&group.plan.row_bin[idx]);
+      if (has_wram) __builtin_prefetch(&group.wram_pinned[idx / 64]);
+    }
+    for (std::uint32_t idx : indices) {
       const std::int32_t l = has_cache ? group.plan.item_list[idx] : -1;
       if (l >= 0) {
         if (scratch.list_mask[l] == 0) {
           scratch.touched_lists.push_back(static_cast<std::uint32_t>(l));
         }
         const auto& items = group.plan.cache.lists[l].items;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          if (items[i] == idx) {
-            scratch.list_mask[l] |= 1U << i;
+        for (std::size_t k = 0; k < items.size(); ++k) {
+          if (items[k] == idx) {
+            scratch.list_mask[l] |= 1U << k;
             break;
           }
         }
       } else {
         const std::uint32_t bin = group.plan.row_bin[idx];
-        BinRoute& rt = routes[bin];
         // WRAM-pinned rows are still read from MRAM slots by the
         // functional path (WRAM holds a copy); only the timing
         // accounting splits off, so the lever cannot change outputs.
-        if (has_wram && group.wram_cached[idx]) {
-          ++rt.wram_count;
+        if (has_wram && group.WramPinned(idx)) {
+          ++refs[bin].wram;
         } else {
-          ++rt.emt_count;
+          ++refs[bin].emt;
         }
-        if (fn) AppendLE(rt.emt_ids, group.row_slot[idx], id_bytes);
+        if (fn) {
+          AppendLE(scratch.routed[bin].emt_ids, group.row_slot[idx],
+                   id_bytes);
+        }
       }
     }
     for (std::uint32_t l : scratch.touched_lists) {
       const std::uint32_t mask = scratch.list_mask[l];
       scratch.list_mask[l] = 0;
       const auto bin = static_cast<std::uint32_t>(group.plan.list_bin[l]);
-      BinRoute& rt = routes[bin];
-      ++rt.cache_count;
+      ++refs[bin].cache;
       if (fn) {
-        AppendLE(rt.cache_ids,
+        AppendLE(scratch.routed[bin].cache_ids,
                  static_cast<std::uint32_t>(cache_ref_base +
                                             group.list_offset[l] / row_bytes +
                                             mask - 1),
@@ -652,11 +663,92 @@ void UpDlrmEngine::RouteGroup(std::size_t g,
       }
     }
     if (fn) {
-      for (auto& rt : routes) {
+      for (BinRoute& rt : scratch.routed) {
         rt.emt_offsets.push_back(
             static_cast<std::uint32_t>(rt.emt_ids.size() / id_bytes));
         rt.cache_offsets.push_back(
             static_cast<std::uint32_t>(rt.cache_ids.size() / id_bytes));
+      }
+    }
+  }
+
+  // The deal, per bin: copy r takes exactly ⌈batch/R⌉ samples (the last
+  // copies fewer, or none), chosen by LPT — heaviest sample first, each
+  // to the least-loaded copy with room, ties to the lower copy and the
+  // earlier sample. A sample weighs its references' kernel issue slots,
+  // so WRAM hits count for less than MRAM reads. At R = 1 every sample
+  // goes to copy 0.
+  const pim::EmbeddingKernelCostParams& cost = system_->config().kernel_cost;
+  const Cycles read_weight = cost.ReadIssueCycles(row_bytes);
+  const Cycles hit_weight = cost.WramHitIssueCycles(row_bytes);
+  const std::size_t bins_per_replica = bin_task_start_.back();
+  constexpr std::uint64_t kLow = 0xffffffffULL;
+  scratch.owner.assign(batch, 0);
+  for (std::uint32_t bin = 0; bin < bins; ++bin) {
+    auto refs_of = [&](std::size_t i) -> const SampleRefs& {
+      return scratch.refs[i * bins + bin];
+    };
+    if (replicas_ > 1) {
+      // Keys sort heaviest first, then by batch position ascending.
+      scratch.order.clear();
+      for (std::size_t i = 0; i < batch; ++i) {
+        const SampleRefs& ref = refs_of(i);
+        const std::uint64_t weight = std::min<std::uint64_t>(
+            (std::uint64_t{ref.emt} + ref.cache) * read_weight +
+                std::uint64_t{ref.wram} * hit_weight,
+            kLow);
+        scratch.order.push_back(weight << 32 | (kLow - i));
+      }
+      std::sort(scratch.order.begin(), scratch.order.end(),
+                std::greater<>());
+      for (std::size_t r = 0; r < replicas_; ++r) {
+        scratch.load[r] = 0;
+        scratch.room[r] = std::min(chunk, batch - std::min(batch, r * chunk));
+      }
+      for (const std::uint64_t key : scratch.order) {
+        std::size_t best = replicas_;
+        for (std::size_t r = 0; r < replicas_; ++r) {
+          if (scratch.room[r] > 0 &&
+              (best == replicas_ || scratch.load[r] < scratch.load[best])) {
+            best = r;
+          }
+        }
+        scratch.owner[kLow - (key & kLow)] = static_cast<std::uint32_t>(best);
+        scratch.load[best] += key >> 32;
+        --scratch.room[best];
+      }
+    }
+
+    // Each copy's list keeps batch order; `room` now counts positions.
+    const std::size_t local = bin_task_start_[g] + bin;
+    for (std::size_t r = 0; r < replicas_; ++r) {
+      copy_routes_[r * bins_per_replica + local].Clear(fn);
+      scratch.room[r] = 0;
+    }
+    const BinRoute& rt = scratch.routed[bin];
+    for (std::size_t i = 0; i < batch; ++i) {
+      const std::uint32_t r = scratch.owner[i];
+      const std::size_t task = r * bins_per_replica + local;
+      BinRoute& copy = copy_routes_[task];
+      deal_slots_[task * chunk + scratch.room[r]++] =
+          static_cast<std::uint32_t>(i);
+      const SampleRefs& ref = refs_of(i);
+      copy.emt_count += ref.emt;
+      copy.wram_count += ref.wram;
+      copy.cache_count += ref.cache;
+      if (fn) {
+        copy.emt_ids.insert(copy.emt_ids.end(),
+                            rt.emt_ids.begin() + rt.emt_offsets[i] * id_bytes,
+                            rt.emt_ids.begin() +
+                                rt.emt_offsets[i + 1] * id_bytes);
+        copy.cache_ids.insert(
+            copy.cache_ids.end(),
+            rt.cache_ids.begin() + rt.cache_offsets[i] * id_bytes,
+            rt.cache_ids.begin() + rt.cache_offsets[i + 1] * id_bytes);
+        copy.emt_offsets.push_back(
+            static_cast<std::uint32_t>(copy.emt_ids.size() / id_bytes));
+        copy.cache_offsets.push_back(
+            static_cast<std::uint32_t>(copy.cache_ids.size() / id_bytes));
       }
     }
   }
@@ -706,15 +798,14 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   const std::uint32_t tables = config_.num_tables;
   const unsigned threads = options_.num_threads;
   const std::size_t num_groups = groups_.size();
-  // The deal: sample k of the batch goes to replica k / chunk, so each
-  // replica serves one contiguous chunk (the last ones may be short or
-  // empty) in a fixed order, whatever the thread count.
+  // Replica r serves ⌈batch/R⌉ samples of every bin (the last replicas
+  // fewer, or none); RouteGroup's per-bin deal picks which.
   const std::size_t chunk = CeilDiv(batch, replicas_);
-  auto chunk_begin = [&](std::size_t r) { return std::min(batch, r * chunk); };
-  auto replica_samples = [&](std::size_t r) {
-    const std::size_t lo = chunk_begin(r);
-    return samples.subspan(lo, std::min(batch, lo + chunk) - lo);
+  auto replica_batch_of = [&](std::size_t r) {
+    return std::min(chunk, batch - std::min(batch, r * chunk));
   };
+  const std::size_t bins_per_replica = bin_task_start_.back();
+  const std::size_t num_bin_tasks = replicas_ * bins_per_replica;
   // Tracing is observation only: `capture` gates writes into
   // trace-owned side buffers (and the host-clock spans below); every
   // simulated quantity is computed identically either way.
@@ -733,16 +824,16 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   std::span<std::uint64_t> push_bytes(push_bytes_);
   std::span<std::uint64_t> pull_bytes(pull_bytes_);
 
-  // --- Stage 1: routing, one task per (replica, group) (disjoint
-  // scratch). ---
+  // --- Stage 1: routing and the deal, one task per group (disjoint
+  // scratch, disjoint copy lists and slot-table rows). ---
+  deal_slots_.resize(num_bin_tasks * chunk);
   {
     telemetry::TraceSpan span("engine.route", "engine");
     ParallelFor(
-        scratch_.size(),
+        num_groups,
         [&](std::size_t begin, std::size_t end) {
-          for (std::size_t task = begin; task < end; ++task) {
-            RouteGroup(task % num_groups,
-                       replica_samples(task / num_groups), scratch_[task]);
+          for (std::size_t g = begin; g < end; ++g) {
+            RouteGroup(g, samples, chunk, scratch_[g]);
           }
         },
         threads);
@@ -750,24 +841,21 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   // The call's wire widths: offsets are as narrow as this call's
   // longest per-DPU list allows.
   std::uint64_t max_refs = 0;
-  for (const GroupScratch& scratch : scratch_) {
-    for (const BinRoute& rt : scratch.routes) {
-      max_refs = std::max(max_refs, rt.refs());
-    }
+  for (const BinRoute& rt : copy_routes_) {
+    max_refs = std::max(max_refs, rt.refs());
   }
   const pim::IndexWire wire =
       pim::ChooseWire(options_.packed_indices, max_refs);
   out.index_wire = wire;
 
   // --- Stage 2: per-(replica, group, bin) kernel cost and per-DPU
-  // statistics. Each task owns bin (r, g, bin) and writes only that
-  // bin's DPU column (disjoint DPU ids); its kernel cycles land in
-  // bin_cycles[task]. The reduction below folds them in fixed task
-  // order, so both the simulated latency (max across all replicas'
-  // DPUs, as on real hardware) and any error report are thread-count
-  // invariant. A replica dealt no samples launches nothing. ---
-  const std::size_t bins_per_replica = bin_task_start_.back();
-  const std::size_t num_bin_tasks = replicas_ * bins_per_replica;
+  // statistics. Each task owns the list replica r was dealt of bin
+  // (g, bin) and writes only that bin's DPU column (disjoint DPU ids);
+  // its kernel cycles land in bin_cycles[task]. The reduction below
+  // folds them in fixed task order, so both the simulated latency (max
+  // across all replicas' DPUs, as on real hardware) and any error
+  // report are thread-count invariant. A replica dealt no samples
+  // launches nothing. ---
   bin_cycles_.assign(num_bin_tasks, 0);
   bin_status_.assign(num_bin_tasks, Status());
   std::span<Cycles> bin_cycles(bin_cycles_);
@@ -794,8 +882,8 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
           const std::uint32_t row_bytes = geom.row_bytes();
           const auto bin =
               static_cast<std::uint32_t>(local - bin_task_start_[g]);
-          BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
-          const std::size_t replica_batch = replica_samples(r).size();
+          BinRoute& rt = copy_routes_[task];
+          const std::size_t replica_batch = replica_batch_of(r);
           if (dpu_trace != nullptr) {
             DpuTraceSlice& slice = dpu_trace->slices[task];
             slice.replica = r;
@@ -898,11 +986,32 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
         }
       },
       threads);
-  if (capture) telemetry::Tracer::Get().End();
   Cycles max_kernel = 0;
   for (std::size_t task = 0; task < num_bin_tasks; ++task) {
-    UPDLRM_RETURN_IF_ERROR(bin_status[task]);
     max_kernel = std::max(max_kernel, bin_cycles[task]);
+  }
+  if (capture) {
+    // bin_spread: the straggler over the floor a perfectly even deal
+    // would reach, the largest per-bin mean over the copies that serve
+    // samples. What it leaves above 1 is imbalance within a bin's
+    // copies; the floor itself moves only with the partition.
+    double floor = 0.0;
+    for (std::size_t local = 0; local < bins_per_replica; ++local) {
+      double sum = 0.0;
+      std::size_t copies = 0;
+      for (std::size_t r = 0; r < replicas_ && replica_batch_of(r) > 0;
+           ++r) {
+        sum += static_cast<double>(bin_cycles[r * bins_per_replica + local]);
+        ++copies;
+      }
+      floor = std::max(floor, sum / static_cast<double>(copies));
+    }
+    telemetry::Tracer::Get().End(
+        "bin_spread",
+        floor > 0.0 ? static_cast<double>(max_kernel) / floor : 1.0);
+  }
+  for (std::size_t task = 0; task < num_bin_tasks; ++task) {
+    UPDLRM_RETURN_IF_ERROR(bin_status[task]);
   }
   if (dpu_trace != nullptr) {
     for (std::size_t task = 0; task < num_bin_tasks; ++task) {
@@ -970,12 +1079,13 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
                 static_cast<std::uint32_t>(local / geom.col_shards);
             const auto c =
                 static_cast<std::uint32_t>(local % geom.col_shards);
-            const BinRoute& rt = scratch_[r * num_groups + g].routes[bin];
+            const BinRoute& rt =
+                copy_routes_[r * bins_per_replica + bin_task_start_[g] + bin];
             const pim::Mram& mram =
                 system_->dpu(ReplicaDpu(r, group, bin, c)).mram();
             std::int32_t* task_wires =
                 wires.data() + task * wires_per_task;
-            const std::size_t replica_batch = replica_samples(r).size();
+            const std::size_t replica_batch = replica_batch_of(r);
             // Decode the bin's wire image as the DPU would: offset
             // array `a` starts at a * (replica_batch + 1) offsets.
             const std::uint32_t ob = wire.offset_bytes;
@@ -1031,23 +1141,28 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
     for (std::size_t task = 0; task < num_fn_tasks; ++task) {
       UPDLRM_RETURN_IF_ERROR(fn_status[task]);
     }
-    // Fixed-order merge: task (r, g, bin, col) ascending, samples
-    // ascending within each task.
+    // Fixed-order merge: task (r, g, bin, col) ascending, the bin's
+    // dealt samples in list order within each task; the slot table maps
+    // each list position back to its batch position.
     for (std::size_t task = 0; task < num_fn_tasks; ++task) {
       const std::size_t r = task / fn_per_replica;
       const std::size_t local = task % fn_per_replica;
       const std::size_t g = GroupOfTask(fn_task_start_, local);
       const TableGroup& group = groups_[g];
       const auto& geom = group.plan.geom;
+      const std::size_t bin = (local - fn_task_start_[g]) / geom.col_shards;
       const auto c = static_cast<std::uint32_t>(
           (local - fn_task_start_[g]) % geom.col_shards);
       const std::int32_t* task_wires =
           wires.data() + task * wires_per_task;
-      const std::size_t first = chunk_begin(r);
-      const std::size_t replica_batch = replica_samples(r).size();
+      const std::uint32_t* slots =
+          deal_slots_.data() +
+          (r * bins_per_replica + bin_task_start_[g] + bin) * chunk;
+      const std::size_t replica_batch = replica_batch_of(r);
       for (std::size_t s = 0; s < replica_batch; ++s) {
         std::int64_t* dst = pooled_acc.data() +
-                            ((first + s) * tables + group.table_index) *
+                            (std::size_t{slots[s]} * tables +
+                             group.table_index) *
                                 dim +
                             static_cast<std::size_t>(c) * geom.nc;
         // Integer lanes: the vectorized add is exactly the

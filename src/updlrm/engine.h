@@ -6,13 +6,13 @@
 // the quantized table slices + cached partial sums into MRAM — once per
 // replica: R whole-rank copies of the same table-group layout.
 //
-// Forward stage (RunBatch): deal the batch's samples across the
-// replicas in contiguous chunks, route each chunk's multi-hot indices
-// to its replica's owning DPUs (stage 1), execute the lookup/reduce
-// kernel on every DPU (stage 2), pull back per-DPU partial sums
-// (stage 3), aggregate them on the CPU into pooled embeddings, and run
-// the MLP stacks. The bottom MLP overlaps the embedding pipeline;
-// interaction + top MLP follow.
+// Forward stage (RunBatch): route every sample's multi-hot indices to
+// the owning bins (stage 1), deal each bin's per-sample reference lists
+// across the replicas so that every copy of the bin carries an even
+// load, execute the lookup/reduce kernel on every DPU (stage 2), pull
+// back per-DPU partial sums (stage 3), aggregate them on the CPU into
+// pooled embeddings, and run the MLP stacks. The bottom MLP overlaps
+// the embedding pipeline; interaction + top MLP follow.
 //
 // Two execution modes share all control flow:
 //   * functional — MRAM holds real quantized data, kernels produce
@@ -44,13 +44,18 @@
 
 namespace updlrm::core {
 
+/// EngineOptions::wram_cache_rows value that pins as many rows per DPU
+/// as its WRAM holds (EmbeddingKernelCostModel::MaxWramCacheRows).
+inline constexpr std::uint32_t kWramRowsAsFit = 0xffffffffU;
+
 struct EngineOptions {
   partition::Method method = partition::Method::kCacheAware;
   /// Columns per tile; 0 = pick automatically with the §3.1 optimizer.
   std::uint32_t nc = 0;
   /// Whole-rank model replicas R (the tile shape's third axis): R
   /// copies of every table group on disjoint rank groups, each serving
-  /// a contiguous 1/R chunk of every batch. 0 = pick automatically with
+  /// ⌈batch/R⌉ samples of every bin, dealt per bin so the copies' loads
+  /// balance (DESIGN.md §6g). 0 = pick automatically with
   /// the §3.1 optimizer (the largest R whose copy fits MRAM); >= 1 pins
   /// R. R must divide the rank count and leave every copy at least one
   /// DPU per table. Non-equal allocations run R = 1.
@@ -73,10 +78,10 @@ struct EngineOptions {
   /// WRAM hot-row tier (DESIGN.md §6e): pin the top-K hottest
   /// EMT-resident rows of every bin into the DPU's WRAM at setup;
   /// lookups hitting them skip the MRAM DMA. Clamped to the WRAM space
-  /// left over by the kernel's working buffers. 0 (the default)
-  /// disables it and leaves results bit-identical to the tier-less
-  /// engine.
-  std::uint32_t wram_cache_rows = 0;
+  /// left over by the kernel's working buffers, so the default pins as
+  /// many rows as fit. 0 disables the tier (the paper's kernel);
+  /// pooled outputs are bit-identical either way.
+  std::uint32_t wram_cache_rows = kWramRowsAsFit;
   /// Also emit the pooled embeddings as raw Q15.16 int64 accumulators
   /// (BatchResult::pooled_fixed) — the sharded scale-out engine merges
   /// shards in integer space before the single float conversion.
@@ -229,10 +234,11 @@ class UpDlrmEngine {
   // kernel's per-tasklet working buffers at this row width.
   std::uint32_t EffectiveWramRows(std::uint32_t row_bytes) const;
 
-  // Per-(bin) routing buffers for one group, reused across batches.
-  // Functional mode builds the bin's stage-1 wire image: slot
-  // references encoded at the format's id width, then (once the call's
-  // offset width is known) the offset arrays.
+  // One bin's stage-1 list, reused across batches: the whole batch's
+  // routed references, or the share one replica was dealt. Functional
+  // mode builds the wire image: slot references encoded at the format's
+  // id width with per-sample prefix counts into them, then (once the
+  // call's offset width is known) the encoded offset arrays.
   struct BinRoute {
     std::vector<std::uint8_t> emt_ids;    // functional only
     std::vector<std::uint8_t> cache_ids;  // functional only
@@ -247,26 +253,43 @@ class UpDlrmEngine {
     /// what was historically emt_count; functional slots are unchanged).
     std::uint64_t wram_count = 0;
     std::uint64_t refs() const { return emt_count + wram_count + cache_count; }
-    void Clear();
+    // Empties the list; functional mode opens both prefix arrays at 0.
+    void Clear(bool functional);
     // Writes `offsets`: the EMT array, then the cache array when
     // `arrays` == 2, each offset `bytes` wide.
     void EncodeOffsets(std::uint32_t arrays, std::uint32_t bytes);
   };
 
-  // Routing scratch for one (replica, group), reused across batches.
-  // Each owns its scratch so routing fans out (replica, group)-per-task
-  // with no shared mutable state.
-  struct GroupScratch {
-    std::vector<BinRoute> routes;
-    std::vector<std::uint32_t> list_mask;
-    std::vector<std::uint32_t> touched_lists;
+  // One sample's references to one bin, by serving tier.
+  struct SampleRefs {
+    std::uint32_t emt = 0;
+    std::uint32_t wram = 0;
+    std::uint32_t cache = 0;
   };
 
-  // Stage 1 for group g of one replica: route that replica's samples'
-  // indices to bins (and, in functional mode, to absolute MRAM slots)
-  // in `scratch`.
+  // Routing and deal scratch for one group, reused across batches. Each
+  // group owns its scratch, so routing and the deal fan out per group
+  // with no shared mutable state.
+  struct GroupScratch {
+    std::vector<BinRoute> routed;   // per bin, the whole batch
+    std::vector<SampleRefs> refs;   // [batch position * bins + bin]
+    std::vector<std::uint32_t> list_mask;
+    std::vector<std::uint32_t> touched_lists;
+    // The deal of one bin: samples keyed heaviest first, each one's
+    // copy, and every copy's load and room.
+    std::vector<std::uint64_t> order;
+    std::vector<std::uint32_t> owner;
+    std::vector<std::uint64_t> load;
+    std::vector<std::size_t> room;
+  };
+
+  // Stage 1 for group g: route the batch's indices to bins (and, in
+  // functional mode, to absolute MRAM slots) in `scratch`, then deal
+  // each bin's samples across the replicas into `copy_routes_` and
+  // `deal_slots_`. `chunk` is ⌈batch / R⌉, the samples a full copy
+  // takes.
   void RouteGroup(std::size_t g, std::span<const std::size_t> samples,
-                  GroupScratch& scratch) const;
+                  std::size_t chunk, GroupScratch& scratch);
 
   // Cost of one batch at tile width `nc` with `replicas` copies, each
   // split across tables by `alloc` (the (Nc, R) search for
@@ -290,9 +313,13 @@ class UpDlrmEngine {
   std::optional<partition::TileOptimizerResult> tile_result_;
   std::vector<TableGroup> groups_;
 
-  // Scratch reused across batches: entry r * groups + g for group g of
-  // replica r.
+  // Scratch reused across batches: one per group, and one stage-1 list
+  // per stage-2 task (replica, group, bin), at the task's id.
   std::vector<GroupScratch> scratch_;
+  std::vector<BinRoute> copy_routes_;
+  // The call's slot table: entry task * chunk + p is the batch position
+  // of the p-th sample that stage-2 task's bin was dealt.
+  std::vector<std::uint32_t> deal_slots_;
   // Sample-id scratch for the RunBatch(range) -> RunSamples adapter.
   std::vector<std::size_t> range_samples_;
   // Per-batch buffers reused across RunSamples calls, assign()ed each

@@ -94,41 +94,33 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
 }
 
 void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
+                    std::span<const std::uint32_t> by_freq,
                     std::uint32_t rows_per_dpu) {
-  group.wram_cached.clear();
+  group.wram_pinned.clear();
   group.wram_rows_per_bin.clear();
   if (rows_per_dpu == 0) return;
   const auto& geom = group.plan.geom;
-  UPDLRM_CHECK(freq.size() == geom.table.rows);
+  UPDLRM_CHECK(freq.size() == geom.table.rows &&
+               by_freq.size() == geom.table.rows);
 
   // Eligible rows are the ones stage-1 routing sends down the EMT path:
   // not a cache-list member (those read subset sums). A pinned row keeps
   // its MRAM slot — WRAM holds a copy — so the functional path is
-  // unchanged.
-  group.wram_cached.assign(geom.table.rows, 0);
+  // unchanged. Walking the hottest-first order fills every bin with its
+  // own hottest rows and stops once each bin is full.
+  group.wram_pinned.assign(CeilDiv(geom.table.rows, 64), 0);
   group.wram_rows_per_bin.assign(geom.row_shards, 0);
-  std::vector<std::vector<std::uint32_t>> candidates(geom.row_shards);
-  for (std::uint64_t r = 0; r < geom.table.rows; ++r) {
-    if (freq[r] == 0) continue;  // never referenced: pinning is waste
+  std::uint32_t bins_open = geom.row_shards;
+  for (const std::uint32_t r : by_freq) {
+    // Past here rows are never referenced (pinning them is waste), or
+    // every bin is full.
+    if (freq[r] == 0 || bins_open == 0) break;
     const bool cached =
         !group.plan.item_list.empty() && group.plan.item_list[r] >= 0;
-    if (cached) continue;
-    candidates[group.plan.row_bin[r]].push_back(
-        static_cast<std::uint32_t>(r));
-  }
-  for (std::uint32_t bin = 0; bin < geom.row_shards; ++bin) {
-    auto& rows = candidates[bin];
-    const std::size_t keep =
-        std::min<std::size_t>(rows.size(), rows_per_dpu);
-    // Deterministic hottest-first order: frequency descending, row id
-    // ascending as the tie break.
-    std::partial_sort(rows.begin(), rows.begin() + keep, rows.end(),
-                      [&](std::uint32_t a, std::uint32_t b) {
-                        if (freq[a] != freq[b]) return freq[a] > freq[b];
-                        return a < b;
-                      });
-    for (std::size_t i = 0; i < keep; ++i) group.wram_cached[rows[i]] = 1;
-    group.wram_rows_per_bin[bin] = static_cast<std::uint32_t>(keep);
+    std::uint32_t& pinned = group.wram_rows_per_bin[group.plan.row_bin[r]];
+    if (cached || pinned == rows_per_dpu) continue;
+    group.wram_pinned[r / 64] |= std::uint64_t{1} << (r % 64);
+    if (++pinned == rows_per_dpu) --bins_open;
   }
 }
 

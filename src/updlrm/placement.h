@@ -53,14 +53,20 @@ struct TableGroup {
   std::vector<std::uint64_t> emt_rows_per_bin;
   /// Cache bytes used per bin.
   std::vector<std::uint64_t> cache_bytes_per_bin;
-  /// row -> 1 if the row is pinned in its bin's WRAM hot-row tier
+  /// One bit per row (bit row % 64 of word row / 64), set if the row
+  /// is pinned in its bin's WRAM hot-row tier
   /// (EngineOptions::wram_cache_rows). Empty when the tier is off.
-  std::vector<std::uint8_t> wram_cached;
+  std::vector<std::uint64_t> wram_pinned;
   /// Rows pinned per bin (size row_shards; empty when the tier is off).
   std::vector<std::uint32_t> wram_rows_per_bin;
 
   std::uint32_t GlobalDpu(std::uint32_t bin, std::uint32_t col_shard) const {
     return first_dpu + plan.geom.DpuLocal(bin, col_shard);
+  }
+  /// True when `row` is pinned in its bin's WRAM tier.
+  bool WramPinned(std::uint64_t row) const {
+    return !wram_pinned.empty() &&
+           ((wram_pinned[row / 64] >> (row % 64)) & 1U) != 0;
   }
 };
 
@@ -75,11 +81,13 @@ Result<TableGroup> BuildTableGroup(std::uint32_t table_index,
 
 /// Pins each bin's top-`rows_per_dpu` hottest EMT-resident rows (never
 /// cache-list members — those live in the cache tier) into the bin's
-/// WRAM hot-row cache. Selection is deterministic: frequency
-/// descending, row id ascending; zero-frequency rows are never pinned.
-/// Populates `wram_cached` / `wram_rows_per_bin`; a no-op when
+/// WRAM hot-row cache. `by_freq` is every row in frequency-descending,
+/// row-id-ascending order (trace::ItemsByFrequency of `freq`), so the
+/// selection is deterministic; zero-frequency rows are never pinned.
+/// Populates `wram_pinned` / `wram_rows_per_bin`; a no-op when
 /// `rows_per_dpu` is 0.
 void BuildWramCache(TableGroup& group, std::span<const std::uint64_t> freq,
+                    std::span<const std::uint32_t> by_freq,
                     std::uint32_t rows_per_dpu);
 
 /// Writes quantized EMT slices and cache subset sums into the group's

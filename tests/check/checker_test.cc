@@ -108,6 +108,36 @@ TEST(CheckerTest, TimingOnlyEngineRunsClean) {
       << (*engine)->check_report()->ToString();
 }
 
+// The engine's defaults — optimizer-picked (Nc, R), the per-bin deal
+// across replicas and the WRAM tier at its clamp — keep every rule clean,
+// the kernel model/sim audit's band included.
+TEST(CheckerTest, DefaultOptionsRunCleanAcrossReplicas) {
+  for (const partition::Method method :
+       {partition::Method::kUniform, partition::Method::kNonUniform,
+        partition::Method::kCacheAware}) {
+    Fixture f = MakeFixture();
+    pim::DpuSystemConfig sys;
+    sys.num_dpus = 16;
+    sys.dpus_per_rank = 4;
+    sys.dpu.mram_bytes = 1 * kMiB;
+    sys.functional = true;
+    auto system = pim::DpuSystem::Create(sys);
+    ASSERT_TRUE(system.ok());
+    core::EngineOptions options = CheckedOptions(method, /*nc=*/0);
+    options.batch_size = 64;
+    auto engine = core::UpDlrmEngine::Create(f.model.get(), f.config,
+                                             f.trace, system->get(),
+                                             options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_GT((*engine)->replicas(), 1u);
+    EXPECT_FALSE((*engine)->groups()[0].wram_pinned.empty());
+    ASSERT_TRUE((*engine)->RunAll(nullptr).ok());
+    EXPECT_EQ((*engine)->check_violations(), 0u)
+        << partition::MethodName(method) << "\n"
+        << (*engine)->check_report()->ToString();
+  }
+}
+
 TEST(CheckerTest, HotPathLeversRunClean) {
   Fixture f = MakeFixture();
   core::EngineOptions options =

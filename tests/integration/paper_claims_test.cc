@@ -61,6 +61,7 @@ Nanos LookupTime(double avg_red, std::uint32_t nc) {
   core::EngineOptions engine_options;
   engine_options.method = partition::Method::kUniform;
   engine_options.nc = nc;
+  engine_options.wram_cache_rows = 0;  // Fig. 11 times the paper's kernel
   auto engine = core::UpDlrmEngine::Create(nullptr, config, *t,
                                            system->get(), engine_options);
   UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());
@@ -131,6 +132,7 @@ TEST(PaperClaims, Sec33CacheCapacityMonotone) {
     options.nc = 8;
     options.cache_capacity_fraction = fraction;
     options.grace.num_hot_items = 2048;
+    options.wram_cache_rows = 0;  // §3.3 times the paper's kernel
     auto engine = core::UpDlrmEngine::Create(nullptr, config, *t,
                                              system->get(), options);
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString());

@@ -111,49 +111,56 @@ TEST(AllocTest, EngineBatchesAreAllocationFreeOnceWarm) {
   auto trace = trace::TraceGenerator(spec).Generate(trace_options);
   ASSERT_TRUE(trace.ok());
 
-  pim::DpuSystemConfig sys;
-  sys.num_dpus = 8;
-  sys.dpus_per_rank = 8;
-  sys.dpu.mram_bytes = 1 * kMiB;
-  sys.functional = false;
-  auto system = pim::DpuSystem::Create(sys);
-  ASSERT_TRUE(system.ok());
+  // One rank (R = 1), and two ranks holding two model replicas, whose
+  // per-bin deal keeps its scratch in members too.
+  for (const std::uint32_t dpus_per_rank : {8U, 4U}) {
+    pim::DpuSystemConfig sys;
+    sys.num_dpus = 8;
+    sys.dpus_per_rank = dpus_per_rank;
+    sys.dpu.mram_bytes = 1 * kMiB;
+    sys.functional = false;
+    auto system = pim::DpuSystem::Create(sys);
+    ASSERT_TRUE(system.ok());
 
-  core::EngineOptions engine_options;
-  engine_options.method = partition::Method::kCacheAware;
-  engine_options.nc = 4;
-  engine_options.batch_size = 16;
-  engine_options.reserved_io_bytes = 128 * kKiB;
-  engine_options.grace.num_hot_items = 96;
-  engine_options.num_threads = 1;  // inline ParallelFor path
-  engine_options.wram_cache_rows = 64;  // cover the WRAM tier too
-  auto engine = core::UpDlrmEngine::Create(nullptr, config, *trace,
-                                           system->get(), engine_options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    core::EngineOptions engine_options;
+    engine_options.method = partition::Method::kCacheAware;
+    engine_options.nc = 4;
+    engine_options.batch_size = 16;
+    engine_options.reserved_io_bytes = 128 * kKiB;
+    engine_options.grace.num_hot_items = 96;
+    engine_options.num_threads = 1;  // inline ParallelFor path
+    auto engine = core::UpDlrmEngine::Create(nullptr, config, *trace,
+                                             system->get(), engine_options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_EQ((*engine)->replicas(), 8 / dpus_per_rank);
+    // The default WRAM tier is on: the batches below cover it.
+    ASSERT_FALSE((*engine)->groups()[0].wram_pinned.empty());
 
-  std::vector<std::size_t> samples(16);
-  // Warmup: size every reused scratch buffer to its high-water mark
-  // (including the thread-local arena). Covers the same sample windows
-  // as the measured loop — scratch high-water marks are data-dependent.
-  Status status = Status::Ok();
-  for (std::size_t b = 0; b < 8; ++b) {
-    std::iota(samples.begin(), samples.end(), b * 16);
-    auto r = (*engine)->RunSamples(samples, nullptr);
-    if (!r.ok()) status = r.status();
-  }
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  // Steady state: the per-batch host path must not touch the heap.
-  Nanos checksum = 0.0;
-  const std::uint64_t allocs = CountAllocs([&] {
+    std::vector<std::size_t> samples(16);
+    // Warmup: size every reused scratch buffer to its high-water mark
+    // (including the thread-local arena). Covers the same sample windows
+    // as the measured loop — scratch high-water marks are data-dependent.
+    Status status = Status::Ok();
     for (std::size_t b = 0; b < 8; ++b) {
       std::iota(samples.begin(), samples.end(), b * 16);
       auto r = (*engine)->RunSamples(samples, nullptr);
-      if (r.ok()) checksum += r->total;
+      if (!r.ok()) status = r.status();
     }
-  });
-  EXPECT_EQ(allocs, 0u) << "per-batch heap allocations in steady state";
-  EXPECT_GT(checksum, 0.0);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+
+    // Steady state: the per-batch host path must not touch the heap.
+    Nanos checksum = 0.0;
+    const std::uint64_t allocs = CountAllocs([&] {
+      for (std::size_t b = 0; b < 8; ++b) {
+        std::iota(samples.begin(), samples.end(), b * 16);
+        auto r = (*engine)->RunSamples(samples, nullptr);
+        if (r.ok()) checksum += r->total;
+      }
+    });
+    EXPECT_EQ(allocs, 0u) << "per-batch heap allocations in steady state, "
+                          << dpus_per_rank << " DPUs per rank";
+    EXPECT_GT(checksum, 0.0);
+  }
 #endif
 }
 

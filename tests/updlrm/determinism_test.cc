@@ -183,9 +183,10 @@ TEST(DeterminismTest, HotPathLeversBitExactAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, RankReplicasBitExactAcrossThreadCounts) {
-  // Four model copies deal each batch in fixed contiguous chunks and
-  // merge in (replica, group, bin, col) order: thread count must not
-  // move a bit, and the outputs equal the single-copy engine's.
+  // Four model copies split each bin's samples by a per-bin deal that
+  // reads only the batch, and merge in (replica, group, bin, col) order
+  // through the slot table: thread count must not move a bit, and the
+  // outputs equal the single-copy engine's.
   const EngineRun single = RunEngineAt(1);
   const EngineRun serial = RunEngineAt(1, /*hot_path=*/false, 4);
   ASSERT_EQ(serial.pooled, single.pooled);
@@ -202,8 +203,10 @@ TEST(DeterminismTest, ShardedServingBitExactAcrossThreadCounts) {
   // End-to-end sharded case: statistical tiering (2 shards + DRAM
   // spill), per-shard engines, integer cross-shard merge. Functional
   // outputs and simulated times must not depend on the thread count.
-  auto run = [](std::uint32_t threads) {
-    Fixture f = MakeFixture(/*functional=*/true);
+  // Two DPUs per rank let every shard hold model replicas, so the
+  // per-group routing and deal fan out inside the per-shard fan-out.
+  auto run = [](std::uint32_t threads, std::uint32_t dpus_per_rank) {
+    Fixture f = MakeFixture(/*functional=*/true, 31, dpus_per_rank);
     EngineOptions options;
     options.method = partition::Method::kCacheAware;
     options.nc = 4;
@@ -221,6 +224,7 @@ TEST(DeterminismTest, ShardedServingBitExactAcrossThreadCounts) {
     auto engine = ShardedEngine::Create(f.model.get(), f.config, f.trace,
                                         fleet, options);
     UPDLRM_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
+    EXPECT_EQ((*engine)->shard(0).replicas() > 1, dpus_per_rank < 8);
     EngineRun result;
     auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
     UPDLRM_CHECK(batch.ok());
@@ -234,13 +238,47 @@ TEST(DeterminismTest, ShardedServingBitExactAcrossThreadCounts) {
     UPDLRM_CHECK((*engine)->check_violations() == 0);
     return result;
   };
-  const EngineRun serial = run(1);
-  ASSERT_FALSE(serial.pooled.empty());
-  for (std::uint32_t threads : {2u, 4u}) {
-    const EngineRun threaded = run(threads);
-    ASSERT_EQ(threaded.pooled, serial.pooled) << threads << " threads";
-    ASSERT_EQ(threaded.ctr, serial.ctr) << threads << " threads";
-    ExpectSameReport(threaded.report, serial.report);
+  for (const std::uint32_t dpus_per_rank : {8u, 2u}) {
+    const EngineRun serial = run(1, dpus_per_rank);
+    ASSERT_FALSE(serial.pooled.empty());
+    for (std::uint32_t threads : {2u, 4u}) {
+      const EngineRun threaded = run(threads, dpus_per_rank);
+      ASSERT_EQ(threaded.pooled, serial.pooled) << threads << " threads";
+      ASSERT_EQ(threaded.ctr, serial.ctr) << threads << " threads";
+      ExpectSameReport(threaded.report, serial.report);
+    }
+  }
+}
+
+TEST(DeterminismTest, NestedParallelForStress) {
+  // Three levels of regions opened from inside other regions' chunks on
+  // every worker at once — the shape ShardedEngine::Setup nests (shard,
+  // table, GRACE pair counting). Every region takes a descriptor from
+  // the pool's freelist and returns it while siblings do the same, so a
+  // racy freelist shows up here as a TSan report or a lost region.
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kMid = 6;
+  constexpr std::size_t kInner = 16;
+  std::vector<std::uint64_t> sums(kOuter * kMid * kInner);
+  for (int round = 0; round < 512; ++round) {
+    std::fill(sums.begin(), sums.end(), 0);
+    ParallelFor(kOuter, [&](std::size_t ob, std::size_t oe) {
+      for (std::size_t o = ob; o < oe; ++o) {
+        ParallelFor(kMid, [&](std::size_t mb, std::size_t me) {
+          for (std::size_t m = mb; m < me; ++m) {
+            ParallelFor(kInner, [&](std::size_t ib, std::size_t ie) {
+              for (std::size_t i = ib; i < ie; ++i) {
+                sums[(o * kMid + m) * kInner + i] +=
+                    round + (o * kMid + m) * kInner + i;
+              }
+            });
+          }
+        });
+      }
+    });
+    for (std::size_t k = 0; k < sums.size(); ++k) {
+      ASSERT_EQ(sums[k], round + k) << "round " << round << " slot " << k;
+    }
   }
 }
 

@@ -213,15 +213,20 @@ TEST(EngineTest, TimingOnlyModeMatchesFunctionalTiming) {
 
 TEST(EngineTest, CacheAwareReducesLookupTimeOnHotTrace) {
   // The §3.3 claim in miniature: CA stage-2 time <= NU stage-2 time on a
-  // co-occurrence-heavy trace.
+  // co-occurrence-heavy trace, with the paper's kernel (no WRAM tier,
+  // which serves NU's hot rows as cheaply as CA's cache).
   Fixture f1 = MakeFixture(false);
   Fixture f2 = MakeFixture(false);
-  auto nu = UpDlrmEngine::Create(
-      nullptr, f1.config, f1.trace, f1.system.get(),
-      SmallEngineOptions(partition::Method::kNonUniform, 4));
-  auto ca = UpDlrmEngine::Create(
-      nullptr, f2.config, f2.trace, f2.system.get(),
-      SmallEngineOptions(partition::Method::kCacheAware, 4));
+  EngineOptions nu_options =
+      SmallEngineOptions(partition::Method::kNonUniform, 4);
+  EngineOptions ca_options =
+      SmallEngineOptions(partition::Method::kCacheAware, 4);
+  nu_options.wram_cache_rows = 0;
+  ca_options.wram_cache_rows = 0;
+  auto nu = UpDlrmEngine::Create(nullptr, f1.config, f1.trace,
+                                 f1.system.get(), nu_options);
+  auto ca = UpDlrmEngine::Create(nullptr, f2.config, f2.trace,
+                                 f2.system.get(), ca_options);
   ASSERT_TRUE(nu.ok() && ca.ok());
   auto rnu = (*nu)->RunAll(nullptr);
   auto rca = (*ca)->RunAll(nullptr);
@@ -252,8 +257,10 @@ TEST(EngineTest, DpuStatsAccumulate) {
   ASSERT_TRUE((*engine)->RunBatch({0, 16}, nullptr).ok());
   std::uint64_t total_lookups = 0;
   std::uint64_t total_lookups_per_shard = 0;
+  // Every lookup is an MRAM read or a WRAM hit (the default tier).
   for (std::uint32_t d = 0; d < f.system->num_dpus(); ++d) {
-    total_lookups += f.system->dpu(d).stats().lookups;
+    total_lookups += f.system->dpu(d).stats().lookups +
+                     f.system->dpu(d).stats().wram_hits;
   }
   // Each lookup is replicated across the 2 column shards (nc=4, dim=8).
   std::uint64_t trace_lookups = 0;

@@ -13,6 +13,7 @@
 #include "partition/uniform.h"
 #include "pim/stats_summary.h"
 #include "trace/generator.h"
+#include "trace/profiler.h"
 #include "updlrm/engine.h"
 #include "updlrm/placement.h"
 
@@ -42,6 +43,20 @@ TableGroup UniformGroup(std::uint64_t rows) {
   return std::move(group).value();
 }
 
+// Pins with the hottest-first order BuildWramCache expects.
+void Pin(TableGroup& group, const std::vector<std::uint64_t>& freq,
+         std::uint32_t rows) {
+  BuildWramCache(group, freq, trace::ItemsByFrequency(freq), rows);
+}
+
+std::uint64_t PinnedRows(const TableGroup& group) {
+  std::uint64_t pinned = 0;
+  for (std::uint64_t row = 0; row < group.plan.geom.table.rows; ++row) {
+    pinned += group.WramPinned(row) ? 1 : 0;
+  }
+  return pinned;
+}
+
 TEST(WramCacheTest, PinsHottestRowsPerBin) {
   TableGroup group = UniformGroup(100);  // 4 bins of 25 rows
   std::vector<std::uint64_t> freq(100, 1);
@@ -50,14 +65,15 @@ TEST(WramCacheTest, PinsHottestRowsPerBin) {
     freq[bin * 25 + 3] = 100;
     freq[bin * 25 + 7] = 50;
   }
-  BuildWramCache(group, freq, 2);
-  ASSERT_EQ(group.wram_cached.size(), 100u);
+  Pin(group, freq, 2);
+  // One bit per row.
+  ASSERT_EQ(group.wram_pinned.size(), 2u);
   ASSERT_EQ(group.wram_rows_per_bin.size(), 4u);
   for (std::uint32_t bin = 0; bin < 4; ++bin) {
     EXPECT_EQ(group.wram_rows_per_bin[bin], 2u);
     for (std::uint32_t slot = 0; slot < 25; ++slot) {
       const std::uint32_t row = bin * 25 + slot;
-      EXPECT_EQ(group.wram_cached[row] != 0, slot == 3 || slot == 7)
+      EXPECT_EQ(group.WramPinned(row), slot == 3 || slot == 7)
           << "row " << row;
     }
   }
@@ -67,20 +83,18 @@ TEST(WramCacheTest, ColdRowsAreNeverPinned) {
   TableGroup group = UniformGroup(100);
   std::vector<std::uint64_t> freq(100, 0);
   freq[4] = 9;  // the only referenced row
-  BuildWramCache(group, freq, 8);
-  EXPECT_EQ(std::accumulate(group.wram_cached.begin(),
-                            group.wram_cached.end(), 0u),
-            1u);
-  EXPECT_EQ(group.wram_cached[4], 1u);
+  Pin(group, freq, 8);
+  EXPECT_EQ(PinnedRows(group), 1u);
+  EXPECT_TRUE(group.WramPinned(4));
 }
 
 TEST(WramCacheTest, TiesBreakByLowestRowId) {
   TableGroup group = UniformGroup(100);
   const std::vector<std::uint64_t> freq(100, 7);  // all equally hot
-  BuildWramCache(group, freq, 3);
+  Pin(group, freq, 3);
   for (std::uint32_t bin = 0; bin < 4; ++bin) {
     for (std::uint32_t slot = 0; slot < 25; ++slot) {
-      EXPECT_EQ(group.wram_cached[bin * 25 + slot] != 0, slot < 3);
+      EXPECT_EQ(group.WramPinned(bin * 25 + slot), slot < 3);
     }
   }
 }
@@ -88,8 +102,9 @@ TEST(WramCacheTest, TiesBreakByLowestRowId) {
 TEST(WramCacheTest, ZeroRowsIsANoOp) {
   TableGroup group = UniformGroup(100);
   const std::vector<std::uint64_t> freq(100, 7);
-  BuildWramCache(group, freq, 0);
-  EXPECT_TRUE(group.wram_cached.empty());
+  Pin(group, freq, 0);
+  EXPECT_TRUE(group.wram_pinned.empty());
+  EXPECT_FALSE(group.WramPinned(0));
   EXPECT_TRUE(group.wram_rows_per_bin.empty());
 }
 
@@ -193,6 +208,32 @@ TEST(HotPathEngineTest, WramTierNeverChangesFunctionalOutputs) {
 TEST(HotPathEngineTest, WramTierNeverRegressesEmbeddingTime) {
   EXPECT_LE(RunWithWramRows(64).report.EmbeddingTotal(),
             RunWithWramRows(0).report.EmbeddingTotal());
+}
+
+TEST(HotPathEngineTest, DefaultPinsAsManyRowsAsFit) {
+  Fixture f = MakeFixture();
+  EngineOptions options;
+  options.method = partition::Method::kUniform;
+  options.nc = 4;
+  options.reserved_io_bytes = 128 * kKiB;
+  ASSERT_EQ(options.wram_cache_rows, kWramRowsAsFit);
+  auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                     f.system.get(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::uint32_t fit =
+      f.system->kernel_cost().MaxWramCacheRows(4 * 4);
+  ASSERT_GT(fit, 0u);
+  for (const TableGroup& group : (*engine)->groups()) {
+    for (std::uint32_t bin = 0; bin < group.plan.geom.row_shards; ++bin) {
+      // Capped by the clamp, or by the bin's referenced rows.
+      EXPECT_LE(group.wram_rows_per_bin[bin], fit);
+      EXPECT_GT(group.wram_rows_per_bin[bin], 0u);
+    }
+    EXPECT_EQ(PinnedRows(group),
+              std::accumulate(group.wram_rows_per_bin.begin(),
+                              group.wram_rows_per_bin.end(),
+                              std::uint64_t{0}));
+  }
 }
 
 TEST(HotPathEngineTest, WramTierActuallyHits) {

@@ -1,8 +1,11 @@
 // Rank replicas (EngineOptions::replicas): R whole-rank copies of the
-// model, each serving a contiguous chunk of every batch. Pooled outputs
-// and CTRs stay bit-exact against DlrmModel at every R and thread
-// count, in both stage-1 wire formats, also when some replicas are
-// dealt no samples; check mode stays clean; LocateDpu inverts the replica DPU map; the optimizer's R falls
+// model, each serving ⌈batch/R⌉ samples of every bin, dealt per bin by
+// LPT. Pooled outputs and CTRs stay bit-exact against DlrmModel (so
+// against R = 1) at every R and thread count, in both stage-1 wire
+// formats, with the WRAM tier on and off, also when some replicas are
+// dealt no samples; the deal is thread-count invariant and keeps each
+// bin's copy loads within one sample of each other; check mode stays
+// clean; LocateDpu inverts the replica DPU map; the optimizer's R falls
 // back to a smaller copy when a larger one does not fit MRAM; and
 // malformed replica settings return a Status.
 #include <gtest/gtest.h>
@@ -91,10 +94,10 @@ EngineOptions ReplicaOptions(partition::Method method,
 
 class ReplicaEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<partition::Method, std::uint32_t, bool>> {};
+          std::tuple<partition::Method, std::uint32_t, bool, bool>> {};
 
 TEST_P(ReplicaEquivalence, PooledAndCtrBitExactAtEveryThreadCount) {
-  const auto [method, replicas, packed] = GetParam();
+  const auto [method, replicas, packed, wram] = GetParam();
   Fixture f = MakeFixture(/*functional=*/true);
   const std::size_t width = 2 * 8;
   std::vector<float> want(width);
@@ -105,6 +108,8 @@ TEST_P(ReplicaEquivalence, PooledAndCtrBitExactAtEveryThreadCount) {
     // The functional kernel decodes every slot and offset from the
     // wire image, so a codec fault breaks the comparison below.
     options.packed_indices = packed;
+    // The tier re-weights the deal (a hit weighs less than a read).
+    options.wram_cache_rows = wram ? kWramRowsAsFit : 0;
     auto engine = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
                                        system.get(), options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -137,13 +142,113 @@ INSTANTIATE_TEST_SUITE_P(
                                          partition::Method::kNonUniform,
                                          partition::Method::kCacheAware),
                        ::testing::Values(1U, 2U, 4U),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
       return std::string(partition::MethodShortName(
                  std::get<0>(info.param))) +
              "_r" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_packed" : "_paper");
+             (std::get<2>(info.param) ? "_packed" : "_paper") +
+             (std::get<3>(info.param) ? "_wram" : "_nowram");
     });
+
+// Per-(replica, table, bin) launch work of one traced batch.
+std::vector<pim::EmbeddingKernelWork> TracedWork(UpDlrmEngine& engine,
+                                                 trace::BatchRange range) {
+  telemetry::Tracer::Get().Enable();
+  auto batch = engine.RunBatch(range, nullptr);
+  telemetry::Tracer::Get().Disable();
+  UPDLRM_CHECK(batch.ok() && batch->dpu_trace != nullptr);
+  std::vector<pim::EmbeddingKernelWork> work;
+  for (const DpuTraceSlice& slice : batch->dpu_trace->slices) {
+    work.push_back(slice.work);
+  }
+  return work;
+}
+
+bool SameWork(const pim::EmbeddingKernelWork& a,
+              const pim::EmbeddingKernelWork& b) {
+  return a.num_lookups == b.num_lookups &&
+         a.num_cache_reads == b.num_cache_reads &&
+         a.num_wram_hits == b.num_wram_hits &&
+         a.num_samples == b.num_samples;
+}
+
+TEST(ReplicaTest, DealIsThreadCountInvariant) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  for (const partition::Method method :
+       {partition::Method::kNonUniform, partition::Method::kCacheAware}) {
+    std::vector<pim::EmbeddingKernelWork> at_one;
+    for (const std::uint32_t threads : {1U, 2U, 4U}) {
+      auto system = MakeSystem(/*functional=*/false);
+      EngineOptions options = ReplicaOptions(method, 4);
+      options.num_threads = threads;
+      auto engine = UpDlrmEngine::Create(nullptr, f.config, f.trace,
+                                         system.get(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      std::vector<pim::EmbeddingKernelWork> work;
+      for (const std::size_t n : {5U, 63U, 64U}) {
+        const auto batch = TracedWork(**engine, {9, 9 + n});
+        work.insert(work.end(), batch.begin(), batch.end());
+      }
+      if (threads == 1) {
+        at_one = work;
+        continue;
+      }
+      ASSERT_EQ(work.size(), at_one.size());
+      for (std::size_t i = 0; i < work.size(); ++i) {
+        EXPECT_TRUE(SameWork(work[i], at_one[i]))
+            << "threads " << threads << " slice " << i;
+      }
+    }
+  }
+}
+
+// LPT's bound on a full batch: within each (table, bin), the heaviest
+// copy carries at most one sample's weight more than the lightest.
+TEST(ReplicaTest, DealKeepsEachBinsCopiesWithinOneSample) {
+  Fixture f = MakeFixture(/*functional=*/false);
+  for (const partition::Method method :
+       {partition::Method::kUniform, partition::Method::kNonUniform,
+        partition::Method::kCacheAware}) {
+    auto system = MakeSystem(/*functional=*/false);
+    auto engine = UpDlrmEngine::Create(nullptr, f.config, f.trace,
+                                       system.get(),
+                                       ReplicaOptions(method, 4));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const auto& cost = system->config().kernel_cost;
+    const std::uint32_t row_bytes = (*engine)->nc() * 4;
+    auto weight = [&](const pim::EmbeddingKernelWork& w) {
+      return (w.num_lookups + w.num_cache_reads) *
+                 cost.ReadIssueCycles(row_bytes) +
+             w.num_wram_hits * cost.WramHitIssueCycles(row_bytes);
+    };
+    const std::size_t first = 17;
+    const std::size_t n = 64;
+    const auto full = TracedWork(**engine, {first, first + n});
+    const std::size_t bins = full.size() / 4;
+    // A one-sample batch lands whole on replica 0: its first `bins`
+    // slices are that sample's per-bin work.
+    std::vector<std::uint64_t> heaviest(bins, 0);
+    for (std::size_t i = first; i < first + n; ++i) {
+      const auto one = TracedWork(**engine, {i, i + 1});
+      for (std::size_t b = 0; b < bins; ++b) {
+        heaviest[b] = std::max(heaviest[b], weight(one[b]));
+      }
+    }
+    for (std::size_t b = 0; b < bins; ++b) {
+      std::uint64_t lo = ~std::uint64_t{0};
+      std::uint64_t hi = 0;
+      for (std::size_t r = 0; r < 4; ++r) {
+        EXPECT_EQ(full[r * bins + b].num_samples, n / 4);
+        lo = std::min(lo, weight(full[r * bins + b]));
+        hi = std::max(hi, weight(full[r * bins + b]));
+      }
+      EXPECT_LE(hi - lo, heaviest[b])
+          << partition::MethodShortName(method) << " bin " << b;
+    }
+    EXPECT_GT(bins, 0u);
+  }
+}
 
 TEST(ReplicaTest, CheckModeCleanAtFourReplicas) {
   Fixture f = MakeFixture(/*functional=*/true);

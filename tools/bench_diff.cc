@@ -7,14 +7,23 @@
 // Both files are flattened to dotted numeric paths ("workloads.clo
 // .fleets[0].methods.CA.max_sustainable_qps") and compared metric by
 // metric. Every metric gets a noise band — max(rel-tol x |baseline|,
-// abs-tol) — and a direction:
+// abs-tol) — and a direction, read from its leaf key's unit suffix
+// (after a trailing "_per_<noun>" is dropped, so "push_bytes_per_batch"
+// reads as bytes and "us_per_batch" as us):
 //
-//   higher-better  (qps, speedup, reduction, hits, ...): a drop past
-//                  the band is a regression;
-//   lower-better   (p99, latency, ns/us, shed, violations, burn, ...):
+//   higher-better  (..._qps, speedup, reduction, hits, ...): a drop
+//                  past the band is a regression;
+//   lower-better   (..._us, ..._ns, ..._bytes, shed, violations, ...):
 //                  a rise past the band is a regression;
 //   neutral        everything else: changes are reported, never fatal
 //                  (counts and configuration echoes move legitimately).
+//
+// A leaf key with no known suffix takes its parent's direction, so a
+// per-method map under "max_sustainable_qps" is higher-better.
+//
+// Optimizer picks ("nc", "replicas") are identities: a row measured at
+// another tile shape is another configuration, so a changed pick is a
+// regression, whatever the numbers beside it did.
 //
 // String and bool leaves (plan and method names, "slo_met", ...) are
 // identities: they say which configuration a row measured and whether
@@ -53,18 +62,17 @@ enum class Direction { kHigherBetter, kLowerBetter, kNeutral };
 const char* const kIgnore[] = {"wall_seconds", "host.", "trace.",
                                "threads"};
 
-/// Direction patterns, matched against the lower-cased full path.
-/// Higher-better wins ties (checked first) so "qps" beats the "p50"
-/// inside "max_sustainable_qps" never arising and "reduction" beats
-/// the "ns" it contains.
-const char* const kHigherBetter[] = {"qps",     "speedup", "reduction",
-                                     "hit",     "jaccard", "throughput",
-                                     "completed"};
-const char* const kLowerBetter[] = {"p50",   "p95",       "p99",
-                                    "ns",    "us",        "latency",
-                                    "shed",  "violation", "drop",
-                                    "burn",  "imbalance", "stddev",
-                                    "stragg"};
+/// Unit suffixes of a leaf key: the whole key, or its tail after '_'.
+const char* const kHigherBetter[] = {
+    "qps",       "speedup", "reduction",  "hits",     "hit_rate",
+    "hit_share", "jaccard", "throughput", "completed"};
+const char* const kLowerBetter[] = {
+    "us",   "ns",         "ms",    "bytes", "latency",   "p50",
+    "p95",  "p99",        "p999",  "shed",  "imbalance", "stddev",
+    "burn", "violations", "drops", "stragglers"};
+
+/// Numeric leaves that name an optimizer's pick, compared as identities.
+const char* const kPicks[] = {"nc", "replicas"};
 
 std::string Lower(std::string_view s) {
   std::string out(s);
@@ -82,15 +90,70 @@ bool ContainsAny(const std::string& path, const char* const* patterns,
   return false;
 }
 
-Direction Classify(const std::string& path) {
-  const std::string lower = Lower(path);
-  if (ContainsAny(lower, kHigherBetter, std::size(kHigherBetter))) {
+/// True when `key` is `unit` or ends in "_" + `unit`.
+bool HasUnit(std::string_view key, std::string_view unit) {
+  if (key == unit) return true;
+  return key.size() > unit.size() && key.ends_with(unit) &&
+         key[key.size() - unit.size() - 1] == '_';
+}
+
+bool HasAnyUnit(std::string_view key, const char* const* units,
+                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (HasUnit(key, units[i])) return true;
+  }
+  return false;
+}
+
+/// One key's direction: its unit suffix, ignoring a "_per_<noun>" tail.
+Direction ClassifyKey(std::string_view key) {
+  if (const std::size_t per = key.rfind("_per_");
+      per != std::string_view::npos && per > 0) {
+    key = key.substr(0, per);
+  }
+  if (HasAnyUnit(key, kHigherBetter, std::size(kHigherBetter))) {
     return Direction::kHigherBetter;
   }
-  if (ContainsAny(lower, kLowerBetter, std::size(kLowerBetter))) {
+  if (HasAnyUnit(key, kLowerBetter, std::size(kLowerBetter))) {
     return Direction::kLowerBetter;
   }
   return Direction::kNeutral;
+}
+
+/// The object keys of a dotted path, leaf last ("rows[2].p99_us" ->
+/// {"rows", "p99_us"}).
+std::vector<std::string> KeysOf(const std::string& path) {
+  std::vector<std::string> keys;
+  std::size_t begin = 0;
+  while (begin <= path.size()) {
+    std::size_t end = path.find('.', begin);
+    if (end == std::string::npos) end = path.size();
+    std::string key = path.substr(begin, end - begin);
+    key = key.substr(0, key.find('['));
+    if (!key.empty()) keys.push_back(Lower(key));
+    begin = end + 1;
+  }
+  return keys;
+}
+
+/// The leaf key's direction, or the nearest ancestor key's when the leaf
+/// has no known unit.
+Direction Classify(const std::string& path) {
+  const std::vector<std::string> keys = KeysOf(path);
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    const Direction dir = ClassifyKey(*it);
+    if (dir != Direction::kNeutral) return dir;
+  }
+  return Direction::kNeutral;
+}
+
+bool IsPick(const std::string& path) {
+  const std::vector<std::string> keys = KeysOf(path);
+  if (keys.empty()) return false;
+  for (const char* pick : kPicks) {
+    if (keys.back() == pick) return true;
+  }
+  return false;
 }
 
 /// A bench file's leaves by dotted path: numbers, and string/bool
@@ -105,7 +168,11 @@ struct Leaves {
 void Flatten(const telemetry::JsonValue& value, const std::string& path,
              Leaves& out) {
   if (ContainsAny(Lower(path), kIgnore, std::size(kIgnore))) return;
-  if (value.is_number()) {
+  if (value.is_number() && IsPick(path)) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.17g", value.AsNumber());
+    out.identities[path] = text;
+  } else if (value.is_number()) {
     out.numbers[path] = value.AsNumber();
   } else if (value.is_string()) {
     out.identities[path] = "\"" + value.AsString() + "\"";
