@@ -7,6 +7,8 @@
 //   * GRACE-style co-occurrence mining (the paper's choice);
 //   * frequency-rank pairing (popularity only, no co-occurrence);
 //   * no caching (non-uniform partitioning).
+// Exits non-zero unless embedding us/batch is ordered
+// GRACE < frequency pairs < none.
 #include <cstdio>
 #include <iostream>
 
@@ -88,5 +90,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nany generator plugs into Algorithm 1 via CacheRes; "
       "co-occurrence awareness is what makes the partial sums hit\n");
+  if (!(grace_emb < pair_emb && pair_emb < nu_emb)) {
+    std::printf("FAIL embedding us/batch is not ordered GRACE < "
+                "frequency pairs < none\n");
+    return 1;
+  }
   return 0;
 }

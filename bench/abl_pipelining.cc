@@ -6,10 +6,13 @@
 // serving loop can overlap them across consecutive batches. This bench
 // estimates the steady-state gain per workload and reports which
 // resource (host transfers, DPU lookups or host cores) bounds the
-// pipeline.
+// pipeline. Exits non-zero unless, on every workload, the
+// three-resource bound is at most the executed schedule (relative
+// tolerance 1e-9) and the executed schedule beats serial execution.
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/table.h"
@@ -25,6 +28,7 @@ int main(int argc, char** argv) {
 
   TablePrinter out({"workload", "serial (ms)", "bound (ms)",
                     "executed (ms)", "speedup", "bound by"});
+  std::vector<std::string> failures;
   for (const auto& spec : trace::Table1Workloads()) {
     const bench::Workload w = bench::PrepareWorkload(spec, scale);
     auto system = bench::MakePaperSystem();
@@ -61,6 +65,12 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(executed / 1e6, 2),
                 TablePrinter::FmtSpeedup(estimate.serial_ns / executed),
                 std::string(core::ResourceName(estimate.Binding()))});
+    if (estimate.pipelined_ns > executed * (1.0 + 1e-9)) {
+      failures.push_back(spec.name + ": bound exceeds executed");
+    }
+    if (executed >= estimate.serial_ns) {
+      failures.push_back(spec.name + ": executed does not beat serial");
+    }
   }
   out.Print(std::cout);
   std::printf(
@@ -69,5 +79,6 @@ int main(int argc, char** argv) {
       "'bound' is the three-resource lower bound (updlrm/pipelining.h), "
       "'executed' the schedule realized by the serving executor "
       "(serve/executor.h), and speedup = serial / executed\n");
-  return 0;
+  for (const std::string& f : failures) std::printf("FAIL %s\n", f.c_str());
+  return failures.empty() ? 0 : 1;
 }

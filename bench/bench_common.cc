@@ -247,9 +247,8 @@ baselines::FaeOptions PaperFaeOptions() {
 }
 
 std::unique_ptr<telemetry::FleetMonitor> MakeFleetMonitor(
-    const Workload& workload, const BenchScale& scale, Nanos slo_ns,
-    std::uint32_t units_per_rank, std::uint32_t units_per_shard,
-    const std::vector<trace::TableProfile>* profiles) {
+    const BenchScale& scale, Nanos slo_ns, std::uint32_t units_per_rank,
+    std::uint32_t units_per_shard) {
   if (scale.health_out.empty()) return nullptr;
 #ifdef UPDLRM_TELEMETRY_DISABLED
   std::fprintf(stderr,
@@ -262,22 +261,7 @@ std::unique_ptr<telemetry::FleetMonitor> MakeFleetMonitor(
   options.slo.slo_ns = slo_ns;
   options.health.units_per_rank = units_per_rank;
   options.health.units_per_shard = units_per_shard;
-  auto monitor = std::make_unique<telemetry::FleetMonitor>(options);
-
-  std::vector<trace::TableProfile> own;
-  if (profiles == nullptr) {
-    own = ProfileTables(workload, scale.threads);
-    profiles = &own;
-  }
-  UPDLRM_CHECK_MSG(profiles->size() == workload.config.num_tables,
-                   "profiles must hold one TableProfile per table");
-  for (std::uint32_t t = 0; t < workload.config.num_tables; ++t) {
-    monitor->AddTableBaseline(
-        t, telemetry::BuildDriftBaseline((*profiles)[t].freq,
-                                         (*profiles)[t].by_freq,
-                                         options.drift));
-  }
-  return monitor;
+  return std::make_unique<telemetry::FleetMonitor>(options);
 #endif
 }
 
@@ -300,15 +284,10 @@ void WriteHealthArtifacts(telemetry::FleetMonitor* monitor,
   const telemetry::HealthSummary& summary = monitor->summary();
   std::fprintf(
       stderr,
-      "# health: %llu window(s) -> %s (drift: %llu bad table-window(s), "
-      "first alert window %lld, %llu table(s) alerting; slo: %llu "
-      "alert window(s), max burn %.2f/%.2f; stragglers: %llu "
-      "window(s), max |z| %.2f)\n",
+      "# health: %llu window(s) -> %s (slo: %llu alert window(s), max "
+      "burn %.2f/%.2f; stragglers: %llu window(s), max |z| %.2f)\n",
       static_cast<unsigned long long>(summary.windows),
       scale.health_out.c_str(),
-      static_cast<unsigned long long>(summary.drift_bad_table_windows),
-      static_cast<long long>(summary.first_drift_alert_window),
-      static_cast<unsigned long long>(summary.drift_tables_alerting),
       static_cast<unsigned long long>(summary.slo_alert_windows),
       summary.max_fast_burn, summary.max_slow_burn,
       static_cast<unsigned long long>(summary.straggler_windows),

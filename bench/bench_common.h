@@ -162,14 +162,12 @@ baselines::FaeOptions PaperFaeOptions();
 /// Builds the --health-out FleetMonitor for one monitored serve run:
 /// window width from --health-window-us, SLO target `slo_ns`, straggler
 /// rank/shard grouping from `units_per_rank` / `units_per_shard` (0 =
-/// no such grouping), and a drift baseline per table mined from
-/// `profiles` (ProfileTables output; computed here when nullptr).
-/// Returns nullptr — monitoring off — when scale.health_out is empty
-/// or telemetry is compiled out (with a stderr note, like TraceSession).
+/// no such grouping). Returns nullptr — monitoring off — when
+/// scale.health_out is empty or telemetry is compiled out (with a
+/// stderr note, like TraceSession).
 std::unique_ptr<telemetry::FleetMonitor> MakeFleetMonitor(
-    const Workload& workload, const BenchScale& scale, Nanos slo_ns,
-    std::uint32_t units_per_rank = 0, std::uint32_t units_per_shard = 0,
-    const std::vector<trace::TableProfile>* profiles = nullptr);
+    const BenchScale& scale, Nanos slo_ns, std::uint32_t units_per_rank = 0,
+    std::uint32_t units_per_shard = 0);
 
 /// Finalizes `monitor` and lands every health artifact: per-window
 /// counters into the live trace (call this BEFORE the TraceSession

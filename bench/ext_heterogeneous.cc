@@ -5,7 +5,9 @@
 // pooling factors by orders of magnitude; this bench builds such a
 // model (the six Table-1 datasets plus the two trace-study catalogs as
 // eight *distinct* tables) and compares DPU allocation policies: the
-// paper's even split vs rows- and traffic-proportional groups.
+// paper's even split vs traffic-proportional groups. Exits non-zero
+// unless traffic-proportional groups beat the even split on embedding
+// us/batch.
 #include <cstdio>
 #include <iostream>
 
@@ -56,8 +58,6 @@ int main(int argc, char** argv) {
   };
   const Policy policies[] = {
       {"equal (paper setup)", partition::DpuAllocationPolicy::kEqual},
-      {"proportional to rows",
-       partition::DpuAllocationPolicy::kProportionalRows},
       {"proportional to traffic",
        partition::DpuAllocationPolicy::kProportionalTraffic},
   };
@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
                     "smallest group", "stage2 (us/batch)",
                     "stage2 imbalance", "embedding (us/batch)"});
   double equal_emb = 0.0;
+  double traffic_emb = 0.0;
   for (const Policy& policy : policies) {
     auto system = bench::MakePaperSystem();
     core::EngineOptions engine_options = bench::PaperEngineOptions(
@@ -88,6 +89,8 @@ int main(int argc, char** argv) {
     const double emb = report->EmbeddingTotal() / batches;
     if (policy.policy == partition::DpuAllocationPolicy::kEqual) {
       equal_emb = emb;
+    } else {
+      traffic_emb = emb;
     }
     out.AddRow({policy.name, std::to_string((*engine)->nc()),
                 std::to_string(largest) + " DPUs",
@@ -103,5 +106,10 @@ int main(int argc, char** argv) {
       "\nwith mixed tables the even split leaves the hottest table's "
       "group as the stage-2 straggler; traffic-proportional groups "
       "equalize per-DPU work across tables\n");
+  if (traffic_emb >= equal_emb) {
+    std::printf("FAIL traffic-proportional groups do not beat the even "
+                "split on embedding us/batch\n");
+    return 1;
+  }
   return 0;
 }

@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
         if (wi == 0 &&
             shards == kReplicaCounts[std::size(kReplicaCounts) - 1]) {
           monitor = bench::MakeFleetMonitor(
-              w, scale, slo_ns, base.dpus_per_rank, base.num_dpus);
+              scale, slo_ns, base.dpus_per_rank, base.num_dpus);
         }
         const auto points = Sweep(**sharded, w, scale, *arrival,
                                   cal.capacity_qps, cal.batch_total,

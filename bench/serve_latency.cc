@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
         if (method == partition::Method::kCacheAware && load == 1.0) {
           trace_session.emplace(scale);
           monitor = bench::MakeFleetMonitor(
-              w, scale, slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
+              scale, slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
           options.monitor = monitor.get();
         }
         auto result =
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
       if (scale.e2e && load == 1.0) {
         trace_session.emplace(scale);
         monitor = bench::MakeFleetMonitor(
-            w, scale, e2e_slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
+            scale, e2e_slo_ns, pim::DpuSystemConfig{}.dpus_per_rank);
         options.monitor = monitor.get();
       }
       auto result = pipeline::RunDataFlowSimulation(

@@ -34,19 +34,10 @@ Result<std::vector<std::uint32_t>> AllocateDpus(
   }
 
   std::vector<double> w(tables, 1.0);
-  switch (policy) {
-    case DpuAllocationPolicy::kEqual:
-      break;
-    case DpuAllocationPolicy::kProportionalRows:
-      for (std::size_t t = 0; t < tables; ++t) {
-        w[t] = static_cast<double>(shapes[t].rows);
-      }
-      break;
-    case DpuAllocationPolicy::kProportionalTraffic:
-      for (std::size_t t = 0; t < tables; ++t) {
-        w[t] = std::max(weights[t], 0.0);
-      }
-      break;
+  if (policy == DpuAllocationPolicy::kProportionalTraffic) {
+    for (std::size_t t = 0; t < tables; ++t) {
+      w[t] = std::max(weights[t], 0.0);
+    }
   }
   const double total_w = std::accumulate(w.begin(), w.end(), 0.0);
   if (total_w <= 0.0) {
@@ -90,14 +81,14 @@ Result<std::vector<std::uint32_t>> AllocateDpus(
       if (alloc[t] >= shapes[t].rows) continue;  // capped
       if (best == tables || remainder[t] > remainder[best]) best = t;
     }
-    if (best == tables) break;  // everything capped: leave units unused
+    if (best == tables) break;
     ++alloc[best];
     remainder[best] -= 1.0;
     ++assigned;
   }
-  // Any still-unassigned units (all tables capped) go to table 0's
-  // group only if it can hold them; otherwise they stay idle, which the
-  // caller's geometry check will surface. In practice rows >> shards.
+  // Units still unassigned here (every table capped at its row count)
+  // stay idle: no group gets them and the counts sum to less than
+  // num_dpus. In practice rows >> shards.
 
   std::vector<std::uint32_t> result(tables);
   for (std::size_t t = 0; t < tables; ++t) {

@@ -252,15 +252,9 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
         request_log.data() + batch_start[b],
         batch_start[b + 1] - batch_start[b]);
     if (monitor != nullptr) {
-      // Drift stream: every request's table accesses at its batch's cut
-      // instant (cut times are non-decreasing over b); SLO stream:
-      // completions at the batch's done instant (also non-decreasing).
-      const trace::Trace& workload = engine.trace();
+      // SLO stream: completions at the batch's done instant
+      // (non-decreasing over b).
       for (const QueuedRequest& q : batch_requests) {
-        for (std::uint32_t t = 0; t < workload.num_tables(); ++t) {
-          monitor->OnAccess(t, sched.cut_ns,
-                            workload.tables[t].Sample(q.request.sample));
-        }
         monitor->OnRequest(done, done - q.request.arrival_ns);
       }
     }

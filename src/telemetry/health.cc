@@ -7,163 +7,6 @@
 
 namespace updlrm::telemetry {
 
-namespace {
-
-/// Rank bucket of the r-th most frequent item (r is 0-based):
-/// log-spaced so the hot head gets fine buckets and the cold tail
-/// coarse ones.
-int RankBucket(std::size_t r, int buckets_per_decade) {
-  return static_cast<int>(std::log10(static_cast<double>(r + 1)) *
-                          buckets_per_decade);
-}
-
-}  // namespace
-
-// --- drift ------------------------------------------------------------
-
-DriftBaseline BuildDriftBaseline(std::span<const std::uint64_t> freq,
-                                 std::span<const std::uint32_t> by_freq,
-                                 const DriftOptions& options) {
-  UPDLRM_CHECK(freq.size() == by_freq.size());
-  DriftBaseline baseline;
-  baseline.item_bucket.assign(freq.size(), 0);
-
-  std::uint64_t total = 0;
-  std::size_t nonzero = 0;
-  for (const std::uint64_t f : freq) {
-    total += f;
-    nonzero += f > 0 ? 1 : 0;
-  }
-  baseline.total_accesses = total;
-
-  // The head stops at 10^max_rank_decades: everything past it — deep
-  // tail ranks AND baseline-unseen items — shares the trailing tail
-  // bucket. A finite history cannot estimate per-item tail mass, so
-  // stationary tail identity churn must cancel inside one bucket
-  // instead of registering as drift.
-  const int head_limit =
-      options.max_rank_decades * options.rank_buckets_per_decade;
-  const int tail = std::min(
-      nonzero == 0
-          ? 0
-          : RankBucket(nonzero - 1, options.rank_buckets_per_decade) + 1,
-      head_limit);
-  baseline.bucket_mass.assign(static_cast<std::size_t>(tail) + 1, 0.0);
-
-  // by_freq orders items by descending frequency (ties by id), so the
-  // r-th entry's rank bucket is RankBucket(r) capped at the tail
-  // bucket; zero-frequency items also fall into the tail bucket.
-  for (std::size_t r = 0; r < by_freq.size(); ++r) {
-    const std::uint32_t item = by_freq[r];
-    if (freq[item] == 0) {
-      baseline.item_bucket[item] = tail;
-      continue;
-    }
-    const int b =
-        std::min(RankBucket(r, options.rank_buckets_per_decade), tail);
-    baseline.item_bucket[item] = b;
-    if (total > 0) {
-      baseline.bucket_mass[static_cast<std::size_t>(b)] +=
-          static_cast<double>(freq[item]) / static_cast<double>(total);
-    }
-  }
-
-  const std::size_t k = std::min(options.top_k, nonzero);
-  baseline.top_items.assign(by_freq.begin(),
-                            by_freq.begin() + static_cast<long>(k));
-  if (total > 0) {
-    std::uint64_t top_accesses = 0;
-    for (const std::uint32_t item : baseline.top_items) {
-      top_accesses += freq[item];
-    }
-    baseline.top_mass =
-        static_cast<double>(top_accesses) / static_cast<double>(total);
-  }
-  std::sort(baseline.top_items.begin(), baseline.top_items.end());
-  return baseline;
-}
-
-DriftDetector::DriftDetector(DriftBaseline baseline, DriftOptions options)
-    : baseline_(std::move(baseline)), options_(options) {
-  live_mass_.assign(baseline_.bucket_mass.size(), 0.0);
-}
-
-DriftDetector::WindowVerdict DriftDetector::JudgeWindow(
-    const std::map<std::uint32_t, std::uint64_t>& counts) {
-  WindowVerdict v;
-  for (const auto& [item, count] : counts) v.accesses += count;
-  if (v.accesses < options_.min_accesses) {
-    // Too little signal to judge; hysteresis state is untouched.
-    v.alerting = alerting_;
-    return v;
-  }
-  v.judged = true;
-
-  // Total-variation distance over head rank buckets: live window mass
-  // vs baseline mass, with out-of-baseline items in the coalesced
-  // tail bucket.
-  std::fill(live_mass_.begin(), live_mass_.end(), 0.0);
-  const std::size_t unseen = live_mass_.size() - 1;
-  const double total = static_cast<double>(v.accesses);
-  for (const auto& [item, count] : counts) {
-    const std::size_t b =
-        item < baseline_.item_bucket.size()
-            ? static_cast<std::size_t>(baseline_.item_bucket[item])
-            : unseen;
-    live_mass_[b] += static_cast<double>(count) / total;
-  }
-  double tv = 0.0;
-  for (std::size_t b = 0; b < live_mass_.size(); ++b) {
-    tv += std::abs(live_mass_[b] - baseline_.bucket_mass[b]);
-  }
-  v.tv_distance = 0.5 * tv;
-
-  // Live top-k (count desc, item id asc — counts iterates ascending by
-  // id, so insertion order settles ties deterministically).
-  const std::size_t k =
-      std::min(options_.top_k, std::max<std::size_t>(counts.size(), 1));
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> top;
-  top.reserve(k + 1);
-  for (const auto& [item, count] : counts) {
-    if (top.size() == k && count <= top.back().first) continue;
-    const auto pos = std::upper_bound(
-        top.begin(), top.end(), std::make_pair(count, item),
-        [](const auto& a, const auto& b) { return a.first > b.first; });
-    top.insert(pos, {count, item});
-    if (top.size() > k) top.pop_back();
-  }
-  std::size_t inter = 0;
-  for (const auto& [count, item] : top) {
-    inter += std::binary_search(baseline_.top_items.begin(),
-                                baseline_.top_items.end(), item)
-                 ? 1
-                 : 0;
-  }
-  const std::size_t uni = top.size() + baseline_.top_items.size() - inter;
-  v.topk_jaccard =
-      uni == 0 ? 1.0
-               : static_cast<double>(inter) / static_cast<double>(uni);
-
-  // Hysteresis. The Jaccard vote abstains when the baseline head is
-  // too diffuse to name a meaningful top-k (near-flat tables); TV
-  // still judges those.
-  const bool jaccard_votes = baseline_.top_mass >= options_.min_topk_mass;
-  v.bad = v.tv_distance > options_.tv_threshold ||
-          (jaccard_votes && v.topk_jaccard < options_.jaccard_min);
-  if (v.bad) {
-    ++bad_windows_;
-    ++consecutive_bad_;
-    consecutive_good_ = 0;
-    if (consecutive_bad_ >= options_.trip_windows) alerting_ = true;
-  } else {
-    ++consecutive_good_;
-    consecutive_bad_ = 0;
-    if (consecutive_good_ >= options_.clear_windows) alerting_ = false;
-  }
-  v.alerting = alerting_;
-  return v;
-}
-
 // --- SLO burn ---------------------------------------------------------
 
 BurnRateMonitor::BurnRateMonitor(SloBurnOptions options)
@@ -308,15 +151,7 @@ StragglerScorer::WindowVerdict StragglerScorer::ScoreWindow(
 
 void FleetHealthWindow::WriteJson(JsonWriter& w) const {
   w.BeginObject().Field("window", index).Field("start_ns", start_ns);
-  w.Field("end_ns", end_ns).Key("drift").BeginArray();
-  for (const DriftWindow& d : drift) {
-    const DriftDetector::WindowVerdict& v = d.verdict;
-    w.BeginObject().Field("table", d.table).Field("accesses", v.accesses);
-    w.Field("judged", v.judged).Field("tv", v.tv_distance);
-    w.Field("jaccard", v.topk_jaccard).Field("bad", v.bad);
-    w.Field("alert", v.alerting).EndObject();
-  }
-  w.EndArray();
+  w.Field("end_ns", end_ns);
   if (has_slo) {
     w.Key("slo").BeginObject().Field("completed", slo.completed);
     w.Field("over_slo", slo.over_slo).Field("fast_burn", slo.fast_burn);
@@ -337,9 +172,6 @@ void FleetHealthWindow::WriteJson(JsonWriter& w) const {
 
 void HealthSummary::WriteJson(JsonWriter& w) const {
   w.BeginObject().Key("summary").BeginObject().Field("windows", windows);
-  w.Field("drift_bad_table_windows", drift_bad_table_windows);
-  w.Field("drift_tables_alerting", drift_tables_alerting);
-  w.Field("first_drift_alert_window", first_drift_alert_window);
   w.Field("slo_alert_windows", slo_alert_windows);
   w.Field("slo_alerting", slo_alerting);
   w.Field("max_fast_burn", max_fast_burn);
@@ -352,12 +184,6 @@ void HealthSummary::WriteJson(JsonWriter& w) const {
 void HealthSummary::ExportTo(MetricsRegistry& registry,
                              const std::string& prefix) const {
   registry.Increment(prefix + ".windows", static_cast<double>(windows));
-  registry.Increment(prefix + ".drift_bad_table_windows",
-                     static_cast<double>(drift_bad_table_windows));
-  registry.SetGauge(prefix + ".drift_tables_alerting",
-                    static_cast<double>(drift_tables_alerting));
-  registry.SetGauge(prefix + ".first_drift_alert_window",
-                    static_cast<double>(first_drift_alert_window));
   registry.Increment(prefix + ".slo_alert_windows",
                      static_cast<double>(slo_alert_windows));
   registry.SetGauge(prefix + ".slo_alerting", slo_alerting ? 1.0 : 0.0);
@@ -401,8 +227,9 @@ Status ValidateHealthJsonl(std::string_view jsonl,
   if (!header.ok()) return LineError(0, header.status().message());
   const JsonValue* schema = header->Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->AsString() != "updlrm.health.v1") {
-    return LineError(0, "missing schema tag \"updlrm.health.v1\"");
+      schema->AsString() != kHealthSchema) {
+    return LineError(0, "missing schema tag \"" +
+                            std::string(kHealthSchema) + "\"");
   }
   const JsonValue* window_ns = header->Find("window_ns");
   if (window_ns == nullptr || !window_ns->is_number() ||
@@ -437,9 +264,12 @@ Status ValidateHealthJsonl(std::string_view jsonl,
                                 key + "\"");
       }
     }
-    const JsonValue* drift = parsed->Find("drift");
-    if (drift == nullptr || !drift->is_array()) {
-      return LineError(i, "window record missing \"drift\" array");
+    const JsonValue* slo = parsed->Find("slo");
+    const JsonValue* health = parsed->Find("health");
+    if ((slo == nullptr || !slo->is_object()) &&
+        (health == nullptr || !health->is_object())) {
+      return LineError(i, "window record carries no \"slo\" or "
+                          "\"health\" object");
     }
     ++windows;
   }

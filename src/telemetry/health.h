@@ -1,20 +1,9 @@
-// Fleet-health detector primitives: drift, SLO burn, stragglers.
+// Fleet-health detector primitives: SLO burn and stragglers.
 //
 // The monitor (monitor.h) slices a serving run into fixed simulated-ns
 // windows; this header holds the per-window judgement math and the
-// snapshot schema those judgements stream into. Three detector
-// families, one per failure mode the ROADMAP's adaptation loop will
-// eventually react to:
+// snapshot schema those judgements stream into. Two detector families:
 //
-//   - DriftDetector: is the live access distribution still the one the
-//     partitioner mined? Judged per table per window against a
-//     DriftBaseline (built from trace::TableProfile's freq/by_freq
-//     arrays) with two complementary statistics: total-variation
-//     distance over log-spaced frequency-rank buckets (catches mass
-//     moving between hot and cold regions) and top-k set Jaccard
-//     (catches hot-item identity churn that rank-bucket mass hides).
-//     Hysteresis (consecutive bad windows to trip, consecutive good to
-//     clear) keeps single noisy windows from flapping the alert.
 //   - BurnRateMonitor: SRE-style multi-window SLO burn. Each window
 //     contributes (completed, over-SLO) counts; the fast horizon (few
 //     windows) catches cliffs, the slow horizon (many windows) filters
@@ -31,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,41 +33,6 @@
 namespace updlrm::telemetry {
 
 // --- detector configuration ------------------------------------------
-
-struct DriftOptions {
-  /// Top-k set size for the Jaccard statistic.
-  std::size_t top_k = 32;
-  /// Trip when TV distance exceeds this...
-  double tv_threshold = 0.35;
-  /// ... or the top-k Jaccard similarity falls below this.
-  double jaccard_min = 0.40;
-  /// The Jaccard criterion only votes when the baseline's top-k items
-  /// carry at least this mass fraction. Under a near-flat distribution
-  /// "the top k" is a random draw from a huge near-tied set — every
-  /// window's empirical top-k would look disjoint from the baseline's
-  /// and the statistic is pure noise. TV still judges flat tables.
-  /// (Measured: GoodReads' top-32 carry ~9% of accesses — a real hot
-  /// head; the synthetic near-uniform fleet tables carry ~0.6%.)
-  double min_topk_mass = 0.05;
-  /// Hysteresis: consecutive bad windows to raise the alert,
-  /// consecutive good windows to clear it.
-  int trip_windows = 2;
-  int clear_windows = 2;
-  /// Windows with fewer accesses than this are not judged (too little
-  /// signal); they leave the hysteresis counters untouched.
-  std::uint64_t min_accesses = 32;
-  /// Log-spaced frequency-rank buckets per decade for the TV statistic.
-  int rank_buckets_per_decade = 4;
-  /// Head size for the TV statistic, in rank decades: ranks at or
-  /// beyond 10^max_rank_decades share one coalesced tail bucket with
-  /// baseline-unseen items. A finite history cannot estimate per-item
-  /// tail mass — deep-tail identity churn is expected under a
-  /// stationary distribution (new cold items appear constantly), and
-  /// without the coalescing that churn puts a large TV floor under
-  /// every window. The head is where the cache-placement decisions
-  /// live, so it is also exactly where drift matters.
-  int max_rank_decades = 3;
-};
 
 struct SloBurnOptions {
   /// The latency objective: a request is "good" when latency <= slo_ns.
@@ -106,75 +59,6 @@ struct HealthOptions {
   std::uint32_t units_per_shard = 0;
   /// Windows where fewer units than this did any work are not judged.
   std::uint32_t min_active_units = 2;
-};
-
-// --- drift ------------------------------------------------------------
-
-/// A mined access distribution, reduced to what the per-window
-/// judgement needs. Built from trace::TableProfile's arrays (passed as
-/// raw spans so telemetry keeps its {common}-only dependency
-/// footprint): per-item rank buckets + per-bucket baseline mass + the
-/// baseline top-k set.
-struct DriftBaseline {
-  /// Baseline top-k item ids, sorted ascending (set semantics).
-  std::vector<std::uint32_t> top_items;
-  /// Mass fraction the top-k items carry in the baseline; the Jaccard
-  /// criterion abstains below DriftOptions::min_topk_mass.
-  double top_mass = 0.0;
-  /// Baseline probability mass per rank bucket. The last entry is the
-  /// coalesced tail bucket: ranks at or beyond 10^max_rank_decades
-  /// plus items with zero baseline frequency (it carries the
-  /// baseline's deep-tail mass, so stationary tail churn cancels).
-  std::vector<double> bucket_mass;
-  /// item id -> rank bucket (size = num items; unseen items map to the
-  /// last bucket).
-  std::vector<std::int32_t> item_bucket;
-  std::uint64_t total_accesses = 0;
-};
-
-/// `freq` / `by_freq` are TableProfile::freq / ::by_freq (per-item
-/// counts and the descending-frequency order).
-DriftBaseline BuildDriftBaseline(std::span<const std::uint64_t> freq,
-                                 std::span<const std::uint32_t> by_freq,
-                                 const DriftOptions& options);
-
-/// Per-table hysteresis drift detector. Feed one closed window's item
-/// counts at a time; read back the judged statistics and alert state.
-class DriftDetector {
- public:
-  DriftDetector(DriftBaseline baseline, DriftOptions options);
-
-  struct WindowVerdict {
-    std::uint64_t accesses = 0;
-    bool judged = false;  // false when accesses < min_accesses
-    double tv_distance = 0.0;
-    double topk_jaccard = 1.0;
-    /// This window's pre-hysteresis vote (TV over threshold, or the
-    /// Jaccard criterion failing where it is allowed to vote). The
-    /// single source of truth for "bad window" — summaries must read
-    /// this rather than re-deriving it from the statistics.
-    bool bad = false;
-    bool alerting = false;  // hysteresis state after this window
-  };
-
-  /// `counts` maps item id -> accesses in the window (std::map keeps
-  /// the top-k tie-break deterministic).
-  WindowVerdict JudgeWindow(
-      const std::map<std::uint32_t, std::uint64_t>& counts);
-
-  bool alerting() const { return alerting_; }
-  /// Windows judged bad/good so far (for summaries).
-  std::uint64_t bad_windows() const { return bad_windows_; }
-
- private:
-  DriftBaseline baseline_;
-  DriftOptions options_;
-  bool alerting_ = false;
-  int consecutive_bad_ = 0;
-  int consecutive_good_ = 0;
-  std::uint64_t bad_windows_ = 0;
-  // Scratch reused across windows (sized to bucket count).
-  std::vector<double> live_mass_;
 };
 
 // --- SLO burn ---------------------------------------------------------
@@ -253,18 +137,11 @@ class StragglerScorer {
 
 // --- snapshot schema --------------------------------------------------
 
-/// One table's drift row in a window snapshot.
-struct DriftWindow {
-  std::uint32_t table = 0;
-  DriftDetector::WindowVerdict verdict;
-};
-
 /// One closed window's full fleet-health snapshot.
 struct FleetHealthWindow {
   std::uint64_t index = 0;
   Nanos start_ns = 0.0;
   Nanos end_ns = 0.0;
-  std::vector<DriftWindow> drift;  // ascending table id
   bool has_slo = false;
   BurnRateMonitor::WindowVerdict slo;
   /// Exact p99 (NearestRank) of the window's completion latencies.
@@ -279,10 +156,6 @@ struct FleetHealthWindow {
 /// Final detector states, folded into BENCH_metrics.json at run end.
 struct HealthSummary {
   std::uint64_t windows = 0;
-  // Drift.
-  std::uint64_t drift_bad_table_windows = 0;
-  std::uint64_t drift_tables_alerting = 0;  // at run end
-  std::int64_t first_drift_alert_window = -1;
   // SLO.
   std::uint64_t slo_alert_windows = 0;
   bool slo_alerting = false;
@@ -300,11 +173,15 @@ struct HealthSummary {
   void ExportTo(MetricsRegistry& registry, const std::string& prefix) const;
 };
 
+/// The schema tag on a health JSONL stream's header line.
+inline constexpr std::string_view kHealthSchema = "updlrm.health.v2";
+
 /// Validates a health JSONL stream the way ValidateChromeTraceJson
 /// validates traces: line 1 must be the schema header
-/// ({"schema":"updlrm.health.v1",...}), followed by window records with
-/// strictly increasing indices and the required fields, and a final
-/// summary record. Requires at least `min_windows` window records.
+/// ({"schema":"updlrm.health.v2",...}), followed by window records with
+/// strictly increasing indices, the required fields and an "slo" or
+/// "health" object, and a final summary record. Requires at least
+/// `min_windows` window records.
 Status ValidateHealthJsonl(std::string_view jsonl,
                            std::size_t min_windows);
 

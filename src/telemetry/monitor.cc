@@ -19,44 +19,6 @@ std::uint64_t FleetMonitor::WindowOf(Nanos t_ns) const {
   return static_cast<std::uint64_t>(t_ns / options_.window_ns);
 }
 
-void FleetMonitor::AddTableBaseline(std::uint32_t table,
-                                    DriftBaseline baseline) {
-  UPDLRM_CHECK(!finalized_);
-  for (const DriftStream& s : drift_) UPDLRM_CHECK(s.table != table);
-  drift_.emplace_back(table, std::move(baseline), options_.drift);
-  std::sort(drift_.begin(), drift_.end(),
-            [](const DriftStream& a, const DriftStream& b) {
-              return a.table < b.table;
-            });
-}
-
-// --- drift stream -----------------------------------------------------
-
-void FleetMonitor::CloseDriftWindow(DriftStream& stream) {
-  if (stream.counts.empty()) return;
-  stream.closed.emplace_back(
-      static_cast<std::uint64_t>(stream.window),
-      stream.detector.JudgeWindow(stream.counts));
-  stream.counts.clear();
-}
-
-void FleetMonitor::OnAccess(std::uint32_t table, Nanos t_ns,
-                            std::span<const std::uint32_t> items) {
-  UPDLRM_CHECK(!finalized_);
-  for (DriftStream& s : drift_) {
-    if (s.table != table) continue;
-    const auto w = static_cast<std::int64_t>(WindowOf(t_ns));
-    UPDLRM_CHECK_MSG(w >= s.window, "drift stream fed out of order");
-    if (w > s.window) {
-      CloseDriftWindow(s);
-      s.window = w;
-    }
-    if (s.window < 0) s.window = w;
-    for (const std::uint32_t item : items) ++s.counts[item];
-    return;
-  }
-}
-
 // --- SLO stream -------------------------------------------------------
 
 void FleetMonitor::CloseSloWindow() {
@@ -138,16 +100,12 @@ void FleetMonitor::OnUnitSample(Nanos t_ns,
 
 void FleetMonitor::Finalize() {
   UPDLRM_CHECK(!finalized_);
-  for (DriftStream& s : drift_) CloseDriftWindow(s);
   CloseSloWindow();
   if (scorer_ != nullptr) CloseHealthWindow();
 
-  // Merge the three per-stream record sequences (each sorted by window
+  // Merge the two per-stream record sequences (each sorted by window
   // index) into one snapshot per window that has any content.
   std::vector<std::uint64_t> indices;
-  for (const DriftStream& s : drift_) {
-    for (const auto& [w, verdict] : s.closed) indices.push_back(w);
-  }
   for (const SloRecord& r : slo_records_) indices.push_back(r.window);
   for (const HealthRecord& r : health_records_) indices.push_back(r.window);
   std::sort(indices.begin(), indices.end());
@@ -160,15 +118,6 @@ void FleetMonitor::Finalize() {
     window.index = w;
     window.start_ns = static_cast<double>(w) * options_.window_ns;
     window.end_ns = window.start_ns + options_.window_ns;
-    for (const DriftStream& s : drift_) {
-      for (const auto& [cw, verdict] : s.closed) {
-        if (cw != w) continue;
-        DriftWindow row;
-        row.table = s.table;
-        row.verdict = verdict;
-        window.drift.push_back(row);
-      }
-    }
     for (const SloRecord& r : slo_records_) {
       if (r.window != w) continue;
       window.has_slo = true;
@@ -187,15 +136,6 @@ void FleetMonitor::Finalize() {
   summary_ = HealthSummary();
   summary_.windows = windows_.size();
   for (const FleetHealthWindow& window : windows_) {
-    bool any_drift_alert = false;
-    for (const DriftWindow& d : window.drift) {
-      summary_.drift_bad_table_windows += d.verdict.bad ? 1 : 0;
-      any_drift_alert = any_drift_alert || d.verdict.alerting;
-    }
-    if (any_drift_alert && summary_.first_drift_alert_window < 0) {
-      summary_.first_drift_alert_window =
-          static_cast<std::int64_t>(window.index);
-    }
     if (window.has_slo) {
       summary_.slo_alert_windows += window.slo.alerting ? 1 : 0;
       summary_.max_fast_burn =
@@ -209,9 +149,6 @@ void FleetMonitor::Finalize() {
           std::max(summary_.max_unit_z, window.health.max_z);
     }
   }
-  for (const DriftStream& s : drift_) {
-    summary_.drift_tables_alerting += s.detector.alerting() ? 1 : 0;
-  }
   summary_.slo_alerting = burn_.alerting();
   summary_.completed = slo_latency_ns_.size();
   summary_.p99_ns = NearestRank(slo_latency_ns_, 99.0);
@@ -223,8 +160,8 @@ void FleetMonitor::Finalize() {
 std::string FleetMonitor::ToJsonl() const {
   UPDLRM_CHECK(finalized_);
   JsonWriter w;
-  w.BeginObject().Field("schema", "updlrm.health.v1");
-  w.Field("window_ns", options_.window_ns).Field("tables", drift_.size());
+  w.BeginObject().Field("schema", kHealthSchema);
+  w.Field("window_ns", options_.window_ns);
   w.Field("units", scorer_ == nullptr ? 0 : scorer_->num_units());
   w.EndObject().Newline();
   for (const FleetHealthWindow& window : windows_) {
@@ -248,17 +185,6 @@ void FleetMonitor::EmitTraceCounters() const {
   Tracer& tracer = Tracer::Get();
   for (const FleetHealthWindow& window : windows_) {
     const Nanos ts = window.end_ns;
-    if (!window.drift.empty()) {
-      double max_tv = 0.0;
-      double alerting = 0.0;
-      for (const DriftWindow& d : window.drift) {
-        max_tv = std::max(max_tv, d.verdict.tv_distance);
-        alerting += d.verdict.alerting ? 1.0 : 0.0;
-      }
-      tracer.Counter(kPipelinePid, Clock::kSim, "drift.max_tv", ts, max_tv);
-      tracer.Counter(kPipelinePid, Clock::kSim, "drift.alerting_tables",
-                     ts, alerting);
-    }
     if (window.has_slo) {
       tracer.Counter(kPipelinePid, Clock::kSim, "slo.fast_burn", ts,
                      window.slo.fast_burn);

@@ -1,10 +1,9 @@
 // FleetMonitor: windowed streaming statistics over a serving run.
 //
 // Slices simulated time into fixed windows (index = floor(t_ns /
-// window_ns)) and routes three observation streams into the detector
+// window_ns)) and routes two observation streams into the detector
 // families of health.h:
 //
-//   OnAccess      -> per-table DriftDetector   (embedding lookups)
 //   OnRequest     -> BurnRateMonitor           (request completions)
 //   OnUnitSample  -> StragglerScorer           (per-DPU cumulative work)
 //
@@ -26,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,7 +40,6 @@ namespace updlrm::telemetry {
 struct MonitorOptions {
   /// Simulated window width. 100 us spans a few batches at bench scale.
   Nanos window_ns = 1.0e5;
-  DriftOptions drift;
   SloBurnOptions slo;
   HealthOptions health;
 };
@@ -54,16 +51,7 @@ class FleetMonitor {
   FleetMonitor(const FleetMonitor&) = delete;
   FleetMonitor& operator=(const FleetMonitor&) = delete;
 
-  // --- setup (before any feeding) --------------------------------
-  /// Arms drift detection for `table` against a mined baseline.
-  /// Tables without a baseline are simply not drift-monitored.
-  void AddTableBaseline(std::uint32_t table, DriftBaseline baseline);
-
   // --- feeding (each stream non-decreasing in time) --------------
-  /// One sample's item indices for `table`, observed at `t_ns` (batch
-  /// cut time). No-op for tables without a baseline.
-  void OnAccess(std::uint32_t table, Nanos t_ns,
-                std::span<const std::uint32_t> items);
   /// One request completion at `done_ns` with its end-to-end latency.
   void OnRequest(Nanos done_ns, Nanos latency_ns);
   /// Per-unit *cumulative* work counters sampled at `t_ns`; the
@@ -103,21 +91,6 @@ class FleetMonitor {
   /// Window index of a simulated instant.
   std::uint64_t WindowOf(Nanos t_ns) const;
 
-  // Per-table drift stream: open-window counts + the detector, plus
-  // every closed window's verdict keyed by window index.
-  struct DriftStream {
-    std::uint32_t table = 0;
-    DriftDetector detector;
-    std::map<std::uint32_t, std::uint64_t> counts;  // open window
-    std::int64_t window = -1;                       // open window index
-    std::vector<std::pair<std::uint64_t, DriftDetector::WindowVerdict>>
-        closed;
-    DriftStream(std::uint32_t t, DriftBaseline baseline,
-                const DriftOptions& options)
-        : table(t), detector(std::move(baseline), options) {}
-  };
-  void CloseDriftWindow(DriftStream& stream);
-
   struct SloRecord {
     std::uint64_t window = 0;
     BurnRateMonitor::WindowVerdict verdict;
@@ -133,8 +106,6 @@ class FleetMonitor {
 
   MonitorOptions options_;
   bool finalized_ = false;
-
-  std::vector<DriftStream> drift_;  // ascending table id
 
   BurnRateMonitor burn_;
   std::int64_t slo_window_ = -1;

@@ -22,7 +22,6 @@ std::uint64_t DeriveSeed(std::uint64_t base, std::uint32_t table,
 constexpr std::uint64_t kPurposePerm = 1;
 constexpr std::uint64_t kPurposeClique = 2;
 constexpr std::uint64_t kPurposeSamples = 3;
-constexpr std::uint64_t kPurposeDrift = 4;
 
 }  // namespace
 
@@ -143,10 +142,6 @@ Result<Trace> TraceGenerator::Generate(
   if (options.num_tables == 0) {
     return Status::InvalidArgument("num_tables must be > 0");
   }
-
-  if (options.popularity_drift < 0.0 || options.popularity_drift > 1.0) {
-    return Status::InvalidArgument("popularity_drift must be in [0, 1]");
-  }
   const std::uint64_t base_seed =
       options.seed_override != 0 ? options.seed_override : spec_.seed;
   const std::uint64_t n = spec_.num_items;
@@ -172,8 +167,7 @@ Result<Trace> TraceGenerator::Generate(
         BuildCliqueModelFromRanks(t, base_seed, rank_to_id);
     Rng rng(DeriveSeed(base_seed, t, kPurposeSamples));
 
-    // clique index -> its member *ranks* (so drifted id maps keep
-    // cliques coherent).
+    // clique index -> its member *ranks*.
     std::vector<std::vector<std::uint32_t>> clique_ranks(
         cliques.cliques.size());
     for (std::uint32_t r = 0; r < cliques.clique_of_rank.size(); ++r) {
@@ -182,27 +176,8 @@ Result<Trace> TraceGenerator::Generate(
       }
     }
 
-    // Second-half id map under popularity drift: hot ranks swap
-    // identity with random cold items.
-    std::vector<std::uint32_t> drifted = rank_to_id;
-    if (options.popularity_drift > 0.0) {
-      Rng drift_rng(DeriveSeed(base_seed, t, kPurposeDrift));
-      const std::uint64_t hot = std::min<std::uint64_t>(
-          std::max<std::uint32_t>(spec_.num_hot_items, 1024), n);
-      for (std::uint64_t r = 0; r < hot && hot < n; ++r) {
-        if (!drift_rng.NextBernoulli(options.popularity_drift)) continue;
-        const std::uint64_t cold = hot + drift_rng.NextBounded(n - hot);
-        std::swap(drifted[r], drifted[cold]);
-      }
-    }
-    const std::size_t drift_from =
-        options.popularity_drift > 0.0 ? options.num_samples / 2
-                                       : options.num_samples;
-
     std::vector<std::uint32_t> items;
     for (std::size_t s = 0; s < options.num_samples; ++s) {
-      const std::vector<std::uint32_t>& id_map =
-          s >= drift_from ? drifted : rank_to_id;
       std::uint64_t target =
           std::max<std::uint64_t>(1, rng.NextPoisson(spec_.avg_reduction));
       target = std::min(target, n);
@@ -222,10 +197,10 @@ Result<Trace> TraceGenerator::Generate(
           if (in_clique && rng.NextBernoulli(spec_.clique_prob)) {
             for (std::uint32_t member_rank :
                  clique_ranks[cliques.clique_of_rank[rank]]) {
-              items.push_back(id_map[member_rank]);
+              items.push_back(rank_to_id[member_rank]);
             }
           } else {
-            items.push_back(id_map[rank]);
+            items.push_back(rank_to_id[rank]);
           }
         }
         std::sort(items.begin(), items.end());

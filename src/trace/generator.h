@@ -29,13 +29,6 @@ struct TraceGeneratorOptions {
   // When > 0, overrides spec.seed.
   std::uint64_t seed_override = 0;
 
-  // Popularity drift: with probability `popularity_drift`, each hot
-  // rank's item identity is swapped with a random cold item for the
-  // *second half* of the trace. Models the staleness that
-  // profile-once/serve-later systems face (the paper partitions from a
-  // historical trace); 0 = stationary popularity.
-  double popularity_drift = 0.0;
-
   // Host threads for per-table generation (0 = default pool,
   // 1 = serial). Tables already draw from independent per-table seed
   // streams, so the generated trace is identical at any thread count.

@@ -88,8 +88,7 @@ struct EngineOptions {
   bool emit_fixed_pooled = false;
   /// Extension: how DPUs are split across tables. The paper's setup is
   /// an even split of identical tables; heterogeneous models benefit
-  /// from rows- or traffic-proportional groups
-  /// (partition/allocation.h).
+  /// from traffic-proportional groups (partition/allocation.h).
   partition::DpuAllocationPolicy allocation =
       partition::DpuAllocationPolicy::kEqual;
   cache::GraceOptions grace;

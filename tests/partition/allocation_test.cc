@@ -26,16 +26,6 @@ TEST(AllocationTest, EqualPolicySplitsEvenly) {
   for (std::uint32_t a : *alloc) EXPECT_EQ(a, 8u);
 }
 
-TEST(AllocationTest, ProportionalRowsFavorsBigTables) {
-  const auto shapes = Shapes({7000, 1000});
-  auto alloc =
-      AllocateDpus(shapes, 32, 4, DpuAllocationPolicy::kProportionalRows);
-  ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(Sum(*alloc), 32u);
-  EXPECT_EQ((*alloc)[0], 28u);  // 7/8 of 8 units * 4 col shards
-  EXPECT_EQ((*alloc)[1], 4u);
-}
-
 TEST(AllocationTest, ProportionalTrafficUsesWeights) {
   const auto shapes = Shapes({1000, 1000});
   const std::vector<double> weights = {3.0, 1.0};
@@ -49,8 +39,10 @@ TEST(AllocationTest, ProportionalTrafficUsesWeights) {
 
 TEST(AllocationTest, EveryTableGetsAtLeastOneRowShard) {
   const auto shapes = Shapes({1'000'000, 10, 10, 10});
-  auto alloc =
-      AllocateDpus(shapes, 32, 4, DpuAllocationPolicy::kProportionalRows);
+  const std::vector<double> weights = {1'000'000.0, 10.0, 10.0, 10.0};
+  auto alloc = AllocateDpus(shapes, 32, 4,
+                            DpuAllocationPolicy::kProportionalTraffic,
+                            weights);
   ASSERT_TRUE(alloc.ok());
   for (std::uint32_t a : *alloc) EXPECT_GE(a, 4u);  // >= col_shards
   EXPECT_EQ(Sum(*alloc), 32u);

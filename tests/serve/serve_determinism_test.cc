@@ -14,7 +14,6 @@
 #include "serve/server.h"
 #include "telemetry/monitor.h"
 #include "trace/generator.h"
-#include "trace/profiler.h"
 
 namespace updlrm::serve {
 namespace {
@@ -50,16 +49,6 @@ ServeRun RunServeAt(std::uint32_t threads,
   trace_options.num_threads = threads;
   auto trace = trace::TraceGenerator(spec).Generate(trace_options);
   UPDLRM_CHECK(trace.ok());
-  if (monitor != nullptr) {
-    for (std::uint32_t t = 0; t < 2; ++t) {
-      const auto freq =
-          trace::ItemFrequencies(trace->tables[t], spec.num_items);
-      monitor->AddTableBaseline(
-          t, telemetry::BuildDriftBaseline(freq,
-                                           trace::ItemsByFrequency(freq),
-                                           monitor->options().drift));
-    }
-  }
 
   pim::DpuSystemConfig sys;
   sys.num_dpus = 8;
@@ -154,7 +143,6 @@ TEST(ServeDeterminismTest, MonitorIsObservationOnlyAndThreadInvariant) {
   for (std::uint32_t threads : {1u, 2u, 4u}) {
     telemetry::MonitorOptions monitor_options;
     monitor_options.window_ns = 5.0e4;
-    monitor_options.drift.min_accesses = 1;
     telemetry::FleetMonitor monitor(monitor_options);
     const ServeRun run = RunServeAt(threads, &monitor);
     monitor.Finalize();

@@ -1,13 +1,11 @@
-// Fleet-health monitor: every detector family (drift / SLO burn /
+// Fleet-health monitor: both detector families (SLO burn /
 // stragglers), the simulated-time windowing machinery, the JSONL
 // schema checker, and the registry export.
 #include "telemetry/monitor.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -15,186 +13,6 @@
 
 namespace updlrm::telemetry {
 namespace {
-
-// Zipf-ish baseline over `n` items: freq[i] = total / (i + 1), with
-// the tail after `nonzero` items all zero.
-std::vector<std::uint64_t> MakeFreq(std::size_t n, std::size_t nonzero) {
-  std::vector<std::uint64_t> freq(n, 0);
-  for (std::size_t i = 0; i < nonzero; ++i) {
-    freq[i] = 1000 / (i + 1) + 1;
-  }
-  return freq;
-}
-
-std::vector<std::uint32_t> MakeByFreq(
-    const std::vector<std::uint64_t>& freq) {
-  // The synthetic freq above is already descending.
-  std::vector<std::uint32_t> by_freq(freq.size());
-  for (std::size_t i = 0; i < freq.size(); ++i) {
-    by_freq[i] = static_cast<std::uint32_t>(i);
-  }
-  return by_freq;
-}
-
-// A window that resamples the baseline distribution exactly.
-std::map<std::uint32_t, std::uint64_t> BaselineWindow(
-    const std::vector<std::uint64_t>& freq) {
-  std::map<std::uint32_t, std::uint64_t> counts;
-  for (std::size_t i = 0; i < freq.size(); ++i) {
-    if (freq[i] > 0) counts[static_cast<std::uint32_t>(i)] = freq[i];
-  }
-  return counts;
-}
-
-// A window whose mass sits entirely on baseline-unseen items.
-std::map<std::uint32_t, std::uint64_t> ShiftedWindow(std::size_t n,
-                                                     std::size_t nonzero) {
-  std::map<std::uint32_t, std::uint64_t> counts;
-  for (std::size_t i = nonzero; i < n; ++i) {
-    counts[static_cast<std::uint32_t>(i)] = 10;
-  }
-  return counts;
-}
-
-// --- drift ------------------------------------------------------------
-
-TEST(DriftBaselineTest, MassSumsToOneAndTopKIsSorted) {
-  const auto freq = MakeFreq(64, 48);
-  const DriftOptions options;
-  const DriftBaseline b =
-      BuildDriftBaseline(freq, MakeByFreq(freq), options);
-  double mass = 0.0;
-  for (const double m : b.bucket_mass) mass += m;
-  EXPECT_NEAR(mass, 1.0, 1e-12);
-  EXPECT_EQ(b.bucket_mass.back(), 0.0);  // unseen bucket: no baseline mass
-  EXPECT_EQ(b.top_items.size(), std::min<std::size_t>(options.top_k, 48));
-  EXPECT_TRUE(std::is_sorted(b.top_items.begin(), b.top_items.end()));
-  EXPECT_EQ(b.item_bucket.size(), freq.size());
-  // Zero-frequency items map to the trailing unseen bucket.
-  EXPECT_EQ(b.item_bucket[63],
-            static_cast<std::int32_t>(b.bucket_mass.size() - 1));
-}
-
-TEST(DriftDetectorTest, StationaryWindowIsGood) {
-  const auto freq = MakeFreq(64, 48);
-  DriftDetector detector(
-      BuildDriftBaseline(freq, MakeByFreq(freq), DriftOptions{}),
-      DriftOptions{});
-  const auto v = detector.JudgeWindow(BaselineWindow(freq));
-  EXPECT_TRUE(v.judged);
-  EXPECT_NEAR(v.tv_distance, 0.0, 1e-12);
-  EXPECT_DOUBLE_EQ(v.topk_jaccard, 1.0);
-  EXPECT_FALSE(v.alerting);
-  EXPECT_EQ(detector.bad_windows(), 0u);
-}
-
-TEST(DriftDetectorTest, HysteresisTripsAndClears) {
-  const auto freq = MakeFreq(64, 32);
-  const DriftOptions options;  // trip 2, clear 2
-  DriftDetector detector(
-      BuildDriftBaseline(freq, MakeByFreq(freq), options), options);
-  // One bad window: judged bad, not yet alerting.
-  auto v = detector.JudgeWindow(ShiftedWindow(64, 32));
-  EXPECT_TRUE(v.judged);
-  EXPECT_GT(v.tv_distance, options.tv_threshold);
-  EXPECT_LT(v.topk_jaccard, options.jaccard_min);
-  EXPECT_FALSE(v.alerting);
-  // Second consecutive bad window trips the alert.
-  v = detector.JudgeWindow(ShiftedWindow(64, 32));
-  EXPECT_TRUE(v.alerting);
-  EXPECT_TRUE(detector.alerting());
-  EXPECT_EQ(detector.bad_windows(), 2u);
-  // One good window holds the alert, the second clears it.
-  v = detector.JudgeWindow(BaselineWindow(freq));
-  EXPECT_TRUE(v.alerting);
-  v = detector.JudgeWindow(BaselineWindow(freq));
-  EXPECT_FALSE(v.alerting);
-  EXPECT_FALSE(detector.alerting());
-}
-
-TEST(DriftDetectorTest, DeepTailIdentityChurnIsNotDrift) {
-  // A finite history cannot estimate per-item tail mass, so accesses
-  // moving between deep-tail identities (ranks past 10^max_rank_decades
-  // and baseline-unseen items) must cancel inside the coalesced tail
-  // bucket instead of registering as drift. Found live: without the
-  // coalescing, the stationary GoodReads replay in abl_drift carried a
-  // ~0.37 TV floor from tail churn alone.
-  const std::size_t n = 20000;
-  const std::size_t nonzero = 15000;
-  const auto freq = MakeFreq(n, nonzero);
-  // Head stays exact; every deep-tail access (ranks >= 1000) moves to
-  // a baseline-unseen identity, keeping the window's head/tail mass
-  // split identical to the baseline's.
-  std::map<std::uint32_t, std::uint64_t> counts;
-  for (std::size_t i = 0; i < 1000; ++i) {
-    counts[static_cast<std::uint32_t>(i)] = freq[i];
-  }
-  for (std::size_t i = 1000; i < nonzero; ++i) {
-    counts[static_cast<std::uint32_t>(nonzero + (i - 1000) % (n - nonzero))]
-        += freq[i];
-  }
-  const DriftOptions options;  // max_rank_decades = 3
-  DriftDetector coalesced(
-      BuildDriftBaseline(freq, MakeByFreq(freq), options), options);
-  const auto v = coalesced.JudgeWindow(counts);
-  EXPECT_TRUE(v.judged);
-  EXPECT_NEAR(v.tv_distance, 0.0, 1e-9);
-  EXPECT_FALSE(v.bad);
-  // With the head widened past the whole item range the same churn
-  // shows up as TV — the coalescing is what cancels it.
-  DriftOptions wide = options;
-  wide.max_rank_decades = 9;
-  DriftDetector uncoalesced(
-      BuildDriftBaseline(freq, MakeByFreq(freq), wide), wide);
-  EXPECT_GT(uncoalesced.JudgeWindow(counts).tv_distance, 0.01);
-}
-
-TEST(DriftDetectorTest, JaccardAbstainsOnFlatBaselines) {
-  // On a near-flat table "the top k" is a random draw from a huge
-  // near-tied set, so top-k Jaccard is pure noise and must not vote;
-  // TV still judges. Found live: the near-uniform fleet tables in
-  // fig12_scaleout (top-32 mass ~0.6%) alerted on every stationary
-  // window through the Jaccard criterion.
-  const std::size_t n = 4000;
-  std::vector<std::uint64_t> flat(n, 5);
-  const DriftOptions options;
-  const DriftBaseline baseline =
-      BuildDriftBaseline(flat, MakeByFreq(flat), options);
-  EXPECT_LT(baseline.top_mass, options.min_topk_mass);
-  DriftDetector detector(baseline, options);
-  // Uniform mass over items 32..3999: the window's empirical top-32 is
-  // disjoint from the baseline's, but the distribution barely moved.
-  std::map<std::uint32_t, std::uint64_t> counts;
-  for (std::size_t i = 32; i < n; ++i) {
-    counts[static_cast<std::uint32_t>(i)] = 5;
-  }
-  const auto v = detector.JudgeWindow(counts);
-  EXPECT_TRUE(v.judged);
-  EXPECT_LT(v.topk_jaccard, options.jaccard_min);  // noisy, as expected
-  EXPECT_LT(v.tv_distance, options.tv_threshold);
-  EXPECT_FALSE(v.bad) << "abstaining Jaccard must not vote a flat "
-                         "table bad";
-  // A concentrated baseline with the same top-k disagreement does vote.
-  const auto skew = MakeFreq(64, 48);
-  const DriftBaseline hot =
-      BuildDriftBaseline(skew, MakeByFreq(skew), options);
-  EXPECT_GE(hot.top_mass, options.min_topk_mass);
-  DriftDetector hot_detector(hot, options);
-  EXPECT_TRUE(hot_detector.JudgeWindow(ShiftedWindow(64, 48)).bad);
-}
-
-TEST(DriftDetectorTest, TinyWindowIsNotJudged) {
-  const auto freq = MakeFreq(64, 32);
-  const DriftOptions options;  // min_accesses = 32
-  DriftDetector detector(
-      BuildDriftBaseline(freq, MakeByFreq(freq), options), options);
-  std::map<std::uint32_t, std::uint64_t> tiny = {{60, 3}, {61, 4}};
-  const auto v = detector.JudgeWindow(tiny);
-  EXPECT_FALSE(v.judged);
-  EXPECT_EQ(v.accesses, 7u);
-  EXPECT_FALSE(v.alerting);
-  EXPECT_EQ(detector.bad_windows(), 0u);  // hysteresis untouched
-}
 
 // --- SLO burn ---------------------------------------------------------
 
@@ -270,38 +88,36 @@ TEST(StragglerScorerTest, IdleWindowIsNotJudged) {
 MonitorOptions SmallWindows() {
   MonitorOptions options;
   options.window_ns = 100.0;
-  options.drift.min_accesses = 1;
   options.slo.slo_ns = 100.0;
   return options;
 }
 
 TEST(FleetMonitorTest, WindowCloseIsKeyedToSimulatedTime) {
   FleetMonitor monitor(SmallWindows());
-  const auto freq = MakeFreq(16, 8);
-  monitor.AddTableBaseline(
-      0, BuildDriftBaseline(freq, MakeByFreq(freq), SmallWindows().drift));
-  const std::uint32_t items[] = {0, 1};
-  monitor.OnAccess(0, 10.0, items);    // window 0
-  monitor.OnAccess(0, 99.0, items);    // still window 0
-  monitor.OnAccess(0, 250.0, items);   // window 2: closes window 0
-  monitor.Finalize();                  // flushes window 2
+  std::vector<std::uint64_t> work = {0, 0};
+  monitor.OnUnitSample(0.0, work);    // baseline sample, window 0 opens
+  monitor.OnRequest(10.0, 5.0);       // window 0
+  work = {4, 4};
+  monitor.OnUnitSample(99.0, work);   // still window 0
+  monitor.OnRequest(99.0, 5.0);       // still window 0
+  monitor.OnRequest(250.0, 5.0);      // window 2: closes window 0
+  work = {6, 6};
+  monitor.OnUnitSample(250.0, work);  // window 2: closes window 0
+  monitor.Finalize();                 // flushes window 2
   ASSERT_EQ(monitor.windows().size(), 2u);
-  EXPECT_EQ(monitor.windows()[0].index, 0u);
-  EXPECT_EQ(monitor.windows()[1].index, 2u);
-  EXPECT_DOUBLE_EQ(monitor.windows()[0].start_ns, 0.0);
-  EXPECT_DOUBLE_EQ(monitor.windows()[0].end_ns, 100.0);
-  ASSERT_EQ(monitor.windows()[0].drift.size(), 1u);
-  EXPECT_EQ(monitor.windows()[0].drift[0].verdict.accesses, 4u);
-  EXPECT_EQ(monitor.windows()[1].drift[0].verdict.accesses, 2u);
+  const FleetHealthWindow& first = monitor.windows()[0];
+  const FleetHealthWindow& last = monitor.windows()[1];
+  EXPECT_EQ(first.index, 0u);
+  EXPECT_EQ(last.index, 2u);
+  EXPECT_DOUBLE_EQ(first.start_ns, 0.0);
+  EXPECT_DOUBLE_EQ(first.end_ns, 100.0);
+  ASSERT_TRUE(first.has_slo && first.has_health);
+  ASSERT_TRUE(last.has_slo && last.has_health);
+  EXPECT_EQ(first.slo.completed, 2u);
+  EXPECT_EQ(last.slo.completed, 1u);
+  EXPECT_DOUBLE_EQ(first.health.mean_delta, 4.0);
+  EXPECT_DOUBLE_EQ(last.health.mean_delta, 2.0);
   EXPECT_EQ(monitor.summary().windows, 2u);
-}
-
-TEST(FleetMonitorTest, AccessForUnmonitoredTableIsIgnored) {
-  FleetMonitor monitor(SmallWindows());
-  const std::uint32_t items[] = {0};
-  monitor.OnAccess(7, 10.0, items);  // no baseline for table 7
-  monitor.Finalize();
-  EXPECT_TRUE(monitor.windows().empty());
 }
 
 TEST(FleetMonitorTest, SloStreamMergesAndIdleWindowsAgeTheBurn) {
@@ -339,19 +155,22 @@ TEST(FleetMonitorTest, UnitSamplesDifferenceIntoWindowDeltas) {
   EXPECT_EQ(monitor.windows()[1].health.worst_unit, 3u);
 }
 
+// `n` requests `step_ns` apart, each after a unit sample whose
+// cumulative work grows unevenly across four units.
+void FeedRequestsAndUnits(FleetMonitor& monitor, int n, Nanos step_ns) {
+  std::vector<std::uint64_t> work(4, 0);
+  for (int i = 0; i < n; ++i) {
+    const Nanos t = step_ns * i;
+    monitor.OnUnitSample(t, work);
+    monitor.OnRequest(t + 1.0, 50.0 + i);
+    for (std::size_t u = 0; u < work.size(); ++u) work[u] += 10 * (u + 1);
+  }
+}
+
 TEST(FleetMonitorTest, IdenticalFeedsProduceIdenticalJsonl) {
   auto run = [] {
     FleetMonitor monitor(SmallWindows());
-    const auto freq = MakeFreq(16, 8);
-    monitor.AddTableBaseline(
-        0,
-        BuildDriftBaseline(freq, MakeByFreq(freq), SmallWindows().drift));
-    const std::uint32_t items[] = {0, 1, 2};
-    for (int i = 0; i < 10; ++i) {
-      const Nanos t = 40.0 * i;
-      monitor.OnAccess(0, t, items);
-      monitor.OnRequest(t + 5.0, 50.0 + i);
-    }
+    FeedRequestsAndUnits(monitor, 10, 40.0);
     monitor.Finalize();
     return monitor.ToJsonl();
   };
@@ -362,14 +181,7 @@ TEST(FleetMonitorTest, IdenticalFeedsProduceIdenticalJsonl) {
 
 TEST(FleetMonitorTest, JsonlRoundTripsThroughTheValidator) {
   FleetMonitor monitor(SmallWindows());
-  const auto freq = MakeFreq(16, 8);
-  monitor.AddTableBaseline(
-      0, BuildDriftBaseline(freq, MakeByFreq(freq), SmallWindows().drift));
-  const std::uint32_t items[] = {0, 1, 2};
-  for (int i = 0; i < 12; ++i) {
-    monitor.OnAccess(0, 30.0 * i, items);
-    monitor.OnRequest(30.0 * i + 1.0, 10.0);
-  }
+  FeedRequestsAndUnits(monitor, 12, 30.0);
   monitor.Finalize();
   const std::string jsonl = monitor.ToJsonl();
   EXPECT_TRUE(ValidateHealthJsonl(jsonl, 2).ok());
@@ -386,14 +198,44 @@ TEST(FleetMonitorTest, JsonlRoundTripsThroughTheValidator) {
 
 TEST(ValidateHealthJsonlTest, RejectsOutOfOrderWindows) {
   const std::string bad =
-      "{\"schema\":\"updlrm.health.v1\",\"window_ns\":100}\n"
-      "{\"window\":2,\"start_ns\":200,\"end_ns\":300,\"drift\":[]}\n"
-      "{\"window\":1,\"start_ns\":100,\"end_ns\":200,\"drift\":[]}\n"
+      "{\"schema\":\"updlrm.health.v2\",\"window_ns\":100}\n"
+      "{\"window\":2,\"start_ns\":200,\"end_ns\":300,\"slo\":{}}\n"
+      "{\"window\":1,\"start_ns\":100,\"end_ns\":200,\"slo\":{}}\n"
       "{\"summary\":{}}\n";
   const Status status = ValidateHealthJsonl(bad, 1);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("strictly increasing"),
             std::string::npos);
+}
+
+TEST(ValidateHealthJsonlTest, RejectsTheV1SchemaTag) {
+  const std::string v1 =
+      "{\"schema\":\"updlrm.health.v1\",\"window_ns\":100}\n"
+      "{\"window\":0,\"start_ns\":0,\"end_ns\":100,\"slo\":{}}\n"
+      "{\"summary\":{}}\n";
+  const Status status = ValidateHealthJsonl(v1, 1);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("updlrm.health.v2"), std::string::npos);
+}
+
+TEST(ValidateHealthJsonlTest, RejectsAWindowWithNoDetectorObject) {
+  const std::string header =
+      "{\"schema\":\"updlrm.health.v2\",\"window_ns\":100}\n";
+  const std::string summary = "{\"summary\":{}}\n";
+  // A window record must carry an "slo" or a "health" object...
+  const std::string empty =
+      "{\"window\":0,\"start_ns\":0,\"end_ns\":100}\n";
+  const Status status = ValidateHealthJsonl(header + empty + summary, 1);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("\"slo\" or"), std::string::npos);
+  // ...as an object, not a scalar...
+  const std::string scalar =
+      "{\"window\":0,\"start_ns\":0,\"end_ns\":100,\"slo\":1}\n";
+  EXPECT_FALSE(ValidateHealthJsonl(header + scalar + summary, 1).ok());
+  // ...and either one suffices.
+  const std::string health_only =
+      "{\"window\":0,\"start_ns\":0,\"end_ns\":100,\"health\":{}}\n";
+  EXPECT_TRUE(ValidateHealthJsonl(header + health_only + summary, 1).ok());
 }
 
 // --- export / gating --------------------------------------------------

@@ -249,79 +249,6 @@ TEST(GeneratorTest, CliquesActuallyCoOccur) {
   EXPECT_GT(together, trace->num_samples() / 20);
 }
 
-TEST(GeneratorTest, DriftShiftsSecondHalfPopularity) {
-  DatasetSpec spec = SmallSpec();
-  spec.zipf_alpha = 1.1;
-  spec.rank_jitter = 0.05;
-  spec.clique_prob = 0.0;
-  TraceGenerator gen(spec);
-  TraceGeneratorOptions options = SmallOptions();
-  options.num_samples = 1'000;
-  options.popularity_drift = 1.0;
-  auto trace = gen.Generate(options);
-  ASSERT_TRUE(trace.ok());
-
-  // Frequency histograms of the two halves.
-  auto half_freq = [&](std::size_t begin, std::size_t end) {
-    std::vector<std::uint64_t> freq(spec.num_items, 0);
-    for (std::size_t s = begin; s < end; ++s) {
-      for (std::uint32_t idx : trace->tables[0].Sample(s)) ++freq[idx];
-    }
-    return freq;
-  };
-  const auto first = half_freq(0, 500);
-  const auto second = half_freq(500, 1'000);
-
-  // The top-100 item sets of the two halves should barely overlap at
-  // full drift.
-  const auto top_first = ItemsByFrequency(first);
-  const auto top_second = ItemsByFrequency(second);
-  std::size_t overlap = 0;
-  for (std::size_t i = 0; i < 100; ++i) {
-    for (std::size_t j = 0; j < 100; ++j) {
-      if (top_first[i] == top_second[j]) {
-        ++overlap;
-        break;
-      }
-    }
-  }
-  EXPECT_LT(overlap, 35u);
-}
-
-TEST(GeneratorTest, ZeroDriftIsStationary) {
-  DatasetSpec spec = SmallSpec();
-  TraceGenerator gen(spec);
-  TraceGeneratorOptions with = SmallOptions();
-  with.popularity_drift = 0.0;
-  TraceGeneratorOptions without = SmallOptions();
-  auto a = gen.Generate(with);
-  auto b = gen.Generate(without);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(std::equal(a->tables[0].indices().begin(),
-                         a->tables[0].indices().end(),
-                         b->tables[0].indices().begin(),
-                         b->tables[0].indices().end()));
-}
-
-TEST(GeneratorTest, DriftRejectsOutOfRange) {
-  TraceGenerator gen(SmallSpec());
-  TraceGeneratorOptions options = SmallOptions();
-  options.popularity_drift = 1.5;
-  EXPECT_FALSE(gen.Generate(options).ok());
-  options.popularity_drift = -0.1;
-  EXPECT_FALSE(gen.Generate(options).ok());
-}
-
-TEST(GeneratorTest, DriftKeepsTraceValid) {
-  TraceGenerator gen(SmallSpec());
-  TraceGeneratorOptions options = SmallOptions();
-  options.popularity_drift = 0.5;
-  auto trace = gen.Generate(options);
-  ASSERT_TRUE(trace.ok());
-  EXPECT_TRUE(trace->Validate().ok());
-  EXPECT_NEAR(trace->tables[0].MeasuredAvgReduction(), 20.0, 20.0 * 0.25);
-}
-
 TEST(GeneratorTest, RejectsInvalidOptions) {
   TraceGenerator gen(SmallSpec());
   TraceGeneratorOptions options;

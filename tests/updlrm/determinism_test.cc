@@ -395,7 +395,6 @@ TEST(DeterminismTest, TraceGenerationThreadCountInvariant) {
   trace::TraceGeneratorOptions options;
   options.num_samples = 256;
   options.num_tables = 6;
-  options.popularity_drift = 0.3;
 
   options.num_threads = 1;
   auto serial = trace::TraceGenerator(spec).Generate(options);

@@ -88,11 +88,11 @@ TEST(HeteroTablesTest, GeneratorBuildsPerTableItemCounts) {
   EXPECT_TRUE(f.trace.Validate().ok());
 }
 
-TEST(HeteroTablesTest, PooledEmbeddingsBitExactWithProportionalRows) {
+TEST(HeteroTablesTest, PooledEmbeddingsBitExactWithProportionalTraffic) {
   Fixture f = MakeFixture(true);
   auto engine = UpDlrmEngine::Create(
       f.model.get(), f.config, f.trace, f.system.get(),
-      HeteroOptions(partition::DpuAllocationPolicy::kProportionalRows));
+      HeteroOptions(partition::DpuAllocationPolicy::kProportionalTraffic));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   auto batch = (*engine)->RunBatch({0, 16}, &f.dense);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
