@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
 
   trace::TraceGeneratorOptions options;
   options.num_samples = scale.num_samples;
+  options.seed_override = scale.seed;  // 0 keeps each spec's own seed
   auto trace = trace::GenerateHeterogeneousTrace(specs, options);
   UPDLRM_CHECK_MSG(trace.ok(), trace.status().ToString());
 

@@ -68,9 +68,14 @@ void CheckEdge(std::size_t batch, const char* edge, double before,
 
 void AuditStageOrdering(std::size_t batch, const StageInstants& t,
                         CheckReport* report, double slack) {
-  // Everything starts at or after the batch cut.
-  CheckEdge(batch, "s1 starts before the cut", t.cut_ns, t.s1_start_ns,
-            slack, report);
+  // Everything starts at or after the batch cut; stage 1's bus push
+  // follows its fabric hop.
+  CheckEdge(batch, "fabric hop starts before the cut", t.cut_ns,
+            t.fabric_start_ns, slack, report);
+  CheckEdge(batch, "fabric hop ends before it starts", t.fabric_start_ns,
+            t.fabric_end_ns, slack, report);
+  CheckEdge(batch, "s1 starts before the fabric hop ends", t.fabric_end_ns,
+            t.s1_start_ns, slack, report);
   CheckEdge(batch, "bottom mlp starts before the cut", t.cut_ns,
             t.bpre_start_ns, slack, report);
   // Each stage spans forward in time.

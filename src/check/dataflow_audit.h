@@ -70,6 +70,7 @@ void AuditDataFlowCapacity(const DataFlowCapacity& cap, CheckReport* report);
 struct StageInstants {
   double cut_ns = 0;
   double bpre_start_ns = 0, bpre_end_ns = 0;  // overlapped bottom-MLP part
+  double fabric_start_ns = 0, fabric_end_ns = 0;  // stage-1 cross-host hop
   double s1_start_ns = 0, s1_end_ns = 0;
   double s2_start_ns = 0, s2_end_ns = 0;
   double s3_start_ns = 0, s3_end_ns = 0;
@@ -79,9 +80,9 @@ struct StageInstants {
 };
 
 /// Ordering invariants of one executed batch: stages run in dependency
-/// order (S1 -> S2 -> S3, each starting no earlier than its
-/// predecessor ends, and S3's pull ending within [s3 start, s3 end]),
-/// nothing starts before the batch cut, the bottom-MLP prefix finishes
+/// order (fabric hop -> S1 -> S2 -> S3, each starting no earlier than
+/// its predecessor ends, and S3's pull ending within [s3 start, s3
+/// end]), nothing starts before the batch cut, the bottom-MLP prefix finishes
 /// before the bottom stack is declared done, and the top task waits
 /// for both the aggregated embeddings and the bottom MLP. `slack`
 /// absorbs float rounding. Fires kStageOrdering; `batch` tags the

@@ -104,7 +104,11 @@ class FleetTopology {
   /// Extra ingress cost the front-end host pays to reach rank `rank`
   /// with `bytes`: zero for ranks of host 0, one cross-host hop
   /// otherwise. This is what makes transfer.cc price pushes to
-  /// remote-host ranks differently from local ones.
+  /// remote-host ranks differently from local ones. The hop is fabric
+  /// time, not bus time: HostTransferModel::PushIngress reports it
+  /// apart from the push (StageBreakdown::ingress), and the serving
+  /// executor runs it on a fabric lane, so one batch's hop overlaps the
+  /// previous batch's bus push and pull.
   Nanos IngressExtra(std::uint32_t rank, std::uint64_t bytes) const;
 
  private:

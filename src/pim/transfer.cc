@@ -40,15 +40,15 @@ HostTransferModel::HostTransferModel(HostTransferParams params,
   UPDLRM_CHECK_MSG(params_.Validate().ok(), "invalid HostTransferParams");
 }
 
-Nanos HostTransferModel::TransferTime(
+HostTransferModel::TransferPrice HostTransferModel::TransferTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max,
     Direction dir) const {
-  if (bytes_per_dpu.empty()) return 0.0;
+  if (bytes_per_dpu.empty()) return {};
   UPDLRM_CHECK_MSG(bytes_per_dpu.size() == num_dpus_,
                    "bytes_per_dpu must cover every DPU");
   const std::uint64_t max_bytes =
       simd::MaxU64(bytes_per_dpu.data(), bytes_per_dpu.size());
-  if (max_bytes == 0) return 0.0;
+  if (max_bytes == 0) return {};
 
   // A zero-byte DPU transfers nothing: it is absent from the transfer
   // matrix and must not force the ragged (sequential) path when every
@@ -62,29 +62,33 @@ Nanos HostTransferModel::TransferTime(
     // each rank's matrix dpus_per_rank * max_bytes; a push to a rank
     // owned by a remote host additionally pays the cross-host ingress
     // hop, so the bound is per-rank, not a single worst-bytes division.
+    // The ingress share is what the hops add over the bus-only bound.
     const bool push = dir == Direction::kPush;
     const double rank_bw = push ? params_.push_bytes_per_sec_per_rank
                                 : params_.pull_bytes_per_sec_per_rank;
     Nanos bound = 0.0;
+    Nanos bus_bound = 0.0;
     for (std::uint32_t r = 0; r < num_ranks_; ++r) {
       const std::uint32_t lo = r * dpus_per_rank_;
       const std::uint32_t hi =
           std::min(num_dpus_, lo + dpus_per_rank_);
       const std::uint64_t rank_bytes =
           static_cast<std::uint64_t>(hi - lo) * max_bytes;
+      const Nanos bus = TransferNanos(rank_bytes, rank_bw);
+      bus_bound = std::max(bus_bound, bus);
       bound = std::max(
-          bound, TransferNanos(rank_bytes, rank_bw) +
-                     (push ? topology_.IngressExtra(r, rank_bytes) : 0.0));
+          bound, bus + (push ? topology_.IngressExtra(r, rank_bytes) : 0.0));
     }
-    return params_.transfer_launch_ns + bound;
+    return {params_.transfer_launch_ns + bound, bound - bus_bound};
   }
 
   // Sequential path: ragged buffers are copied one DPU at a time.
   const std::uint64_t total =
       simd::SumU64(bytes_per_dpu.data(), bytes_per_dpu.size());
-  return params_.transfer_launch_ns +
-         TransferNanos(total, params_.serial_bytes_per_sec) +
-         SequentialIngress(bytes_per_dpu, dir);
+  const Nanos ingress = SequentialIngress(bytes_per_dpu, dir);
+  return {params_.transfer_launch_ns +
+              TransferNanos(total, params_.serial_bytes_per_sec) + ingress,
+          ingress};
 }
 
 Nanos HostTransferModel::SequentialIngress(
@@ -106,12 +110,18 @@ Nanos HostTransferModel::SequentialIngress(
 
 Nanos HostTransferModel::PushTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max) const {
-  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPush);
+  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPush).total;
+}
+
+Nanos HostTransferModel::PushIngress(
+    std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max) const {
+  if (topology_.single_host()) return 0.0;
+  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPush).ingress;
 }
 
 Nanos HostTransferModel::PullTime(
     std::span<const std::uint64_t> bytes_per_dpu, bool pad_to_max) const {
-  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPull);
+  return TransferTime(bytes_per_dpu, pad_to_max, Direction::kPull).total;
 }
 
 Nanos HostTransferModel::BroadcastTime(std::uint64_t bytes) const {

@@ -11,7 +11,10 @@
 //   sequential (ragged):        launch + sum_bytes / serial_bw
 //
 // Ranks transfer concurrently; within a rank the padded buffer matrix is
-// streamed at the rank's aggregate bandwidth.
+// streamed at the rank's aggregate bandwidth. A push to a rank of a
+// remote host first crosses the network fabric (FleetTopology::
+// IngressExtra); PushTime includes that hop and PushIngress returns it,
+// so a scheduler can run the hop off the host's bus lane.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,9 @@ class HostTransferModel {
  public:
   /// `topology` places the fleet's ranks onto hosts; a push to a rank
   /// owned by a host other than the front-end host 0 pays a cross-host
-  /// ingress hop. Pulls pay none: the partials land on, and are reduced
-  /// by, the host that owns the rank. The default (single-host) topology
+  /// ingress hop, which PushTime includes and PushIngress reports on
+  /// its own. Pulls pay none: the partials land on, and are reduced by,
+  /// the host that owns the rank. The default (single-host) topology
   /// prices everything exactly as the historical flat model.
   HostTransferModel(HostTransferParams params, std::uint32_t num_dpus,
                     std::uint32_t dpus_per_rank,
@@ -59,6 +63,17 @@ class HostTransferModel {
   /// launch is issued for a transfer that moves no bytes.
   Nanos PushTime(std::span<const std::uint64_t> bytes_per_dpu,
                  bool pad_to_max) const;
+
+  /// The part of PushTime(bytes_per_dpu, pad_to_max) spent on the
+  /// cross-host fabric, from the same per-rank IngressExtra terms
+  /// PushTime adds: on the parallel path, what those terms add to the
+  /// slowest rank's bound (the largest IngressExtra when the call's
+  /// ranks share one host); on the sequential path, every remote rank's
+  /// hop (SequentialIngress). PushTime minus this is the bus-only
+  /// price. Zero on a single-host topology. The serving executor runs
+  /// this part on its fabric lane, off the host transfer lane.
+  Nanos PushIngress(std::span<const std::uint64_t> bytes_per_dpu,
+                    bool pad_to_max) const;
 
   /// Same for DPU->CPU retrieval.
   Nanos PullTime(std::span<const std::uint64_t> bytes_per_dpu,
@@ -80,8 +95,14 @@ class HostTransferModel {
   // on the host that owns the rank, which reduces it there: no ingress.
   enum class Direction { kPush, kPull };
 
-  Nanos TransferTime(std::span<const std::uint64_t> bytes_per_dpu,
-                     bool pad_to_max, Direction dir) const;
+  // A transfer's price and the cross-host ingress share of it.
+  struct TransferPrice {
+    Nanos total = 0.0;
+    Nanos ingress = 0.0;
+  };
+
+  TransferPrice TransferTime(std::span<const std::uint64_t> bytes_per_dpu,
+                             bool pad_to_max, Direction dir) const;
   // Total cross-host ingress cost of a sequential (ragged) push: each
   // remote rank's raw bytes traverse the fabric once. Zero for pulls.
   Nanos SequentialIngress(std::span<const std::uint64_t> bytes_per_dpu,

@@ -129,15 +129,18 @@ BatchTaskCosts ComputeBatchTaskCosts(const dlrm::DlrmConfig& config,
 Nanos PredictPeriod(const BatchTaskCosts& c, const DataFlowPlan& plan) {
   const bool bottom_gpu = plan.bottom == Backend::kGpu;
   const bool top_gpu = plan.top == Backend::kGpu;
-  // Per-batch busy time on each executor resource (serve/executor.h).
-  const Nanos transfer = c.emb.cpu_to_dpu + c.emb.dpu_to_cpu;
+  // Per-batch busy time on each executor resource (serve/executor.h);
+  // the fabric lane carries stage 1's cross-host hop, the transfer
+  // lane only its bus part.
+  const Nanos transfer =
+      (c.emb.cpu_to_dpu - c.emb.ingress) + c.emb.dpu_to_cpu;
   const Nanos core = c.emb.cpu_aggregate +
                      (bottom_gpu ? 0.0 : c.bottom_host()) +
                      (top_gpu ? 0.0 : c.top_host());
   const Nanos dpu = c.emb.dpu_lookup;
   const Nanos gpu = (bottom_gpu ? c.bottom_gpu : 0.0) +
                     (top_gpu ? c.top_gpu : 0.0);
-  Nanos period = std::max({transfer, core, dpu, gpu});
+  Nanos period = std::max({transfer, core, dpu, gpu, c.emb.ingress});
   // Depth 1 serializes admission on the previous batch's stage-2
   // completion, so the cut-to-cut period cannot beat push + lookup.
   if (plan.depth <= 1) {

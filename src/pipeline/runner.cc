@@ -17,6 +17,8 @@ check::StageInstants FlattenInstants(const ExecutedFlowBatch& b) {
   t.cut_ns = b.cut_ns;
   t.bpre_start_ns = b.bpre_start_ns;
   t.bpre_end_ns = b.bpre_end_ns;
+  t.fabric_start_ns = b.fabric_start_ns;
+  t.fabric_end_ns = b.fabric_end_ns;
   t.s1_start_ns = b.s1_start_ns;
   t.s1_end_ns = b.s1_end_ns;
   t.s2_start_ns = b.s2_start_ns;

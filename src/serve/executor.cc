@@ -156,22 +156,18 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
   UPDLRM_CHECK_MSG(!drained_, "Submit after Drain");
   UPDLRM_CHECK_MSG(cut_ns >= NextAdmitTime() - 1e-9,
                    "batch cut before its buffer pair was free");
-  // Let both lanes work up to the cut; pulls that would begin at or
-  // after it yield to the new stage-1 push (stage-1 priority on ties
-  // keeps the DPUs fed).
+  // Let both lanes work up to the cut, before this batch's eager GPU
+  // offload takes its place in the GPU's FIFO.
   AdvanceHost(cut_ns);
 
   ExecutedFlowBatch b;
   b.costs = costs;
   b.cut_ns = cut_ns;
-  b.s1_start_ns = std::max(cut_ns, xfer_free_);
-  b.s1_end_ns = b.s1_start_ns + costs.emb.cpu_to_dpu;
-  xfer_free_ = b.s1_end_ns;
-  xfer_busy_ += costs.emb.cpu_to_dpu;
-  b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
-  b.s2_end_ns = b.s2_start_ns + costs.emb.dpu_lookup;
-  dpu_free_ = b.s2_end_ns;
-  dpu_busy_ += costs.emb.dpu_lookup;
+  // The cross-host hop runs FIFO on the fabric lane from the cut.
+  b.fabric_start_ns = std::max(cut_ns, fabric_free_);
+  b.fabric_end_ns = b.fabric_start_ns + costs.emb.ingress;
+  fabric_free_ = b.fabric_end_ns;
+  fabric_busy_ += costs.emb.ingress;
   if (plan_.bottom == Backend::kGpu) {
     // One eager offload per batch; the GPU is FIFO in schedule order.
     b.bpre_start_ns = std::max(gpu_free_, cut_ns);
@@ -182,8 +178,32 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
     gpu_free_ = b.bpre_end_ns;
     gpu_busy_ += costs.bottom_gpu;
   }
+  // Until its push is placed, the batch's pull is not ready; its core
+  // tasks (the bottom prefix, ready at the cut) already compete.
+  b.s2_end_ns = std::numeric_limits<double>::infinity();
   last_cut_ = cut_ns;
   batches_.push_back(b);
+
+  // Then up to the fabric hop's end (monotone: the fabric lane is
+  // FIFO; with no hop this adds no work): pulls that would begin at or
+  // after it yield to the new stage-1 push (stage-1 priority on ties
+  // keeps the DPUs fed).
+  AdvanceHost(b.fabric_end_ns);
+
+  ExecutedFlowBatch& pushed = batches_.back();
+  const Nanos bus = costs.emb.cpu_to_dpu - costs.emb.ingress;
+  pushed.s1_start_ns = std::max(pushed.fabric_end_ns, xfer_free_);
+  // A push the lane does not hold up ends one whole stage 1 after its
+  // hop began, to the bit (hop + bus need not round to cpu_to_dpu).
+  pushed.s1_end_ns = pushed.s1_start_ns == pushed.fabric_end_ns
+                         ? pushed.fabric_start_ns + costs.emb.cpu_to_dpu
+                         : pushed.s1_start_ns + bus;
+  xfer_free_ = pushed.s1_end_ns;
+  xfer_busy_ += bus;
+  pushed.s2_start_ns = std::max(pushed.s1_end_ns, dpu_free_);
+  pushed.s2_end_ns = pushed.s2_start_ns + costs.emb.dpu_lookup;
+  dpu_free_ = pushed.s2_end_ns;
+  dpu_busy_ += costs.emb.dpu_lookup;
   return batches_.size() - 1;
 }
 

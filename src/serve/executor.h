@@ -7,16 +7,22 @@
 // on the host CPU cores (aggregation). With `depth` double-buffered
 // index/output regions in MRAM, batch k+1's stage-1 push can proceed
 // while batch k occupies the DPUs. The full DLRM request path adds the
-// dense stages around it, so the executor models four simulated
+// dense stages around it, so the executor models five simulated
 // resources:
-//   * transfer lane — the host's bus transfers: stage-1 pushes and
-//     stage-3 pulls;
+//   * fabric lane — the cross-host hop a remote rank's stage-1 indices
+//     take before their bus push (StageBreakdown::ingress), FIFO from
+//     each batch's cut; zero-length on a single-host engine;
+//   * transfer lane — the host's bus transfers: stage-1 pushes (the
+//     cpu_to_dpu - ingress bus part) and stage-3 pulls;
 //   * core lane — the host's CPU work: stage-3 aggregation and every
 //     CPU-placed dense task;
 //   * DPU array — stage-2 lookups, FIFO;
 //   * GPU — offloaded dense stages, FIFO (absent cost when unused).
-// Stage 3 spans both host lanes: [s3_start, pull_end) on the transfer
-// lane, then the aggregation, which ends at s3_end, on the core lane.
+// Stage 1 spans the fabric and transfer lanes: [fabric_start,
+// fabric_end) on the fabric, then [s1_start, s1_end) on the bus, so
+// batch k+1's hop overlaps batch k's push and pull. Stage 3 spans both
+// host lanes: [s3_start, pull_end) on the transfer lane, then the
+// aggregation, which ends at s3_end, on the core lane.
 //
 // Embedding-only serving is the plan with no dense stages: every dense
 // cost is zero. Zero-cost dense tasks move no stage-1/2/3 instant, busy
@@ -26,9 +32,13 @@
 // s3_end_ns, not its done_ns.
 //
 // Lane scheduling contract (deterministic, work-conserving,
-// non-preemptive per lane): stage 1 is scheduled directly at Submit on
-// the transfer lane, ahead of any pull that would begin at or after the
-// cut (keeping the DPUs fed); pulls then run FIFO as the lane frees.
+// non-preemptive per lane): stage 1 is scheduled directly at Submit.
+// Its fabric hop starts at max(cut, fabric lane free); its bus push
+// starts on the transfer lane at max(fabric end, lane free), ahead of
+// any pull that would begin at or after the fabric end (keeping the
+// DPUs fed); pulls then run FIFO as the lane frees. With no hop
+// (ingress == 0) the fabric end is the cut and the schedule is the
+// four-resource one, instant for instant.
 // Whenever the core lane frees, it runs the ready task with the
 // earliest possible start; ties break by priority class
 //   aggregate > top > bottom-post > bottom-pre
@@ -103,7 +113,10 @@ struct BatchTaskCosts {
 struct ExecutedFlowBatch {
   BatchTaskCosts costs;
   Nanos cut_ns = 0.0;                        // stage 1 may start here
-  Nanos s1_start_ns = 0.0, s1_end_ns = 0.0;  // CPU->DPU index push
+  /// Stage 1's cross-host hop on the fabric lane (costs.emb.ingress
+  /// long; empty at the cut on a single-host engine).
+  Nanos fabric_start_ns = 0.0, fabric_end_ns = 0.0;
+  Nanos s1_start_ns = 0.0, s1_end_ns = 0.0;  // CPU->DPU bus push
   Nanos s2_start_ns = 0.0, s2_end_ns = 0.0;  // DPU lookup/reduce
   /// Stage 3: the pull occupies the transfer lane over
   /// [s3_start, pull_end), the aggregation the core lane over
@@ -132,9 +145,9 @@ class DataFlowExecutor {
   void Reserve(std::size_t expected_batches);
 
   /// Submits the next batch at its cut instant (>= previous cut, >=
-  /// NextAdmitTime()). Stage 1/2 (and a GPU bottom) are scheduled
-  /// eagerly; pulls, aggregation and core-lane dense tasks run as the
-  /// lanes' time advances.
+  /// NextAdmitTime()). Stage 1 (fabric hop, then bus push), stage 2
+  /// (and a GPU bottom) are scheduled eagerly; pulls, aggregation and
+  /// core-lane dense tasks run as the lanes' time advances.
   /// Returns the batch index.
   std::size_t Submit(const BatchTaskCosts& costs, Nanos cut_ns);
 
@@ -143,8 +156,11 @@ class DataFlowExecutor {
   void Drain();
 
   const std::vector<ExecutedFlowBatch>& batches() const { return batches_; }
-  /// Transfer-lane busy time: stage-1 pushes + stage-3 pulls.
+  /// Transfer-lane busy time: stage-1 bus pushes + stage-3 pulls (the
+  /// fabric hops are not bus time).
   Nanos host_busy_ns() const { return xfer_busy_; }
+  /// Fabric-lane busy time: every batch's stage-1 ingress.
+  Nanos fabric_busy_ns() const { return fabric_busy_; }
   /// Core-lane busy time: aggregation + CPU dense tasks.
   Nanos host_core_busy_ns() const { return core_busy_; }
   Nanos dpu_busy_ns() const { return dpu_busy_; }
@@ -185,11 +201,13 @@ class DataFlowExecutor {
   // Head index per host class (tasks are FIFO within a class).
   std::size_t head_[kNumClasses] = {0, 0, 0, 0, 0};
   std::size_t next_gpu_top_ = 0;
+  Nanos fabric_free_ = 0.0;
   Nanos xfer_free_ = 0.0;
   Nanos core_free_ = 0.0;
   Nanos dpu_free_ = 0.0;
   Nanos gpu_free_ = 0.0;
   Nanos last_cut_ = 0.0;
+  Nanos fabric_busy_ = 0.0;
   Nanos xfer_busy_ = 0.0;
   Nanos core_busy_ = 0.0;
   Nanos dpu_busy_ = 0.0;

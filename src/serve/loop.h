@@ -80,6 +80,7 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
       tracing ? tracer.options().sample_every : 1;
   using telemetry::Clock;
   using telemetry::kDpuTrack;
+  using telemetry::kFabricTrack;
   using telemetry::kHostBusTrack;
   using telemetry::kHostCoreTrack;
   using telemetry::kPipelinePid;
@@ -207,6 +208,10 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
     tracer.SetThreadName(kPipelinePid, kHostCoreTrack,
                          "host core lane (aggregate / dense)");
     tracer.SetThreadName(kPipelinePid, kDpuTrack, "DPU array (stage 2)");
+    if (executor.fabric_busy_ns() > 0.0) {
+      tracer.SetThreadName(kPipelinePid, kFabricTrack,
+                           "fabric lane (stage 1 cross-host hop)");
+    }
     path.NameTracks();
     for (const QueueDepthSample& s : result.queue_depth) {
       tracer.Counter(kPipelinePid, Clock::kSim, "queue_depth", s.t_ns,
@@ -221,6 +226,12 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
     if (tracing) {
       if (b % sample_every == 0) {
         const TracedBatch& traced = batch_traces[b];
+        if (sched.costs.emb.ingress > 0.0) {
+          tracer.Complete(kPipelinePid, kFabricTrack, Clock::kSim,
+                          "stage1.fabric", sched.fabric_start_ns,
+                          sched.fabric_end_ns - sched.fabric_start_ns,
+                          "batch", static_cast<double>(b));
+        }
         tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage1.push",
                         sched.s1_start_ns,
                         sched.s1_end_ns - sched.s1_start_ns, "batch",

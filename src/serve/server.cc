@@ -65,6 +65,8 @@ Result<ServeResult> Serve(EngineT& engine, std::span<const Request> requests,
   result.schedule.reserve(executor->batches().size());
   for (const ExecutedFlowBatch& b : executor->batches()) {
     result.schedule.push_back(ExecutedBatch{b.costs.emb, b.cut_ns,
+                                            b.fabric_start_ns,
+                                            b.fabric_end_ns,
                                             b.s1_start_ns, b.s1_end_ns,
                                             b.s2_start_ns, b.s2_end_ns,
                                             b.s3_start_ns, b.s3_end_ns});

@@ -43,7 +43,11 @@ struct ServeOptions {
 struct ExecutedBatch {
   core::StageBreakdown stages;
   Nanos submit_ns = 0.0;    // cut instant (stage 1 may start here)
-  Nanos s1_start_ns = 0.0;  // CPU->DPU index push
+  /// Stage 1's cross-host hop on the fabric lane (stages.ingress long;
+  /// empty at the cut on a single-host engine).
+  Nanos fabric_start_ns = 0.0;
+  Nanos fabric_end_ns = 0.0;
+  Nanos s1_start_ns = 0.0;  // CPU->DPU bus push
   Nanos s1_end_ns = 0.0;
   Nanos s2_start_ns = 0.0;  // DPU lookup/reduce
   Nanos s2_end_ns = 0.0;

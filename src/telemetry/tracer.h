@@ -101,11 +101,13 @@ inline constexpr std::int32_t kRankPid = 6;      // sim: per-rank rollup
 /// (stage-1 push, stage-3 pull), the core track the core lane
 /// (stage-3 aggregation, then the full path's dense tasks). The
 /// executor never overlaps two slices on one track, but the two host
-/// tracks overlap each other.
+/// tracks overlap each other. The fabric track carries remote shards'
+/// cross-host stage-1 hops and only appears when a batch has one.
 inline constexpr std::int64_t kHostBusTrack = 0;   // stage 1 push, stage 3 pull
 inline constexpr std::int64_t kDpuTrack = 1;       // stage 2 lookup kernels
 inline constexpr std::int64_t kHostCoreTrack = 2;  // aggregate + dense tasks
 inline constexpr std::int64_t kGpuTrack = 3;       // GPU-placed MLP stages
+inline constexpr std::int64_t kFabricTrack = 4;    // stage 1 cross-host hop
 
 struct TracerOptions {
   /// Events per thread buffer; overflow drops (and counts) events.

@@ -1176,6 +1176,8 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
   const double clock = system_->config().dpu.clock_hz;
   out.stages.cpu_to_dpu =
       system_->transfer().PushTime(push_bytes, options_.pad_transfers);
+  out.stages.ingress =
+      system_->transfer().PushIngress(push_bytes, options_.pad_transfers);
   out.stages.dpu_to_cpu =
       system_->transfer().PullTime(pull_bytes, options_.pad_transfers);
   out.stages.dpu_lookup = system_->transfer().KernelLaunchOverhead() +

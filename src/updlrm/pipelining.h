@@ -11,14 +11,20 @@
 //
 //   makespan >= max over resources r of (fill_r + Σ work_r + drain_r)
 //
-// over the three resources of the serving executor (serve/executor.h):
-//   * transfer lane: work = stage 1 + the stage-3 pull; no fill; drain
-//     = the last batch's aggregation;
-//   * DPUs: work = stage 2; fill = the first batch's push; drain = the
-//     last batch's pull and aggregation;
+// over the four embedding resources of the serving executor
+// (serve/executor.h):
+//   * transfer lane: work = stage 1's bus part (cpu_to_dpu - ingress)
+//     + the stage-3 pull; fill = the first batch's fabric hop; drain =
+//     the last batch's aggregation;
+//   * DPUs: work = stage 2; fill = the first batch's push (hop
+//     included); drain = the last batch's pull and aggregation;
 //   * core lane: work = the CPU aggregation; fill = the first batch's
-//     push, lookup and pull; no drain.
-// Each term bounds any schedule, so their max does too. It is
+//     push, lookup and pull; no drain;
+//   * fabric lane: work = the cross-host stage-1 hops (ingress); no
+//     fill; drain = the last batch's bus push, pull and aggregation.
+// Each term bounds any schedule, so their max does too. With no hop
+// (every single-host engine) the fabric term never exceeds the
+// transfer lane's and the other three are the three-resource bound. It is
 // optimistic (no MRAM buffer contention, no dependency stalls) and is
 // intended for the what-if ablation bench/abl_pipelining.
 #pragma once
@@ -32,23 +38,24 @@
 namespace updlrm::core {
 
 /// The resources an embedding pipeline overlaps.
-enum class PipelineResource { kTransferLane, kDpus, kCoreLane };
+enum class PipelineResource { kTransferLane, kDpus, kCoreLane, kFabric };
 
-/// "host transfers" / "DPU lookups" / "host cores".
+/// "host transfers" / "DPU lookups" / "host cores" / "cross-host fabric".
 std::string_view ResourceName(PipelineResource resource);
 
 struct PipelineEstimate {
   Nanos serial_ns = 0.0;     // the engine's sequential embedding time
-  Nanos pipelined_ns = 0.0;  // three-resource lower bound
-  Nanos host_work_ns = 0.0;  // transfer lane: total stage-1 + stage-3 pull
+  Nanos pipelined_ns = 0.0;  // four-resource lower bound
+  Nanos host_work_ns = 0.0;  // transfer lane: stage-1 bus part + pull
   Nanos dpu_work_ns = 0.0;   // total stage-2
   Nanos core_work_ns = 0.0;  // core lane: total aggregation
+  Nanos fabric_work_ns = 0.0;  // fabric lane: total stage-1 ingress
 
   double Speedup() const {
     return pipelined_ns <= 0.0 ? 0.0 : serial_ns / pipelined_ns;
   }
   /// The resource with the most work, which bounds the steady state
-  /// (ties go to the transfer lane, then the DPUs).
+  /// (ties go to the transfer lane, then the DPUs, then the cores).
   PipelineResource Binding() const;
 };
 

@@ -24,6 +24,12 @@ struct StageBreakdown {
   Nanos dpu_lookup = 0.0;    // stage 2
   Nanos dpu_to_cpu = 0.0;    // stage 3
   Nanos cpu_aggregate = 0.0; // host partial-sum reduction
+  /// The part of cpu_to_dpu spent on the cross-host fabric before the
+  /// bus push (pim::HostTransferModel::PushIngress): included in
+  /// cpu_to_dpu, never added to EmbeddingTotal. The serving executor
+  /// runs it on its own fabric lane, so only cpu_to_dpu - ingress
+  /// occupies the host transfer lane. Zero on a single-host engine.
+  Nanos ingress = 0.0;
 
   Nanos EmbeddingTotal() const {
     return cpu_to_dpu + dpu_lookup + dpu_to_cpu + cpu_aggregate;
@@ -34,6 +40,7 @@ struct StageBreakdown {
     dpu_lookup += other.dpu_lookup;
     dpu_to_cpu += other.dpu_to_cpu;
     cpu_aggregate += other.cpu_aggregate;
+    ingress += other.ingress;
     return *this;
   }
 };

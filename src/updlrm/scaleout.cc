@@ -297,11 +297,15 @@ Result<BatchResult> ShardedEngine::RunSamples(
   // execute concurrently on disjoint rank groups, so the merged stage
   // times are per-stage maxima; the int64 shard accumulators merge in
   // fixed shard order (exactly associative, so the order is cosmetic).
+  // The fabric share of stage 1 is what the slowest shard's push adds
+  // over the slowest bus part, so bus part + ingress == stage 1.
+  Nanos bus_push = 0.0;
   for (std::uint32_t s = 0; s < shards; ++s) {
     auto r = shards_[s]->RunSamples(samples, nullptr);
     if (!r.ok()) return r.status();
     out.stages.cpu_to_dpu =
         std::max(out.stages.cpu_to_dpu, r->stages.cpu_to_dpu);
+    bus_push = std::max(bus_push, r->stages.cpu_to_dpu - r->stages.ingress);
     out.stages.dpu_lookup =
         std::max(out.stages.dpu_lookup, r->stages.dpu_lookup);
     out.stages.dpu_to_cpu =
@@ -335,6 +339,8 @@ Result<BatchResult> ShardedEngine::RunSamples(
       }
     }
   }
+
+  out.stages.ingress = out.stages.cpu_to_dpu - bus_push;
 
   // Host-DRAM tier: cold rows gathered from the reference tables on the
   // front-end host, overlapping the shard-side reduce.

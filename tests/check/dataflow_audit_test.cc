@@ -109,6 +109,8 @@ StageInstants WellOrdered() {
   t.cut_ns = 100;
   t.bpre_start_ns = 100;
   t.bpre_end_ns = 150;
+  t.fabric_start_ns = 100;
+  t.fabric_end_ns = 100;
   t.s1_start_ns = 100;
   t.s1_end_ns = 200;
   t.s2_start_ns = 200;
@@ -147,6 +149,47 @@ TEST(StageOrderingAudit, FiresWhenStageStartsBeforeCut) {
   EXPECT_GE(report.count(Rule::kStageOrdering), 1u);
   EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("batch 7"),
             std::string::npos);
+}
+
+TEST(StageOrderingAudit, FabricHopBetweenCutAndPushIsClean) {
+  CheckReport report;
+  StageInstants t = WellOrdered();
+  t.fabric_start_ns = 110;
+  t.fabric_end_ns = 130;
+  t.s1_start_ns = 130;
+  AuditStageOrdering(0, t, &report);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+TEST(StageOrderingAudit, FiresOnEachBrokenFabricEdge) {
+  // cut <= fabric start <= fabric end <= s1 start: break each edge alone.
+  {
+    CheckReport report;
+    StageInstants t = WellOrdered();
+    t.fabric_start_ns = t.cut_ns - 10;
+    AuditStageOrdering(0, t, &report);
+    EXPECT_EQ(report.count(Rule::kStageOrdering), 1u);
+    EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("cut"),
+              std::string::npos);
+  }
+  {
+    CheckReport report;
+    StageInstants t = WellOrdered();
+    t.fabric_start_ns = 120;
+    t.fabric_end_ns = 110;
+    t.s1_start_ns = 120;
+    AuditStageOrdering(0, t, &report);
+    EXPECT_EQ(report.count(Rule::kStageOrdering), 1u);
+  }
+  {
+    CheckReport report;
+    StageInstants t = WellOrdered();
+    t.fabric_end_ns = t.s1_start_ns + 5;  // the push outran its hop
+    AuditStageOrdering(0, t, &report);
+    EXPECT_EQ(report.count(Rule::kStageOrdering), 1u);
+    EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("fabric"),
+              std::string::npos);
+  }
 }
 
 TEST(StageOrderingAudit, FiresWhenLookupPrecedesPush) {

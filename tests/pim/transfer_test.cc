@@ -168,6 +168,49 @@ TEST(TransferTest, PushToRemoteHostRankPaysIngress) {
                 remote.topology().IngressExtra(1, remote_bytes));
 }
 
+TEST(TransferTest, PushIngressIsZeroOnASingleHost) {
+  const HostTransferModel local(FastParams(), 128, 64);
+  std::vector<std::uint64_t> ragged(128, 900);
+  ragged[70] = 1000;
+  EXPECT_EQ(local.PushIngress(ragged, true), 0.0);
+  EXPECT_EQ(local.PushIngress(ragged, false), 0.0);
+  EXPECT_EQ(local.PushIngress({}, true), 0.0);
+}
+
+TEST(TransferTest, PushMinusIngressIsTheBusOnlyPrice) {
+  // Both ranks on remote host 1 (a remote shard's slice), and the
+  // two-host model whose rank 1 alone is remote: taking the fabric
+  // share out of a push leaves what the same push costs on the front
+  // end's own host, on the padded and the ragged path alike.
+  const HostTransferModel local(FastParams(), 128, 64);
+  FleetTopologyConfig remote_host;
+  remote_host.ranks_per_host = 2;
+  remote_host.host_offset = 1;
+  const HostTransferModel remote(FastParams(), 128, 64, remote_host);
+  const HostTransferModel split = RemoteRankModel();
+  std::vector<std::uint64_t> ragged(128, 900);
+  ragged[70] = 1000;
+  for (const HostTransferModel* model : {&remote, &split}) {
+    for (const bool pad : {true, false}) {
+      const Nanos ingress = model->PushIngress(ragged, pad);
+      EXPECT_GT(ingress, model->topology().config().cross_host_latency_ns)
+          << pad;
+      EXPECT_NEAR(model->PushTime(ragged, pad) - ingress,
+                  local.PushTime(ragged, pad), 1e-6)
+          << pad;
+    }
+  }
+  // Padded, one remote host: the largest per-rank hop (rank 1 holds the
+  // 1000-byte buffer, but padding makes both matrices 64 x 1000 B).
+  EXPECT_NEAR(remote.PushIngress(ragged, true),
+              remote.topology().IngressExtra(1, 64 * 1000), 1e-9);
+  // Ragged: every remote rank's raw bytes cross once.
+  EXPECT_NEAR(remote.PushIngress(ragged, false),
+              remote.topology().IngressExtra(0, 64 * 900) +
+                  remote.topology().IngressExtra(1, 63 * 900 + 1000),
+              1e-9);
+}
+
 TEST(TransferDeathTest, WrongVectorSizeAborts) {
   const HostTransferModel model(FastParams(), 64, 64);
   const std::vector<std::uint64_t> bytes(63, 100);

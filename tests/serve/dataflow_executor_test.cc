@@ -198,91 +198,122 @@ TEST(DataFlowExecutorTest, GpuTopWaitsForPullAndBottom) {
   EXPECT_DOUBLE_EQ(ex.gpu_busy_ns(), 500.0);
 }
 
-// Randomized loads across every backend mix: the executed schedule must
-// satisfy the stage-ordering audit and never double-book a resource.
-// The two host lanes are separate resources: tasks never overlap within
-// a lane, but a transfer may overlap a core task.
+TEST(DataFlowExecutorTest, FabricHopDelaysOnlyThePushOnTheFullPath) {
+  // A remote engine's batch: 60 of its 100 ns of stage 1 cross the
+  // fabric first. The bottom stack still starts at the cut on the core
+  // lane; the bus push starts when the hop ends, and stage 1 still
+  // ends at cut + cpu_to_dpu.
+  BatchTaskCosts c = CpuCosts();
+  c.emb.ingress = 60.0;
+  DataFlowPlan plan;
+  plan.depth = 1;
+  DataFlowExecutor ex(plan);
+  ex.Submit(c, 0.0);
+  ex.Drain();
+  const ExecutedFlowBatch& b = ex.batches().front();
+  EXPECT_DOUBLE_EQ(b.fabric_start_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b.fabric_end_ns, 60.0);
+  EXPECT_DOUBLE_EQ(b.s1_start_ns, 60.0);
+  EXPECT_DOUBLE_EQ(b.s1_end_ns, 100.0);
+  EXPECT_DOUBLE_EQ(b.bpost_start_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b.done_ns, 500.0);
+  EXPECT_DOUBLE_EQ(ex.host_busy_ns(), 40.0 + 50.0);
+  EXPECT_DOUBLE_EQ(ex.fabric_busy_ns(), 60.0);
+}
+
+// Randomized loads across every backend mix, with and without
+// cross-host hops: the executed schedule must satisfy the
+// stage-ordering audit and never double-book a resource. The two host
+// lanes and the fabric are separate resources: tasks never overlap
+// within a lane, but a transfer may overlap a core task or a hop.
 TEST(DataFlowExecutorTest, RandomLoadsKeepOrderingAndResourceInvariants) {
   Rng rng(99);
   const Backend kinds[] = {Backend::kCpu, Backend::kGpu};
-  for (const Backend bottom : kinds) {
-    for (const Backend top : kinds) {
-      for (const std::uint32_t depth : {1u, 2u, 3u}) {
-        DataFlowPlan plan;
-        plan.depth = depth;
-        plan.bottom_split = 1;
-        plan.bottom = bottom;
-        plan.top = top;
-        DataFlowExecutor ex(plan);
-        Nanos cut = 0.0;
-        for (int b = 0; b < 40; ++b) {
-          BatchTaskCosts c;
-          c.emb.cpu_to_dpu = 10.0 + 90.0 * rng.NextDouble();
-          c.emb.dpu_lookup = 50.0 + 300.0 * rng.NextDouble();
-          c.emb.dpu_to_cpu = 5.0 + 50.0 * rng.NextDouble();
-          c.emb.cpu_aggregate = 5.0 + 50.0 * rng.NextDouble();
-          if (bottom == Backend::kCpu) {
-            c.bottom_pre = 100.0 * rng.NextDouble();
-            c.bottom_post = 100.0 * rng.NextDouble();
-          } else {
-            c.bottom_gpu = 50.0 + 200.0 * rng.NextDouble();
+  for (const bool remote : {false, true}) {
+    for (const Backend bottom : kinds) {
+      for (const Backend top : kinds) {
+        for (const std::uint32_t depth : {1u, 2u, 3u}) {
+          DataFlowPlan plan;
+          plan.depth = depth;
+          plan.bottom_split = 1;
+          plan.bottom = bottom;
+          plan.top = top;
+          DataFlowExecutor ex(plan);
+          Nanos cut = 0.0;
+          for (int b = 0; b < 40; ++b) {
+            BatchTaskCosts c;
+            c.emb.cpu_to_dpu = 10.0 + 90.0 * rng.NextDouble();
+            c.emb.dpu_lookup = 50.0 + 300.0 * rng.NextDouble();
+            c.emb.dpu_to_cpu = 5.0 + 50.0 * rng.NextDouble();
+            c.emb.cpu_aggregate = 5.0 + 50.0 * rng.NextDouble();
+            if (remote) c.emb.ingress = c.emb.cpu_to_dpu * rng.NextDouble();
+            if (bottom == Backend::kCpu) {
+              c.bottom_pre = 100.0 * rng.NextDouble();
+              c.bottom_post = 100.0 * rng.NextDouble();
+            } else {
+              c.bottom_gpu = 50.0 + 200.0 * rng.NextDouble();
+            }
+            c.interact = 20.0 * rng.NextDouble();
+            c.top_mlp = 50.0 * rng.NextDouble();
+            if (top == Backend::kGpu) {
+              c.top_gpu = 50.0 + 200.0 * rng.NextDouble();
+            }
+            cut = std::max(cut + 100.0 * rng.NextDouble(),
+                           ex.NextAdmitTime());
+            ex.Submit(c, cut);
           }
-          c.interact = 20.0 * rng.NextDouble();
-          c.top_mlp = 50.0 * rng.NextDouble();
-          if (top == Backend::kGpu) {
-            c.top_gpu = 50.0 + 200.0 * rng.NextDouble();
-          }
-          cut = std::max(cut + 100.0 * rng.NextDouble(),
-                         ex.NextAdmitTime());
-          ex.Submit(c, cut);
-        }
-        ex.Drain();
+          ex.Drain();
 
-        check::CheckReport report;
-        std::vector<std::pair<Nanos, Nanos>> transfer, core, dpu, gpu;
-        for (std::size_t i = 0; i < ex.batches().size(); ++i) {
-          const ExecutedFlowBatch& b = ex.batches()[i];
-          check::StageInstants t;
-          t.cut_ns = b.cut_ns;
-          t.bpre_start_ns = b.bpre_start_ns;
-          t.bpre_end_ns = b.bpre_end_ns;
-          t.s1_start_ns = b.s1_start_ns;
-          t.s1_end_ns = b.s1_end_ns;
-          t.s2_start_ns = b.s2_start_ns;
-          t.s2_end_ns = b.s2_end_ns;
-          t.s3_start_ns = b.s3_start_ns;
-          t.pull_end_ns = b.pull_end_ns;
-          t.s3_end_ns = b.s3_end_ns;
-          t.bottom_done_ns = b.bottom_done_ns;
-          t.top_start_ns = b.top_start_ns;
-          t.top_end_ns = b.top_end_ns;
-          check::AuditStageOrdering(i, t, &report);
+          check::CheckReport report;
+          std::vector<std::pair<Nanos, Nanos>> fabric, transfer, core, dpu,
+              gpu;
+          for (std::size_t i = 0; i < ex.batches().size(); ++i) {
+            const ExecutedFlowBatch& b = ex.batches()[i];
+            check::StageInstants t;
+            t.cut_ns = b.cut_ns;
+            t.bpre_start_ns = b.bpre_start_ns;
+            t.bpre_end_ns = b.bpre_end_ns;
+            t.fabric_start_ns = b.fabric_start_ns;
+            t.fabric_end_ns = b.fabric_end_ns;
+            t.s1_start_ns = b.s1_start_ns;
+            t.s1_end_ns = b.s1_end_ns;
+            t.s2_start_ns = b.s2_start_ns;
+            t.s2_end_ns = b.s2_end_ns;
+            t.s3_start_ns = b.s3_start_ns;
+            t.pull_end_ns = b.pull_end_ns;
+            t.s3_end_ns = b.s3_end_ns;
+            t.bottom_done_ns = b.bottom_done_ns;
+            t.top_start_ns = b.top_start_ns;
+            t.top_end_ns = b.top_end_ns;
+            check::AuditStageOrdering(i, t, &report);
 
-          transfer.emplace_back(b.s1_start_ns, b.s1_end_ns);
-          transfer.emplace_back(b.s3_start_ns, b.pull_end_ns);
-          core.emplace_back(b.s3_end_ns - b.costs.emb.cpu_aggregate,
-                            b.s3_end_ns);
-          dpu.emplace_back(b.s2_start_ns, b.s2_end_ns);
-          if (bottom == Backend::kCpu) {
-            core.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
-            core.emplace_back(b.bpost_start_ns, b.bpost_end_ns);
-          } else {
-            gpu.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
+            fabric.emplace_back(b.fabric_start_ns, b.fabric_end_ns);
+            transfer.emplace_back(b.s1_start_ns, b.s1_end_ns);
+            transfer.emplace_back(b.s3_start_ns, b.pull_end_ns);
+            core.emplace_back(b.s3_end_ns - b.costs.emb.cpu_aggregate,
+                              b.s3_end_ns);
+            dpu.emplace_back(b.s2_start_ns, b.s2_end_ns);
+            if (bottom == Backend::kCpu) {
+              core.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
+              core.emplace_back(b.bpost_start_ns, b.bpost_end_ns);
+            } else {
+              gpu.emplace_back(b.bpre_start_ns, b.bpre_end_ns);
+            }
+            if (top == Backend::kCpu) {
+              core.emplace_back(b.top_start_ns, b.top_end_ns);
+            } else {
+              gpu.emplace_back(b.top_start_ns, b.top_end_ns);
+            }
           }
-          if (top == Backend::kCpu) {
-            core.emplace_back(b.top_start_ns, b.top_end_ns);
-          } else {
-            gpu.emplace_back(b.top_start_ns, b.top_end_ns);
-          }
-        }
-        EXPECT_TRUE(report.clean())
-            << pipeline::Name(plan) << ": " << report.ToString();
-        for (auto* intervals : {&transfer, &core, &dpu, &gpu}) {
-          std::sort(intervals->begin(), intervals->end());
-          for (std::size_t i = 1; i < intervals->size(); ++i) {
-            EXPECT_LE((*intervals)[i - 1].second,
-                      (*intervals)[i].first + 1e-6)
-                << pipeline::Name(plan) << ": resource double-booked";
+          EXPECT_TRUE(report.clean())
+              << pipeline::Name(plan) << ": " << report.ToString();
+          for (auto* intervals : {&fabric, &transfer, &core, &dpu, &gpu}) {
+            std::sort(intervals->begin(), intervals->end());
+            for (std::size_t i = 1; i < intervals->size(); ++i) {
+              EXPECT_LE((*intervals)[i - 1].second,
+                        (*intervals)[i].first + 1e-6)
+                  << pipeline::Name(plan) << ": resource double-booked";
+            }
           }
         }
       }

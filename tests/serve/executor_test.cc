@@ -20,12 +20,19 @@ namespace updlrm::serve {
 namespace {
 
 core::StageBreakdown Batch(Nanos s1, Nanos s2, Nanos s3,
-                           Nanos agg = 0.0) {
+                           Nanos agg = 0.0, Nanos ingress = 0.0) {
   core::StageBreakdown b;
   b.cpu_to_dpu = s1;
   b.dpu_lookup = s2;
   b.dpu_to_cpu = s3;
   b.cpu_aggregate = agg;
+  b.ingress = ingress;
+  return b;
+}
+
+// `b` with its cross-host hop folded back onto the transfer lane.
+core::StageBreakdown Folded(core::StageBreakdown b) {
+  b.ingress = 0.0;
   return b;
 }
 
@@ -212,6 +219,8 @@ class TwoResourceSchedule {
     ExecutedFlowBatch b;
     b.costs.emb = stages;
     b.cut_ns = cut_ns;
+    b.fabric_start_ns = cut_ns;  // one host: no cross-host hop
+    b.fabric_end_ns = cut_ns;
     b.s1_start_ns = std::max(cut_ns, host_free_);
     b.s1_end_ns = b.s1_start_ns + stages.cpu_to_dpu;
     host_free_ = b.s1_end_ns;
@@ -256,10 +265,12 @@ class TwoResourceSchedule {
 };
 
 // The three-resource embedding schedule with no dense tasks, written
-// out directly: the transfer lane runs stage 1 at the cut (winning
-// ties) and the stage-3 pulls work-conserving in batch order, the DPUs
-// run stage 2 FIFO, the core lane aggregates each batch FIFO once its
-// pull is done, and `depth` buffer pairs gate the cuts.
+// out directly, plus the fabric lane (empty when no batch has a
+// cross-host hop): the fabric runs each batch's hop FIFO from its cut,
+// the transfer lane runs the bus push at the hop's end (winning ties)
+// and the stage-3 pulls work-conserving in batch order, the DPUs run
+// stage 2 FIFO, the core lane aggregates each batch FIFO once its pull
+// is done, and `depth` buffer pairs gate the cuts.
 class ThreeResourceSchedule {
  public:
   explicit ThreeResourceSchedule(std::uint32_t depth) : depth_(depth) {}
@@ -271,14 +282,17 @@ class ThreeResourceSchedule {
   }
 
   void Submit(const core::StageBreakdown& stages, Nanos cut_ns) {
-    AdvanceTransfer(cut_ns);
     ExecutedFlowBatch b;
     b.costs.emb = stages;
     b.cut_ns = cut_ns;
-    b.s1_start_ns = std::max(cut_ns, transfer_free_);
-    b.s1_end_ns = b.s1_start_ns + stages.cpu_to_dpu;
+    b.fabric_start_ns = std::max(cut_ns, fabric_free_);
+    b.fabric_end_ns = b.fabric_start_ns + stages.ingress;
+    fabric_free_ = b.fabric_end_ns;
+    AdvanceTransfer(b.fabric_end_ns);
+    b.s1_start_ns = std::max(b.fabric_end_ns, transfer_free_);
+    b.s1_end_ns = b.s1_start_ns + (stages.cpu_to_dpu - stages.ingress);
     transfer_free_ = b.s1_end_ns;
-    transfer_busy_ += stages.cpu_to_dpu;
+    transfer_busy_ += stages.cpu_to_dpu - stages.ingress;
     b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
     b.s2_end_ns = b.s2_start_ns + stages.dpu_lookup;
     dpu_free_ = b.s2_end_ns;
@@ -316,6 +330,7 @@ class ThreeResourceSchedule {
   std::uint32_t depth_;
   std::vector<ExecutedFlowBatch> batches_;
   std::size_t next_pull_ = 0;
+  Nanos fabric_free_ = 0.0;
   Nanos transfer_free_ = 0.0;
   Nanos core_free_ = 0.0;
   Nanos dpu_free_ = 0.0;
@@ -333,9 +348,11 @@ class ThreeResourceSchedule {
 // total and the makespan, which the three-resource estimate bounds
 // from below. `with_aggregate` draws aggregation costs; without it
 // every batch's aggregation is zero. The random stream is the same
-// either way, so both variants run the same schedules.
+// either way, so both variants run the same schedules. `with_ingress`
+// also draws each batch's cross-host hop, up to its whole stage 1.
 template <typename Reference>
-void ExpectZeroCostDenseMatches(bool with_aggregate) {
+void ExpectZeroCostDenseMatches(bool with_aggregate,
+                                bool with_ingress = false) {
   std::vector<DataFlowPlan> plans;
   for (const Backend bottom : {Backend::kCpu, Backend::kGpu}) {
     for (const Backend top : {Backend::kCpu, Backend::kGpu}) {
@@ -360,6 +377,10 @@ void ExpectZeroCostDenseMatches(bool with_aggregate) {
     for (int b = 0; b < 24; ++b) {
       stages.push_back(Batch(cost(6), cost(12), cost(6), cost(3)));
       if (!with_aggregate) stages.back().cpu_aggregate = 0.0;
+      if (with_ingress) {
+        stages.back().ingress =
+            std::min(cost(4), stages.back().cpu_to_dpu);
+      }
       gaps.push_back(rng.NextBounded(2) == 0 ? 0.0 : cost(20));
     }
     for (DataFlowPlan plan : plans) {
@@ -386,6 +407,8 @@ void ExpectZeroCostDenseMatches(bool with_aggregate) {
                            << " split " << plan.bottom_split << " batch "
                            << b;
         ASSERT_EQ(got.cut_ns, want.cut_ns) << where;
+        ASSERT_EQ(got.fabric_start_ns, want.fabric_start_ns) << where;
+        ASSERT_EQ(got.fabric_end_ns, want.fabric_end_ns) << where;
         ASSERT_EQ(got.s1_start_ns, want.s1_start_ns) << where;
         ASSERT_EQ(got.s1_end_ns, want.s1_end_ns) << where;
         ASSERT_EQ(got.s2_start_ns, want.s2_start_ns) << where;
@@ -421,6 +444,89 @@ TEST(ExecutorTest, ZeroCostDenseTasksMoveNoEmbeddingInstant) {
 // pulls later batches.
 TEST(ExecutorTest, ZeroCostDenseTasksFollowThreeResourceSchedule) {
   ExpectZeroCostDenseMatches<ThreeResourceSchedule>(/*with_aggregate=*/true);
+}
+
+// The fabric lane: each batch's cross-host hop runs FIFO from its cut,
+// so the next batch's hop overlaps this batch's bus push and pull, and
+// only the bus part occupies the transfer lane. With no hop the
+// executor is the three-resource schedule above, instant for instant.
+TEST(ExecutorTest, ZeroCostDenseTasksFollowFabricLaneSchedule) {
+  ExpectZeroCostDenseMatches<ThreeResourceSchedule>(/*with_aggregate=*/true,
+                                                    /*with_ingress=*/true);
+}
+
+TEST(ExecutorTest, UnloadedBatchEndsStageOneAtCutPlusPush) {
+  DataFlowExecutor exec(PlanOfDepth(2));
+  exec.Submit(EmbeddingOnly(Batch(30, 50, 7, 3, 20)), 100.0);
+  exec.Drain();
+  const ExecutedFlowBatch& b = exec.batches()[0];
+  EXPECT_DOUBLE_EQ(b.fabric_start_ns, 100.0);
+  EXPECT_DOUBLE_EQ(b.fabric_end_ns, 120.0);
+  EXPECT_DOUBLE_EQ(b.s1_start_ns, 120.0);
+  EXPECT_EQ(b.s1_end_ns, 100.0 + 30.0);
+  EXPECT_DOUBLE_EQ(b.s3_end_ns, 100.0 + 30.0 + 50.0 + 7.0 + 3.0);
+
+  // To the bit, even where hop + bus rounds away from cpu_to_dpu.
+  const Nanos cut = 47.6;
+  const core::StageBreakdown odd = Batch(27.2, 1.0, 1.0, 0.0, 10.1);
+  ASSERT_NE(cut + odd.ingress + (odd.cpu_to_dpu - odd.ingress),
+            cut + odd.cpu_to_dpu);
+  DataFlowExecutor rounding(PlanOfDepth(2));
+  rounding.Submit(EmbeddingOnly(odd), cut);
+  EXPECT_EQ(rounding.batches()[0].s1_end_ns, cut + odd.cpu_to_dpu);
+}
+
+TEST(ExecutorTest, NextFabricHopOverlapsThisBatchsPush) {
+  // Stage 1 = 20 ns of fabric + 10 ns of bus; both batches cut at 0.
+  const std::vector<core::StageBreakdown> batches(2,
+                                                  Batch(30, 5, 10, 0, 20));
+  const auto exec = Execute(batches);
+  const ExecutedFlowBatch& b0 = exec.batches()[0];
+  const ExecutedFlowBatch& b1 = exec.batches()[1];
+  // Fabric [0,20) and [20,40); batch 0's bus push [20,30).
+  EXPECT_DOUBLE_EQ(b0.s1_start_ns, 20.0);
+  EXPECT_DOUBLE_EQ(b1.fabric_start_ns, 20.0);
+  EXPECT_LT(b1.fabric_start_ns, b0.s1_end_ns);
+  EXPECT_GT(b1.fabric_end_ns, b0.s1_start_ns);
+  // Batch 0's pull [35,45) starts while batch 1's hop still owns the
+  // fabric, and batch 1's push waits for the lane [45,55).
+  EXPECT_DOUBLE_EQ(b0.s3_start_ns, 35.0);
+  EXPECT_DOUBLE_EQ(b1.s1_start_ns, 45.0);
+  EXPECT_DOUBLE_EQ(Makespan(exec), 70.0);
+
+  // The same costs with the hop folded onto the transfer lane run the
+  // two stage-1s back to back, 30 ns each, and finish at 80.
+  std::vector<core::StageBreakdown> folded;
+  for (const auto& b : batches) folded.push_back(Folded(b));
+  const auto serial_lane = Execute(folded);
+  EXPECT_DOUBLE_EQ(serial_lane.batches()[1].s1_end_ns, 60.0);
+  EXPECT_DOUBLE_EQ(Makespan(serial_lane), 80.0);
+  EXPECT_GE(Makespan(exec),
+            core::EstimatePipelinedEmbedding(batches).pipelined_ns);
+}
+
+TEST(ExecutorTest, TransferLaneBusyExcludesIngress) {
+  const std::vector<core::StageBreakdown> batches = {
+      Batch(30, 40, 10, 5, 20), Batch(25, 30, 8, 2, 5),
+      Batch(12, 50, 6, 1, 0), Batch(40, 20, 9, 3, 40)};
+  const auto exec = Execute(batches);
+  const auto estimate = core::EstimatePipelinedEmbedding(batches);
+  Nanos bus = 0.0;
+  Nanos ingress = 0.0;
+  for (const auto& b : batches) {
+    bus += (b.cpu_to_dpu - b.ingress) + b.dpu_to_cpu;
+    ingress += b.ingress;
+  }
+  EXPECT_DOUBLE_EQ(exec.host_busy_ns(), bus);
+  EXPECT_DOUBLE_EQ(exec.fabric_busy_ns(), ingress);
+  EXPECT_DOUBLE_EQ(estimate.host_work_ns, bus);
+  EXPECT_DOUBLE_EQ(estimate.fabric_work_ns, ingress);
+  EXPECT_GE(Makespan(exec), estimate.pipelined_ns);
+  for (const ExecutedFlowBatch& b : exec.batches()) {
+    EXPECT_DOUBLE_EQ(b.fabric_end_ns - b.fabric_start_ns,
+                     b.costs.emb.ingress);
+    EXPECT_LE(b.fabric_end_ns, b.s1_start_ns);
+  }
 }
 
 TEST(ExecutorTest, AggregationOverlapsLaterTransfers) {

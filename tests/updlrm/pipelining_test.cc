@@ -7,12 +7,14 @@
 namespace updlrm::core {
 namespace {
 
-StageBreakdown Batch(Nanos s1, Nanos s2, Nanos s3, Nanos agg = 0.0) {
+StageBreakdown Batch(Nanos s1, Nanos s2, Nanos s3, Nanos agg = 0.0,
+                     Nanos ingress = 0.0) {
   StageBreakdown b;
   b.cpu_to_dpu = s1;
   b.dpu_lookup = s2;
   b.dpu_to_cpu = s3;
   b.cpu_aggregate = agg;
+  b.ingress = ingress;
   return b;
 }
 
@@ -128,6 +130,39 @@ TEST(PipeliningTest, OneBatchTransferBoundIsSerial) {
   EXPECT_DOUBLE_EQ(e.serial_ns, 95.0);
   EXPECT_DOUBLE_EQ(e.pipelined_ns, 95.0);
   EXPECT_EQ(e.Binding(), PipelineResource::kTransferLane);
+}
+
+TEST(PipeliningTest, FabricBoundNamesTheFabric) {
+  // 45 of each batch's 50 ns of stage 1 cross the fabric: the hops,
+  // not the buses, bound the pipeline.
+  std::vector<StageBreakdown> batches(10, Batch(50, 10, 5, 0, 45));
+  const auto e = EstimatePipelinedEmbedding(batches);
+  EXPECT_DOUBLE_EQ(e.fabric_work_ns, 450.0);
+  EXPECT_DOUBLE_EQ(e.host_work_ns, 100.0);  // 5 bus + 5 pull per batch
+  EXPECT_EQ(e.Binding(), PipelineResource::kFabric);
+  EXPECT_EQ(ResourceName(e.Binding()), "cross-host fabric");
+  // Fabric: 450 + the last batch's bus push and pull (10).
+  EXPECT_DOUBLE_EQ(e.pipelined_ns, 460.0);
+  // The serial time still counts each stage 1 once.
+  EXPECT_DOUBLE_EQ(e.serial_ns, 650.0);
+}
+
+TEST(PipeliningTest, IngressMovesStageOneOffTheTransferLane) {
+  // Transfer-bound batches: moving 20 ns of each stage 1 onto the
+  // fabric takes it off the transfer lane's work, and the lane's fill
+  // becomes the first batch's hop.
+  const std::vector<StageBreakdown> folded(10, Batch(40, 20, 40, 10));
+  const std::vector<StageBreakdown> remote(10, Batch(40, 20, 40, 10, 20));
+  const auto a = EstimatePipelinedEmbedding(folded);
+  const auto b = EstimatePipelinedEmbedding(remote);
+  EXPECT_DOUBLE_EQ(a.fabric_work_ns, 0.0);
+  EXPECT_DOUBLE_EQ(b.fabric_work_ns, 200.0);
+  EXPECT_DOUBLE_EQ(b.host_work_ns, a.host_work_ns - 200.0);
+  EXPECT_DOUBLE_EQ(b.serial_ns, a.serial_ns);
+  EXPECT_EQ(b.Binding(), PipelineResource::kTransferLane);
+  // Transfer lane: the first hop (20) + 600 + the last aggregation 10.
+  EXPECT_DOUBLE_EQ(b.pipelined_ns, 630.0);
+  EXPECT_DOUBLE_EQ(a.pipelined_ns, 810.0);
 }
 
 }  // namespace

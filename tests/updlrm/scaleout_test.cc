@@ -534,6 +534,58 @@ TEST(ScaleoutTest, RemoteShardsPayCrossHostIngress) {
   // pull lands on its own host and costs what a local pull does.
   EXPECT_GT(batch_b->stages.cpu_to_dpu, batch_a->stages.cpu_to_dpu);
   EXPECT_EQ(batch_b->stages.dpu_to_cpu, batch_a->stages.dpu_to_cpu);
+  // That hop is the batch's ingress: zero on the single-host fleet; on
+  // the spread one, within stage 1, and the bus part it leaves is at
+  // least the single-host push (shard 0's push never crosses).
+  EXPECT_EQ(batch_a->stages.ingress, 0.0);
+  EXPECT_GT(batch_b->stages.ingress, 0.0);
+  EXPECT_LE(batch_b->stages.ingress, batch_b->stages.cpu_to_dpu);
+  EXPECT_GE(batch_b->stages.cpu_to_dpu - batch_b->stages.ingress,
+            batch_a->stages.cpu_to_dpu - 1e-6);
+}
+
+TEST(ScaleoutTest, IngressSplitsStageOneAndLeavesOutputsBitExact) {
+  // One host per shard, functional: every batch's ingress lies in
+  // [0, cpu_to_dpu], the fleet sums it into the report but not into
+  // the embedding total, and pooled outputs and CTRs are bit-identical
+  // to the single-host fleet's and the flat engine's.
+  Fixture f = MakeFixture();
+  auto system = pim::DpuSystem::Create(ShardSystem(true));
+  ASSERT_TRUE(system.ok());
+  auto flat = UpDlrmEngine::Create(f.model.get(), f.config, f.trace,
+                                   system->get(), SmallOptions());
+  ASSERT_TRUE(flat.ok());
+  ShardedEngineConfig local;
+  local.shard_system = ShardSystem(true);
+  local.tiering.num_shards = 2;
+  ShardedEngineConfig spread = local;
+  spread.fleet_topology.ranks_per_host = 1;
+  auto a = ShardedEngine::Create(f.model.get(), f.config, f.trace, local,
+                                 SmallOptions());
+  auto b = ShardedEngine::Create(f.model.get(), f.config, f.trace, spread,
+                                 SmallOptions());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  for (const std::size_t begin : {0u, 32u, 64u}) {
+    const trace::BatchRange range{begin, begin + 32};
+    auto want = (*flat)->RunBatch(range, &f.dense);
+    auto got_a = (*a)->RunBatch(range, &f.dense);
+    auto got_b = (*b)->RunBatch(range, &f.dense);
+    ASSERT_TRUE(want.ok() && got_a.ok() && got_b.ok());
+    EXPECT_EQ(want->stages.ingress, 0.0);
+    EXPECT_EQ(got_a->stages.ingress, 0.0);
+    EXPECT_GT(got_b->stages.ingress, 0.0) << begin;
+    EXPECT_LE(got_b->stages.ingress, got_b->stages.cpu_to_dpu) << begin;
+    EXPECT_EQ(got_b->pooled, want->pooled) << begin;
+    EXPECT_EQ(got_b->pooled, got_a->pooled) << begin;
+    EXPECT_EQ(got_b->ctr, want->ctr) << begin;
+  }
+  auto report = (*b)->RunAll(&f.dense);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->stages.ingress, 0.0);
+  EXPECT_EQ(report->EmbeddingTotal(),
+            report->stages.cpu_to_dpu + report->stages.dpu_lookup +
+                report->stages.dpu_to_cpu + report->stages.cpu_aggregate);
 }
 
 TEST(ScaleoutTest, TwoHostFlatEngineChargesRemotePartialsIngress) {
