@@ -3,7 +3,7 @@
 //
 // The offline benches replay the trace back-to-back; this one drives
 // the engine through the serving subsystem (request queue -> dynamic
-// batcher -> double-buffered pipelined executor) at swept offered
+// batcher -> pipelined executor) at swept offered
 // loads. Per method the bench first calibrates the pipeline's capacity
 // (batch_size / bottleneck-resource time per batch), then sweeps
 // offered load at {0.5, 0.8, 1.0, 1.2}x capacity and reports the

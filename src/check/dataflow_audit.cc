@@ -105,4 +105,19 @@ void AuditStageOrdering(std::size_t batch, const StageInstants& t,
             t.top_start_ns, slack, report);
 }
 
+void AuditStageOrdering(std::span<const StageInstants> schedule,
+                        std::uint32_t depth, CheckReport* report,
+                        double slack) {
+  for (std::size_t b = 0; b < schedule.size(); ++b) {
+    const StageInstants& t = schedule[b];
+    AuditStageOrdering(b, t, report, slack);
+    if (depth == 0 || b < depth) continue;
+    const StageInstants& prev = schedule[b - depth];
+    CheckEdge(b, "s1 starts before its index slot's stage 2 ends",
+              prev.s2_end_ns, t.s1_start_ns, slack, report);
+    CheckEdge(b, "s2 starts before its output slot's pull ends",
+              prev.pull_end_ns, t.s2_start_ns, slack, report);
+  }
+}
+
 }  // namespace updlrm::check

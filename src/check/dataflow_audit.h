@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "check/report.h"
 
@@ -89,5 +90,15 @@ struct StageInstants {
 /// offender context.
 void AuditStageOrdering(std::size_t batch, const StageInstants& t,
                         CheckReport* report, double slack = 1e-6);
+
+/// AuditStageOrdering over an executed schedule (cut order) run with
+/// `depth` buffer slots, where batch k uses index and output slot
+/// k mod depth, plus the cross-batch slot edges: batch k's stage 1
+/// starts no earlier than batch k-depth's stage 2 ends (the index slot
+/// is free) and its stage 2 no earlier than batch k-depth's pull ends
+/// (the output slot is free). Fires kStageOrdering.
+void AuditStageOrdering(std::span<const StageInstants> schedule,
+                        std::uint32_t depth, CheckReport* report,
+                        double slack = 1e-6);
 
 }  // namespace updlrm::check

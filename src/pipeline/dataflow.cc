@@ -12,8 +12,11 @@ std::string_view BackendName(Backend b) {
 }
 
 std::string Name(const DataFlowPlan& plan) {
-  std::string name = "d" + std::to_string(plan.depth) + ".split" +
-                     std::to_string(plan.bottom_split) + ".";
+  std::string name = "d";
+  name += std::to_string(plan.depth);
+  name += ".split";
+  name += std::to_string(plan.bottom_split);
+  name += ".";
   name += BackendName(plan.bottom);
   name += "-";
   name += BackendName(plan.top);
@@ -131,13 +134,15 @@ Nanos PredictPeriod(const BatchTaskCosts& c, const DataFlowPlan& plan) {
   const bool top_gpu = plan.top == Backend::kGpu;
   // Per-batch busy time on each executor resource (serve/executor.h);
   // the fabric lane carries stage 1's cross-host hop, the transfer
-  // lane only its bus part.
-  const Nanos transfer =
-      (c.emb.cpu_to_dpu - c.emb.ingress) + c.emb.dpu_to_cpu;
+  // lane only its bus part. At saturation every launch and pull call
+  // serves `depth` batches, so each pays 1/depth of the fixed shares.
+  const double shared = 1.0 - 1.0 / static_cast<double>(plan.depth);
+  const Nanos transfer = (c.emb.cpu_to_dpu - c.emb.ingress) +
+                         (c.emb.dpu_to_cpu - c.emb.pull_fixed * shared);
   const Nanos core = c.emb.cpu_aggregate +
                      (bottom_gpu ? 0.0 : c.bottom_host()) +
                      (top_gpu ? 0.0 : c.top_host());
-  const Nanos dpu = c.emb.dpu_lookup;
+  const Nanos dpu = c.emb.dpu_lookup - c.emb.lookup_fixed * shared;
   const Nanos gpu = (bottom_gpu ? c.bottom_gpu : 0.0) +
                     (top_gpu ? c.top_gpu : 0.0);
   Nanos period = std::max({transfer, core, dpu, gpu, c.emb.ingress});

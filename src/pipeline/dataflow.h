@@ -66,8 +66,10 @@ BatchTaskCosts ComputeBatchTaskCosts(const dlrm::DlrmConfig& config,
 
 /// Steady-state cut-to-cut period of `plan`: the largest per-batch busy
 /// time over the executor's resources (fabric lane, transfer lane,
-/// core lane, DPUs, GPU), and at depth 1 no less than push + lookup.
-/// batch / period is the throughput bound at saturation.
+/// core lane, DPUs, GPU), with each kernel launch and pull call
+/// serving `depth` batches (their fixed shares amortized), and at
+/// depth 1 no less than push + lookup. batch / period is the
+/// throughput bound at saturation.
 Nanos PredictPeriod(const BatchTaskCosts& costs, const DataFlowPlan& plan);
 
 /// Analytic steady-state score of `plan` (lower is better): the larger

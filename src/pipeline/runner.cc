@@ -12,26 +12,6 @@ namespace updlrm::pipeline {
 
 namespace {
 
-check::StageInstants FlattenInstants(const ExecutedFlowBatch& b) {
-  check::StageInstants t;
-  t.cut_ns = b.cut_ns;
-  t.bpre_start_ns = b.bpre_start_ns;
-  t.bpre_end_ns = b.bpre_end_ns;
-  t.fabric_start_ns = b.fabric_start_ns;
-  t.fabric_end_ns = b.fabric_end_ns;
-  t.s1_start_ns = b.s1_start_ns;
-  t.s1_end_ns = b.s1_end_ns;
-  t.s2_start_ns = b.s2_start_ns;
-  t.s2_end_ns = b.s2_end_ns;
-  t.s3_start_ns = b.s3_start_ns;
-  t.pull_end_ns = b.pull_end_ns;
-  t.s3_end_ns = b.s3_end_ns;
-  t.bottom_done_ns = b.bottom_done_ns;
-  t.top_start_ns = b.top_start_ns;
-  t.top_end_ns = b.top_end_ns;
-  return t;
-}
-
 // The full DLRM request path for serve::RunServeLoop: prices every
 // batch's dense tasks under the plan, runs the batched CTR forward in
 // functional mode, and completes a batch at its top-MLP end.
@@ -204,10 +184,7 @@ Result<DataFlowServeResult> RunDataFlowSimulation(
           std::min(cap.output_region_bytes, g.layout.output_bytes);
     }
     check::AuditDataFlowCapacity(cap, options.audit);
-    for (std::size_t b = 0; b < result.schedule.size(); ++b) {
-      check::AuditStageOrdering(b, FlattenInstants(result.schedule[b]),
-                                options.audit);
-    }
+    serve::AuditSchedule(result.schedule, plan.depth, options.audit);
   }
   return result;
 }

@@ -16,20 +16,26 @@ namespace {
 std::string CacheKey(const dlrm::DlrmConfig& config,
                      const serve::BatcherOptions& batcher,
                      bool gpu_available) {
-  std::string key;
-  key += "t" + std::to_string(config.num_tables);
-  key += ".d" + std::to_string(config.embedding_dim);
-  key += ".f" + std::to_string(config.dense_features);
-  key += ".i" + std::to_string(static_cast<int>(config.interaction));
+  std::string key = "t";
+  key += std::to_string(config.num_tables);
+  key += ".d";
+  key += std::to_string(config.embedding_dim);
+  key += ".f";
+  key += std::to_string(config.dense_features);
+  key += ".i";
+  key += std::to_string(static_cast<int>(config.interaction));
   key += ".b";
   for (const std::uint32_t w : config.bottom_hidden) {
-    key += std::to_string(w) + "-";
+    key += std::to_string(w);
+    key += "-";
   }
   key += ".h";
   for (const std::uint32_t w : config.top_hidden) {
-    key += std::to_string(w) + "-";
+    key += std::to_string(w);
+    key += "-";
   }
-  key += ".n" + std::to_string(batcher.max_batch_size);
+  key += ".n";
+  key += std::to_string(batcher.max_batch_size);
   key += gpu_available ? ".gpu" : ".nogpu";
   return key;
 }
@@ -96,18 +102,30 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
                                 : x.predicted_period_ns <
                                       y.predicted_period_ns;
                    });
-  const std::size_t to_calibrate =
-      options_.calibrate_top_n == 0
-          ? rank.size()
-          : std::min(options_.calibrate_top_n, rank.size());
+  // The short list takes the best-ranked split of each distinct
+  // (depth, backends) plan: a plan's split variants share its score and
+  // period, so calibrating several of them measures one plan again.
+  std::vector<std::size_t> short_list;
+  if (options_.calibrate_top_n == 0) short_list = rank;
+  for (const std::size_t i : rank) {
+    if (short_list.size() >= options_.calibrate_top_n) break;
+    const DataFlowPlan& plan = tuned.candidates[i].plan;
+    const bool repeat = std::any_of(
+        short_list.begin(), short_list.end(), [&](std::size_t j) {
+          const DataFlowPlan& other = tuned.candidates[j].plan;
+          return other.depth == plan.depth && other.bottom == plan.bottom &&
+                 other.top == plan.top;
+        });
+    if (!repeat) short_list.push_back(i);
+  }
 
   const std::span<const serve::Request> calibration =
       options_.calibration_requests == 0
           ? requests
           : requests.subspan(0, std::min(options_.calibration_requests,
                                          requests.size()));
-  for (std::size_t i = 0; i < to_calibrate; ++i) {
-    CandidateOutcome& outcome = tuned.candidates[rank[i]];
+  for (const std::size_t i : short_list) {
+    CandidateOutcome& outcome = tuned.candidates[i];
     DataFlowServeOptions serve_options;
     serve_options.batcher = batcher;
     serve_options.plan = outcome.plan;
@@ -122,8 +140,9 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
   }
 
   // Winner: lowest measured p99 among the calibrated candidates; ties
-  // fall to the lower prediction, then to enumeration order (the scan
-  // below only replaces on strict improvement).
+  // fall to the lower prediction, then to the shorter period (the plan
+  // with more saturation headroom), then to enumeration order (the
+  // scan below only replaces on strict improvement).
   std::size_t best = tuned.candidates.size();
   for (std::size_t i = 0; i < tuned.candidates.size(); ++i) {
     const CandidateOutcome& c = tuned.candidates[i];
@@ -133,9 +152,11 @@ Result<TunedDataFlow> DataFlowTuner::Tune(
       continue;
     }
     const CandidateOutcome& b = tuned.candidates[best];
-    if (c.measured_p99_ns < b.measured_p99_ns ||
-        (c.measured_p99_ns == b.measured_p99_ns &&
-         c.predicted_ns < b.predicted_ns)) {
+    if (c.measured_p99_ns != b.measured_p99_ns) {
+      if (c.measured_p99_ns < b.measured_p99_ns) best = i;
+    } else if (c.predicted_ns != b.predicted_ns) {
+      if (c.predicted_ns < b.predicted_ns) best = i;
+    } else if (c.predicted_period_ns < b.predicted_period_ns) {
       best = i;
     }
   }

@@ -33,9 +33,11 @@ struct TunerOptions {
   /// the split bound comes from the engine's model config and GPU
   /// placements from gpu_available.
   std::uint32_t max_depth = 4;
-  /// Candidates (by predicted rank) to calibrate with real simulated
-  /// runs; 0 calibrates *every* candidate (the ablation mode — makes
-  /// the tuner's pick dominate all static plans by construction).
+  /// Candidates to calibrate with real simulated runs: the best-ranked
+  /// bottom split of each of the top distinct (depth, backends) plans
+  /// by predicted rank; 0 calibrates *every* candidate (the ablation
+  /// mode — makes the tuner's pick dominate all static plans by
+  /// construction).
   std::size_t calibrate_top_n = 3;
   /// Leading requests of the stream used for calibration runs; 0 uses
   /// the whole stream.
@@ -76,7 +78,8 @@ class DataFlowTuner {
 
   /// Picks the data flow for serving `requests` on `engine` under
   /// `batcher`. Winner: lowest calibrated p99, ties broken by lower
-  /// predicted score, then enumeration order — deterministic. Fails
+  /// predicted score, then shorter predicted period, then enumeration
+  /// order — deterministic. Fails
   /// with InvalidArgument on invalid options().gpu.
   Result<TunedDataFlow> Tune(core::UpDlrmEngine& engine,
                              std::span<const serve::Request> requests,

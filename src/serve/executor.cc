@@ -16,18 +16,36 @@ void DataFlowExecutor::Reserve(std::size_t expected_batches) {
   batches_.reserve(expected_batches);
 }
 
-Nanos DataFlowExecutor::NextAdmitTime() const {
+Nanos DataFlowExecutor::NextAdmitTime() {
   if (batches_.size() < plan_.depth) return last_cut_;
-  // The next batch reuses the buffer pair of batch (n - depth), free
-  // once that batch's stage 2 consumed the indices.
-  return std::max(last_cut_,
-                  batches_[batches_.size() - plan_.depth].s2_end_ns);
+  // The next batch reuses the index slot of batch (n - depth), free
+  // once the launch that serves it has run. That launch starts before
+  // any later cut, so starting it (and what precedes it) now is final.
+  const std::size_t reuse = batches_.size() - plan_.depth;
+  while (head_[kLaunch] <= reuse) {
+    UPDLRM_CHECK_MSG(StartNext(std::numeric_limits<double>::infinity()),
+                     "executor stalled before a pending launch");
+  }
+  return std::max(last_cut_, batches_[reuse].s2_end_ns);
+}
+
+Nanos DataFlowExecutor::SlotFree(std::size_t b) const {
+  if (b < plan_.depth) return 0.0;
+  const std::size_t prev = b - plan_.depth;
+  return prev < head_[kPull] ? batches_[prev].pull_end_ns : -1.0;
 }
 
 Nanos DataFlowExecutor::ReadyTime(std::size_t cls, std::size_t b) const {
   const ExecutedFlowBatch& eb = batches_[b];
   switch (cls) {
+    case kLaunch: {
+      if (b >= pushed_) return -1.0;
+      const Nanos slot = SlotFree(b);
+      if (slot < 0.0) return -1.0;
+      return std::max(eb.s1_end_ns, slot);
+    }
     case kPull:
+      if (b >= head_[kLaunch]) return -1.0;
       return eb.s2_end_ns;
     case kAgg:
       if (b >= head_[kPull]) return -1.0;
@@ -49,6 +67,54 @@ Nanos DataFlowExecutor::ReadyTime(std::size_t cls, std::size_t b) const {
   return -1.0;
 }
 
+void DataFlowExecutor::Launch(std::size_t b, Nanos start) {
+  Nanos dur = batches_[b].costs.emb.dpu_lookup;
+  std::size_t end = b + 1;
+  // Joiners: pushed by the launch, output slot free by then, and a
+  // fixed share to save.
+  while (end < pushed_ && end - b < plan_.depth) {
+    const ExecutedFlowBatch& next = batches_[end];
+    const Nanos slot = SlotFree(end);
+    if (next.costs.emb.lookup_fixed <= 0.0 || next.s1_end_ns > start ||
+        slot < 0.0 || slot > start) {
+      break;
+    }
+    dur += next.costs.emb.dpu_lookup - next.costs.emb.lookup_fixed;
+    ++end;
+  }
+  for (std::size_t k = b; k < end; ++k) {
+    batches_[k].s2_start_ns = start;
+    batches_[k].s2_end_ns = start + dur;
+  }
+  batches_[b].kernel_batches = static_cast<std::uint32_t>(end - b);
+  head_[kLaunch] = end;
+  dpu_free_ = start + dur;
+  dpu_busy_ += dur;
+  ++kernel_launches_;
+}
+
+void DataFlowExecutor::Pull(std::size_t b, Nanos start) {
+  Nanos dur = batches_[b].costs.emb.dpu_to_cpu;
+  std::size_t end = b + 1;
+  // Joiners: stage 2 done by the call, a fixed share to save, and the
+  // next output slot in the same pass over the ring.
+  while (end < head_[kLaunch] && end % plan_.depth != 0) {
+    const ExecutedFlowBatch& next = batches_[end];
+    if (next.costs.emb.pull_fixed <= 0.0 || next.s2_end_ns > start) break;
+    dur += next.costs.emb.dpu_to_cpu - next.costs.emb.pull_fixed;
+    ++end;
+  }
+  for (std::size_t k = b; k < end; ++k) {
+    batches_[k].s3_start_ns = start;
+    batches_[k].pull_end_ns = start + dur;
+  }
+  batches_[b].pull_batches = static_cast<std::uint32_t>(end - b);
+  head_[kPull] = end;
+  xfer_free_ = start + dur;
+  xfer_busy_ += dur;
+  ++pull_calls_;
+}
+
 void DataFlowExecutor::ScheduleGpuTops() {
   while (next_gpu_top_ < batches_.size()) {
     const Nanos ready = ReadyTime(kTop, next_gpu_top_);
@@ -67,10 +133,6 @@ void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
                                 Nanos dur) {
   ExecutedFlowBatch& eb = batches_[b];
   switch (cls) {
-    case kPull:
-      eb.s3_start_ns = start;
-      eb.pull_end_ns = start + dur;
-      break;
     case kAgg:
       eb.s3_end_ns = start + dur;
       break;
@@ -94,60 +156,67 @@ void DataFlowExecutor::Complete(std::size_t cls, std::size_t b, Nanos start,
   }
 }
 
-void DataFlowExecutor::AdvanceHost(Nanos until) {
+bool DataFlowExecutor::StartNext(Nanos until) {
   const bool bottom_host = plan_.bottom == Backend::kCpu;
   const bool top_host = plan_.top == Backend::kCpu;
-  while (true) {
-    std::size_t best_cls = kNumClasses;
-    Nanos best_start = std::numeric_limits<double>::infinity();
-    // One scan over both lanes' heads, in class order, with a strict <:
-    // the earliest start runs first, and ties break toward the pull
-    // (so its aggregation is resolved before the core lane moves on)
-    // and then toward the higher-priority core class.
-    for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
-      if (!top_host && cls == kTop) continue;
-      if (!bottom_host && (cls == kBpre || cls == kBpost)) continue;
-      const std::size_t b = head_[cls];
-      if (b >= batches_.size()) continue;
-      const Nanos ready = ReadyTime(cls, b);
-      if (ready < 0.0) continue;  // dependencies unresolved
-      const Nanos start =
-          std::max(cls == kPull ? xfer_free_ : core_free_, ready);
-      if (start < best_start) {
-        best_start = start;
-        best_cls = cls;
-      }
+  std::size_t best_cls = kNumClasses;
+  Nanos best_start = std::numeric_limits<double>::infinity();
+  // One scan over every queue's head, in class order, with a strict <:
+  // the earliest start runs first, and ties break toward the launch
+  // (so its pull is resolved), then the pull (so its aggregation is),
+  // and then toward the higher-priority core class.
+  for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
+    if (!top_host && cls == kTop) continue;
+    if (!bottom_host && (cls == kBpre || cls == kBpost)) continue;
+    const std::size_t b = head_[cls];
+    if (b >= batches_.size()) continue;
+    const Nanos ready = ReadyTime(cls, b);
+    if (ready < 0.0) continue;  // dependencies unresolved
+    const Nanos lane_free = cls == kLaunch ? dpu_free_
+                            : cls == kPull ? xfer_free_
+                                           : core_free_;
+    const Nanos start = std::max(lane_free, ready);
+    if (start < best_start) {
+      best_start = start;
+      best_cls = cls;
     }
-    if (best_cls == kNumClasses || best_start >= until) break;
-    const std::size_t b = head_[best_cls]++;
-    const BatchTaskCosts& c = batches_[b].costs;
-    Nanos dur = 0.0;
-    switch (best_cls) {
-      case kPull:
-        dur = c.emb.dpu_to_cpu;
-        break;
-      case kAgg:
-        dur = c.emb.cpu_aggregate;
-        break;
-      case kTop:
-        dur = c.top_host();
-        break;
-      case kBpost:
-        dur = c.bottom_post;
-        break;
-      case kBpre:
-        dur = c.bottom_pre;
-        break;
-    }
-    Complete(best_cls, b, best_start, dur);
-    if (best_cls == kPull) {
-      xfer_free_ = best_start + dur;
-      xfer_busy_ += dur;
-    } else {
-      core_free_ = best_start + dur;
-      core_busy_ += dur;
-      if (best_cls != kAgg) host_mlp_busy_ += dur;
-    }
+  }
+  if (best_cls == kNumClasses || best_start >= until) return false;
+  const std::size_t b = head_[best_cls];
+  if (best_cls == kLaunch) {
+    Launch(b, best_start);
+    return true;
+  }
+  if (best_cls == kPull) {
+    Pull(b, best_start);
+    return true;
+  }
+  ++head_[best_cls];
+  const BatchTaskCosts& c = batches_[b].costs;
+  Nanos dur = 0.0;
+  switch (best_cls) {
+    case kAgg:
+      dur = c.emb.cpu_aggregate;
+      break;
+    case kTop:
+      dur = c.top_host();
+      break;
+    case kBpost:
+      dur = c.bottom_post;
+      break;
+    case kBpre:
+      dur = c.bottom_pre;
+      break;
+  }
+  Complete(best_cls, b, best_start, dur);
+  core_free_ = best_start + dur;
+  core_busy_ += dur;
+  if (best_cls != kAgg) host_mlp_busy_ += dur;
+  return true;
+}
+
+void DataFlowExecutor::Advance(Nanos until) {
+  while (StartNext(until)) {
   }
 }
 
@@ -156,9 +225,9 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
   UPDLRM_CHECK_MSG(!drained_, "Submit after Drain");
   UPDLRM_CHECK_MSG(cut_ns >= NextAdmitTime() - 1e-9,
                    "batch cut before its buffer pair was free");
-  // Let both lanes work up to the cut, before this batch's eager GPU
+  // Let every lane work up to the cut, before this batch's eager GPU
   // offload takes its place in the GPU's FIFO.
-  AdvanceHost(cut_ns);
+  Advance(cut_ns);
 
   ExecutedFlowBatch b;
   b.costs = costs;
@@ -178,9 +247,8 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
     gpu_free_ = b.bpre_end_ns;
     gpu_busy_ += costs.bottom_gpu;
   }
-  // Until its push is placed, the batch's pull is not ready; its core
-  // tasks (the bottom prefix, ready at the cut) already compete.
-  b.s2_end_ns = std::numeric_limits<double>::infinity();
+  // Until its push is placed, the batch's launch is not ready; its
+  // core tasks (the bottom prefix, ready at the cut) already compete.
   last_cut_ = cut_ns;
   batches_.push_back(b);
 
@@ -188,7 +256,7 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
   // FIFO; with no hop this adds no work): pulls that would begin at or
   // after it yield to the new stage-1 push (stage-1 priority on ties
   // keeps the DPUs fed).
-  AdvanceHost(b.fabric_end_ns);
+  Advance(b.fabric_end_ns);
 
   ExecutedFlowBatch& pushed = batches_.back();
   const Nanos bus = costs.emb.cpu_to_dpu - costs.emb.ingress;
@@ -200,15 +268,12 @@ std::size_t DataFlowExecutor::Submit(const BatchTaskCosts& costs,
                          : pushed.s1_start_ns + bus;
   xfer_free_ = pushed.s1_end_ns;
   xfer_busy_ += bus;
-  pushed.s2_start_ns = std::max(pushed.s1_end_ns, dpu_free_);
-  pushed.s2_end_ns = pushed.s2_start_ns + costs.emb.dpu_lookup;
-  dpu_free_ = pushed.s2_end_ns;
-  dpu_busy_ += costs.emb.dpu_lookup;
+  ++pushed_;
   return batches_.size() - 1;
 }
 
 void DataFlowExecutor::Drain() {
-  AdvanceHost(std::numeric_limits<double>::infinity());
+  Advance(std::numeric_limits<double>::infinity());
   if (plan_.top == Backend::kGpu) ScheduleGpuTops();
   drained_ = true;
 }

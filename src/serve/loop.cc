@@ -1,5 +1,6 @@
 #include "serve/loop.h"
 
+#include "check/dataflow_audit.h"
 #include "updlrm/scaleout.h"
 
 namespace updlrm::serve {
@@ -17,6 +18,32 @@ Status ValidateServeLoop(const BatcherOptions& batcher, std::uint32_t depth) {
         "pipeline depth must be >= 1 buffer pair");
   }
   return Status::Ok();
+}
+
+void AuditSchedule(std::span<const ExecutedFlowBatch> schedule,
+                   std::uint32_t depth, check::CheckReport* report) {
+  std::vector<check::StageInstants> instants;
+  instants.reserve(schedule.size());
+  for (const ExecutedFlowBatch& b : schedule) {
+    check::StageInstants t;
+    t.cut_ns = b.cut_ns;
+    t.bpre_start_ns = b.bpre_start_ns;
+    t.bpre_end_ns = b.bpre_end_ns;
+    t.fabric_start_ns = b.fabric_start_ns;
+    t.fabric_end_ns = b.fabric_end_ns;
+    t.s1_start_ns = b.s1_start_ns;
+    t.s1_end_ns = b.s1_end_ns;
+    t.s2_start_ns = b.s2_start_ns;
+    t.s2_end_ns = b.s2_end_ns;
+    t.s3_start_ns = b.s3_start_ns;
+    t.pull_end_ns = b.pull_end_ns;
+    t.s3_end_ns = b.s3_end_ns;
+    t.bottom_done_ns = b.bottom_done_ns;
+    t.top_start_ns = b.top_start_ns;
+    t.top_end_ns = b.top_end_ns;
+    instants.push_back(t);
+  }
+  check::AuditStageOrdering(instants, depth, report);
 }
 
 namespace {

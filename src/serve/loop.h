@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "check/report.h"
 #include "common/status.h"
 #include "serve/batcher.h"
 #include "serve/executor.h"
@@ -41,6 +42,12 @@ namespace updlrm::serve {
 /// InvalidArgument unless the batcher and the buffer window can run:
 /// max_batch_size >= 1, max_queue_delay_ns >= 0 and depth >= 1.
 Status ValidateServeLoop(const BatcherOptions& batcher, std::uint32_t depth);
+
+/// Check mode: audits an executed schedule (cut order, `depth` buffer
+/// slots) into `report` — each batch's stage order plus the slot edges
+/// (check::AuditStageOrdering). Observation only.
+void AuditSchedule(std::span<const ExecutedFlowBatch> schedule,
+                   std::uint32_t depth, check::CheckReport* report);
 
 /// Per-unit cumulative work (kernel cycles + index wire bytes) for the
 /// monitor's straggler scorer. Flat engine: units are its DPUs. Sharded
@@ -200,6 +207,9 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
   result.utilization.dpu_busy_ns = executor.dpu_busy_ns();
   result.utilization.host_mlp_busy_ns = executor.host_mlp_busy_ns();
   result.utilization.gpu_busy_ns = executor.gpu_busy_ns();
+  result.utilization.fabric_busy_ns = executor.fabric_busy_ns();
+  result.utilization.kernel_launches = executor.kernel_launches();
+  result.utilization.pull_calls = executor.pull_calls();
   result.utilization.makespan_ns = result.makespan_ns;
 
   if (tracing) {
@@ -239,18 +249,28 @@ Result<DataFlowExecutor> RunServeLoop(EngineT& engine,
                         traced.wire.id_bytes, "offset_bytes",
                         traced.wire.offset_bytes, "max_dpu_bytes",
                         static_cast<double>(traced.max_index_bytes));
-        tracer.Complete(kPipelinePid, kDpuTrack, Clock::kSim, "stage2.kernel",
-                        sched.s2_start_ns,
-                        sched.s2_end_ns - sched.s2_start_ns);
-        tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim, "stage3.pull",
-                        sched.s3_start_ns,
-                        sched.pull_end_ns - sched.s3_start_ns);
+        // One span per kernel launch and per pull call, on the batch
+        // that opened it.
+        if (sched.kernel_batches > 0) {
+          tracer.Complete(kPipelinePid, kDpuTrack, Clock::kSim,
+                          "stage2.kernel", sched.s2_start_ns,
+                          sched.s2_end_ns - sched.s2_start_ns, "batches",
+                          sched.kernel_batches);
+        }
+        if (sched.pull_batches > 0) {
+          tracer.Complete(kPipelinePid, kHostBusTrack, Clock::kSim,
+                          "stage3.pull", sched.s3_start_ns,
+                          sched.pull_end_ns - sched.s3_start_ns, "batches",
+                          sched.pull_batches);
+        }
         tracer.Complete(kPipelinePid, kHostCoreTrack, Clock::kSim,
                         "stage3.aggregate",
                         sched.s3_end_ns - sched.costs.emb.cpu_aggregate,
                         sched.costs.emb.cpu_aggregate);
         path.TraceBatch(sched, b);
-        if (traced.dpu != nullptr) {
+        // Per-DPU slices for the batch that opened the launch; the
+        // batches that joined it share its kernel span.
+        if (traced.dpu != nullptr && sched.kernel_batches > 0) {
           core::EmitBatchDpuTimeline(engine.dpu_system(), *traced.dpu,
                                      b, sched.s2_start_ns,
                                      /*tasklet_detail=*/true);

@@ -23,7 +23,8 @@ namespace updlrm::serve {
 /// Busy fractions of the pipeline resources over the run
 /// (serve/executor.h). The host is two lanes: the transfer lane moves
 /// stage-1/3 data over the DIMM buses, the core lane runs aggregation
-/// and CPU dense tasks. Full-path plans (src/pipeline) additionally
+/// and CPU dense tasks; remote shards' stage-1 hops run on the fabric
+/// lane. Full-path plans (src/pipeline) additionally
 /// split out the core lane's dense-compute time and the optional GPU
 /// backend.
 struct StageUtilization {
@@ -37,6 +38,13 @@ struct StageUtilization {
   Nanos host_mlp_busy_ns = 0.0;
   /// GPU backend busy time; 0 when every stage runs on the host.
   Nanos gpu_busy_ns = 0.0;
+  /// Fabric lane: remote shards' stage-1 cross-host hops; 0 on one
+  /// host.
+  Nanos fabric_busy_ns = 0.0;
+  /// Stage-2 kernel launches and stage-3 pull calls: under backlog one
+  /// launch or call serves several batches.
+  std::size_t kernel_launches = 0;
+  std::size_t pull_calls = 0;
 
   double HostUtilization() const {
     return makespan_ns <= 0.0 ? 0.0 : host_busy_ns / makespan_ns;
@@ -52,6 +60,9 @@ struct StageUtilization {
   }
   double GpuUtilization() const {
     return makespan_ns <= 0.0 ? 0.0 : gpu_busy_ns / makespan_ns;
+  }
+  double FabricUtilization() const {
+    return makespan_ns <= 0.0 ? 0.0 : fabric_busy_ns / makespan_ns;
   }
 };
 

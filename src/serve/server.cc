@@ -29,6 +29,17 @@ void ServeResult::ExportTo(telemetry::MetricsRegistry& registry,
                     utilization.HostCoreUtilization());
   registry.SetGauge(prefix + ".dpu_utilization",
                     utilization.DpuUtilization());
+  registry.SetGauge(prefix + ".fabric_util", utilization.FabricUtilization());
+  // Mean batches one kernel launch / pull call served; 0 when none ran.
+  auto per_call = [&](std::size_t calls) {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(num_batches) /
+                            static_cast<double>(calls);
+  };
+  registry.SetGauge(prefix + ".batches_per_launch",
+                    per_call(utilization.kernel_launches));
+  registry.SetGauge(prefix + ".batches_per_pull",
+                    per_call(utilization.pull_calls));
   for (const Nanos l : request_latency_ns) {
     registry.Observe(prefix + ".latency_ns", l);
   }
@@ -52,6 +63,14 @@ struct EmbeddingPath {
   static void TraceBatch(const ExecutedFlowBatch&, std::size_t) {}
 };
 
+// The report check mode audits the schedule into; null when off.
+check::CheckReport* ScheduleReport(core::UpDlrmEngine& engine) {
+  return engine.mutable_check_report();
+}
+check::CheckReport* ScheduleReport(core::ShardedEngine& engine) {
+  return engine.mutable_fleet_check_report();
+}
+
 template <typename EngineT>
 Result<ServeResult> Serve(EngineT& engine, std::span<const Request> requests,
                           const ServeOptions& options) {
@@ -62,6 +81,10 @@ Result<ServeResult> Serve(EngineT& engine, std::span<const Request> requests,
   auto executor = RunServeLoop(engine, requests, options.batcher, plan,
                                options.monitor, path, result);
   if (!executor.ok()) return executor.status();
+  if (check::CheckReport* report = ScheduleReport(engine);
+      report != nullptr) {
+    AuditSchedule(executor->batches(), plan.depth, report);
+  }
   result.schedule.reserve(executor->batches().size());
   for (const ExecutedFlowBatch& b : executor->batches()) {
     result.schedule.push_back(ExecutedBatch{b.costs.emb, b.cut_ns,

@@ -1,5 +1,5 @@
 // The online serving simulator: request queue -> dynamic batcher ->
-// double-buffered embedding pipeline -> tail-latency metrics.
+// pipelined embedding executor -> tail-latency metrics.
 //
 // Embedding-only serving runs the shared serve loop (serve/loop.h)
 // under a DataFlowPlan with no dense stages: the executor overlaps
@@ -21,6 +21,7 @@
 #include "telemetry/monitor.h"
 #include "telemetry/registry.h"
 #include "updlrm/engine.h"
+#include "updlrm/pipelining.h"
 
 namespace updlrm::core {
 class ShardedEngine;  // updlrm/scaleout.h
@@ -30,8 +31,9 @@ namespace updlrm::serve {
 
 struct ServeOptions {
   BatcherOptions batcher;
-  /// MRAM buffer pairs for the executor (2 = double-buffered).
-  std::uint32_t pipeline_depth = 2;
+  /// MRAM buffer slots for the executor (2 = double-buffered), and
+  /// the most batches one kernel launch or pull call serves.
+  std::uint32_t pipeline_depth = core::kDefaultPipelineDepth;
   /// Optional fleet-health monitor (telemetry/monitor.h). Observation
   /// only: the loop feeds it batch-cut accesses, per-unit work samples
   /// and request completions; results are bit-exact with or without it.

@@ -1182,6 +1182,17 @@ Result<BatchResult> UpDlrmEngine::RunSamples(
       system_->transfer().PullTime(pull_bytes, options_.pad_transfers);
   out.stages.dpu_lookup = system_->transfer().KernelLaunchOverhead() +
                           CyclesToNanos(max_kernel, clock);
+  // What a launch costs whatever it serves: the SDK call, plus the
+  // tasklet boot whenever a DPU ran (KernelCycles includes it).
+  out.stages.lookup_fixed =
+      system_->transfer().KernelLaunchOverhead() +
+      (max_kernel > 0
+           ? CyclesToNanos(system_->config().kernel_cost.boot_cycles, clock)
+           : 0.0);
+  out.stages.pull_fixed =
+      out.stages.dpu_to_cpu > 0.0
+          ? system_->transfer().params().transfer_launch_ns
+          : 0.0;
   // Worst per-DPU stage-1/3 buffer footprint of this batch: the
   // full-path pipeline's capacity audit checks that `depth` in-flight
   // buffer pairs of this size fit the reserved-IO region

@@ -205,6 +205,11 @@ class UpDlrmEngine {
   const check::CheckReport* check_report() const {
     return checker_ != nullptr ? &checker_->report() : nullptr;
   }
+  /// The same report, for a serving layer that audits the schedule it
+  /// runs on this engine; null unless options.check_mode.
+  check::CheckReport* mutable_check_report() {
+    return checker_ != nullptr ? &checker_->report() : nullptr;
+  }
   /// Total violations recorded so far (0 when checks are off).
   std::uint64_t check_violations() const {
     return checker_ != nullptr ? checker_->report().total() : 0;

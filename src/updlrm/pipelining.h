@@ -22,13 +22,22 @@
 //     push, lookup and pull; no drain;
 //   * fabric lane: work = the cross-host stage-1 hops (ingress); no
 //     fill; drain = the last batch's bus push, pull and aggregation.
-// Each term bounds any schedule, so their max does too. With no hop
-// (every single-host engine) the fabric term never exceeds the
-// transfer lane's and the other three are the three-resource bound. It is
-// optimistic (no MRAM buffer contention, no dependency stalls) and is
-// intended for the what-if ablation bench/abl_pipelining.
+// Under backlog the executor lets one kernel launch or pull call serve
+// up to `depth` batches, paying the fixed share (StageBreakdown::
+// lookup_fixed / pull_fixed) once per call. So the DPU work counts
+// each batch's stage 2 less its fixed share plus ceil(n / depth)
+// fixed shares (the fewest launches n batches can take), and the
+// transfer lane's pulls likewise; a drain term that holds the last
+// pull counts the last batch's share of a call that may have opened
+// on an earlier batch. Each term bounds any schedule, so their max
+// does too. With no hop (every single-host engine) the fabric term
+// never exceeds the transfer lane's and the other three are the
+// three-resource bound. With zero fixed shares, depth changes nothing.
+// It is optimistic (no MRAM buffer contention, no dependency stalls)
+// and is intended for the what-if ablation bench/abl_pipelining.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -36,6 +45,11 @@
 #include "updlrm/report.h"
 
 namespace updlrm::core {
+
+/// Buffer slots (in-flight batches) of a serving pipeline unless a
+/// plan says otherwise (serve::DataFlowPlan, serve::ServeOptions): also
+/// the most batches one kernel launch or pull call serves.
+inline constexpr std::uint32_t kDefaultPipelineDepth = 4;
 
 /// The resources an embedding pipeline overlaps.
 enum class PipelineResource { kTransferLane, kDpus, kCoreLane, kFabric };
@@ -46,8 +60,10 @@ std::string_view ResourceName(PipelineResource resource);
 struct PipelineEstimate {
   Nanos serial_ns = 0.0;     // the engine's sequential embedding time
   Nanos pipelined_ns = 0.0;  // four-resource lower bound
-  Nanos host_work_ns = 0.0;  // transfer lane: stage-1 bus part + pull
-  Nanos dpu_work_ns = 0.0;   // total stage-2
+  // Transfer lane: stage-1 bus part + pulls, and DPUs: stage 2, each
+  // with the fixed shares of the fewest calls `depth` allows.
+  Nanos host_work_ns = 0.0;
+  Nanos dpu_work_ns = 0.0;
   Nanos core_work_ns = 0.0;  // core lane: total aggregation
   Nanos fabric_work_ns = 0.0;  // fabric lane: total stage-1 ingress
 
@@ -60,9 +76,11 @@ struct PipelineEstimate {
 };
 
 /// Estimates the pipelined embedding-layer makespan for a batch
-/// sequence. An empty span yields a zeroed estimate (a serving loop
-/// that has executed no batches has no makespan to bound).
+/// sequence served with `depth` buffer slots (>= 1). An empty span
+/// yields a zeroed estimate (a serving loop that has executed no
+/// batches has no makespan to bound).
 PipelineEstimate EstimatePipelinedEmbedding(
-    std::span<const StageBreakdown> batches);
+    std::span<const StageBreakdown> batches,
+    std::uint32_t depth = kDefaultPipelineDepth);
 
 }  // namespace updlrm::core

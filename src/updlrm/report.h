@@ -30,6 +30,16 @@ struct StageBreakdown {
   /// runs it on its own fabric lane, so only cpu_to_dpu - ingress
   /// occupies the host transfer lane. Zero on a single-host engine.
   Nanos ingress = 0.0;
+  /// The fixed shares of stage 2 and of the stage-3 pull: what one
+  /// dpu_launch() plus the tasklet boot (HostTransferParams::
+  /// kernel_launch_ns + EmbeddingKernelCostParams::boot_cycles), and
+  /// one batched transfer call (transfer_launch_ns), cost however many
+  /// batches they serve. Included in dpu_lookup and dpu_to_cpu, never
+  /// added to EmbeddingTotal. The serving executor charges them once
+  /// per coalesced launch or call (serve/executor.h). Zero when the
+  /// engine launched or pulled nothing.
+  Nanos lookup_fixed = 0.0;
+  Nanos pull_fixed = 0.0;
 
   Nanos EmbeddingTotal() const {
     return cpu_to_dpu + dpu_lookup + dpu_to_cpu + cpu_aggregate;
@@ -41,6 +51,8 @@ struct StageBreakdown {
     dpu_to_cpu += other.dpu_to_cpu;
     cpu_aggregate += other.cpu_aggregate;
     ingress += other.ingress;
+    lookup_fixed += other.lookup_fixed;
+    pull_fixed += other.pull_fixed;
     return *this;
   }
 };

@@ -310,6 +310,11 @@ Result<BatchResult> ShardedEngine::RunSamples(
         std::max(out.stages.dpu_lookup, r->stages.dpu_lookup);
     out.stages.dpu_to_cpu =
         std::max(out.stages.dpu_to_cpu, r->stages.dpu_to_cpu);
+    // Every shard launches and pulls once per batch, concurrently.
+    out.stages.lookup_fixed =
+        std::max(out.stages.lookup_fixed, r->stages.lookup_fixed);
+    out.stages.pull_fixed =
+        std::max(out.stages.pull_fixed, r->stages.pull_fixed);
     out.stages.cpu_aggregate =
         std::max(out.stages.cpu_aggregate, r->stages.cpu_aggregate);
     out.max_index_bytes = std::max(out.max_index_bytes, r->max_index_bytes);

@@ -126,6 +126,11 @@ class ShardedEngine {
   /// Fleet-level audit report (shard coverage, tier capacity, fleet
   /// reduction shape); per-shard engine reports live in shard(s).
   const check::CheckReport& fleet_check_report() const { return report_; }
+  /// The fleet report, for a serving layer that audits the schedule it
+  /// runs on this fleet; null unless options.check_mode.
+  check::CheckReport* mutable_fleet_check_report() {
+    return options_.check_mode ? &report_ : nullptr;
+  }
   /// Total violations: fleet-level plus every shard engine's.
   std::uint64_t check_violations() const;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace updlrm::check {
 namespace {
 
@@ -224,6 +226,55 @@ TEST(StageOrderingAudit, FiresOnNegativeDuration) {
   t.s3_end_ns = t.s3_start_ns - 1;
   AuditStageOrdering(0, t, &report);
   EXPECT_GE(report.count(Rule::kStageOrdering), 1u);
+}
+
+// `t` moved `by` ns later.
+StageInstants Shifted(StageInstants t, double by) {
+  for (double* x :
+       {&t.cut_ns, &t.bpre_start_ns, &t.bpre_end_ns, &t.fabric_start_ns,
+        &t.fabric_end_ns, &t.s1_start_ns, &t.s1_end_ns, &t.s2_start_ns,
+        &t.s2_end_ns, &t.s3_start_ns, &t.pull_end_ns, &t.s3_end_ns,
+        &t.bottom_done_ns, &t.top_start_ns, &t.top_end_ns}) {
+    *x += by;
+  }
+  return t;
+}
+
+TEST(StageOrderingAudit, SlotEdgesCleanWhenEachSlotIsFree) {
+  // Depth 2: batch 2 reuses batch 0's slots after its pull (t = 460).
+  const std::vector<StageInstants> schedule = {
+      WellOrdered(), Shifted(WellOrdered(), 100), Shifted(WellOrdered(), 400)};
+  CheckReport report;
+  AuditStageOrdering(schedule, 2, &report);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+TEST(StageOrderingAudit, FiresWhenAKernelOverwritesAnOutputSlotBeingPulled) {
+  // Batch 2's stage 2 starts at 450, while batch 0's pull runs to 460.
+  std::vector<StageInstants> schedule = {
+      WellOrdered(), Shifted(WellOrdered(), 100), Shifted(WellOrdered(), 300)};
+  schedule[2].s1_end_ns = 440;
+  schedule[2].s2_start_ns = 450;
+  CheckReport report;
+  AuditStageOrdering(schedule, 2, &report);
+  EXPECT_EQ(report.count(Rule::kStageOrdering), 1u);
+  EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("output slot"),
+            std::string::npos);
+  // At depth 3 batch 2 has a slot of its own.
+  CheckReport deeper;
+  AuditStageOrdering(schedule, 3, &deeper);
+  EXPECT_TRUE(deeper.clean()) << deeper.ToString();
+}
+
+TEST(StageOrderingAudit, FiresWhenAPushOverwritesAnIndexSlotInUse) {
+  // Batch 1's push starts at 300, while batch 0's stage 2 runs to 400.
+  std::vector<StageInstants> schedule = {WellOrdered(),
+                                         Shifted(WellOrdered(), 200)};
+  CheckReport report;
+  AuditStageOrdering(schedule, 1, &report);
+  EXPECT_GE(report.count(Rule::kStageOrdering), 1u);
+  EXPECT_NE(report.first_offender(Rule::kStageOrdering).find("index slot"),
+            std::string::npos);
 }
 
 }  // namespace

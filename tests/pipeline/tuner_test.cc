@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -167,8 +168,9 @@ TEST(TunerTest, FullCalibrationDominatesEveryStaticPlan) {
 
 // Plans whose dense stages never reach the tail can score exactly the
 // same exact p99; the documented tie-break then decides: the lower
-// prediction, then the lower enumeration index.
-TEST(TunerTest, EqualMeasuredP99FallsToPredictionThenEnumeration) {
+// prediction, then the shorter predicted period, then the lower
+// enumeration index.
+TEST(TunerTest, EqualMeasuredP99FallsToPredictionPeriodThenEnumeration) {
   Fixture f = MakeFixture();
   const auto requests = Arrivals(f.trace, 1.0e6);
   TunerOptions options = SmallSearch();
@@ -188,11 +190,59 @@ TEST(TunerTest, EqualMeasuredP99FallsToPredictionThenEnumeration) {
       continue;
     }
     ++ties;
+    const bool same_prediction = c[best].predicted_ns == c[i].predicted_ns;
     EXPECT_TRUE(c[best].predicted_ns < c[i].predicted_ns ||
-                (c[best].predicted_ns == c[i].predicted_ns && best < i))
+                (same_prediction && c[best].predicted_period_ns <
+                                        c[i].predicted_period_ns) ||
+                (same_prediction &&
+                 c[best].predicted_period_ns == c[i].predicted_period_ns &&
+                 best < i))
         << Name(c[i].plan) << " ties " << Name(tuned->best);
   }
   EXPECT_GT(ties, 0u) << "the fixture must exercise an exact tie";
+}
+
+// The calibration short list holds distinct (depth, backends) plans:
+// the best-ranked bottom split of each of the top calibrate_top_n
+// plans in (prediction, period, enumeration) order, never two splits
+// of one plan.
+TEST(TunerTest, ShortListTakesDistinctDepthAndBackendPlans) {
+  Fixture f = MakeFixture();
+  const auto requests = Arrivals(f.trace, 1.0e6);
+  DataFlowTuner tuner(SmallSearch());
+  auto tuned = tuner.Tune(*f.engine, requests, Batcher());
+  ASSERT_TRUE(tuned.ok());
+  const std::vector<CandidateOutcome>& c = tuned->candidates;
+  std::vector<std::size_t> rank(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) rank[i] = i;
+  std::stable_sort(rank.begin(), rank.end(), [&](std::size_t a,
+                                                 std::size_t b) {
+    return c[a].predicted_ns != c[b].predicted_ns
+               ? c[a].predicted_ns < c[b].predicted_ns
+               : c[a].predicted_period_ns < c[b].predicted_period_ns;
+  });
+  auto same_plan = [&](std::size_t a, std::size_t b) {
+    return c[a].plan.depth == c[b].plan.depth &&
+           c[a].plan.bottom == c[b].plan.bottom &&
+           c[a].plan.top == c[b].plan.top;
+  };
+  std::vector<std::size_t> want;
+  for (const std::size_t i : rank) {
+    if (want.size() == 3) break;
+    if (std::none_of(want.begin(), want.end(),
+                     [&](std::size_t j) { return same_plan(i, j); })) {
+      want.push_back(i);
+    }
+  }
+  ASSERT_EQ(want.size(), 3u);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const bool listed = std::find(want.begin(), want.end(), i) != want.end();
+    EXPECT_EQ(c[i].calibrated, listed) << Name(c[i].plan);
+  }
+  // The fixture's top plans tie across bottom splits, so a list of the
+  // top three ranks would have held split variants of one plan.
+  EXPECT_TRUE(same_plan(rank[0], rank[1]))
+      << Name(c[rank[0]].plan) << " vs " << Name(c[rank[1]].plan);
 }
 
 TEST(TunerTest, RespectsGpuAvailability) {

@@ -200,18 +200,22 @@ TEST(ExecutorTest, ExecutedRespectsTrueLowerBoundsOnMixedBatches) {
 // The two-resource embedding schedule with no dense tasks at all,
 // written out directly: the host runs stage 1 at the cut (winning
 // ties) and stage 3 work-conserving in batch order, the DPUs run
-// stage 2 FIFO, and `depth` buffer pairs gate the cuts. This was the
-// executor's schedule when one host resource ran every transfer and
-// the aggregation; with no aggregation work the two host lanes must
-// reproduce it exactly.
+// stage 2 FIFO once the batch's push and its output slot (batch
+// k - depth's stage 3) are done, and `depth` buffer slots gate the
+// cuts. This was the executor's schedule when one host resource ran
+// every transfer and the aggregation; with no aggregation work the two
+// host lanes must reproduce it exactly.
 class TwoResourceSchedule {
  public:
   explicit TwoResourceSchedule(std::uint32_t depth) : depth_(depth) {}
 
-  Nanos NextAdmitTime() const {
+  // Places stage 3s until batch n - depth's stage 2 is placed: its
+  // output slot's stage 3 starts before any later cut.
+  Nanos NextAdmitTime() {
     if (batches_.size() < depth_) return last_cut_;
-    return std::max(last_cut_,
-                    batches_[batches_.size() - depth_].s2_end_ns);
+    const std::size_t reuse = batches_.size() - depth_;
+    while (next_s2_ <= reuse) RunStage3();
+    return std::max(last_cut_, batches_[reuse].s2_end_ns);
   }
 
   void Submit(const core::StageBreakdown& stages, Nanos cut_ns) {
@@ -225,12 +229,9 @@ class TwoResourceSchedule {
     b.s1_end_ns = b.s1_start_ns + stages.cpu_to_dpu;
     host_free_ = b.s1_end_ns;
     host_busy_ += stages.cpu_to_dpu;
-    b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
-    b.s2_end_ns = b.s2_start_ns + stages.dpu_lookup;
-    dpu_free_ = b.s2_end_ns;
-    dpu_busy_ += stages.dpu_lookup;
     last_cut_ = cut_ns;
     batches_.push_back(b);
+    PlaceStage2();
   }
 
   void Drain() { AdvanceHost(std::numeric_limits<double>::infinity()); }
@@ -240,22 +241,45 @@ class TwoResourceSchedule {
   Nanos dpu_busy_ns() const { return dpu_busy_; }
 
  private:
+  // Stage 2 of every pushed batch whose output slot's stage 3 is
+  // placed, in batch order.
+  void PlaceStage2() {
+    while (next_s2_ < batches_.size()) {
+      Nanos slot = 0.0;
+      if (next_s2_ >= depth_) {
+        if (next_s2_ - depth_ >= next_s3_) return;
+        slot = batches_[next_s2_ - depth_].s3_end_ns;
+      }
+      ExecutedFlowBatch& b = batches_[next_s2_];
+      b.s2_start_ns = std::max({b.s1_end_ns, dpu_free_, slot});
+      b.s2_end_ns = b.s2_start_ns + b.costs.emb.dpu_lookup;
+      dpu_free_ = b.s2_end_ns;
+      dpu_busy_ += b.costs.emb.dpu_lookup;
+      ++next_s2_;
+    }
+  }
+
+  void RunStage3() {
+    ExecutedFlowBatch& b = batches_[next_s3_];
+    const Nanos dur = b.costs.emb.dpu_to_cpu + b.costs.emb.cpu_aggregate;
+    b.s3_start_ns = std::max(host_free_, b.s2_end_ns);
+    b.s3_end_ns = b.s3_start_ns + dur;
+    host_free_ = b.s3_end_ns;
+    host_busy_ += dur;
+    ++next_s3_;
+    PlaceStage2();
+  }
+
   void AdvanceHost(Nanos until) {
-    while (next_s3_ < batches_.size()) {
-      ExecutedFlowBatch& b = batches_[next_s3_];
-      const Nanos start = std::max(host_free_, b.s2_end_ns);
-      if (start >= until) break;
-      const Nanos dur = b.costs.emb.dpu_to_cpu + b.costs.emb.cpu_aggregate;
-      b.s3_start_ns = start;
-      b.s3_end_ns = start + dur;
-      host_free_ = b.s3_end_ns;
-      host_busy_ += dur;
-      ++next_s3_;
+    while (next_s3_ < next_s2_ &&
+           std::max(host_free_, batches_[next_s3_].s2_end_ns) < until) {
+      RunStage3();
     }
   }
 
   std::uint32_t depth_;
   std::vector<ExecutedFlowBatch> batches_;
+  std::size_t next_s2_ = 0;
   std::size_t next_s3_ = 0;
   Nanos host_free_ = 0.0;
   Nanos dpu_free_ = 0.0;
@@ -269,16 +293,20 @@ class TwoResourceSchedule {
 // cross-host hop): the fabric runs each batch's hop FIFO from its cut,
 // the transfer lane runs the bus push at the hop's end (winning ties)
 // and the stage-3 pulls work-conserving in batch order, the DPUs run
-// stage 2 FIFO, the core lane aggregates each batch FIFO once its pull
-// is done, and `depth` buffer pairs gate the cuts.
+// stage 2 FIFO once the batch's push and its output slot (batch
+// k - depth's pull) are done, the core lane aggregates each batch FIFO
+// once its pull is done, and `depth` buffer slots gate the cuts.
 class ThreeResourceSchedule {
  public:
   explicit ThreeResourceSchedule(std::uint32_t depth) : depth_(depth) {}
 
-  Nanos NextAdmitTime() const {
+  // Places pulls until batch n - depth's stage 2 is placed: its
+  // output slot's pull starts before any later cut.
+  Nanos NextAdmitTime() {
     if (batches_.size() < depth_) return last_cut_;
-    return std::max(last_cut_,
-                    batches_[batches_.size() - depth_].s2_end_ns);
+    const std::size_t reuse = batches_.size() - depth_;
+    while (next_s2_ <= reuse) RunPull();
+    return std::max(last_cut_, batches_[reuse].s2_end_ns);
   }
 
   void Submit(const core::StageBreakdown& stages, Nanos cut_ns) {
@@ -293,12 +321,9 @@ class ThreeResourceSchedule {
     b.s1_end_ns = b.s1_start_ns + (stages.cpu_to_dpu - stages.ingress);
     transfer_free_ = b.s1_end_ns;
     transfer_busy_ += stages.cpu_to_dpu - stages.ingress;
-    b.s2_start_ns = std::max(b.s1_end_ns, dpu_free_);
-    b.s2_end_ns = b.s2_start_ns + stages.dpu_lookup;
-    dpu_free_ = b.s2_end_ns;
-    dpu_busy_ += stages.dpu_lookup;
     last_cut_ = cut_ns;
     batches_.push_back(b);
+    PlaceStage2();
   }
 
   void Drain() { AdvanceTransfer(std::numeric_limits<double>::infinity()); }
@@ -309,26 +334,50 @@ class ThreeResourceSchedule {
   Nanos dpu_busy_ns() const { return dpu_busy_; }
 
  private:
+  // Stage 2 of every pushed batch whose output slot's pull is placed,
+  // in batch order.
+  void PlaceStage2() {
+    while (next_s2_ < batches_.size()) {
+      Nanos slot = 0.0;
+      if (next_s2_ >= depth_) {
+        if (next_s2_ - depth_ >= next_pull_) return;
+        slot = batches_[next_s2_ - depth_].pull_end_ns;
+      }
+      ExecutedFlowBatch& b = batches_[next_s2_];
+      b.s2_start_ns = std::max({b.s1_end_ns, dpu_free_, slot});
+      b.s2_end_ns = b.s2_start_ns + b.costs.emb.dpu_lookup;
+      dpu_free_ = b.s2_end_ns;
+      dpu_busy_ += b.costs.emb.dpu_lookup;
+      ++next_s2_;
+    }
+  }
+
+  void RunPull() {
+    ExecutedFlowBatch& b = batches_[next_pull_];
+    b.s3_start_ns = std::max(transfer_free_, b.s2_end_ns);
+    b.pull_end_ns = b.s3_start_ns + b.costs.emb.dpu_to_cpu;
+    transfer_free_ = b.pull_end_ns;
+    transfer_busy_ += b.costs.emb.dpu_to_cpu;
+    // Aggregations are the core lane's only work, in pull order.
+    b.s3_end_ns = std::max(core_free_, b.pull_end_ns) +
+                  b.costs.emb.cpu_aggregate;
+    core_free_ = b.s3_end_ns;
+    core_busy_ += b.costs.emb.cpu_aggregate;
+    ++next_pull_;
+    PlaceStage2();
+  }
+
   void AdvanceTransfer(Nanos until) {
-    while (next_pull_ < batches_.size()) {
-      ExecutedFlowBatch& b = batches_[next_pull_];
-      const Nanos start = std::max(transfer_free_, b.s2_end_ns);
-      if (start >= until) break;
-      b.s3_start_ns = start;
-      b.pull_end_ns = start + b.costs.emb.dpu_to_cpu;
-      transfer_free_ = b.pull_end_ns;
-      transfer_busy_ += b.costs.emb.dpu_to_cpu;
-      // Aggregations are the core lane's only work, in pull order.
-      b.s3_end_ns = std::max(core_free_, b.pull_end_ns) +
-                    b.costs.emb.cpu_aggregate;
-      core_free_ = b.s3_end_ns;
-      core_busy_ += b.costs.emb.cpu_aggregate;
-      ++next_pull_;
+    while (next_pull_ < next_s2_ &&
+           std::max(transfer_free_, batches_[next_pull_].s2_end_ns) <
+               until) {
+      RunPull();
     }
   }
 
   std::uint32_t depth_;
   std::vector<ExecutedFlowBatch> batches_;
+  std::size_t next_s2_ = 0;
   std::size_t next_pull_ = 0;
   Nanos fabric_free_ = 0.0;
   Nanos transfer_free_ = 0.0;
@@ -548,6 +597,36 @@ TEST(ExecutorTest, AggregationOverlapsLaterTransfers) {
   EXPECT_DOUBLE_EQ(Makespan(exec), 50.0 + 4 * 40.0);
   EXPECT_DOUBLE_EQ(exec.host_busy_ns(), 4 * 20.0);
   EXPECT_DOUBLE_EQ(exec.host_core_busy_ns(), 4 * 40.0);
+}
+
+// Under a standing backlog with fixed shares, launches and pulls
+// coalesce; the bound at the same depth still holds from below, and
+// depth 1 never coalesces.
+TEST(ExecutorTest, BoundHoldsWhenLaunchesAndPullsCoalesce) {
+  Rng rng(77);
+  for (int run = 0; run < 200; ++run) {
+    const auto depth = static_cast<std::uint32_t>(1 + run % 4);
+    std::vector<core::StageBreakdown> batches;
+    for (int b = 0; b < 20; ++b) {
+      core::StageBreakdown s =
+          Batch(10.0 + 40.0 * rng.NextDouble(), 0.0, 0.0,
+                20.0 * rng.NextDouble(), 0.0);
+      s.lookup_fixed = 30.0;
+      s.dpu_lookup = s.lookup_fixed + 150.0 * rng.NextDouble();
+      s.pull_fixed = 25.0;
+      s.dpu_to_cpu = s.pull_fixed + 40.0 * rng.NextDouble();
+      if (run % 2 == 1) s.ingress = s.cpu_to_dpu * rng.NextDouble();
+      batches.push_back(s);
+    }
+    const auto exec = Execute(batches, depth);
+    EXPECT_GE(Makespan(exec) * (1.0 + 1e-12),
+              core::EstimatePipelinedEmbedding(batches, depth).pipelined_ns)
+        << "run " << run << " depth " << depth;
+    if (depth == 1) {
+      EXPECT_EQ(exec.kernel_launches(), batches.size());
+      EXPECT_EQ(exec.pull_calls(), batches.size());
+    }
+  }
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
+#include "telemetry/tracer.h"
 #include "trace/generator.h"
 
 namespace updlrm::serve {
@@ -127,16 +129,23 @@ TEST(ServerTest, HighLoadFillsBatchesAndPipelines) {
   EXPECT_EQ(result->num_batches, 8u);  // 128 / 16, all full
   EXPECT_DOUBLE_EQ(result->avg_batch_size, 16.0);
   // Back-to-back batches: the executed makespan respects the true
-  // lower bounds of any schedule for this batch sequence...
-  Nanos host = 0.0, dpu = 0.0;
+  // lower bounds of any schedule for this batch sequence, where one
+  // kernel launch or pull call pays its fixed share for up to
+  // pipeline_depth batches...
+  const auto calls = static_cast<double>(
+      (result->num_batches + options.pipeline_depth - 1) /
+      options.pipeline_depth);
+  const core::StageBreakdown& last = result->schedule.back().stages;
+  Nanos host = calls * last.pull_fixed, dpu = calls * last.lookup_fixed;
   for (const auto& b : result->schedule) {
-    host += b.stages.cpu_to_dpu + b.stages.dpu_to_cpu +
+    EXPECT_EQ(b.stages.pull_fixed, last.pull_fixed);
+    EXPECT_EQ(b.stages.lookup_fixed, last.lookup_fixed);
+    host += b.stages.cpu_to_dpu + (b.stages.dpu_to_cpu - b.stages.pull_fixed) +
             b.stages.cpu_aggregate;
-    dpu += b.stages.dpu_lookup;
+    dpu += b.stages.dpu_lookup - b.stages.lookup_fixed;
   }
   const Nanos fill = result->schedule.front().stages.cpu_to_dpu;
-  const Nanos drain = result->schedule.back().stages.dpu_to_cpu +
-                      result->schedule.back().stages.cpu_aggregate;
+  const Nanos drain = last.dpu_to_cpu + last.cpu_aggregate;
   EXPECT_GE(result->makespan_ns, host);
   EXPECT_GE(result->makespan_ns, fill + dpu + drain);
   // ...and with full batches always ready, some resource is busy from
@@ -146,6 +155,68 @@ TEST(ServerTest, HighLoadFillsBatchesAndPipelines) {
   EXPECT_LE(result->makespan_ns,
             requests.back().arrival_ns + serial + 1.0);
   EXPECT_EQ(result->request_latency_ns.size(), result->completed);
+}
+
+// Under total overload a standing backlog forms, so at the default
+// depth kernel launches and pull calls serve several batches each; the
+// counts reach the scorecard and the metrics registry.
+TEST(ServerTest, OverloadCoalescesLaunchesAndPullCalls) {
+  Fixture f = MakeFixture();
+  const auto requests =
+      Arrivals(f.trace, 1.0e8, ArrivalProcess::kUniform);
+  ServeOptions options;
+  options.batcher.max_batch_size = 16;
+  options.batcher.max_queue_delay_ns = 1.0e6;
+  auto result = RunServeSimulation(*f.engine, requests, options);
+  ASSERT_TRUE(result.ok());
+  const StageUtilization& u = result->utilization;
+  const auto batches = static_cast<double>(result->num_batches);
+  EXPECT_LT(u.kernel_launches, result->num_batches);
+  EXPECT_LE(u.pull_calls, result->num_batches);
+  EXPECT_LE(batches, options.pipeline_depth * u.kernel_launches);
+  EXPECT_EQ(u.fabric_busy_ns, 0.0);  // one host: no cross-host hop
+
+  telemetry::MetricsRegistry registry;
+  result->ExportTo(registry, "serve");
+  EXPECT_EQ(registry.GaugeValue("serve.fabric_util"), 0.0);
+  EXPECT_EQ(registry.GaugeValue("serve.batches_per_launch"),
+            batches / static_cast<double>(u.kernel_launches));
+  EXPECT_EQ(registry.GaugeValue("serve.batches_per_pull"),
+            batches / static_cast<double>(u.pull_calls));
+
+  // The trace draws one stage2.kernel span per launch and one
+  // stage3.pull span per call, each naming how many batches it served.
+  telemetry::Tracer::Get().Enable();
+  auto traced = RunServeSimulation(*f.engine, requests, options);
+  telemetry::Tracer::Get().Disable();
+  ASSERT_TRUE(traced.ok());
+  std::size_t spans[2] = {0, 0};
+  double served[2] = {0.0, 0.0};
+  for (const telemetry::TraceEvent& e : telemetry::Tracer::Get().Snapshot()) {
+    if (e.name == nullptr) continue;
+    const std::string name = e.name;
+    const int kind = name == "stage2.kernel" ? 0
+                     : name == "stage3.pull" ? 1
+                                             : -1;
+    if (kind < 0) continue;
+    ++spans[kind];
+    for (int i = 0; i < telemetry::kMaxTraceArgs; ++i) {
+      if (e.arg_name[i] != nullptr && std::string(e.arg_name[i]) == "batches") {
+        served[kind] += e.arg_value[i];
+      }
+    }
+  }
+  EXPECT_EQ(spans[0], u.kernel_launches);
+  EXPECT_EQ(spans[1], u.pull_calls);
+  EXPECT_EQ(served[0], batches);
+  EXPECT_EQ(served[1], batches);
+
+  // Depth 1 never coalesces.
+  options.pipeline_depth = 1;
+  auto serial = RunServeSimulation(*f.engine, requests, options);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial->utilization.kernel_launches, serial->num_batches);
+  EXPECT_EQ(serial->utilization.pull_calls, serial->num_batches);
 }
 
 TEST(ServerTest, BoundedQueueShedsUnderOverload) {

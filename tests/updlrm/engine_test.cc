@@ -189,6 +189,28 @@ TEST(EngineTest, StageLatenciesArePositive) {
   EXPECT_GE(batch->total, batch->stages.EmbeddingTotal());
 }
 
+// The fixed shares of stage 2 and the pull come from the same SDK
+// constants the stage prices charge: one dpu_launch() plus the tasklet
+// boot, and one batched transfer call.
+TEST(EngineTest, StageFixedSharesAreTheSdkConstants) {
+  Fixture f = MakeFixture();
+  auto engine = UpDlrmEngine::Create(
+      f.model.get(), f.config, f.trace, f.system.get(),
+      SmallEngineOptions(partition::Method::kCacheAware, 4));
+  ASSERT_TRUE(engine.ok());
+  auto batch = (*engine)->RunBatch({0, 16}, nullptr);
+  ASSERT_TRUE(batch.ok());
+  const pim::DpuSystemConfig& config = f.system->config();
+  const pim::HostTransferParams& transfer = f.system->transfer().params();
+  EXPECT_EQ(batch->stages.lookup_fixed,
+            transfer.kernel_launch_ns +
+                CyclesToNanos(config.kernel_cost.boot_cycles,
+                              config.dpu.clock_hz));
+  EXPECT_EQ(batch->stages.pull_fixed, transfer.transfer_launch_ns);
+  EXPECT_LT(batch->stages.lookup_fixed, batch->stages.dpu_lookup);
+  EXPECT_LT(batch->stages.pull_fixed, batch->stages.dpu_to_cpu);
+}
+
 TEST(EngineTest, TimingOnlyModeMatchesFunctionalTiming) {
   // Timing must not depend on whether MRAM contents are materialized.
   Fixture functional = MakeFixture(true);

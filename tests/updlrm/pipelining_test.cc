@@ -165,5 +165,28 @@ TEST(PipeliningTest, IngressMovesStageOneOffTheTransferLane) {
   EXPECT_DOUBLE_EQ(a.pipelined_ns, 810.0);
 }
 
+// Under backlog one launch or call serves up to `depth` batches, so
+// the bound counts each batch's stage 2 and pull less its fixed share,
+// plus the fixed shares of the fewest calls: ceil(n / depth).
+TEST(PipeliningTest, FixedSharesCountOncePerCallAtDepth) {
+  StageBreakdown b = Batch(10, 80, 30);
+  b.lookup_fixed = 50.0;
+  b.pull_fixed = 20.0;
+  const std::vector<StageBreakdown> batches(10, b);
+  const auto serial = EstimatePipelinedEmbedding(batches, 1);
+  EXPECT_DOUBLE_EQ(serial.dpu_work_ns, 800.0);
+  EXPECT_DOUBLE_EQ(serial.host_work_ns, 10 * (10.0 + 30.0));
+  const auto deep = EstimatePipelinedEmbedding(batches, 4);
+  // ceil(10 / 4) = 3 launches and 3 calls.
+  EXPECT_DOUBLE_EQ(deep.dpu_work_ns, 10 * 30.0 + 3 * 50.0);
+  EXPECT_DOUBLE_EQ(deep.host_work_ns, 10 * (10.0 + 10.0) + 3 * 20.0);
+  EXPECT_DOUBLE_EQ(deep.serial_ns, serial.serial_ns);
+  EXPECT_LT(deep.pipelined_ns, serial.pipelined_ns);
+  // With no fixed shares depth changes nothing, to the bit.
+  const std::vector<StageBreakdown> plain(10, Batch(10, 80, 30, 5));
+  EXPECT_EQ(EstimatePipelinedEmbedding(plain, 1).pipelined_ns,
+            EstimatePipelinedEmbedding(plain, 4).pipelined_ns);
+}
+
 }  // namespace
 }  // namespace updlrm::core

@@ -126,6 +126,10 @@ TEST(ScaleoutTest, DegenerateSingleShardMatchesFlatEngine) {
   EXPECT_EQ(want->stages.dpu_lookup, got->stages.dpu_lookup);
   EXPECT_EQ(want->stages.dpu_to_cpu, got->stages.dpu_to_cpu);
   EXPECT_EQ(want->stages.cpu_aggregate, got->stages.cpu_aggregate);
+  EXPECT_EQ(want->stages.lookup_fixed, got->stages.lookup_fixed);
+  EXPECT_EQ(want->stages.pull_fixed, got->stages.pull_fixed);
+  EXPECT_GT(got->stages.lookup_fixed, 0.0);
+  EXPECT_GT(got->stages.pull_fixed, 0.0);
   EXPECT_EQ(want->bottom_mlp, got->bottom_mlp);
   EXPECT_EQ(want->interaction_top, got->interaction_top);
   EXPECT_EQ(want->total, got->total);

@@ -120,8 +120,9 @@ LexedFile Lex(std::string source) {
         std::size_t j = i + 1;
         std::size_t d0 = j;
         while (j < n && s[j] != '(') ++j;
-        const std::string delim =
-            ")" + std::string(s.substr(d0, j - d0)) + "\"";
+        std::string delim = ")";
+        delim += s.substr(d0, j - d0);
+        delim += '"';
         const std::size_t body = j + 1;
         const std::size_t close = s.find(delim, body);
         const std::size_t end = close == std::string_view::npos
